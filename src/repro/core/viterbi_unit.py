@@ -83,7 +83,6 @@ class ViterbiUnit:
         self._transitions = 0
         self._columns = 0
         self._bank_cache: dict | None = None
-        self._token_bank_cache: dict | None = None
         self._chain_scratch: dict | None = None
 
     def _chain_buffers(self, k: int) -> dict:
@@ -395,126 +394,86 @@ class ViterbiUnit:
         )
 
     # ------------------------------------------------------------------
-    # Batched multi-utterance token update (the tree lane bank path)
+    # Active-list token update (the tree lane bank path)
     # ------------------------------------------------------------------
-    def update_token_bank(
+    def update_tokens_active(
         self,
         prev_delta: np.ndarray,
+        slots: np.ndarray,
+        pred_slots: np.ndarray,
         self_logp: np.ndarray,
-        pred_state: np.ndarray,
         pred_logp: np.ndarray,
         obs_logprobs: np.ndarray,
         entry_scores: np.ndarray,
-        entry_mask: np.ndarray,
+        bank_transitions: int,
     ) -> ChainUpdateResult:
-        """One :meth:`update_tokens` over ``B`` stacked utterances.
+        """:meth:`update_tokens` evaluated at a list of live registers.
 
-        ``prev_delta``/``obs_logprobs``/``entry_scores`` are ``(B, S)``
-        banks sharing the tree's ``(S,)`` transition constants,
-        predecessor indices and root mask.  The bank is flattened
-        row-major; each lane's predecessor indices are offset into its
-        own row (roots keep -1), so every gather stays within the row
-        and all arithmetic is elementwise float32 — each row's deltas
-        and backpointers are bit-identical to updating that utterance
-        alone.  Cycles/transitions account for the whole bank.
+        ``prev_delta`` is the whole token bank (the tree lane bank
+        stacks ``(B, S)`` utterance rows; it is only read) and
+        ``slots`` the ``(n,)`` flat indices of the registers that can
+        hold a live token after this frame: alive now, predecessor
+        alive, or offered an entry.  The other arrays are ``(n,)``,
+        aligned with ``slots``: ``pred_slots`` the flat index of each
+        register's predecessor (-1 for none), ``pred_logp`` that arc,
+        ``self_logp`` the self-loop, ``obs_logprobs`` the senone score,
+        ``entry_scores`` the entry offer (``LOG_ZERO`` for none).
 
-        CONTRACT (stricter than :meth:`update_tokens`): entries of
-        ``entry_scores`` OUTSIDE ``entry_mask`` must be ``LOG_ZERO``.
-        That lets the steady-state path skip the entry masking pass;
-        the tree lane bank's entry buffer only ever writes root
-        columns, so it satisfies this by construction.
+        The stay/forward/entry competition is the float32 sequence of
+        :meth:`update_tokens`, so the returned ``(n,)`` ``delta`` and
+        ``backpointer`` are bit-identical to that method's at
+        ``slots``; at any other register it would leave a dead token
+        dead with ``BP_SELF``, so the caller leaves those alone.
 
-        Everything invariant across frames — the tiled constants, the
-        per-row offset predecessor gather indices, the no-predecessor
-        mask and the transition counts — is cached keyed on ``B`` and
-        the source-array identities (mirroring
-        :meth:`update_chain_bank`), so each call runs only the
-        per-frame arithmetic :meth:`update_tokens` would, without its
-        per-call validation, masking and cast passes.
+        The unit itself still streams the whole bank — a dead register
+        occupies the same add&compare slots as a live one — so cycles
+        and operation counts are charged for ``bank_transitions``, the
+        count :meth:`update_tokens` reports for the full bank
+        (registers + predecessor arcs + entry offers), not for ``n``.
         """
-        prev = np.asarray(prev_delta, dtype=np.float32)
-        if prev.ndim != 2:
-            raise ValueError(f"prev_delta must be (B, S), got {prev.shape}")
-        b, s = prev.shape
+        prev = np.asarray(prev_delta, dtype=np.float32).reshape(-1)
+        n = slots.shape[0]
+        self_lp = np.asarray(self_logp, dtype=np.float32)
+        pred_lp = np.asarray(pred_logp, dtype=np.float32)
         obs = np.asarray(obs_logprobs, dtype=np.float32)
         entry = np.asarray(entry_scores, dtype=np.float32)
-        for name, arr in (("obs_logprobs", obs), ("entry_scores", entry)):
-            if arr.shape != (b, s):
-                raise ValueError(f"{name} shape {arr.shape} != ({b}, {s})")
-        cache = self._token_bank_cache
-        if (
-            cache is None
-            or cache["b"] != b
-            or cache["self_src"] is not self_logp
-            or cache["pred_src"] is not pred_state
-            or cache["pred_lp_src"] is not pred_logp
-            or cache["mask_src"] is not entry_mask
+        for name, arr in (
+            ("pred_slots", pred_slots),
+            ("self_logp", self_lp),
+            ("pred_logp", pred_lp),
+            ("obs_logprobs", obs),
+            ("entry_scores", entry),
         ):
-            preds = np.asarray(pred_state, dtype=np.int64)
-            if preds.shape != (s,):
-                raise ValueError(f"pred_state shape {preds.shape} != ({s},)")
-            if preds.max(initial=-1) >= s:
-                raise ValueError("pred_state index out of range")
-            k = b * s
-            tiled_preds = np.tile(preds, b)
-            row_offset = np.repeat(np.arange(b, dtype=np.int64) * s, s)
-            has_pred = tiled_preds >= 0
-            mask = np.tile(np.asarray(entry_mask, dtype=bool), b)
-            cache = self._token_bank_cache = {
-                "b": b,
-                "self_src": self_logp,
-                "pred_src": pred_state,
-                "pred_lp_src": pred_logp,
-                "mask_src": entry_mask,
-                "self": np.tile(np.asarray(self_logp, dtype=np.float32), b),
-                # Gather indices clamped to 0 at rootless states; the
-                # garbage gathered there is overwritten via "no_pred".
-                "safe": np.where(has_pred, tiled_preds + row_offset, 0),
-                "no_pred": ~has_pred,
-                "pred_lp": np.tile(np.asarray(pred_logp, dtype=np.float32), b),
-                "transitions": int(
-                    k + np.count_nonzero(has_pred) + np.count_nonzero(mask)
-                ),
-                # Per-frame scratch (float32/bool/int8 work buffers).
-                "stay": np.empty(k, dtype=np.float32),
-                "from_pred": np.empty(k, dtype=np.float32),
-                "better": np.empty(k, dtype=bool),
-                "dead": np.empty(k, dtype=bool),
-            }
-        prev_flat = np.ascontiguousarray(prev).ravel()
-        obs_flat = np.ascontiguousarray(obs).ravel()
-        entry_flat = np.ascontiguousarray(entry).ravel()
-        # The same arithmetic as update_tokens, minus the invariant and
-        # no-op passes: stay/from_pred/enter competition in float32.
-        stay = np.add(prev_flat, cache["self"], out=cache["stay"])
-        from_pred = np.take(prev_flat, cache["safe"], out=cache["from_pred"])
-        from_pred += cache["pred_lp"]
-        from_pred[cache["no_pred"]] = LOG_ZERO
-        better = np.greater(from_pred, stay, out=cache["better"])
-        backptr = np.full(b * s, BP_SELF, dtype=np.int8)
-        best = stay  # winner accumulates in the stay buffer
+            if arr.shape != (n,):
+                raise ValueError(f"{name} shape {arr.shape} != ({n},)")
+        if bank_transitions < prev.shape[0]:
+            raise ValueError(
+                f"bank_transitions {bank_transitions} < bank size {prev.shape[0]}"
+            )
+        best = prev[slots] + self_lp  # stay
+        no_pred = pred_slots < 0
+        from_pred = prev[np.where(no_pred, 0, pred_slots)] + pred_lp
+        from_pred[no_pred] = LOG_ZERO
+        backptr = np.full(n, BP_SELF, dtype=np.int8)
+        better = from_pred > best
         np.copyto(best, from_pred, where=better)
         backptr[better] = BP_FORWARD
-        # entry_flat is LOG_ZERO outside the mask (the contract), so it
-        # IS update_tokens' masked `enter` operand, no where() needed.
-        np.greater(entry_flat, best, out=better)
-        np.copyto(best, entry_flat, where=better)
+        better = entry > best
+        np.copyto(best, entry, where=better)
         backptr[better] = BP_ENTRY
-        dead = np.less_equal(best, np.float32(LOG_ZERO), out=cache["dead"])
-        new_delta = best + obs_flat
-        new_delta[dead] = LOG_ZERO
-        transitions = cache["transitions"]
-        self.fpu.counts.add += transitions + b * s
-        self.fpu.counts.compare += transitions
-        cycles = self.spec.cycles_for_transitions(transitions)
+        new_delta = best + obs
+        new_delta[best <= np.float32(LOG_ZERO)] = LOG_ZERO
+        self.fpu.counts.add += bank_transitions + prev.shape[0]
+        self.fpu.counts.compare += bank_transitions
+        cycles = self.spec.cycles_for_transitions(bank_transitions)
         self._cycles_busy += cycles
-        self._transitions += transitions
+        self._transitions += bank_transitions
         self._columns += 1
         return ChainUpdateResult(
-            delta=new_delta.reshape(b, s),
-            backpointer=backptr.reshape(b, s),
+            delta=new_delta,
+            backpointer=backptr,
             cycles=cycles,
-            transitions=transitions,
+            transitions=bank_transitions,
         )
 
     # ------------------------------------------------------------------

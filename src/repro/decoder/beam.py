@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BeamConfig", "apply_beam", "apply_beam_batch"]
+__all__ = ["BeamConfig", "apply_beam", "apply_beam_batch", "apply_beam_rows"]
 
 LOG_ZERO = -1.0e30
 
@@ -113,4 +113,44 @@ def apply_beam_batch(
     np.logical_not(alive, out=kill)
     kill[dead_rows] = False  # dead rows stay untouched, as in apply_beam
     np.copyto(delta, LOG_ZERO, where=kill)
+    return alive, counts
+
+
+def apply_beam_rows(
+    values: np.ndarray,
+    rows: np.ndarray,
+    num_rows: int,
+    config: BeamConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`apply_beam` over a bank given as a list of slots.
+
+    ``values[i]`` is the score of one slot of row ``rows[i]``; ``rows``
+    is non-decreasing and slots of a row keep their dense (ascending
+    state) order, so each row's segment is that row of the dense bank
+    filtered to its listed slots.  Slots not listed count as
+    ``LOG_ZERO``: they can neither raise the row best nor survive, and
+    the order-dependent histogram trim only ever sorts survivors — so
+    pruning is identical to :func:`apply_beam_batch` on the dense bank.
+    ``values`` is pruned in place; returns the ``(n,)`` live mask and
+    the ``(num_rows,)`` survivor counts (zero for rows with no slot).
+    """
+    bounds = np.searchsorted(rows, np.arange(num_rows + 1))
+    filled = np.flatnonzero(bounds[1:] > bounds[:-1])
+    counts = np.zeros(num_rows, dtype=np.intp)
+    if filled.size == 0:
+        return np.zeros(values.shape, dtype=bool), counts
+    starts = bounds[filled]
+    best = np.full(num_rows, LOG_ZERO, dtype=values.dtype)
+    best[filled] = np.maximum.reduceat(values, starts)
+    threshold = best - config.state_beam
+    live_row = (best > LOG_ZERO)[rows]  # dead rows stay untouched
+    alive = values > threshold[rows]
+    alive &= live_row
+    counts[filled] = np.add.reduceat(alive, starts, dtype=np.intp)
+    if config.max_active_states:
+        for b in np.flatnonzero(counts > config.max_active_states).tolist():
+            segment = slice(bounds[b], bounds[b + 1])
+            _histogram_trim(values[segment], alive[segment], config.max_active_states)
+            counts[b] = int(alive[segment].sum())
+    values[live_row & ~alive] = LOG_ZERO
     return alive, counts

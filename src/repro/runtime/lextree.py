@@ -4,13 +4,23 @@
 :class:`~repro.runtime.batch.LaneBank`: stacked ``(B, num_states)``
 token state over one shared
 :class:`~repro.decoder.lextree.TreeLexiconNetwork`, advanced one frame
-per step through a banked
-:meth:`~repro.core.viterbi_unit.ViterbiUnit.update_token_bank` (the
-batched analogue of the sequential stage's ``update_tokens``), with
-pooled senone demand across all lanes' active tree nodes feeding the
-same :class:`~repro.runtime.scoring.BatchScoringBackend` family as the
-flat bank — so reference/hardware/fast/blas (all precisions) all work
-over the tree unchanged.
+per step — with pooled senone demand across all lanes' active tree
+nodes feeding the same
+:class:`~repro.runtime.scoring.BatchScoringBackend` family as the flat
+bank, so reference/hardware/fast/blas (all precisions) all work over
+the tree unchanged.
+
+Active list
+-----------
+The beam leaves a few percent of the ``(lane, state)`` slots alive, so
+a step never sweeps the bank.  It expands the ascending list of live
+slots into the candidate list (alive, children of alive through a
+static child CSR, roots of lanes holding a pending entry), runs
+:meth:`~repro.core.viterbi_unit.ViterbiUnit.update_tokens_active` and
+the list-form row beam (:func:`~repro.decoder.beam.apply_beam_rows`)
+on the values gathered for just those slots, and scatters the result
+back into the dense state IN PLACE; the survivors are the next step's
+live list.  Per-step cost follows the candidates, not ``B x K``.
 
 Parity contract
 ---------------
@@ -22,18 +32,21 @@ features, for any batch composition, admission step or refill order:
   :class:`~repro.core.viterbi_unit.ViterbiUnit` in float32 (unlike the
   flat stage, which is float64 without a unit), so the stacked token
   bank here is float32 in every mode;
-* every per-frame operation is elementwise or a within-row gather
-  (predecessor indices are offset per row inside
-  ``update_token_bank``), so no lane's arithmetic can observe another
-  lane;
-* word-exit ordering and capping run through the shared
-  :func:`~repro.decoder.lextree.record_tree_exits` kernel on row
-  views, so the (non-stable) top-N tie-breaking is single-sourced with
-  the sequential stage;
-* idle lanes are frozen at ``LOG_ZERO`` — float32 rounding keeps
-  ``LOG_ZERO + logp`` at ``LOG_ZERO`` and the update re-seals dead
-  states, so an unoccupied row can never produce a candidate, an exit
-  or a statistics record.
+* a slot outside the candidate list is dead with a dead predecessor
+  and no entry offer: the sequential update leaves it at ``LOG_ZERO``
+  with its payload untouched, which is what not visiting it does;
+* every per-slot operation is elementwise and every gather stays
+  inside the slot's own row (predecessor and child indices are offset
+  by the lane), so no lane's arithmetic can observe another lane;
+* the candidate list is ascending, so each lane's segment of it is
+  that lane's dense row filtered to its candidates IN ORDER — the
+  order-dependent steps (the histogram trim's ``argsort`` and the
+  top-N cut of the shared
+  :func:`~repro.decoder.lextree.record_tree_exits` kernel) see the
+  same arrays as the sequential stage and tie-break identically;
+* idle lanes are frozen at ``LOG_ZERO`` with no live slot and no
+  pending entry, so an unoccupied row can never produce a candidate,
+  an exit or a statistics record.
 
 The lane lifecycle (admit/step/retire/cancel/compact, scorer
 admit/retire/compact hooks, per-lane frame counters and result
@@ -42,7 +55,8 @@ packaging) is inherited from
 lets :class:`~repro.runtime.batch.BatchRecognizer.decode_batch`,
 :meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`
 and the serve loop drive the tree through the same interface as the
-flat network (``tests/test_runtime_lextree.py`` pins all of it).
+flat network (``tests/test_runtime_lextree.py`` pins all of it,
+including a seeded random lifecycle that hunts for stale rows).
 """
 
 from __future__ import annotations
@@ -51,9 +65,8 @@ import time
 
 import numpy as np
 
-from repro.core.scratch import DenseScratch
-from repro.core.viterbi_unit import BP_FORWARD, BP_SELF, ViterbiUnit
-from repro.decoder.beam import apply_beam_batch, make_beam_scratch
+from repro.core.viterbi_unit import BP_ENTRY, BP_FORWARD, ViterbiUnit
+from repro.decoder.beam import apply_beam_rows
 from repro.decoder.lextree import prime_tree_entry, record_tree_exits
 from repro.runtime.batch import LaneBankBase
 
@@ -61,6 +74,20 @@ __all__ = ["TreeLaneBank"]
 
 LOG_ZERO = -1.0e30
 _DEAD = LOG_ZERO / 2
+
+
+def _child_csr(pred_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Successor lists of an in-degree-1 forest, in CSR form.
+
+    Returns ``(ptr, idx)``: the states whose predecessor is ``s`` are
+    ``idx[ptr[s]:ptr[s + 1]]``.  Roots (``pred_state == -1``) are
+    nobody's child.
+    """
+    num_states = pred_state.shape[0]
+    idx = np.argsort(pred_state, kind="stable")[np.count_nonzero(pred_state < 0) :]
+    ptr = np.zeros(num_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pred_state[idx], minlength=num_states), out=ptr[1:])
+    return ptr, idx
 
 
 class TreeLaneBank(LaneBankBase):
@@ -82,11 +109,11 @@ class TreeLaneBank(LaneBankBase):
         net = self.net
         num_lanes = self.num_lanes
         shape = (num_lanes, net.num_states)
-        # Stacked token state: one row per lane.  Payload values are
-        # lattice indices and frame numbers, far inside int32 range;
-        # the narrower dtype halves the bandwidth of the six (B, K)
-        # propagation passes each step (values, and therefore outputs,
-        # are unchanged vs the sequential stage's int64).
+        # Stacked token state: one row per lane, updated IN PLACE at
+        # the candidate slots of each step.  Payload values are lattice
+        # indices and frame numbers, far inside int32 range (values,
+        # and therefore outputs, are unchanged vs the sequential
+        # stage's int64).
         self.delta = np.full(shape, LOG_ZERO, dtype=np.float32)
         self.entry_frame = np.full(shape, -1, dtype=np.int32)
         self.payload = np.full(shape, -1, dtype=np.int32)
@@ -94,12 +121,22 @@ class TreeLaneBank(LaneBankBase):
         # best LM'd exit), unlike the flat bank's per-word rows.
         self.pending_entry = np.full(num_lanes, LOG_ZERO)
         self.pending_src = np.full(num_lanes, -1, dtype=np.int64)
+        # The active list: ascending flat indices (lane * K + state) of
+        # the live slots, i.e. ``flatnonzero(delta > _DEAD)`` kept
+        # incrementally so no step ever scans the bank.
+        self._alive = np.empty(0, dtype=np.int64)
         # Static tree index helpers.
-        self._has_pred = net.pred_state >= 0
-        self._safe = np.where(self._has_pred, net.pred_state, 0)
         self._roots = np.flatnonzero(net.is_root_start)
-        self._leaves = np.flatnonzero(net.leaf_word >= 0)
-        self._exit_lp = net.exit_logp[self._leaves]
+        self._child_ptr, self._child_idx = _child_csr(net.pred_state)
+        self._child_count = np.diff(self._child_ptr)
+        self._is_leaf = net.leaf_word >= 0
+        # What ``update_tokens`` charges for ONE lane's row: a stay per
+        # state, a forward arc per non-root state, an entry per root.
+        self._row_transitions = int(
+            net.num_states
+            + np.count_nonzero(net.pred_state >= 0)
+            + self._roots.size
+        )
         # The sequential stage makes its own unit when the recognizer
         # has none; sharing the hardware unit keeps cycle accounting in
         # one place.
@@ -107,29 +144,21 @@ class TreeLaneBank(LaneBankBase):
 
     def _alloc_scratch(self) -> None:
         num_lanes = self.num_lanes
-        shape = (num_lanes, self.net.num_states)
         num_senones = self.scorer.num_senones
         self._obs_block = np.zeros((num_lanes, self.recognizer.pool.dim))
-        self._score_mat = DenseScratch((num_lanes, num_senones), LOG_ZERO)
-        # The pooled scores are cast to float32 BEFORE the per-state
-        # gather: same values as gathering float64 then casting (the
-        # sequential stage's astype), one full (B, K) pass cheaper.
+        # Pooled scores land here cast to float32 (the sequential
+        # stage's astype).  Only this step's (lane, senone) requests
+        # are written and only those are gathered, so it is never
+        # cleared.
         self._score_cast = np.empty((num_lanes, num_senones), dtype=np.float32)
-        self._obs_cast = np.empty(shape, dtype=np.float32)
-        self._entry_scores = np.full(shape, LOG_ZERO, dtype=np.float32)
-        self._candidates = np.empty(shape, dtype=bool)
-        self._pred_alive = np.empty(shape, dtype=bool)
         self._cand_mask = np.zeros((num_lanes, num_senones), dtype=bool)
-        self._prev_payload = np.empty(shape, dtype=np.int32)
-        self._prev_entry_frame = np.empty(shape, dtype=np.int32)
-        self._payload_next = np.empty(shape, dtype=np.int32)
-        self._entry_frame_next = np.empty(shape, dtype=np.int32)
-        self._took_self = np.empty(shape, dtype=bool)
-        self._took_fwd = np.empty(shape, dtype=bool)
-        self._beam_scratch = make_beam_scratch(shape)
+
+    def _kill_lane(self, lane: int) -> None:
+        self.delta[lane] = LOG_ZERO
+        self._alive = self._alive[self._alive // self.net.num_states != lane]
 
     def _reset_lane_state(self, lane: int) -> None:
-        self.delta[lane] = LOG_ZERO
+        self._kill_lane(lane)
         self.entry_frame[lane] = -1
         self.payload[lane] = -1
         self.pending_entry[lane], self.pending_src[lane] = prime_tree_entry(
@@ -137,7 +166,7 @@ class TreeLaneBank(LaneBankBase):
         )
 
     def _freeze_lane_state(self, lane: int) -> None:
-        self.delta[lane] = LOG_ZERO
+        self._kill_lane(lane)
         self.pending_entry[lane] = LOG_ZERO
         self.pending_src[lane] = -1
 
@@ -147,8 +176,37 @@ class TreeLaneBank(LaneBankBase):
         self.payload = self.payload[keep]
         self.pending_entry = self.pending_entry[keep]
         self.pending_src = self.pending_src[keep]
-        # The token unit's tiled-constant cache is keyed on B and
-        # refreshes itself at the new width on the next update.
+        # Only occupied lanes are kept and only those hold live slots;
+        # row `keep[i]` becomes row `i`, order preserved.
+        lane = self._alive // self.net.num_states
+        self._alive += (np.searchsorted(keep, lane) - lane) * self.net.num_states
+
+    def _candidate_slots(self) -> np.ndarray:
+        """Ascending flat indices of every slot that can be live next frame.
+
+        Alive slots, children of alive slots (through the child CSR)
+        and the roots of lanes holding a pending entry — the sequential
+        feedback set, for all lanes at once.  Idle lanes are frozen at
+        ``LOG_ZERO`` with ``LOG_ZERO`` pending entries, so they
+        contribute nothing without extra masking.
+        """
+        num_states = self.net.num_states
+        alive = self._alive
+        alive_s = alive % num_states
+        counts = self._child_count[alive_s]
+        # Child j of the i-th alive slot sits at child_idx[ptr[s_i] + j].
+        first = np.cumsum(counts) - counts
+        within = np.repeat(self._child_ptr[alive_s] - first, counts)
+        within += np.arange(within.shape[0])
+        children = np.repeat(alive - alive_s, counts) + self._child_idx[within]
+        entering = np.flatnonzero(self.pending_entry > _DEAD)
+        roots = (entering[:, None] * num_states + self._roots).reshape(-1)
+        # In-degree 1: no slot is the child of two, and a root is the
+        # child of none — so dropping the already-alive leaves a
+        # duplicate-free union.
+        fresh = np.concatenate((children, roots))
+        fresh = fresh[self.delta.reshape(-1)[fresh] <= _DEAD]
+        return np.sort(np.concatenate((alive, fresh)))
 
     def _advance(
         self,
@@ -159,121 +217,118 @@ class TreeLaneBank(LaneBankBase):
     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         net, cfg = self.net, self.cfg
         active = self.active
-        delta = self.delta
-        payload, entry_frame = self.payload, self.entry_frame
+        # Flat views of the in-place state, indexed by slot.
+        delta = self.delta.reshape(-1)
+        payload = self.payload.reshape(-1)
+        entry_frame = self.entry_frame.reshape(-1)
 
         # Stage timing: same boundaries as the flat bank's, so a
         # tree-lexicon trace reads identically.
         timing = self.stage_timing
         t0 = time.perf_counter() if timing else 0.0
 
-        # 1. Candidate states (alive, children of alive, pending root
-        #    entries) — the sequential feedback set, batched.  Idle
-        #    lanes are frozen at LOG_ZERO with LOG_ZERO pending
-        #    entries, so their rows stay empty without extra masking.
-        candidates = self._candidates
-        np.greater(delta, _DEAD, out=candidates)  # alive
-        pred_alive = self._pred_alive
-        np.take(candidates, self._safe, axis=1, out=pred_alive)
-        pred_alive &= self._has_pred
-        candidates |= pred_alive
-        candidates[:, self._roots] |= (self.pending_entry > _DEAD)[:, None]
+        # 1. The active list.  Everything below runs on these n slots
+        #    (a few percent of the bank), never on (B, K).
+        slots = self._candidate_slots()
+        cand_b = slots // net.num_states
+        cand_s = slots - cand_b * net.num_states
+        cand_senone = net.senone_id[cand_s]
 
         # 2. The union of per-lane unique senone requests, as
         #    (lane, senone) work items for one pooled evaluation.
         cand_mask = self._cand_mask
         if cfg.use_feedback:
             cand_mask[:] = False
-            cand_b, cand_s = np.nonzero(candidates)
-            cand_mask[cand_b, net.senone_id[cand_s]] = True
+            cand_mask[cand_b, cand_senone] = True
         else:
             cand_mask[:] = active[:, None]
         pair_b, pair_s = np.nonzero(cand_mask)
         scored_counts = np.count_nonzero(cand_mask, axis=1)
 
-        # 3. One pooled GMM pass for the whole bank, then the cast to
-        #    the float32 observation bank the token update consumes
-        #    (matching the sequential stage's astype).
-        scores = self._score_mat.clean()
-        compact = self.scorer.score_pairs(obs_block, pair_b, pair_s, lanes=lanes)
-        scores[pair_b, pair_s] = compact
-        self._score_mat.publish((pair_b, pair_s))
+        # 3. One pooled GMM pass for the whole bank, gathered back to
+        #    the candidates' float32 observation scores.
         score_cast = self._score_cast
-        score_cast[...] = scores  # float64 -> float32 on (B, senones)
-        obs = score_cast.take(net.senone_id, axis=1, out=self._obs_cast)
-        entry_scores = self._entry_scores
-        entry_scores[:, self._roots] = self.pending_entry[:, None]
+        score_cast[pair_b, pair_s] = self.scorer.score_pairs(
+            obs_block, pair_b, pair_s, lanes=lanes
+        )
+        obs = score_cast[cand_b, cand_senone]
+        entry = np.full(slots.shape, LOG_ZERO, dtype=np.float32)
+        at_root = np.flatnonzero(net.is_root_start[cand_s])
+        entry[at_root] = self.pending_entry[cand_b[at_root]]
         if timing:
             t1 = time.perf_counter()
             self.stage_scoring_s += t1 - t0
 
-        # 4. One banked token update advances every lane.
-        result = self._token_unit.update_token_bank(
+        # 4. One token update advances every lane's candidates.
+        pred_s = net.pred_state[cand_s]
+        pred_slots = np.where(pred_s >= 0, slots - cand_s + pred_s, -1)
+        result = self._token_unit.update_tokens_active(
             delta,
-            net.self_logp,
-            net.pred_state,
-            net.pred_logp,
+            slots,
+            pred_slots,
+            net.self_logp[cand_s],
+            net.pred_logp[cand_s],
             obs,
-            entry_scores,
-            net.is_root_start,
+            entry,
+            self.num_lanes * self._row_transitions,
         )
-        backptr = result.backpointer
+        new_delta, backptr = result.delta, result.backpointer
 
-        # 5. Token payload propagation along the winning arcs.  The
-        #    sequential np.select defaults to the pending source / the
-        #    current frame at BP_ENTRY states; writing those as the
-        #    base buffer then overlaying the disjoint BP_FORWARD and
-        #    BP_SELF masks selects identically.
-        prev_payload = np.take(payload, self._safe, axis=1, out=self._prev_payload)
-        prev_entry_frame = np.take(
-            entry_frame, self._safe, axis=1, out=self._prev_entry_frame
-        )
-        took_self, took_fwd = self._took_self, self._took_fwd
-        np.equal(backptr, BP_SELF, out=took_self)
-        np.equal(backptr, BP_FORWARD, out=took_fwd)
-        payload_next = self._payload_next
-        payload_next[:] = self.pending_src[:, None]
-        np.copyto(payload_next, prev_payload, where=took_fwd)
-        np.copyto(payload_next, payload, where=took_self)
-        self.payload, self._payload_next = payload_next, payload
-        entry_frame_next = self._entry_frame_next
-        entry_frame_next[:] = self.lane_t[:, None]
-        np.copyto(entry_frame_next, prev_entry_frame, where=took_fwd)
-        np.copyto(entry_frame_next, entry_frame, where=took_self)
-        self.entry_frame, self._entry_frame_next = entry_frame_next, entry_frame
-        payload, entry_frame = self.payload, self.entry_frame
-        delta = result.delta
-        self.delta = delta
+        # 5. Token payload propagation along the winning arcs.  A
+        #    BP_SELF slot keeps its payload, so only forward moves and
+        #    entries write; the moved values are gathered before any
+        #    write, so a chain of forward moves reads last frame's.
+        forward = np.flatnonzero(backptr == BP_FORWARD)
+        entered = np.flatnonzero(backptr == BP_ENTRY)
+        source, target = pred_slots[forward], slots[forward]
+        moved_payload, moved_frame = payload[source], entry_frame[source]
+        payload[target] = moved_payload
+        entry_frame[target] = moved_frame
+        target = slots[entered]
+        payload[target] = self.pending_src[cand_b[entered]]
+        entry_frame[target] = self.lane_t[cand_b[entered]]
         if timing:
             t2 = time.perf_counter()
             self.stage_update_s += t2 - t1
 
-        # 6. Row-wise beam prune, then per-lane LM-weighted word exits
-        #    through the shared tree-exit kernel.
-        _, n_active = apply_beam_batch(delta, cfg.beam, self._beam_scratch)
-        leaf_delta = delta[:, self._leaves].astype(np.float64)
-        viable = leaf_delta > _DEAD
-        raw_scores = leaf_delta + self._exit_lp
-        exit_lanes = np.flatnonzero(viable.any(axis=1))
+        # 6. Row-wise beam prune on the list, survivors (and the
+        #    LOG_ZERO of the pruned) scattered back, then per-lane
+        #    LM-weighted word exits through the shared tree-exit kernel.
+        _, n_active = apply_beam_rows(new_delta, cand_b, self.num_lanes, cfg.beam)
+        delta[slots] = new_delta
+        self._alive = slots[new_delta > _DEAD]
+        at_leaf = np.flatnonzero(self._is_leaf[cand_s])
+        leaf_delta = new_delta[at_leaf].astype(np.float64)
+        live = leaf_delta > _DEAD
+        at_leaf = at_leaf[live]
+        leaf_states = cand_s[at_leaf]
+        raw_scores = leaf_delta[live] + net.exit_logp[leaf_states]
+        viable = np.ones(at_leaf.shape, dtype=bool)
+        bounds = np.searchsorted(
+            cand_b[at_leaf], np.arange(self.num_lanes + 1)
+        ).tolist()
         exit_counts = [0] * self.num_lanes
-        for b in exit_lanes.tolist():
+        no_exit = active.copy()
+        for b in range(self.num_lanes):
+            lo, hi = bounds[b], bounds[b + 1]
+            if lo == hi:
+                continue
             exits, best_entry, best_src = record_tree_exits(
                 net,
                 cfg,
                 self.lm,
                 self.lattices[b],
-                payload[b],
-                entry_frame[b],
+                self.payload[b],
+                self.entry_frame[b],
                 lane_t_list[b],
-                raw_scores[b],
-                viable[b],
-                self._leaves,
+                raw_scores[lo:hi],
+                viable[lo:hi],
+                leaf_states[lo:hi],
             )
             exit_counts[b] = len(exits)
             self.pending_entry[b] = best_entry
             self.pending_src[b] = best_src
-        no_exit = active.copy()
-        no_exit[exit_lanes] = False
+            no_exit[b] = False
         self.pending_entry[no_exit] = LOG_ZERO
         self.pending_src[no_exit] = -1
         if timing:

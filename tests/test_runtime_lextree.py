@@ -14,13 +14,19 @@ stepped, never WHAT it computes:
 * blas mode: word-identical with scores inside the documented
   :data:`~repro.decoder.scorer.BLAS_SCORE_ATOL`;
 * the property sweep drives ragged lengths x arrival orders x lane
-  budgets 1..8 through the continuous runtime, including mid-decode
-  :meth:`~repro.runtime.batch.LaneBankBase.cancel`.
+  budgets 1..8 through the continuous runtime, and a seeded random
+  ``admit/step/cancel/retire/compact`` lifecycle drives the bank
+  directly — the state is updated in place at the active list's slots,
+  so a stale row is the failure it hunts;
+* the histogram cap (``BeamConfig.max_active_states``) prunes the
+  list exactly as the sequential stage prunes the dense row, equal-score
+  plateaus included.
 """
 
 import numpy as np
 import pytest
 
+from repro.decoder.beam import LOG_ZERO, BeamConfig
 from repro.decoder.fast_gmm import FastGmmConfig
 from repro.decoder.lextree import TreeLexiconNetwork, TreeWordDecodeStage
 from repro.decoder.recognizer import Recognizer
@@ -72,6 +78,75 @@ def _assert_lane_equal(seq, lane):
     ]
     assert lane.scoring_stats.active_per_frame == seq.scoring_stats.active_per_frame
     assert lane.fast_stats == seq.fast_stats  # None outside fast mode
+
+
+class _Lifecycle:
+    """Drives one ``TreeLaneBank`` op by op against the sequential oracle.
+
+    Every retirement is compared with ONE sequential decode of the same
+    features, and after every op the bank's incremental active list
+    must equal the live slots of its dense state — the invariant an
+    in-place update breaks first when a freed, re-admitted or relocated
+    row keeps something stale.
+    """
+
+    def __init__(self, trio, base, num_lanes):
+        self.rec, _, runtime, self.cache = trio
+        self.base = base
+        runtime._reset_accounting()
+        self.bank = runtime.make_bank(num_lanes)
+        assert isinstance(self.bank, TreeLaneBank)
+        self.source = {}  # utt id -> (utterance index, length)
+        self.retired = {}  # utt id -> RecognitionResult
+        self.ops = 0
+
+    def _check(self):
+        bank = self.bank
+        live = bank.delta > LOG_ZERO / 2
+        assert np.array_equal(bank._alive, np.flatnonzero(live))
+        assert not live[~bank.active].any()
+        self.ops += 1
+
+    def admit(self, lane, utt_index, length=None):
+        feats = self.base[utt_index]
+        length = feats.shape[0] if length is None else length
+        utt = len(self.source)
+        self.source[utt] = (utt_index, length)
+        self.bank.admit(lane, utt, np.asarray(feats[:length], dtype=np.float64))
+        self._check()
+        return utt
+
+    def step(self):
+        bank = self.bank
+        for lane in bank.step():
+            utt = int(bank.lane_utt[lane])
+            self.retired[utt] = result = bank.retire(lane)
+            _assert_lane_equal(
+                _sequential(self.rec, self.base, self.cache, *self.source[utt]),
+                result,
+            )
+        self._check()
+
+    def cancel(self, lane):
+        utt, frames_done = int(self.bank.lane_utt[lane]), int(self.bank.lane_t[lane])
+        assert self.bank.cancel(lane) == frames_done
+        self._check()
+        return utt
+
+    def compact(self):
+        bank = self.bank
+        occupied = int(bank.active.sum())
+        width = bank.compact()
+        if occupied:
+            assert width == occupied == bank.num_lanes
+            assert bank.delta.shape[0] == bank.payload.shape[0] == occupied
+            assert bank.active.shape == (occupied,) and bank.active.all()
+            assert len(bank.lattices) == occupied
+        self._check()
+
+    def drain(self):
+        while self.bank.any_active:
+            self.step()
 
 
 class TestTreeBatchParity:
@@ -147,87 +222,171 @@ class TestTreeContinuousSweep:
             _assert_lane_equal(_sequential(rec, base, cache, i, n), lane)
 
     def test_compact_shrinks_tree_bank_state(self, tree_trio, task):
-        """Direct TreeLaneBank lifecycle: retire -> compact -> decode on."""
-        rec, _, cont, _ = tree_trio
-        feats = [
-            np.asarray(task.corpus.test[0].features, dtype=np.float64),
-            np.asarray(task.corpus.test[1].features[:6], dtype=np.float64),
-        ]
-        bank = cont.make_bank(2)
-        assert isinstance(bank, TreeLaneBank)
-        bank.admit(0, 0, feats[0])
-        bank.admit(1, 1, feats[1])
-        results = {}
-        while bank.any_active:
-            for lane in bank.step():
-                utt = int(bank.lane_utt[lane])
-                results[utt] = bank.retire(lane)
-            if bank.compact() == 1:
-                assert bank.delta.shape[0] == 1
-                assert bank.active.shape == (1,)
-                assert len(bank.lattices) == 1
-        assert bank.num_lanes == 1
-        for i, f in enumerate(feats):
-            _assert_lane_equal(rec.decode(f), results[i])
+        """retire -> compact -> decode on, in a bank one lane narrower."""
+        base = [u.features for u in task.corpus.test]
+        life = _Lifecycle(tree_trio, base, num_lanes=2)
+        life.admit(0, 0)
+        life.admit(1, 1, length=6)
+        while life.bank.any_active:
+            life.step()
+            if life.bank.any_active:
+                life.compact()
+        assert life.bank.num_lanes == 1
+        assert set(life.retired) == {0, 1}
 
 
 class TestTreeCancellation:
-    """Mid-decode ``LaneBank.cancel`` must not perturb tree survivors."""
+    """``admit/step/cancel/retire/compact`` in any order == sequential.
 
-    def _drive_with_cancellation(self, batch, feats, victim_feats, reseed=None):
-        batch._reset_accounting()
-        bank = batch.make_bank(len(feats) + 1)
-        assert isinstance(bank, TreeLaneBank)
-        for lane, f in enumerate(feats):
-            bank.admit(lane, lane, batch._validate_features(lane, f))
-        victim_lane = len(feats)
-        bank.admit(
-            victim_lane, 900, batch._validate_features(victim_lane, victim_feats)
+    The scripted cases pin the interleavings a reader would enumerate
+    by hand (cancel mid-decode, reseed the freed lane; the compacted
+    tail is in the sweep above); the seeded random walk covers the
+    rest, all through the one :class:`_Lifecycle` driver.
+    """
+
+    def _with_victim(self, tree_trio, task, reseed):
+        base = [u.features for u in task.corpus.test]
+        life = _Lifecycle(tree_trio, base, num_lanes=5)
+        survivors = [life.admit(lane, lane) for lane in range(4)]
+        victim = life.admit(4, 0)
+        for _ in range(min(base[i].shape[0] for i in range(4)) // 2):
+            life.step()  # everyone is mid-decode
+        assert life.cancel(4) == victim
+        reseeded = life.admit(4, 1) if reseed else None
+        life.drain()
+        assert victim not in life.retired  # the victim never produced a result
+        assert set(life.retired) == set(survivors) | (
+            {reseeded} if reseed else set()
         )
-        cancel_at = min(f.shape[0] for f in feats) // 2  # everyone mid-decode
-        assert 0 < cancel_at < victim_feats.shape[0]
-        results = {}
-        cancelled = False
-        while bank.any_active:
-            if not cancelled and bank.steps == cancel_at:
-                frames_done = bank.cancel(victim_lane)
-                assert frames_done == cancel_at
-                cancelled = True
-                if reseed is not None:
-                    bank.admit(
-                        victim_lane,
-                        901,
-                        batch._validate_features(victim_lane, reseed),
-                    )
-            for lane in bank.step():
-                utt = int(bank.lane_utt[lane])
-                results[utt] = bank.retire(lane)
-        assert cancelled
-        return results
 
     def test_cancelled_lane_does_not_perturb_survivors(self, tree_trio, task):
-        rec, batch, _, cache = tree_trio
-        base = [u.features for u in task.corpus.test]
-        feats = base[:4]
-        results = self._drive_with_cancellation(batch, feats, feats[0])
-        assert 900 not in results  # the victim never produced a result
-        for utt in range(4):
-            seq = _sequential(rec, base, cache, utt, feats[utt].shape[0])
-            _assert_lane_equal(seq, results[utt])
+        self._with_victim(tree_trio, task, reseed=False)
 
     def test_reseeded_lane_after_cancel_matches_sequential(self, tree_trio, task):
-        rec, batch, _, cache = tree_trio
+        self._with_victim(tree_trio, task, reseed=True)
+
+    def test_seeded_random_lifecycle(self, tree_trio, task):
+        """>= 200 random ops; lanes refilled into freed AND compacted rows."""
         base = [u.features for u in task.corpus.test]
-        feats = base[:4]
-        results = self._drive_with_cancellation(
-            batch, feats, feats[0], reseed=feats[1]
+        rng = np.random.default_rng(20261001)
+        seen = {"cancel": 0, "compact": 0, "refill": 0, "refill_compacted": 0}
+        ops = retired = 0
+        for _ in range(3):  # a bank never widens again, so start afresh
+            life = _Lifecycle(tree_trio, base, num_lanes=6)
+            used, compacted = set(), False
+            while life.ops < 90:
+                bank = life.bank
+                free, busy = bank.free_lanes(), np.flatnonzero(bank.active)
+                op = rng.choice(
+                    ["admit", "step", "cancel", "compact"], p=[0.3, 0.56, 0.07, 0.07]
+                )
+                if op == "admit" and free:
+                    lane = int(rng.choice(free))
+                    life.admit(
+                        lane,
+                        int(rng.integers(len(base))),
+                        int(rng.integers(MIN_FRAMES, 3 * MIN_FRAMES)),
+                    )
+                    seen["refill"] += lane in used
+                    seen["refill_compacted"] += compacted and lane in used
+                    used.add(lane)
+                elif op == "step" and busy.size:
+                    life.step()
+                elif op == "cancel" and busy.size:
+                    life.cancel(int(rng.choice(busy)))
+                    seen["cancel"] += 1
+                elif op == "compact" and free and busy.size:
+                    life.compact()
+                    seen["compact"] += 1
+                    # Lane ids were renumbered: every surviving row is "used".
+                    used, compacted = set(range(life.bank.num_lanes)), True
+            life.drain()
+            ops += life.ops
+            retired += len(life.retired)
+        assert ops >= 200 and retired >= 15, (ops, retired)
+        assert min(seen.values()) >= 3, seen
+
+
+class TestTreeHistogramCap:
+    """``max_active_states`` on the tree bank: list trim == dense trim.
+
+    The cap is far below the uncapped active count (mean ~10, peak ~30
+    on this task), and ``PLATEAU_CAP`` lands inside a run of equal
+    scores at frame 0 (roots that share a first senone enter with the
+    same score), so the order-dependent ``argsort`` tail of
+    ``_histogram_trim`` decides who survives.
+    """
+
+    TIGHT_CAP = 3
+    PLATEAU_CAP = 6
+    FRAMES = 60
+
+    @pytest.fixture(scope="class", params=EXACT_MODES)
+    def mode(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class", params=[TIGHT_CAP, PLATEAU_CAP])
+    def capped(self, request, task, mode):
+        config = DecoderConfig(beam=BeamConfig(max_active_states=request.param))
+        rec = make_tree_recognizer(task, mode, config=config)
+        feats = [u.features[: self.FRAMES] for u in task.corpus.test[:5]]
+        return rec, feats, [rec.decode(f) for f in feats], request.param
+
+    def test_cap_binds_and_plateau_crosses_it(self, task):
+        rec = make_tree_recognizer(task, "reference")
+        first = task.corpus.test[0].features
+        uncapped = rec.decode(first[: self.FRAMES])
+        active = [f.active_states for f in uncapped.frame_stats]
+        assert np.mean(active) > 2 * self.TIGHT_CAP
+        stage = rec.word_stage
+        stage.reset()
+        stage.process_frame(first[0])
+        ranked = np.sort(stage.delta[stage.delta > LOG_ZERO / 2])[::-1]
+        assert ranked[self.PLATEAU_CAP - 1] == ranked[self.PLATEAU_CAP]
+
+    @pytest.mark.parametrize("max_lanes", list(range(1, 9)))
+    def test_capped_stream_matches_sequential(self, capped, max_lanes):
+        rec, feats, seq, cap = capped
+        order = list(range(len(feats)))[::-1] + [0, 2]
+        result = rec.as_continuous().decode_stream(
+            [feats[i] for i in order], max_lanes=max_lanes
         )
-        for utt in range(4):
-            seq = _sequential(rec, base, cache, utt, feats[utt].shape[0])
-            _assert_lane_equal(seq, results[utt])
-        # The reseeded lane re-used feats[1], so it must match too.
-        seq = _sequential(rec, base, cache, 1, feats[1].shape[0])
-        _assert_lane_equal(seq, results[901])
+        for i, lane in zip(order, result):
+            _assert_lane_equal(seq[i], lane)
+            assert lane.score.hex() == seq[i].score.hex()
+            assert max(f.active_states for f in lane.frame_stats) <= cap
+        if max_lanes == 1:
+            # One lane is the sequential schedule, so the pooled
+            # hardware accounting is the utterances' sum, key by key.
+            assert result.viterbi_activity == _summed(
+                [seq[i].viterbi_activity for i in order]
+            )
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_capped_batch_accounting(self, capped, batch_size):
+        """The unit is charged for the WHOLE bank, whatever the list holds."""
+        rec, feats, seq, _ = capped
+        result = rec.as_batch().decode_batch([feats[0]] * batch_size)
+        for lane in result:
+            _assert_lane_equal(seq[0], lane)
+        if seq[0].viterbi_activity is None:
+            assert result.viterbi_activity is None
+            return
+        for key in ("add_ops", "compare_ops", "transitions"):
+            assert result.viterbi_activity[key] == (
+                batch_size * seq[0].viterbi_activity[key]
+            )
+        assert result.viterbi_activity["columns"] == seq[0].viterbi_activity["columns"]
+        if batch_size == 1:
+            assert result.viterbi_activity == seq[0].viterbi_activity
+            assert result.frame_critical_cycles == seq[0].frame_critical_cycles
+            assert result.op_unit_activities == seq[0].op_unit_activities
+
+
+def _summed(activities):
+    if activities[0] is None:
+        return None
+    return {key: sum(a[key] for a in activities) for key in activities[0]}
 
 
 class TestTreeBlasParity:

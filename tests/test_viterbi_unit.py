@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.viterbi_unit import (
     BP_ENTRY,
@@ -291,6 +293,135 @@ class TestChainScratchReuse:
         )
         np.testing.assert_array_equal(chained.delta, oracle.delta)
         np.testing.assert_array_equal(chained.backpointer, oracle.backpointer)
+
+
+def _random_token_bank(rng, num_rows, num_states):
+    """An in-degree-1 forest shared by ``num_rows`` rows of tokens.
+
+    Every state has at most one predecessor (any other state: the
+    labels are shuffled, so arcs run up and down the index order); a
+    row is all dead, sparsely alive or densely alive, and may or may
+    not be offered a root entry.
+    """
+    label = rng.permutation(num_states)
+    pred = np.full(num_states, -1, dtype=np.int64)
+    for k in range(1, num_states):
+        if rng.random() < 0.8:
+            pred[label[k]] = label[rng.integers(k)]
+    roots = pred < 0
+    roots &= rng.random(num_states) < 0.7  # not every root takes entries
+    prev = np.full((num_rows, num_states), LOG_ZERO, dtype=np.float32)
+    entry = np.full(num_rows, LOG_ZERO, dtype=np.float32)
+    for b in range(num_rows):
+        density = rng.choice([0.0, 0.1, 0.6])
+        alive = rng.random(num_states) < density
+        prev[b, alive] = rng.normal(-200.0, 60.0, int(alive.sum()))
+        if rng.random() < 0.5:
+            entry[b] = rng.normal(-150.0, 60.0)
+    # Coarse scores so stay/forward ties are actually generated, and an
+    # entry that sometimes exactly ties a live root's stay score.
+    prev = np.round(prev)
+    self_lp = np.round(rng.normal(-1.0, 0.5, num_states)).astype(np.float32)
+    pred_lp = np.round(rng.normal(-1.0, 0.5, num_states)).astype(np.float32)
+    for b, r in zip(*np.nonzero(roots & (prev > LOG_ZERO / 2))):
+        if rng.random() < 0.3:
+            entry[b] = prev[b, r] + self_lp[r]
+    obs = rng.normal(-30.0, 10.0, (num_rows, num_states)).astype(np.float32)
+    return pred, roots, prev, entry, self_lp, pred_lp, obs
+
+
+class TestActiveTokenUpdate:
+    """``update_tokens_active`` vs the dense ``update_tokens``."""
+
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_dense_update_at_listed_slots(
+        self, seed, num_rows, num_states
+    ):
+        rng = np.random.default_rng(seed)
+        pred, roots, prev, entry, self_lp, pred_lp, obs = _random_token_bank(
+            rng, num_rows, num_states
+        )
+        # The dense call: the bank flattened row-major into one forest,
+        # each row's predecessor indices offset into its own row.
+        offset = np.repeat(np.arange(num_rows) * num_states, num_states)
+        flat_pred = np.tile(pred, num_rows)
+        flat_pred = np.where(flat_pred >= 0, flat_pred + offset, -1)
+        flat_roots = np.tile(roots, num_rows)
+        dense_unit = ViterbiUnit()
+        dense = dense_unit.update_tokens(
+            prev.reshape(-1),
+            np.tile(self_lp, num_rows),
+            flat_pred,
+            np.tile(pred_lp, num_rows),
+            obs.reshape(-1),
+            entry_scores=np.repeat(entry, num_states),
+            entry_mask=flat_roots,
+        )
+        # The active list, by brute force: alive, child of alive, or a
+        # root of a row that is offered an entry.
+        alive = prev.reshape(-1) > LOG_ZERO / 2
+        listed = alive.copy()
+        listed |= (flat_pred >= 0) & alive[np.maximum(flat_pred, 0)]
+        listed |= flat_roots & np.repeat(entry > LOG_ZERO / 2, num_states)
+        slots = np.flatnonzero(listed)
+        state = slots % num_states
+        before = prev.copy()
+        unit = ViterbiUnit()
+        result = unit.update_tokens_active(
+            prev,
+            slots,
+            flat_pred[slots],
+            self_lp[state],
+            pred_lp[state],
+            obs.reshape(-1)[slots],
+            np.where(flat_roots[slots], np.repeat(entry, num_states)[slots], LOG_ZERO),
+            bank_transitions=dense.transitions,
+        )
+        assert np.array_equal(result.delta, dense.delta[slots])
+        assert result.delta.dtype == np.float32
+        assert np.array_equal(result.backpointer, dense.backpointer[slots])
+        # Nothing outside the list could have come alive or moved.
+        assert np.all(dense.delta[~listed] == np.float32(LOG_ZERO))
+        assert np.all(dense.backpointer[~listed] == BP_SELF)
+        assert np.array_equal(prev, before)  # the bank is only read
+        # The unit is charged for the whole bank, as the dense call was.
+        assert unit.activity() == dense_unit.activity()
+        assert unit.fpu.counts == dense_unit.fpu.counts
+        assert (result.cycles, result.transitions) == (dense.cycles, dense.transitions)
+
+    def test_empty_list_still_charges_the_bank(self):
+        unit = ViterbiUnit()
+        empty = np.empty(0, dtype=np.float32)
+        result = unit.update_tokens_active(
+            np.full((2, 3), LOG_ZERO, dtype=np.float32),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            empty, empty, empty, empty,
+            bank_transitions=10,
+        )
+        assert result.delta.shape == result.backpointer.shape == (0,)
+        assert unit.transitions_processed == 10
+        assert unit.fpu.counts.add == 16 and unit.fpu.counts.compare == 10
+        assert unit.columns_processed == 1
+
+    def test_validation(self):
+        unit = ViterbiUnit()
+        bank = np.zeros((2, 3), dtype=np.float32)
+        slots = np.array([0, 4])
+        two = np.zeros(2, dtype=np.float32)
+        with pytest.raises(ValueError, match="obs_logprobs"):
+            unit.update_tokens_active(
+                bank, slots, np.array([-1, 3]), two, two, np.zeros(3), two, 12
+            )
+        with pytest.raises(ValueError, match="bank_transitions"):
+            unit.update_tokens_active(
+                bank, slots, np.array([-1, 3]), two, two, two, two, 5
+            )
 
 
 class TestSpecValidation:
