@@ -18,9 +18,12 @@ for a strong length spread so the drained and continuous runtimes both
 exercise ragged retirement against the same fixtures.
 
 A second fixture family pins the TREE-LEXICON path
-(``dictation_reference.json``): sequential ``network="tree"`` decodes
-of a scaled-down large-vocabulary dictation task, the oracle for the
-batched prefix-tree runtime (:mod:`repro.runtime.lextree`).
+(``dictation_{reference,hardware,fast}.json``): sequential
+``network="tree"`` decodes of a scaled-down large-vocabulary dictation
+task, the oracle for the batched prefix-tree runtime
+(:mod:`repro.runtime.lextree`).  Both ``*_hardware.json`` files also
+pin the hardware accounting of each decode (Viterbi-unit activity, the
+summed per-frame critical path, per-OP-unit busy cycles).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ DICTATION_INDICES = [4, 1, 6, 3, 10]
 FAST_FIELDS = tuple(f.name for f in dataclasses.fields(FastGmmStats))
 
 
-def make_recognizer(mode: str, task) -> Recognizer:
+def make_recognizer(mode: str, task, network: str = "flat") -> Recognizer:
     """The canonical per-mode recognizer (fast = the all-layers preset).
 
     Single-sourced: the golden-parity test imports THIS function, so
@@ -66,7 +69,8 @@ def make_recognizer(mode: str, task) -> Recognizer:
     if mode == "fast":
         kwargs["fast_config"] = FastGmmConfig.all_layers()
     return Recognizer.create(
-        task.dictionary, task.pool, task.lm, task.tying, mode=mode, **kwargs
+        task.dictionary, task.pool, task.lm, task.tying,
+        mode=mode, network=network, **kwargs,
     )
 
 
@@ -75,47 +79,62 @@ def make_dictation_task():
     return dictation_task(**DICTATION_KWARGS)
 
 
-def make_tree_recognizer(task) -> Recognizer:
-    """The canonical tree-lexicon recognizer the fixture pins.
+def make_tree_recognizer(task, mode: str = "reference") -> Recognizer:
+    """The canonical tree-lexicon recognizer the fixtures pin.
 
-    Reference mode over ``network="tree"``; the committed sequential
+    ``network="tree"`` in each golden mode; the committed sequential
     outputs are the bit-exact oracle the sequential, drained-batch and
     continuous tree runtimes are all checked against.
     """
-    return Recognizer.create(
-        task.dictionary, task.pool, task.lm, task.tying,
-        mode="reference", network="tree",
-    )
+    return make_recognizer(mode, task, network="tree")
 
 
-def fixture_path(mode: str) -> Path:
-    return GOLDEN_DIR / f"command_{mode}.json"
+def fixture_path(mode: str, family: str = "command") -> Path:
+    return GOLDEN_DIR / f"{family}_{mode}.json"
+
+
+def utterance_record(index: int, result) -> dict:
+    """What the fixtures pin of one sequential decode."""
+    record = {
+        "index": index,
+        "frames": result.frames,
+        "words": list(result.words),
+        "score_hex": float(result.score).hex(),
+        "score": result.score,  # human-readable; score_hex is the oracle
+        "lattice_size": result.lattice_size,
+        "active_states": [s.active_states for s in result.frame_stats],
+        "requested_senones": [
+            s.requested_senones for s in result.frame_stats
+        ],
+        "word_exits": [s.word_exits for s in result.frame_stats],
+    }
+    if result.fast_stats is not None:
+        record["fast_stats"] = {
+            f: getattr(result.fast_stats, f) for f in FAST_FIELDS
+        }
+    record.update(hardware_record(result))
+    return record
+
+
+def hardware_record(result) -> dict:
+    """The hardware accounting of one decode (hardware mode only)."""
+    if result.viterbi_activity is None:
+        return {}
+    return {
+        "viterbi_activity": result.viterbi_activity,
+        "critical_cycles_sum": sum(result.frame_critical_cycles),
+        "op_unit_cycles_busy": [
+            a["cycles_busy"] for a in result.op_unit_activities
+        ],
+    }
 
 
 def generate(mode: str, task) -> dict:
     rec = make_recognizer(mode, task)
-    utterances = []
-    for index in UTTERANCE_INDICES:
-        features = task.corpus.test[index].features
-        result = rec.decode(features)
-        record = {
-            "index": index,
-            "frames": result.frames,
-            "words": list(result.words),
-            "score_hex": float(result.score).hex(),
-            "score": result.score,  # human-readable; score_hex is the oracle
-            "lattice_size": result.lattice_size,
-            "active_states": [s.active_states for s in result.frame_stats],
-            "requested_senones": [
-                s.requested_senones for s in result.frame_stats
-            ],
-            "word_exits": [s.word_exits for s in result.frame_stats],
-        }
-        if result.fast_stats is not None:
-            record["fast_stats"] = {
-                f: getattr(result.fast_stats, f) for f in FAST_FIELDS
-            }
-        utterances.append(record)
+    utterances = [
+        utterance_record(index, rec.decode(task.corpus.test[index].features))
+        for index in UTTERANCE_INDICES
+    ]
     return {
         "task": f"command_task(seed={TASK_SEED})",
         "mode": mode,
@@ -124,29 +143,16 @@ def generate(mode: str, task) -> dict:
     }
 
 
-def generate_dictation(task) -> dict:
-    rec = make_tree_recognizer(task)
-    utterances = []
-    for index in DICTATION_INDICES:
-        features = task.corpus.test[index].features
-        result = rec.decode(features)
-        utterances.append({
-            "index": index,
-            "frames": result.frames,
-            "words": list(result.words),
-            "score_hex": float(result.score).hex(),
-            "score": result.score,  # human-readable; score_hex is the oracle
-            "lattice_size": result.lattice_size,
-            "active_states": [s.active_states for s in result.frame_stats],
-            "requested_senones": [
-                s.requested_senones for s in result.frame_stats
-            ],
-            "word_exits": [s.word_exits for s in result.frame_stats],
-        })
+def generate_dictation(mode: str, task) -> dict:
+    rec = make_tree_recognizer(task, mode)
+    utterances = [
+        utterance_record(index, rec.decode(task.corpus.test[index].features))
+        for index in DICTATION_INDICES
+    ]
     kwargs = ", ".join(f"{k}={v}" for k, v in DICTATION_KWARGS.items())
     return {
         "task": f"dictation_task({kwargs})",
-        "mode": "reference",
+        "mode": mode,
         "network": "tree",
         "sharing_factor": round(rec.network.sharing_factor, 4),
         "utterance_indices": DICTATION_INDICES,
@@ -164,11 +170,13 @@ def main() -> int:
         lengths = [u["frames"] for u in fixture["utterances"]]
         print(f"wrote {path.name}: {len(lengths)} utterances, frames {lengths}")
     print("building the dictation tree-fixture task...")
-    fixture = generate_dictation(make_dictation_task())
-    path = GOLDEN_DIR / "dictation_reference.json"
-    path.write_text(json.dumps(fixture, indent=2) + "\n")
-    lengths = [u["frames"] for u in fixture["utterances"]]
-    print(f"wrote {path.name}: {len(lengths)} utterances, frames {lengths}")
+    task = make_dictation_task()
+    for mode in MODES:
+        fixture = generate_dictation(mode, task)
+        path = fixture_path(mode, "dictation")
+        path.write_text(json.dumps(fixture, indent=2) + "\n")
+        lengths = [u["frames"] for u in fixture["utterances"]]
+        print(f"wrote {path.name}: {len(lengths)} utterances, frames {lengths}")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Golden-parity suite: every runtime vs COMMITTED sequential outputs.
 
 ``tests/golden/`` holds committed ``Recognizer.decode`` outputs (words,
-bit-exact path scores, per-frame statistics, and in fast mode the
-four-layer work counters) for command-task utterances in reference,
-hardware and fast modes.  Every decoding runtime — sequential
+bit-exact path scores, per-frame statistics, in fast mode the
+four-layer work counters, in hardware mode the unit accounting) for
+command-task utterances (flat lexicon) and dictation utterances (tree
+lexicon) in reference, hardware and fast modes.  Every decoding runtime — sequential
 :class:`Recognizer`, drained :class:`BatchRecognizer`, and the
 continuous-batching :class:`ContinuousBatchRecognizer` — must
 reproduce them exactly, so any future runtime change is automatically
@@ -71,6 +72,10 @@ def _assert_matches_golden(result, expected):
         assert result.fast_stats is not None
         actual = {k: getattr(result.fast_stats, k) for k in expected["fast_stats"]}
         assert actual == expected["fast_stats"]
+    # Per-utterance hardware accounting rides on sequential results
+    # only (the banked runtimes pool it per batch).
+    hardware = golden_generate.hardware_record(result)
+    assert hardware == {k: expected[k] for k in hardware}
 
 
 class TestGoldenFixtures:
@@ -229,6 +234,18 @@ class TestCancellationGolden:
         _assert_matches_golden(results[901], fixture["utterances"][1])
 
 
+@pytest.fixture(scope="module")
+def dictation_task():
+    return golden_generate.make_dictation_task()
+
+
+def _dictation_golden(mode, task):
+    fixture = json.loads((GOLDEN_DIR / f"dictation_{mode}.json").read_text())
+    rec = golden_generate.make_tree_recognizer(task, mode)
+    feats = [task.corpus.test[u["index"]].features for u in fixture["utterances"]]
+    return rec, fixture, feats
+
+
 class TestDictationGolden:
     """The tree-lexicon path vs COMMITTED dictation fixtures.
 
@@ -240,16 +257,8 @@ class TestDictationGolden:
     """
 
     @pytest.fixture(scope="class")
-    def dictation_golden(self):
-        fixture = json.loads(
-            (GOLDEN_DIR / "dictation_reference.json").read_text()
-        )
-        task = golden_generate.make_dictation_task()
-        rec = golden_generate.make_tree_recognizer(task)
-        feats = [
-            task.corpus.test[u["index"]].features for u in fixture["utterances"]
-        ]
-        return rec, fixture, feats
+    def dictation_golden(self, dictation_task):
+        return _dictation_golden("reference", dictation_task)
 
     def test_fixture_is_committed_and_ragged(self):
         fixture = json.loads(
@@ -275,6 +284,44 @@ class TestDictationGolden:
 
     def test_continuous_tree_matches_golden(self, dictation_golden):
         """Few lanes + the 163..560-frame spread forces refill."""
+        rec, fixture, feats = dictation_golden
+        result = rec.as_continuous().decode_stream(feats, max_lanes=2)
+        assert max(result.admit_steps) > 0  # refill actually happened
+        for expected, lane in zip(fixture["utterances"], result):
+            _assert_matches_golden(lane, expected)
+
+
+class TestDictationModesGolden:
+    """Tree lexicon x the other two exact modes.
+
+    ``dictation_hardware.json`` (with the unit accounting) and
+    ``dictation_fast.json`` (with the four-layer counters) were written
+    by the per-utterance token passer before it was deleted; every
+    runtime of the one remaining engine must reproduce them.
+    """
+
+    @pytest.fixture(scope="class", params=["hardware", "fast"])
+    def dictation_golden(self, request, dictation_task):
+        return _dictation_golden(request.param, dictation_task)
+
+    def test_fixture_pins_the_mode_specific_counters(self, dictation_golden):
+        _, fixture, _ = dictation_golden
+        key = {"hardware": "viterbi_activity", "fast": "fast_stats"}[fixture["mode"]]
+        assert fixture["network"] == "tree"
+        assert all(key in u for u in fixture["utterances"])
+
+    def test_sequential_tree_matches_golden(self, dictation_golden):
+        rec, fixture, feats = dictation_golden
+        for expected, f in zip(fixture["utterances"], feats):
+            _assert_matches_golden(rec.decode(f), expected)
+
+    def test_drained_batch_tree_matches_golden(self, dictation_golden):
+        rec, fixture, feats = dictation_golden
+        result = rec.as_batch().decode_batch(feats)
+        for expected, lane in zip(fixture["utterances"], result):
+            _assert_matches_golden(lane, expected)
+
+    def test_continuous_tree_matches_golden(self, dictation_golden):
         rec, fixture, feats = dictation_golden
         result = rec.as_continuous().decode_stream(feats, max_lanes=2)
         assert max(result.admit_steps) > 0  # refill actually happened
