@@ -13,7 +13,7 @@ configuration we report recognition accuracy, the work executed
 import numpy as np
 
 from repro.core.power import PowerModel
-from repro.decoder.fast_gmm import FastGmmConfig, FastGmmScorer
+from repro.decoder.fast_gmm import FastGmmConfig, equivalent_activity
 from repro.decoder.recognizer import Recognizer
 from repro.eval.report import format_table
 from repro.eval.wer import corpus_wer
@@ -50,11 +50,13 @@ def _run_config(task, name, config, utterances=6):
         hyps.append(result.words)
         frames += result.frames
     counts = corpus_wer(refs, hyps)
-    scorer = recognizer.scorer
-    assert isinstance(scorer, FastGmmScorer)
-    activity = scorer.equivalent_activity()
+    # The last utterance's work (each decode starts fresh counters):
+    # the fractions below are per-utterance figures.
+    stats = result.fast_stats
+    activity = equivalent_activity(
+        stats, task.pool.dim, result.scoring_stats.senones_requested
+    )
     power = PowerModel().unit_report(activity, frames * 0.010)
-    stats = scorer.fast_stats
     return {
         "config": name,
         "wer": counts.wer,

@@ -6,55 +6,34 @@ fixing the search organisation.  The flat network (one HMM chain per
 word) is simplest; the era's production decoders (Sphinx 3 'lextree')
 share word prefixes in a tree.  This bench measures what the tree buys
 on the 5000-word dictation task: state-bank size, *active* states per
-frame, requested senones, Viterbi-unit transitions — at equal WER.
+frame, requested senones — at equal WER.
 """
 
 import numpy as np
 
-from repro.core.viterbi_unit import ViterbiUnit
-from repro.decoder.best_path import find_best_path
-from repro.decoder.lextree import TreeLexiconNetwork, TreeWordDecodeStage
-from repro.decoder.network import FlatLexiconNetwork
-from repro.decoder.phone_decode import PhoneDecodeStage
-from repro.decoder.scorer import ReferenceScorer
-from repro.decoder.word_decode import WordDecodeStage
+from repro.decoder.lextree import TreeLexiconNetwork
+from repro.decoder.recognizer import Recognizer
 from repro.eval.report import format_table
 from repro.eval.wer import corpus_wer
 
 
 def _run(task, use_tree, utterances=8):
-    unit = ViterbiUnit()
-    scorer = ReferenceScorer(task.pool)
-    phone_stage = PhoneDecodeStage(scorer)
-    if use_tree:
-        network = TreeLexiconNetwork.build(task.dictionary, task.tying, task.topology)
-        stage = TreeWordDecodeStage(network, task.lm, phone_stage,
-                                    viterbi_unit=unit)
-    else:
-        network = FlatLexiconNetwork.build(task.dictionary, task.tying, task.topology)
-        stage = WordDecodeStage(network, task.lm, phone_stage, viterbi_unit=None)
+    recognizer = Recognizer.create(
+        task.dictionary, task.pool, task.lm, task.tying, task.topology,
+        network="tree" if use_tree else "flat",
+    )
     refs, hyps, active, senones = [], [], [], []
-    transitions = 0
     for utt in task.corpus.test[:utterances]:
-        stage.reset()
-        unit.reset_counters()
-        for frame in utt.features:
-            stage.process_frame(frame)
-        best = find_best_path(
-            stage.lattice, task.lm, network,
-            stage.frames_processed - 1, lm_scale=stage.config.lm_scale,
-        )
+        result = recognizer.decode(utt.features)
         refs.append(utt.words)
-        hyps.append(best.words if best else ())
-        active.extend(s.active_states for s in stage.frame_stats)
-        senones.extend(s.requested_senones for s in stage.frame_stats)
-        transitions += unit.transitions_processed
+        hyps.append(result.words)
+        active.extend(s.active_states for s in result.frame_stats)
+        senones.extend(s.requested_senones for s in result.frame_stats)
     return {
-        "states": network.num_states,
+        "states": recognizer.network.num_states,
         "wer": corpus_wer(refs, hyps).wer,
         "active": float(np.mean(active)),
         "senones": float(np.mean(senones)),
-        "transitions": transitions,
     }
 
 

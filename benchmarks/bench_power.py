@@ -11,8 +11,9 @@ import pytest
 from benchmarks.conftest import PAPER
 from repro.core.opunit import GaussianTable, OpUnit, OpUnitSpec
 from repro.core.power import AreaTable, PowerModel
-from repro.decoder.fast_gmm import FastGmmConfig, FastGmmScorer
+from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel, equivalent_activity
 from repro.eval.report import check_within, format_comparison
+from repro.runtime.scoring import BatchFastGmmScorer
 
 
 def _fully_busy_activity(pool, seconds=0.2):
@@ -92,21 +93,26 @@ def test_cds_cuts_power(benchmark, dictation_cd):
         import numpy as np
 
         config = FastGmmConfig(cds_enabled=cds_enabled, cds_distance=18.0)
-        scorer = FastGmmScorer(dictation_cd.pool, config=config)
-        senones = np.arange(dictation_cd.pool.num_senones)
+        pool = dictation_cd.pool
+        scorer = BatchFastGmmScorer(FastGmmModel(pool, config=config))
+        scorer.admit_lane(0)  # one lane, every senone, every frame
+        senones = np.arange(pool.num_senones)
+        lane = np.zeros_like(senones)
+        frames = 0
         for utt in dictation_cd.corpus.test[:2]:
-            for t, frame in enumerate(utt.features):
-                scorer.score(t, frame, senones)
-        activity = scorer.equivalent_activity()
-        audio_s = sum(u.num_frames for u in dictation_cd.corpus.test[:2]) * 0.010
-        return PowerModel().unit_report(activity, audio_s), scorer
+            for frame in utt.features:
+                scorer.score_pairs(frame[None, :], lane, senones)
+            frames += utt.num_frames
+        stats = scorer.retire_lane(0)
+        activity = equivalent_activity(stats, pool.dim, frames * senones.size)
+        return PowerModel().unit_report(activity, frames * 0.010), stats
 
     baseline, _ = benchmark.pedantic(run, args=(False,), rounds=1, iterations=1)
-    with_cds, scorer = run(True)
+    with_cds, stats = run(True)
     saving = 1 - with_cds.average_power_w / baseline.average_power_w
     print(
         f"\nCDS: {baseline.average_power_w*1e3:.1f} mW -> "
         f"{with_cds.average_power_w*1e3:.1f} mW ({saving:.0%} saved; "
-        f"{scorer.fast_stats.skip_fraction:.0%} frames skipped)"
+        f"{stats.skip_fraction:.0%} frames skipped)"
     )
     assert saving > 0.15

@@ -41,7 +41,7 @@ def main() -> None:
             hypotheses.append(result.words)
             cycles.extend(result.frame_critical_cycles)
         counts = corpus_wer(references, hypotheses)
-        stats = recognizer.scorer.stats
+        stats = result.scoring_stats  # of the last utterance
         report = analyze_unit_cycles(cycles)
         print(f"\n[{fmt.name}]")
         print(f"  WER {counts.wer:.2%} ({counts.errors}/{counts.reference_length})")

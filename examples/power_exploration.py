@@ -13,9 +13,15 @@ Run:  python examples/power_exploration.py
 import numpy as np
 
 from repro.core.power import PowerModel
-from repro.decoder import FastGmmConfig, FastGmmScorer, Recognizer
+from repro.decoder import (
+    FastGmmConfig,
+    FastGmmModel,
+    Recognizer,
+    equivalent_activity,
+)
 from repro.eval import corpus_wer, format_table
 from repro.quant import PAPER_FORMATS
+from repro.runtime import BatchFastGmmScorer
 from repro.workloads import expand_to_context_dependent, tiny_task
 
 
@@ -43,16 +49,18 @@ def gating_and_cds(task) -> list[list[object]]:
     cd = expand_to_context_dependent(task, num_senones=6000)
     rows = []
     for cds in (False, True):
-        scorer = FastGmmScorer(
-            cd.pool, config=FastGmmConfig(cds_enabled=cds, cds_distance=18.0)
-        )
+        config = FastGmmConfig(cds_enabled=cds, cds_distance=18.0)
+        scorer = BatchFastGmmScorer(FastGmmModel(cd.pool, config=config))
+        scorer.admit_lane(0)  # one lane, every senone, every frame
         senones = np.arange(cd.pool.num_senones)
+        lane = np.zeros_like(senones)
         frames = 0
         for utt in cd.corpus.test[:4]:
-            for t, frame in enumerate(utt.features):
-                scorer.score(t, frame, senones)
+            for frame in utt.features:
+                scorer.score_pairs(frame[None, :], lane, senones)
             frames += utt.num_frames
-        activity = scorer.equivalent_activity()
+        stats = scorer.retire_lane(0)
+        activity = equivalent_activity(stats, cd.pool.dim, frames * senones.size)
         for gating in (True, False):
             power = PowerModel(clock_gating=gating).unit_report(
                 activity, frames * 0.010
@@ -60,7 +68,7 @@ def gating_and_cds(task) -> list[list[object]]:
             rows.append([
                 "on" if cds else "off",
                 "on" if gating else "off",
-                f"{scorer.fast_stats.skip_fraction:.0%}",
+                f"{stats.skip_fraction:.0%}",
                 f"{power.average_power_w * 1e3:.1f}",
             ])
     return rows

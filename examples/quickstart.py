@@ -41,7 +41,7 @@ def main() -> None:
         f"\nWER {counts.wer:.1%} ({counts.errors} errors / "
         f"{counts.reference_length} words)"
     )
-    stats = recognizer.scorer.stats
+    stats = result.scoring_stats  # of the last utterance
     print(
         f"active senones: mean {stats.mean_active:.0f}/frame "
         f"({stats.mean_active_fraction:.0%} of {stats.senone_budget}) — "

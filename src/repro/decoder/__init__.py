@@ -1,4 +1,10 @@
-"""The staged decoder (Figure 1): phone decode, word decode, best path."""
+"""The staged decoder (Figure 1): phone decode, word decode, best path.
+
+The search engine is the lane bank of :mod:`repro.runtime`; this
+package holds the networks, the per-lane kernels, the fast-GMM model,
+the result types and the sequential/streaming facades over a 1-lane
+bank.
+"""
 
 from repro.decoder.beam import BeamConfig, apply_beam
 from repro.decoder.best_path import BestPath, find_best_path, n_best_paths
@@ -7,8 +13,8 @@ from repro.decoder.fast_gmm import (
     FastGmmConfig,
     FastGmmLaneState,
     FastGmmModel,
-    FastGmmScorer,
     FastGmmStats,
+    equivalent_activity,
 )
 from repro.decoder.lattice import WordExit, WordLattice
 from repro.decoder.lattice_tools import (
@@ -17,16 +23,11 @@ from repro.decoder.lattice_tools import (
     oracle_paths,
     prune_lattice,
 )
-from repro.decoder.lextree import TreeLexiconNetwork, TreeWordDecodeStage
+from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.network import FlatLexiconNetwork
 from repro.decoder.phone_decode import PhoneDecodeStage
 from repro.decoder.recognizer import RecognitionResult, Recognizer
-from repro.decoder.scorer import (
-    HardwareScorer,
-    ReferenceScorer,
-    ScoringStats,
-    SenoneScorer,
-)
+from repro.decoder.scorer import ScoringStats
 from repro.decoder.streaming import StreamingEvent, StreamingRecognizer
 from repro.decoder.viterbi import ViterbiResult, viterbi_decode, viterbi_score
 from repro.decoder.word_decode import DecoderConfig, FrameStats, WordDecodeStage
@@ -46,20 +47,16 @@ __all__ = [
     "n_best_paths",
     "BeamConfig",
     "apply_beam",
-    "SenoneScorer",
     "ScoringStats",
-    "ReferenceScorer",
-    "HardwareScorer",
     "FastGmmConfig",
     "FastGmmLaneState",
     "FastGmmModel",
-    "FastGmmScorer",
     "FastGmmStats",
+    "equivalent_activity",
     "viterbi_decode",
     "viterbi_score",
     "ViterbiResult",
     "TreeLexiconNetwork",
-    "TreeWordDecodeStage",
     "StreamingRecognizer",
     "StreamingEvent",
     "LatticeReport",

@@ -27,26 +27,24 @@ The scheme is split along the serving axis:
 * :class:`FastGmmModel` is the READ-ONLY part — the VQ codebook,
   per-(codeword, senone) shortlists, CI parent maps and the scoring
   kernels over explicit ``(row, senone)`` work items.  Built once,
-  shared by every decode lane (sequential or batched).
+  shared by every decode lane.
 * :class:`FastGmmLaneState` is the PER-LANE selection state — the CDS
   previous-frame feature/score cache, the skip-run counter and the
   lane's :class:`FastGmmStats` work counters.
-* :class:`FastGmmScorer` composes one model with one lane state and
-  satisfies the sequential :class:`~repro.decoder.scorer.SenoneScorer`
-  protocol; the batched twin
-  (:class:`~repro.runtime.scoring.BatchFastGmmScorer`) drives the SAME
-  model kernels over the pooled union of every lane's demanded
-  senones, with one state per lane.
+* :class:`~repro.runtime.scoring.BatchFastGmmScorer` drives the model
+  kernels over the pooled union of every lane's demanded senones, with
+  one state per lane (layer 1, the per-lane CDS decision, lives there).
 
 Because every kernel is elementwise per work item or a per-item
 reduction, pooling work items from many lanes changes no item's score
-or work accounting by a single bit — the invariant the batched
-fast-mode parity suite pins (``tests/test_runtime_fast.py``,
+or work accounting by a single bit — the invariant the fast-mode
+parity suite pins (``tests/test_runtime_fast.py``,
 ``tests/golden/command_fast.json``).
 
 The per-lane counters track *work* — Gaussians touched, dimensions
-multiplied, frames skipped — and can synthesise an OP-unit activity
-snapshot so the power model prices each layer's savings (ablation A1).
+multiplied, frames skipped — and :func:`equivalent_activity` turns
+them into an OP-unit activity snapshot so the power model prices each
+layer's savings (ablation A1).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.opunit import OpUnitSpec
-from repro.decoder.scorer import LOG_ZERO, ScoringStats
+from repro.decoder.scorer import LOG_ZERO
 from repro.hmm.senone import SenonePool
 from repro.hmm.train import kmeans
 from repro.lexicon.triphone import SenoneTying
@@ -66,7 +64,7 @@ __all__ = [
     "FastGmmStats",
     "FastGmmModel",
     "FastGmmLaneState",
-    "FastGmmScorer",
+    "equivalent_activity",
 ]
 
 
@@ -444,106 +442,35 @@ class FastGmmModel:
         return comp, dims_comp.sum(axis=1)
 
 
-class FastGmmScorer:
-    """Sequential senone scorer implementing the four-layer scheme.
+def equivalent_activity(
+    stats: FastGmmStats,
+    dim: int,
+    senones_requested: int,
+    spec: OpUnitSpec | None = None,
+) -> dict[str, float]:
+    """OP-unit activity a hardware run of this workload would log.
 
-    One :class:`FastGmmModel` plus one :class:`FastGmmLaneState`,
-    satisfying the :class:`~repro.decoder.scorer.SenoneScorer`
-    protocol.  Scoring is double precision (this is an algorithmic
-    layer; the quantization story is carried by the OP-unit scorer),
-    but all work counters reflect what the hardware would have
-    executed.  Pass ``model`` to share an already-built model (the
-    batched runtimes do this so the VQ codebook is clustered once).
+    Lets the power model price the four layers' savings: dims map
+    to squared-difference + add ops, Gaussians to FMA slots, and
+    cycles follow the dimension stream (the dominant term).
+    ``senones_requested`` is the decode's feedback demand
+    (``ScoringStats.senones_requested``), skipped frames included.
     """
-
-    def __init__(
-        self,
-        pool: SenonePool,
-        tying: SenoneTying | None = None,
-        config: FastGmmConfig | None = None,
-        codebook_data: np.ndarray | None = None,
-        seed: int = 11,
-        model: FastGmmModel | None = None,
-    ) -> None:
-        self.model = model or FastGmmModel(
-            pool, tying=tying, config=config, codebook_data=codebook_data, seed=seed
-        )
-        self.pool = self.model.pool
-        self.config = self.model.config
-        self.tying = self.model.tying
-        self.num_senones = self.model.num_senones
-        self.stats = ScoringStats(senone_budget=self.num_senones)
-        self.lane = FastGmmLaneState()
-
-    @property
-    def fast_stats(self) -> FastGmmStats:
-        """The lane's work counters (the selection state lives in ``lane``)."""
-        return self.lane.fast_stats
-
-    # ------------------------------------------------------------------
-    def score(
-        self, frame_index: int, observation: np.ndarray, senones: np.ndarray
-    ) -> np.ndarray:
-        obs = np.asarray(observation, dtype=np.float64)
-        senones = np.asarray(senones, dtype=np.int64)
-        self.stats.record(int(senones.size))
-        lane = self.lane
-        lane.fast_stats.frames += 1
-        cfg = self.config
-        stats = {0: lane.fast_stats}
-        # Layer 1: conditional down-sampling.
-        if cfg.cds_enabled and lane.last_obs is not None:
-            distance = float(np.mean((obs - lane.last_obs) ** 2))
-            if distance < cfg.cds_distance and lane.skip_run < cfg.cds_max_run:
-                lane.skip_run += 1
-                lane.fast_stats.frames_skipped += 1
-                # CDS skip: reuse cached scores, fill senones never scored.
-                scores = lane.last_scores
-                assert scores is not None
-                missing = senones[scores[senones] <= LOG_ZERO / 2]
-                if missing.size:
-                    scores[missing] = self.model.score_requests(
-                        obs[None, :], [(0, missing)], stats
-                    )[0]
-                return scores.copy()
-        lane.skip_run = 0
-        scores = np.full(self.num_senones, LOG_ZERO)
-        if senones.size:
-            scores[senones] = self.model.score_requests(
-                obs[None, :], [(0, senones)], stats
-            )[0]
-        lane.last_obs = obs.copy()
-        lane.last_scores = scores.copy()
-        return scores
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.stats = ScoringStats(senone_budget=self.num_senones)
-        self.lane.reset()
-
-    # ------------------------------------------------------------------
-    def equivalent_activity(self, spec: OpUnitSpec | None = None) -> dict[str, float]:
-        """OP-unit activity a hardware run of this workload would log.
-
-        Lets the power model price the four layers' savings: dims map
-        to squared-difference + add ops, Gaussians to FMA slots, and
-        cycles follow the dimension stream (the dominant term).
-        """
-        spec = spec or OpUnitSpec(feature_dim=self.pool.dim)
-        s = self.fast_stats
-        senones = s.senones_full + s.senones_approximated or self.stats.senones_requested
-        bytes_per_value = 4.0
-        values = s.gaussians_evaluated * (2 * self.pool.dim + 1)
-        return {
-            "cycles_busy": float(
-                s.dims_evaluated + s.gaussians_evaluated * 2 + spec.sdm_pipeline.depth
-            ),
-            "sdm_ops": float(s.dims_evaluated),
-            "add_ops": float(s.dims_evaluated),
-            "fma_ops": float(s.gaussians_evaluated),
-            "compare_ops": float(senones),
-            "sram_reads": float(max(s.gaussians_evaluated - senones, 0)),
-            "parameter_bytes": values * bytes_per_value,
-            "senones": float(self.stats.senones_requested),
-            "gaussians": float(s.gaussians_evaluated),
-        }
+    spec = spec or OpUnitSpec(feature_dim=dim)
+    s = stats
+    senones = s.senones_full + s.senones_approximated or senones_requested
+    bytes_per_value = 4.0
+    values = s.gaussians_evaluated * (2 * dim + 1)
+    return {
+        "cycles_busy": float(
+            s.dims_evaluated + s.gaussians_evaluated * 2 + spec.sdm_pipeline.depth
+        ),
+        "sdm_ops": float(s.dims_evaluated),
+        "add_ops": float(s.dims_evaluated),
+        "fma_ops": float(s.gaussians_evaluated),
+        "compare_ops": float(senones),
+        "sram_reads": float(max(s.gaussians_evaluated - senones, 0)),
+        "parameter_bytes": values * bytes_per_value,
+        "senones": float(senones_requested),
+        "gaussians": float(s.gaussians_evaluated),
+    }

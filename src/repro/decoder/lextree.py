@@ -17,22 +17,25 @@ network's — the tree is a pure search-space reorganisation.
 :class:`TreeLexiconNetwork` compiles the dictionary into dense arrays
 (one predecessor per state, so the Viterbi unit's
 :meth:`~repro.core.viterbi_unit.ViterbiUnit.update_tokens` fast path
-applies) and :class:`TreeWordDecodeStage` runs token passing over it,
-producing the same :class:`~repro.decoder.lattice.WordLattice` the
-global best path search consumes.
+applies); :class:`repro.runtime.lextree.TreeLaneBank` runs token
+passing over it (one lane under ``Recognizer.decode``, B lanes in the
+batched runtimes) with the per-lane kernels below, producing the same
+:class:`~repro.decoder.lattice.WordLattice` the global best path
+search consumes.  Differences from the flat network inherent to the
+tree: word entries carry no LM mass (tokens in shared prefixes are
+word-agnostic) — the LM row of the predecessor's history is added
+when a leaf exits — and all roots receive the same entry score (the
+best LM'd exit so far).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.viterbi_unit import BP_ENTRY, BP_FORWARD, BP_SELF, ViterbiUnit
-from repro.decoder.beam import BeamConfig, apply_beam
 from repro.decoder.lattice import WordLattice
-from repro.decoder.phone_decode import PhoneDecodeStage
-from repro.decoder.word_decode import DecoderConfig, FrameStats
+from repro.decoder.word_decode import DecoderConfig
 from repro.hmm.topology import HmmTopology
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.phones import SILENCE
@@ -41,7 +44,6 @@ from repro.lm.ngram import NGramModel
 
 __all__ = [
     "TreeLexiconNetwork",
-    "TreeWordDecodeStage",
     "prime_tree_entry",
     "record_tree_exits",
 ]
@@ -55,8 +57,6 @@ def prime_tree_entry(config: DecoderConfig) -> tuple[float, int]:
 
     BOS context, no LM mass yet (the LM is applied at the leaf), so the
     entry score is just the word insertion penalty with no source exit.
-    Shared by the sequential stage and the lane bank so a freshly
-    admitted lane starts from the exact sequential state.
     """
     return float(config.word_insertion_penalty), -1
 
@@ -82,10 +82,10 @@ def record_tree_exits(
     root re-entry score/source for the next frame (``LOG_ZERO``/-1 when
     no leaf is viable).
 
-    This is the single source of truth for exit ordering and capping:
-    the word-beam threshold and the (non-stable) ``argsort`` top-N cut
-    must tie-break identically in the sequential stage and the lane
-    bank for per-lane bit-identity, so both delegate here.
+    This is the single source of truth for exit ordering and capping
+    (the word-beam threshold and the non-stable ``argsort`` top-N cut):
+    a lane sees the same arrays here whatever bank it rides in, so ties
+    break identically for every batch shape.
     """
     if not viable.any():
         return [], LOG_ZERO, -1
@@ -160,6 +160,18 @@ class TreeLexiconNetwork:
     @property
     def has_silence(self) -> bool:
         return self.silence_word >= 0
+
+    @property
+    def is_silence_state(self) -> np.ndarray:
+        """(K,) bool: states of the silence model (what the streaming
+        endpointer watches).  Silence is a single root node, so its
+        states are the ``states_per_hmm`` ending at the silence leaf."""
+        mask = np.zeros(self.num_states, dtype=bool)
+        if self.has_silence:
+            leaf = int(np.flatnonzero(self.leaf_word == self.silence_word)[0])
+            root = int(np.flatnonzero(self.is_root_start[: leaf + 1])[-1])
+            mask[root : leaf + 1] = True
+        return mask
 
     @property
     def sharing_factor(self) -> float:
@@ -258,164 +270,3 @@ class TreeLexiconNetwork:
             num_nodes=len(node_last_state) + (1 if include_silence else 0),
             flat_states_equivalent=flat_equivalent,
         )
-
-
-class TreeWordDecodeStage:
-    """Token passing over the prefix tree (LM applied at word exits).
-
-    Mirrors :class:`~repro.decoder.word_decode.WordDecodeStage`'s
-    interface: ``process_frame`` per frame, a ``lattice`` of word
-    exits, ``frame_stats``.  Differences inherent to the tree:
-
-    * word entries carry no LM mass (tokens in shared prefixes are
-      word-agnostic); the LM row of the predecessor's history is added
-      when a leaf exits;
-    * all roots receive the same entry score (best LM'd exit so far).
-    """
-
-    def __init__(
-        self,
-        network: TreeLexiconNetwork,
-        lm: NGramModel,
-        phone_decode: PhoneDecodeStage,
-        config: DecoderConfig | None = None,
-        viterbi_unit: ViterbiUnit | None = None,
-    ) -> None:
-        if not isinstance(network, TreeLexiconNetwork):
-            raise TypeError(
-                f"network must be a TreeLexiconNetwork, got "
-                f"{type(network).__name__}"
-            )
-        if config is not None and not isinstance(config, DecoderConfig):
-            raise TypeError(
-                f"config must be a DecoderConfig, got {type(config).__name__}"
-            )
-        if config is not None and not isinstance(config.beam, BeamConfig):
-            raise TypeError(
-                f"config.beam must be a BeamConfig, got "
-                f"{type(config.beam).__name__}"
-            )
-        if viterbi_unit is not None and not isinstance(viterbi_unit, ViterbiUnit):
-            raise TypeError(
-                f"viterbi_unit must be a ViterbiUnit, got "
-                f"{type(viterbi_unit).__name__}"
-            )
-        if lm.vocabulary.size != network.num_words:
-            raise ValueError(
-                f"LM vocabulary ({lm.vocabulary.size}) != network words "
-                f"({network.num_words})"
-            )
-        self.network = network
-        self.lm = lm
-        self.phone_decode = phone_decode
-        self.config = config or DecoderConfig()
-        self.viterbi = viterbi_unit or ViterbiUnit()
-        self._leaf_states = np.flatnonzero(network.leaf_word >= 0)
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        net = self.network
-        self.delta = np.full(net.num_states, LOG_ZERO, dtype=np.float32)
-        self.entry_frame = np.full(net.num_states, -1, dtype=np.int64)
-        self.payload = np.full(net.num_states, -1, dtype=np.int64)
-        self.lattice = WordLattice()
-        self.frame_stats: list[FrameStats] = []
-        self._frame = 0
-        self._pending_entry, self._pending_src = prime_tree_entry(self.config)
-
-    # ------------------------------------------------------------------
-    def process_frame(self, observation: np.ndarray) -> FrameStats:
-        net = self.network
-        cfg = self.config
-        t = self._frame
-        alive = self.delta > _DEAD
-        candidates = alive.copy()
-        # Children of live states: state s is a candidate if its
-        # predecessor is alive.
-        has_pred = net.pred_state >= 0
-        safe = np.where(has_pred, net.pred_state, 0)
-        candidates |= has_pred & alive[safe]
-        if self._pending_entry > _DEAD:
-            candidates |= net.is_root_start
-        requested = np.unique(net.senone_id[candidates])
-        scores = self.phone_decode.score_frame(observation, requested)
-        scored_count = (
-            int(requested.size)
-            if self.phone_decode.use_feedback
-            else self.phone_decode.scorer.num_senones
-        )
-        obs_vec = scores[net.senone_id].astype(np.float32)
-        entry_scores = np.full(net.num_states, LOG_ZERO, dtype=np.float32)
-        entry_scores[net.is_root_start] = self._pending_entry
-
-        result = self.viterbi.update_tokens(
-            self.delta,
-            net.self_logp,
-            net.pred_state,
-            net.pred_logp,
-            obs_vec,
-            entry_scores=entry_scores,
-            entry_mask=net.is_root_start,
-        )
-        backptr = result.backpointer
-        pred_payload = self.payload[safe]
-        pred_entry_frame = self.entry_frame[safe]
-        self.payload = np.select(
-            [backptr == BP_SELF, backptr == BP_FORWARD],
-            [self.payload, pred_payload],
-            default=self._pending_src,
-        )
-        self.entry_frame = np.select(
-            [backptr == BP_SELF, backptr == BP_FORWARD],
-            [self.entry_frame, pred_entry_frame],
-            default=t,
-        )
-        # A forward move within a word keeps the word's entry frame; a
-        # move *into a root's first state* via entry sets it above.  A
-        # forward move from a parent node keeps the inherited frame,
-        # which is correct: the token entered the (eventual) word at
-        # the tree root.
-        self.delta = result.delta
-        _, n_active = apply_beam(self.delta, cfg.beam)
-        exits = self._record_exits(t)
-        stats = FrameStats(
-            frame=t,
-            active_states=n_active,
-            requested_senones=scored_count,
-            word_exits=len(exits),
-        )
-        self.frame_stats.append(stats)
-        self._frame += 1
-        return stats
-
-    # ------------------------------------------------------------------
-    def _record_exits(self, t: int) -> list[int]:
-        """LM-weighted exits at leaf states; refresh the root entry."""
-        net = self.network
-        leaves = self._leaf_states
-        leaf_delta = self.delta[leaves].astype(np.float64)
-        viable = leaf_delta > _DEAD
-        raw_scores = leaf_delta + net.exit_logp[leaves]
-        new_exits, self._pending_entry, self._pending_src = record_tree_exits(
-            net,
-            self.config,
-            self.lm,
-            self.lattice,
-            self.payload,
-            self.entry_frame,
-            t,
-            raw_scores,
-            viable,
-            leaves,
-        )
-        return new_exits
-
-    # ------------------------------------------------------------------
-    @property
-    def frames_processed(self) -> int:
-        return self._frame
-
-    def reset(self) -> None:
-        self.phone_decode.reset()
-        self.viterbi.reset_counters()
-        self._reset_state()

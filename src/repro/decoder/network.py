@@ -77,6 +77,12 @@ class FlatLexiconNetwork:
     def has_silence(self) -> bool:
         return self.silence_word >= 0
 
+    @property
+    def is_silence_state(self) -> np.ndarray:
+        """(K,) bool: states of the silence model (what the streaming
+        endpointer watches); all False without a silence word."""
+        return self.word_of_state == self.silence_word
+
     def word_name(self, index: int) -> str:
         if index == self.silence_word:
             return "<sil>"

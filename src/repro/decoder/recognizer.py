@@ -2,7 +2,12 @@
 
 Wires the stages of Figure 1 together — phone decode (senone scoring),
 word decode (token passing + lattice) and global best path search —
-over a chosen scoring backend:
+over a chosen scoring backend.  There is ONE search engine: the lane
+bank of :mod:`repro.runtime.batch` / :mod:`repro.runtime.lextree`
+scoring through the pooled backends of :mod:`repro.runtime.scoring`.
+:meth:`Recognizer.decode` drives a persistent 1-lane bank frame by
+frame; the batched runtimes drive wider banks built by the same
+:meth:`RecognizerBase.make_bank` from the same models.  Modes:
 
 * ``mode="reference"`` — double-precision software decode (the paper's
   correctness baseline);
@@ -22,28 +27,27 @@ over a chosen scoring backend:
 
 The recognizer is reusable across utterances; per-utterance state is
 reset at each :meth:`Recognizer.decode`.
+
+:mod:`repro.runtime` imports this module for the result and validator
+types, so the runtime classes used here are imported where they are
+used, not at module level.
 """
 
 from __future__ import annotations
 
-import time
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.opunit import OpUnit, OpUnitSpec
 from repro.core.viterbi_unit import ViterbiUnit, ViterbiUnitSpec
-from repro.decoder.best_path import BestPath, find_best_path
-from repro.decoder.fast_gmm import FastGmmConfig, FastGmmScorer, FastGmmStats
-from repro.decoder.lextree import TreeLexiconNetwork, TreeWordDecodeStage
+from repro.decoder.best_path import find_best_path
+from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel, FastGmmStats
+from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.network import FlatLexiconNetwork
 from repro.decoder.phone_decode import PhoneDecodeStage
-from repro.decoder.scorer import (
-    BlasScorer,
-    HardwareScorer,
-    ReferenceScorer,
-    ScoringStats,
-)
+from repro.decoder.scorer import ScoringStats
 from repro.decoder.word_decode import DecoderConfig, FrameStats, WordDecodeStage
 from repro.hmm.senone import BLAS_PRECISIONS, SenonePool
 from repro.hmm.topology import HmmTopology
@@ -57,6 +61,7 @@ from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 __all__ = [
     "DecodeTiming",
     "Recognizer",
+    "RecognizerBase",
     "RecognitionResult",
     "SUPPORTED_NETWORKS",
     "build_network",
@@ -161,6 +166,11 @@ def validate_decoder_models(
     network: AnyLexiconNetwork, pool: SenonePool, lm: NGramModel
 ) -> None:
     """The invariants every decoder front end relies on."""
+    if not isinstance(network, AnyLexiconNetwork):
+        raise TypeError(
+            "network must be a FlatLexiconNetwork or TreeLexiconNetwork, "
+            f"got {type(network).__name__}"
+        )
     if pool.num_senones != network.num_senones:
         raise ValueError(
             f"pool has {pool.num_senones} senones, network expects "
@@ -265,8 +275,13 @@ class RecognitionResult:
         return float(np.mean([s.active_states for s in self.frame_stats]))
 
 
-class Recognizer:
-    """Facade over the staged decoder (see module docstring)."""
+class RecognizerBase:
+    """What every decoder front end is built on: the compiled network,
+    the models, the scoring backend chosen by ``mode`` and the lane-bank
+    factory over them.  The one place ``mode`` is validated and turned
+    into a backend, for :class:`Recognizer` and the batched runtimes
+    alike.
+    """
 
     SUPPORTED_MODES = ("reference", "hardware", "fast", "blas")
     SUPPORTED_NETWORKS = SUPPORTED_NETWORKS
@@ -276,15 +291,23 @@ class Recognizer:
         network: AnyLexiconNetwork,
         pool: SenonePool,
         lm: NGramModel,
-        config: DecoderConfig | None = None,
-        mode: str = "reference",
-        storage_format: FloatFormat = IEEE_SINGLE,
-        num_unit_pairs: int = 2,
-        tying: SenoneTying | None = None,
-        fast_config: FastGmmConfig | None = None,
-        frame_period_s: float = 0.010,
-        precision: str = "float64",
+        config: DecoderConfig | None,
+        mode: str,
+        storage_format: FloatFormat,
+        num_unit_pairs: int,
+        frame_period_s: float,
+        tying: SenoneTying | None,
+        fast_config: FastGmmConfig | None,
+        fast_model: FastGmmModel | None,
+        precision: str,
     ) -> None:
+        from repro.runtime.scoring import (
+            BatchBlasScorer,
+            BatchFastGmmScorer,
+            BatchHardwareScorer,
+            BatchReferenceScorer,
+        )
+
         if mode not in self.SUPPORTED_MODES:
             supported = ", ".join(repr(m) for m in self.SUPPORTED_MODES)
             raise ValueError(
@@ -292,6 +315,10 @@ class Recognizer:
             )
         validate_precision(mode, precision)
         validate_decoder_models(network, pool, lm)
+        if config is not None and not isinstance(config, DecoderConfig):
+            raise TypeError(
+                f"config must be a DecoderConfig, got {type(config).__name__}"
+            )
         self.network = network
         self.network_kind = network_kind_of(network)
         self.pool = pool
@@ -311,45 +338,26 @@ class Recognizer:
             spec = OpUnitSpec(feature_dim=pool.dim)
             self.op_units = [OpUnit(spec) for _ in range(num_unit_pairs)]
             table = pool.gaussian_table(storage_format)
-            scorer = HardwareScorer(self.op_units, table)
+            self.scorer = BatchHardwareScorer(self.op_units, table)
             self.viterbi_unit = ViterbiUnit(ViterbiUnitSpec())
         elif mode == "fast":
-            scorer = FastGmmScorer(
-                self._storage_pool(), tying=tying, config=fast_config
+            self.scorer = BatchFastGmmScorer(
+                fast_model
+                or FastGmmModel(
+                    resolve_storage_pool(pool, storage_format),
+                    tying=tying,
+                    config=fast_config,
+                )
             )
         elif mode == "blas":
-            scorer = BlasScorer(self._storage_pool(), precision=precision)
-        else:
-            scorer = ReferenceScorer(self._storage_pool())
-        self.scorer = scorer
-        self.phone_stage = PhoneDecodeStage(
-            scorer, use_feedback=self.config.use_feedback
-        )
-        if self.network_kind == "tree":
-            # The tree stage always runs its token bank through a
-            # ViterbiUnit (float32 token arithmetic in every mode); the
-            # hardware unit is shared so its activity is accounted.
-            self.word_stage = TreeWordDecodeStage(
-                network=network,
-                lm=lm,
-                phone_decode=self.phone_stage,
-                config=self.config,
-                viterbi_unit=self.viterbi_unit,
+            self.scorer = BatchBlasScorer(
+                resolve_storage_pool(pool, storage_format), precision=precision
             )
         else:
-            self.word_stage = WordDecodeStage(
-                network=network,
-                lm=lm,
-                phone_decode=self.phone_stage,
-                config=self.config,
-                viterbi_unit=self.viterbi_unit,
+            self.scorer = BatchReferenceScorer(
+                resolve_storage_pool(pool, storage_format)
             )
 
-    def _storage_pool(self) -> SenonePool:
-        """The pool as stored in flash (quantized when narrow)."""
-        return resolve_storage_pool(self.pool, self.storage_format)
-
-    # ------------------------------------------------------------------
     @classmethod
     def create(
         cls,
@@ -360,7 +368,7 @@ class Recognizer:
         topology: HmmTopology | None = None,
         network: str = "flat",
         **kwargs,
-    ) -> "Recognizer":
+    ):
         """Build the network from a dictionary and wire everything.
 
         ``network`` selects the lexicon family next to ``mode=``:
@@ -370,15 +378,84 @@ class Recognizer:
         net = build_network(network, dictionary, tying, topology)
         return cls(network=net, pool=pool, lm=lm, tying=tying, **kwargs)
 
+    def make_bank(self, num_lanes: int):
+        """A lane bank matched to this recognizer's network family.
+
+        The single bank factory behind :meth:`Recognizer.decode`,
+        :meth:`~repro.runtime.batch.BatchRecognizer.decode_batch`,
+        :meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`
+        and the serve loop, so every runtime picks up the tree token
+        bank automatically when the recognizer was built with
+        ``network="tree"``.
+        """
+        if self.network_kind == "tree":
+            from repro.runtime.lextree import TreeLaneBank
+
+            return TreeLaneBank(self, num_lanes)
+        from repro.runtime.batch import LaneBank
+
+        return LaneBank(self, num_lanes)
+
+    def _validate_features(
+        self, index: int | None, features: np.ndarray
+    ) -> np.ndarray:
+        """One utterance's features as the (T, L) float64 the bank expects."""
+        return validate_utterance_features(self.pool.dim, index, features)
+
+    def _reset_accounting(self) -> None:
+        """Clear pooled hardware accounting before a decode."""
+        self.scorer.reset()
+        if self.viterbi_unit is not None:
+            self.viterbi_unit.reset_counters()
+
+    def _pooled_accounting(self) -> dict:
+        """Hardware accounting since the last reset (None outside hardware mode)."""
+        return {
+            "op_unit_activities": (
+                [u.activity() for u in self.op_units] if self.op_units else None
+            ),
+            "viterbi_activity": (
+                self.viterbi_unit.activity() if self.viterbi_unit else None
+            ),
+            "frame_critical_cycles": (
+                list(self.scorer.frame_critical_cycles)
+                if self.mode == "hardware"
+                else None
+            ),
+        }
+
+
+class Recognizer(RecognizerBase):
+    """Facade over the staged decoder (see module docstring)."""
+
+    def __init__(
+        self,
+        network: AnyLexiconNetwork,
+        pool: SenonePool,
+        lm: NGramModel,
+        config: DecoderConfig | None = None,
+        mode: str = "reference",
+        storage_format: FloatFormat = IEEE_SINGLE,
+        num_unit_pairs: int = 2,
+        tying: SenoneTying | None = None,
+        fast_config: FastGmmConfig | None = None,
+        frame_period_s: float = 0.010,
+        precision: str = "float64",
+    ) -> None:
+        super().__init__(
+            network, pool, lm, config, mode, storage_format, num_unit_pairs,
+            frame_period_s, tying, fast_config, None, precision,
+        )
+        self.phone_stage = PhoneDecodeStage(self.scorer)
+        self.word_stage = WordDecodeStage(self)
+
     # ------------------------------------------------------------------
     def as_batch(self):
         """A :class:`~repro.runtime.BatchRecognizer` twin of this decoder.
 
         Shares the compiled network and models (including the fast-GMM
-        model in fast mode); decodes B utterances frame-synchronously
-        with outputs bit-identical to sequential :meth:`decode` calls
-        in every exact mode (reference, hardware and fast), and
-        word-identical with rounding-tolerance scores in blas mode.
+        model in fast mode); decodes B utterances frame-synchronously,
+        each output independent of the batch it rode in.
         """
         from repro.runtime.batch import BatchRecognizer
 
@@ -391,10 +468,7 @@ class Recognizer:
         model in fast mode); serves an utterance queue with mid-decode
         lane refill
         (:meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`),
-        each utterance's output bit-identical to sequential
-        :meth:`decode` in every exact mode (reference, hardware and
-        fast), and word-identical with rounding-tolerance scores in
-        blas mode.
+        each output independent of arrival order and lane count.
         """
         from repro.runtime.continuous import ContinuousBatchRecognizer
 
@@ -403,50 +477,17 @@ class Recognizer:
     # ------------------------------------------------------------------
     def decode(self, features: np.ndarray) -> RecognitionResult:
         """Recognize one utterance from its feature matrix (T, L)."""
-        feats = validate_utterance_features(self.pool.dim, None, features)
-        started_at = time.monotonic()
+        feats = self._validate_features(None, features)
         self.word_stage.reset()
-        if self.viterbi_unit is not None:
-            self.viterbi_unit.reset_counters()
+        process_frame = self.word_stage.process_frame
         for frame in feats:
-            self.word_stage.process_frame(frame)
-        final_frame = feats.shape[0] - 1
-        best: BestPath | None = find_best_path(
+            process_frame(frame)
+        best = find_best_path(
             self.word_stage.lattice,
             self.lm,
             self.network,
-            final_frame,
+            feats.shape[0] - 1,
             lm_scale=self.config.lm_scale,
         )
-        words = best.words if best is not None else ()
-        score = best.score if best is not None else float("-inf")
-        return RecognitionResult(
-            words=words,
-            score=score,
-            frames=feats.shape[0],
-            frame_stats=list(self.word_stage.frame_stats),
-            scoring_stats=self.scorer.stats,
-            lattice_size=len(self.word_stage.lattice),
-            frame_period_s=self.frame_period_s,
-            op_unit_activities=(
-                [u.activity() for u in self.op_units] if self.op_units else None
-            ),
-            viterbi_activity=(
-                self.viterbi_unit.activity() if self.viterbi_unit else None
-            ),
-            frame_critical_cycles=(
-                list(self.scorer.frame_critical_cycles)
-                if isinstance(self.scorer, HardwareScorer)
-                else None
-            ),
-            fast_stats=(
-                self.scorer.fast_stats
-                if isinstance(self.scorer, FastGmmScorer)
-                else None
-            ),
-            timing=DecodeTiming(
-                enqueued_at=started_at,
-                admitted_at=started_at,
-                finished_at=time.monotonic(),
-            ),
-        )
+        result = self.word_stage.bank.package(0, best)
+        return dataclasses.replace(result, **self._pooled_accounting())

@@ -1,52 +1,21 @@
-"""Senone scoring backends for the phone decode stage.
+"""Scoring constants and per-decode scoring statistics.
 
-The decoder asks, per frame, for the scores of an *active* senone
-subset (the "phones for evaluation" feedback of Figure 1).  Three
-backends satisfy that contract:
-
-* :class:`ReferenceScorer` — double-precision exact math (the paper's
-  floating-point correctness reference);
-* :class:`HardwareScorer` — the senones are split across one or more
-  :class:`~repro.core.opunit.OpUnit` instances, scoring through the
-  quantized parameter tables and the logadd SRAM with full cycle,
-  bandwidth and activity accounting;
-* :class:`~repro.decoder.fast_gmm.FastGmmScorer` — wraps either of the
-  above with the four-layer fast-GMM scheme (defined in its own
-  module);
-* :class:`BlasScorer` — matmul-form scoring: the quadratic form is
-  expanded into two dense products against stacked senone-major
-  tables (:meth:`~repro.hmm.senone.SenonePool.score_block_blas`).
-  Word outputs match the reference decode; scores agree only to
-  rounding (``exact = False``, tolerance :data:`BLAS_SCORE_ATOL`)
-  because the dot-product summation order differs from the reference
-  elementwise fold.
-
-All backends return a dense ``(num_senones,)`` array holding real
-scores at the requested indices and ``LOG_ZERO`` elsewhere, and track
-the per-frame active-senone counts that experiment R2 reports.
+The senone scoring backends themselves live in
+:mod:`repro.runtime.scoring` (one pooled family serves one lane or
+many).  What stays here is what every layer imports: ``LOG_ZERO``, the
+documented score tolerances of the inexact backends, and
+:class:`ScoringStats` — the per-frame active-senone counts that
+experiment R2 reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
-from repro.core.opunit import GaussianTable, OpUnit
-from repro.core.scratch import DenseScratch
-from repro.hmm.senone import (
-    BLAS_FULL_TABLE_ELEMENTS,
-    BLAS_PRECISIONS,
-    SenonePool,
-)
-
 __all__ = [
-    "SenoneScorer",
     "ScoringStats",
-    "ReferenceScorer",
-    "HardwareScorer",
-    "BlasScorer",
     "LOG_ZERO",
     "BLAS_SCORE_ATOL",
     "FLOAT32_SCORE_ATOL",
@@ -118,229 +87,3 @@ class ScoringStats:
         if self.senone_budget == 0 or not self.active_per_frame:
             return 0.0
         return max(self.active_per_frame) / self.senone_budget
-
-
-class SenoneScorer(Protocol):
-    """Contract between phone decode and any scoring backend."""
-
-    num_senones: int
-    stats: ScoringStats
-
-    def score(
-        self, frame_index: int, observation: np.ndarray, senones: np.ndarray
-    ) -> np.ndarray:
-        """Dense score array; ``LOG_ZERO`` at unrequested indices."""
-        ...  # pragma: no cover - protocol definition
-
-    def reset(self) -> None:
-        """Clear per-decode statistics."""
-        ...  # pragma: no cover - protocol definition
-
-
-class ReferenceScorer:
-    """Double-precision exact scorer (the software gold model).
-
-    The dense output array is a scorer-owned scratch buffer refilled
-    with ``LOG_ZERO`` only at previously written indices, so the
-    per-frame hot path allocates nothing; callers consume it before the
-    next :meth:`score` call (the decoder gathers it into its own state
-    immediately).
-    """
-
-    def __init__(self, pool: SenonePool) -> None:
-        self.pool = pool
-        self.num_senones = pool.num_senones
-        self.stats = ScoringStats(senone_budget=pool.num_senones)
-        self._out = DenseScratch(pool.num_senones, LOG_ZERO)
-
-    def score(
-        self, frame_index: int, observation: np.ndarray, senones: np.ndarray
-    ) -> np.ndarray:
-        senones = np.asarray(senones, dtype=np.int64)
-        self.stats.record(int(senones.size))
-        out = self._out.clean()
-        if senones.size == 0:
-            return out
-        compact = self.pool.score_senones(np.asarray(observation), senones)
-        compact[np.isneginf(compact)] = LOG_ZERO
-        out[senones] = compact
-        self._out.publish(senones)
-        return out
-
-    def reset(self) -> None:
-        self.stats = ScoringStats(senone_budget=self.num_senones)
-
-
-class HardwareScorer:
-    """Scores through the OP unit models (one or more units).
-
-    The active senone list is split evenly across the available units,
-    mirroring the paper's two parallel dedicated structures.  Cycle
-    counts, parameter-fetch bytes and arithmetic activity accumulate
-    inside each :class:`OpUnit`; the scorer additionally records the
-    per-frame maximum unit cycle count (the critical path that decides
-    real-time feasibility).
-    """
-
-    def __init__(self, units: list[OpUnit], table: GaussianTable) -> None:
-        if not units:
-            raise ValueError("need at least one OP unit")
-        dims = {u.spec.feature_dim for u in units}
-        if dims != {table.feature_dim}:
-            raise ValueError(
-                f"unit feature dims {dims} != table dim {table.feature_dim}"
-            )
-        self.units = units
-        self.table = table
-        self.num_senones = table.num_senones
-        self.stats = ScoringStats(senone_budget=table.num_senones)
-        self.frame_critical_cycles: list[int] = []
-        self._out = DenseScratch(table.num_senones, LOG_ZERO)
-
-    def score(
-        self, frame_index: int, observation: np.ndarray, senones: np.ndarray
-    ) -> np.ndarray:
-        senones = np.asarray(senones, dtype=np.int64)
-        self.stats.record(int(senones.size))
-        out = self._out.clean()
-        if senones.size == 0:
-            self.frame_critical_cycles.append(0)
-            return out
-        shares = np.array_split(senones, len(self.units))
-        worst = 0
-        for unit, share in zip(self.units, shares):
-            if share.size == 0:
-                continue
-            result = unit.score_frame(self.table, observation, share)
-            out[share] = result.scores[share]
-            worst = max(worst, result.cycles)
-        self._out.publish(senones)
-        self.frame_critical_cycles.append(worst)
-        return out
-
-    def reset(self) -> None:
-        self.stats = ScoringStats(senone_budget=self.num_senones)
-        self.frame_critical_cycles = []
-        for unit in self.units:
-            unit.reset_counters()
-
-
-class BlasScorer:
-    """Matmul-form (BLAS) sequential scorer.
-
-    Scores a frame's active set through two dense products against
-    the stacked senone-major tables plus a vectorized log-sum-exp
-    fold, instead of the reference backend's gathered elementwise
-    kernel.  Pools whose full table fits ``full_table_elements``
-    stream the WHOLE table through one pair of products and fold only
-    the requested senones
-    (:meth:`~repro.hmm.senone.SenonePool.score_pairs_blas` — cheapest
-    at small scale, where dispatch dominates); larger pools gather the
-    requested senone-major row blocks first
-    (:meth:`~repro.hmm.senone.SenonePool.score_block_blas`), so a
-    paper-scale pool never streams 10x the demanded parameters.
-    Demand sets smaller than ``dense_threshold`` senones or below
-    ``min_density`` pool coverage fall back to the gathered reference
-    kernel (:meth:`~repro.hmm.senone.SenonePool.score_senones`): there
-    the dense products cannot win.
-
-    ``precision`` selects the stored table format
-    (:data:`~repro.hmm.senone.BLAS_PRECISIONS`): ``"float64"`` keeps
-    the original exact-rounding tables, ``"float32"`` halves table
-    bandwidth (drift within :data:`FLOAT32_SCORE_ATOL` of the float64
-    backend), ``"int8"`` stores symmetric per-row codes (~1/7 the
-    bytes, drift within :data:`INT8_SCORE_ATOL`).  The sparse-demand
-    fallback always scores through the exact gathered kernel, whatever
-    the table precision — reduced precision buys bandwidth exactly
-    where the dense products run.
-
-    ``exact = False``: words match the reference decode, scores agree
-    within :data:`BLAS_SCORE_ATOL` (summation-order rounding only) at
-    float64 precision, within the per-precision bounds above otherwise.
-    ``dense_frames`` / ``fallback_frames`` count which kernel served
-    each frame.
-    """
-
-    exact = False
-
-    #: Table sizes (senones x components x dims) up to this many
-    #: elements score through the full-table products; bigger pools
-    #: gather the requested subset instead.  Shared with the pooled
-    #: backend via :data:`repro.hmm.senone.BLAS_FULL_TABLE_ELEMENTS`.
-    FULL_TABLE_ELEMENTS = BLAS_FULL_TABLE_ELEMENTS
-
-    def __init__(
-        self,
-        pool: SenonePool,
-        dense_threshold: int = 16,
-        min_density: float = 0.1,
-        full_table_elements: int | None = None,
-        precision: str = "float64",
-    ) -> None:
-        if dense_threshold < 0:
-            raise ValueError(
-                f"dense_threshold must be >= 0, got {dense_threshold}"
-            )
-        if not 0.0 <= min_density <= 1.0:
-            raise ValueError(
-                f"min_density must be in [0, 1], got {min_density}"
-            )
-        if precision not in BLAS_PRECISIONS:
-            supported = ", ".join(repr(p) for p in BLAS_PRECISIONS)
-            raise ValueError(
-                f"unknown blas precision {precision!r}; supported: {supported}"
-            )
-        self.pool = pool
-        self.dense_threshold = dense_threshold
-        self.min_density = min_density
-        self.precision = precision
-        self.num_senones = pool.num_senones
-        self.stats = ScoringStats(senone_budget=pool.num_senones)
-        self.dense_frames = 0
-        self.fallback_frames = 0
-        if full_table_elements is None:
-            full_table_elements = self.FULL_TABLE_ELEMENTS
-        self._full_table = (
-            pool.num_senones * pool.num_components * pool.dim
-            <= full_table_elements
-        )
-        self._out = DenseScratch(pool.num_senones, LOG_ZERO)
-        pool.blas_tables(precision)  # build once up front, not on the first frame
-
-    def score(
-        self, frame_index: int, observation: np.ndarray, senones: np.ndarray
-    ) -> np.ndarray:
-        senones = np.asarray(senones, dtype=np.int64)
-        self.stats.record(int(senones.size))
-        out = self._out.clean()
-        if senones.size == 0:
-            return out
-        obs = np.asarray(observation, dtype=np.float64)
-        if (
-            senones.size < self.dense_threshold
-            or senones.size < self.min_density * self.num_senones
-        ):
-            self.fallback_frames += 1
-            compact = self.pool.score_senones(obs, senones)
-        elif self._full_table:
-            self.dense_frames += 1
-            compact = self.pool.score_pairs_blas(
-                obs[None, :],
-                np.zeros(senones.size, dtype=np.int64),
-                senones,
-                precision=self.precision,
-            )
-        else:
-            self.dense_frames += 1
-            compact = self.pool.score_block_blas(
-                obs[None, :], senones, precision=self.precision
-            )[0]
-        compact[np.isneginf(compact)] = LOG_ZERO
-        out[senones] = compact
-        self._out.publish(senones)
-        return out
-
-    def reset(self) -> None:
-        self.stats = ScoringStats(senone_budget=self.num_senones)
-        self.dense_frames = 0
-        self.fallback_frames = 0

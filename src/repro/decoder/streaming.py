@@ -47,8 +47,9 @@ class StreamingRecognizer:
     Parameters
     ----------
     recognizer:
-        A configured recognizer (any mode).  Its network must include
-        the silence word — endpointing tracks it.
+        A configured recognizer (any mode, either lexicon network).
+        Its network must include the silence word — endpointing
+        tracks it.
     partial_interval:
         Emit a partial hypothesis every this many frames (0 disables).
     endpoint_silence_frames:
@@ -83,6 +84,7 @@ class StreamingRecognizer:
         self.endpoint_silence_frames = endpoint_silence_frames
         self.on_partial = on_partial
         self.on_endpoint = on_endpoint
+        self._silence = recognizer.network.is_silence_state
         self._silence_run = 0
         self._frames = 0
         self._saw_speech = False
@@ -102,8 +104,7 @@ class StreamingRecognizer:
         """Consume one feature frame."""
         if self._ended:
             raise RuntimeError("utterance already endpointed; call reset()")
-        stage = self.recognizer.word_stage
-        stage.process_frame(np.asarray(frame, dtype=np.float64))
+        self.recognizer.word_stage.process_frame(frame)
         self._frames += 1
         self._update_endpoint_state()
         partial = None
@@ -123,13 +124,11 @@ class StreamingRecognizer:
         )
 
     def _update_endpoint_state(self) -> None:
-        stage = self.recognizer.word_stage
-        net = self.recognizer.network
-        delta = stage.delta
+        delta = self.recognizer.word_stage.delta
         best_state = int(np.argmax(delta))
         if delta[best_state] <= _DEAD:
             return  # nothing alive yet
-        in_silence = int(net.word_of_state[best_state]) == net.silence_word
+        in_silence = bool(self._silence[best_state])
         if in_silence and self._saw_speech:
             self._silence_run += 1
             if self._silence_run >= self.endpoint_silence_frames:

@@ -8,7 +8,11 @@ combinations of the active words in the dictionary.  The word decode
 generates a lattice of probable words spoken."
 
 Implementation: time-synchronous Viterbi token passing over the
-:class:`~repro.decoder.network.FlatLexiconNetwork`.  Each frame:
+:class:`~repro.decoder.network.FlatLexiconNetwork`.  The frame loop is
+:class:`repro.runtime.batch.LaneBank` (one lane for one audio stream,
+B lanes for B); this module holds the search configuration, the
+per-lane kernels the loop is made of, and :class:`WordDecodeStage`,
+the frame-at-a-time view of a 1-lane bank.  Each frame:
 
 1. determine candidate states (alive, their right neighbours, and
    word-start states holding a pending entry) — the union of their
@@ -35,11 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.viterbi_unit import BP_ENTRY, BP_FORWARD, BP_SELF, ViterbiUnit
-from repro.decoder.beam import BeamConfig, apply_beam
+from repro.core.viterbi_unit import BP_ENTRY, BP_FORWARD, BP_SELF
+from repro.decoder.beam import BeamConfig
 from repro.decoder.lattice import WordLattice
 from repro.decoder.network import FlatLexiconNetwork
-from repro.decoder.phone_decode import PhoneDecodeStage
 from repro.lm.ngram import NGramModel
 
 __all__ = [
@@ -70,6 +73,10 @@ class DecoderConfig:
     use_feedback: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.beam, BeamConfig):
+            raise TypeError(
+                f"beam must be a BeamConfig, got {type(self.beam).__name__}"
+            )
         if self.lm_scale <= 0:
             raise ValueError(f"lm_scale must be positive, got {self.lm_scale}")
         if self.max_exits_per_frame < 1:
@@ -92,15 +99,13 @@ class FrameStats:
 # Shared search kernels
 #
 # The per-frame recurrences below are written over the *trailing* state
-# axis so the same code drives the single-utterance stage (shape (S,))
-# and the batched runtimes (shape (B, S) — one row per lane in
-# :class:`repro.runtime.LaneBank`, whether the bank is drained by
-# :class:`repro.runtime.BatchRecognizer` or continuously refilled by
-# :class:`repro.runtime.ContinuousBatchRecognizer`).  Everything is
-# elementwise or a per-row reduction, so stacking utterances changes no
-# value; the lattice/entry helpers take 1-D row views, so a freshly
-# admitted lane replays exactly the sequential per-utterance sequence
-# from its own frame 0.
+# axis: shape (B, S), one row per lane in
+# :class:`repro.runtime.LaneBank` (B = 1 under ``Recognizer.decode``),
+# or the (S,) of a unit test.  Everything is elementwise or a per-row
+# reduction, so stacking utterances changes no value; the lattice/entry
+# helpers take 1-D row views, so a freshly admitted lane replays the
+# same per-utterance sequence from its own frame 0 whatever its
+# neighbours do.
 # ----------------------------------------------------------------------
 
 
@@ -152,14 +157,14 @@ def chain_update_reference(
 
     ``delta``/``obs``/``entry_scores`` may be ``(S,)`` or ``(B, S)``;
     the transition constants and start mask are shared ``(S,)`` arrays.
-    A steady-state caller (the batched runtime) passes ``out`` — the
+    A steady-state caller (the lane bank) passes ``out`` — the
     new-delta destination, which may alias ``delta`` (the old bank is
     fully consumed before the single output write) — and a
     :func:`make_chain_scratch` dict so the per-frame update allocates
     nothing; the returned backpointers then live in ``scratch`` until
     the next call.  ``entry_premasked`` asserts that ``entry_scores``
-    already holds ``LOG_ZERO`` at every non-start state (true for both
-    decoder frame loops, which scatter pending entries into a
+    already holds ``LOG_ZERO`` at every non-start state (true for the
+    bank's frame loop, which scatters pending entries into a
     ``LOG_ZERO`` bank), skipping the masking pass.
     """
     if scratch is None:
@@ -291,7 +296,7 @@ def compute_pending_entries(
     """Turn one utterance's frame exits into next-frame word entries.
 
     Operates in place on the utterance's ``pending_entry``/
-    ``pending_src`` rows (1-D views work, so the batched runtime passes
+    ``pending_src`` rows (1-D views work, so the lane bank passes
     slices of its stacked arrays).
     """
     pending_entry.fill(LOG_ZERO)
@@ -317,208 +322,44 @@ def compute_pending_entries(
 
 
 class WordDecodeStage:
-    """Per-utterance token passer (see module docstring).
+    """The word decode stage of one audio stream, a frame at a time.
 
-    Parameters
-    ----------
-    network:
-        The compiled lexicon.
-    lm:
-        Language model; its vocabulary order must match
-        ``network.words`` (the recognizer guarantees this).
-    phone_decode:
-        The scoring stage to send feedback to.
-    config:
-        Beams, LM scale, penalties.
-    viterbi_unit:
-        When given, chain updates run through the hardware model
-        (float32, cycle/activity counted); otherwise a double-precision
-        reference recurrence is used.
+    A view of a persistent 1-lane bank
+    (:meth:`~repro.decoder.recognizer.RecognizerBase.make_bank` picks
+    the flat or the tree bank), for the callers that hand in frames as
+    they arrive: :meth:`~repro.decoder.recognizer.Recognizer.decode`
+    and :class:`~repro.decoder.streaming.StreamingRecognizer`.  The
+    search itself is the bank's; nothing is decided here.
     """
 
-    def __init__(
-        self,
-        network: FlatLexiconNetwork,
-        lm: NGramModel,
-        phone_decode: PhoneDecodeStage,
-        config: DecoderConfig | None = None,
-        viterbi_unit: ViterbiUnit | None = None,
-    ) -> None:
-        self.network = network
-        self.lm = lm
-        self.phone_decode = phone_decode
-        self.config = config or DecoderConfig()
-        self.viterbi_unit = viterbi_unit
-        if lm.vocabulary.size != network.num_words:
-            raise ValueError(
-                f"LM vocabulary ({lm.vocabulary.size}) != network words "
-                f"({network.num_words})"
-            )
-        self._reset_state()
-
-    # ------------------------------------------------------------------
-    def _reset_state(self) -> None:
-        net = self.network
-        dtype = np.float32 if self.viterbi_unit is not None else np.float64
-        self._dtype = dtype
-        self.delta = np.full(net.num_states, LOG_ZERO, dtype=dtype)
-        self.entry_frame = np.full(net.num_states, -1, dtype=np.int64)
-        self.payload = np.full(net.num_states, -1, dtype=np.int64)
-        total_words = net.num_words + (1 if net.has_silence else 0)
-        self._total_words = total_words
-        self.pending_entry = np.full(total_words, LOG_ZERO, dtype=np.float64)
-        self.pending_src = np.full(total_words, -1, dtype=np.int64)
-        self.lattice = WordLattice()
-        self.frame_stats: list[FrameStats] = []
-        self._frame = 0
-        self._prime_from_bos()
-
-    def _prime_from_bos(self) -> None:
-        """Initial entries: LM row conditioned on ``<s>``."""
-        prime_entries(
-            self.network, self.config, self.lm, self.pending_entry, self.pending_src
-        )
-
-    # ------------------------------------------------------------------
-    # Per-frame processing
-    # ------------------------------------------------------------------
-    def process_frame(self, observation: np.ndarray) -> FrameStats:
-        """Advance the search by one frame."""
-        net = self.network
-        cfg = self.config
-        t = self._frame
-        alive = self.delta > _DEAD
-        candidates = alive.copy()
-        # Right neighbours of live states (within the same chain).
-        shifted = np.zeros_like(alive)
-        shifted[1:] = alive[:-1]
-        shifted &= ~net.is_start
-        candidates |= shifted
-        # Word-start states holding a pending entry.
-        entries_live = self.pending_entry > _DEAD
-        start_states = net.start_state[entries_live]
-        candidates[start_states] = True
-        requested = np.unique(net.senone_id[candidates])
-        scores = self.phone_decode.score_frame(observation, requested)
-        # With feedback off the phone stage scored the whole budget.
-        scored_count = (
-            int(requested.size)
-            if self.phone_decode.use_feedback
-            else self.phone_decode.scorer.num_senones
-        )
-        obs_vec = scores[net.senone_id].astype(self._dtype)
-        entry_state_scores = np.full(net.num_states, LOG_ZERO, dtype=self._dtype)
-        entry_state_scores[net.start_state] = self.pending_entry.astype(self._dtype)
-
-        if self.viterbi_unit is not None:
-            result = self.viterbi_unit.update_chain(
-                self.delta,
-                net.self_logp,
-                net.fwd_logp,
-                obs_vec,
-                entry_state_scores,
-                net.is_start,
-            )
-            new_delta, backptr = result.delta, result.backpointer
-        else:
-            new_delta, backptr = self._reference_chain_update(
-                obs_vec.astype(np.float64), entry_state_scores.astype(np.float64)
-            )
-
-        # Token payload propagation along the winning arcs.
-        prev_payload = np.empty_like(self.payload)
-        prev_payload[0] = -1
-        prev_payload[1:] = self.payload[:-1]
-        prev_entry_frame = np.empty_like(self.entry_frame)
-        prev_entry_frame[0] = -1
-        prev_entry_frame[1:] = self.entry_frame[:-1]
-        entry_payload = np.full(net.num_states, -1, dtype=np.int64)
-        entry_payload[net.start_state] = self.pending_src
-        self.payload = np.select(
-            [backptr == BP_SELF, backptr == BP_FORWARD],
-            [self.payload, prev_payload],
-            default=entry_payload,
-        )
-        self.entry_frame = np.select(
-            [backptr == BP_SELF, backptr == BP_FORWARD],
-            [self.entry_frame, prev_entry_frame],
-            default=t,
-        )
-        self.delta = new_delta.astype(self._dtype)
-
-        _, n_active = apply_beam(self.delta, cfg.beam)
-        exits = self._record_exits(t)
-        self._compute_pending_entries(exits)
-        stats = FrameStats(
-            frame=t,
-            active_states=n_active,
-            requested_senones=scored_count,
-            word_exits=len(exits),
-        )
-        self.frame_stats.append(stats)
-        self._frame += 1
-        return stats
-
-    def _reference_chain_update(
-        self, obs_vec: np.ndarray, entry_scores: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Double-precision version of ``ViterbiUnit.update_chain``."""
-        net = self.network
-        return chain_update_reference(
-            self.delta.astype(np.float64),
-            net.self_logp,
-            net.fwd_logp,
-            obs_vec,
-            entry_scores,
-            net.is_start,
-        )
-
-    # ------------------------------------------------------------------
-    # Word exits and LM-weighted entries
-    # ------------------------------------------------------------------
-    def _record_exits(self, t: int) -> list[int]:
-        """Append this frame's word exits to the lattice."""
-        net = self.network
-        end_delta = self.delta[net.end_state].astype(np.float64)
-        exit_scores = end_delta + net.fwd_logp[net.end_state]
-        viable = end_delta > _DEAD
-        return record_exits(
-            net,
-            self.config,
-            self.lattice,
-            self.payload,
-            self.entry_frame,
-            t,
-            exit_scores,
-            viable,
-        )
-
-    def _last_real_exit(self, index: int):
-        """Nearest non-silence exit at or before ``index`` (None = BOS)."""
-        return last_real_exit(self.lattice, self.network, index)
-
-    def _lm_history_of(self, record) -> tuple[int, ...]:
-        """The LM context a lattice exit exposes (see :func:`lm_history_of`)."""
-        return lm_history_of(self.lattice, self.network, self.lm, record)
-
-    def _compute_pending_entries(self, exit_indices: list[int]) -> None:
-        """Turn this frame's exits into next frame's word entries."""
-        compute_pending_entries(
-            self.network,
-            self.config,
-            self.lm,
-            self.lattice,
-            exit_indices,
-            self.pending_entry,
-            self.pending_src,
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def frames_processed(self) -> int:
-        return self._frame
+    def __init__(self, recognizer) -> None:
+        self.bank = recognizer.make_bank(1)
+        # Scoring goes through the phone stage (see PhoneDecodeStage).
+        self.bank.scorer = recognizer.phone_stage
+        self.reset()
 
     def reset(self) -> None:
-        """Prepare for a new utterance."""
-        self.phone_decode.reset()
-        self._reset_state()
+        """Prepare for a new utterance: a fresh lane, cleared accounting."""
+        bank = self.bank
+        if bank.active[0]:
+            bank.cancel(0)
+        bank.recognizer._reset_accounting()
+        bank.admit(0, 0)
+        # Held here as well: the bank drops its references when the
+        # lane is packaged, and lattice tools read them after decode().
+        self.lattice = bank.lattices[0]
+        self.frame_stats = bank.lane_frame_stats[0]
+
+    def process_frame(self, observation: np.ndarray) -> FrameStats:
+        """Advance the search by one frame."""
+        self.bank.step(np.asarray(observation, dtype=np.float64)[None, :])
+        return self.frame_stats[-1]
+
+    @property
+    def delta(self) -> np.ndarray:
+        """The lane's token scores, ``(num_states,)``."""
+        return self.bank.delta[0]
+
+    @property
+    def frames_processed(self) -> int:
+        return len(self.frame_stats)

@@ -38,8 +38,6 @@ __all__ = [
 #: are cheapest to score by streaming the WHOLE stacked table through
 #: the dense products (dispatch dominates at small scale); bigger
 #: pools should gather the demanded senone-major row blocks first.
-#: Single-sourced here so the sequential and pooled blas scorers can
-#: never disagree about which kernel serves a given pool.
 BLAS_FULL_TABLE_ELEMENTS = 262_144
 
 #: Storage precisions :meth:`SenonePool.blas_tables` can build, widest

@@ -1,7 +1,9 @@
 """The serving runtime: batched, frame-synchronous decoding.
 
 Scales the single-microphone architecture of the paper to many
-simultaneous audio streams.  Two runtimes share one lane engine
+simultaneous audio streams — and IS the search engine of the
+single-stream case too (``Recognizer.decode`` feeds a 1-lane bank).
+Two runtimes share one lane engine
 (stacked ``(B, S)`` state, one pooled senone evaluation and one
 bank-wide token update per step) with one bank per lexicon family:
 :class:`~repro.runtime.batch.LaneBank` over the flat per-word network
@@ -18,7 +20,7 @@ path), both built through
   utterance finalizes, the next queued utterance is admitted into that
   lane, so ragged lengths never idle the datapath.
 
-Both produce per-utterance outputs bit-identical to sequential
+Both produce per-utterance outputs bit-identical to the 1-lane
 :meth:`~repro.decoder.recognizer.Recognizer.decode` in reference,
 hardware and fast modes (see ``tests/test_golden_parity.py`` and
 ``tests/test_runtime_fast.py``); the matmul-form ``blas`` mode is

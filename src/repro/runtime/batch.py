@@ -1,8 +1,10 @@
-"""Frame-synchronous multi-utterance decoding (the batched runtime).
+"""Frame-synchronous decoding over a bank of lanes (the search engine).
 
 The paper's architecture serves ONE microphone; the ROADMAP's north
-star is heavy traffic.  This module closes that gap with a shared lane
-engine and the first runtime built on it:
+star is heavy traffic.  Both are the same engine at different widths:
+``Recognizer.decode`` and ``StreamingRecognizer`` feed a 1-lane bank
+frame by frame, the batched runtimes step B lanes at once.  This
+module holds the lane engine and the first runtime built on it:
 
 * :class:`LaneBank` owns the stacked per-lane decode state — the
   word-decode arrays (``delta``, ``payload``, ``entry_frame``) stacked
@@ -19,21 +21,23 @@ engine and the first runtime built on it:
   mid-decode.
 
 Everything per-lane — lattices, word exits, LM-weighted pending
-entries, per-frame statistics — runs through the same shared kernels
-as :class:`~repro.decoder.word_decode.WordDecodeStage`, on row views
-of the stacked arrays, and every piece of per-lane bookkeeping is
-indexed by the lane's OWN frame counter (``lane_t``), never the global
-step.  Scoring backends with per-lane state (the four-layer fast-GMM
-scheme's CDS cache and work counters) participate in the lifecycle
-through admit/retire/compact hooks, so a reseeded lane can never
-observe a previous occupant's selection state.  Because every batched
+entries, per-frame statistics — runs through the per-lane kernels of
+:mod:`repro.decoder.word_decode`, on row views of the stacked arrays,
+and every piece of per-lane bookkeeping is indexed by the lane's OWN
+frame counter (``lane_t``), never the global step.  Scoring backends
+with per-lane state (the four-layer fast-GMM scheme's CDS cache and
+work counters) participate in the lifecycle through
+admit/retire/compact hooks, so a reseeded lane can never observe a
+previous occupant's selection state.  Because every batched
 operation is elementwise or a per-row reduction, each utterance's word
-sequence, path score and frame statistics are IDENTICAL to a
-sequential :class:`~repro.decoder.recognizer.Recognizer.decode` of the
-same features, in reference, hardware and fast modes — regardless of
-batch composition, admission step or refill order.  A retired (or
-never admitted) lane's state is frozen at ``LOG_ZERO`` so no idle step
-ever reaches a lattice or a statistics record.
+sequence, path score and frame statistics are IDENTICAL to a 1-lane
+decode of the same features
+(:class:`~repro.decoder.recognizer.Recognizer.decode`, pinned by the
+committed fixtures of ``tests/golden/``), in reference, hardware and
+fast modes — regardless of batch composition, admission step or refill
+order.  A retired (or never admitted) lane's state is frozen at
+``LOG_ZERO`` so no idle step ever reaches a lattice or a statistics
+record.
 """
 
 from __future__ import annotations
@@ -43,26 +47,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.opunit import OpUnit, OpUnitSpec
 from repro.core.scratch import DenseScratch
-from repro.core.viterbi_unit import BP_FORWARD, BP_SELF, ViterbiUnit, ViterbiUnitSpec
+from repro.core.viterbi_unit import BP_FORWARD, BP_SELF
 from repro.decoder.beam import apply_beam_batch, make_beam_scratch
-from repro.decoder.best_path import find_best_path
+from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.lattice import WordLattice
 from repro.decoder.recognizer import (
-    SUPPORTED_NETWORKS,
     AnyLexiconNetwork,
     DecodeTiming,
     RecognitionResult,
     Recognizer,
-    build_network,
-    network_kind_of,
-    resolve_storage_pool,
-    validate_decoder_models,
-    validate_precision,
-    validate_utterance_features,
+    RecognizerBase,
 )
-from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel, FastGmmStats
+from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel
 from repro.decoder.scorer import ScoringStats
 from repro.decoder.word_decode import (
     DecoderConfig,
@@ -74,18 +71,10 @@ from repro.decoder.word_decode import (
     record_exits,
 )
 from repro.hmm.senone import SenonePool
-from repro.hmm.topology import HmmTopology
-from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.triphone import SenoneTying
 from repro.lm.ngram import NGramModel
 from repro.obs.telemetry import DecodeTelemetry
 from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
-from repro.runtime.scoring import (
-    BatchBlasScorer,
-    BatchFastGmmScorer,
-    BatchHardwareScorer,
-    BatchReferenceScorer,
-)
 
 __all__ = ["BatchRecognizer", "BatchDecodeResult", "LaneBank", "LaneBankBase"]
 
@@ -148,7 +137,7 @@ class LaneBankBase:
     through one interface.
     """
 
-    def __init__(self, recognizer: "BatchRecognizer", num_lanes: int) -> None:
+    def __init__(self, recognizer: RecognizerBase, num_lanes: int) -> None:
         if num_lanes < 1:
             raise ValueError(f"need at least one lane, got {num_lanes}")
         self.recognizer = recognizer
@@ -207,7 +196,7 @@ class LaneBankBase:
         raise NotImplementedError
 
     def _reset_lane_state(self, lane: int) -> None:
-        """Reset one lane's search rows to the sequential start state."""
+        """Reset one lane's search rows to the start-of-utterance state."""
         raise NotImplementedError
 
     def _freeze_lane_state(self, lane: int) -> None:
@@ -246,22 +235,24 @@ class LaneBankBase:
         self,
         lane: int,
         utt_id: int,
-        features: np.ndarray,
+        features: np.ndarray | None = None,
         enqueued_at: float | None = None,
     ) -> None:
         """Seed ``lane`` with a fresh utterance, starting at ITS frame 0.
 
-        The lane's rows are reset exactly as
-        :meth:`~repro.decoder.word_decode.WordDecodeStage.reset` resets
-        the sequential stage, so the admitted utterance cannot observe
-        anything a previous occupant left behind.  ``enqueued_at`` (a
-        ``time.monotonic`` stamp) records when the utterance entered a
-        waiting queue; it defaults to the admission instant, so a
-        decode with no queue in front of it reports zero wait.
+        The lane's rows are reset to the start-of-utterance state, so
+        the admitted utterance cannot observe anything a previous
+        occupant left behind.  Without ``features`` the lane is FED:
+        its frames are handed to :meth:`step` as they arrive (a
+        streaming caller does not know the utterance length).
+        ``enqueued_at`` (a ``time.monotonic`` stamp) records when the
+        utterance entered a waiting queue; it defaults to the admission
+        instant, so a decode with no queue in front of it reports zero
+        wait.
         """
         if self.active[lane]:
             raise RuntimeError(f"lane {lane} is still occupied")
-        if features.ndim != 2 or features.shape[0] == 0:
+        if features is not None and (features.ndim != 2 or features.shape[0] == 0):
             raise ValueError(f"lane {lane}: features must be non-empty (T, L)")
         self.scorer.admit_lane(lane)
         self._reset_lane_state(lane)
@@ -270,7 +261,7 @@ class LaneBankBase:
         self.lane_enqueued[lane] = (
             enqueued_at if enqueued_at is not None else self.lane_admitted[lane]
         )
-        self.lane_len[lane] = features.shape[0]
+        self.lane_len[lane] = 0 if features is None else features.shape[0]
         self.lane_t[lane] = 0
         self.lane_utt[lane] = utt_id
         self.lattices[lane] = WordLattice()
@@ -305,12 +296,16 @@ class LaneBankBase:
         self._padded = padded
 
     # ------------------------------------------------------------------
-    def step(self) -> list[int]:
+    def step(self, frames: np.ndarray | None = None) -> list[int]:
         """Advance every occupied lane by one frame (its OWN next frame).
 
         Returns the lanes whose utterance just consumed its final
         frame; the caller retires them (and may re-admit into the freed
-        lanes) before the next step.
+        lanes) before the next step.  ``frames`` — a ``(num_lanes, L)``
+        block handed in at call time — steps a bank of FED lanes
+        (admitted without features): a fed lane is as long as what it
+        has been fed, so it comes back finished after every step and
+        can be packaged whenever its caller decides the audio ended.
         """
         lanes = np.flatnonzero(self.active)
         if lanes.size == 0:
@@ -322,7 +317,10 @@ class LaneBankBase:
         # numpy scalar boxing is measurable at these batch sizes.
         lane_list = lanes.tolist()
         lane_t_list = self.lane_t.tolist()
-        if self._padded is not None:
+        if frames is not None:
+            obs_block = frames
+            self.lane_len[lanes] = self.lane_t[lanes] + 1
+        elif self._padded is not None:
             obs_block = self._padded[self.steps]
         else:
             obs_block = self._obs_block
@@ -365,22 +363,49 @@ class LaneBankBase:
         The lane's state is frozen at ``LOG_ZERO`` so subsequent steps
         cannot touch its (already packaged) lattice or statistics.
         """
+        best = find_best_path(
+            self.lattices[lane],
+            self.lm,
+            self.net,
+            self._finished_frames(lane) - 1,
+            lm_scale=self.cfg.lm_scale,
+        )
+        return self.package(lane, best)
+
+    def _finished_frames(self, lane: int) -> int:
+        """Length of ``lane``'s utterance; raises unless it is all decoded."""
         if not self.active[lane]:
             raise RuntimeError(f"lane {lane} is not occupied")
-        if int(self.lane_t[lane]) != int(self.lane_len[lane]):
+        frames = int(self.lane_len[lane])
+        if int(self.lane_t[lane]) != frames:
             raise RuntimeError(
                 f"lane {lane} retired mid-utterance "
-                f"(frame {int(self.lane_t[lane])}/{int(self.lane_len[lane])})"
+                f"(frame {int(self.lane_t[lane])}/{frames})"
             )
+        return frames
+
+    def package(self, lane: int, best: BestPath | None) -> RecognitionResult:
+        """:meth:`retire` around a best path the caller already has.
+
+        The global best-path search is the one stage of a decode that
+        runs outside the bank's frame loop, so each driver makes that
+        call itself (``Recognizer.decode`` in its own module, the
+        banked runtimes through :meth:`retire`) and everything after it
+        — result, timing, telemetry, freeing the lane — is shared here.
+        """
+        frames = self._finished_frames(lane)
         lattice = self.lattices[lane]
         scoring = self.lane_scoring[lane]
         assert lattice is not None and scoring is not None
         fast_stats = self.scorer.retire_lane(lane)
-        result = self.recognizer._lane_result(
-            lattice,
-            int(self.lane_len[lane]),
-            self.lane_frame_stats[lane],
-            scoring,
+        result = RecognitionResult(
+            words=best.words if best is not None else (),
+            score=best.score if best is not None else float("-inf"),
+            frames=frames,
+            frame_stats=self.lane_frame_stats[lane],
+            scoring_stats=scoring,
+            lattice_size=len(lattice),
+            frame_period_s=self.recognizer.frame_period_s,
             fast_stats=fast_stats,
             timing=DecodeTiming(
                 enqueued_at=self.lane_enqueued[lane],
@@ -510,12 +535,14 @@ class LaneBank(LaneBankBase):
     elementwise or a per-row reduction over the stacked state, and all
     per-lane bookkeeping (entry frames, lattice exits, statistics) is
     indexed by the lane's own frame counter, so each lane's outputs are
-    bit-identical to a sequential decode of the same features no
-    matter when the lane was (re)admitted or what its neighbours do.
+    bit-identical to a 1-lane decode of the same features no matter
+    when the lane was (re)admitted or what its neighbours do.
     """
 
     def _bank_dtype(self) -> np.dtype:
-        return self.recognizer._dtype
+        # Hardware mode runs the chain through the Viterbi unit, whose
+        # token arithmetic is float32; the software recurrence is float64.
+        return np.float32 if self.viterbi_unit is not None else np.float64
 
     def _alloc_state(self) -> None:
         net = self.net
@@ -663,8 +690,8 @@ class LaneBank(LaneBankBase):
             )
 
         # 5. Token payload propagation along the winning arcs
-        #    (same selection as the sequential np.select, via
-        #    disjoint masks into double buffers).  Entry frames are
+        #    (a three-way select on the backpointer, via disjoint
+        #    masks into double buffers).  Entry frames are
         #    stamped with each lane's OWN frame counter.
         prev_payload = self._prev_payload
         prev_payload[:, 0] = -1
@@ -721,24 +748,18 @@ class LaneBank(LaneBankBase):
         return n_active, scored_counts, exit_counts
 
 
-class BatchRecognizer:
+class BatchRecognizer(RecognizerBase):
     """Decode batches of utterances against one compiled lexicon.
 
-    Parameters mirror :class:`~repro.decoder.recognizer.Recognizer`;
-    supported modes are :data:`SUPPORTED_MODES` — ``"reference"``
-    (double precision), ``"hardware"`` (quantized parameters, logadd
-    SRAM, Viterbi unit), ``"fast"`` (the four-layer fast-GMM scheme
-    with per-lane selection state; pass ``tying`` for CI selection and
-    ``fast_config`` for the layer thresholds) and ``"blas"``
-    (matmul-form pooled scoring; ``exact=False`` — words match the
-    reference decode, scores to rounding tolerance).  The recognizer
-    is reusable: each :meth:`decode_batch` call is an independent
-    batch, and batches of any size (including 1) produce
-    sequential-identical outputs.
+    Parameters mirror :class:`~repro.decoder.recognizer.Recognizer`
+    (modes, networks and precisions are validated in the shared
+    :class:`~repro.decoder.recognizer.RecognizerBase`); ``fast_model``
+    shares an already-built fast-GMM model (pass ``tying`` for CI
+    selection and ``fast_config`` for the layer thresholds otherwise).
+    The recognizer is reusable: each :meth:`decode_batch` call is an
+    independent batch, and an utterance's output does not depend on the
+    batch it rode in.
     """
-
-    SUPPORTED_MODES = ("reference", "hardware", "fast", "blas")
-    SUPPORTED_NETWORKS = SUPPORTED_NETWORKS
 
     def __init__(
         self,
@@ -755,73 +776,10 @@ class BatchRecognizer:
         fast_model: FastGmmModel | None = None,
         precision: str = "float64",
     ) -> None:
-        if mode not in self.SUPPORTED_MODES:
-            supported = ", ".join(repr(m) for m in self.SUPPORTED_MODES)
-            raise ValueError(
-                f"unknown batch mode {mode!r}; supported modes: {supported}"
-            )
-        validate_precision(mode, precision)
-        validate_decoder_models(network, pool, lm)
-        self.network = network
-        self.network_kind = network_kind_of(network)
-        self.pool = pool
-        self.lm = lm
-        self.mode = mode
-        self.storage_format = storage_format
-        self.config = config or DecoderConfig()
-        self.frame_period_s = frame_period_s
-        self.tying = tying
-        self.precision = precision
-        self.op_units: list[OpUnit] = []
-        self.viterbi_unit: ViterbiUnit | None = None
-
-        if mode == "hardware":
-            if num_unit_pairs < 1:
-                raise ValueError(f"num_unit_pairs must be >= 1, got {num_unit_pairs}")
-            spec = OpUnitSpec(feature_dim=pool.dim)
-            self.op_units = [OpUnit(spec) for _ in range(num_unit_pairs)]
-            table = pool.gaussian_table(storage_format)
-            self.scorer = BatchHardwareScorer(self.op_units, table)
-            self.viterbi_unit = ViterbiUnit(ViterbiUnitSpec())
-        elif mode == "fast":
-            if fast_model is None:
-                fast_model = FastGmmModel(
-                    resolve_storage_pool(pool, storage_format),
-                    tying=tying,
-                    config=fast_config,
-                )
-            self.scorer = BatchFastGmmScorer(fast_model)
-        elif mode == "blas":
-            self.scorer = BatchBlasScorer(
-                resolve_storage_pool(pool, storage_format),
-                precision=precision,
-            )
-        else:
-            self.scorer = BatchReferenceScorer(
-                resolve_storage_pool(pool, storage_format)
-            )
-        self._dtype = np.float32 if mode == "hardware" else np.float64
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(
-        cls,
-        dictionary: PronunciationDictionary,
-        pool: SenonePool,
-        lm: NGramModel,
-        tying: SenoneTying,
-        topology: HmmTopology | None = None,
-        network: str = "flat",
-        **kwargs,
-    ) -> "BatchRecognizer":
-        """Build the network from a dictionary and wire everything.
-
-        ``network`` selects the lexicon family next to ``mode=``:
-        ``"flat"`` (per-word HMM chains) or ``"tree"`` (the shared
-        prefix tree — the large-vocabulary path).
-        """
-        net = build_network(network, dictionary, tying, topology)
-        return cls(network=net, pool=pool, lm=lm, tying=tying, **kwargs)
+        super().__init__(
+            network, pool, lm, config, mode, storage_format, num_unit_pairs,
+            frame_period_s, tying, fast_config, fast_model, precision,
+        )
 
     @classmethod
     def from_recognizer(cls, recognizer: Recognizer) -> "BatchRecognizer":
@@ -851,59 +809,18 @@ class BatchRecognizer:
         )
 
     # ------------------------------------------------------------------
-    def make_bank(self, num_lanes: int) -> LaneBankBase:
-        """A lane bank matched to this recognizer's network family.
-
-        The single bank factory behind :meth:`decode_batch`,
-        :meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`
-        and the serve loop, so every runtime picks up the tree token
-        bank automatically when the recognizer was built with
-        ``network="tree"``.
-        """
-        if self.network_kind == "tree":
-            from repro.runtime.lextree import TreeLaneBank
-
-            return TreeLaneBank(self, num_lanes)
-        return LaneBank(self, num_lanes)
-
-    def _validate_features(self, index: int, features: np.ndarray) -> np.ndarray:
-        """One utterance's features as the (T, L) float64 the bank expects."""
-        return validate_utterance_features(self.pool.dim, index, features)
-
-    def _reset_accounting(self) -> None:
-        """Clear pooled hardware accounting before a decode."""
-        self.scorer.reset()
-        if self.viterbi_unit is not None:
-            self.viterbi_unit.reset_counters()
-
-    def _pooled_accounting(self) -> dict:
-        """Batch-level hardware accounting, shared by both decode paths."""
-        return {
-            "op_unit_activities": (
-                [u.activity() for u in self.op_units] if self.op_units else None
-            ),
-            "viterbi_activity": (
-                self.viterbi_unit.activity() if self.viterbi_unit else None
-            ),
-            "frame_critical_cycles": (
-                list(self.scorer.frame_critical_cycles)
-                if self.mode == "hardware"
-                else None
-            ),
-        }
-
-    # ------------------------------------------------------------------
     def decode_batch(self, features: list[np.ndarray]) -> BatchDecodeResult:
         """Decode ``B`` utterances frame-synchronously (drain-to-longest).
 
         ``features`` holds one ``(T_b, L)`` matrix per utterance;
         lengths may be ragged.  Returns per-utterance
-        :class:`RecognitionResult` records (sequential-identical words,
-        scores and statistics) plus the batch-level hardware
-        accounting.  Every lane is admitted up front and the bank is
-        stepped until the longest utterance finishes; shorter lanes sit
-        retired (frozen at ``LOG_ZERO``) in the meantime — the idle
-        time :class:`~repro.runtime.continuous.ContinuousBatchRecognizer`
+        :class:`RecognitionResult` records (words, scores and
+        statistics independent of the batch) plus the batch-level
+        hardware accounting.  Every lane is admitted up front and the
+        bank is stepped until the longest utterance finishes; shorter
+        lanes sit retired (frozen at ``LOG_ZERO``) in the meantime — the
+        idle time
+        :class:`~repro.runtime.continuous.ContinuousBatchRecognizer`
         reclaims.
         """
         if not features:
@@ -924,30 +841,4 @@ class BatchRecognizer:
             frames_processed=bank.frames_processed,
             steps=bank.steps,
             **self._pooled_accounting(),
-        )
-
-    def _lane_result(
-        self,
-        lattice: WordLattice,
-        frames: int,
-        stats: list[FrameStats],
-        scoring: ScoringStats,
-        fast_stats: FastGmmStats | None = None,
-        timing: DecodeTiming | None = None,
-        telemetry: DecodeTelemetry | None = None,
-    ) -> RecognitionResult:
-        best = find_best_path(
-            lattice, self.lm, self.network, frames - 1, lm_scale=self.config.lm_scale
-        )
-        return RecognitionResult(
-            words=best.words if best is not None else (),
-            score=best.score if best is not None else float("-inf"),
-            frames=frames,
-            frame_stats=stats,
-            scoring_stats=scoring,
-            lattice_size=len(lattice),
-            frame_period_s=self.frame_period_s,
-            fast_stats=fast_stats,
-            timing=timing,
-            telemetry=telemetry,
         )

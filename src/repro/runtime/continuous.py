@@ -29,7 +29,7 @@ over the stacked ``(B, S)`` state, per-lane frame counters, per-lane
 lattices; per-lane scorer state (fast mode's CDS cache) is reset
 through the backend lifecycle hooks at every reseed.  Each utterance's
 words, path score, per-frame statistics and fast-GMM work counters are
-therefore bit-identical to a sequential
+therefore bit-identical to a 1-lane
 :class:`~repro.decoder.recognizer.Recognizer.decode`, in reference,
 hardware and fast modes, for any arrival order and any ``max_lanes``
 (enforced by ``tests/test_golden_parity.py``,
@@ -103,7 +103,7 @@ class ContinuousBatchRecognizer(BatchRecognizer):
         consumed exactly as lanes free up.  ``max_lanes`` bounds the
         number of simultaneously decoding utterances (the stacked
         state's ``B``).  Returns per-utterance results in submission
-        order, each bit-identical to a sequential decode.
+        order, each independent of what shared the bank with it.
         """
         if max_lanes < 1:
             raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")

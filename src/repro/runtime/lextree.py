@@ -24,17 +24,20 @@ live list.  Per-step cost follows the candidates, not ``B x K``.
 
 Parity contract
 ---------------
-Per-lane outputs are bit-identical to a sequential
-:class:`~repro.decoder.lextree.TreeWordDecodeStage` decode of the same
-features, for any batch composition, admission step or refill order:
+Per-lane outputs are bit-identical to a 1-lane decode of the same
+features (``Recognizer.decode``) and to the committed
+``tests/golden/dictation_*.json``, for any batch composition,
+admission step or refill order:
 
-* the sequential tree stage ALWAYS runs its token arithmetic through a
+* token arithmetic ALWAYS runs through a
   :class:`~repro.core.viterbi_unit.ViterbiUnit` in float32 (unlike the
-  flat stage, which is float64 without a unit), so the stacked token
+  flat bank, which is float64 without a unit), so the stacked token
   bank here is float32 in every mode;
 * a slot outside the candidate list is dead with a dead predecessor
-  and no entry offer: the sequential update leaves it at ``LOG_ZERO``
-  with its payload untouched, which is what not visiting it does;
+  and no entry offer: a dense update
+  (:meth:`~repro.core.viterbi_unit.ViterbiUnit.update_tokens`) leaves
+  it at ``LOG_ZERO`` with its payload untouched, which is what not
+  visiting it does;
 * every per-slot operation is elementwise and every gather stays
   inside the slot's own row (predecessor and child indices are offset
   by the lane), so no lane's arithmetic can observe another lane;
@@ -43,7 +46,7 @@ features, for any batch composition, admission step or refill order:
   order-dependent steps (the histogram trim's ``argsort`` and the
   top-N cut of the shared
   :func:`~repro.decoder.lextree.record_tree_exits` kernel) see the
-  same arrays as the sequential stage and tie-break identically;
+  same arrays at every bank width and tie-break identically;
 * idle lanes are frozen at ``LOG_ZERO`` with no live slot and no
   pending entry, so an unoccupied row can never produce a candidate,
   an exit or a statistics record.
@@ -100,9 +103,8 @@ class TreeLaneBank(LaneBankBase):
     """
 
     def _bank_dtype(self) -> np.dtype:
-        # The sequential tree stage runs float32 token arithmetic in
-        # EVERY mode (its ViterbiUnit is unconditional), so the bank
-        # must too for bit-identity.
+        # Tree token arithmetic is float32 in EVERY mode (the token
+        # unit below is unconditional; the fixtures pin it).
         return np.float32
 
     def _alloc_state(self) -> None:
@@ -111,9 +113,7 @@ class TreeLaneBank(LaneBankBase):
         shape = (num_lanes, net.num_states)
         # Stacked token state: one row per lane, updated IN PLACE at
         # the candidate slots of each step.  Payload values are lattice
-        # indices and frame numbers, far inside int32 range (values,
-        # and therefore outputs, are unchanged vs the sequential
-        # stage's int64).
+        # indices and frame numbers, far inside int32 range.
         self.delta = np.full(shape, LOG_ZERO, dtype=np.float32)
         self.entry_frame = np.full(shape, -1, dtype=np.int32)
         self.payload = np.full(shape, -1, dtype=np.int32)
@@ -137,17 +137,16 @@ class TreeLaneBank(LaneBankBase):
             + np.count_nonzero(net.pred_state >= 0)
             + self._roots.size
         )
-        # The sequential stage makes its own unit when the recognizer
-        # has none; sharing the hardware unit keeps cycle accounting in
-        # one place.
+        # Outside hardware mode the bank makes its own unit; in
+        # hardware mode sharing the recognizer's keeps cycle
+        # accounting in one place.
         self._token_unit = self.viterbi_unit or ViterbiUnit()
 
     def _alloc_scratch(self) -> None:
         num_lanes = self.num_lanes
         num_senones = self.scorer.num_senones
         self._obs_block = np.zeros((num_lanes, self.recognizer.pool.dim))
-        # Pooled scores land here cast to float32 (the sequential
-        # stage's astype).  Only this step's (lane, senone) requests
+        # Pooled scores land here cast to float32 (the token dtype).  Only this step's (lane, senone) requests
         # are written and only those are gathered, so it is never
         # cleared.
         self._score_cast = np.empty((num_lanes, num_senones), dtype=np.float32)
@@ -185,8 +184,8 @@ class TreeLaneBank(LaneBankBase):
         """Ascending flat indices of every slot that can be live next frame.
 
         Alive slots, children of alive slots (through the child CSR)
-        and the roots of lanes holding a pending entry — the sequential
-        feedback set, for all lanes at once.  Idle lanes are frozen at
+        and the roots of lanes holding a pending entry — the feedback
+        set, for all lanes at once.  Idle lanes are frozen at
         ``LOG_ZERO`` with ``LOG_ZERO`` pending entries, so they
         contribute nothing without extra masking.
         """

@@ -1,13 +1,12 @@
-"""Pooled senone scoring for the batched runtime.
+"""Pooled senone scoring — the scoring backends of every runtime.
 
-The sequential decoder scores one utterance's active senones per call,
-paying the numpy dispatch cost ``B`` times per frame when serving a
-batch.  The backends here take the whole batch at once: a ``(B, L)``
+The backends take a whole bank at once (one lane under
+``Recognizer.decode``, B lanes in the batched runtimes): a ``(B, L)``
 observation block plus explicit ``(pair_rows, pair_senones)`` work
-items — the union of every utterance's feedback list — and evaluate
-them in ONE pooled GMM pass.  Per work item the arithmetic is the
-exact sequence of the sequential backends (see
-:meth:`repro.hmm.senone.SenonePool.score_pairs`,
+items — the union of every utterance's feedback list — evaluated in
+ONE pooled GMM pass, instead of paying the numpy dispatch cost ``B``
+times per frame.  Per work item the arithmetic reads only that item's
+row (see :meth:`repro.hmm.senone.SenonePool.score_pairs`,
 :meth:`repro.core.opunit.OpUnit.score_pairs` and
 :meth:`repro.decoder.fast_gmm.FastGmmModel.score_requests`), so
 pooling changes no utterance's scores by a single bit.  The one
@@ -79,8 +78,8 @@ class BatchScoringBackend(Protocol):
         ascending — a superset of ``np.unique(pair_rows)``, since an
         active lane may demand no senones on a frame.  Stateless
         backends ignore it; the fast backend needs it to advance
-        per-lane frame state exactly as a sequential decode of that
-        lane would.
+        per-lane frame state exactly as a 1-lane decode of that lane
+        would.
         """
         ...  # pragma: no cover - protocol definition
 
@@ -115,7 +114,7 @@ class _StatelessLaneMixin:
 
 
 class BatchReferenceScorer(_StatelessLaneMixin):
-    """Double-precision pooled scorer (matches :class:`ReferenceScorer`)."""
+    """Double-precision exact pooled scorer (the software gold model)."""
 
     def __init__(self, pool: SenonePool) -> None:
         self.pool = pool
@@ -131,7 +130,7 @@ class BatchReferenceScorer(_StatelessLaneMixin):
         if pair_senones.size == 0:
             return np.empty(0)
         compact = self.pool.score_pairs(observations, pair_rows, pair_senones)
-        # Same clamp the sequential ReferenceScorer applies.
+        # A senone with no finite score is "no path", not -inf.
         compact[np.isneginf(compact)] = LOG_ZERO
         return compact
 
@@ -241,8 +240,7 @@ class BatchBlasScorer(_StatelessLaneMixin):
 
     #: Table sizes (senones x components x dims) up to this many
     #: elements score through the full-table products; bigger pools
-    #: gather the demanded union first.  Shared with the sequential
-    #: backend via :data:`repro.hmm.senone.BLAS_FULL_TABLE_ELEMENTS`.
+    #: gather the demanded union first.
     FULL_TABLE_ELEMENTS = BLAS_FULL_TABLE_ELEMENTS
 
     def __init__(
@@ -359,8 +357,7 @@ class BatchFastGmmScorer:
       vectorized chunked PDE.
 
     Every kernel is per-item, so each lane's scores and all four work
-    counters are bit-identical to a sequential
-    :class:`~repro.decoder.fast_gmm.FastGmmScorer` decode of the same
+    counters are bit-identical to a 1-lane decode of the same
     features, for any batch composition and arrival order.
     """
 

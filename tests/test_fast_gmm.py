@@ -1,12 +1,52 @@
-"""Tests for repro.decoder.fast_gmm — the four-layer scheme."""
+"""Tests for repro.decoder.fast_gmm — the four-layer scheme, driven
+through ``BatchFastGmmScorer`` at one lane."""
 
 import numpy as np
 import pytest
 
-from repro.decoder.fast_gmm import FastGmmConfig, FastGmmScorer
+from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel, equivalent_activity
 from repro.decoder.scorer import LOG_ZERO
 from repro.hmm.senone import SenonePool
 from repro.lexicon.triphone import SenoneTying
+from repro.runtime.scoring import BatchFastGmmScorer
+
+
+class OneLane:
+    """One admitted lane of the pooled fast scorer, frame by frame."""
+
+    def __init__(self, pool, **model_kwargs):
+        self.backend = BatchFastGmmScorer(FastGmmModel(pool, **model_kwargs))
+        self.backend.admit_lane(0)
+        self.senones_requested = 0
+
+    @property
+    def lane(self):
+        return self.backend.lane_state(0)
+
+    @property
+    def fast_stats(self):
+        return self.lane.fast_stats
+
+    def score(self, t, obs, senones):
+        """Dense scores of frame ``t`` (``LOG_ZERO`` where not requested)."""
+        self.senones_requested += senones.size
+        out = np.full(self.backend.num_senones, LOG_ZERO)
+        out[senones] = self.backend.score_pairs(
+            obs[None, :], np.zeros(senones.size, dtype=np.int64), senones,
+            lanes=np.array([0]),
+        )
+        return out
+
+    def reset(self):
+        """What a bank does between utterances: retire, re-admit."""
+        self.backend.retire_lane(0)
+        self.backend.admit_lane(0)
+        self.senones_requested = 0
+
+    def equivalent_activity(self):
+        return equivalent_activity(
+            self.fast_stats, self.backend.model.pool.dim, self.senones_requested
+        )
 
 
 @pytest.fixture()
@@ -23,7 +63,7 @@ def _exact(pool, obs, senones):
 
 class TestBaselineEquivalence:
     def test_all_layers_off_is_exact(self, small_pool, rng):
-        scorer = FastGmmScorer(small_pool, config=FastGmmConfig())
+        scorer = OneLane(small_pool, config=FastGmmConfig())
         obs = rng.normal(size=small_pool.dim)
         senones = np.arange(small_pool.num_senones)
         out = scorer.score(0, obs, senones)
@@ -33,7 +73,7 @@ class TestBaselineEquivalence:
 class TestLayer1Cds:
     def test_skips_similar_frames(self, small_pool, rng):
         cfg = FastGmmConfig(cds_enabled=True, cds_distance=1e9)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         senones = np.arange(small_pool.num_senones)
         obs = rng.normal(size=small_pool.dim)
         scorer.score(0, obs, senones)
@@ -42,7 +82,7 @@ class TestLayer1Cds:
 
     def test_skip_reuses_previous_scores(self, small_pool, rng):
         cfg = FastGmmConfig(cds_enabled=True, cds_distance=1e9)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         senones = np.arange(small_pool.num_senones)
         obs = rng.normal(size=small_pool.dim)
         first = scorer.score(0, obs, senones)
@@ -51,7 +91,7 @@ class TestLayer1Cds:
 
     def test_max_run_limits_skipping(self, small_pool, rng):
         cfg = FastGmmConfig(cds_enabled=True, cds_distance=1e9, cds_max_run=2)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         senones = np.arange(small_pool.num_senones)
         for t in range(6):
             scorer.score(t, rng.normal(size=small_pool.dim) * 1e-3, senones)
@@ -60,7 +100,7 @@ class TestLayer1Cds:
 
     def test_distant_frames_not_skipped(self, small_pool, rng):
         cfg = FastGmmConfig(cds_enabled=True, cds_distance=1e-9)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         senones = np.arange(small_pool.num_senones)
         scorer.score(0, rng.normal(size=small_pool.dim), senones)
         scorer.score(1, rng.normal(size=small_pool.dim) + 5, senones)
@@ -68,7 +108,7 @@ class TestLayer1Cds:
 
     def test_missing_senones_filled_on_skip(self, small_pool, rng):
         cfg = FastGmmConfig(cds_enabled=True, cds_distance=1e9)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         obs = rng.normal(size=small_pool.dim)
         scorer.score(0, obs, np.array([0, 1]))
         out = scorer.score(1, obs, np.array([0, 5]))  # 5 never scored
@@ -78,12 +118,12 @@ class TestLayer1Cds:
 class TestLayer2CiSelection:
     def test_requires_tying(self, small_pool):
         with pytest.raises(ValueError):
-            FastGmmScorer(small_pool, config=FastGmmConfig(ci_selection_enabled=True))
+            OneLane(small_pool, config=FastGmmConfig(ci_selection_enabled=True))
 
     def test_cd_scores_exact_when_selected(self, pool_and_tying, rng):
         pool, tying = pool_and_tying
         cfg = FastGmmConfig(ci_selection_enabled=True, ci_margin=1e9)
-        scorer = FastGmmScorer(pool, tying=tying, config=cfg)
+        scorer = OneLane(pool, tying=tying, config=cfg)
         obs = rng.normal(size=pool.dim)
         senones = np.arange(200, 230)
         out = scorer.score(0, obs, senones)
@@ -92,7 +132,7 @@ class TestLayer2CiSelection:
     def test_tight_margin_approximates(self, pool_and_tying, rng):
         pool, tying = pool_and_tying
         cfg = FastGmmConfig(ci_selection_enabled=True, ci_margin=0.5)
-        scorer = FastGmmScorer(pool, tying=tying, config=cfg)
+        scorer = OneLane(pool, tying=tying, config=cfg)
         obs = rng.normal(size=pool.dim)
         senones = np.arange(200, 400)
         scorer.score(0, obs, senones)
@@ -104,7 +144,7 @@ class TestLayer2CiSelection:
 class TestLayer3GaussianSelection:
     def test_reduces_gaussians(self, small_pool, rng):
         cfg = FastGmmConfig(gaussian_selection_enabled=True, gs_shortlist=2)
-        scorer = FastGmmScorer(small_pool, config=cfg, codebook_data=None)
+        scorer = OneLane(small_pool, config=cfg, codebook_data=None)
         obs = rng.normal(size=small_pool.dim)
         senones = np.arange(small_pool.num_senones)
         scorer.score(0, obs, senones)
@@ -116,7 +156,7 @@ class TestLayer3GaussianSelection:
     def test_scores_lower_bound_exact(self, small_pool, rng):
         """Dropping components can only lower a mixture score."""
         cfg = FastGmmConfig(gaussian_selection_enabled=True, gs_shortlist=2)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         obs = rng.normal(size=small_pool.dim)
         senones = np.arange(small_pool.num_senones)
         out = scorer.score(0, obs, senones)
@@ -129,7 +169,7 @@ class TestLayer3GaussianSelection:
 class TestLayer4Pde:
     def test_exact_for_surviving_components(self, small_pool, rng):
         cfg = FastGmmConfig(pde_enabled=True, pde_margin=1e9)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         obs = rng.normal(size=small_pool.dim)
         senones = np.arange(small_pool.num_senones)
         out = scorer.score(0, obs, senones)
@@ -137,7 +177,7 @@ class TestLayer4Pde:
 
     def test_saves_dimensions(self, small_pool, rng):
         cfg = FastGmmConfig(pde_enabled=True, pde_margin=2.0, pde_chunk=4)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         obs = rng.normal(size=small_pool.dim)
         senones = np.arange(small_pool.num_senones)
         scorer.score(0, obs, senones)
@@ -146,7 +186,7 @@ class TestLayer4Pde:
     def test_best_component_survives(self, small_pool, rng):
         """PDE must never kill a senone entirely."""
         cfg = FastGmmConfig(pde_enabled=True, pde_margin=0.1, pde_chunk=2)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         obs = rng.normal(size=small_pool.dim)
         senones = np.arange(small_pool.num_senones)
         out = scorer.score(0, obs, senones)
@@ -155,8 +195,8 @@ class TestLayer4Pde:
 
 class TestActivityExport:
     def test_activity_reflects_savings(self, small_pool, rng):
-        full = FastGmmScorer(small_pool, config=FastGmmConfig())
-        lean = FastGmmScorer(
+        full = OneLane(small_pool, config=FastGmmConfig())
+        lean = OneLane(
             small_pool,
             config=FastGmmConfig(gaussian_selection_enabled=True, gs_shortlist=1),
         )
@@ -170,17 +210,15 @@ class TestActivityExport:
         )
 
     def test_reset(self, small_pool, rng):
-        scorer = FastGmmScorer(small_pool, config=FastGmmConfig(cds_enabled=True))
+        scorer = OneLane(small_pool, config=FastGmmConfig(cds_enabled=True))
         scorer.score(0, rng.normal(size=small_pool.dim), np.arange(5))
         scorer.reset()
         assert scorer.fast_stats.frames == 0
-        assert scorer.stats.frames == 0
 
 
 class TestStatsInvariants:
-    """Guards the sequential-only fast path before it is ever batched:
-    the work fractions must be true fractions, and ``reset()`` must
-    leave no cross-utterance reuse state behind."""
+    """The work fractions must be true fractions, and a lane's
+    retire/re-admit must leave no cross-utterance reuse state behind."""
 
     def _all_layers(self, pool, tying):
         cfg = FastGmmConfig(
@@ -194,7 +232,7 @@ class TestStatsInvariants:
             pde_margin=4.0,
             pde_chunk=4,
         )
-        return FastGmmScorer(pool, tying=tying, config=cfg)
+        return OneLane(pool, tying=tying, config=cfg)
 
     def test_fractions_stay_in_unit_interval(self, pool_and_tying, rng):
         pool, tying = pool_and_tying
@@ -211,7 +249,7 @@ class TestStatsInvariants:
             assert s.dims_evaluated <= s.dims_possible
 
     def test_fractions_zero_before_any_frame(self, small_pool):
-        scorer = FastGmmScorer(small_pool, config=FastGmmConfig())
+        scorer = OneLane(small_pool, config=FastGmmConfig())
         s = scorer.fast_stats
         assert (s.skip_fraction, s.gaussian_fraction, s.dim_fraction) == (0, 0, 0)
 
@@ -219,7 +257,7 @@ class TestStatsInvariants:
         """After reset the CDS cache is gone: the next frame is scored
         in full even if it is identical to the last one seen."""
         cfg = FastGmmConfig(cds_enabled=True, cds_distance=1e9)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         senones = np.arange(small_pool.num_senones)
         obs = rng.normal(size=small_pool.dim)
         scorer.score(0, obs, senones)
@@ -237,7 +275,7 @@ class TestStatsInvariants:
         """Score -> reset -> score the same frames: identical outputs
         and identical work counters (no state leaks across utterances)."""
         cfg = FastGmmConfig(cds_enabled=True, cds_distance=1e9, cds_max_run=1)
-        scorer = FastGmmScorer(small_pool, config=cfg)
+        scorer = OneLane(small_pool, config=cfg)
         senones = np.arange(small_pool.num_senones)
         frames = rng.normal(size=(4, small_pool.dim))
 
@@ -248,7 +286,6 @@ class TestStatsInvariants:
                 scorer.fast_stats.frames_skipped,
                 scorer.fast_stats.gaussians_evaluated,
                 scorer.fast_stats.dims_evaluated,
-                scorer.stats.active_per_frame,
             )
             return out, counters
 

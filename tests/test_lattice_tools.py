@@ -4,11 +4,7 @@ import pytest
 
 from repro.decoder.lattice import WordLattice
 from repro.decoder.lattice_tools import analyze_lattice, oracle_paths, prune_lattice
-from repro.decoder.network import FlatLexiconNetwork
-from repro.decoder.phone_decode import PhoneDecodeStage
 from repro.decoder.recognizer import Recognizer
-from repro.decoder.scorer import ReferenceScorer
-from repro.decoder.word_decode import WordDecodeStage
 
 
 @pytest.fixture()

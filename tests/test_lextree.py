@@ -1,13 +1,13 @@
-"""Tests for repro.decoder.lextree — the prefix-tree decoder."""
+"""Tests for repro.decoder.lextree — the prefix-tree network, and tree
+decoding through ``Recognizer(network="tree").word_stage``."""
 
 import numpy as np
 import pytest
 
 from repro.decoder.best_path import find_best_path
-from repro.decoder.lextree import TreeLexiconNetwork, TreeWordDecodeStage
+from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.network import FlatLexiconNetwork
-from repro.decoder.phone_decode import PhoneDecodeStage
-from repro.decoder.scorer import ReferenceScorer
+from repro.decoder.recognizer import Recognizer
 from repro.hmm.topology import HmmTopology
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.triphone import SenoneTying
@@ -88,6 +88,32 @@ class TestBuild:
         assert tree.word_name(tree.silence_word) == "<sil>"
 
 
+class TestSilenceMask:
+    def test_silence_states_match_the_flat_network(self, shared_dictionary, tying):
+        tree = TreeLexiconNetwork.build(shared_dictionary, tying)
+        flat = FlatLexiconNetwork.build(shared_dictionary, tying)
+        assert tree.is_silence_state.sum() == tying.states_per_hmm
+        assert np.array_equal(
+            tree.senone_id[tree.is_silence_state],
+            flat.senone_id[flat.is_silence_state],
+        )
+        assert tree.leaf_word[np.flatnonzero(tree.is_silence_state)[-1]] == (
+            tree.silence_word
+        )
+
+    def test_no_silence_word_no_silence_states(self, shared_dictionary, tying):
+        for cls in (TreeLexiconNetwork, FlatLexiconNetwork):
+            net = cls.build(shared_dictionary, tying, include_silence=False)
+            assert not net.is_silence_state.any()
+
+
+def _tree_recognizer(task, **kwargs):
+    return Recognizer.create(
+        task.dictionary, task.pool, task.lm, task.tying, task.topology,
+        network="tree", **kwargs,
+    )
+
+
 class TestDecoding:
     def _decode(self, task, stage, features):
         stage.reset()
@@ -96,19 +122,14 @@ class TestDecoding:
         return find_best_path(
             stage.lattice,
             task.lm,
-            stage.network,
+            stage.bank.net,
             stage.frames_processed - 1,
-            lm_scale=stage.config.lm_scale,
+            lm_scale=stage.bank.cfg.lm_scale,
         )
 
     def test_matches_flat_decoder_words(self, task):
         """Tree and flat decoders agree on the tiny test set."""
-        tree = TreeLexiconNetwork.build(task.dictionary, task.tying, task.topology)
-        stage = TreeWordDecodeStage(
-            tree, task.lm, PhoneDecodeStage(ReferenceScorer(task.pool))
-        )
-        from repro.decoder.recognizer import Recognizer
-
+        stage = _tree_recognizer(task).word_stage
         flat_rec = Recognizer.create(
             task.dictionary, task.pool, task.lm, task.tying, mode="reference"
         )
@@ -119,12 +140,7 @@ class TestDecoding:
             assert tree_best.words == flat_words
 
     def test_fewer_active_states_than_flat(self, task):
-        tree = TreeLexiconNetwork.build(task.dictionary, task.tying, task.topology)
-        stage = TreeWordDecodeStage(
-            tree, task.lm, PhoneDecodeStage(ReferenceScorer(task.pool))
-        )
-        from repro.decoder.recognizer import Recognizer
-
+        stage = _tree_recognizer(task).word_stage
         flat_rec = Recognizer.create(
             task.dictionary, task.pool, task.lm, task.tying, mode="reference"
         )
@@ -135,10 +151,7 @@ class TestDecoding:
         assert tree_active <= flat_result.mean_active_states
 
     def test_entry_frames_tracked_through_tree(self, task):
-        tree = TreeLexiconNetwork.build(task.dictionary, task.tying, task.topology)
-        stage = TreeWordDecodeStage(
-            tree, task.lm, PhoneDecodeStage(ReferenceScorer(task.pool))
-        )
+        stage = _tree_recognizer(task).word_stage
         utt = task.corpus.test[0]
         best = self._decode(task, stage, utt.features)
         assert best is not None
@@ -149,18 +162,11 @@ class TestDecoding:
             assert b.entry_frame > a.entry_frame
 
     def test_viterbi_unit_activity_counted(self, task):
-        from repro.core.viterbi_unit import ViterbiUnit
-
-        tree = TreeLexiconNetwork.build(task.dictionary, task.tying, task.topology)
-        unit = ViterbiUnit()
-        stage = TreeWordDecodeStage(
-            tree, task.lm, PhoneDecodeStage(ReferenceScorer(task.pool)),
-            viterbi_unit=unit,
-        )
+        rec = _tree_recognizer(task, mode="hardware")
         utt = task.corpus.test[0]
-        self._decode(task, stage, utt.features)
-        assert unit.transitions_processed > 0
-        assert unit.cycles_busy > 0
+        self._decode(task, rec.word_stage, utt.features)
+        assert rec.viterbi_unit.transitions_processed > 0
+        assert rec.viterbi_unit.cycles_busy > 0
 
     def test_lm_vocab_mismatch_rejected(self, task):
         from repro.lm.ngram import NGramModel
@@ -171,6 +177,4 @@ class TestDecoding:
         lm = NGramModel(other, order=1)
         lm.train([["zzz"]])
         with pytest.raises(ValueError):
-            TreeWordDecodeStage(
-                tree, lm, PhoneDecodeStage(ReferenceScorer(task.pool))
-            )
+            Recognizer(tree, task.pool, lm)

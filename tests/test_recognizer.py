@@ -109,3 +109,45 @@ class TestResultMetrics:
         second = rec.decode(task.corpus.test[0].features)
         assert first.words == second.words
         assert first.score == pytest.approx(second.score)
+
+
+class TestInstruments:
+    """Sequential results come out of the same bank as batched ones,
+    so they carry the same instruments."""
+
+    @pytest.mark.parametrize("network", ["flat", "tree"])
+    @pytest.mark.parametrize("mode", ["reference", "hardware", "fast", "blas"])
+    def test_decode_populates_telemetry(self, task, mode, network):
+        kwargs = {"fast_config": FastGmmConfig.all_layers()} if mode == "fast" else {}
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying,
+            mode=mode, network=network, **kwargs,
+        )
+        result = rec.decode(task.corpus.test[0].features)
+        tel = result.telemetry
+        assert tel is not None
+        assert tel.frames == result.frames
+        assert tel.senones_scored == result.scoring_stats.senones_requested
+        assert tel.active_states == sum(s.active_states for s in result.frame_stats)
+        assert tel.word_exits == sum(s.word_exits for s in result.frame_stats)
+        assert min(tel.stage_scoring_s, tel.stage_update_s, tel.stage_exit_s) > 0
+        if mode == "fast":
+            assert tel.fast_frames_skipped == result.fast_stats.frames_skipped
+        if mode == "blas":
+            assert tel.blas_dense_steps + tel.blas_gathered_steps == result.frames
+
+    def test_telemetry_is_per_decode(self, task):
+        rec = Recognizer.create(task.dictionary, task.pool, task.lm, task.tying)
+        first = rec.decode(task.corpus.test[0].features)
+        second = rec.decode(task.corpus.test[1].features)
+        assert first.telemetry.frames == first.frames
+        assert second.telemetry.frames == second.frames
+
+    def test_lattice_outlives_the_decode(self, task):
+        """Lattice tools read ``word_stage.lattice`` after ``decode``
+        returned, though the bank has dropped its own reference."""
+        rec = Recognizer.create(task.dictionary, task.pool, task.lm, task.tying)
+        result = rec.decode(task.corpus.test[0].features)
+        assert len(rec.word_stage.lattice) == result.lattice_size > 0
+        assert rec.word_stage.frame_stats is result.frame_stats
+        assert rec.word_stage.bank.lattices[0] is None

@@ -61,13 +61,6 @@ class TestEquivalence:
             assert lane.scoring_stats.frames == f.shape[0]
             _assert_lane_equal(seq, lane)
 
-    def test_batch_of_one(self, pair, task):
-        rec, batch = pair
-        utt = task.corpus.test[0]
-        seq = rec.decode(utt.features)
-        result = batch.decode_batch([utt.features])
-        _assert_lane_equal(seq, result[0])
-
     def test_reusable_across_batches(self, pair, task):
         _, batch = pair
         feats = [u.features for u in task.corpus.test[:2]]

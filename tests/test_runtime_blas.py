@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from repro.decoder.recognizer import Recognizer
-from repro.decoder.scorer import BLAS_SCORE_ATOL, BlasScorer, ReferenceScorer
+from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.runtime.batch import BatchRecognizer
-from repro.runtime.scoring import BatchBlasScorer
+from repro.runtime.scoring import BatchBlasScorer, BatchReferenceScorer
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +58,13 @@ class TestSequentialBlas:
             _assert_tolerance_parity(blas.decode(utt.features), oracle)
 
     def test_dense_kernel_served_the_decode(self, blas, task):
-        blas.decode(task.corpus.test[0].features)
-        assert blas.scorer.dense_frames > 0
+        result = blas.decode(task.corpus.test[0].features)
+        assert blas.scorer.dense_steps > 0
+        assert result.telemetry.blas_dense_steps == blas.scorer.dense_steps
 
     def test_documented_as_inexact(self, blas):
+        assert isinstance(blas.scorer, BatchBlasScorer)
         assert blas.scorer.exact is False
-        assert BlasScorer.exact is False
         assert BatchBlasScorer.exact is False
 
     def test_scorer_reset_clears_kernel_counters(self, task):
@@ -71,10 +72,10 @@ class TestSequentialBlas:
             task.dictionary, task.pool, task.lm, task.tying, mode="blas"
         )
         rec.decode(task.corpus.test[0].features)
-        assert rec.scorer.dense_frames + rec.scorer.fallback_frames > 0
+        assert rec.scorer.dense_steps + rec.scorer.fallback_steps > 0
         rec.scorer.reset()
-        assert rec.scorer.dense_frames == 0
-        assert rec.scorer.fallback_frames == 0
+        assert rec.scorer.dense_steps == 0
+        assert rec.scorer.fallback_steps == 0
 
 
 class TestBatchBlas:
@@ -170,25 +171,32 @@ class TestSparseDemandFallback:
     def test_large_pool_gathers_subset_instead_of_full_table(
         self, small_pool, rng
     ):
-        """Past the full-table budget the dense path gathers rows."""
-        full = BlasScorer(small_pool)
-        subset = BlasScorer(small_pool, full_table_elements=0)
+        """Past the full-table budget the dense path gathers rows —
+        at one lane demanding every senone the union IS the table."""
+        full = BatchBlasScorer(small_pool, min_pairs=0)
+        subset = BatchBlasScorer(small_pool, min_pairs=0, full_table_elements=0)
         assert full._full_table and not subset._full_table
-        obs = rng.normal(0.0, 1.0, size=small_pool.dim)
-        senones = np.arange(small_pool.num_senones)
-        a = full.score(0, obs, senones).copy()
-        b = subset.score(0, obs, senones).copy()
-        assert subset.dense_frames == 1
+        obs, pair_rows, pair_senones = self._demand(
+            small_pool, rng, 1, small_pool.num_senones
+        )
+        a = full.score_pairs(obs, pair_rows, pair_senones)
+        b = subset.score_pairs(obs, pair_rows, pair_senones)
+        assert subset.dense_steps == 1
         np.testing.assert_allclose(a, b, atol=BLAS_SCORE_ATOL)
 
     def test_sequential_threshold_falls_back(self, small_pool, rng):
-        blas = BlasScorer(small_pool, dense_threshold=small_pool.num_senones + 1)
-        ref = ReferenceScorer(small_pool)
-        obs = rng.normal(0.0, 1.0, size=small_pool.dim)
-        senones = np.arange(0, small_pool.num_senones, 2)
-        out = blas.score(0, obs, senones).copy()
-        assert blas.fallback_frames == 1 and blas.dense_frames == 0
-        np.testing.assert_array_equal(out, ref.score(0, obs, senones))
+        """One lane below ``min_pairs`` scores through the gathered
+        kernel — bit-identical to the reference backend."""
+        blas = BatchBlasScorer(small_pool, min_pairs=small_pool.num_senones + 1)
+        ref = BatchReferenceScorer(small_pool)
+        obs, pair_rows, pair_senones = self._demand(
+            small_pool, rng, 1, small_pool.num_senones // 2
+        )
+        out = blas.score_pairs(obs, pair_rows, pair_senones)
+        assert blas.fallback_steps == 1 and blas.dense_steps == 0
+        np.testing.assert_array_equal(
+            out, ref.score_pairs(obs, pair_rows, pair_senones)
+        )
 
     def test_large_pool_batch_gathers_union_instead_of_full_table(
         self, small_pool, rng

@@ -20,7 +20,6 @@ import pytest
 from repro.decoder.fast_gmm import (
     FastGmmConfig,
     FastGmmModel,
-    FastGmmScorer,
     FastGmmStats,
 )
 from repro.decoder.recognizer import Recognizer
@@ -157,9 +156,11 @@ class TestPooledBackendWithCdSenones:
         lanes = 3
         frames = 12
         rng = np.random.default_rng(99)
-        sequential = [FastGmmScorer(cd_model.pool, model=cd_model) for _ in range(lanes)]
+        # B=1 vs B=3: each lane alone in its own scorer is the oracle.
+        alone = [BatchFastGmmScorer(cd_model) for _ in range(lanes)]
         batch = BatchFastGmmScorer(cd_model)
         for b in range(lanes):
+            alone[b].admit_lane(0)
             batch.admit_lane(b)
         # Per-lane frame sequences with stationary stretches (CDS food)
         # at DIFFERENT steps per lane, so skip masks diverge.
@@ -183,12 +184,17 @@ class TestPooledBackendWithCdSenones:
             )
             offset = 0
             for b, sen in enumerate(per_lane):
-                dense = sequential[b].score(t, obs[b, t], sen)
+                single = alone[b].score_pairs(
+                    obs[b : b + 1, t, :],
+                    np.zeros(sen.size, dtype=np.int64),
+                    sen,
+                    lanes=np.array([0]),
+                )
                 got = compact[offset : offset + sen.size]
                 offset += sen.size
-                assert np.array_equal(got, dense[sen]), (t, b)
+                assert np.array_equal(got, single), (t, b)
         for b in range(lanes):
-            assert batch.lane_state(b).fast_stats == sequential[b].fast_stats
+            assert batch.lane_state(b).fast_stats == alone[b].lane_state(0).fast_stats
         # Prove the interesting layers actually fired somewhere.
         total = [batch.lane_state(b).fast_stats for b in range(lanes)]
         assert sum(s.senones_approximated for s in total) > 0

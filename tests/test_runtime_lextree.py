@@ -1,4 +1,6 @@
-"""Batched tree-lexicon search vs the sequential prefix-tree decoder.
+"""Batch-shape invariance of the tree lane bank (B=k vs the 1-lane
+``Recognizer.decode``; the committed dictation fixtures of
+``tests/test_golden_parity.py`` are the independent oracle).
 
 The tree lane bank (:class:`~repro.runtime.lextree.TreeLaneBank`) is
 the large-vocabulary analogue of the flat lane engine: stacked
@@ -18,9 +20,9 @@ stepped, never WHAT it computes:
   ``admit/step/cancel/retire/compact`` lifecycle drives the bank
   directly — the state is updated in place at the active list's slots,
   so a stale row is the failure it hunts;
-* the histogram cap (``BeamConfig.max_active_states``) prunes the
-  list exactly as the sequential stage prunes the dense row, equal-score
-  plateaus included.
+* the histogram cap (``BeamConfig.max_active_states``) prunes each
+  lane's list the same at every bank width, equal-score plateaus
+  included.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ import pytest
 
 from repro.decoder.beam import LOG_ZERO, BeamConfig
 from repro.decoder.fast_gmm import FastGmmConfig
-from repro.decoder.lextree import TreeLexiconNetwork, TreeWordDecodeStage
+from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
@@ -452,46 +454,35 @@ class TestNetworkAxis:
         assert rec.network_kind == "tree"
         assert rec.as_batch().network_kind == "tree"
         assert rec.as_continuous().network_kind == "tree"
-        assert isinstance(rec.word_stage, TreeWordDecodeStage)
+        assert isinstance(rec.word_stage.bank, TreeLaneBank)
 
 
 class TestTreeStageValidation:
-    """Typed validation of TreeWordDecodeStage construction args."""
+    """Typed validation of what a tree decoder is constructed from
+    (checked once, for every front end and both networks)."""
 
     @pytest.fixture(scope="class")
     def parts(self, task):
         rec = make_tree_recognizer(task, "reference")
-        stage = rec.word_stage
-        return stage.network, stage.lm, stage.phone_decode
+        return rec.network, rec.pool, rec.lm
 
     def test_network_type_checked(self, task, parts):
-        _, lm, phone = parts
-        with pytest.raises(TypeError) as err:
-            TreeWordDecodeStage(network=task.dictionary, lm=lm, phone_decode=phone)
-        assert "TreeLexiconNetwork" in str(err.value)
+        _, pool, lm = parts
+        for cls in (Recognizer, BatchRecognizer):
+            with pytest.raises(TypeError) as err:
+                cls(network=task.dictionary, pool=pool, lm=lm)
+            assert "TreeLexiconNetwork" in str(err.value)
 
     def test_config_type_checked(self, parts):
-        net, lm, phone = parts
+        net, pool, lm = parts
         with pytest.raises(TypeError) as err:
-            TreeWordDecodeStage(
-                network=net, lm=lm, phone_decode=phone, config={"beam": 100.0}
-            )
+            Recognizer(network=net, pool=pool, lm=lm, config={"beam": 100.0})
         assert "DecoderConfig" in str(err.value)
 
     def test_beam_type_checked(self, parts):
-        net, lm, phone = parts
-        cfg = DecoderConfig(beam=100.0)  # a raw float, not BeamConfig
         with pytest.raises(TypeError) as err:
-            TreeWordDecodeStage(network=net, lm=lm, phone_decode=phone, config=cfg)
+            DecoderConfig(beam=100.0)  # a raw float, not BeamConfig
         assert "BeamConfig" in str(err.value)
-
-    def test_viterbi_unit_type_checked(self, parts):
-        net, lm, phone = parts
-        with pytest.raises(TypeError) as err:
-            TreeWordDecodeStage(
-                network=net, lm=lm, phone_decode=phone, viterbi_unit="hw"
-            )
-        assert "ViterbiUnit" in str(err.value)
 
 
 class TestContextDependentDictation:

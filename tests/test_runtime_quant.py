@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.decoder.recognizer import Recognizer, validate_precision
-from repro.decoder.scorer import FLOAT32_SCORE_ATOL, INT8_SCORE_ATOL, BlasScorer
+from repro.decoder.scorer import FLOAT32_SCORE_ATOL, INT8_SCORE_ATOL
 from repro.hmm.senone import BLAS_PRECISIONS, SenonePool
 from repro.quant.fixed_point import (
     INT8_LEVELS,
@@ -37,6 +37,7 @@ from repro.quant.fixed_point import (
     quantize_rows_int8,
 )
 from repro.runtime.batch import BatchRecognizer
+from repro.runtime.scoring import BatchBlasScorer
 from repro.serve import Server
 from repro.workloads.tasks import command_task
 
@@ -246,7 +247,7 @@ class TestPrecisionValidation:
             8, num_components=2, dim=5, rng=np.random.default_rng(0)
         )
         with pytest.raises(ValueError, match="float32"):
-            BlasScorer(pool, precision="fp8")
+            BatchBlasScorer(pool, precision="fp8")
 
 
 class TestPrecisionThreading:

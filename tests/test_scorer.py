@@ -1,15 +1,23 @@
-"""Tests for repro.decoder.scorer — reference and hardware backends."""
+"""Scoring statistics, and the reference and hardware backends of
+repro.runtime.scoring driven at one lane."""
 
 import numpy as np
 import pytest
 
 from repro.core.opunit import OpUnit, OpUnitSpec
-from repro.decoder.scorer import (
-    LOG_ZERO,
-    HardwareScorer,
-    ReferenceScorer,
-    ScoringStats,
-)
+from repro.decoder.recognizer import Recognizer
+from repro.decoder.scorer import LOG_ZERO, ScoringStats
+from repro.runtime.scoring import BatchHardwareScorer, BatchReferenceScorer
+
+
+def _score(scorer, obs, senones):
+    """One lane's frame through ``score_pairs``, as a dense array."""
+    senones = np.asarray(senones, dtype=np.int64)
+    out = np.full(scorer.num_senones, LOG_ZERO)
+    out[senones] = scorer.score_pairs(
+        obs[None, :], np.zeros(senones.size, dtype=np.int64), senones
+    )
+    return out
 
 
 class TestScoringStats:
@@ -30,75 +38,81 @@ class TestScoringStats:
 
 class TestReferenceScorer:
     def test_scores_requested_only(self, small_pool, rng):
-        scorer = ReferenceScorer(small_pool)
+        scorer = BatchReferenceScorer(small_pool)
         obs = rng.normal(size=small_pool.dim)
-        out = scorer.score(0, obs, np.array([1, 4]))
-        assert out[1] > LOG_ZERO / 2 and out[4] > LOG_ZERO / 2
-        assert out[0] == LOG_ZERO
+        compact = scorer.score_pairs(
+            obs[None, :], np.zeros(2, dtype=np.int64), np.array([1, 4])
+        )
+        assert compact.shape == (2,)
+        assert np.all(compact > LOG_ZERO / 2)
 
     def test_matches_pool(self, small_pool, rng):
-        scorer = ReferenceScorer(small_pool)
+        scorer = BatchReferenceScorer(small_pool)
         obs = rng.normal(size=small_pool.dim)
-        out = scorer.score(0, obs, np.arange(small_pool.num_senones))
+        out = _score(scorer, obs, np.arange(small_pool.num_senones))
         assert np.allclose(out, small_pool.score_frame(obs))
 
-    def test_stats_and_reset(self, small_pool, rng):
-        scorer = ReferenceScorer(small_pool)
-        scorer.score(0, rng.normal(size=small_pool.dim), np.array([0, 1, 2]))
-        assert scorer.stats.frames == 1
-        assert scorer.stats.senones_requested == 3
-        scorer.reset()
-        assert scorer.stats.frames == 0
+    def test_stats_and_reset(self, task):
+        """The backend keeps no statistics; each decode gets fresh ones."""
+        rec = Recognizer.create(task.dictionary, task.pool, task.lm, task.tying)
+        feats = task.corpus.test[0].features
+        first, second = rec.decode(feats), rec.decode(feats)
+        assert first.scoring_stats.frames == first.frames
+        assert first.scoring_stats.senones_requested == sum(
+            first.scoring_stats.active_per_frame
+        )
+        assert second.scoring_stats is not first.scoring_stats
+        assert second.scoring_stats.frames == second.frames
+        assert rec.scorer.retire_lane(0) is None  # stateless lane lifecycle
 
     def test_empty_request(self, small_pool, rng):
-        scorer = ReferenceScorer(small_pool)
-        out = scorer.score(0, rng.normal(size=small_pool.dim), np.array([], dtype=np.int64))
+        scorer = BatchReferenceScorer(small_pool)
+        out = _score(scorer, rng.normal(size=small_pool.dim), [])
         assert np.all(out == LOG_ZERO)
 
 
 class TestHardwareScorer:
     def _scorer(self, small_pool, n_units=2):
         units = [OpUnit(OpUnitSpec(feature_dim=small_pool.dim)) for _ in range(n_units)]
-        return HardwareScorer(units, small_pool.gaussian_table()), units
+        return BatchHardwareScorer(units, small_pool.gaussian_table()), units
 
     def test_close_to_reference(self, small_pool, rng):
         scorer, _ = self._scorer(small_pool)
         obs = rng.normal(size=small_pool.dim)
-        senones = np.arange(small_pool.num_senones)
-        hw = scorer.score(0, obs, senones)
+        hw = _score(scorer, obs, np.arange(small_pool.num_senones))
         ref = small_pool.score_frame(obs)
         assert np.max(np.abs(hw - ref)) < 5e-3
 
     def test_work_split_across_units(self, small_pool, rng):
         scorer, units = self._scorer(small_pool, n_units=2)
-        scorer.score(0, rng.normal(size=small_pool.dim), np.arange(24))
+        _score(scorer, rng.normal(size=small_pool.dim), np.arange(24))
         assert units[0].senones_scored == 12
         assert units[1].senones_scored == 12
 
     def test_critical_path_recorded(self, small_pool, rng):
         scorer, units = self._scorer(small_pool)
-        scorer.score(0, rng.normal(size=small_pool.dim), np.arange(10))
+        _score(scorer, rng.normal(size=small_pool.dim), np.arange(10))
         assert len(scorer.frame_critical_cycles) == 1
         per = units[0].spec.cycles_per_senone(small_pool.num_components)
         assert scorer.frame_critical_cycles[0] == 5 * per
 
     def test_empty_frame(self, small_pool, rng):
         scorer, _ = self._scorer(small_pool)
-        scorer.score(0, rng.normal(size=small_pool.dim), np.array([], dtype=np.int64))
+        _score(scorer, rng.normal(size=small_pool.dim), [])
         assert scorer.frame_critical_cycles == [0]
 
     def test_reset_clears_units(self, small_pool, rng):
         scorer, units = self._scorer(small_pool)
-        scorer.score(0, rng.normal(size=small_pool.dim), np.arange(24))
+        _score(scorer, rng.normal(size=small_pool.dim), np.arange(24))
         scorer.reset()
         assert units[0].cycles_busy == 0
         assert scorer.frame_critical_cycles == []
 
     def test_requires_units(self, small_pool):
         with pytest.raises(ValueError):
-            HardwareScorer([], small_pool.gaussian_table())
+            BatchHardwareScorer([], small_pool.gaussian_table())
 
     def test_dim_mismatch_rejected(self, small_pool):
         units = [OpUnit(OpUnitSpec(feature_dim=small_pool.dim + 1))]
         with pytest.raises(ValueError):
-            HardwareScorer(units, small_pool.gaussian_table())
+            BatchHardwareScorer(units, small_pool.gaussian_table())

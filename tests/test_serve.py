@@ -434,6 +434,30 @@ class TestStreamSession:
         asyncio.run(scenario())
         assert partials, "expected partial-hypothesis callbacks"
 
+    def test_partials_over_a_tree_recognizer(self, task):
+        """A session with ``on_partial`` streams through the tree
+        lexicon too (its endpointer used to need ``word_of_state``)."""
+        tree = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, network="tree"
+        )
+        utt = task.corpus.test[0]
+        partials = []
+
+        async def scenario():
+            async with Server(tree, num_workers=1, max_lanes=2) as server:
+                session = server.open_session(
+                    on_partial=lambda words, frame: partials.append(words),
+                    partial_interval=15,
+                )
+                session.send_frames(utt.features)
+                session.finish()
+                result = await session.result()
+                assert result.ok
+                assert result.words == tree.decode(utt.features).words
+
+        asyncio.run(scenario())
+        assert partials
+
     def test_endpointing_without_partials(self, task, recognizer):
         """`endpointing=True` runs the endpointer (and auto-finish)
         even when no partial callback is wanted."""

@@ -110,3 +110,40 @@ class TestStreaming:
             StreamingRecognizer(recognizer, partial_interval=-1)
         with pytest.raises(ValueError):
             StreamingRecognizer(recognizer, endpoint_silence_frames=0)
+
+
+class TestStreamingOverTree:
+    """The endpointer reads the network's silence-state mask, so the
+    tree lexicon streams like the flat one (it used to crash on the
+    first ``feed``: the tree has no ``word_of_state``)."""
+
+    @pytest.fixture()
+    def tree(self, task):
+        return Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, network="tree"
+        )
+
+    def test_frame_by_frame_matches_decode(self, task, tree):
+        utt = task.corpus.test[0]
+        expected = tree.decode(utt.features).words
+        streaming = StreamingRecognizer(tree, partial_interval=10)
+        partials = [streaming.feed(frame).partial for frame in utt.features]
+        assert any(p is not None for p in partials)
+        assert streaming.finalize().words == expected
+
+    def test_endpoint_fires_in_trailing_silence(self, task, tree):
+        utt = task.corpus.test[0]
+        expected = tree.decode(utt.features).words
+        sil_mean = task.pool.means[task.tying.ci_senone("SIL", 0), 0]
+        frames = np.vstack([utt.features, np.tile(sil_mean, (60, 1))])
+        ended_at = []
+        streaming = StreamingRecognizer(
+            tree, partial_interval=0, endpoint_silence_frames=25,
+            on_endpoint=ended_at.append,
+        )
+        for frame in frames:
+            if streaming.feed(frame).endpoint:
+                break
+        assert streaming.ended and ended_at
+        assert ended_at[0] >= utt.features.shape[0] - 1  # not during speech
+        assert streaming.finalize().words == expected

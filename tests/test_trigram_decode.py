@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decoder.recognizer import Recognizer
+from repro.decoder.word_decode import lm_history_of
 from repro.eval.wer import corpus_wer
 from repro.lm.ngram import NGramModel
 
@@ -48,13 +49,12 @@ class TestTrigramDecoding:
         utt = task.corpus.test[1]
         result = rec.decode(utt.features)
         assert result.words == tuple(utt.words)
-        stage = rec.word_stage
-        lattice = stage.lattice
+        lattice = rec.word_stage.lattice
         # Walk every recorded exit: its LM history must never contain
         # a silence index and must have order-1 entries at most.
         net = rec.network
         for i in range(len(lattice)):
-            history = stage._lm_history_of(lattice.exit(i))
+            history = lm_history_of(lattice, net, trigram_lm, lattice.exit(i))
             assert 1 <= len(history) <= 2
             for h in history:
                 assert h != net.silence_word or h >= net.num_words

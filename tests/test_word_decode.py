@@ -1,14 +1,13 @@
-"""Tests for repro.decoder.word_decode — token passing mechanics."""
+"""Token passing mechanics, through ``Recognizer(...).word_stage`` — the
+frame-at-a-time view of the 1-lane bank."""
 
 import numpy as np
 import pytest
 
 from repro.decoder.beam import BeamConfig
 from repro.decoder.network import FlatLexiconNetwork
-from repro.decoder.phone_decode import PhoneDecodeStage
 from repro.decoder.recognizer import Recognizer
-from repro.decoder.scorer import ReferenceScorer
-from repro.decoder.word_decode import DecoderConfig, WordDecodeStage
+from repro.decoder.word_decode import DecoderConfig
 from repro.hmm.senone import SenonePool
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.triphone import SenoneTying
@@ -35,6 +34,10 @@ def micro_world():
     return d, tying, pool, lm, network
 
 
+def _stage(network, pool, lm, config=None):
+    return Recognizer(network, pool, lm, config=config).word_stage
+
+
 def _frames_for_word(network, pool, word_index, frames_per_state=3):
     """Feature frames tracing one word's states through their means."""
     frames = []
@@ -50,9 +53,7 @@ class TestDecodeMechanics:
     def test_decodes_planted_word(self, micro_world):
         d, tying, pool, lm, network = micro_world
         config = DecoderConfig(silence_penalty=-200.0)  # keep sil out
-        stage = WordDecodeStage(
-            network, lm, PhoneDecodeStage(ReferenceScorer(pool)), config
-        )
+        stage = _stage(network, pool, lm, config)
         word = network.words.index("kaet")
         for frame in _frames_for_word(network, pool, word):
             stage.process_frame(frame)
@@ -63,9 +64,7 @@ class TestDecodeMechanics:
 
     def test_entry_frame_tracks_token(self, micro_world):
         d, tying, pool, lm, network = micro_world
-        stage = WordDecodeStage(
-            network, lm, PhoneDecodeStage(ReferenceScorer(pool)), DecoderConfig()
-        )
+        stage = _stage(network, pool, lm)
         word = network.words.index("dig")
         for frame in _frames_for_word(network, pool, word):
             stage.process_frame(frame)
@@ -75,9 +74,7 @@ class TestDecodeMechanics:
 
     def test_frame_stats_recorded(self, micro_world):
         d, tying, pool, lm, network = micro_world
-        stage = WordDecodeStage(
-            network, lm, PhoneDecodeStage(ReferenceScorer(pool)), DecoderConfig()
-        )
+        stage = _stage(network, pool, lm)
         word = network.words.index("kaet")
         frames = _frames_for_word(network, pool, word)
         for frame in frames:
@@ -87,10 +84,8 @@ class TestDecodeMechanics:
 
     def test_feedback_requests_fewer_senones_than_budget(self, micro_world):
         d, tying, pool, lm, network = micro_world
-        stage = WordDecodeStage(
-            network,
-            lm,
-            PhoneDecodeStage(ReferenceScorer(pool), use_feedback=True),
+        stage = _stage(
+            network, pool, lm,
             DecoderConfig(beam=BeamConfig(state_beam=30.0, word_beam=30.0)),
         )
         word = network.words.index("kaet")
@@ -102,21 +97,14 @@ class TestDecodeMechanics:
 
     def test_no_feedback_scores_everything(self, micro_world):
         d, tying, pool, lm, network = micro_world
-        stage = WordDecodeStage(
-            network,
-            lm,
-            PhoneDecodeStage(ReferenceScorer(pool), use_feedback=False),
-            DecoderConfig(),
-        )
+        stage = _stage(network, pool, lm, DecoderConfig(use_feedback=False))
         word = network.words.index("kaet")
         stage.process_frame(_frames_for_word(network, pool, word)[0])
         assert stage.frame_stats[0].requested_senones == tying.num_senones
 
     def test_reset_clears_state(self, micro_world):
         d, tying, pool, lm, network = micro_world
-        stage = WordDecodeStage(
-            network, lm, PhoneDecodeStage(ReferenceScorer(pool)), DecoderConfig()
-        )
+        stage = _stage(network, pool, lm)
         word = network.words.index("kaet")
         for frame in _frames_for_word(network, pool, word):
             stage.process_frame(frame)
@@ -131,10 +119,7 @@ class TestDecodeMechanics:
         other_lm = NGramModel(other_vocab, order=1)
         other_lm.train([["one"]])
         with pytest.raises(ValueError):
-            WordDecodeStage(
-                network, other_lm, PhoneDecodeStage(ReferenceScorer(pool)),
-                DecoderConfig(),
-            )
+            _stage(network, pool, other_lm)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -147,9 +132,7 @@ class TestSilenceTransparency:
     def test_silence_exit_inherits_lm_history(self, micro_world):
         d, tying, pool, lm, network = micro_world
         config = DecoderConfig(silence_penalty=0.0)
-        stage = WordDecodeStage(
-            network, lm, PhoneDecodeStage(ReferenceScorer(pool)), config
-        )
+        stage = _stage(network, pool, lm, config)
         word = network.words.index("kaet")
         frames = list(_frames_for_word(network, pool, word))
         # Append silence frames after the word.
@@ -175,9 +158,7 @@ class TestTwoWordSequence:
     def test_decodes_word_pair(self, micro_world):
         d, tying, pool, lm, network = micro_world
         config = DecoderConfig(silence_penalty=-200.0)
-        stage = WordDecodeStage(
-            network, lm, PhoneDecodeStage(ReferenceScorer(pool)), config
-        )
+        stage = _stage(network, pool, lm, config)
         first = network.words.index("kaet")
         second = network.words.index("dig")
         frames = np.vstack(
