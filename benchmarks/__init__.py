@@ -1,1 +1,1 @@
-"""Benchmark harness: one module per paper experiment (see DESIGN.md)."""
+"""One module per paper experiment; ``perf/`` is the performance benchmark."""

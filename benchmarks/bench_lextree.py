@@ -1,6 +1,6 @@
 """A3 (extension) — flat vs. tree-structured lexicon search.
 
-DESIGN.md design-choice ablation: the paper's word decode "combines
+Design-choice ablation: the paper's word decode "combines
 the triphones ... according to the words in the dictionary" without
 fixing the search organisation.  The flat network (one HMM chain per
 word) is simplest; the era's production decoders (Sphinx 3 'lextree')

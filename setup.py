@@ -1,6 +1,7 @@
 """Legacy setup shim: the offline environment lacks `wheel`, so pip's
 PEP 517 editable path is unavailable; `pip install -e .` falls back to
-`setup.py develop` through this file.  Metadata lives in pyproject.toml.
+`setup.py develop` through this file, which holds all the metadata
+there is (the repo has no pyproject.toml).
 """
 
 from setuptools import find_packages, setup

@@ -18,8 +18,8 @@ Quick start::
     result = rec.decode(task.corpus.test[0].features)
     print(result.words)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every experiment.
+See README.md for the system inventory; the paper-vs-measured record
+of each experiment is in the docstring of its ``benchmarks/bench_*.py``.
 """
 
 __version__ = "1.0.0"

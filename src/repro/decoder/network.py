@@ -104,8 +104,7 @@ class FlatLexiconNetwork:
 
         Word-internal triphones take their true left/right contexts;
         word-edge triphones use silence context (cross-word triphones
-        are approximated, as in Sphinx-3's flat decoder — documented in
-        DESIGN.md).
+        are approximated, as in Sphinx-3's flat decoder).
         """
         topology = topology or HmmTopology(num_states=tying.states_per_hmm)
         if topology.num_states != tying.states_per_hmm:

@@ -148,6 +148,11 @@ def validate_utterance_features(
         )
     if f.shape[0] == 0:
         raise ValueError(f"{prefix}cannot decode an empty utterance")
+    # Features come from outside the program (wire, audio front end); a
+    # NaN/inf cell indexes the hardware log-add table out of range and
+    # takes the whole shard down, so it is refused at the door.
+    if not np.isfinite(f).all():
+        raise ValueError(f"{prefix}features must be finite (found NaN or inf)")
     return f
 
 

@@ -104,6 +104,10 @@ class StreamingRecognizer:
         """Consume one feature frame."""
         if self._ended:
             raise RuntimeError("utterance already endpointed; call reset()")
+        if not np.isfinite(frame).all():
+            raise ValueError(
+                f"frame {self._frames}: features must be finite (found NaN or inf)"
+            )
         self.recognizer.word_stage.process_frame(frame)
         self._frames += 1
         self._update_endpoint_state()

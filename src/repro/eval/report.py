@@ -2,7 +2,7 @@
 
 Every benchmark prints the rows the paper reports, side by side with
 the paper's numbers, through these helpers — uniform, dependency-free
-and diff-friendly (EXPERIMENTS.md embeds the output verbatim).
+and diff-friendly.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ deterministic, data-free surrogate: triphone states are clustered by
 the articulatory class of their left and right context, per base phone
 and state position, into a configurable senone budget.  This yields
 exactly the paper's shape — a few thousand senones shared by ~10^5
-logical triphone states — without needing WSJ training data (see
-DESIGN.md substitutions).
+logical triphone states — without needing WSJ training data.
 """
 
 from __future__ import annotations

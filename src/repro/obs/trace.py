@@ -19,9 +19,9 @@ makes the list renderable as a tree::
 
 Trace ids are minted with :func:`mint_trace_id`: a per-process random
 prefix plus a counter.  That is deliberately NOT a fresh ``uuid4`` per
-request — minting is on the submit hot path and the tracing overhead
-budget (traced throughput >= 0.97x untraced) leaves no room for one,
-while the prefix still keeps ids unique across client processes.
+request — minting is on the submit hot path of every request (tracing
+has no off switch), while the prefix still keeps ids unique across
+client processes.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ point instead of the fixed-point arithmetic common in embedded speech
 software.
 
 This module provides the fixed-point side of that comparison
-(experiment R7 in DESIGN.md): a :class:`QFormat` describing
-``Qm.n`` signed fixed point, quantization with saturation, and the
+(experiment R7, ``benchmarks/bench_fixed_point.py``): a
+:class:`QFormat` describing ``Qm.n`` signed fixed point,
+quantization with saturation, and the
 saturation / underflow-to-zero statistics that show why narrow
 fixed-point formats break down on log-probability dynamic ranges.
 """

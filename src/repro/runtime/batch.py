@@ -167,9 +167,7 @@ class LaneBankBase:
         # subclasses.  Bank-level totals; per-lane attribution is the
         # delta between a lane's admission mark and its retirement, so
         # concurrent lanes each observe the engine work of the steps
-        # they rode in.  `stage_timing=False` removes even the
-        # perf_counter reads (the untraced arm of the overhead gate).
-        self.stage_timing = True
+        # they rode in.
         self.stage_scoring_s = 0.0
         self.stage_update_s = 0.0
         self.stage_exit_s = 0.0
@@ -306,6 +304,8 @@ class LaneBankBase:
         (admitted without features): a fed lane is as long as what it
         has been fed, so it comes back finished after every step and
         can be packaged whenever its caller decides the audio ended.
+        Raises ValueError for a block of another shape and RuntimeError
+        when an occupied lane was admitted WITH features.
         """
         lanes = np.flatnonzero(self.active)
         if lanes.size == 0:
@@ -318,6 +318,15 @@ class LaneBankBase:
         lane_list = lanes.tolist()
         lane_t_list = self.lane_t.tolist()
         if frames is not None:
+            shape = (self.num_lanes, self.recognizer.pool.dim)
+            if frames.shape != shape:
+                raise ValueError(f"frames must be {shape}, got {frames.shape}")
+            # A fed step ends every occupied lane at this frame, which
+            # would truncate a lane that brought its own features.
+            if any(self.lane_feats[b] is not None for b in lane_list):
+                raise RuntimeError(
+                    "step(frames) on a bank holding lanes admitted with features"
+                )
             obs_block = frames
             self.lane_len[lanes] = self.lane_t[lanes] + 1
         elif self._padded is not None:
@@ -622,10 +631,8 @@ class LaneBank(LaneBankBase):
         delta = self.delta
         payload, entry_frame = self.payload, self.entry_frame
 
-        # Stage timing (two extra clock reads per stage per STEP, not
-        # per lane — far under the tracing overhead budget).
-        timing = self.stage_timing
-        t0 = time.perf_counter() if timing else 0.0
+        # Stage clocks: one read per stage per STEP, not per lane.
+        t0 = time.perf_counter()
 
         # 1. Candidate states (alive, right neighbours, pending
         #    entries) — the per-lane feedback lists, batched.  Idle
@@ -666,9 +673,8 @@ class LaneBank(LaneBankBase):
             obs[...] = obs_bank
         entry_scores = self._entry_scores
         entry_scores[:, net.start_state] = self.pending_entry
-        if timing:
-            t1 = time.perf_counter()
-            self.stage_scoring_s += t1 - t0
+        t1 = time.perf_counter()
+        self.stage_scoring_s += t1 - t0
 
         # 4. One chain update advances every lane's token bank.
         if self.viterbi_unit is not None:
@@ -715,9 +721,8 @@ class LaneBank(LaneBankBase):
         np.copyto(entry_frame_next, entry_frame, where=took_self)
         self.entry_frame, self._entry_frame_next = entry_frame_next, entry_frame
         payload, entry_frame = self.payload, self.entry_frame
-        if timing:
-            t2 = time.perf_counter()
-            self.stage_update_s += t2 - t1
+        t2 = time.perf_counter()
+        self.stage_update_s += t2 - t1
 
         # 6. Row-wise beam prune, then per-lane exits and entries.
         _, n_active = apply_beam_batch(delta, cfg.beam, self._beam_scratch)
@@ -742,8 +747,7 @@ class LaneBank(LaneBankBase):
         no_exit[exit_lanes] = False
         self.pending_entry[no_exit] = LOG_ZERO
         self.pending_src[no_exit] = -1
-        if timing:
-            self.stage_exit_s += time.perf_counter() - t2
+        self.stage_exit_s += time.perf_counter() - t2
 
         return n_active, scored_counts, exit_counts
 

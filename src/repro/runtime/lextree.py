@@ -221,10 +221,9 @@ class TreeLaneBank(LaneBankBase):
         payload = self.payload.reshape(-1)
         entry_frame = self.entry_frame.reshape(-1)
 
-        # Stage timing: same boundaries as the flat bank's, so a
+        # Stage clocks: same boundaries as the flat bank's, so a
         # tree-lexicon trace reads identically.
-        timing = self.stage_timing
-        t0 = time.perf_counter() if timing else 0.0
+        t0 = time.perf_counter()
 
         # 1. The active list.  Everything below runs on these n slots
         #    (a few percent of the bank), never on (B, K).
@@ -254,9 +253,8 @@ class TreeLaneBank(LaneBankBase):
         entry = np.full(slots.shape, LOG_ZERO, dtype=np.float32)
         at_root = np.flatnonzero(net.is_root_start[cand_s])
         entry[at_root] = self.pending_entry[cand_b[at_root]]
-        if timing:
-            t1 = time.perf_counter()
-            self.stage_scoring_s += t1 - t0
+        t1 = time.perf_counter()
+        self.stage_scoring_s += t1 - t0
 
         # 4. One token update advances every lane's candidates.
         pred_s = net.pred_state[cand_s]
@@ -286,9 +284,8 @@ class TreeLaneBank(LaneBankBase):
         target = slots[entered]
         payload[target] = self.pending_src[cand_b[entered]]
         entry_frame[target] = self.lane_t[cand_b[entered]]
-        if timing:
-            t2 = time.perf_counter()
-            self.stage_update_s += t2 - t1
+        t2 = time.perf_counter()
+        self.stage_update_s += t2 - t1
 
         # 6. Row-wise beam prune on the list, survivors (and the
         #    LOG_ZERO of the pruned) scattered back, then per-lane
@@ -330,7 +327,6 @@ class TreeLaneBank(LaneBankBase):
             no_exit[b] = False
         self.pending_entry[no_exit] = LOG_ZERO
         self.pending_src[no_exit] = -1
-        if timing:
-            self.stage_exit_s += time.perf_counter() - t2
+        self.stage_exit_s += time.perf_counter() - t2
 
         return n_active, scored_counts, exit_counts

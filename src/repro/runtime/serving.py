@@ -261,10 +261,6 @@ class ServeLoop:
     worker_id:
         Shard label stamped on worker-side spans (``None`` leaves the
         spans unlabelled — the standalone / test configuration).
-    tracing:
-        Build per-job worker traces and per-step decode stage timings
-        (default on; the bench's untraced arm turns it off to measure
-        the overhead it is gating).
     """
 
     STATS_EVERY = 64  # steps between periodic LoopStats events
@@ -276,7 +272,6 @@ class ServeLoop:
         poll_s: float = 0.002,
         clock: Callable[[], float] = time.monotonic,
         worker_id: int | None = None,
-        tracing: bool = True,
     ) -> None:
         if max_lanes < 1:
             raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
@@ -287,7 +282,6 @@ class ServeLoop:
         self.poll_s = poll_s
         self.clock = clock
         self.worker_id = worker_id
-        self.tracing = tracing
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -367,10 +361,6 @@ class ServeLoop:
         rec = self.recognizer
         rec._reset_accounting()
         bank = rec.make_bank(self.max_lanes)
-        tracing = self.tracing
-        # Stage clocks are the traced path's only per-step cost inside
-        # the kernel; the untraced bench arm turns them off with us.
-        bank.stage_timing = tracing
         waiting: deque[DecodeJob] = deque()
         cancels: set[int] = set()
         steals: set[int] = set()
@@ -431,11 +421,10 @@ class ServeLoop:
                             emit(stats())
                     else:
                         waiting.append(msg)
-                        if tracing:
-                            job_obs[msg.utt_id] = (
-                                self.clock(),
-                                getattr(msg, "trace_id", None),
-                            )
+                        job_obs[msg.utt_id] = (
+                            self.clock(),
+                            getattr(msg, "trace_id", None),
+                        )
                 now = self.clock()
 
                 # 2. Shed queued jobs that were cancelled, stolen back
@@ -531,13 +520,12 @@ class ServeLoop:
                     result = bank.retire(lane)
                     if result.telemetry is not None:
                         shard_telemetry.merge(result.telemetry)
-                    if tracing:
-                        arrived_at, trace_id = job_obs.pop(
-                            utt, (result.timing.enqueued_at, None)
-                        )
-                        result.trace = self._worker_trace(
-                            trace_id, utt, arrived_at, result
-                        )
+                    arrived_at, trace_id = job_obs.pop(
+                        utt, (result.timing.enqueued_at, None)
+                    )
+                    result.trace = self._worker_trace(
+                        trace_id, utt, arrived_at, result
+                    )
                     emit(JobDone(utt, result))
                     completed += 1
                     retired = True

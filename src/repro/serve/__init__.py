@@ -35,7 +35,7 @@ gracefully under sustained pressure — blas precision downshift and/or
 tightened admission, with hysteresis and full restoration — instead of
 shedding blindly.
 
-Observability (:mod:`repro.obs`) is default-on and observes-only:
+Observability (:mod:`repro.obs`) is always on and observes-only:
 every request carries a ``trace_id`` from the client (or the front
 door) through admission, dispatch and the shard's decode, resolving
 with a merged cross-process span tree on

@@ -85,7 +85,7 @@ class WireResult:
     frames_decoded: int
     detail: str
     #: Merged cross-process span tree (server + shard), rebuilt from
-    #: the result event; None when the server ran with tracing off.
+    #: the result event (the server traces every request).
     trace: Trace | None = None
     #: The lane's decode-depth counters for this utterance.
     telemetry: DecodeTelemetry | None = None

@@ -59,7 +59,6 @@ class ThreadEngineWorker:
         max_lanes: int,
         poll_s: float,
         emit: Callable[[int, object], None],
-        tracing: bool = True,
     ) -> None:
         self.worker_id = worker_id
         self._inbox: "queue_mod.Queue" = queue_mod.Queue()
@@ -68,7 +67,6 @@ class ThreadEngineWorker:
             max_lanes=max_lanes,
             poll_s=poll_s,
             worker_id=worker_id,
-            tracing=tracing,
         )
         self._thread = threading.Thread(
             target=self._serve.run,
@@ -120,7 +118,6 @@ def _process_worker_main(
     poll_s: float,
     inbox,
     outbox,
-    tracing: bool = True,
 ) -> None:
     """Forked child entry point: serve until STOP, then exit."""
     serve = ServeLoop(
@@ -128,7 +125,6 @@ def _process_worker_main(
         max_lanes=max_lanes,
         poll_s=poll_s,
         worker_id=worker_id,
-        tracing=tracing,
     )
     serve.run(inbox, lambda event: outbox.put((worker_id, event)))
 
@@ -149,7 +145,6 @@ class ProcessEngineWorker:
         poll_s: float,
         outbox,
         ctx: multiprocessing.context.BaseContext,
-        tracing: bool = True,
     ) -> None:
         self.worker_id = worker_id
         self._inbox = ctx.Queue()
@@ -164,7 +159,6 @@ class ProcessEngineWorker:
                 poll_s,
                 self._inbox,
                 outbox,
-                tracing,
             ),
             name=f"serve-shard-{worker_id}",
             daemon=True,

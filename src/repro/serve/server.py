@@ -430,7 +430,6 @@ class Server:
         frontend: Frontend | None = None,
         brownout: BrownoutPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        tracing: bool = True,
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -458,7 +457,6 @@ class Server:
         self._sweep_s = sweep_s
         self._frontend_obj = frontend
         self.fault_plan = fault_plan
-        self.tracing = tracing
         #: Bounded per-shard ring of recent serving events; dumps an
         #: :class:`Incident` timeline on timeout/fault/death/brownout.
         self.flight = FlightRecorder(shards=num_workers)
@@ -578,7 +576,6 @@ class Server:
                     self._poll_s,
                     outbox,
                     ctx,
-                    tracing=self.tracing,
                 )
                 for i in range(self.num_workers)
             ]
@@ -593,7 +590,6 @@ class Server:
                     self.max_lanes,
                     self._poll_s,
                     emit,
-                    tracing=self.tracing,
                 )
                 for i in range(self.num_workers)
             ]
@@ -726,7 +722,7 @@ class Server:
             deadline_s = self.default_deadline_s
         deadline_at = None if deadline_s is None else enqueued_at + deadline_s
         utt_id = next(self._ids)
-        if self.tracing and trace_id is None:
+        if trace_id is None:
             trace_id = mint_trace_id()
         job = DecodeJob(utt_id, feats, enqueued_at, deadline_at, trace_id)
         session = Session(
@@ -1139,15 +1135,13 @@ class Server:
 
     def _request_trace(
         self, session: Session, result, finished_at: float
-    ) -> Trace | None:
+    ) -> Trace:
         """Merge the front door's spans with the shard's into one tree.
 
         Both halves stamp ``time.monotonic`` (system-wide on Linux),
         so a forked shard's timestamps land directly on the server's
         timeline — no clock translation, no skew bookkeeping.
         """
-        if not self.tracing or session.trace_id is None:
-            return None
         trace = Trace(trace_id=session.trace_id, utt_id=session.utt_id)
         started = (
             session.received_at

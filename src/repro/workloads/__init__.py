@@ -1,4 +1,4 @@
-"""Synthetic speech world: the offline substitute for WSJ (DESIGN.md)."""
+"""Synthetic speech world: the offline substitute for WSJ."""
 
 from repro.workloads.corpus import (
     Corpus,

@@ -1,6 +1,6 @@
 """Corpus construction: vocabulary, text, audio, features, transcripts.
 
-Assembles the full synthetic task (DESIGN.md substitution for WSJ):
+Assembles the full synthetic task (the substitution for WSJ):
 
 1. generate a vocabulary of pseudo-English words (phone strings);
 2. build the pronunciation dictionary and a Zipf-flavoured text

@@ -3,8 +3,7 @@
 The paper evaluates on Wall Street Journal audio with Sphinx-3 models;
 neither is available offline, so we build a synthetic "speech world"
 whose utterances flow through exactly the same pipeline: waveform ->
-MFCC frontend -> GMM/HMM training -> staged decoding (see DESIGN.md,
-substitutions table).
+MFCC frontend -> GMM/HMM training -> staged decoding.
 
 Each phone gets a deterministic acoustic signature derived from its
 index and articulatory class: three formant-like sinusoid partials for

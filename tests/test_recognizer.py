@@ -101,6 +101,20 @@ class TestResultMetrics:
         with pytest.raises(ValueError):
             rec.decode(np.zeros((0, 39)))
 
+    def test_non_finite_features_rejected(self, task):
+        """In hardware mode one such cell used to index the log-add
+        table out of range mid-decode (IndexError from ``bank.step``)."""
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, mode="hardware"
+        )
+        utt = task.corpus.test[0]
+        for bad in (np.nan, np.inf, -np.inf):
+            feats = utt.features.copy()
+            feats[10, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                rec.decode(feats)
+        assert rec.decode(utt.features).words == tuple(utt.words)
+
     def test_recognizer_reusable_across_utterances(self, task):
         rec = Recognizer.create(
             task.dictionary, task.pool, task.lm, task.tying, mode="reference"

@@ -170,6 +170,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             batch.decode_batch([np.zeros((0, good.shape[1]))])
 
+    def test_fed_step_refuses_a_lane_admitted_with_features(self, pair, task):
+        """``step(frames)`` ends every occupied lane at this frame; on a
+        lane that brought its own features that used to rewrite
+        ``lane_len`` and report a 136-frame utterance finished after
+        one."""
+        _, batch = pair
+        feats = task.corpus.test[0].features
+        bank = batch.make_bank(2)
+        bank.admit(0, 0, feats)
+        bank.admit(1, 1)
+        with pytest.raises(RuntimeError, match="admitted with features"):
+            bank.step(np.zeros((2, feats.shape[1])))
+        assert bank.lane_len[0] == feats.shape[0] and bank.steps == 0
+
+    def test_fed_step_rejects_a_block_of_the_wrong_shape(self, pair, task):
+        _, batch = pair
+        dim = task.pool.dim
+        bank = batch.make_bank(2)
+        bank.admit(0, 0)
+        bank.admit(1, 1)
+        for shape in [(1, dim), (2, dim + 1), (dim,)]:
+            with pytest.raises(ValueError, match="frames must be"):
+                bank.step(np.zeros(shape))
+        assert bank.step(np.zeros((2, dim))) == [0, 1]
+
 
 class TestBatchedKernels:
     def test_apply_beam_batch_matches_rows(self, rng):

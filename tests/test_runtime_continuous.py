@@ -196,6 +196,14 @@ class TestValidationAndLifecycle:
         with pytest.raises(ValueError):
             cont.decode_stream([np.zeros((0, good.shape[1]))], max_lanes=2)
 
+    def test_rejects_non_finite_features_mid_stream(self, trio, task):
+        _, cont, _ = trio
+        good = task.corpus.test[0].features
+        bad = good.copy()
+        bad[10, 3] = np.nan
+        with pytest.raises(ValueError, match="utterance 1.*finite"):
+            cont.decode_stream([good, bad], max_lanes=1)
+
     def test_rejects_none_in_queue(self, trio, task):
         """A None element must error, not be silently dropped."""
         _, cont, _ = trio

@@ -10,16 +10,16 @@ rounding), ``"float32"`` (half the table bandwidth) and ``"int8"``
   arrivals, with path scores within
   :data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`;
 * ``int8`` path-score drift stays within the documented
-  :data:`~repro.decoder.scorer.INT8_SCORE_ATOL` (its WER drift is
-  REPORTED by ``benchmarks/bench_quant_tables.py``);
+  :data:`~repro.decoder.scorer.INT8_SCORE_ATOL` (its measured WER
+  drift is recorded beside that constant);
 * the int8 quantizer round-trips within half a grid step per entry;
 * ``SenonePool.table_bytes`` is an exact analytic account of the
   built tables, and int8 comes in under half the float64 footprint;
 * ``TestQuantGolden`` replays the committed reference fixtures at
   batch 8 — the acceptance gate of the precision axis.
 
-Speed is proven in ``benchmarks/bench_quant_tables.py``; this module
-only pins correctness.
+This module only pins correctness; no ``BENCHMARK.json`` workload runs
+reduced-precision tables, so their speed is currently unmeasured.
 """
 
 import json
@@ -119,8 +119,8 @@ class TestInt8Drift:
     """int8 drift on the golden acceptance utterances — the set where
     word outputs are empirically identical, so best-path score drift
     against the float64 blas baseline is directly comparable (the
-    broader test corpus flips a few words; that shows up as WER drift
-    in ``benchmarks/bench_quant_tables.py``, not here)."""
+    broader test corpus flips a few words; that WER drift is recorded
+    beside ``INT8_SCORE_ATOL``, not asserted here)."""
 
     @pytest.fixture(scope="class")
     def golden_pairs(self, golden_task, recs):

@@ -350,6 +350,37 @@ class TestServer:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("mode", ["reference", "hardware", "fast", "blas"])
+    def test_non_finite_features_rejected_at_submit(self, task, mode):
+        """One NaN cell used to index the hardware log-add table out of
+        range inside ``bank.step``: the worker died and its clean
+        neighbour resolved ``error`` with it (the other modes decoded
+        the garbage to ``ok``).  Now every mode refuses it at the door."""
+        rec = make_recognizer(task, mode)
+        clean = task.corpus.test[0].features
+        base = rec.decode(clean)
+        bad = clean.copy()
+        bad[10, 3] = np.nan
+
+        async def scenario():
+            async with Server(rec, max_lanes=2) as server:
+                with pytest.raises(ValueError, match="finite"):
+                    server.submit(bad)
+                result = await server.submit(clean).result()
+                assert result.status is ServeStatus.OK
+                assert result.words == base.words
+                if mode == "blas":
+                    assert math.isclose(
+                        result.result.score, base.score, abs_tol=BLAS_SCORE_ATOL
+                    )
+                else:
+                    assert result.result.score == base.score  # bit-exact
+                metrics = server.metrics()
+                assert metrics.workers[0].alive
+                assert metrics.submitted == 1 and metrics.errors == 0
+
+        asyncio.run(scenario())
+
     def test_submit_refused_when_all_workers_died(self, recognizer, workload):
         """A dead fleet must refuse jobs, not hand out futures that
         can never resolve."""

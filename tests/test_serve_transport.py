@@ -13,7 +13,11 @@ Covers, per the PR's acceptance criteria:
 * THE cross-process integration: a child process connects to a
   sharded (forked) server through a real socket, decodes bit-identical
   to sequential, and over-capacity submits come back as typed
-  rejections — never silence.
+  rejections — never silence;
+* a burst larger than lanes + backlog + queue through one socket is
+  fully partitioned into typed rejections and typed results, and the
+  server's counters agree with the client's;
+* non-finite features get a typed error on a connection that lives on.
 
 No pytest-asyncio dependency: async tests run under ``asyncio.run``.
 """
@@ -23,12 +27,20 @@ import json
 import os
 import struct
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.decoder import Recognizer
-from repro.serve import AdmissionRejected, ServeClient, Server, WireServer
+from repro.serve import (
+    AdmissionRejected,
+    ServeClient,
+    Server,
+    ServeStatus,
+    WireServer,
+)
+from repro.serve.client import WireProtocolError
 from repro.serve.transport import (
     FrameError,
     decode_array,
@@ -184,6 +196,27 @@ class TestWireLoopback:
                         assert err.value.max_queue == 1
                         assert (await first.result()).ok
                         assert (await second.result()).ok
+
+        asyncio.run(scenario())
+
+    def test_non_finite_features_get_a_typed_error(self, recognizer, workload):
+        features, baselines = workload
+        bad = features[0].copy()
+        bad[10, 3] = np.inf
+
+        async def scenario():
+            async with Server(recognizer, num_workers=1, max_lanes=2) as server:
+                async with WireServer(server) as wire:
+                    async with await ServeClient.connect(
+                        wire.host, wire.port
+                    ) as client:
+                        with pytest.raises(WireProtocolError, match="finite"):
+                            await client.submit(bad)
+                        # Typed refusal, not a dropped connection.
+                        ticket = await client.submit(features[0])
+                        result = await ticket.result()
+                        assert result.ok
+                        assert result.score == baselines[0].score
 
         asyncio.run(scenario())
 
@@ -580,6 +613,61 @@ async def main(host, port, npz_path):
 
 asyncio.run(main(*sys.argv[1:]))
 """
+
+
+class TestWireOverload:
+    def test_burst_partitions_into_typed_outcomes(self, recognizer, workload):
+        """Zero silent drops: every offered utterance is either refused
+        with a typed AdmissionRejected or resolves to one typed status,
+        and every OK decode is the sequential one bit for bit.  How many
+        are shed (or miss the deadline) depends on the host's speed and
+        is deliberately not asserted — only the partition is."""
+        features, baselines = workload
+        offered = features * 2
+        assert len(offered) > 4 + 4 + 4  # lanes + backlog + queue below
+
+        async def scenario():
+            rejected = 0
+            accepted = []
+            async with Server(
+                recognizer,
+                num_workers=2,
+                max_lanes=2,
+                max_queue=4,
+                worker_backlog="auto",
+                use_processes=True,
+            ) as server:
+                async with WireServer(server) as wire:
+                    async with await ServeClient.connect(
+                        wire.host, wire.port, client="burst"
+                    ) as client:
+                        for i, f in enumerate(offered):
+                            try:
+                                ticket = await client.submit(f, deadline_s=0.5)
+                            except AdmissionRejected:
+                                rejected += 1
+                            else:
+                                accepted.append((i, ticket))
+                        results = [
+                            (i, await asyncio.wait_for(t.result(), timeout=60))
+                            for i, t in accepted
+                        ]
+                    return rejected, results, server.metrics()
+
+        rejected, results, metrics = asyncio.run(scenario())
+        assert len(results) + rejected == len(offered)
+        statuses = Counter(result.status for _, result in results)
+        for i, result in results:
+            if result.ok:
+                base = baselines[i % len(baselines)]
+                assert result.words == base.words
+                assert result.score == base.score  # bit-exact
+        assert metrics.submitted == len(results)
+        assert metrics.rejections == rejected
+        assert metrics.completed == statuses[ServeStatus.OK]
+        assert metrics.timeouts == statuses[ServeStatus.TIMEOUT]
+        assert metrics.cancelled == statuses[ServeStatus.CANCELLED] == 0
+        assert metrics.errors == statuses[ServeStatus.ERROR] == 0
 
 
 class TestCrossProcessWire:

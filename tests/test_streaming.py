@@ -111,6 +111,19 @@ class TestStreaming:
         with pytest.raises(ValueError):
             StreamingRecognizer(recognizer, endpoint_silence_frames=0)
 
+    def test_non_finite_frame_rejected_without_consuming_it(self, task, recognizer):
+        utt = task.corpus.test[0]
+        streaming = StreamingRecognizer(recognizer)
+        for t, frame in enumerate(utt.features):
+            if t == 10:
+                bad = frame.copy()
+                bad[3] = np.nan
+                with pytest.raises(ValueError, match="frame 10.*finite"):
+                    streaming.feed(bad)
+            streaming.feed(frame)
+        assert streaming.frames_fed == utt.features.shape[0]
+        assert streaming.finalize().words == recognizer.decode(utt.features).words
+
 
 class TestStreamingOverTree:
     """The endpointer reads the network's silence-state mask, so the
