@@ -2,13 +2,12 @@
 
 The paper's SoC decodes one utterance in real time; a server built
 from the same architecture must keep up with many simultaneous audio
-streams.  This example decodes the tiny task's test set three ways —
-sequentially through :class:`Recognizer`, through its
-:class:`~repro.runtime.BatchRecognizer` twin, and as a ragged arrival
-stream through :class:`~repro.runtime.ContinuousBatchRecognizer`
-(lanes refilled from the waiting queue mid-decode) — and shows that
-every runtime produces *identical* words and path scores while
-sustaining several times the throughput.
+streams.  This example decodes the tiny task's test set three ways
+through ONE :class:`Recognizer` — sequentially (``decode``), as a
+fixed batch (``decode_batch``) and as a ragged arrival stream
+(``decode_stream``: lanes refilled from the waiting queue mid-decode) —
+and shows that every method produces *identical* words and path scores
+while sustaining several times the throughput.
 
 Run:  python examples/batch_throughput.py
 """
@@ -25,18 +24,17 @@ def main() -> None:
     rec = Recognizer.create(
         task.dictionary, task.pool, task.lm, task.tying, mode="reference"
     )
-    batch = rec.as_batch()
     features = [u.features for u in task.corpus.test]
 
     # Warm both paths, then time them.
     sequential = [rec.decode(f) for f in features]
-    batched = batch.decode_batch(features)
+    batched = rec.decode_batch(features)
 
     t0 = time.perf_counter()
     sequential = [rec.decode(f) for f in features]
     t_seq = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batched = batch.decode_batch(features)
+    batched = rec.decode_batch(features)
     t_batch = time.perf_counter() - t0
 
     print(f"\n{len(features)} utterances, batch size {len(features)}")
@@ -54,13 +52,12 @@ def main() -> None:
 
     # Continuous batching: a ragged arrival stream served with
     # mid-decode lane refill instead of draining to the longest lane.
-    cont = rec.as_continuous()
     ragged = [
         f[: max(5, f.shape[0] // (1 + i % 3))] for i, f in enumerate(features)
     ]
-    stream = cont.decode_stream(iter(ragged), max_lanes=4)
+    stream = rec.decode_stream(iter(ragged), max_lanes=4)
     chunks = [ragged[i : i + 4] for i in range(0, len(ragged), 4)]
-    drained = [batch.decode_batch(g) for g in chunks]
+    drained = [rec.decode_batch(g) for g in chunks]
     drain_steps = sum(d.steps for d in drained)
     drain_lanes = [lane for d in drained for lane in d.results]
     stream_ok = all(

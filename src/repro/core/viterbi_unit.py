@@ -312,7 +312,7 @@ class ViterbiUnit:
         )
 
     # ------------------------------------------------------------------
-    # Batched multi-utterance chain update (the BatchRecognizer path)
+    # Batched multi-utterance chain update (the flat LaneBank path)
     # ------------------------------------------------------------------
     def update_chain_bank(
         self,
@@ -335,11 +335,10 @@ class ViterbiUnit:
         that utterance alone.  Cycles/transitions account for the whole
         bank (B x S states per frame).
 
-        Both batched runtimes lean on this: a drained batch keeps
-        retired lanes as all-``LOG_ZERO`` rows, and the continuous
-        runtime swaps a row's CONTENT at lane refill — neither changes
-        ``B``, so the tiled-constant cache below persists for the whole
-        decode.
+        The lane bank leans on this: a retired lane stays an
+        all-``LOG_ZERO`` row and a refill swaps a row's CONTENT —
+        neither changes ``B``, so the tiled-constant cache below
+        persists until the bank compacts.
 
         Returns a :class:`ChainUpdateResult` whose ``delta`` and
         ``backpointer`` are reshaped back to ``(B, S)``.

@@ -2,8 +2,8 @@
 
 The search engine is the lane bank of :mod:`repro.runtime`; this
 package holds the networks, the per-lane kernels, the fast-GMM model,
-the result types and the sequential/streaming facades over a 1-lane
-bank.
+the result types, the one recognizer class that drives the bank at
+every width and the streaming facade over its 1-lane stage.
 """
 
 from repro.decoder.beam import BeamConfig, apply_beam
@@ -26,7 +26,11 @@ from repro.decoder.lattice_tools import (
 from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.network import FlatLexiconNetwork
 from repro.decoder.phone_decode import PhoneDecodeStage
-from repro.decoder.recognizer import RecognitionResult, Recognizer
+from repro.decoder.recognizer import (
+    BatchDecodeResult,
+    RecognitionResult,
+    Recognizer,
+)
 from repro.decoder.scorer import ScoringStats
 from repro.decoder.streaming import StreamingEvent, StreamingRecognizer
 from repro.decoder.viterbi import ViterbiResult, viterbi_decode, viterbi_score
@@ -35,6 +39,7 @@ from repro.decoder.word_decode import DecoderConfig, FrameStats, WordDecodeStage
 __all__ = [
     "Recognizer",
     "RecognitionResult",
+    "BatchDecodeResult",
     "DecoderConfig",
     "FrameStats",
     "WordDecodeStage",

@@ -1,13 +1,15 @@
-"""The end-to-end recognizer facade.
+"""The end-to-end recognizer.
 
 Wires the stages of Figure 1 together — phone decode (senone scoring),
 word decode (token passing + lattice) and global best path search —
-over a chosen scoring backend.  There is ONE search engine: the lane
-bank of :mod:`repro.runtime.batch` / :mod:`repro.runtime.lextree`
-scoring through the pooled backends of :mod:`repro.runtime.scoring`.
-:meth:`Recognizer.decode` drives a persistent 1-lane bank frame by
-frame; the batched runtimes drive wider banks built by the same
-:meth:`RecognizerBase.make_bank` from the same models.  Modes:
+over a chosen scoring backend.  There is ONE recognizer class over ONE
+search engine: the lane bank of :mod:`repro.runtime.batch` /
+:mod:`repro.runtime.lextree` scoring through the pooled backends of
+:mod:`repro.runtime.scoring`.  :meth:`Recognizer.decode` drives a
+persistent 1-lane bank frame by frame; :meth:`Recognizer.decode_stream`
+(and :meth:`Recognizer.decode_batch`, a stream exactly as long as its
+lanes) and the serve loop step wider banks built by the same
+:meth:`Recognizer.make_bank` from the same models.  Modes:
 
 * ``mode="reference"`` — double-precision software decode (the paper's
   correctness baseline);
@@ -25,8 +27,11 @@ frame; the batched runtimes drive wider banks built by the same
   (symmetric per-row codes, ~1/7 the table bytes, drift within
   :data:`~repro.decoder.scorer.INT8_SCORE_ATOL`).
 
-The recognizer is reusable across utterances; per-utterance state is
-reset at each :meth:`Recognizer.decode`.
+The recognizer is reusable across utterances — per-decode state is
+reset at each ``decode*`` call — but runs ONE decode at a time: its
+scoring backend and hardware units are shared by every bank it builds.
+:meth:`Recognizer.twin` gives a second recognizer over the same models
+for anything that must run alongside (the server takes one per shard).
 
 :mod:`repro.runtime` imports this module for the result and validator
 types, so the runtime classes used here are imported where they are
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -59,20 +65,19 @@ from repro.obs.trace import Trace
 from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 
 __all__ = [
+    "BatchDecodeResult",
     "DecodeTiming",
     "Recognizer",
-    "RecognizerBase",
     "RecognitionResult",
     "SUPPORTED_NETWORKS",
     "build_network",
-    "network_kind_of",
-    "resolve_storage_pool",
-    "validate_decoder_models",
     "validate_precision",
     "validate_utterance_features",
 ]
 
-#: The lexicon-network families every decoder front end can search:
+_QUEUE_END = object()  # exhaustion sentinel; None in the queue must still error
+
+#: The lexicon-network families the recognizer can search:
 #: ``"flat"`` (one HMM chain per word) and ``"tree"`` (the shared
 #: prefix tree, the paper's large-vocabulary path).
 SUPPORTED_NETWORKS = ("flat", "tree")
@@ -89,10 +94,9 @@ def build_network(
 ) -> AnyLexiconNetwork:
     """Compile the dictionary into the chosen network family.
 
-    The single ``network=`` validator behind ``Recognizer.create`` and
-    ``BatchRecognizer.create``, mirroring the ``SUPPORTED_MODES``
-    contract: unknown values raise a :class:`ValueError` naming the
-    supported networks.
+    The single ``network=`` validator behind ``Recognizer.create``,
+    mirroring the ``SUPPORTED_MODES`` contract: unknown values raise a
+    :class:`ValueError` naming the supported networks.
     """
     if network not in SUPPORTED_NETWORKS:
         supported = ", ".join(repr(n) for n in SUPPORTED_NETWORKS)
@@ -104,11 +108,6 @@ def build_network(
     return FlatLexiconNetwork.build(dictionary, tying, topology)
 
 
-def network_kind_of(network: AnyLexiconNetwork) -> str:
-    """The ``network=`` axis value a compiled network belongs to."""
-    return "tree" if isinstance(network, TreeLexiconNetwork) else "flat"
-
-
 def validate_precision(mode: str, precision: str) -> None:
     """Reject precision/mode combinations no backend implements.
 
@@ -116,8 +115,8 @@ def validate_precision(mode: str, precision: str) -> None:
     (:data:`~repro.hmm.senone.BLAS_PRECISIONS`), so it only has meaning
     in ``mode="blas"``; asking any other backend for float32/int8
     tables would be silently ignored — error out instead.  Shared by
-    the sequential and batched recognizers so the accepted surface
-    cannot drift apart.
+    construction and the serve loop's brownout swap
+    (:meth:`Recognizer.set_precision`).
     """
     if precision not in BLAS_PRECISIONS:
         supported = ", ".join(repr(p) for p in BLAS_PRECISIONS)
@@ -134,12 +133,11 @@ def validate_precision(mode: str, precision: str) -> None:
 def validate_utterance_features(
     dim: int, index: int | None, features: np.ndarray
 ) -> np.ndarray:
-    """One utterance's features as the ``(T, dim)`` float64 every
-    decoder front end expects — the single validator behind the
-    sequential recognizer, the batched runtimes, the serve loop and
-    the server's submit, so the accepted shape rules cannot drift
-    apart.  ``index`` labels the utterance in multi-utterance error
-    messages (None for a lone decode)."""
+    """One utterance's features as the ``(T, dim)`` float64 the lane
+    bank expects — the single validator behind every ``decode*``
+    method, the serve loop and the server's submit, so the accepted
+    shape rules cannot drift apart.  ``index`` labels the utterance in
+    multi-utterance error messages (None for a lone decode)."""
     prefix = "" if index is None else f"utterance {index}: "
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != dim:
@@ -156,35 +154,6 @@ def validate_utterance_features(
     return f
 
 
-def resolve_storage_pool(pool: SenonePool, storage_format: FloatFormat) -> SenonePool:
-    """The pool as stored in flash (quantized when narrow).
-
-    Shared by the sequential and batched recognizers so both always
-    score through the same stored bits.
-    """
-    if storage_format.mantissa_bits == 23:
-        return pool
-    return pool.quantized(storage_format)
-
-
-def validate_decoder_models(
-    network: AnyLexiconNetwork, pool: SenonePool, lm: NGramModel
-) -> None:
-    """The invariants every decoder front end relies on."""
-    if not isinstance(network, AnyLexiconNetwork):
-        raise TypeError(
-            "network must be a FlatLexiconNetwork or TreeLexiconNetwork, "
-            f"got {type(network).__name__}"
-        )
-    if pool.num_senones != network.num_senones:
-        raise ValueError(
-            f"pool has {pool.num_senones} senones, network expects "
-            f"{network.num_senones}"
-        )
-    if tuple(lm.vocabulary.words()) != tuple(network.words):
-        raise ValueError("LM vocabulary order must match network words")
-
-
 @dataclass(frozen=True)
 class DecodeTiming:
     """Wall-clock milestones of one utterance's decode.
@@ -195,8 +164,8 @@ class DecodeTiming:
     is when the utterance entered a waiting queue (for a sequential
     decode it equals ``admitted_at``), ``admitted_at`` is when a lane
     started decoding it, ``finished_at`` when its result was packaged.
-    Populated by all three runtimes, so serving metrics (queue wait,
-    decode latency, real-time factor) need no side tables.
+    Populated by the lane bank at retirement, so serving metrics
+    (queue wait, decode latency, real-time factor) need no side tables.
     """
 
     enqueued_at: float
@@ -280,12 +249,69 @@ class RecognitionResult:
         return float(np.mean([s.active_states for s in self.frame_stats]))
 
 
-class RecognizerBase:
-    """What every decoder front end is built on: the compiled network,
-    the models, the scoring backend chosen by ``mode`` and the lane-bank
-    factory over them.  The one place ``mode`` is validated and turned
-    into a backend, for :class:`Recognizer` and the batched runtimes
-    alike.
+@dataclass
+class BatchDecodeResult:
+    """One multi-utterance decode: per-utterance results plus the
+    schedule and the pooled accounting.
+
+    ``results`` is in submission order; ``lane_of``/``admit_steps``
+    record which lane served each utterance and at which
+    frame-synchronous step it was admitted — inspection only, with no
+    bearing on any utterance's decode output.
+    """
+
+    results: list[RecognitionResult]
+    frames_processed: int  # real frames decoded across all utterances
+    steps: int  # frame-synchronous steps taken
+    max_lanes: int  # lanes the bank was built with
+    lane_of: list[int]
+    admit_steps: list[int]
+    op_unit_activities: list[dict[str, float]] | None = None
+    viterbi_activity: dict[str, float] | None = None
+    frame_critical_cycles: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __getitem__(self, index: int) -> RecognitionResult:
+        return self.results[index]
+
+    @property
+    def words(self) -> list[tuple[str, ...]]:
+        return [r.words for r in self.results]
+
+    @property
+    def audio_seconds(self) -> float:
+        """Audio decoded, from each utterance's TRUE length."""
+        return float(sum(r.audio_seconds for r in self.results))
+
+    @property
+    def utilization(self) -> float:
+        """Fraction of lane-steps that decoded a real frame.
+
+        Over the bank's ``max_lanes``: ``1.0`` means the datapath never
+        idled.  A fixed batch of ragged lengths sits below that (short
+        lanes finish early and nothing refills them); with a queue
+        deeper than the lanes it approaches 1.0 — the whole point of
+        refilling lanes mid-decode.
+        """
+        slots = self.steps * self.max_lanes
+        return self.frames_processed / slots if slots else 0.0
+
+
+class Recognizer:
+    """The staged decoder over one compiled network (see module
+    docstring): the one place ``mode``, ``precision`` and the models
+    are validated and turned into a scoring backend, and the one bank
+    factory, for single utterances, batches, streams and the serve
+    loop alike.
+
+    ``fast_model`` shares an already-built fast-GMM model (pass
+    ``tying`` for CI selection and ``fast_config`` for the layer
+    thresholds otherwise).
     """
 
     SUPPORTED_MODES = ("reference", "hardware", "fast", "blas")
@@ -296,15 +322,15 @@ class RecognizerBase:
         network: AnyLexiconNetwork,
         pool: SenonePool,
         lm: NGramModel,
-        config: DecoderConfig | None,
-        mode: str,
-        storage_format: FloatFormat,
-        num_unit_pairs: int,
-        frame_period_s: float,
-        tying: SenoneTying | None,
-        fast_config: FastGmmConfig | None,
-        fast_model: FastGmmModel | None,
-        precision: str,
+        config: DecoderConfig | None = None,
+        mode: str = "reference",
+        storage_format: FloatFormat = IEEE_SINGLE,
+        num_unit_pairs: int = 2,
+        tying: SenoneTying | None = None,
+        fast_config: FastGmmConfig | None = None,
+        frame_period_s: float = 0.010,
+        precision: str = "float64",
+        fast_model: FastGmmModel | None = None,
     ) -> None:
         from repro.runtime.scoring import (
             BatchBlasScorer,
@@ -319,13 +345,26 @@ class RecognizerBase:
                 f"unknown mode {mode!r}; supported modes: {supported}"
             )
         validate_precision(mode, precision)
-        validate_decoder_models(network, pool, lm)
+        if not isinstance(network, AnyLexiconNetwork):
+            raise TypeError(
+                "network must be a FlatLexiconNetwork or TreeLexiconNetwork, "
+                f"got {type(network).__name__}"
+            )
+        if pool.num_senones != network.num_senones:
+            raise ValueError(
+                f"pool has {pool.num_senones} senones, network expects "
+                f"{network.num_senones}"
+            )
+        if tuple(lm.vocabulary.words()) != tuple(network.words):
+            raise ValueError("LM vocabulary order must match network words")
         if config is not None and not isinstance(config, DecoderConfig):
             raise TypeError(
                 f"config must be a DecoderConfig, got {type(config).__name__}"
             )
         self.network = network
-        self.network_kind = network_kind_of(network)
+        self.network_kind = (
+            "tree" if isinstance(network, TreeLexiconNetwork) else "flat"
+        )
         self.pool = pool
         self.lm = lm
         self.mode = mode
@@ -336,6 +375,12 @@ class RecognizerBase:
         self.precision = precision
         self.op_units: list[OpUnit] = []
         self.viterbi_unit: ViterbiUnit | None = None
+
+        def stored() -> SenonePool:
+            """The pool as stored in flash (quantized when narrow)."""
+            if storage_format.mantissa_bits == 23:
+                return pool
+            return pool.quantized(storage_format)
 
         if mode == "hardware":
             if num_unit_pairs < 1:
@@ -348,20 +393,32 @@ class RecognizerBase:
         elif mode == "fast":
             self.scorer = BatchFastGmmScorer(
                 fast_model
-                or FastGmmModel(
-                    resolve_storage_pool(pool, storage_format),
-                    tying=tying,
-                    config=fast_config,
-                )
+                or FastGmmModel(stored(), tying=tying, config=fast_config)
             )
         elif mode == "blas":
-            self.scorer = BatchBlasScorer(
-                resolve_storage_pool(pool, storage_format), precision=precision
-            )
+            self.scorer = BatchBlasScorer(stored(), precision=precision)
         else:
-            self.scorer = BatchReferenceScorer(
-                resolve_storage_pool(pool, storage_format)
-            )
+            self.scorer = BatchReferenceScorer(stored())
+        self.phone_stage = PhoneDecodeStage(self.scorer)
+        self.word_stage = WordDecodeStage(self)
+
+    def set_precision(self, precision: str) -> bool:
+        """Swap the blas scoring tables to ``precision``; True if changed.
+
+        The brownout control of the serve loop.  Safe between the steps
+        of a running bank because the blas scorer keeps no per-lane
+        state — but a bank holds a direct scorer reference, so its
+        driver must re-point ``bank.scorer`` at :attr:`scorer`
+        afterwards.  Other modes have no precision axis and ignore the
+        call.
+        """
+        if self.mode != "blas" or precision == self.precision:
+            return False
+        validate_precision(self.mode, precision)
+        self.precision = precision
+        self.scorer = type(self.scorer)(self.scorer.pool, precision=precision)
+        self.phone_stage.scorer = self.scorer
+        return True
 
     @classmethod
     def create(
@@ -383,15 +440,43 @@ class RecognizerBase:
         net = build_network(network, dictionary, tying, topology)
         return cls(network=net, pool=pool, lm=lm, tying=tying, **kwargs)
 
+    def twin(self) -> "Recognizer":
+        """A second recognizer over the SAME models, with its own
+        scoring state.
+
+        Shares the compiled network, pool, LM and — in fast mode — this
+        recognizer's OWN :class:`~repro.decoder.fast_gmm.FastGmmModel`
+        (the VQ codebook is clustered once and both score through
+        identical shortlists and CI maps, a prerequisite for
+        bit-identical outputs); owns its scorer, hardware units and
+        1-lane stage.  A recognizer runs one decode at a time, so
+        whatever must decode alongside this one (each server shard, a
+        stream beside a live ``StreamingRecognizer``) takes a twin.
+        """
+        return Recognizer(
+            network=self.network,
+            pool=self.pool,
+            lm=self.lm,
+            config=self.config,
+            mode=self.mode,
+            storage_format=self.storage_format,
+            num_unit_pairs=max(len(self.op_units), 1),
+            tying=self.tying,
+            frame_period_s=self.frame_period_s,
+            precision=self.precision,
+            fast_model=self.scorer.model if self.mode == "fast" else None,
+        )
+
+    # The frozen perf harness (benchmarks/perf/workloads.py) calls it.
+    as_continuous = twin
+
     def make_bank(self, num_lanes: int):
         """A lane bank matched to this recognizer's network family.
 
-        The single bank factory behind :meth:`Recognizer.decode`,
-        :meth:`~repro.runtime.batch.BatchRecognizer.decode_batch`,
-        :meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`
-        and the serve loop, so every runtime picks up the tree token
-        bank automatically when the recognizer was built with
-        ``network="tree"``.
+        The single bank factory behind :meth:`decode`,
+        :meth:`decode_batch`, :meth:`decode_stream` and the serve loop,
+        so every driver picks up the tree token bank automatically when
+        the recognizer was built with ``network="tree"``.
         """
         if self.network_kind == "tree":
             from repro.runtime.lextree import TreeLaneBank
@@ -429,56 +514,6 @@ class RecognizerBase:
             ),
         }
 
-
-class Recognizer(RecognizerBase):
-    """Facade over the staged decoder (see module docstring)."""
-
-    def __init__(
-        self,
-        network: AnyLexiconNetwork,
-        pool: SenonePool,
-        lm: NGramModel,
-        config: DecoderConfig | None = None,
-        mode: str = "reference",
-        storage_format: FloatFormat = IEEE_SINGLE,
-        num_unit_pairs: int = 2,
-        tying: SenoneTying | None = None,
-        fast_config: FastGmmConfig | None = None,
-        frame_period_s: float = 0.010,
-        precision: str = "float64",
-    ) -> None:
-        super().__init__(
-            network, pool, lm, config, mode, storage_format, num_unit_pairs,
-            frame_period_s, tying, fast_config, None, precision,
-        )
-        self.phone_stage = PhoneDecodeStage(self.scorer)
-        self.word_stage = WordDecodeStage(self)
-
-    # ------------------------------------------------------------------
-    def as_batch(self):
-        """A :class:`~repro.runtime.BatchRecognizer` twin of this decoder.
-
-        Shares the compiled network and models (including the fast-GMM
-        model in fast mode); decodes B utterances frame-synchronously,
-        each output independent of the batch it rode in.
-        """
-        from repro.runtime.batch import BatchRecognizer
-
-        return BatchRecognizer.from_recognizer(self)
-
-    def as_continuous(self):
-        """A continuous-batching twin of this decoder.
-
-        Shares the compiled network and models (including the fast-GMM
-        model in fast mode); serves an utterance queue with mid-decode
-        lane refill
-        (:meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`),
-        each output independent of arrival order and lane count.
-        """
-        from repro.runtime.continuous import ContinuousBatchRecognizer
-
-        return ContinuousBatchRecognizer.from_recognizer(self)
-
     # ------------------------------------------------------------------
     def decode(self, features: np.ndarray) -> RecognitionResult:
         """Recognize one utterance from its feature matrix (T, L)."""
@@ -496,3 +531,102 @@ class Recognizer(RecognizerBase):
         )
         result = self.word_stage.bank.package(0, best)
         return dataclasses.replace(result, **self._pooled_accounting())
+
+    def decode_batch(self, features: list[np.ndarray]) -> BatchDecodeResult:
+        """Decode ``B`` utterances frame-synchronously, one lane each.
+
+        ``features`` holds one ``(T_b, L)`` matrix per utterance;
+        lengths may be ragged.  A fixed batch is a stream exactly as
+        long as its lanes — ``decode_stream(features,
+        max_lanes=len(features))`` — so ``steps`` is the longest
+        utterance and nothing is refilled.  Once the short lanes retire
+        the bank compacts to the lanes still decoding, so the pooled
+        hardware accounting (``viterbi_activity``) charges the Viterbi
+        unit for the lanes that exist at each step, not for
+        ``len(features)`` rows throughout.
+        """
+        if not features:
+            raise ValueError("cannot decode an empty batch")
+        return self.decode_stream(features, max_lanes=len(features))
+
+    def decode_stream(
+        self,
+        features: Iterable[np.ndarray],
+        max_lanes: int = 8,
+    ) -> BatchDecodeResult:
+        """Decode a stream of utterances with continuous lane refill.
+
+        ``features`` is any iterable of ``(T, L)`` feature matrices —
+        a list, or a lazy generator acting as the waiting queue; it is
+        consumed exactly as lanes free up.  ``max_lanes`` bounds the
+        number of simultaneously decoding utterances (the stacked
+        state's ``B``).
+
+        FIFO admission: the first ``max_lanes`` utterances are admitted
+        at step 0; every retirement immediately pulls the next one into
+        the freed lane (its frame 0 is processed on the very next
+        step), so with enough waiting work every step advances
+        ``max_lanes`` real frames.  Once the queue is DRAINED a freed
+        lane can never be refilled, so the bank compacts to its
+        occupied lanes instead of stepping dead rows through the tail.
+
+        The scheduler only decides WHEN a lane is (re)seeded; every
+        per-frame operation is the bank's, per-lane scorer state is
+        reset through the backend lifecycle hooks at every reseed.
+        Results come back in submission order and each utterance's
+        words, path score, frame statistics and fast-GMM work counters
+        are bit-identical to :meth:`decode` (blas: words identical,
+        scores within tolerance) for any arrival order and any
+        ``max_lanes`` — enforced by ``tests/test_golden_parity.py``.
+        """
+        if max_lanes < 1:
+            raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
+        queue = iter(features)
+
+        # Seed up to max_lanes utterances; a stream shorter than the
+        # lane budget gets a bank its own size (no dead lanes).
+        first: list[np.ndarray] = []
+        for raw in queue:
+            first.append(self._validate_features(len(first), raw))
+            if len(first) == max_lanes:
+                break
+        if not first:
+            raise ValueError("cannot decode an empty stream")
+
+        self._reset_accounting()
+        bank = self.make_bank(len(first))
+        for lane, f in enumerate(first):
+            bank.admit(lane, lane, f)
+        admitted = len(first)
+        lane_of = list(range(admitted))
+        admit_steps = [0] * admitted
+
+        finished: dict[int, RecognitionResult] = {}
+        drained = False
+        while bank.any_active:
+            retired = False
+            for lane in bank.step():
+                utt = int(bank.lane_utt[lane])
+                finished[utt] = bank.retire(lane)
+                retired = True
+                nxt = next(queue, _QUEUE_END)
+                if nxt is _QUEUE_END:
+                    drained = True
+                else:
+                    bank.admit(lane, admitted, self._validate_features(admitted, nxt))
+                    lane_of.append(lane)
+                    admit_steps.append(bank.steps)
+                    admitted += 1
+            # lane_of/admit_steps keep the PRE-compaction lane ids.
+            if drained and retired and bank.any_active:
+                bank.compact()
+
+        return BatchDecodeResult(
+            results=[finished[i] for i in range(admitted)],
+            frames_processed=bank.frames_processed,
+            steps=bank.steps,
+            max_lanes=len(first),
+            lane_of=lane_of,
+            admit_steps=admit_steps,
+            **self._pooled_accounting(),
+        )

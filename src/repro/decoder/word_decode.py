@@ -325,7 +325,7 @@ class WordDecodeStage:
     """The word decode stage of one audio stream, a frame at a time.
 
     A view of a persistent 1-lane bank
-    (:meth:`~repro.decoder.recognizer.RecognizerBase.make_bank` picks
+    (:meth:`~repro.decoder.recognizer.Recognizer.make_bank` picks
     the flat or the tree bank), for the callers that hand in frames as
     they arrive: :meth:`~repro.decoder.recognizer.Recognizer.decode`
     and :class:`~repro.decoder.streaming.StreamingRecognizer`.  The

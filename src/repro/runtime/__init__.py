@@ -3,31 +3,28 @@
 Scales the single-microphone architecture of the paper to many
 simultaneous audio streams — and IS the search engine of the
 single-stream case too (``Recognizer.decode`` feeds a 1-lane bank).
-Two runtimes share one lane engine
-(stacked ``(B, S)`` state, one pooled senone evaluation and one
-bank-wide token update per step) with one bank per lexicon family:
-:class:`~repro.runtime.batch.LaneBank` over the flat per-word network
-and :class:`~repro.runtime.lextree.TreeLaneBank` over the lexicon
-prefix tree (``network="tree"`` — the large-vocabulary dictation
-path), both built through
-:meth:`~repro.runtime.batch.BatchRecognizer.make_bank`:
+One lane engine (stacked ``(B, S)`` state, one pooled senone
+evaluation and one bank-wide token update per step) with one bank per
+lexicon family: :class:`~repro.runtime.batch.LaneBank` over the flat
+per-word network and :class:`~repro.runtime.lextree.TreeLaneBank` over
+the lexicon prefix tree (``network="tree"`` — the large-vocabulary
+dictation path), both built through
+:meth:`~repro.decoder.recognizer.Recognizer.make_bank`.
 
-* :class:`BatchRecognizer` (:mod:`repro.runtime.batch`) decodes a
-  fixed batch drain-to-longest: all lanes are admitted up front and
-  the bank is stepped until the longest utterance finishes.
-* :class:`ContinuousBatchRecognizer` (:mod:`repro.runtime.continuous`)
-  serves a waiting queue with continuous batching: the moment a lane's
-  utterance finalizes, the next queued utterance is admitted into that
-  lane, so ragged lengths never idle the datapath.
-
-Both produce per-utterance outputs bit-identical to the 1-lane
+The offline driver is
+:meth:`~repro.decoder.recognizer.Recognizer.decode_stream`: it serves a
+waiting queue with continuous batching — the moment a lane's utterance
+finalizes, the next queued utterance is admitted into that lane, so
+ragged lengths never idle the datapath (``decode_batch`` is the same
+loop over a queue exactly as long as its lanes).  Per-utterance outputs
+are bit-identical to the 1-lane
 :meth:`~repro.decoder.recognizer.Recognizer.decode` in reference,
 hardware and fast modes (see ``tests/test_golden_parity.py`` and
 ``tests/test_runtime_fast.py``); the matmul-form ``blas`` mode is
 word-identical with rounding-tolerance scores
 (``tests/test_runtime_blas.py``).
 
-A third driver, :class:`~repro.runtime.serving.ServeLoop`
+The online driver, :class:`~repro.runtime.serving.ServeLoop`
 (:mod:`repro.runtime.serving`), bridges the pull-style lane engine to
 a PUSH-style command queue for the async front door
 (:mod:`repro.serve`): jobs arrive asynchronously, deadlines early-
@@ -35,17 +32,8 @@ retire lanes through :meth:`LaneBank.cancel`, and per-utterance events
 fire the moment each lane retires.
 """
 
-from repro.runtime.batch import (
-    BatchDecodeResult,
-    BatchRecognizer,
-    LaneBank,
-    LaneBankBase,
-)
+from repro.runtime.batch import LaneBank, LaneBankBase
 from repro.runtime.lextree import TreeLaneBank
-from repro.runtime.continuous import (
-    ContinuousBatchRecognizer,
-    ContinuousDecodeResult,
-)
 from repro.runtime.serving import (
     CancelJob,
     DecodeJob,
@@ -66,10 +54,6 @@ from repro.runtime.scoring import (
 )
 
 __all__ = [
-    "BatchRecognizer",
-    "BatchDecodeResult",
-    "ContinuousBatchRecognizer",
-    "ContinuousDecodeResult",
     "LaneBank",
     "LaneBankBase",
     "TreeLaneBank",

@@ -3,22 +3,17 @@
 The paper's architecture serves ONE microphone; the ROADMAP's north
 star is heavy traffic.  Both are the same engine at different widths:
 ``Recognizer.decode`` and ``StreamingRecognizer`` feed a 1-lane bank
-frame by frame, the batched runtimes step B lanes at once.  This
-module holds the lane engine and the first runtime built on it:
-
-* :class:`LaneBank` owns the stacked per-lane decode state — the
-  word-decode arrays (``delta``, ``payload``, ``entry_frame``) stacked
-  into ``(B, S)`` banks, per-lane pending word entries, lattices and
-  statistics — and the lane *lifecycle*: :meth:`LaneBank.admit` seeds a
-  free lane with a fresh utterance, :meth:`LaneBank.step` advances every
-  occupied lane by one frame (ONE pooled GMM evaluation, ONE chain
-  update, ONE row-wise beam pass for the whole bank), and
-  :meth:`LaneBank.retire` finalizes a finished lane and frees it.
-* :class:`BatchRecognizer` is the drain-to-longest runtime: it admits a
-  full batch up front and steps until every lane retires.  The
-  continuous-batching runtime (:mod:`repro.runtime.continuous`) drives
-  the SAME bank but refills retired lanes from a waiting queue
-  mid-decode.
+frame by frame, ``Recognizer.decode_stream`` (``decode_batch`` is a
+stream as long as its lanes) and the serve loop step B lanes at once,
+refilling retired lanes from a waiting queue mid-decode.
+:class:`LaneBank` owns the stacked per-lane decode state — the
+word-decode arrays (``delta``, ``payload``, ``entry_frame``) stacked
+into ``(B, S)`` banks, per-lane pending word entries, lattices and
+statistics — and the lane *lifecycle*: :meth:`LaneBank.admit` seeds a
+free lane with a fresh utterance, :meth:`LaneBank.step` advances every
+occupied lane by one frame (ONE pooled GMM evaluation, ONE chain
+update, ONE row-wise beam pass for the whole bank), and
+:meth:`LaneBank.retire` finalizes a finished lane and frees it.
 
 Everything per-lane — lattices, word exits, LM-weighted pending
 entries, per-frame statistics — runs through the per-lane kernels of
@@ -43,7 +38,6 @@ record.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,17 +46,9 @@ from repro.core.viterbi_unit import BP_FORWARD, BP_SELF
 from repro.decoder.beam import apply_beam_batch, make_beam_scratch
 from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.lattice import WordLattice
-from repro.decoder.recognizer import (
-    AnyLexiconNetwork,
-    DecodeTiming,
-    RecognitionResult,
-    Recognizer,
-    RecognizerBase,
-)
-from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel
+from repro.decoder.recognizer import DecodeTiming, RecognitionResult, Recognizer
 from repro.decoder.scorer import ScoringStats
 from repro.decoder.word_decode import (
-    DecoderConfig,
     FrameStats,
     chain_update_reference,
     compute_pending_entries,
@@ -70,57 +56,12 @@ from repro.decoder.word_decode import (
     prime_entries,
     record_exits,
 )
-from repro.hmm.senone import SenonePool
-from repro.lexicon.triphone import SenoneTying
-from repro.lm.ngram import NGramModel
 from repro.obs.telemetry import DecodeTelemetry
-from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 
-__all__ = ["BatchRecognizer", "BatchDecodeResult", "LaneBank", "LaneBankBase"]
+__all__ = ["LaneBank", "LaneBankBase"]
 
 LOG_ZERO = -1.0e30
 _DEAD = LOG_ZERO / 2
-
-
-@dataclass
-class BatchDecodeResult:
-    """One batched decode: per-utterance results plus pooled accounting."""
-
-    results: list[RecognitionResult]
-    frames_processed: int  # real (non-padding) frames across the batch
-    steps: int  # frame-synchronous steps taken (= longest utterance)
-    op_unit_activities: list[dict[str, float]] | None = None
-    viterbi_activity: dict[str, float] | None = None
-    frame_critical_cycles: list[int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, index: int) -> RecognitionResult:
-        return self.results[index]
-
-    @property
-    def words(self) -> list[tuple[str, ...]]:
-        return [r.words for r in self.results]
-
-    @property
-    def audio_seconds(self) -> float:
-        """Audio decoded, from each lane's TRUE length (never padding)."""
-        return float(sum(r.audio_seconds for r in self.results))
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of lane-steps that decoded a real frame.
-
-        ``1.0`` means the datapath never idled; drain-to-longest
-        batches of ragged lengths sit below that, which is exactly the
-        gap continuous batching closes.
-        """
-        slots = self.steps * len(self.results)
-        return self.frames_processed / slots if slots else 0.0
 
 
 class LaneBankBase:
@@ -131,13 +72,13 @@ class LaneBankBase:
     :class:`~repro.runtime.lextree.TreeLaneBank` the lexical-tree token
     bank — through the ``_alloc_state``/``_advance``/... hooks below.
     Everything lane-lifecycle (occupancy, per-lane frame counters,
-    feature gather/preload, lattices, statistics, scorer lifecycle
-    hooks, result packaging) lives here and is identical for both, so
-    the continuous runtime and the serve loop drive either bank
-    through one interface.
+    feature gather, lattices, statistics, scorer lifecycle hooks,
+    result packaging) lives here and is identical for both, so
+    ``decode_stream`` and the serve loop drive either bank through one
+    interface.
     """
 
-    def __init__(self, recognizer: RecognizerBase, num_lanes: int) -> None:
+    def __init__(self, recognizer: Recognizer, num_lanes: int) -> None:
         if num_lanes < 1:
             raise ValueError(f"need at least one lane, got {num_lanes}")
         self.recognizer = recognizer
@@ -175,7 +116,6 @@ class LaneBankBase:
 
         self._alloc_state()
         self._alloc_scratch()
-        self._padded: np.ndarray | None = None
 
         self.steps = 0
         self.frames_processed = 0
@@ -269,29 +209,6 @@ class LaneBankBase:
         )
         self._lane_marks[lane] = self._observability_mark()
         self.active[lane] = True
-        if self.steps > 0:
-            self._padded = None  # a mid-decode refill breaks step alignment
-
-    def preload_observations(self) -> None:
-        """Pre-gather every admitted lane's frames into one padded bank.
-
-        Only valid while all lanes are step-aligned (admitted before
-        the first step, as :meth:`BatchRecognizer.decode_batch` does) —
-        then the bank's slice at the global step IS each lane's own
-        frame, and the per-step gather loop disappears.  Rows past a
-        lane's length stay zero; nothing ever reads them, exactly like
-        the stale rows the gather path leaves for retired lanes.  Any
-        later mid-decode admission invalidates the preload.
-        """
-        if self.steps > 0:
-            raise RuntimeError("preload only valid before the first step")
-        t_max = int(self.lane_len.max())
-        padded = np.zeros((t_max, self.num_lanes, self._obs_block.shape[1]))
-        for b in np.flatnonzero(self.active):
-            feats = self.lane_feats[b]
-            assert feats is not None
-            padded[: feats.shape[0], b] = feats
-        self._padded = padded
 
     # ------------------------------------------------------------------
     def step(self, frames: np.ndarray | None = None) -> list[int]:
@@ -329,8 +246,6 @@ class LaneBankBase:
                 )
             obs_block = frames
             self.lane_len[lanes] = self.lane_t[lanes] + 1
-        elif self._padded is not None:
-            obs_block = self._padded[self.steps]
         else:
             obs_block = self._obs_block
             for b in lane_list:
@@ -399,7 +314,7 @@ class LaneBankBase:
         The global best-path search is the one stage of a decode that
         runs outside the bank's frame loop, so each driver makes that
         call itself (``Recognizer.decode`` in its own module, the
-        banked runtimes through :meth:`retire`) and everything after it
+        wider banks' drivers through :meth:`retire`) and everything after it
         — result, timing, telemetry, freeing the lane — is shared here.
         """
         frames = self._finished_frames(lane)
@@ -501,7 +416,7 @@ class LaneBankBase:
     def compact(self) -> int:
         """Shrink the bank to its occupied lanes; returns the new size.
 
-        Called by the continuous runtime once the waiting queue is
+        Called by ``decode_stream`` once the waiting queue is
         drained, so the tail of a stream stops paying per-step
         vectorized work for lanes that can never be refilled.  Live
         lanes are relocated to the low rows (preserving relative
@@ -529,7 +444,6 @@ class LaneBankBase:
         self._lane_marks = [self._lane_marks[b] for b in keep_list]
         self.num_lanes = n
         self._alloc_scratch()
-        self._padded = None  # preload indexing assumed the old width
         self.scorer.compact_lanes(keep_list)
         return n
 
@@ -537,15 +451,12 @@ class LaneBankBase:
 class LaneBank(LaneBankBase):
     """Stacked ``(B, S)`` decode state over the FLAT lexicon network.
 
-    One bank drives both runtimes: :class:`BatchRecognizer` admits a
-    full batch up front and drains it, while
-    :class:`~repro.runtime.continuous.ContinuousBatchRecognizer`
-    refills retired lanes mid-decode.  All per-frame math is
-    elementwise or a per-row reduction over the stacked state, and all
-    per-lane bookkeeping (entry frames, lattice exits, statistics) is
-    indexed by the lane's own frame counter, so each lane's outputs are
-    bit-identical to a 1-lane decode of the same features no matter
-    when the lane was (re)admitted or what its neighbours do.
+    All per-frame math is elementwise or a per-row reduction over the
+    stacked state, and all per-lane bookkeeping (entry frames, lattice
+    exits, statistics) is indexed by the lane's own frame counter, so
+    each lane's outputs are bit-identical to a 1-lane decode of the
+    same features no matter when the lane was (re)admitted or what its
+    neighbours do.
     """
 
     def _bank_dtype(self) -> np.dtype:
@@ -750,99 +661,3 @@ class LaneBank(LaneBankBase):
         self.stage_exit_s += time.perf_counter() - t2
 
         return n_active, scored_counts, exit_counts
-
-
-class BatchRecognizer(RecognizerBase):
-    """Decode batches of utterances against one compiled lexicon.
-
-    Parameters mirror :class:`~repro.decoder.recognizer.Recognizer`
-    (modes, networks and precisions are validated in the shared
-    :class:`~repro.decoder.recognizer.RecognizerBase`); ``fast_model``
-    shares an already-built fast-GMM model (pass ``tying`` for CI
-    selection and ``fast_config`` for the layer thresholds otherwise).
-    The recognizer is reusable: each :meth:`decode_batch` call is an
-    independent batch, and an utterance's output does not depend on the
-    batch it rode in.
-    """
-
-    def __init__(
-        self,
-        network: AnyLexiconNetwork,
-        pool: SenonePool,
-        lm: NGramModel,
-        config: DecoderConfig | None = None,
-        mode: str = "reference",
-        storage_format: FloatFormat = IEEE_SINGLE,
-        num_unit_pairs: int = 2,
-        frame_period_s: float = 0.010,
-        tying: SenoneTying | None = None,
-        fast_config: FastGmmConfig | None = None,
-        fast_model: FastGmmModel | None = None,
-        precision: str = "float64",
-    ) -> None:
-        super().__init__(
-            network, pool, lm, config, mode, storage_format, num_unit_pairs,
-            frame_period_s, tying, fast_config, fast_model, precision,
-        )
-
-    @classmethod
-    def from_recognizer(cls, recognizer: Recognizer) -> "BatchRecognizer":
-        """A batched twin sharing a sequential recognizer's models.
-
-        In fast mode the twin shares the recognizer's OWN
-        :class:`~repro.decoder.fast_gmm.FastGmmModel`, so the VQ
-        codebook is clustered once and both decoders score through
-        identical shortlists and CI maps (a prerequisite for batch
-        outputs being bit-identical to the sequential ones).
-        """
-        fast_model = (
-            recognizer.scorer.model if recognizer.mode == "fast" else None
-        )
-        return cls(
-            network=recognizer.network,
-            pool=recognizer.pool,
-            lm=recognizer.lm,
-            config=recognizer.config,
-            mode=recognizer.mode,
-            storage_format=recognizer.storage_format,
-            num_unit_pairs=max(len(recognizer.op_units), 1),
-            frame_period_s=recognizer.frame_period_s,
-            tying=recognizer.tying,
-            fast_model=fast_model,
-            precision=recognizer.precision,
-        )
-
-    # ------------------------------------------------------------------
-    def decode_batch(self, features: list[np.ndarray]) -> BatchDecodeResult:
-        """Decode ``B`` utterances frame-synchronously (drain-to-longest).
-
-        ``features`` holds one ``(T_b, L)`` matrix per utterance;
-        lengths may be ragged.  Returns per-utterance
-        :class:`RecognitionResult` records (words, scores and
-        statistics independent of the batch) plus the batch-level
-        hardware accounting.  Every lane is admitted up front and the
-        bank is stepped until the longest utterance finishes; shorter
-        lanes sit retired (frozen at ``LOG_ZERO``) in the meantime — the
-        idle time
-        :class:`~repro.runtime.continuous.ContinuousBatchRecognizer`
-        reclaims.
-        """
-        if not features:
-            raise ValueError("cannot decode an empty batch")
-        feats = [self._validate_features(i, f) for i, f in enumerate(features)]
-        self._reset_accounting()
-        bank = self.make_bank(len(feats))
-        for lane, f in enumerate(feats):
-            bank.admit(lane, lane, f)
-        bank.preload_observations()  # all lanes step-aligned: no per-step gather
-        results: list[RecognitionResult | None] = [None] * len(feats)
-        while bank.any_active:
-            for lane in bank.step():
-                utt = int(bank.lane_utt[lane])
-                results[utt] = bank.retire(lane)
-        return BatchDecodeResult(
-            results=[r for r in results if r is not None],
-            frames_processed=bank.frames_processed,
-            steps=bank.steps,
-            **self._pooled_accounting(),
-        )

@@ -55,11 +55,11 @@ The lane lifecycle (admit/step/retire/cancel/compact, scorer
 admit/retire/compact hooks, per-lane frame counters and result
 packaging) is inherited from
 :class:`~repro.runtime.batch.LaneBankBase` unchanged, which is what
-lets :class:`~repro.runtime.batch.BatchRecognizer.decode_batch`,
-:meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`
-and the serve loop drive the tree through the same interface as the
-flat network (``tests/test_runtime_lextree.py`` pins all of it,
-including a seeded random lifecycle that hunts for stale rows).
+lets :meth:`~repro.decoder.recognizer.Recognizer.decode_stream` (and
+with it ``decode_batch``) and the serve loop drive the tree through
+the same interface as the flat network
+(``tests/test_runtime_lextree.py`` pins all of it, including a seeded
+random lifecycle that hunts for stale rows).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _child_csr(pred_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class TreeLaneBank(LaneBankBase):
     """Stacked ``(B, K)`` tree-token state with the shared lane lifecycle.
 
-    Built by :meth:`~repro.runtime.batch.BatchRecognizer.make_bank`
+    Built by :meth:`~repro.decoder.recognizer.Recognizer.make_bank`
     when the recognizer holds a
     :class:`~repro.decoder.lextree.TreeLexiconNetwork`; see the module
     docstring for the parity contract.

@@ -18,7 +18,8 @@ match the reference decode, but scores agree only to rounding
 Because each work item is self-contained, the pooled pass is also
 indifferent to WHICH lanes contribute items: drained batches, ragged
 retirement and continuous mid-decode refill
-(:mod:`repro.runtime.continuous`) all present the same contract — a
+(:meth:`~repro.decoder.recognizer.Recognizer.decode_stream`) all
+present the same contract — a
 row either has work items this step or contributes nothing — and a
 lane's scores never depend on its neighbours' occupancy.
 

@@ -1,6 +1,6 @@
 """Push-queue serving bridge over the lane engine.
 
-:meth:`~repro.runtime.continuous.ContinuousBatchRecognizer.decode_stream`
+:meth:`~repro.decoder.recognizer.Recognizer.decode_stream`
 is PULL-style: it consumes a lazy iterable and returns once the stream
 drains — the right shape for offline workloads, the wrong one for a
 server, where requests arrive asynchronously, carry deadlines, and can
@@ -24,7 +24,7 @@ forked worker process — :mod:`repro.serve` does both) that
 
 Parity: the loop only decides WHEN lanes are seeded and freed; every
 per-frame operation is the same :class:`~repro.runtime.batch.LaneBank`
-kernel the offline runtimes use, so completed utterances are
+kernel the offline drivers use, so completed utterances are
 bit-identical to a sequential decode (tolerance-scored in blas mode)
 for any arrival order, deadline pattern or cancellation interleaving.
 """
@@ -39,10 +39,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.decoder.recognizer import RecognitionResult
+from repro.decoder.recognizer import RecognitionResult, Recognizer
 from repro.obs.telemetry import DecodeTelemetry
 from repro.obs.trace import Trace, mint_trace_id
-from repro.runtime.batch import BatchRecognizer
 
 __all__ = [
     "STOP",
@@ -247,15 +246,12 @@ class ServeLoop:
     Parameters
     ----------
     recognizer:
-        A :class:`~repro.runtime.batch.BatchRecognizer` (any scoring
-        mode); the loop builds one ``max_lanes``-wide bank from it.
+        A :class:`~repro.decoder.recognizer.Recognizer` (any scoring
+        mode) this loop has to itself — the server hands each shard a
+        :meth:`~repro.decoder.recognizer.Recognizer.twin`; the loop
+        builds one ``max_lanes``-wide bank from it.
     max_lanes:
         Simultaneously decoding utterances (the stacked state's ``B``).
-    poll_s:
-        Block this long on an empty inbox before re-checking (bounds
-        both idle wake-up latency and deadline-check granularity while
-        idle; while lanes are decoding, deadlines are checked every
-        frame-synchronous step).
     clock:
         Injectable monotonic clock (tests pin deadline interleavings).
     worker_id:
@@ -264,48 +260,24 @@ class ServeLoop:
     """
 
     STATS_EVERY = 64  # steps between periodic LoopStats events
+    #: Block this long on an empty inbox before re-checking (bounds idle
+    #: wake-up latency and deadline-check granularity while idle; while
+    #: lanes are decoding, deadlines are checked every step).
+    POLL_S = 0.002
 
     def __init__(
         self,
-        recognizer: BatchRecognizer,
+        recognizer: Recognizer,
         max_lanes: int = 8,
-        poll_s: float = 0.002,
         clock: Callable[[], float] = time.monotonic,
         worker_id: int | None = None,
     ) -> None:
         if max_lanes < 1:
             raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
-        if poll_s <= 0:
-            raise ValueError(f"poll_s must be positive, got {poll_s}")
         self.recognizer = recognizer
         self.max_lanes = max_lanes
-        self.poll_s = poll_s
         self.clock = clock
         self.worker_id = worker_id
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _apply_precision(rec: BatchRecognizer, bank, precision: str) -> bool:
-        """Swap the blas scoring tables in place; True if changed.
-
-        Safe mid-serve because :class:`BatchBlasScorer` is stateless
-        per lane; the bank holds a direct scorer reference, so BOTH
-        ``rec.scorer`` and ``bank.scorer`` must be updated.  Non-blas
-        recognizers have no precision axis and ignore the command.
-        """
-        if rec.mode != "blas" or precision == rec.precision:
-            return False
-        old = rec.scorer
-        new = type(old)(
-            old.pool,
-            min_pairs=old.min_pairs,
-            min_density=old.min_density,
-            precision=precision,
-        )
-        rec.scorer = new
-        rec.precision = precision
-        bank.scorer = new
-        return True
 
     def _worker_trace(
         self,
@@ -398,7 +370,7 @@ class ServeLoop:
                 while True:
                     try:
                         msg = (
-                            inbox.get(timeout=self.poll_s)
+                            inbox.get(timeout=self.POLL_S)
                             if block
                             else inbox.get_nowait()
                         )
@@ -417,7 +389,8 @@ class ServeLoop:
                         stall_s = msg.stall_s
                         stall_steps = msg.steps
                     elif isinstance(msg, SetPrecision):
-                        if self._apply_precision(rec, bank, msg.precision):
+                        if rec.set_precision(msg.precision):
+                            bank.scorer = rec.scorer
                             emit(stats())
                     else:
                         waiting.append(msg)

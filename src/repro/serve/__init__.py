@@ -1,6 +1,6 @@
 """`repro.serve` — the async streaming front door.
 
-The subsystem that turns the batched/continuous runtimes into an
+The subsystem that turns the recognizer's lane engine into an
 actual service: clients open sessions and stream feature frames (or
 raw audio through the frontend); an asyncio :class:`Server` runs a
 bounded admission queue in front of one or more engine workers, each

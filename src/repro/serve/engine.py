@@ -28,7 +28,7 @@ import queue as queue_mod
 import threading
 from typing import Callable
 
-from repro.runtime.batch import BatchRecognizer
+from repro.decoder.recognizer import Recognizer
 from repro.runtime.serving import (
     STOP,
     CancelJob,
@@ -55,19 +55,13 @@ class ThreadEngineWorker:
     def __init__(
         self,
         worker_id: int,
-        recognizer: BatchRecognizer,
+        recognizer: Recognizer,
         max_lanes: int,
-        poll_s: float,
         emit: Callable[[int, object], None],
     ) -> None:
         self.worker_id = worker_id
         self._inbox: "queue_mod.Queue" = queue_mod.Queue()
-        self._serve = ServeLoop(
-            recognizer,
-            max_lanes=max_lanes,
-            poll_s=poll_s,
-            worker_id=worker_id,
-        )
+        self._serve = ServeLoop(recognizer, max_lanes=max_lanes, worker_id=worker_id)
         self._thread = threading.Thread(
             target=self._serve.run,
             args=(self._inbox, lambda event: emit(worker_id, event)),
@@ -113,19 +107,13 @@ class ThreadEngineWorker:
 
 def _process_worker_main(
     worker_id: int,
-    recognizer: BatchRecognizer,
+    recognizer: Recognizer,
     max_lanes: int,
-    poll_s: float,
     inbox,
     outbox,
 ) -> None:
     """Forked child entry point: serve until STOP, then exit."""
-    serve = ServeLoop(
-        recognizer,
-        max_lanes=max_lanes,
-        poll_s=poll_s,
-        worker_id=worker_id,
-    )
+    serve = ServeLoop(recognizer, max_lanes=max_lanes, worker_id=worker_id)
     serve.run(inbox, lambda event: outbox.put((worker_id, event)))
 
 
@@ -140,9 +128,8 @@ class ProcessEngineWorker:
     def __init__(
         self,
         worker_id: int,
-        recognizer: BatchRecognizer,
+        recognizer: Recognizer,
         max_lanes: int,
-        poll_s: float,
         outbox,
         ctx: multiprocessing.context.BaseContext,
     ) -> None:
@@ -152,14 +139,7 @@ class ProcessEngineWorker:
         # the recognizer's pool/network/LM stay one shared copy.
         self._proc = ctx.Process(
             target=_process_worker_main,
-            args=(
-                worker_id,
-                recognizer,
-                max_lanes,
-                poll_s,
-                self._inbox,
-                outbox,
-            ),
+            args=(worker_id, recognizer, max_lanes, self._inbox, outbox),
             name=f"serve-shard-{worker_id}",
             daemon=True,
         )

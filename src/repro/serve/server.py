@@ -75,7 +75,6 @@ from repro.obs.flight import FlightRecorder, Incident
 from repro.obs.histogram import LogHistogram
 from repro.obs.telemetry import DecodeTelemetry
 from repro.obs.trace import Trace, mint_trace_id
-from repro.runtime.batch import BatchRecognizer
 from repro.runtime.serving import (
     DecodeJob,
     JobCancelled,
@@ -383,12 +382,12 @@ class Server:
     Parameters
     ----------
     recognizer:
-        A configured sequential :class:`Recognizer` (any scoring
-        mode; a blas recognizer's reduced-precision table choice
-        rides along too).  Each worker gets its own batched twin via
-        :meth:`BatchRecognizer.from_recognizer`, so all engines share
-        the compiled network, senone pool and LM — and, in the process
-        mode, share them physically through fork's copy-on-write pages.
+        A configured :class:`Recognizer` (any scoring mode; a blas
+        recognizer's reduced-precision table choice rides along too).
+        Each worker gets its own :meth:`Recognizer.twin`, so all
+        engines share the compiled network, senone pool and LM — and,
+        in the process mode, share them physically through fork's
+        copy-on-write pages.
     num_workers / max_lanes:
         Engine count and lanes per engine; total decode concurrency is
         their product.
@@ -414,6 +413,7 @@ class Server:
     """
 
     AUTOTUNE_INTERVAL_S = 0.25  # metrics window between autotune steps
+    SWEEP_S = 0.02  # housekeeping period (deadline shed, liveness poll)
 
     def __init__(
         self,
@@ -425,8 +425,6 @@ class Server:
         use_processes: bool = False,
         default_deadline_s: float | None = None,
         worker_backlog: int | str | None = None,
-        poll_s: float = 0.002,
-        sweep_s: float = 0.02,
         frontend: Frontend | None = None,
         brownout: BrownoutPolicy | None = None,
         fault_plan: FaultPlan | None = None,
@@ -453,8 +451,6 @@ class Server:
         self._backlog = worker_backlog
         self._backlog_max = 4 * max_lanes
         self._autotune_last_misses = 0
-        self._poll_s = poll_s
-        self._sweep_s = sweep_s
         self._frontend_obj = frontend
         self.fault_plan = fault_plan
         #: Bounded per-shard ring of recent serving events; dumps an
@@ -557,10 +553,7 @@ class Server:
             except RuntimeError:
                 pass  # loop already closed; late events have no audience
 
-        twins = [
-            BatchRecognizer.from_recognizer(self.recognizer)
-            for _ in range(self.num_workers)
-        ]
+        twins = [self.recognizer.twin() for _ in range(self.num_workers)]
         if self.use_processes:
             # Fork FIRST, before any helper thread exists, so each
             # child is single-threaded and inherits the models through
@@ -569,14 +562,7 @@ class Server:
             outbox = ctx.Queue()
             self._outbox = outbox
             self._workers = [
-                ProcessEngineWorker(
-                    i,
-                    twins[i],
-                    self.max_lanes,
-                    self._poll_s,
-                    outbox,
-                    ctx,
-                )
+                ProcessEngineWorker(i, twins[i], self.max_lanes, outbox, ctx)
                 for i in range(self.num_workers)
             ]
             for worker in self._workers:
@@ -584,13 +570,7 @@ class Server:
             self._pump_thread, self._pump_stop = start_outbox_pump(outbox, emit)
         else:
             self._workers = [
-                ThreadEngineWorker(
-                    i,
-                    twins[i],
-                    self.max_lanes,
-                    self._poll_s,
-                    emit,
-                )
+                ThreadEngineWorker(i, twins[i], self.max_lanes, emit)
                 for i in range(self.num_workers)
             ]
             for worker in self._workers:
@@ -766,8 +746,8 @@ class Server:
             return self.max_queue
         return max(1, self.max_queue // active)
 
-    async def submit_audio(self, waveform: np.ndarray, **kwargs) -> Session:
-        """Run a raw waveform through the frontend, then :meth:`submit`.
+    async def featurize(self, waveform: np.ndarray) -> np.ndarray:
+        """Run a raw waveform through the frontend, off the event loop.
 
         Feature extraction runs in an executor thread: a full MFCC
         pass over a long waveform takes tens of milliseconds, and on
@@ -777,8 +757,11 @@ class Server:
         """
         wave = np.asarray(waveform, dtype=np.float64)
         loop = asyncio.get_running_loop()
-        features = await loop.run_in_executor(None, self._frontend().extract, wave)
-        return self.submit(features, **kwargs)
+        return await loop.run_in_executor(None, self._frontend().extract, wave)
+
+    async def submit_audio(self, waveform: np.ndarray, **kwargs) -> Session:
+        """:meth:`featurize` a raw waveform, then :meth:`submit`."""
+        return self.submit(await self.featurize(waveform), **kwargs)
 
     async def decode(self, features: np.ndarray, **kwargs) -> ServeResult:
         """Submit and await in one call."""
@@ -1304,10 +1287,10 @@ class Server:
         the EDF prefix), poll worker liveness so a SIGKILLed shard is
         noticed even though it could not emit its own death event,
         and step the backlog autotuner."""
-        autotune_every = max(1, round(self.AUTOTUNE_INTERVAL_S / self._sweep_s))
+        autotune_every = max(1, round(self.AUTOTUNE_INTERVAL_S / self.SWEEP_S))
         ticks = 0
         while True:
-            await asyncio.sleep(self._sweep_s)
+            await asyncio.sleep(self.SWEEP_S)
             ticks += 1
             self._check_worker_liveness()
             if ticks % autotune_every == 0:

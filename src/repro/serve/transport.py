@@ -212,6 +212,22 @@ def result_payload(req_id, result: ServeResult) -> dict:
     return header
 
 
+def _rejected(req_id, err: AdmissionRejected) -> dict:
+    """The ``rejected`` event mirroring one :class:`AdmissionRejected`."""
+    return {
+        "event": "rejected",
+        "id": req_id,
+        "reason": err.reason,
+        "queue_depth": err.queue_depth,
+        "max_queue": err.max_queue,
+    }
+
+
+def _error(req_id, message: str) -> dict:
+    """The per-request ``error`` event (connection stays open)."""
+    return {"event": "error", "id": req_id, "error": message}
+
+
 class _Connection:
     """One client connection: reader loop + serialized writer queue.
 
@@ -291,17 +307,9 @@ class _Connection:
         try:
             session = submit()
         except AdmissionRejected as err:
-            self.send(
-                {
-                    "event": "rejected",
-                    "id": req_id,
-                    "reason": err.reason,
-                    "queue_depth": err.queue_depth,
-                    "max_queue": err.max_queue,
-                }
-            )
+            self.send(_rejected(req_id, err))
         except (ValueError, TypeError, ServerClosed) as err:
-            self.send({"event": "error", "id": req_id, "error": str(err)})
+            self.send(_error(req_id, str(err)))
         else:
             self.send({"event": "accepted", "id": req_id})
             self._watch(req_id, session, keyed=keyed)
@@ -349,7 +357,7 @@ class _Connection:
             try:
                 features = decode_array(header, payload)
             except FrameError as err:
-                self.send({"event": "error", "id": req_id, "error": str(err)})
+                self.send(_error(req_id, str(err)))
                 return
 
             def submit() -> Session:
@@ -366,34 +374,21 @@ class _Connection:
 
             self._submit_outcome(req_id, submit, keyed=key is not None)
         elif op == "submit_audio":
-            try:
-                waveform = decode_array(header, payload)
-            except FrameError as err:
-                self.send({"event": "error", "id": req_id, "error": str(err)})
-                return
-            # Featurization runs in an executor (Server.submit_audio);
+            # Featurization runs in an executor (Server.featurize);
             # admission happens after it, on the loop.
             try:
-                session = await server.submit_audio(
-                    waveform,
+                features = await server.featurize(decode_array(header, payload))
+            except (FrameError, ValueError, TypeError) as err:
+                self.send(_error(req_id, str(err)))
+                return
+            self._submit_outcome(
+                req_id,
+                lambda: server.submit(
+                    features,
                     deadline_s=header.get("deadline_s"),
                     client=self.client,
-                )
-            except AdmissionRejected as err:
-                self.send(
-                    {
-                        "event": "rejected",
-                        "id": req_id,
-                        "reason": err.reason,
-                        "queue_depth": err.queue_depth,
-                        "max_queue": err.max_queue,
-                    }
-                )
-            except (ValueError, TypeError, ServerClosed) as err:
-                self.send({"event": "error", "id": req_id, "error": str(err)})
-            else:
-                self.send({"event": "accepted", "id": req_id})
-                self._watch(req_id, session)
+                ),
+            )
         elif op == "open":
             wants_partials = bool(header.get("partials"))
             on_partial = None
@@ -407,6 +402,8 @@ class _Connection:
                             "frame": frame,
                         }
                     )
+            # Parameters the streaming decoder rejects are the client's
+            # mistake on THIS request, like bad features on a submit.
             try:
                 stream = server.open_session(
                     deadline_s=header.get("deadline_s"),
@@ -419,8 +416,8 @@ class _Connection:
                     auto_finish=True,
                     client=self.client,
                 )
-            except ServerClosed as err:
-                self.send({"event": "error", "id": req_id, "error": str(err)})
+            except (ValueError, TypeError, ServerClosed) as err:
+                self.send(_error(req_id, str(err)))
                 return
             self._streams[req_id] = stream
         elif op == "frames":
@@ -432,18 +429,12 @@ class _Connection:
                 # so these belong to its next utterance — ignored, not
                 # an error.
                 if req_id not in self._endpointed:
-                    self.send(
-                        {
-                            "event": "error",
-                            "id": req_id,
-                            "error": "no open stream",
-                        }
-                    )
+                    self.send(_error(req_id, "no open stream"))
                 return
             try:
                 block = decode_array(header, payload)
             except FrameError as err:
-                self.send({"event": "error", "id": req_id, "error": str(err)})
+                self.send(_error(req_id, str(err)))
                 return
             try:
                 endpointed = stream.send_frames(block)
@@ -451,18 +442,10 @@ class _Connection:
                 # The endpointer fired and auto-finish hit a full door.
                 self._streams.pop(req_id, None)
                 self._endpointed.add(req_id)
-                self.send(
-                    {
-                        "event": "rejected",
-                        "id": req_id,
-                        "reason": err.reason,
-                        "queue_depth": err.queue_depth,
-                        "max_queue": err.max_queue,
-                    }
-                )
+                self.send(_rejected(req_id, err))
                 return
             except (ValueError, RuntimeError) as err:
-                self.send({"event": "error", "id": req_id, "error": str(err)})
+                self.send(_error(req_id, str(err)))
                 return
             if endpointed:
                 self._streams.pop(req_id, None)
@@ -486,13 +469,7 @@ class _Connection:
                 # wire; if the session is already submitted (or even
                 # already resolved) the redundant finish is benign.
                 if req_id not in self._sessions and req_id not in self._endpointed:
-                    self.send(
-                        {
-                            "event": "error",
-                            "id": req_id,
-                            "error": "no open stream",
-                        }
-                    )
+                    self.send(_error(req_id, "no open stream"))
                 return
             self._submit_outcome(req_id, stream.finish)
         elif op == "cancel":
@@ -515,9 +492,7 @@ class _Connection:
                 }
             )
         else:
-            self.send(
-                {"event": "error", "id": req_id, "error": f"unknown op {op!r}"}
-            )
+            self.send(_error(req_id, f"unknown op {op!r}"))
 
     # -- lifecycle -----------------------------------------------------
     async def _send_fatal(self, message: str) -> None:

@@ -4,9 +4,9 @@
 bit-exact path scores, per-frame statistics, in fast mode the
 four-layer work counters, in hardware mode the unit accounting) for
 command-task utterances (flat lexicon) and dictation utterances (tree
-lexicon) in reference, hardware and fast modes.  Every decoding runtime — sequential
-:class:`Recognizer`, drained :class:`BatchRecognizer`, and the
-continuous-batching :class:`ContinuousBatchRecognizer` — must
+lexicon) in reference, hardware and fast modes.  Every driver of
+:class:`Recognizer` — sequential ``decode``, drained ``decode_batch``
+and continuous-batching ``decode_stream`` — must
 reproduce them exactly, so any future runtime change is automatically
 checked against a fixed oracle rather than against a moving sequential
 implementation.  Regenerate fixtures (intentional behaviour changes
@@ -110,7 +110,7 @@ class TestSequentialGolden:
 class TestBatchGolden:
     def test_drained_batch_matches_golden(self, golden):
         rec, fixture, feats = golden
-        result = rec.as_batch().decode_batch(feats)
+        result = rec.decode_batch(feats)
         assert len(result) == len(feats)
         for expected, lane in zip(fixture["utterances"], result):
             _assert_matches_golden(lane, expected)
@@ -155,13 +155,13 @@ class TestBlasGolden:
 
     def test_batch_blas_matches_reference_golden(self, blas_golden):
         rec, fixture, feats = blas_golden
-        result = rec.as_batch().decode_batch(feats)
+        result = rec.decode_batch(feats)
         for expected, lane in zip(fixture["utterances"], result):
             self._assert_blas_matches(lane, expected)
 
     def test_continuous_blas_matches_reference_golden(self, blas_golden):
         rec, fixture, feats = blas_golden
-        result = rec.as_continuous().decode_stream(feats, max_lanes=2)
+        result = rec.decode_stream(feats, max_lanes=2)
         assert max(result.admit_steps) > 0  # refill actually happened
         for expected, lane in zip(fixture["utterances"], result):
             self._assert_blas_matches(lane, expected)
@@ -182,14 +182,13 @@ class TestCancellationGolden:
     def _drive_with_cancellation(self, rec, feats, victim_feats, reseed=None):
         from repro.runtime.batch import LaneBank
 
-        batch = rec.as_batch()
-        batch._reset_accounting()
-        bank = LaneBank(batch, len(feats) + 1)
+        rec._reset_accounting()
+        bank = LaneBank(rec, len(feats) + 1)
         for lane, f in enumerate(feats):
-            bank.admit(lane, lane, batch._validate_features(lane, f))
+            bank.admit(lane, lane, rec._validate_features(lane, f))
         victim_lane = len(feats)
         bank.admit(
-            victim_lane, 900, batch._validate_features(victim_lane, victim_feats)
+            victim_lane, 900, rec._validate_features(victim_lane, victim_feats)
         )
         cancel_at = min(f.shape[0] for f in feats) // 2  # everyone mid-decode
         assert 0 < cancel_at < victim_feats.shape[0]
@@ -204,7 +203,7 @@ class TestCancellationGolden:
                     bank.admit(
                         victim_lane,
                         901,
-                        batch._validate_features(victim_lane, reseed),
+                        rec._validate_features(victim_lane, reseed),
                     )
             for lane in bank.step():
                 utt = int(bank.lane_utt[lane])
@@ -277,7 +276,7 @@ class TestDictationGolden:
 
     def test_drained_batch_tree_matches_golden(self, dictation_golden):
         rec, fixture, feats = dictation_golden
-        result = rec.as_batch().decode_batch(feats)
+        result = rec.decode_batch(feats)
         assert len(result) == len(feats)
         for expected, lane in zip(fixture["utterances"], result):
             _assert_matches_golden(lane, expected)
@@ -285,7 +284,7 @@ class TestDictationGolden:
     def test_continuous_tree_matches_golden(self, dictation_golden):
         """Few lanes + the 163..560-frame spread forces refill."""
         rec, fixture, feats = dictation_golden
-        result = rec.as_continuous().decode_stream(feats, max_lanes=2)
+        result = rec.decode_stream(feats, max_lanes=2)
         assert max(result.admit_steps) > 0  # refill actually happened
         for expected, lane in zip(fixture["utterances"], result):
             _assert_matches_golden(lane, expected)
@@ -317,13 +316,13 @@ class TestDictationModesGolden:
 
     def test_drained_batch_tree_matches_golden(self, dictation_golden):
         rec, fixture, feats = dictation_golden
-        result = rec.as_batch().decode_batch(feats)
+        result = rec.decode_batch(feats)
         for expected, lane in zip(fixture["utterances"], result):
             _assert_matches_golden(lane, expected)
 
     def test_continuous_tree_matches_golden(self, dictation_golden):
         rec, fixture, feats = dictation_golden
-        result = rec.as_continuous().decode_stream(feats, max_lanes=2)
+        result = rec.decode_stream(feats, max_lanes=2)
         assert max(result.admit_steps) > 0  # refill actually happened
         for expected, lane in zip(fixture["utterances"], result):
             _assert_matches_golden(lane, expected)
@@ -333,7 +332,7 @@ class TestContinuousGolden:
     def test_continuous_stream_matches_golden(self, golden):
         """Few lanes + ragged lengths forces mid-decode refill."""
         rec, fixture, feats = golden
-        result = rec.as_continuous().decode_stream(feats, max_lanes=2)
+        result = rec.decode_stream(feats, max_lanes=2)
         assert max(result.admit_steps) > 0  # refill actually happened
         for expected, lane in zip(fixture["utterances"], result):
             _assert_matches_golden(lane, expected)
@@ -341,6 +340,6 @@ class TestContinuousGolden:
     def test_continuous_reversed_arrival_matches_golden(self, golden):
         """Admission order must not change any utterance's output."""
         rec, fixture, feats = golden
-        result = rec.as_continuous().decode_stream(feats[::-1], max_lanes=3)
+        result = rec.decode_stream(feats[::-1], max_lanes=3)
         for expected, lane in zip(fixture["utterances"][::-1], result):
             _assert_matches_golden(lane, expected)

@@ -64,7 +64,7 @@ def run_traced_loop(rec, jobs, max_lanes=2, clock=time.monotonic, worker_id=None
     inbox.put(STOP)
     events = []
     loop = ServeLoop(
-        rec.as_batch(), max_lanes=max_lanes, clock=clock, worker_id=worker_id
+        rec.twin(), max_lanes=max_lanes, clock=clock, worker_id=worker_id
     )
     loop.run(inbox, events.append)
     return events

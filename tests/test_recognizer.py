@@ -5,6 +5,8 @@ import pytest
 
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.fast_gmm import FastGmmConfig
+from repro.decoder.scorer import BLAS_SCORE_ATOL
+from repro.decoder.streaming import StreamingRecognizer
 from repro.lm.ngram import NGramModel
 from repro.lm.vocabulary import Vocabulary
 from repro.quant.float_formats import MANTISSA_12
@@ -165,3 +167,89 @@ class TestInstruments:
         assert len(rec.word_stage.lattice) == result.lattice_size > 0
         assert rec.word_stage.frame_stats is result.frame_stats
         assert rec.word_stage.bank.lattices[0] is None
+
+
+MODES = ["reference", "hardware", "fast", "blas"]
+NETWORKS = ["flat", "tree"]
+
+
+def _make(task, mode, network):
+    kwargs = {"fast_config": FastGmmConfig.all_layers()} if mode == "fast" else {}
+    return Recognizer.create(
+        task.dictionary, task.pool, task.lm, task.tying,
+        mode=mode, network=network, **kwargs,
+    )
+
+
+def _assert_same_decode(got, want, mode):
+    """Bit-identical (blas: words identical, score within tolerance)."""
+    assert got.words == want.words
+    if mode == "blas":
+        assert abs(got.score - want.score) <= BLAS_SCORE_ATOL
+    else:
+        assert got.score == want.score
+    assert got.frames == want.frames
+    assert [f.__dict__ for f in got.frame_stats] == [
+        f.__dict__ for f in want.frame_stats
+    ]
+    assert got.fast_stats == want.fast_stats  # None outside fast mode
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+@pytest.mark.parametrize("mode", MODES)
+class TestOneRecognizer:
+    """One class, three drivers, one scorer: the 1-lane stage behind
+    ``decode`` and the wide banks behind ``decode_batch`` /
+    ``decode_stream`` share the recognizer's scoring backend."""
+
+    def test_interleaved_drivers_match_fresh_recognizers(self, task, mode, network):
+        """Whatever ran before on the SAME object leaves no trace."""
+        feats = [u.features for u in task.corpus.test[:4]]
+        feats[1] = feats[1][:17]  # ragged: compaction and refill both happen
+        want_one = _make(task, mode, network).decode(feats[0])
+        want_batch = _make(task, mode, network).decode_batch(feats)
+        want_stream = _make(task, mode, network).decode_stream(feats, max_lanes=2)
+
+        rec = _make(task, mode, network)
+        _assert_same_decode(rec.decode(feats[0]), want_one, mode)
+        for got, want in zip(rec.decode_batch(feats), want_batch, strict=True):
+            _assert_same_decode(got, want, mode)
+        _assert_same_decode(rec.decode(feats[0]), want_one, mode)
+        stream = rec.decode_stream(feats, max_lanes=2)
+        assert stream.admit_steps == want_stream.admit_steps
+        for got, want in zip(stream, want_stream, strict=True):
+            _assert_same_decode(got, want, mode)
+        _assert_same_decode(rec.decode(feats[0]), want_one, mode)
+
+    def test_twin_decodes_beside_a_live_streaming_session(self, task, mode, network):
+        """A recognizer runs one decode at a time; its twin runs a whole
+        stream while the original is mid-utterance, and neither notices."""
+        feats = [u.features for u in task.corpus.test[:3]]
+        rec = _make(task, mode, network)
+        twin = rec.twin()
+        assert twin.scorer is not rec.scorer
+        assert twin.network is rec.network and twin.pool is rec.pool
+        if mode == "fast":
+            assert twin.scorer.model is rec.scorer.model  # one VQ codebook
+
+        def session(midway=None):
+            streaming = StreamingRecognizer(rec)
+            partials = []
+            for t, frame in enumerate(feats[0]):
+                if t == feats[0].shape[0] // 2 and midway is not None:
+                    midway()
+                event = streaming.feed(frame)
+                partials.append(event.partial)
+                if event.endpoint:
+                    break
+            return partials, streaming.finalize()
+
+        alone_session = session()
+        alone_stream = twin.decode_stream(feats, max_lanes=2)
+        beside = []
+        together_session = session(
+            midway=lambda: beside.append(twin.decode_stream(feats, max_lanes=2))
+        )
+        assert together_session == alone_session  # partials, words, score, exits
+        for got, want in zip(beside[0], alone_stream, strict=True):
+            _assert_same_decode(got, want, "exact")  # same twin: blas too

@@ -12,16 +12,15 @@ import pytest
 from repro.core.logadd import LogAddTable
 from repro.decoder.beam import BeamConfig, apply_beam, apply_beam_batch
 from repro.decoder.recognizer import Recognizer
-from repro.runtime import BatchRecognizer
 
 
 @pytest.fixture(scope="module", params=["reference", "hardware"])
-def pair(request, task):
-    """A sequential recognizer and its batched twin, per mode."""
-    rec = Recognizer.create(
+def rec(request, task):
+    """One recognizer per mode: ``decode`` is the 1-lane oracle of its
+    own ``decode_batch``."""
+    return Recognizer.create(
         task.dictionary, task.pool, task.lm, task.tying, mode=request.param
     )
-    return rec, rec.as_batch()
 
 
 def _assert_lane_equal(seq, lane):
@@ -37,52 +36,47 @@ def _assert_lane_equal(seq, lane):
 
 
 class TestEquivalence:
-    def test_batch_matches_sequential(self, pair, task):
-        rec, batch = pair
+    def test_batch_matches_sequential(self, rec, task):
         utts = task.corpus.test[:6]
         sequential = [rec.decode(u.features) for u in utts]
-        result = batch.decode_batch([u.features for u in utts])
+        result = rec.decode_batch([u.features for u in utts])
         assert len(result) == len(utts)
         for seq, lane in zip(sequential, result):
             _assert_lane_equal(seq, lane)
 
-    def test_ragged_lengths_do_not_leak(self, pair, task):
+    def test_ragged_lengths_do_not_leak(self, rec, task):
         """Padding frames must not touch short lanes' stats/lattices."""
-        rec, batch = pair
         feats = [u.features for u in task.corpus.test[:4]]
         # Force very ragged lengths: truncate two lanes hard.
         feats[1] = feats[1][: feats[1].shape[0] // 3]
         feats[3] = feats[3][:7]
         sequential = [rec.decode(f) for f in feats]
-        result = batch.decode_batch(feats)
+        result = rec.decode_batch(feats)
         for f, seq, lane in zip(feats, sequential, result):
             assert lane.frames == f.shape[0]
             assert len(lane.frame_stats) == f.shape[0]
             assert lane.scoring_stats.frames == f.shape[0]
             _assert_lane_equal(seq, lane)
 
-    def test_reusable_across_batches(self, pair, task):
-        _, batch = pair
+    def test_reusable_across_batches(self, rec, task):
         feats = [u.features for u in task.corpus.test[:2]]
-        first = batch.decode_batch(feats)
-        second = batch.decode_batch(feats)
+        first = rec.decode_batch(feats)
+        second = rec.decode_batch(feats)
         for a, b in zip(first, second):
             assert a.words == b.words and a.score == b.score
 
-    def test_duplicate_utterances_agree(self, pair, task):
+    def test_duplicate_utterances_agree(self, rec, task):
         """Identical lanes must produce identical outputs."""
-        _, batch = pair
         f = task.corpus.test[1].features
-        result = batch.decode_batch([f, f, f])
+        result = rec.decode_batch([f, f, f])
         assert result[0].words == result[1].words == result[2].words
         assert result[0].score == result[1].score == result[2].score
 
 
 class TestBatchResult:
-    def test_container_protocol(self, pair, task):
-        _, batch = pair
+    def test_container_protocol(self, rec, task):
         feats = [u.features for u in task.corpus.test[:3]]
-        result = batch.decode_batch(feats)
+        result = rec.decode_batch(feats)
         assert len(result) == 3
         assert [r.words for r in result] == result.words
         assert result.frames_processed == sum(f.shape[0] for f in feats)
@@ -95,9 +89,8 @@ class TestBatchResult:
         rec = Recognizer.create(
             task.dictionary, task.pool, task.lm, task.tying, mode="hardware"
         )
-        batch = rec.as_batch()
         feats = [u.features for u in task.corpus.test[:2]]
-        result = batch.decode_batch(feats)
+        result = rec.decode_batch(feats)
         assert result.op_unit_activities is not None
         assert result.viterbi_activity is not None
         assert result.frame_critical_cycles is not None
@@ -109,12 +102,11 @@ class TestLaneRetirementAccounting:
     """Lane accounting must come from each lane's TRUE length — never
     the padded batch length (regression guard for drain-to-longest)."""
 
-    def test_strongly_ragged_accounting(self, pair, task):
-        _, batch = pair
+    def test_strongly_ragged_accounting(self, rec, task):
         base = [u.features for u in task.corpus.test[:4]]
         # One full-length lane next to lanes cut to a handful of frames.
         feats = [base[0], base[1][:5], base[2][:9], base[3][:6]]
-        result = batch.decode_batch(feats)
+        result = rec.decode_batch(feats)
         true_frames = [f.shape[0] for f in feats]
         assert result.steps == max(true_frames)
         assert result.frames_processed == sum(true_frames)
@@ -127,23 +119,93 @@ class TestLaneRetirementAccounting:
             assert lane.scoring_stats.frames == f.shape[0]
             assert [s.frame for s in lane.frame_stats] == list(range(f.shape[0]))
 
-    def test_utilization_reflects_padding_waste(self, pair, task):
-        _, batch = pair
+    def test_utilization_reflects_padding_waste(self, rec, task):
         base = [u.features for u in task.corpus.test[:2]]
-        ragged = batch.decode_batch([base[0], base[1][:5]])
+        ragged = rec.decode_batch([base[0], base[1][:5]])
         assert 0.0 < ragged.utilization < 1.0
         expected = ragged.frames_processed / (ragged.steps * 2)
         assert ragged.utilization == pytest.approx(expected)
         # A rectangular batch wastes nothing.
-        square = batch.decode_batch([base[0], base[0]])
+        square = rec.decode_batch([base[0], base[0]])
         assert square.utilization == 1.0
+
+
+class TestRaggedHardwareBatch:
+    """A RAGGED hardware-mode ``decode_batch`` on both networks.
+
+    ``decode_batch`` is ``decode_stream`` over a queue as long as its
+    lanes, so the queue is drained at the first retirement and the bank
+    compacts as the short lanes finish.  Per-utterance outputs, the
+    schedule numbers and the OP-unit accounting are what stepping the
+    full-width bank to the longest utterance gives; the ONE number that
+    moves is the Viterbi unit's charge, which now follows the lanes
+    that still exist at each step.
+    """
+
+    @pytest.fixture(scope="class", params=["flat", "tree"])
+    def ragged(self, request, task):
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying,
+            mode="hardware", network=request.param,
+        )
+        base = [u.features for u in task.corpus.test[:4]]
+        feats = [base[0], base[1][:12], base[2][:30], base[3][:7]]
+        sequential = [rec.decode(f) for f in feats]
+        # Every lane admitted up front, the bank stepped at FULL width
+        # until the longest utterance finishes: no compaction.
+        rec._reset_accounting()
+        bank = rec.make_bank(len(feats))
+        for lane, f in enumerate(feats):
+            bank.admit(lane, lane, rec._validate_features(lane, f))
+        while bank.any_active:
+            for lane in bank.step():
+                bank.retire(lane)
+        full_width = rec._pooled_accounting()
+        return feats, sequential, full_width, rec.decode_batch(feats)
+
+    def test_lanes_match_sequential(self, ragged):
+        _, sequential, _, result = ragged
+        for seq, lane in zip(sequential, result, strict=True):
+            _assert_lane_equal(seq, lane)
+
+    def test_schedule_numbers(self, ragged):
+        feats, _, _, result = ragged
+        lengths = [f.shape[0] for f in feats]
+        assert result.steps == max(lengths)
+        assert result.frames_processed == sum(lengths)
+        assert result.max_lanes == len(feats)
+        assert result.utilization == sum(lengths) / (max(lengths) * len(feats))
+        assert result.lane_of == list(range(len(feats)))
+        assert result.admit_steps == [0] * len(feats)
+
+    def test_op_unit_accounting_is_the_full_width_banks(self, ragged):
+        _, _, full_width, result = ragged
+        assert result.op_unit_activities == full_width["op_unit_activities"]
+        assert result.frame_critical_cycles == full_width["frame_critical_cycles"]
+        assert len(result.frame_critical_cycles) == result.steps
+
+    def test_viterbi_unit_charged_for_the_lanes_that_exist(self, ragged):
+        feats, sequential, full_width, result = ragged
+        lengths = [f.shape[0] for f in feats]
+        # One lane's charge per step, read off the 1-lane decodes.
+        charge = sequential[0].viterbi_activity["transitions"] / lengths[0]
+        for seq, n in zip(sequential, lengths):
+            assert seq.viterbi_activity["transitions"] == n * charge
+        lanes_in_bank = [sum(n > t for n in lengths) for t in range(result.steps)]
+        got = result.viterbi_activity
+        assert got["transitions"] == charge * sum(lanes_in_bank)
+        assert got["transitions"] < result.steps * len(feats) * charge
+        assert full_width["viterbi_activity"]["transitions"] == (
+            result.steps * len(feats) * charge
+        )
+        assert got["columns"] == full_width["viterbi_activity"]["columns"]
 
 
 class TestValidation:
     def test_unknown_mode_error_names_supported_modes(self, task):
         """The error must be raised up front and teach the fix."""
         with pytest.raises(ValueError) as err:
-            BatchRecognizer.create(
+            Recognizer.create(
                 task.dictionary, task.pool, task.lm, task.tying, mode="turbo"
             )
         message = str(err.value)
@@ -152,42 +214,38 @@ class TestValidation:
             assert mode in message
 
     def test_fast_mode_accepted(self, task):
-        batch = BatchRecognizer.create(
+        batch = Recognizer.create(
             task.dictionary, task.pool, task.lm, task.tying, mode="fast"
         )
         assert batch.mode == "fast"
 
-    def test_rejects_empty_batch(self, pair):
-        _, batch = pair
+    def test_rejects_empty_batch(self, rec):
         with pytest.raises(ValueError):
-            batch.decode_batch([])
+            rec.decode_batch([])
 
-    def test_rejects_bad_shapes(self, pair, task):
-        _, batch = pair
+    def test_rejects_bad_shapes(self, rec, task):
         good = task.corpus.test[0].features
         with pytest.raises(ValueError):
-            batch.decode_batch([good, np.zeros((10, 7))])
+            rec.decode_batch([good, np.zeros((10, 7))])
         with pytest.raises(ValueError):
-            batch.decode_batch([np.zeros((0, good.shape[1]))])
+            rec.decode_batch([np.zeros((0, good.shape[1]))])
 
-    def test_fed_step_refuses_a_lane_admitted_with_features(self, pair, task):
+    def test_fed_step_refuses_a_lane_admitted_with_features(self, rec, task):
         """``step(frames)`` ends every occupied lane at this frame; on a
         lane that brought its own features that used to rewrite
         ``lane_len`` and report a 136-frame utterance finished after
         one."""
-        _, batch = pair
         feats = task.corpus.test[0].features
-        bank = batch.make_bank(2)
+        bank = rec.make_bank(2)
         bank.admit(0, 0, feats)
         bank.admit(1, 1)
         with pytest.raises(RuntimeError, match="admitted with features"):
             bank.step(np.zeros((2, feats.shape[1])))
         assert bank.lane_len[0] == feats.shape[0] and bank.steps == 0
 
-    def test_fed_step_rejects_a_block_of_the_wrong_shape(self, pair, task):
-        _, batch = pair
+    def test_fed_step_rejects_a_block_of_the_wrong_shape(self, rec, task):
         dim = task.pool.dim
-        bank = batch.make_bank(2)
+        bank = rec.make_bank(2)
         bank.admit(0, 0)
         bank.admit(1, 1)
         for shape in [(1, dim), (2, dim + 1), (dim,)]:
@@ -263,11 +321,10 @@ class TestObsBankScratch:
         rec = Recognizer.create(
             task.dictionary, task.pool, task.lm, task.tying, mode=mode
         )
-        batch = rec.as_batch()
-        batch._reset_accounting()
-        bank = LaneBank(batch, num_lanes)
+        rec._reset_accounting()
+        bank = LaneBank(rec, num_lanes)
         for lane, utt in enumerate(task.corpus.test[:num_lanes]):
-            bank.admit(lane, lane, batch._validate_features(lane, utt.features))
+            bank.admit(lane, lane, rec._validate_features(lane, utt.features))
         return bank
 
     def test_hardware_cast_scratch_reused_across_steps(self, task):

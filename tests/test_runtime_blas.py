@@ -2,7 +2,7 @@
 
 ``mode="blas"`` recasts Gaussian scoring as dense matrix products, so
 it is the repo's one deliberately ``exact=False`` family: for every
-runtime (sequential, drained batch, continuous) the contract is
+driver (``decode``, ``decode_batch``, ``decode_stream``) the contract is
 
 * WORDS identical to the sequential reference decode, and
 * SCORES within :data:`~repro.decoder.scorer.BLAS_SCORE_ATOL` of it
@@ -20,7 +20,6 @@ import pytest
 
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL
-from repro.runtime.batch import BatchRecognizer
 from repro.runtime.scoring import BatchBlasScorer, BatchReferenceScorer
 
 
@@ -82,7 +81,7 @@ class TestBatchBlas:
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 5, 8])
     def test_batch_sizes_match_reference(self, blas, expected, task, batch_size):
         feats = [u.features for u in task.corpus.test[:batch_size]]
-        result = blas.as_batch().decode_batch(feats)
+        result = blas.decode_batch(feats)
         assert len(result) == batch_size
         for lane, oracle in zip(result, expected[:batch_size]):
             _assert_tolerance_parity(lane, oracle)
@@ -93,20 +92,19 @@ class TestBatchBlas:
             for u in task.corpus.test
         ]
         oracles = [reference.decode(f) for f in feats]
-        for lane, oracle in zip(blas.as_batch().decode_batch(feats), oracles):
+        for lane, oracle in zip(blas.decode_batch(feats), oracles):
             _assert_tolerance_parity(lane, oracle)
 
     def test_batch_mode_uses_pooled_blas_backend(self, blas):
-        batch = blas.as_batch()
-        assert batch.mode == "blas"
-        assert isinstance(batch.scorer, BatchBlasScorer)
+        assert blas.mode == "blas"
+        assert isinstance(blas.scorer, BatchBlasScorer)
 
 
 class TestContinuousBlas:
     @pytest.mark.parametrize("max_lanes", [1, 2, 3, 8])
     def test_lane_budgets_match_reference(self, blas, expected, task, max_lanes):
         feats = [u.features for u in task.corpus.test]
-        result = blas.as_continuous().decode_stream(feats, max_lanes=max_lanes)
+        result = blas.decode_stream(feats, max_lanes=max_lanes)
         for lane, oracle in zip(result, expected):
             _assert_tolerance_parity(lane, oracle)
 
@@ -116,15 +114,13 @@ class TestContinuousBlas:
             list(range(len(feats)))[::-1],
             list(rng.permutation(len(feats))),
         ):
-            result = blas.as_continuous().decode_stream(
-                [feats[i] for i in order], max_lanes=3
-            )
+            result = blas.decode_stream([feats[i] for i in order], max_lanes=3)
             for lane, i in zip(result, order):
                 _assert_tolerance_parity(lane, expected[i])
 
     def test_generator_queue(self, blas, expected, task):
         feats = (u.features for u in task.corpus.test)
-        result = blas.as_continuous().decode_stream(feats, max_lanes=2)
+        result = blas.decode_stream(feats, max_lanes=2)
         for lane, oracle in zip(result, expected):
             _assert_tolerance_parity(lane, oracle)
 
@@ -236,10 +232,10 @@ class TestModeRegistration:
             assert repr(mode) in message
 
     def test_batch_supported_modes_include_blas(self):
-        assert "blas" in BatchRecognizer.SUPPORTED_MODES
         assert "blas" in Recognizer.SUPPORTED_MODES
 
     def test_continuous_twin_keeps_blas_mode(self, blas):
-        cont = blas.as_continuous()
-        assert cont.mode == "blas"
-        assert isinstance(cont.scorer, BatchBlasScorer)
+        twin = blas.twin()
+        assert twin.mode == "blas"
+        assert isinstance(twin.scorer, BatchBlasScorer)
+        assert twin.scorer is not blas.scorer

@@ -2,7 +2,7 @@
 
 The scheduler only decides WHEN a lane is reseeded; it must never
 change WHAT a lane computes.  These tests drive
-``ContinuousBatchRecognizer.decode_stream`` with seeded-random ragged
+``Recognizer.decode_stream`` with seeded-random ragged
 lengths, arrival orders and lane budgets (1..8) and require every
 utterance's words, path score, per-frame statistics and lattice size
 to be bit-identical to a sequential ``Recognizer.decode`` of the same
@@ -14,23 +14,26 @@ import numpy as np
 import pytest
 
 from repro.decoder.recognizer import Recognizer
-from repro.runtime import ContinuousBatchRecognizer, LaneBank
+from repro.runtime import LaneBank
 
 N_TRIALS = 3
 MIN_FRAMES = 5
 
 
 @pytest.fixture(scope="module", params=["reference", "hardware"])
-def trio(request, task):
-    """A sequential recognizer, its continuous twin, and a decode cache.
-
-    The cache maps ``(utterance_index, length)`` to the sequential
-    result so repeated trials don't re-decode identical truncations.
-    """
-    rec = Recognizer.create(
+def rec(request, task):
+    """One recognizer per mode: ``decode`` is the 1-lane oracle of its
+    own ``decode_stream``."""
+    return Recognizer.create(
         task.dictionary, task.pool, task.lm, task.tying, mode=request.param
     )
-    return rec, rec.as_continuous(), {}
+
+
+@pytest.fixture(scope="module")
+def cache(rec):
+    """``(utterance_index, length)`` -> sequential result of ``rec``, so
+    repeated trials don't re-decode identical truncations."""
+    return {}
 
 
 def _sequential(rec, base, cache, utt_index, length):
@@ -53,9 +56,8 @@ def _assert_lane_equal(seq, lane):
 
 
 class TestContinuousEquivalence:
-    def test_random_ragged_arrival_orders(self, trio, task):
+    def test_random_ragged_arrival_orders(self, rec, cache, task):
         """Random lengths x arrival orders x lane budgets == sequential."""
-        rec, cont, cache = trio
         base = [u.features for u in task.corpus.test]
         rng = np.random.default_rng(2024)
         for _ in range(N_TRIALS):
@@ -65,16 +67,15 @@ class TestContinuousEquivalence:
             ]
             feats = [base[i][:n] for i, n in zip(order, lengths)]
             max_lanes = int(rng.integers(1, 9))
-            result = cont.decode_stream(feats, max_lanes=max_lanes)
+            result = rec.decode_stream(feats, max_lanes=max_lanes)
             assert len(result) == len(feats)
             for (i, n), lane in zip(zip(order, lengths), result):
                 _assert_lane_equal(_sequential(rec, base, cache, int(i), n), lane)
 
-    def test_single_lane_queue_degenerates_to_sequential(self, trio, task):
+    def test_single_lane_queue_degenerates_to_sequential(self, rec, cache, task):
         """max_lanes=1 is pure sequential decoding through the bank."""
-        rec, cont, cache = trio
         base = [u.features for u in task.corpus.test[:4]]
-        result = cont.decode_stream(base, max_lanes=1)
+        result = rec.decode_stream(base, max_lanes=1)
         assert result.max_lanes == 1
         assert result.steps == sum(f.shape[0] for f in base)
         assert result.utilization == 1.0
@@ -83,9 +84,8 @@ class TestContinuousEquivalence:
                 _sequential(rec, base, cache, i, base[i].shape[0]), lane
             )
 
-    def test_generator_queue_is_consumed_lazily(self, trio, task):
+    def test_generator_queue_is_consumed_lazily(self, rec, cache, task):
         """The waiting queue may be a generator; admission pulls from it."""
-        rec, cont, cache = trio
         base = [u.features for u in task.corpus.test[:5]]
         pulled = []
 
@@ -94,37 +94,34 @@ class TestContinuousEquivalence:
                 pulled.append(i)
                 yield f
 
-        result = cont.decode_stream(queue(), max_lanes=2)
+        result = rec.decode_stream(queue(), max_lanes=2)
         assert pulled == list(range(5))
         for i, lane in enumerate(result):
             _assert_lane_equal(
                 _sequential(rec, base, cache, i, base[i].shape[0]), lane
             )
 
-    def test_duplicate_utterances_any_lane_agree(self, trio, task):
+    def test_duplicate_utterances_any_lane_agree(self, rec, task):
         """The same features produce the same output in every lane."""
-        _, cont, _ = trio
         f = task.corpus.test[1].features
-        result = cont.decode_stream([f] * 5, max_lanes=2)
+        result = rec.decode_stream([f] * 5, max_lanes=2)
         first = result[0]
         for lane in result:
             assert lane.words == first.words and lane.score == first.score
 
-    def test_reusable_across_streams(self, trio, task):
-        _, cont, _ = trio
+    def test_reusable_across_streams(self, rec, task):
         feats = [u.features for u in task.corpus.test[:3]]
-        a = cont.decode_stream(feats, max_lanes=2)
-        b = cont.decode_stream(feats, max_lanes=3)
+        a = rec.decode_stream(feats, max_lanes=2)
+        b = rec.decode_stream(feats, max_lanes=3)
         for x, y in zip(a, b):
             assert x.words == y.words and x.score == y.score
 
 
 class TestScheduling:
-    def test_refill_happens_mid_decode(self, trio, task):
+    def test_refill_happens_mid_decode(self, rec, task):
         """With fewer lanes than utterances, lanes must be refilled."""
-        _, cont, _ = trio
         feats = [u.features for u in task.corpus.test]
-        result = cont.decode_stream(feats, max_lanes=2)
+        result = rec.decode_stream(feats, max_lanes=2)
         assert result.max_lanes == 2
         assert len(result.admit_steps) == len(feats)
         assert len(result.lane_of) == len(feats)
@@ -133,34 +130,31 @@ class TestScheduling:
         assert result.admit_steps == sorted(result.admit_steps)  # FIFO
         assert set(result.lane_of) <= {0, 1}
 
-    def test_results_in_submission_order(self, trio, task):
+    def test_results_in_submission_order(self, rec, cache, task):
         """A long utterance first must not displace later short ones."""
-        rec, cont, cache = trio
         base = [u.features for u in task.corpus.test[:4]]
         order = sorted(range(4), key=lambda i: -base[i].shape[0])
         feats = [base[i] for i in order]
-        result = cont.decode_stream(feats, max_lanes=2)
+        result = rec.decode_stream(feats, max_lanes=2)
         for i, lane in zip(order, result):
             _assert_lane_equal(
                 _sequential(rec, base, cache, i, base[i].shape[0]), lane
             )
             assert lane.frames == base[i].shape[0]
 
-    def test_more_lanes_than_utterances_shrinks_bank(self, trio, task):
-        _, cont, _ = trio
+    def test_more_lanes_than_utterances_shrinks_bank(self, rec, task):
         feats = [u.features for u in task.corpus.test[:3]]
-        result = cont.decode_stream(feats, max_lanes=8)
+        result = rec.decode_stream(feats, max_lanes=8)
         assert result.max_lanes == 3
         assert result.admit_steps == [0, 0, 0]
 
-    def test_continuous_beats_drain_utilization(self, trio, task):
+    def test_continuous_beats_drain_utilization(self, rec, task):
         """Refilled lanes waste fewer slots than drain-to-longest."""
-        _, cont, _ = trio
         base = [u.features for u in task.corpus.test]
         # Strongly ragged: a long utterance next to heavily cut ones.
         feats = [f if i % 2 else f[: max(5, f.shape[0] // 4)] for i, f in enumerate(base)]
-        stream = cont.decode_stream(feats, max_lanes=4)
-        drained = cont.decode_batch(feats[:4])
+        stream = rec.decode_stream(feats, max_lanes=4)
+        drained = rec.decode_batch(feats[:4])
         assert stream.utilization > drained.utilization
         assert stream.frames_processed == sum(f.shape[0] for f in feats)
 
@@ -168,9 +162,8 @@ class TestScheduling:
         rec = Recognizer.create(
             task.dictionary, task.pool, task.lm, task.tying, mode="hardware"
         )
-        cont = rec.as_continuous()
         feats = [u.features for u in task.corpus.test[:4]]
-        result = cont.decode_stream(feats, max_lanes=2)
+        result = rec.decode_stream(feats, max_lanes=2)
         assert result.op_unit_activities is not None
         assert result.viterbi_activity is not None
         assert result.frame_critical_cycles is not None
@@ -178,50 +171,35 @@ class TestScheduling:
 
 
 class TestValidationAndLifecycle:
-    def test_rejects_empty_stream(self, trio):
-        _, cont, _ = trio
+    def test_rejects_empty_stream(self, rec):
         with pytest.raises(ValueError):
-            cont.decode_stream([], max_lanes=4)
+            rec.decode_stream([], max_lanes=4)
 
-    def test_rejects_bad_lane_budget(self, trio, task):
-        _, cont, _ = trio
+    def test_rejects_bad_lane_budget(self, rec, task):
         with pytest.raises(ValueError):
-            cont.decode_stream([task.corpus.test[0].features], max_lanes=0)
+            rec.decode_stream([task.corpus.test[0].features], max_lanes=0)
 
-    def test_rejects_bad_shapes_mid_stream(self, trio, task):
-        _, cont, _ = trio
+    def test_rejects_bad_shapes_mid_stream(self, rec, task):
         good = task.corpus.test[0].features
         with pytest.raises(ValueError):
-            cont.decode_stream([good, np.zeros((10, 7))], max_lanes=1)
+            rec.decode_stream([good, np.zeros((10, 7))], max_lanes=1)
         with pytest.raises(ValueError):
-            cont.decode_stream([np.zeros((0, good.shape[1]))], max_lanes=2)
+            rec.decode_stream([np.zeros((0, good.shape[1]))], max_lanes=2)
 
-    def test_rejects_non_finite_features_mid_stream(self, trio, task):
-        _, cont, _ = trio
+    def test_rejects_non_finite_features_mid_stream(self, rec, task):
         good = task.corpus.test[0].features
         bad = good.copy()
         bad[10, 3] = np.nan
         with pytest.raises(ValueError, match="utterance 1.*finite"):
-            cont.decode_stream([good, bad], max_lanes=1)
+            rec.decode_stream([good, bad], max_lanes=1)
 
-    def test_rejects_none_in_queue(self, trio, task):
+    def test_rejects_none_in_queue(self, rec, task):
         """A None element must error, not be silently dropped."""
-        _, cont, _ = trio
         good = task.corpus.test[0].features
         with pytest.raises(ValueError):
-            cont.decode_stream([good, None, good], max_lanes=1)
+            rec.decode_stream([good, None, good], max_lanes=1)
 
-    def test_unknown_mode_error_names_supported_modes(self, task):
-        with pytest.raises(ValueError) as err:
-            ContinuousBatchRecognizer.create(
-                task.dictionary, task.pool, task.lm, task.tying, mode="turbo"
-            )
-        message = str(err.value)
-        assert "turbo" in message
-        for mode in ("'reference'", "'hardware'", "'fast'"):
-            assert mode in message
-
-    def test_drained_queue_compacts_bank(self, trio, task):
+    def test_drained_queue_compacts_bank(self, rec, cache, task):
         """Once the queue drains, the tail must not step dead lanes.
 
         The bank width seen by the pooled scorer has to shrink to the
@@ -229,24 +207,23 @@ class TestValidationAndLifecycle:
         and every utterance's output must be unchanged by the
         relocations.
         """
-        rec, cont, cache = trio
         base = [u.features for u in task.corpus.test[:4]]
         longest = max(range(4), key=lambda i: base[i].shape[0])
         # One full-length straggler, three short lanes; queue == lanes,
         # so it is drained immediately after seeding.
         feats = [f if i == longest else f[:9] for i, f in enumerate(base)]
         widths = []
-        orig = cont.scorer.score_pairs
+        orig = rec.scorer.score_pairs
 
         def spy(observations, pair_rows, pair_senones, lanes=None):
             widths.append(observations.shape[0])
             return orig(observations, pair_rows, pair_senones, lanes=lanes)
 
-        cont.scorer.score_pairs = spy
+        rec.scorer.score_pairs = spy
         try:
-            result = cont.decode_stream(feats, max_lanes=4)
+            result = rec.decode_stream(feats, max_lanes=4)
         finally:
-            cont.scorer.score_pairs = orig
+            rec.scorer.score_pairs = orig
         assert widths[0] == 4
         assert widths[-1] == 1  # the straggler finished in a 1-lane bank
         assert all(a >= b for a, b in zip(widths, widths[1:]))  # monotone shrink
@@ -257,14 +234,13 @@ class TestValidationAndLifecycle:
                 _sequential(rec, base, cache, i, feats[i].shape[0]), lane
             )
 
-    def test_compact_shrinks_lane_bank_state(self, trio, task):
+    def test_compact_shrinks_lane_bank_state(self, rec, cache, task):
         """Direct LaneBank lifecycle: retire -> compact -> keep decoding."""
-        rec, cont, cache = trio
         feats = [
             np.asarray(task.corpus.test[0].features, dtype=np.float64),
             np.asarray(task.corpus.test[1].features[:6], dtype=np.float64),
         ]
-        bank = LaneBank(cont, 2)
+        bank = LaneBank(rec, 2)
         bank.admit(0, 0, feats[0])
         bank.admit(1, 1, feats[1])
         results = {}
@@ -280,11 +256,10 @@ class TestValidationAndLifecycle:
         for i, f in enumerate(feats):
             _assert_lane_equal(rec.decode(f), results[i])
 
-    def test_lane_bank_lifecycle_guards(self, trio, task):
+    def test_lane_bank_lifecycle_guards(self, rec, task):
         """admit/step/retire enforce the lane lifecycle contract."""
-        _, cont, _ = trio
         f = np.asarray(task.corpus.test[0].features, dtype=np.float64)
-        bank = LaneBank(cont, 2)
+        bank = LaneBank(rec, 2)
         with pytest.raises(RuntimeError):
             bank.step()  # nothing admitted
         with pytest.raises(RuntimeError):
@@ -296,4 +271,4 @@ class TestValidationAndLifecycle:
             bank.retire(0)  # mid-utterance
         assert bank.free_lanes() == [1]
         with pytest.raises(ValueError):
-            LaneBank(cont, 0)
+            LaneBank(rec, 0)

@@ -97,29 +97,25 @@ class TestAblationParity:
             fast_config=make_config(combo),
         )
         sequential = [rec.decode(f) for f in ragged_feats]
-        batch = rec.as_batch()
-        cont = rec.as_continuous()
-        assert isinstance(batch.scorer, BatchFastGmmScorer)
-        # The batched twin shares the sequential model (one codebook).
-        assert batch.scorer.model is rec.scorer.model
+        assert isinstance(rec.scorer, BatchFastGmmScorer)
 
         # Batch size 1 (degenerate) and 3 (ragged retirement mid-batch).
-        _assert_lane_equal(sequential[0], batch.decode_batch([ragged_feats[0]])[0])
-        for seq, lane in zip(sequential[:3], batch.decode_batch(ragged_feats[:3])):
+        _assert_lane_equal(sequential[0], rec.decode_batch([ragged_feats[0]])[0])
+        for seq, lane in zip(sequential[:3], rec.decode_batch(ragged_feats[:3])):
             _assert_lane_equal(seq, lane)
 
         # Batch size 8: duplicated ragged lanes — identical features in
         # different lanes must produce identical outputs AND counters.
         eight = ragged_feats + ragged_feats
-        for seq, lane in zip(sequential + sequential, batch.decode_batch(eight)):
+        for seq, lane in zip(sequential + sequential, rec.decode_batch(eight)):
             _assert_lane_equal(seq, lane)
 
-        # Seeded-random arrival orders through the continuous runtime:
+        # Seeded-random arrival orders through decode_stream:
         # mid-decode refill reseeds per-lane scorer state.
         rng = np.random.default_rng(sum(combo) + 17)
         for max_lanes in (2, 3):
             order = rng.permutation(len(ragged_feats)).tolist()
-            stream = cont.decode_stream(
+            stream = rec.decode_stream(
                 [ragged_feats[i] for i in order], max_lanes=max_lanes
             )
             for i, lane in zip(order, stream.results):
@@ -205,8 +201,8 @@ class TestPooledBackendWithCdSenones:
 
 class TestFastLaneLifecycle:
     @pytest.fixture(scope="class")
-    def fast_pair(self, task):
-        rec = Recognizer.create(
+    def fast_rec(self, task):
+        return Recognizer.create(
             task.dictionary,
             task.pool,
             task.lm,
@@ -214,34 +210,33 @@ class TestFastLaneLifecycle:
             mode="fast",
             fast_config=FastGmmConfig.all_layers(),
         )
-        return rec, rec.as_continuous()
 
-    def test_refill_resets_scorer_state(self, fast_pair, ragged_feats):
+    def test_refill_resets_scorer_state(self, fast_rec, ragged_feats):
         """A reseeded lane must not inherit the CDS cache: decoding the
         SAME utterance through a refilled lane gives identical skip
         counters to a fresh sequential decode."""
-        rec, cont = fast_pair
+        rec = fast_rec
         seq = [rec.decode(f) for f in ragged_feats]
-        stream = cont.decode_stream(ragged_feats, max_lanes=1)
+        stream = rec.decode_stream(ragged_feats, max_lanes=1)
         for s, lane in zip(seq, stream.results):
             _assert_lane_equal(s, lane)
         skips = [r.fast_stats.frames_skipped for r in stream.results]
         assert any(s > 0 for s in skips)  # CDS actually fired
 
-    def test_retire_detaches_counters(self, fast_pair, ragged_feats):
+    def test_retire_detaches_counters(self, fast_rec, ragged_feats):
         """Retired lanes' stats are frozen; the backend holds no state
         for them afterwards."""
-        _, cont = fast_pair
-        result = cont.decode_stream(ragged_feats, max_lanes=2)
-        assert cont.scorer._lanes == {}  # all retired
+        rec = fast_rec
+        result = rec.decode_stream(ragged_feats, max_lanes=2)
+        assert rec.scorer._lanes == {}  # all retired
         frames = [r.fast_stats.frames for r in result.results]
         assert frames == LENGTHS
 
-    def test_work_counters_sum_like_sequential(self, fast_pair, ragged_feats):
+    def test_work_counters_sum_like_sequential(self, fast_rec, ragged_feats):
         """Aggregate pooled work == sum of per-utterance sequential work."""
-        rec, cont = fast_pair
+        rec = fast_rec
         seq = [rec.decode(f) for f in ragged_feats]
-        stream = cont.decode_stream(ragged_feats, max_lanes=4)
+        stream = rec.decode_stream(ragged_feats, max_lanes=4)
         for field in (f.name for f in dataclasses.fields(FastGmmStats)):
             total_seq = sum(getattr(r.fast_stats, field) for r in seq)
             total_stream = sum(getattr(r.fast_stats, field) for r in stream.results)

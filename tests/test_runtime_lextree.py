@@ -34,12 +34,7 @@ from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
-from repro.runtime import (
-    BatchRecognizer,
-    ContinuousBatchRecognizer,
-    LaneBank,
-    TreeLaneBank,
-)
+from repro.runtime import LaneBank, TreeLaneBank
 from repro.workloads.tasks import dictation_cd_task, expand_to_context_dependent
 
 EXACT_MODES = ("reference", "hardware", "fast")
@@ -58,9 +53,11 @@ def make_tree_recognizer(task, mode: str, **kwargs) -> Recognizer:
 
 @pytest.fixture(scope="module", params=EXACT_MODES)
 def tree_trio(request, task):
-    """Sequential tree recognizer, its two batched twins, decode cache."""
+    """Tree recognizer (the sequential oracle), its twin (a recognizer
+    runs one decode at a time, and ``_Lifecycle`` consults the oracle
+    while its bank is mid-decode), decode cache."""
     rec = make_tree_recognizer(task, request.param)
-    return rec, rec.as_batch(), rec.as_continuous(), {}
+    return rec, rec.twin(), {}
 
 
 def _sequential(rec, base, cache, utt_index, length):
@@ -93,10 +90,10 @@ class _Lifecycle:
     """
 
     def __init__(self, trio, base, num_lanes):
-        self.rec, _, runtime, self.cache = trio
+        self.rec, twin, self.cache = trio
         self.base = base
-        runtime._reset_accounting()
-        self.bank = runtime.make_bank(num_lanes)
+        twin._reset_accounting()
+        self.bank = twin.make_bank(num_lanes)
         assert isinstance(self.bank, TreeLaneBank)
         self.source = {}  # utt id -> (utterance index, length)
         self.retired = {}  # utt id -> RecognitionResult
@@ -156,10 +153,10 @@ class TestTreeBatchParity:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 5, 8])
     def test_batch_sizes_match_sequential(self, tree_trio, task, batch_size):
-        rec, batch, _, cache = tree_trio
+        rec, twin, cache = tree_trio
         base = [u.features for u in task.corpus.test]
         feats = [base[i % len(base)] for i in range(batch_size)]
-        result = batch.decode_batch(feats)
+        result = twin.decode_batch(feats)
         assert len(result) == batch_size
         for i, lane in enumerate(result):
             seq = _sequential(
@@ -169,29 +166,29 @@ class TestTreeBatchParity:
 
     def test_ragged_batch_matches_sequential(self, tree_trio, task):
         """Heavily ragged lengths: retired lanes stay frozen."""
-        rec, batch, _, cache = tree_trio
+        rec, twin, cache = tree_trio
         base = [u.features for u in task.corpus.test]
         rng = np.random.default_rng(77)
         lengths = [
             int(rng.integers(MIN_FRAMES, f.shape[0] + 1)) for f in base
         ]
         feats = [f[:n] for f, n in zip(base, lengths)]
-        result = batch.decode_batch(feats)
+        result = twin.decode_batch(feats)
         for i, lane in enumerate(result):
             _assert_lane_equal(_sequential(rec, base, cache, i, lengths[i]), lane)
 
     def test_bank_is_tree_family(self, tree_trio):
-        _, batch, cont, _ = tree_trio
-        assert batch.network_kind == "tree"
-        assert isinstance(batch.make_bank(2), TreeLaneBank)
-        assert isinstance(cont.make_bank(2), TreeLaneBank)
+        rec, twin, _ = tree_trio
+        assert twin.network_kind == "tree"
+        assert isinstance(rec.make_bank(2), TreeLaneBank)
+        assert isinstance(twin.make_bank(2), TreeLaneBank)
 
 
 class TestTreeContinuousSweep:
     """Ragged lengths x arrival orders x max_lanes 1..8 == sequential."""
 
     def test_random_ragged_arrival_orders(self, tree_trio, task):
-        rec, _, cont, cache = tree_trio
+        rec, twin, cache = tree_trio
         base = [u.features for u in task.corpus.test]
         rng = np.random.default_rng(2024)
         for _ in range(N_TRIALS):
@@ -201,7 +198,7 @@ class TestTreeContinuousSweep:
             ]
             feats = [base[i][:n] for i, n in zip(order, lengths)]
             max_lanes = int(rng.integers(1, 9))
-            result = cont.decode_stream(feats, max_lanes=max_lanes)
+            result = twin.decode_stream(feats, max_lanes=max_lanes)
             assert len(result) == len(feats)
             for (i, n), lane in zip(zip(order, lengths), result):
                 _assert_lane_equal(_sequential(rec, base, cache, int(i), n), lane)
@@ -211,7 +208,7 @@ class TestTreeContinuousSweep:
         self, tree_trio, task, max_lanes
     ):
         """Each budget 1..8 explicitly, reversed arrival, fixed rag."""
-        rec, _, cont, cache = tree_trio
+        rec, twin, cache = tree_trio
         base = [u.features for u in task.corpus.test]
         order = list(range(len(base)))[::-1]
         lengths = [
@@ -219,7 +216,7 @@ class TestTreeContinuousSweep:
             for i in order
         ]
         feats = [base[i][:n] for i, n in zip(order, lengths)]
-        result = cont.decode_stream(feats, max_lanes=max_lanes)
+        result = twin.decode_stream(feats, max_lanes=max_lanes)
         for (i, n), lane in zip(zip(order, lengths), result):
             _assert_lane_equal(_sequential(rec, base, cache, i, n), lane)
 
@@ -350,7 +347,7 @@ class TestTreeHistogramCap:
     def test_capped_stream_matches_sequential(self, capped, max_lanes):
         rec, feats, seq, cap = capped
         order = list(range(len(feats)))[::-1] + [0, 2]
-        result = rec.as_continuous().decode_stream(
+        result = rec.decode_stream(
             [feats[i] for i in order], max_lanes=max_lanes
         )
         for i, lane in zip(order, result):
@@ -368,7 +365,7 @@ class TestTreeHistogramCap:
     def test_capped_batch_accounting(self, capped, batch_size):
         """The unit is charged for the WHOLE bank, whatever the list holds."""
         rec, feats, seq, _ = capped
-        result = rec.as_batch().decode_batch([feats[0]] * batch_size)
+        result = rec.decode_batch([feats[0]] * batch_size)
         for lane in result:
             _assert_lane_equal(seq[0], lane)
         if seq[0].viterbi_activity is None:
@@ -408,14 +405,14 @@ class TestTreeBlasParity:
     def test_batch_blas_matches_sequential(self, blas_pair, task):
         rec, seq = blas_pair
         feats = [u.features for u in task.corpus.test]
-        result = rec.as_batch().decode_batch(feats)
+        result = rec.decode_batch(feats)
         for s, lane in zip(seq, result):
             self._assert_blas_lane(s, lane)
 
     def test_continuous_blas_matches_sequential(self, blas_pair, task):
         rec, seq = blas_pair
         feats = [u.features for u in task.corpus.test]
-        result = rec.as_continuous().decode_stream(feats, max_lanes=3)
+        result = rec.decode_stream(feats, max_lanes=3)
         assert max(result.admit_steps) > 0  # refill actually happened
         for s, lane in zip(seq, result):
             self._assert_blas_lane(s, lane)
@@ -425,41 +422,36 @@ class TestNetworkAxis:
     """The ``network=`` selection axis next to ``mode=``."""
 
     def test_unknown_network_names_supported_networks(self, task):
-        for factory in (
-            Recognizer.create,
-            BatchRecognizer.create,
-            ContinuousBatchRecognizer.create,
-        ):
-            with pytest.raises(ValueError) as err:
-                factory(
-                    task.dictionary, task.pool, task.lm, task.tying,
-                    network="trellis",
-                )
-            message = str(err.value)
-            assert "trellis" in message
-            for network in ("'flat'", "'tree'"):
-                assert network in message
+        with pytest.raises(ValueError) as err:
+            Recognizer.create(
+                task.dictionary, task.pool, task.lm, task.tying,
+                network="trellis",
+            )
+        message = str(err.value)
+        assert "trellis" in message
+        for network in ("'flat'", "'tree'"):
+            assert network in message
 
     def test_supported_networks_exposed(self):
-        for cls in (Recognizer, BatchRecognizer, ContinuousBatchRecognizer):
-            assert cls.SUPPORTED_NETWORKS == ("flat", "tree")
+        assert Recognizer.SUPPORTED_NETWORKS == ("flat", "tree")
 
     def test_flat_default_unchanged(self, task):
         rec = Recognizer.create(task.dictionary, task.pool, task.lm, task.tying)
         assert rec.network_kind == "flat"
-        assert isinstance(rec.as_batch().make_bank(1), LaneBank)
+        assert isinstance(rec.make_bank(1), LaneBank)
 
     def test_twins_carry_the_network_axis(self, task):
         rec = make_tree_recognizer(task, "reference")
         assert rec.network_kind == "tree"
-        assert rec.as_batch().network_kind == "tree"
-        assert rec.as_continuous().network_kind == "tree"
-        assert isinstance(rec.word_stage.bank, TreeLaneBank)
+        twin = rec.twin()
+        assert twin.network_kind == "tree"
+        assert twin.network is rec.network
+        assert isinstance(twin.word_stage.bank, TreeLaneBank)
 
 
 class TestTreeStageValidation:
     """Typed validation of what a tree decoder is constructed from
-    (checked once, for every front end and both networks)."""
+    (checked once, in the one recognizer class, for both networks)."""
 
     @pytest.fixture(scope="class")
     def parts(self, task):
@@ -468,10 +460,9 @@ class TestTreeStageValidation:
 
     def test_network_type_checked(self, task, parts):
         _, pool, lm = parts
-        for cls in (Recognizer, BatchRecognizer):
-            with pytest.raises(TypeError) as err:
-                cls(network=task.dictionary, pool=pool, lm=lm)
-            assert "TreeLexiconNetwork" in str(err.value)
+        with pytest.raises(TypeError) as err:
+            Recognizer(network=task.dictionary, pool=pool, lm=lm)
+        assert "TreeLexiconNetwork" in str(err.value)
 
     def test_config_type_checked(self, parts):
         net, pool, lm = parts
@@ -503,7 +494,7 @@ class TestContextDependentDictation:
         rec = make_tree_recognizer(cd_task, "fast")
         feats = [u.features for u in cd_task.corpus.test[:4]]
         seq = [rec.decode(f) for f in feats]
-        result = rec.as_batch().decode_batch(feats)
+        result = rec.decode_batch(feats)
         for s, lane in zip(seq, result):
             _assert_lane_equal(s, lane)
         # The CI layer must be live on the CD pool (real approximation).
@@ -531,7 +522,7 @@ class TestContextDependentDictation:
         rec = make_tree_recognizer(small, "fast")
         f = small.corpus.test[0].features
         seq = rec.decode(f)
-        lane = rec.as_batch().decode_batch([f]).results[0]
+        lane = rec.decode_batch([f]).results[0]
         _assert_lane_equal(seq, lane)
 
 

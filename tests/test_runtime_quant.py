@@ -36,7 +36,6 @@ from repro.quant.fixed_point import (
     dequantize_rows_int8,
     quantize_rows_int8,
 )
-from repro.runtime.batch import BatchRecognizer
 from repro.runtime.scoring import BatchBlasScorer
 from repro.serve import Server
 from repro.workloads.tasks import command_task
@@ -88,19 +87,17 @@ class TestFloat32Parity:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4, 8])
     def test_batch_sizes_word_identical(self, recs, feats, oracle, batch_size):
-        batch = recs["float32"].as_batch()
+        rec = recs["float32"]
         results = []
         for start in range(0, len(feats), batch_size):
-            results.extend(batch.decode_batch(feats[start : start + batch_size]))
+            results.extend(rec.decode_batch(feats[start : start + batch_size]))
         for lane, base in zip(results, oracle):
             _assert_quant_parity(lane, base, FLOAT32_SCORE_ATOL)
 
     def test_continuous_ragged_arrivals_word_identical(
         self, recs, feats, oracle
     ):
-        result = recs["float32"].as_continuous().decode_stream(
-            feats, max_lanes=2
-        )
+        result = recs["float32"].decode_stream(feats, max_lanes=2)
         assert max(result.admit_steps) > 0  # refill actually happened
         for lane, base in zip(result, oracle):
             _assert_quant_parity(lane, base, FLOAT32_SCORE_ATOL)
@@ -108,9 +105,7 @@ class TestFloat32Parity:
     def test_continuous_reversed_arrival_word_identical(
         self, recs, feats, oracle
     ):
-        result = recs["float32"].as_continuous().decode_stream(
-            feats[::-1], max_lanes=3
-        )
+        result = recs["float32"].decode_stream(feats[::-1], max_lanes=3)
         for lane, base in zip(result, oracle[::-1]):
             _assert_quant_parity(lane, base, FLOAT32_SCORE_ATOL)
 
@@ -140,7 +135,7 @@ class TestInt8Drift:
 
     def test_batch_drift_bounded(self, recs, golden_pairs):
         feats, baselines = golden_pairs
-        result = recs["int8"].as_batch().decode_batch(feats)
+        result = recs["int8"].decode_batch(feats)
         for lane, base in zip(result, baselines):
             _assert_quant_parity(lane, base, INT8_SCORE_ATOL)
 
@@ -255,14 +250,14 @@ class TestPrecisionThreading:
     the serving front door."""
 
     def test_batch_twin_keeps_precision(self, recs):
-        twin = BatchRecognizer.from_recognizer(recs["float32"])
+        twin = recs["float32"].twin()
         assert twin.precision == "float32"
         assert twin.scorer.precision == "float32"
 
     def test_continuous_twin_keeps_precision(self, recs):
-        cont = recs["int8"].as_continuous()
-        assert cont.precision == "int8"
-        assert cont.scorer.precision == "int8"
+        twin = recs["int8"].twin()
+        assert twin.precision == "int8"
+        assert twin.scorer.precision == "int8"
 
     def test_server_metrics_report_precision_and_footprint(self, recs):
         server = Server(recs["float32"])
@@ -308,8 +303,7 @@ class TestQuantGolden:
     def test_batch8_matches_reference_fixture(
         self, recs, fixture, golden_feats, precision, atol
     ):
-        batch = recs[precision].as_batch()
-        result = batch.decode_batch(golden_feats)  # one bank, batch 8 lanes
+        result = recs[precision].decode_batch(golden_feats)  # one bank, 8 lanes
         assert len(result) == len(fixture["utterances"])
         for lane, expected in zip(result, fixture["utterances"]):
             assert lane.words == tuple(expected["words"])

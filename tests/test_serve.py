@@ -42,6 +42,7 @@ from repro.runtime.serving import (
     ServeStopped,
 )
 from repro.serve import AdmissionRejected, ServeStatus, Server, ServerClosed
+from repro.serve.faults import Fault, FaultPlan
 
 
 def make_recognizer(task, mode="reference"):
@@ -76,7 +77,7 @@ def run_loop_inline(rec, jobs_and_commands, max_lanes=2, clock=None):
     inbox.put(STOP)
     events = []
     kwargs = {} if clock is None else {"clock": clock}
-    serve = ServeLoop(rec.as_batch(), max_lanes=max_lanes, **kwargs)
+    serve = ServeLoop(rec.twin(), max_lanes=max_lanes, **kwargs)
     serve.run(inbox, events.append)
     return events
 
@@ -223,7 +224,7 @@ class TestDecodeTiming:
 
     def test_batch_runtime_stamps_timing(self, recognizer, task):
         feats = [u.features for u in task.corpus.test[:3]]
-        batch = recognizer.as_batch().decode_batch(feats)
+        batch = recognizer.decode_batch(feats)
         for lane in batch:
             assert lane.timing is not None
             assert lane.timing.decode_s > 0.0
@@ -231,7 +232,7 @@ class TestDecodeTiming:
 
     def test_continuous_runtime_stamps_timing(self, recognizer, task):
         feats = [u.features for u in task.corpus.test[:4]]
-        stream = recognizer.as_continuous().decode_stream(feats, max_lanes=2)
+        stream = recognizer.decode_stream(feats, max_lanes=2)
         for lane in stream:
             assert lane.timing is not None
             assert lane.timing.decode_s > 0.0
@@ -912,11 +913,28 @@ class TestFleetResilience:
     def test_work_stealing_rebalances_skewed_shards(self, task, workload):
         """One shard drains its short jobs while the other sits on a
         backlog of long ones: the server steals the waiting jobs back
-        and re-runs them on the idle shard, bit-identically."""
+        and re-runs them on the idle shard, bit-identically.
+
+        The skew is SCHEDULED, not raced: a slow-shard fault stalls the
+        victim 1.2 s inside its first utterance, while the thief needs
+        120 engine steps (tens of milliseconds) to go idle.
+        """
         features, baselines = workload
         rec = make_recognizer(task)
         short = features[1][:40]
         short_base = rec.decode(short)
+        plan = FaultPlan(
+            [
+                Fault(
+                    site="dispatch",
+                    at=1,
+                    kind="slow_shard",
+                    worker=1,
+                    stall_s=0.03,
+                    stall_steps=40,
+                )
+            ]
+        )
 
         async def scenario():
             async with Server(
@@ -925,6 +943,7 @@ class TestFleetResilience:
                 max_lanes=1,
                 worker_backlog=2,
                 max_queue=16,
+                fault_plan=plan,
             ) as server:
                 # Alternating submit + least-loaded dispatch gives
                 # worker 0 the shorts and worker 1 the longs.

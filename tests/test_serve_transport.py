@@ -17,7 +17,8 @@ Covers, per the PR's acceptance criteria:
 * a burst larger than lanes + backlog + queue through one socket is
   fully partitioned into typed rejections and typed results, and the
   server's counters agree with the client's;
-* non-finite features get a typed error on a connection that lives on.
+* non-finite features, and an ``open`` whose parameters the streaming
+  decoder rejects, get a typed error on a connection that lives on.
 
 No pytest-asyncio dependency: async tests run under ``asyncio.run``.
 """
@@ -33,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.decoder import Recognizer
+from repro.frontend.features import Frontend
 from repro.serve import (
     AdmissionRejected,
     ServeClient,
@@ -217,6 +219,64 @@ class TestWireLoopback:
                         result = await ticket.result()
                         assert result.ok
                         assert result.score == baselines[0].score
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "bad_open",
+        [
+            {"endpointing": True, "endpoint_silence_frames": 0},
+            {"on_partial": lambda words, frame: None, "partial_interval": -1},
+            {"partial_interval": "soon"},
+        ],
+        ids=["silence-frames-0", "partial-interval-negative", "non-integer"],
+    )
+    def test_bad_open_gets_a_typed_error_on_that_stream_only(
+        self, recognizer, workload, bad_open
+    ):
+        """Parameters the streaming decoder rejects are answered like a
+        bad submit — they used to escape ``handle`` as an internal
+        error that closed the socket under every in-flight request."""
+        features, baselines = workload
+
+        async def scenario():
+            async with Server(recognizer, num_workers=1, max_lanes=2) as server:
+                async with WireServer(server) as wire:
+                    async with await ServeClient.connect(
+                        wire.host, wire.port
+                    ) as client:
+                        neighbour = await client.submit(features[0])
+                        stream = await client.open_stream(**bad_open)
+                        with pytest.raises(WireProtocolError):
+                            await stream.result()
+                        result = await neighbour.result()
+                        assert result.ok
+                        assert result.words == baselines[0].words
+                        assert result.score == baselines[0].score
+                        # ... and the connection takes new work.
+                        assert (await client.decode(features[1])).ok
+
+        asyncio.run(scenario())
+
+    def test_submit_audio_featurizes_server_side(self, recognizer):
+        """A waveform over the wire decodes like its features would,
+        and one too short to frame is a typed error, not a closed socket."""
+        waveform = np.random.default_rng(5).normal(size=16000)
+        want = recognizer.decode(Frontend().extract(waveform))
+
+        async def scenario():
+            async with Server(recognizer, num_workers=1, max_lanes=2) as server:
+                async with WireServer(server) as wire:
+                    async with await ServeClient.connect(
+                        wire.host, wire.port
+                    ) as client:
+                        with pytest.raises(WireProtocolError, match="empty"):
+                            await client.submit_audio(waveform[:10])
+                        ticket = await client.submit_audio(waveform)
+                        result = await ticket.result()
+                        assert result.ok
+                        assert result.words == want.words
+                        assert result.score == want.score
 
         asyncio.run(scenario())
 
