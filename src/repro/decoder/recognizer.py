@@ -55,7 +55,7 @@ from repro.decoder.network import FlatLexiconNetwork
 from repro.decoder.phone_decode import PhoneDecodeStage
 from repro.decoder.scorer import ScoringStats
 from repro.decoder.word_decode import DecoderConfig, FrameStats, WordDecodeStage
-from repro.hmm.senone import BLAS_PRECISIONS, SenonePool
+from repro.hmm.senone import SenonePool, check_blas_precision
 from repro.hmm.topology import HmmTopology
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.triphone import SenoneTying
@@ -118,11 +118,7 @@ def validate_precision(mode: str, precision: str) -> None:
     construction and the serve loop's brownout swap
     (:meth:`Recognizer.set_precision`).
     """
-    if precision not in BLAS_PRECISIONS:
-        supported = ", ".join(repr(p) for p in BLAS_PRECISIONS)
-        raise ValueError(
-            f"unknown precision {precision!r}; supported: {supported}"
-        )
+    check_blas_precision(precision)
     if precision != "float64" and mode != "blas":
         raise ValueError(
             f"precision={precision!r} requires mode='blas' "

@@ -32,6 +32,7 @@ __all__ = [
     "BlasTables",
     "BLAS_FULL_TABLE_ELEMENTS",
     "BLAS_PRECISIONS",
+    "check_blas_precision",
 ]
 
 #: Table sizes (senones x components x dims) up to this many elements
@@ -47,6 +48,16 @@ BLAS_FULL_TABLE_ELEMENTS = 262_144
 #: (~1/7 the float64 table bytes) and dequantizes into float32 just
 #: ahead of the products.
 BLAS_PRECISIONS = ("float64", "float32", "int8")
+
+
+def check_blas_precision(precision: str) -> None:
+    """Refuse a table precision outside :data:`BLAS_PRECISIONS` — the
+    one spelling of that check, for everything that takes a precision."""
+    if precision not in BLAS_PRECISIONS:
+        supported = ", ".join(repr(p) for p in BLAS_PRECISIONS)
+        raise ValueError(
+            f"unknown blas precision {precision!r}; supported: {supported}"
+        )
 
 
 def _fold_components(items: np.ndarray) -> np.ndarray:
@@ -261,11 +272,7 @@ class SenonePool:
         quantization (:func:`repro.quant.fixed_point.quantize_rows_int8`)
         with per-row float32 scales; ``const`` stays float32 in both.
         """
-        if precision not in BLAS_PRECISIONS:
-            supported = ", ".join(repr(p) for p in BLAS_PRECISIONS)
-            raise ValueError(
-                f"unknown blas precision {precision!r}; supported: {supported}"
-            )
+        check_blas_precision(precision)
         tables = self._blas.get(precision)
         if tables is not None:
             return tables
@@ -317,11 +324,7 @@ class SenonePool:
         quantized-parity suite pins it against the built tables'
         actual ``nbytes``.
         """
-        if precision not in BLAS_PRECISIONS:
-            supported = ", ".join(repr(p) for p in BLAS_PRECISIONS)
-            raise ValueError(
-                f"unknown blas precision {precision!r}; supported: {supported}"
-            )
+        check_blas_precision(precision)
         rows = self.num_senones * self.num_components
         matrix = 2 * rows * self.dim  # prec + mu_prec elements
         if precision == "float64":

@@ -40,11 +40,7 @@ import numpy as np
 
 from repro.core.opunit import GaussianTable, OpUnit
 from repro.decoder.fast_gmm import FastGmmLaneState, FastGmmModel, FastGmmStats
-from repro.hmm.senone import (
-    BLAS_FULL_TABLE_ELEMENTS,
-    BLAS_PRECISIONS,
-    SenonePool,
-)
+from repro.hmm.senone import BLAS_FULL_TABLE_ELEMENTS, SenonePool
 
 __all__ = [
     "BatchScoringBackend",
@@ -257,11 +253,6 @@ class BatchBlasScorer(_StatelessLaneMixin):
         if not 0.0 <= min_density <= 1.0:
             raise ValueError(
                 f"min_density must be in [0, 1], got {min_density}"
-            )
-        if precision not in BLAS_PRECISIONS:
-            supported = ", ".join(repr(p) for p in BLAS_PRECISIONS)
-            raise ValueError(
-                f"unknown blas precision {precision!r}; supported: {supported}"
             )
         self.pool = pool
         self.num_senones = pool.num_senones

@@ -207,18 +207,16 @@ class JobStolen:
 
 @dataclass(frozen=True)
 class LoopStats:
-    """Utilization counters, emitted periodically and at shutdown."""
+    """Utilization counters, emitted periodically and at shutdown
+    (all-zero: a loop that has not reported yet)."""
 
-    steps: int
-    frames_processed: int
     max_lanes: int
-    completed: int
-    timeouts: int
-    cancelled: int
-    failed: int
-    # Trailing defaults: Server constructs LoopStats positionally with
-    # the original seven fields when synthesizing stats for a dead
-    # worker, so new fields must default.
+    steps: int = 0
+    frames_processed: int = 0
+    completed: int = 0
+    timeouts: int = 0
+    cancelled: int = 0
+    failed: int = 0
     precision: str | None = None
     stalled_steps: int = 0
     #: Shard-cumulative decode-depth rollup (every completed lane's
@@ -280,11 +278,7 @@ class ServeLoop:
         self.worker_id = worker_id
 
     def _worker_trace(
-        self,
-        trace_id: str | None,
-        utt_id: int,
-        arrived_at: float,
-        result: RecognitionResult,
+        self, job: DecodeJob, arrived_at: float, result: RecognitionResult
     ) -> Trace:
         """The shard-side half of a request's timeline.
 
@@ -296,17 +290,19 @@ class ServeLoop:
         end to end: relative proportions are exact, absolute child
         timestamps are the lane's share of each step.
         """
-        trace = Trace(trace_id=trace_id or mint_trace_id(), utt_id=utt_id)
-        timing = result.timing
-        admitted = timing.admitted_at if timing else arrived_at
-        finished = timing.finished_at if timing else self.clock()
+        trace = Trace(
+            trace_id=job.trace_id or mint_trace_id(), utt_id=job.utt_id
+        )
+        # The bank stamps every result it retires.
+        admitted = result.timing.admitted_at
+        finished = result.timing.finished_at
         wid = self.worker_id
         trace.add(
             "worker.queue", arrived_at, admitted, worker=wid, parent="request"
         )
         trace.add("decode", admitted, finished, worker=wid, parent="request")
         tel = result.telemetry
-        if tel is not None and tel.stage_total_s > 0:
+        if tel.stage_total_s > 0:
             window = max(finished - admitted, 0.0)
             scale = min(1.0, window / tel.stage_total_s)
             at = admitted
@@ -333,13 +329,13 @@ class ServeLoop:
         rec = self.recognizer
         rec._reset_accounting()
         bank = rec.make_bank(self.max_lanes)
-        waiting: deque[DecodeJob] = deque()
+        # A job travels with its inbox-arrival stamp: first in
+        # ``waiting``, then in its lane's slot (read only while the
+        # lane is active, overwritten by the next admit).
+        waiting: deque[tuple[DecodeJob, float]] = deque()
+        slots: list[tuple[DecodeJob, float] | None] = [None] * self.max_lanes
         cancels: set[int] = set()
         steals: set[int] = set()
-        lane_deadline: dict[int, float | None] = {}
-        # Per-utt (arrived_at, trace_id), kept from intake to resolution
-        # on every exit path so the dict cannot grow past the backlog.
-        job_obs: dict[int, tuple[float, str | None]] = {}
         shard_telemetry = DecodeTelemetry()
         stopping = False
         completed = timeouts = cancelled = failed = 0
@@ -356,7 +352,7 @@ class ServeLoop:
                 timeouts=timeouts,
                 cancelled=cancelled,
                 failed=failed,
-                precision=getattr(rec, "precision", None),
+                precision=rec.precision,
                 stalled_steps=stalled_steps,
                 telemetry=replace(shard_telemetry),
             )
@@ -393,30 +389,24 @@ class ServeLoop:
                             bank.scorer = rec.scorer
                             emit(stats())
                     else:
-                        waiting.append(msg)
-                        job_obs[msg.utt_id] = (
-                            self.clock(),
-                            getattr(msg, "trace_id", None),
-                        )
+                        waiting.append((msg, self.clock()))
                 now = self.clock()
 
                 # 2. Shed queued jobs that were cancelled, stolen back
                 #    by the server, or whose deadline already passed —
                 #    they never cost a lane.
                 if waiting:
-                    kept: deque[DecodeJob] = deque()
-                    for job in waiting:
+                    kept: deque[tuple[DecodeJob, float]] = deque()
+                    for entry in waiting:
+                        job = entry[0]
                         if job.utt_id in cancels:
                             cancels.discard(job.utt_id)
-                            job_obs.pop(job.utt_id, None)
                             emit(JobCancelled(job.utt_id, "queued", 0))
                             cancelled += 1
                         elif job.utt_id in steals:
                             steals.discard(job.utt_id)
-                            job_obs.pop(job.utt_id, None)
                             emit(JobStolen(job.utt_id))
                         elif job.deadline_at is not None and now >= job.deadline_at:
-                            job_obs.pop(job.utt_id, None)
                             emit(
                                 JobTimedOut(
                                     job.utt_id, "queued", 0, job.deadline_at, now
@@ -424,26 +414,22 @@ class ServeLoop:
                             )
                             timeouts += 1
                         else:
-                            kept.append(job)
+                            kept.append(entry)
                     waiting = kept
 
                 # 3. Early-retire decoding lanes that were cancelled or
                 #    missed their deadline; the freed lanes re-admit
                 #    below, this very iteration.
                 for lane in np.flatnonzero(bank.active).tolist():
-                    utt = int(bank.lane_utt[lane])
-                    deadline = lane_deadline.get(lane)
+                    job = slots[lane][0]
+                    utt, deadline = job.utt_id, job.deadline_at
                     if utt in cancels:
                         cancels.discard(utt)
                         frames = bank.cancel(lane)
-                        lane_deadline.pop(lane, None)
-                        job_obs.pop(utt, None)
                         emit(JobCancelled(utt, "decoding", frames))
                         cancelled += 1
                     elif deadline is not None and now >= deadline:
                         frames = bank.cancel(lane)
-                        lane_deadline.pop(lane, None)
-                        job_obs.pop(utt, None)
                         emit(JobTimedOut(utt, "decoding", frames, deadline, now))
                         timeouts += 1
                 # Anything still unmatched was already resolved (the
@@ -457,18 +443,18 @@ class ServeLoop:
                 # 4. Admission: FIFO into free lanes.
                 while waiting and not bank.active.all():
                     lane = bank.free_lanes()[0]
-                    job = waiting.popleft()
+                    entry = waiting.popleft()
+                    job = entry[0]
                     try:
                         feats = rec._validate_features(job.utt_id, job.features)
                         bank.admit(
                             lane, job.utt_id, feats, enqueued_at=job.enqueued_at
                         )
                     except (TypeError, ValueError) as exc:
-                        job_obs.pop(job.utt_id, None)
                         emit(JobFailed(job.utt_id, repr(exc)))
                         failed += 1
                         continue
-                    lane_deadline[lane] = job.deadline_at
+                    slots[lane] = entry
 
                 # 5. Idle / exit.
                 if not bank.any_active:
@@ -488,18 +474,11 @@ class ServeLoop:
                 # while the loop idles between jobs.
                 retired = False
                 for lane in bank.step():
-                    utt = int(bank.lane_utt[lane])
-                    lane_deadline.pop(lane, None)
+                    job, arrived_at = slots[lane]
                     result = bank.retire(lane)
-                    if result.telemetry is not None:
-                        shard_telemetry.merge(result.telemetry)
-                    arrived_at, trace_id = job_obs.pop(
-                        utt, (result.timing.enqueued_at, None)
-                    )
-                    result.trace = self._worker_trace(
-                        trace_id, utt, arrived_at, result
-                    )
-                    emit(JobDone(utt, result))
+                    shard_telemetry.merge(result.telemetry)
+                    result.trace = self._worker_trace(job, arrived_at, result)
+                    emit(JobDone(job.utt_id, result))
                     completed += 1
                     retired = True
                 if retired or bank.steps % self.STATS_EVERY == 0:

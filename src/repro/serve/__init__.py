@@ -49,7 +49,7 @@ fault, worker death and brownout transition.
 
 from repro.serve.client import ServeClient, WireResult, WireStream, WireTicket
 from repro.serve.faults import FAULT_KINDS, FAULT_SITES, Fault, FaultPlan
-from repro.serve.metrics import ServerMetrics, WorkerMetrics, percentile
+from repro.serve.metrics import ServerMetrics, WorkerMetrics
 from repro.serve.server import Server, Session, StreamSession
 from repro.serve.transport import WireServer
 from repro.serve.types import (
@@ -86,5 +86,4 @@ __all__ = [
     "WireStream",
     "WireTicket",
     "WorkerMetrics",
-    "percentile",
 ]

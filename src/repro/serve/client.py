@@ -133,9 +133,17 @@ def _quiet(future: asyncio.Future) -> None:
 
 
 class WireTicket:
-    """One accepted submission; resolves exactly once."""
+    """One request, client-side; its result resolves exactly once.
 
-    def __init__(self, client: "ServeClient", req_id: int) -> None:
+    Everything the client knows about a request lives here, and the
+    client's one ``req_id -> ticket`` map holds it only while an event
+    for it can still arrive: a result, rejection, error or connection
+    loss retires the whole request in one step.
+    """
+
+    def __init__(
+        self, client: "ServeClient", req_id: int, on_partial: Callable | None
+    ) -> None:
         self._client = client
         self.req_id = req_id
         #: The trace id this submit minted (None for streams, which
@@ -143,11 +151,23 @@ class WireTicket:
         self.trace_id: str | None = None
         self.future: asyncio.Future = client._loop.create_future()
         self.future.add_done_callback(_quiet)
+        #: The admission decision: True once ``accepted``, the rebuilt
+        #: :class:`AdmissionRejected` (or whatever failed the request
+        #: first) as its exception.
+        self.admission: asyncio.Future = client._loop.create_future()
+        self.admission.add_done_callback(_quiet)
+        self.on_partial = on_partial
+        self.endpointed = False  # the server's endpointer closed the stream
+        #: An idempotent submit's ``(header, payload)``, replayable at
+        #: most once after a reconnect; None for everything else.
+        self.pending: tuple[dict, bytes] | None = None
+        self.replayed = False
+        #: What failed the request: the connection loss it did not
+        #: survive, or the server's ``error`` event.
+        self.failed: Exception | None = None
 
     async def result(self) -> WireResult:
-        outcome = await asyncio.shield(self.future)
-        self._client._tickets.pop(self.req_id, None)
-        return outcome
+        return await asyncio.shield(self.future)
 
     async def cancel(self) -> None:
         """Request cancellation; the result event still arrives."""
@@ -160,26 +180,27 @@ class WireStream:
     Streams are NOT idempotent: the server-side session accumulates
     state per frame, so if the connection dies mid-stream there is
     nothing safe to replay.  Every method raises the connection's
-    typed :class:`~repro.serve.types.ConnectionLost` once the client
-    marks this stream dead — surfacing the failure instead of letting
-    a ``result()`` hang on a session the server already discarded.
+    typed :class:`~repro.serve.types.ConnectionLost` once the loss has
+    failed this stream's ticket (it reads :attr:`WireTicket.failed`)
+    — surfacing the failure instead of letting a ``result()`` hang on
+    a session the server already discarded.
     """
 
-    def __init__(self, client: "ServeClient", req_id: int) -> None:
+    def __init__(self, client: "ServeClient", ticket: WireTicket) -> None:
         self._client = client
-        self.req_id = req_id
+        self._ticket = ticket
+        self.req_id = ticket.req_id
         self.endpointed = False
-        self._ticket: WireTicket | None = None
+        self._finished = False
 
     def _check_alive(self) -> None:
-        exc = self._client._dead_streams.get(self.req_id)
-        if exc is not None:
-            raise exc
+        if self._ticket.failed is not None:
+            raise self._ticket.failed
 
     async def send_frames(self, frames: np.ndarray) -> bool:
         """Push one frame or a block; True once the endpointer fired
         (the session is then already finished server-side)."""
-        if self._ticket is not None:
+        if self._finished:
             raise RuntimeError("stream already finished")
         self._check_alive()
         meta, payload = encode_array(np.atleast_2d(np.asarray(frames)))
@@ -187,32 +208,26 @@ class WireStream:
         await self._client._send(header, payload)
         # send_frames stays pipelined (no per-block ack); the endpoint
         # and admission events arrive through the reader task.
-        if self.req_id in self._client._endpointed:
-            self._client._endpointed.discard(self.req_id)
-            self.endpointed = True
-            self._client._open_streams.discard(self.req_id)
-            self._ticket = await self._client._claim_ticket(self.req_id)
+        if self._ticket.endpointed:
+            self.endpointed = self._finished = True
+            await asyncio.shield(self._ticket.admission)
         return self.endpointed
 
     async def finish(self) -> WireTicket:
         """Submit the streamed utterance; raises
         :class:`AdmissionRejected` if the door sheds it."""
-        if self._ticket is None:
+        ticket = self._ticket
+        if not self._finished:
             self._check_alive()
-            client = self._client
-            admission = client._admissions.get(self.req_id)
-            if self.req_id in client._endpointed or (
-                admission is not None and admission.done()
-            ):
+            if ticket.endpointed or ticket.admission.done():
                 # The server already auto-finished at the endpoint
                 # (accepted or rejected); a finish op would be stale.
-                client._endpointed.discard(self.req_id)
                 self.endpointed = True
             else:
-                await client._send({"op": "finish", "id": self.req_id})
-            client._open_streams.discard(self.req_id)
-            self._ticket = await client._claim_ticket(self.req_id)
-        return self._ticket
+                await self._client._send({"op": "finish", "id": self.req_id})
+            self._finished = True
+        await asyncio.shield(ticket.admission)
+        return ticket
 
     async def result(self) -> WireResult:
         return await (await self.finish()).result()
@@ -236,13 +251,9 @@ class ServeClient:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._reader_task: asyncio.Task | None = None
         self._ids = itertools.count()
+        #: Requests an event can still arrive for, in request order.
         self._tickets: dict[int, WireTicket] = {}
-        self._admissions: dict[int, asyncio.Future] = {}
-        self._partials: dict[int, Callable] = {}
-        self._endpointed: set[int] = set()
         self._metrics_waiters: dict[int, asyncio.Future] = {}
-        self._open_streams: set[int] = set()  # req ids of unfinished streams
-        self._dead_streams: dict[int, Exception] = {}
         self.hello: dict = {}
         # Resilience state.
         self._retry: RetryPolicy | None = None
@@ -254,10 +265,6 @@ class ServeClient:
         self._key_prefix = uuid.uuid4().hex  # idempotency-key namespace
         self._closed = False
         self._conn_exc: Exception | None = None  # terminal connection loss
-        # Idempotent submits in flight: req id -> (header, payload),
-        # replayable at most once after a reconnect.
-        self._pending_submits: dict[int, tuple[dict, bytes]] = {}
-        self._replayed: set[int] = set()
         self.retries = 0  # submits replayed after a reconnect
         self.reconnects = 0  # successful re-dials
 
@@ -286,11 +293,10 @@ class ServeClient:
                 client = f"client-{self._key_prefix[:12]}"
         self._client_name = client
         self._reader, self._writer = await asyncio.open_connection(host, port)
+        self._hello_future = self._loop.create_future()
         self._reader_task = self._loop.create_task(self._read_loop())
-        hello_future = self._loop.create_future()
-        self._hello_future = hello_future
         await self._send({"op": "hello", "client": client})
-        self.hello = await hello_future
+        self.hello = await self._hello_future
         if self.hello.get("protocol") != PROTOCOL_VERSION:
             raise WireProtocolError(
                 f"server speaks protocol {self.hello.get('protocol')}, "
@@ -327,22 +333,20 @@ class ServeClient:
         result arrives, so one connection loss is absorbed (replayed
         once after reconnect) instead of surfaced.
         """
-        self._check_usable()
-        req_id = next(self._ids)
-        self._register(req_id)
+        ticket = self._register()
         meta, payload = encode_array(
             np.asarray(features, dtype=np.float64)
         )
-        header = {"op": "submit", "id": req_id, **meta}
+        header = {"op": "submit", "id": ticket.req_id, **meta}
         # The trace starts HERE: the client mints the id, the server
         # and its shard add their spans to it, and the result event
         # carries the merged tree back under the same id.
-        header["trace_id"] = mint_trace_id()
+        header["trace_id"] = ticket.trace_id = mint_trace_id()
         if deadline_s is not None:
             header["deadline_s"] = deadline_s
         if self._retry is not None:
-            header["key"] = f"{self._key_prefix}:{req_id}"
-            self._pending_submits[req_id] = (header, payload)
+            header["key"] = f"{self._key_prefix}:{ticket.req_id}"
+            ticket.pending = (header, payload)
         try:
             await self._send(header, payload)
         except (ConnectionError, OSError):
@@ -350,10 +354,10 @@ class ServeClient:
             # already buffered — the reader task's reconnect will
             # replay it and the admission future below resolves as
             # usual.  Anything else fails typed.
-            if req_id not in self._pending_submits:
+            if ticket.pending is None:
+                self._retire(ticket)
                 raise ConnectionLost("connection lost during submit") from None
-        ticket = await self._claim_ticket(req_id)
-        ticket.trace_id = header["trace_id"]
+        await asyncio.shield(ticket.admission)
         return ticket
 
     async def decode(
@@ -371,15 +375,14 @@ class ServeClient:
         Not retried on connection loss (no idempotency key yet):
         resolves or raises typed like any non-retryable op.
         """
-        self._check_usable()
-        req_id = next(self._ids)
-        self._register(req_id)
+        ticket = self._register()
         meta, payload = encode_array(np.asarray(waveform, dtype=np.float64))
-        header = {"op": "submit_audio", "id": req_id, **meta}
+        header = {"op": "submit_audio", "id": ticket.req_id, **meta}
         if deadline_s is not None:
             header["deadline_s"] = deadline_s
         await self._send(header, payload)
-        return await self._claim_ticket(req_id)
+        await asyncio.shield(ticket.admission)
+        return ticket
 
     async def open_stream(
         self,
@@ -392,13 +395,10 @@ class ServeClient:
     ) -> WireStream:
         """Open a streaming session (frames pushed with
         :meth:`WireStream.send_frames`)."""
-        self._check_usable()
-        req_id = next(self._ids)
-        self._register(req_id)
-        self._open_streams.add(req_id)
+        ticket = self._register(on_partial)
         header = {
             "op": "open",
-            "id": req_id,
+            "id": ticket.req_id,
             "partials": on_partial is not None,
             "partial_interval": partial_interval,
             "endpoint_silence_frames": endpoint_silence_frames,
@@ -407,10 +407,8 @@ class ServeClient:
             header["deadline_s"] = deadline_s
         if endpointing is not None:
             header["endpointing"] = endpointing
-        if on_partial is not None:
-            self._partials[req_id] = on_partial
         await self._send(header)
-        return WireStream(self, req_id)
+        return WireStream(self, ticket)
 
     async def metrics(self) -> dict:
         """A :class:`~repro.serve.metrics.ServerMetrics` snapshot.
@@ -418,23 +416,20 @@ class ServeClient:
         Not retried on connection loss (a stale snapshot is worse
         than a typed failure): raises :class:`ConnectionLost`.
         """
-        self._check_usable()
-        req_id = next(self._ids)
-        future = self._loop.create_future()
-        self._metrics_waiters[req_id] = future
-        await self._send({"op": "metrics", "id": req_id})
-        return await future
+        return await self._poll("metrics")
 
     async def metrics_text(self) -> str:
         """The server's Prometheus-style text exposition document.
 
         Same non-retry semantics as :meth:`metrics`.
         """
+        return await self._poll("metrics_text")
+
+    async def _poll(self, op: str):
         self._check_usable()
         req_id = next(self._ids)
-        future = self._loop.create_future()
-        self._metrics_waiters[req_id] = future
-        await self._send({"op": "metrics_text", "id": req_id})
+        future = self._metrics_waiters[req_id] = self._loop.create_future()
+        await self._send({"op": op, "id": req_id})
         return await future
 
     # ------------------------------------------------------------------
@@ -459,79 +454,55 @@ class ServeClient:
                     # retry exists to resolve.
                     self._writer.transport.abort()
 
-    def _register(self, req_id: int) -> WireTicket:
-        """Create the ticket + admission future for a request.
+    def _register(self, on_partial: Callable | None = None) -> WireTicket:
+        """Mint the next request's ticket (refused once the connection
+        is terminally gone).
 
-        Called BEFORE the request frame is sent (and defensively from
-        event handlers), so the reader task always finds a future to
-        resolve no matter how it interleaves with the sender.
+        Called BEFORE the request frame is sent, so the reader task
+        always finds the ticket no matter how it interleaves with the
+        sender.
         """
-        ticket = self._tickets.get(req_id)
-        if ticket is None:
-            ticket = WireTicket(self, req_id)
-            self._tickets[req_id] = ticket
-        if req_id not in self._admissions:
-            admission = self._loop.create_future()
-            admission.add_done_callback(_quiet)
-            self._admissions[req_id] = admission
+        self._check_usable()
+        ticket = WireTicket(self, next(self._ids), on_partial)
+        self._tickets[ticket.req_id] = ticket
         return ticket
 
-    async def _claim_ticket(self, req_id: int) -> WireTicket:
-        """Await the admission decision for ``req_id``: returns the
-        ticket on ``accepted``, raises the rebuilt
-        :class:`AdmissionRejected` on ``rejected``.
-
-        The ticket is captured before awaiting — a result event racing
-        in behind the acceptance pops it from ``_tickets``.
-        """
-        ticket = self._register(req_id)
-        admission = self._admissions[req_id]
-        try:
-            await asyncio.shield(admission)
-        finally:
-            self._admissions.pop(req_id, None)
-        return ticket
+    def _retire(self, ticket: WireTicket, exc: Exception | None = None) -> None:
+        """Forget a request no further event can concern; with ``exc``,
+        resolve whatever of it is still open to that failure."""
+        self._tickets.pop(ticket.req_id, None)
+        ticket.pending = ticket.on_partial = None
+        if exc is not None:
+            ticket.failed = exc
+            for future in (ticket.admission, ticket.future):
+                if not future.done():
+                    future.set_exception(exc)
 
     def _fail_nonretryable(self, exc: Exception) -> None:
         """Fail every op the reconnect machinery will NOT carry over.
 
-        Open streams are swept here too (they used to hang: only
-        registered tickets were failed, but a stream that never called
-        ``finish()`` still holds server state that died with the
-        connection) — their tickets, admissions and any later
-        ``send_frames``/``finish`` all surface the typed error.
-        Idempotent pending submits are spared: their replay resolves
-        them.
+        That includes open streams that never called ``finish()`` —
+        their server-side state died with the connection, so their
+        tickets and any later ``send_frames``/``finish`` surface the
+        typed error instead of hanging.  Idempotent pending submits
+        are spared: their replay resolves them.
         """
-        for req_id in list(self._open_streams):
-            self._dead_streams[req_id] = exc
-            self._partials.pop(req_id, None)
-            self._endpointed.discard(req_id)
-        self._open_streams.clear()
-        for req_id, future in list(self._admissions.items()):
-            if req_id not in self._pending_submits and not future.done():
-                future.set_exception(exc)
-        for req_id, ticket in list(self._tickets.items()):
-            if req_id not in self._pending_submits and not ticket.future.done():
-                ticket.future.set_exception(exc)
+        for ticket in list(self._tickets.values()):
+            if ticket.pending is None:
+                self._retire(ticket, exc)
         for future in self._metrics_waiters.values():
             if not future.done():
                 future.set_exception(exc)
         self._metrics_waiters.clear()
-        if getattr(self, "_hello_future", None) and not self._hello_future.done():
+        if not self._hello_future.done():
             self._hello_future.set_exception(exc)
 
     def _fail_all(self, exc: Exception) -> None:
         """Terminal: no reconnect is coming; everything fails typed."""
         self._conn_exc = exc if not self._closed else None
         self._fail_nonretryable(exc)
-        for req_id, future in list(self._admissions.items()):
-            if not future.done():
-                future.set_exception(exc)
-        for ticket in self._tickets.values():
-            if not ticket.future.done():
-                ticket.future.set_exception(exc)
-        self._pending_submits.clear()
+        for ticket in list(self._tickets.values()):
+            self._retire(ticket, exc)
 
     async def _read_loop(self) -> None:
         try:
@@ -608,24 +579,21 @@ class ServeClient:
         executed server-side, so a second blind replay is the
         caller's call to make, not ours.
         """
-        for req_id in sorted(self._pending_submits):
-            header, payload = self._pending_submits[req_id]
-            if req_id in self._replayed:
-                exc = RetriesExhausted(
-                    f"submit {req_id} already replayed once"
-                )
-                self._pending_submits.pop(req_id, None)
-                admission = self._admissions.get(req_id)
-                if admission is not None and not admission.done():
-                    admission.set_exception(exc)
-                ticket = self._tickets.get(req_id)
-                if ticket is not None and not ticket.future.done():
-                    ticket.future.set_exception(exc)
+        for ticket in list(self._tickets.values()):
+            if ticket.pending is None:
                 continue
-            self._replayed.add(req_id)
+            if ticket.replayed:
+                self._retire(
+                    ticket,
+                    RetriesExhausted(
+                        f"submit {ticket.req_id} already replayed once"
+                    ),
+                )
+                continue
+            ticket.replayed = True
             self.retries += 1
             try:
-                await self._send(header, payload)
+                await self._send(*ticket.pending)
             except (ConnectionError, OSError):
                 return  # this connection died too; the loop re-enters
 
@@ -635,61 +603,47 @@ class ServeClient:
         if kind == "hello":
             if not self._hello_future.done():
                 self._hello_future.set_result(event)
-        elif kind == "accepted":
-            self._register(req_id)
-            admission = self._admissions[req_id]
-            if not admission.done():
-                admission.set_result(True)
+            return
+        if kind in ("metrics", "metrics_text"):
+            future = self._metrics_waiters.pop(req_id, None)
+            if future is not None and not future.done():
+                future.set_result(
+                    event.get("metrics", {})
+                    if kind == "metrics"
+                    else event.get("text", "")
+                )
+            return
+        ticket = self._tickets.get(req_id)
+        if ticket is None:
+            return  # retired: a late event has no audience
+        if kind == "accepted":
+            if not ticket.admission.done():
+                ticket.admission.set_result(True)
         elif kind == "rejected":
-            exc = AdmissionRejected(
-                event.get("queue_depth", 0),
-                event.get("max_queue", 0),
-                reason=event.get("reason", "queue_full"),
-            )
-            self._register(req_id)
-            admission = self._admissions[req_id]
-            if not admission.done():
-                admission.set_exception(exc)
-            # A rejected request never resolves; retire its ticket so
-            # teardown doesn't flag it as abandoned.
-            ticket = self._tickets.pop(req_id, None)
-            if ticket is not None and not ticket.future.done():
+            self._retire(ticket)
+            if not ticket.admission.done():
+                ticket.admission.set_exception(
+                    AdmissionRejected(
+                        event.get("queue_depth", 0),
+                        event.get("max_queue", 0),
+                        reason=event.get("reason", "queue_full"),
+                    )
+                )
+            # A rejected request never resolves.
+            if not ticket.future.done():
                 ticket.future.cancel()
-            self._partials.pop(req_id, None)
-            self._pending_submits.pop(req_id, None)
-            self._replayed.discard(req_id)
         elif kind == "result":
-            # The ticket stays registered until its holder consumes it
-            # (WireTicket.result) — popping here would strand a stream
-            # whose endpoint result outraces the client's finish().
-            ticket = self._tickets.get(req_id)
-            if ticket is not None and not ticket.future.done():
+            self._retire(ticket)
+            if not ticket.future.done():
                 ticket.future.set_result(WireResult.from_event(event))
-            self._partials.pop(req_id, None)
-            self._pending_submits.pop(req_id, None)
-            self._replayed.discard(req_id)
         elif kind == "partial":
-            callback = self._partials.get(req_id)
-            if callback is not None:
-                callback(tuple(event.get("words", ())), event.get("frame"))
+            if ticket.on_partial is not None:
+                ticket.on_partial(
+                    tuple(event.get("words", ())), event.get("frame")
+                )
         elif kind == "endpoint":
-            self._endpointed.add(req_id)
-        elif kind == "metrics":
-            future = self._metrics_waiters.pop(req_id, None)
-            if future is not None and not future.done():
-                future.set_result(event.get("metrics", {}))
-        elif kind == "metrics_text":
-            future = self._metrics_waiters.pop(req_id, None)
-            if future is not None and not future.done():
-                future.set_result(event.get("text", ""))
+            ticket.endpointed = True
         elif kind == "error":
-            exc = WireProtocolError(event.get("error", "unknown error"))
-            self._pending_submits.pop(req_id, None)
-            self._replayed.discard(req_id)
-            admission = self._admissions.get(req_id)
-            if admission is not None and not admission.done():
-                admission.set_exception(exc)
-            else:
-                ticket = self._tickets.get(req_id)
-                if ticket is not None and not ticket.future.done():
-                    ticket.future.set_exception(exc)
+            self._retire(
+                ticket, WireProtocolError(event.get("error", "unknown error"))
+            )

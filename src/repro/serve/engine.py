@@ -49,7 +49,33 @@ __all__ = [
 _PUMP_STOP = ("__pump_stop__", None)
 
 
-class ThreadEngineWorker:
+class _EngineWorker:
+    """The command half both transports share: each is one message on
+    the loop's inbox (a ``queue.Queue`` or a ``multiprocessing`` one).
+    Starting, crashing and reaping the loop are the transport's own."""
+
+    _inbox: "queue_mod.Queue"
+
+    def submit(self, job: DecodeJob) -> None:
+        self._inbox.put(job)
+
+    def cancel(self, utt_id: int) -> None:
+        self._inbox.put(CancelJob(utt_id))
+
+    def steal(self, utt_id: int) -> None:
+        self._inbox.put(StealJob(utt_id))
+
+    def set_precision(self, precision: str) -> None:
+        self._inbox.put(SetPrecision(precision))
+
+    def slow(self, stall_s: float, steps: int) -> None:
+        self._inbox.put(SlowShard(stall_s, steps))
+
+    def request_stop(self) -> None:
+        self._inbox.put(STOP)
+
+
+class ThreadEngineWorker(_EngineWorker):
     """A serve loop in a daemon thread of this process."""
 
     def __init__(
@@ -72,27 +98,9 @@ class ThreadEngineWorker:
     def start(self) -> None:
         self._thread.start()
 
-    def submit(self, job: DecodeJob) -> None:
-        self._inbox.put(job)
-
-    def cancel(self, utt_id: int) -> None:
-        self._inbox.put(CancelJob(utt_id))
-
-    def steal(self, utt_id: int) -> None:
-        self._inbox.put(StealJob(utt_id))
-
-    def set_precision(self, precision: str) -> None:
-        self._inbox.put(SetPrecision(precision))
-
-    def slow(self, stall_s: float, steps: int) -> None:
-        self._inbox.put(SlowShard(stall_s, steps))
-
     def inject_crash(self) -> None:
         """Fault injection: the loop raises and dies with ServeStopped."""
         self._inbox.put(CrashWorker())
-
-    def request_stop(self) -> None:
-        self._inbox.put(STOP)
 
     def alive(self) -> bool:
         return self._thread.is_alive()
@@ -117,7 +125,7 @@ def _process_worker_main(
     serve.run(inbox, lambda event: outbox.put((worker_id, event)))
 
 
-class ProcessEngineWorker:
+class ProcessEngineWorker(_EngineWorker):
     """A serve loop in a forked worker process (one shard).
 
     Must be constructed (and ideally started) before the parent spins
@@ -147,30 +155,12 @@ class ProcessEngineWorker:
     def start(self) -> None:
         self._proc.start()
 
-    def submit(self, job: DecodeJob) -> None:
-        self._inbox.put(job)
-
-    def cancel(self, utt_id: int) -> None:
-        self._inbox.put(CancelJob(utt_id))
-
-    def steal(self, utt_id: int) -> None:
-        self._inbox.put(StealJob(utt_id))
-
-    def set_precision(self, precision: str) -> None:
-        self._inbox.put(SetPrecision(precision))
-
-    def slow(self, stall_s: float, steps: int) -> None:
-        self._inbox.put(SlowShard(stall_s, steps))
-
     def inject_crash(self) -> None:
         """Fault injection: SIGKILL the shard — no goodbye event, the
         server must notice through liveness polling exactly as it
         would for a real hardware death."""
         if self._proc.is_alive():
             self._proc.kill()
-
-    def request_stop(self) -> None:
-        self._inbox.put(STOP)
 
     def alive(self) -> bool:
         return self._proc.is_alive()
@@ -193,11 +183,11 @@ class ProcessEngineWorker:
 
 def start_outbox_pump(
     outbox, emit: Callable[[int, object], None]
-) -> tuple[threading.Thread, Callable[[], None]]:
+) -> Callable[[], None]:
     """Drain a shared worker outbox onto ``emit`` from a daemon thread.
 
-    Returns the pump thread and a ``stop()`` that unblocks and ends it
-    (by sending a sentinel through the queue itself, so no poll loop).
+    Returns a ``stop()`` that unblocks and ends the pump thread (by
+    sending a sentinel through the queue itself, so no poll loop).
     ``emit`` exceptions are swallowed: a closing event loop must not
     kill the pump while late worker events are still in flight.
     """
@@ -215,10 +205,8 @@ def start_outbox_pump(
             except RuntimeError:  # event loop already closed
                 pass
 
-    thread = threading.Thread(target=pump, name="serve-outbox-pump", daemon=True)
-    thread.start()
-
     def stop() -> None:
         outbox.put(_PUMP_STOP)
 
-    return thread, stop
+    threading.Thread(target=pump, name="serve-outbox-pump", daemon=True).start()
+    return stop

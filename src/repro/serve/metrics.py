@@ -12,24 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.obs.telemetry import DecodeTelemetry
 
-__all__ = ["ServerMetrics", "WorkerMetrics", "percentile"]
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The ``q``-quantile (0..1, linear interpolation); NaN if empty.
-
-    An empty series has no quantiles.  Returning 0.0 (the old
-    behavior) made a server that had completed nothing look infinitely
-    fast — NaN is unambiguous and survives JSON, exposition text and
-    ``repr`` without masquerading as a latency.
-    """
-    if not values:
-        return float("nan")
-    return float(np.quantile(values, q))
+__all__ = ["ServerMetrics", "WorkerMetrics"]
 
 
 @dataclass(frozen=True)

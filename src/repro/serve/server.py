@@ -17,25 +17,19 @@ sharded mode), each running a
         ▼   when in-flight skews
     ServeResult futures  ◀─events── JobDone / JobTimedOut / JobStolen
 
-Admission is production-shaped along four axes:
-
-* **EDF ordering** — the queue dispatches by earliest absolute
-  deadline (FIFO among equals; deadline-free jobs go last), so under
-  backlog the jobs with the least slack reach a lane first and
-  already-dead jobs cluster at the head where they are shed for free.
-* **Per-client fair share** — ``submit(..., client=...)`` tags each
-  job; when several clients hold queued jobs at once, each is capped
-  at ``max_queue // #active-clients`` queued entries, so one hot
-  client cannot starve the rest of the door.
-* **Work stealing** — a worker that goes idle while a sibling still
-  has jobs waiting BEHIND its busy lanes reclaims one
-  (:class:`~repro.runtime.serving.StealJob`); the job re-enters the
-  EDF queue and immediately re-dispatches to the idle worker.
-* **Backlog autotuning** — ``worker_backlog="auto"`` adapts how many
-  jobs are pushed to a worker beyond its lanes: deadline misses and
-  rejections shrink it (jobs held at the server stay EDF-orderable
-  and shed-able — backpressure), sustained packed-and-healthy load
-  grows it (hiding lane-refill latency).
+This module is the mechanism — lifecycle, submit, event routing,
+request traces, metrics — over one :class:`~repro.serve.fleet.Shard`
+record per worker and one :class:`Session` per request.  Every
+decision it takes is a plain function or object of
+:mod:`repro.serve.fleet` (no event loop there): the EDF order, the
+per-client fair share and the admission bound in
+:class:`~repro.serve.fleet.EdfQueue`; least-loaded dispatch in
+``pick_shard``; work stealing in ``steal_candidate``; steal-aware
+shard health in ``lose_steal``/``recover_health``; the
+``worker_backlog="auto"`` depth in ``autotune_backlog``; brownout in
+``brownout_pressure`` and the :class:`~repro.serve.fleet.Brownout`
+hysteresis.  :meth:`Server._metrics_window` feeds the window-driven
+ones.
 
 Deadline semantics: a deadline is an ABSOLUTE budget from enqueue.  A
 job that expires while queued is shed without ever touching a lane; a
@@ -59,7 +53,6 @@ events re-enter the loop through ``call_soon_threadsafe``.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import itertools
 import math
 import multiprocessing
@@ -85,6 +78,7 @@ from repro.runtime.serving import (
     LoopStats,
     ServeStopped,
 )
+from repro.serve import fleet
 from repro.serve.engine import (
     ProcessEngineWorker,
     ThreadEngineWorker,
@@ -103,85 +97,6 @@ from repro.serve.types import (
 __all__ = ["Server", "Session", "StreamSession"]
 
 
-class _EdfQueue:
-    """Earliest-deadline-first admission queue with O(log n) ops.
-
-    Entries order by ``(deadline_at, arrival)`` — deadline-free jobs
-    sort last (``inf``), FIFO breaks ties — so the head is always the
-    most urgent job AND, once expired jobs exist, they form a prefix
-    of the order (their deadlines are the smallest), which is what
-    lets dispatch shed the dead for free before spending a worker
-    pick.  Removal (client cancel, steal re-queue bookkeeping) is a
-    lazy tombstone; per-client live counts back the fair-share quota.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, list]] = []
-        self._entries: dict[int, list] = {}  # utt_id -> live entry
-        self._arrival = itertools.count()
-        self._client_queued: dict[str | None, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, job: DecodeJob, session: "Session") -> None:
-        key = math.inf if job.deadline_at is None else job.deadline_at
-        entry = [job, session, True]
-        heapq.heappush(self._heap, (key, next(self._arrival), entry))
-        self._entries[job.utt_id] = entry
-        client = session.client
-        self._client_queued[client] = self._client_queued.get(client, 0) + 1
-
-    def peek(self) -> tuple[DecodeJob, "Session"] | None:
-        while self._heap:
-            entry = self._heap[0][2]
-            if entry[2]:
-                return entry[0], entry[1]
-            heapq.heappop(self._heap)
-        return None
-
-    def pop(self) -> tuple[DecodeJob, "Session"] | None:
-        while self._heap:
-            entry = heapq.heappop(self._heap)[2]
-            if entry[2]:
-                self._drop(entry)
-                return entry[0], entry[1]
-        return None
-
-    def remove(self, utt_id: int) -> bool:
-        """Tombstone a queued job; False if it was not queued here."""
-        entry = self._entries.get(utt_id)
-        if entry is None:
-            return False
-        self._drop(entry)
-        return True
-
-    def _drop(self, entry: list) -> None:
-        entry[2] = False
-        del self._entries[entry[0].utt_id]
-        client = entry[1].client
-        count = self._client_queued[client] - 1
-        if count:
-            self._client_queued[client] = count
-        else:
-            del self._client_queued[client]
-
-    def queued_for(self, client: str | None) -> int:
-        return self._client_queued.get(client, 0)
-
-    def active_clients(self) -> int:
-        """Clients currently holding at least one queued job."""
-        return len(self._client_queued)
-
-    def drain(self):
-        """Pop every live entry, most urgent first."""
-        while True:
-            item = self.pop()
-            if item is None:
-                return
-            yield item
-
-
 class Session:
     """A ticket for one submitted utterance.
 
@@ -195,19 +110,27 @@ class Session:
     def __init__(
         self,
         server: "Server",
-        utt_id: int,
-        enqueued_at: float,
+        job: DecodeJob,
         client: str | None = None,
-        trace_id: str | None = None,
         received_at: float | None = None,
     ) -> None:
         self._server = server
-        self.utt_id = utt_id
-        self.enqueued_at = enqueued_at
+        #: The dispatchable form of this request, held until it
+        #: resolves so a steal or a worker death can re-dispatch it.
+        self.job = job
+        self.utt_id = job.utt_id
+        self.enqueued_at = job.enqueued_at
         self.client = client
+        #: Where the session is: queued (``queued`` holds its
+        #: :class:`~repro.serve.fleet.EdfQueue` arrival stamp, ``worker``
+        #: is None) or dispatched (``worker`` names the shard whose
+        #: ``jobs`` list holds it).
+        self.queued: int | None = None
         self.worker: int | None = None
+        self.steal_pending = False  # a StealJob for it is in flight
+        self.redispatched = False  # already survived one worker death
         # Observability stamps for the merged request trace.
-        self.trace_id = trace_id
+        self.trace_id = job.trace_id
         self.received_at = received_at  # wire arrival (None: in-process)
         self.dispatched_at: float | None = None
         self._future: asyncio.Future[ServeResult] = (
@@ -358,10 +281,13 @@ class StreamSession:
                 features = np.vstack(self._frames)
             else:
                 raise ValueError("cannot finish an empty session")
-            self._session = self._server.submit(
-                features, deadline_s=self._deadline_s, client=self._client
-            )
+            self._submit(features)
         return self._session
+
+    def _submit(self, features: np.ndarray) -> None:
+        self._session = self._server.submit(
+            features, deadline_s=self._deadline_s, client=self._client
+        )
 
     async def result(self) -> ServeResult:
         if self._session is None and self._audio is not None:
@@ -369,10 +295,7 @@ class StreamSession:
             # an executor so one client's waveform never stalls the
             # event loop (and with it every other session's dispatch).
             loop = asyncio.get_running_loop()
-            features = await loop.run_in_executor(None, self._audio.extract)
-            self._session = self._server.submit(
-                features, deadline_s=self._deadline_s, client=self._client
-            )
+            self._submit(await loop.run_in_executor(None, self._audio.extract))
         return await self.finish().result()
 
 
@@ -449,8 +372,7 @@ class Server:
         self.use_processes = use_processes
         self.default_deadline_s = default_deadline_s
         self._backlog = worker_backlog
-        self._backlog_max = 4 * max_lanes
-        self._autotune_last_misses = 0
+        self._window_misses_seen = 0  # timeouts + rejections at the last window
         self._frontend_obj = frontend
         self.fault_plan = fault_plan
         #: Bounded per-shard ring of recent serving events; dumps an
@@ -460,41 +382,19 @@ class Server:
         # Brownout: declared policy + hysteresis state.  The serving
         # precision can differ from the recognizer's own while engaged.
         self.brownout = brownout
-        self._brownout_active = False
-        self._brownout_transitions = 0
-        self._brownout_hot = 0  # consecutive windows over engage_pressure
-        self._brownout_cool = 0  # consecutive windows under release_pressure
-        self._brownout_last_misses = 0
-        self._base_precision = recognizer.precision
+        self._brownout_state = fleet.Brownout(brownout)
         self._serving_precision = recognizer.precision
-
-        # Steal-aware shard health (populated at start()): a shard that
-        # keeps losing queued work to steals is slow — its dispatch
-        # backlog share is cut until it runs steal-free again.
-        self._worker_health: list[float] = []
-        self._worker_stolen: list[int] = []
-        self._worker_stolen_last: list[int] = []
 
         self._state = "new"  # new -> running -> stopping -> stopped
         self._ids = itertools.count()
         self._pick_seq = itertools.count()
-        self._pending = _EdfQueue()
+        # Every unresolved session is in ``_sessions`` and in exactly
+        # one of: the admission queue, or one shard's ``jobs``.
+        self._pending = fleet.EdfQueue(max_queue)
         self._sessions: dict[int, Session] = {}
-        self._workers: list = []
-        self._worker_alive: list[bool] = []
-        self._worker_last_pick: list[int] = []
-        self._in_flight: list[int] = []
-        self._worker_stats: dict[int, LoopStats] = {}
-        self._stopped_events: dict[int, asyncio.Event] = {}
-        # Dispatched-but-unresolved jobs, kept so a steal or a worker
-        # death can re-dispatch without a round trip to the client.
-        self._live_jobs: dict[int, DecodeJob] = {}
-        self._worker_jobs: list[list[int]] = []  # dispatch order per worker
-        self._steal_pending: set[int] = set()
-        self._redispatched: set[int] = set()
+        self._shards: list[fleet.Shard] = []  # one record per worker, at start()
         self._pump_stop = None
         self._outbox = None
-        self._pump_thread = None
         self._sweeper: asyncio.Task | None = None
         self._aio_loop: asyncio.AbstractEventLoop | None = None
 
@@ -519,25 +419,6 @@ class Server:
         self._decode_s_total = 0.0
         self._audio_s_total = 0.0
 
-    @property
-    def _capacity(self) -> int:
-        """Jobs a worker may hold at once (lanes + current backlog)."""
-        return self.max_lanes + self._backlog
-
-    def _capacity_for(self, worker_id: int) -> int:
-        """Per-shard capacity, scaled by steal-aware health.
-
-        A shard at health ``h`` gets ``max_lanes + int(backlog * h)``:
-        its lanes are always dispatchable (a lone survivor must still
-        take everything), but a shard that keeps losing backlogged
-        work to steals stops being handed a deep backlog it cannot
-        drain — the soft circuit breaker.
-        """
-        health = (
-            self._worker_health[worker_id] if self._worker_health else 1.0
-        )
-        return self.max_lanes + int(self._backlog * health)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -561,30 +442,25 @@ class Server:
             ctx = multiprocessing.get_context("fork")
             outbox = ctx.Queue()
             self._outbox = outbox
-            self._workers = [
-                ProcessEngineWorker(i, twins[i], self.max_lanes, outbox, ctx)
-                for i in range(self.num_workers)
+            workers = [
+                ProcessEngineWorker(i, twin, self.max_lanes, outbox, ctx)
+                for i, twin in enumerate(twins)
             ]
-            for worker in self._workers:
+            for worker in workers:
                 worker.start()
-            self._pump_thread, self._pump_stop = start_outbox_pump(outbox, emit)
+            self._pump_stop = start_outbox_pump(outbox, emit)
         else:
-            self._workers = [
-                ThreadEngineWorker(i, twins[i], self.max_lanes, emit)
-                for i in range(self.num_workers)
+            workers = [
+                ThreadEngineWorker(i, twin, self.max_lanes, emit)
+                for i, twin in enumerate(twins)
             ]
-            for worker in self._workers:
+            for worker in workers:
                 worker.start()
-        self._worker_alive = [True] * self.num_workers
-        self._worker_last_pick = [-1] * self.num_workers
-        self._in_flight = [0] * self.num_workers
-        self._worker_health = [1.0] * self.num_workers
-        self._worker_stolen = [0] * self.num_workers
-        self._worker_stolen_last = [0] * self.num_workers
-        self._worker_jobs = [[] for _ in range(self.num_workers)]
-        self._stopped_events = {
-            i: asyncio.Event() for i in range(self.num_workers)
-        }
+        idle = LoopStats(max_lanes=self.max_lanes)  # until a shard reports
+        self._shards = [
+            fleet.Shard(i, worker, stopped=asyncio.Event(), stats=idle)
+            for i, worker in enumerate(workers)
+        ]
         self._sweeper = loop.create_task(self._sweep_deadlines())
         self._state = "running"
         return self
@@ -598,29 +474,28 @@ class Server:
         if self._state == "running":
             self._state = "stopping"
         if not drain:
-            for job, session in self._pending.drain():
+            for session in self._pending.drain():
                 self._resolve(session, ServeStatus.CANCELLED, detail="server stop")
-            for session in list(self._sessions.values()):
-                if session.worker is not None:
-                    self._workers[session.worker].cancel(session.utt_id)
+            for shard in self._shards:
+                for session in shard.jobs:
+                    shard.worker.cancel(session.utt_id)
         futures = [s._future for s in self._sessions.values()]
         if futures:
             await asyncio.wait(futures, timeout=timeout)
-        for worker in self._workers:
-            worker.request_stop()
+        for shard in self._shards:
+            shard.worker.request_stop()
         stop_waits = [
-            asyncio.wait_for(event.wait(), timeout=timeout)
-            for event in self._stopped_events.values()
+            asyncio.wait_for(shard.stopped.wait(), timeout=timeout)
+            for shard in self._shards
         ]
         await asyncio.gather(*stop_waits, return_exceptions=True)
         loop = asyncio.get_running_loop()
-        for worker in self._workers:
-            joined = await loop.run_in_executor(None, worker.join, 5.0)
+        for shard in self._shards:
+            joined = await loop.run_in_executor(None, shard.worker.join, 5.0)
             if not joined:
-                worker.terminate()
-        if self._pump_stop is not None:
-            self._pump_stop()
+                shard.worker.terminate()
         if self._outbox is not None:
+            self._pump_stop()
             # A SIGKILLed shard can die mid-write into the shared
             # outbox pipe; a truncated frame wedges the pump past the
             # stop sentinel and the pipe may hold undrained events.
@@ -636,8 +511,6 @@ class Server:
             self._resolve(
                 session, ServeStatus.ERROR, detail="server stopped"
             )
-        for _ in self._pending.drain():
-            pass
         self._state = "stopped"
 
     async def __aenter__(self) -> "Server":
@@ -670,81 +543,48 @@ class Server:
         Raises :class:`AdmissionRejected` when the bounded queue is
         full, or when ``client`` is already at its fair share of it
         while other clients hold queued jobs (load shedding — nothing
-        was enqueued), ValueError for malformed features,
-        :class:`ServerClosed` when not running.
+        was enqueued), ValueError for malformed features or a
+        non-finite ``deadline_s``, :class:`ServerClosed` when not
+        running.
         """
         if self._state != "running":
             raise ServerClosed(f"server is {self._state}")
-        if not any(self._worker_alive):
+        if not any(shard.alive for shard in self._shards):
             # Nothing can ever dispatch this job; refusing beats
             # handing back a future that would never resolve.
             raise ServerClosed("all workers have exited")
         # Shed BEFORE validating: rejection is the hot path under
         # overload and must stay O(1), not pay a feature-matrix copy.
-        depth = len(self._pending)
-        bound = self._effective_max_queue()
-        if depth >= bound:
+        refusal = self._pending.refusal(client)
+        if refusal is not None:
             self._rejections += 1
-            reason = "brownout" if bound < self.max_queue else "queue_full"
-            raise AdmissionRejected(depth, bound, reason=reason, client=client)
-        if self._pending.queued_for(client) >= self._fair_share(client):
-            self._rejections += 1
+            reason, bound = refusal
             raise AdmissionRejected(
-                depth, self.max_queue, reason="client_quota", client=client
+                len(self._pending), bound, reason=reason, client=client
             )
+        if deadline_s is None:
+            deadline_s = self.default_deadline_s
+        if deadline_s is not None and not math.isfinite(deadline_s):
+            # NaN compares false both ways: it would break the EDF
+            # heap's order for every job queued beside it.
+            raise ValueError(f"deadline_s must be finite, got {deadline_s!r}")
         feats = validate_utterance_features(
             self.recognizer.pool.dim, self._submitted, features
         )
-        now = time.monotonic()
         if enqueued_at is None:
-            enqueued_at = now
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
+            enqueued_at = time.monotonic()
         deadline_at = None if deadline_s is None else enqueued_at + deadline_s
         utt_id = next(self._ids)
         if trace_id is None:
             trace_id = mint_trace_id()
         job = DecodeJob(utt_id, feats, enqueued_at, deadline_at, trace_id)
-        session = Session(
-            self,
-            utt_id,
-            enqueued_at,
-            client=client,
-            trace_id=trace_id,
-            received_at=received_at,
-        )
+        session = Session(self, job, client=client, received_at=received_at)
         self._sessions[utt_id] = session
         self._submitted += 1
-        self._pending.push(job, session)
+        self._pending.push(session)
         self.flight.record("submit", utt=utt_id, client=client)
         self._dispatch()
         return session
-
-    def _effective_max_queue(self) -> int:
-        """The admission bound currently in force.
-
-        Equal to ``max_queue`` except while a brownout with
-        ``admission_factor < 1.0`` is engaged, when the bound tightens
-        so queued latency shrinks along with precision.
-        """
-        if self._brownout_active and self.brownout.admission_factor < 1.0:
-            return max(1, int(self.max_queue * self.brownout.admission_factor))
-        return self.max_queue
-
-    def _fair_share(self, client: str | None) -> int:
-        """This client's cap on queued jobs, under current contention.
-
-        A lone client may use the whole queue; once ``n`` distinct
-        clients hold queued jobs, each is capped at ``max_queue // n``
-        (at least 1).  The cap is advisory-fair, not an eviction
-        policy: jobs already queued over a newly shrunk share stay.
-        """
-        active = self._pending.active_clients()
-        if self._pending.queued_for(client) == 0:
-            active += 1  # this client is about to become active
-        if active <= 1:
-            return self.max_queue
-        return max(1, self.max_queue // active)
 
     async def featurize(self, waveform: np.ndarray) -> np.ndarray:
         """Run a raw waveform through the frontend, off the event loop.
@@ -803,25 +643,22 @@ class Server:
     def metrics(self) -> ServerMetrics:
         workers = []
         fleet_telemetry = DecodeTelemetry()
-        for i in range(len(self._workers)):
-            stats = self._worker_stats.get(i)
-            telemetry = getattr(stats, "telemetry", None)
-            if telemetry is not None:
-                fleet_telemetry.merge(telemetry)
+        for shard in self._shards:
+            stats = shard.stats
+            if stats.telemetry is not None:
+                fleet_telemetry.merge(stats.telemetry)
             workers.append(
                 WorkerMetrics(
-                    worker=i,
-                    in_flight=self._in_flight[i] if self._in_flight else 0,
-                    steps=stats.steps if stats else 0,
-                    frames_processed=stats.frames_processed if stats else 0,
+                    worker=shard.index,
+                    in_flight=shard.in_flight,
+                    steps=stats.steps,
+                    frames_processed=stats.frames_processed,
                     max_lanes=self.max_lanes,
-                    alive=bool(self._worker_alive and self._worker_alive[i]),
-                    health=(
-                        self._worker_health[i] if self._worker_health else 1.0
-                    ),
-                    precision=stats.precision if stats else None,
-                    stalled_steps=stats.stalled_steps if stats else 0,
-                    telemetry=telemetry,
+                    alive=shard.alive,
+                    health=shard.health,
+                    precision=stats.precision,
+                    stalled_steps=stats.stalled_steps,
+                    telemetry=stats.telemetry,
                 )
             )
         # Shed traffic counts: a saturated door's longest waits belong
@@ -846,7 +683,7 @@ class Server:
             errors=self._errors,
             rejections=self._rejections,
             queue_depth=len(self._pending),
-            in_flight=sum(self._in_flight) if self._in_flight else 0,
+            in_flight=sum(shard.in_flight for shard in self._shards),
             workers=workers,
             latency_p50_s=self._latency_hist.percentile(0.50),
             latency_p95_s=self._latency_hist.percentile(0.95),
@@ -872,8 +709,8 @@ class Server:
                 if self.fault_plan is not None
                 else 0
             ),
-            brownout_transitions=self._brownout_transitions,
-            brownout_active=self._brownout_active,
+            brownout_transitions=self._brownout_state.transitions,
+            brownout_active=self._brownout_state.active,
             latency_p99_s=self._latency_hist.percentile(0.99),
             wait_p99_s=waits.percentile(0.99),
             latency_hist=self._latency_hist.to_dict(),
@@ -923,35 +760,16 @@ class Server:
             frame_period_s=rec.frame_period_s,
         )
 
-    def _pick_worker(self) -> int | None:
-        """Least-loaded worker with spare capacity; round-robin ties.
-
-        Capacity is per-shard (:meth:`_capacity_for`): health cuts a
-        struggling shard's backlog share before load balancing runs.
-        """
-        best = None
-        best_key = None
-        for i in range(len(self._workers)):
-            if (
-                not self._worker_alive[i]
-                or self._in_flight[i] >= self._capacity_for(i)
-            ):
-                continue
-            key = (self._in_flight[i], self._worker_last_pick[i])
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        return best
-
     def _shed_expired(self, now: float) -> None:
         """Shed every expired job at the EDF head — they sort first,
         so this never scans live entries and never costs a worker
         pick."""
         while True:
-            head = self._pending.peek()
-            if head is None:
+            session = self._pending.peek()
+            if session is None:
                 return
-            job, session = head
-            if job.deadline_at is None or now < job.deadline_at:
+            deadline_at = session.job.deadline_at
+            if deadline_at is None or now < deadline_at:
                 return
             self._pending.pop()
             self._resolve(
@@ -964,22 +782,19 @@ class Server:
         if len(self._pending):
             # ONE clock read per drain: with EDF ordering the expired
             # jobs form a prefix, so shedding happens up front instead
-            # of burning a _pick_worker pass per dead job.
-            now = time.monotonic()
-            self._shed_expired(now)
+            # of burning a pick_shard pass per dead job.
+            self._shed_expired(time.monotonic())
             while len(self._pending):
-                worker_id = self._pick_worker()
-                if worker_id is None:
+                shard = fleet.pick_shard(self._shards, self.max_lanes, self._backlog)
+                if shard is None:
                     break
-                job, session = self._pending.pop()
-                session.worker = worker_id
+                session = self._pending.pop()
+                session.worker = shard.index
                 session.dispatched_at = time.monotonic()
-                self._in_flight[worker_id] += 1
-                self._worker_last_pick[worker_id] = next(self._pick_seq)
-                self._live_jobs[job.utt_id] = job
-                self._worker_jobs[worker_id].append(job.utt_id)
-                self.flight.record("dispatch", shard=worker_id, utt=job.utt_id)
-                self._workers[worker_id].submit(job)
+                shard.last_pick = next(self._pick_seq)
+                shard.jobs.append(session)
+                self.flight.record("dispatch", shard=shard.index, utt=session.utt_id)
+                shard.worker.submit(session.job)
                 if self.fault_plan is not None:
                     self._fire_dispatch_faults()
         self._maybe_steal()
@@ -993,52 +808,30 @@ class Server:
         worker, not just the one that took this job.
         """
         for fault in self.fault_plan.fire("dispatch"):
-            target = fault.worker % len(self._workers)
-            if not self._worker_alive[target]:
+            shard = self._shards[fault.worker % len(self._shards)]
+            if not shard.alive:
                 continue
-            self.flight.record("fault", shard=target, fault=fault.kind)
+            self.flight.record("fault", shard=shard.index, fault=fault.kind)
             self.flight.incident(
-                "fault_injected", shard=target, detail=fault.kind
+                "fault_injected", shard=shard.index, detail=fault.kind
             )
             if fault.kind == "worker_kill":
-                self._workers[target].inject_crash()
+                shard.worker.inject_crash()
             elif fault.kind == "slow_shard":
-                self._workers[target].slow(fault.stall_s, fault.stall_steps)
+                shard.worker.slow(fault.stall_s, fault.stall_steps)
 
     def _maybe_steal(self) -> None:
-        """Reclaim one backlogged job for an idle worker.
-
-        Fires when the admission queue is empty (otherwise plain
-        dispatch feeds the idle worker) but in-flight counts skew: some
-        worker has spare LANES while another holds jobs beyond its
-        lanes — jobs that are, in all likelihood, still waiting in its
-        loop's backlog.  The steal is best-effort and race-free: the
-        victim only gives a job back if it has not entered a lane, and
-        the server re-dispatches on the :class:`JobStolen` event.
-        """
+        """Reclaim one backlogged job for an idle worker, when the
+        admission queue has nothing to feed it.  Best-effort and
+        race-free: the victim only gives a job back if it has not
+        entered a lane, and the server re-dispatches on the
+        :class:`JobStolen` event."""
         if len(self._pending):
             return
-        if not any(
-            self._worker_alive[i] and self._in_flight[i] < self.max_lanes
-            for i in range(len(self._workers))
-        ):
-            return
-        victim = None
-        for i in range(len(self._workers)):
-            if not self._worker_alive[i] or self._in_flight[i] <= self.max_lanes:
-                continue
-            if victim is None or self._in_flight[i] > self._in_flight[victim]:
-                victim = i
-        if victim is None:
-            return
-        # Newest dispatched first: the most recent job is the least
-        # likely to have reached a lane yet.
-        for utt_id in reversed(self._worker_jobs[victim]):
-            if utt_id in self._steal_pending:
-                continue
-            self._steal_pending.add(utt_id)
-            self._workers[victim].steal(utt_id)
-            return
+        session = fleet.steal_candidate(self._shards, self.max_lanes)
+        if session is not None:
+            session.steal_pending = True
+            self._shards[session.worker].worker.steal(session.utt_id)
 
     def _cancel_session(self, session: Session) -> bool:
         if session.utt_id not in self._sessions:
@@ -1046,7 +839,7 @@ class Server:
         if session.worker is None:
             self._resolve(session, ServeStatus.CANCELLED, detail="queued")
         else:
-            self._workers[session.worker].cancel(session.utt_id)
+            self._shards[session.worker].worker.cancel(session.utt_id)
         return True
 
     def _resolve(
@@ -1059,15 +852,10 @@ class Server:
         detail: str = "",
     ) -> None:
         self._sessions.pop(session.utt_id, None)
-        self._pending.remove(session.utt_id)
-        self._live_jobs.pop(session.utt_id, None)
-        self._steal_pending.discard(session.utt_id)
-        self._redispatched.discard(session.utt_id)
-        if session.worker is not None and session.worker < len(self._worker_jobs):
-            try:
-                self._worker_jobs[session.worker].remove(session.utt_id)
-            except ValueError:
-                pass
+        if session.worker is None:
+            self._pending.remove(session)
+        else:
+            self._shards[session.worker].jobs.remove(session)
         if session._future.done():
             return
         finished_at = time.monotonic()
@@ -1169,32 +957,21 @@ class Server:
         return trace
 
     def _on_event(self, worker_id: int, event: object) -> None:
+        shard = self._shards[worker_id]
         if isinstance(event, JobStolen):
             session = self._sessions.get(event.utt_id)
             if session is None or session.worker != worker_id:
                 return  # resolved (or re-homed) while the steal flew
-            self._in_flight[worker_id] -= 1
-            try:
-                self._worker_jobs[worker_id].remove(event.utt_id)
-            except ValueError:
-                pass
-            self._steal_pending.discard(event.utt_id)
-            job = self._live_jobs.pop(event.utt_id, None)
+            shard.jobs.remove(session)
+            session.steal_pending = False
             session.worker = None
             self._steals += 1
             self.flight.record("steal", shard=worker_id, utt=event.utt_id)
-            # Losing queued work to a steal is the health signal: the
-            # victim was too slow to reach this job.  Cut its backlog
-            # share now; steal-free windows grow it back.
-            self._worker_stolen[worker_id] += 1
-            self._worker_health[worker_id] = max(
-                0.25, self._worker_health[worker_id] * 0.5
-            )
-            if job is not None:
-                # Back into the EDF queue (original deadline intact);
-                # the dispatch below hands it to the idle worker that
-                # triggered the steal.
-                self._pending.push(job, session)
+            fleet.lose_steal(shard)
+            # Back into the EDF queue (original deadline intact); the
+            # dispatch below hands it to the idle worker that
+            # triggered the steal.
+            self._pending.push(session)
             self._dispatch()
             return
         if isinstance(event, (JobDone, JobTimedOut, JobCancelled, JobFailed)):
@@ -1202,44 +979,36 @@ class Server:
             if session is None:
                 # Late event for a session already resolved locally
                 # (e.g. failed at stop() after terminating a wedged
-                # worker) — its in-flight slot was already released.
+                # worker).
                 return
             if session.worker != worker_id:
                 # Stale event from a previous owner (the job was
                 # re-dispatched after its worker died); the current
                 # owner's event is the one that counts.
                 return
-            self._in_flight[worker_id] -= 1
             if isinstance(event, JobDone):
                 self._resolve(session, ServeStatus.OK, result=event.result)
-            elif isinstance(event, JobTimedOut):
-                self._resolve(
-                    session,
-                    ServeStatus.TIMEOUT,
-                    frames_decoded=event.frames_decoded,
-                    detail=event.stage,
-                )
-            elif isinstance(event, JobCancelled):
-                self._resolve(
-                    session,
-                    ServeStatus.CANCELLED,
-                    frames_decoded=event.frames_decoded,
-                    detail=event.stage,
-                )
-            else:
+            elif isinstance(event, JobFailed):
                 self._resolve(session, ServeStatus.ERROR, detail=event.error)
+            else:  # JobTimedOut and JobCancelled mirror each other
+                timed_out = isinstance(event, JobTimedOut)
+                self._resolve(
+                    session,
+                    ServeStatus.TIMEOUT if timed_out else ServeStatus.CANCELLED,
+                    frames_decoded=event.frames_decoded,
+                    detail=event.stage,
+                )
         elif isinstance(event, LoopStats):
-            self._worker_stats[worker_id] = event
+            shard.stats = event
         elif isinstance(event, ServeStopped):
-            self._worker_stats[worker_id] = event.stats
-            self._worker_alive[worker_id] = False
-            stopped = self._stopped_events.get(worker_id)
-            if stopped is not None:
-                stopped.set()
+            shard.stats = event.stats
+            shard.alive = False
+            shard.stopped.set()
+            survivors = any(other.alive for other in self._shards)
             if event.error is not None or self._state == "running":
                 # The worker died (crash, or exited while we were
-                # still serving).  Decode is deterministic and the
-                # server still holds every dispatched job, so its
+                # still serving).  Decode is deterministic and every
+                # dispatched session still holds its job, so its
                 # unresolved work re-queues for the survivors —
                 # bit-identical on the re-run.  Only a job that
                 # already burned its one retry, or a fleet with no
@@ -1251,31 +1020,20 @@ class Server:
                     shard=worker_id,
                     detail=detail.strip().splitlines()[-1] if detail else "",
                 )
-                survivors = any(self._worker_alive)
-                for session in [
-                    s
-                    for s in self._sessions.values()
-                    if s.worker == worker_id
-                ]:
-                    job = self._live_jobs.pop(session.utt_id, None)
-                    self._steal_pending.discard(session.utt_id)
-                    if (
-                        survivors
-                        and job is not None
-                        and session.utt_id not in self._redispatched
-                    ):
-                        self._redispatched.add(session.utt_id)
+                # In submission order: the re-queue order is the FIFO
+                # tie-break among equal deadlines.
+                for session in sorted(shard.jobs, key=lambda s: s.utt_id):
+                    session.steal_pending = False
+                    if survivors and not session.redispatched:
+                        shard.jobs.remove(session)
+                        session.redispatched = True
                         self._retries += 1
                         session.worker = None
-                        self._pending.push(job, session)
+                        self._pending.push(session)
                     else:
-                        self._resolve(
-                            session, ServeStatus.ERROR, detail=detail
-                        )
-                self._worker_jobs[worker_id] = []
-                self._in_flight[worker_id] = 0
-            if not any(self._worker_alive):
-                for job, session in self._pending.drain():
+                        self._resolve(session, ServeStatus.ERROR, detail=detail)
+            if not survivors:
+                for session in self._pending.drain():
                     self._resolve(
                         session, ServeStatus.ERROR, detail="no live workers"
                     )
@@ -1286,19 +1044,15 @@ class Server:
         whose deadline passed before dispatch (an O(expired) pop of
         the EDF prefix), poll worker liveness so a SIGKILLed shard is
         noticed even though it could not emit its own death event,
-        and step the backlog autotuner."""
-        autotune_every = max(1, round(self.AUTOTUNE_INTERVAL_S / self.SWEEP_S))
+        and close a metrics window every ``AUTOTUNE_INTERVAL_S``."""
+        window_every = max(1, round(self.AUTOTUNE_INTERVAL_S / self.SWEEP_S))
         ticks = 0
         while True:
             await asyncio.sleep(self.SWEEP_S)
             ticks += 1
             self._check_worker_liveness()
-            if ticks % autotune_every == 0:
-                if self._autotune:
-                    self._autotune_tick()
-                self._health_tick()
-                if self.brownout is not None:
-                    self._brownout_tick()
+            if ticks % window_every == 0:
+                self._metrics_window()
             if len(self._pending):
                 self._shed_expired(time.monotonic())
 
@@ -1306,103 +1060,49 @@ class Server:
         """Synthesize the death event a killed worker never sent."""
         if self._state != "running":
             return  # stop() owns worker teardown
-        for i, worker in enumerate(self._workers):
-            if self._worker_alive[i] and not worker.alive():
-                stats = self._worker_stats.get(i) or LoopStats(
-                    0, 0, self.max_lanes, 0, 0, 0, 0
-                )
+        for shard in self._shards:
+            if shard.alive and not shard.worker.alive():
                 self._on_event(
-                    i, ServeStopped(stats, error="worker process died")
+                    shard.index,
+                    ServeStopped(shard.stats, error="worker process died"),
                 )
 
-    def _health_tick(self) -> None:
-        """Recover shard health after steal-free metrics windows.
-
-        The cut happens at steal time (:class:`JobStolen` handling);
-        recovery is +0.25 per window in which the shard lost nothing —
-        asymmetric on purpose, like TCP: back off fast, recover slow.
-        """
-        for i in range(len(self._worker_health)):
-            stolen = self._worker_stolen[i] - self._worker_stolen_last[i]
-            self._worker_stolen_last[i] = self._worker_stolen[i]
-            if stolen == 0 and self._worker_health[i] < 1.0:
-                self._worker_health[i] = min(1.0, self._worker_health[i] + 0.25)
-
-    def _brownout_pressure(self, window_misses: int) -> float:
-        """Pressure in [0, 1] for one metrics window.
-
-        The worst of: queue fullness, dead-shard fraction, and a
-        forced 1.0 when the window shed anything — shedding IS the
-        signal brownout exists to pre-empt.
-        """
-        if window_misses > 0:
-            return 1.0
-        pressure = len(self._pending) / self.max_queue
-        if self.num_workers > 1 and self._worker_alive:
-            dead = sum(1 for alive in self._worker_alive if not alive)
-            pressure = max(pressure, dead / self.num_workers)
-        return min(1.0, pressure)
-
-    def _brownout_tick(self) -> None:
-        """One hysteresis step of the declared :class:`BrownoutPolicy`."""
-        policy = self.brownout
+    def _metrics_window(self) -> None:
+        """Close one metrics window: feed what it saw to the fleet
+        policies and apply their verdicts.  Its misses (timeouts +
+        rejections since the last window) are counted once, for the
+        autotuner and the brownout alike."""
         misses = self._timeouts + self._rejections
-        window_misses = misses - self._brownout_last_misses
-        self._brownout_last_misses = misses
-        pressure = self._brownout_pressure(window_misses)
-        if pressure >= policy.engage_pressure:
-            self._brownout_hot += 1
-            self._brownout_cool = 0
-        elif pressure <= policy.release_pressure:
-            self._brownout_cool += 1
-            self._brownout_hot = 0
-        else:
-            self._brownout_hot = 0
-            self._brownout_cool = 0
-        if not self._brownout_active and self._brownout_hot >= policy.engage_windows:
-            self._set_brownout(True)
-        elif self._brownout_active and self._brownout_cool >= policy.release_windows:
-            self._set_brownout(False)
+        window_misses = misses - self._window_misses_seen
+        self._window_misses_seen = misses
+        if self._autotune:
+            self._backlog = fleet.autotune_backlog(
+                self._backlog,
+                window_misses,
+                self._shards,
+                self.max_lanes,
+                len(self._pending),
+            )
+        fleet.recover_health(self._shards)
+        if self.brownout is not None:
+            pressure = fleet.brownout_pressure(
+                window_misses, len(self._pending) / self.max_queue, self._shards
+            )
+            if self._brownout_state.step(pressure):
+                self._apply_brownout()
 
-    def _set_brownout(self, active: bool) -> None:
-        """Engage or release brownout; counts every transition edge."""
+    def _apply_brownout(self) -> None:
+        """Carry out a brownout edge the hysteresis just took."""
         policy = self.brownout
-        self._brownout_active = active
-        self._brownout_transitions += 1
-        self._brownout_hot = 0
-        self._brownout_cool = 0
+        active = self._brownout_state.active
         edge = "brownout_engage" if active else "brownout_release"
         self.flight.record(edge)
         self.flight.incident(edge, detail=f"queue={len(self._pending)}")
+        self._pending.admission_factor = policy.admission_factor if active else 1.0
         if policy.downshift_precision and self.recognizer.mode == "blas":
-            precision = policy.precision if active else self._base_precision
+            precision = policy.precision if active else self.recognizer.precision
             if precision != self._serving_precision:
                 self._serving_precision = precision
-                for i, worker in enumerate(self._workers):
-                    if self._worker_alive[i]:
-                        worker.set_precision(precision)
-
-    def _autotune_tick(self) -> None:
-        """One backpressure-aware step of the worker_backlog depth.
-
-        Misses (timeouts + rejections) in the window mean jobs
-        committed to worker backlogs were the wrong call — held at the
-        server they would have stayed EDF-ordered, steal-able and
-        shed-able — so the depth halves.  A packed-but-healthy window
-        (every live worker at capacity, jobs still queued, zero
-        misses) grows it by one to hide lane-refill latency.
-        """
-        misses = self._timeouts + self._rejections
-        window_misses = misses - self._autotune_last_misses
-        self._autotune_last_misses = misses
-        if window_misses > 0:
-            self._backlog //= 2
-            return
-        live = [
-            self._in_flight[i]
-            for i in range(len(self._workers))
-            if self._worker_alive[i]
-        ]
-        packed = bool(live) and all(n >= self._capacity for n in live)
-        if packed and len(self._pending) > 0:
-            self._backlog = min(self._backlog_max, self._backlog + 1)
+                for shard in self._shards:
+                    if shard.alive:
+                        shard.worker.set_precision(precision)

@@ -94,6 +94,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import struct
 import time
 from collections import OrderedDict
@@ -132,18 +133,28 @@ def encode_array(arr: np.ndarray) -> tuple[dict, bytes]:
 
 
 def decode_array(meta: dict, payload: bytes) -> np.ndarray:
-    """Rebuild the ndarray a peer described; bit-exact round trip."""
+    """Rebuild the ndarray a peer described; bit-exact round trip.
+
+    ``meta`` comes off the wire: every description that cannot be
+    honoured — missing or malformed fields, a non-numeric dtype, a
+    negative dimension, a payload of the wrong size, anything
+    ``frombuffer``/``reshape`` refuses — is a :class:`FrameError`.
+    """
     try:
         shape = tuple(int(n) for n in meta["shape"])
         dtype = np.dtype(meta["dtype"])
-    except (KeyError, TypeError, ValueError) as exc:
+        if dtype.kind not in "biuf":
+            raise ValueError(f"dtype {dtype.str!r} is not numeric")
+        if any(n < 0 for n in shape):
+            raise ValueError(f"negative dimension in shape {list(shape)}")
+        expected = math.prod(shape) * dtype.itemsize
+        if expected != len(payload):
+            raise ValueError(
+                f"payload is {len(payload)} bytes, shape/dtype say {expected}"
+            )
+        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FrameError(f"bad array description: {exc!r}") from None
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if expected != len(payload):
-        raise FrameError(
-            f"array payload is {len(payload)} bytes, shape/dtype say {expected}"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 async def read_frame(reader: asyncio.StreamReader) -> tuple[dict, bytes]:
@@ -319,7 +330,13 @@ class _Connection:
         op = header.get("op")
         req_id = header.get("id")
         server = self.wire.server
-        if op == "hello":
+        if isinstance(req_id, (list, dict)) or isinstance(
+            header.get("key"), (list, dict)
+        ):
+            # Both index this connection's (and the wire server's)
+            # maps; an unhashable one is this request's mistake alone.
+            self.send(_error(req_id, "id and key must be JSON scalars"))
+        elif op == "hello":
             if header.get("client"):
                 self.client = str(header["client"])
                 # A name we have greeted before is a client coming

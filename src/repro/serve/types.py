@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.decoder.recognizer import RecognitionResult
+from repro.hmm.senone import check_blas_precision
 from repro.obs.trace import Trace
 
 __all__ = [
@@ -192,6 +193,9 @@ class BrownoutPolicy:
             raise ValueError(
                 f"admission_factor must be in (0, 1], got {self.admission_factor}"
             )
+        # A typo here would otherwise surface inside every shard's loop
+        # at the moment brownout engages, killing the fleet under load.
+        check_blas_precision(self.precision)
 
 
 @dataclass(frozen=True)

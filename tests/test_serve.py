@@ -20,13 +20,18 @@ No pytest-asyncio dependency: async tests run under ``asyncio.run``.
 """
 
 import asyncio
+import itertools
 import math
 import queue
 import threading
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decoder import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL
@@ -43,11 +48,30 @@ from repro.runtime.serving import (
 )
 from repro.serve import AdmissionRejected, ServeStatus, Server, ServerClosed
 from repro.serve.faults import Fault, FaultPlan
+from repro.serve.fleet import (
+    EdfQueue,
+    Shard,
+    autotune_backlog,
+    capacity,
+    pick_shard,
+    steal_candidate,
+)
 
 
 def make_recognizer(task, mode="reference"):
     return Recognizer.create(
         task.dictionary, task.pool, task.lm, task.tying, mode=mode
+    )
+
+
+def queued_session(utt_id, deadline_at=None, client=None):
+    """What `repro.serve.fleet` reads of a Session, hand-built."""
+    return SimpleNamespace(
+        job=DecodeJob(utt_id, np.zeros((1, 2)), 0.0, deadline_at),
+        utt_id=utt_id,
+        client=client,
+        queued=None,
+        steal_pending=False,
     )
 
 
@@ -390,12 +414,13 @@ class TestServer:
         async def scenario():
             async with Server(recognizer, num_workers=1) as server:
                 # Simulate the worker dying out from under the server.
-                server._workers[0].request_stop()
+                shard = server._shards[0]
+                shard.worker.request_stop()
                 for _ in range(200):
-                    if not server._worker_alive[0]:
+                    if not shard.alive:
                         break
                     await asyncio.sleep(0.01)
-                assert not server._worker_alive[0]
+                assert not shard.alive
                 with pytest.raises(ServerClosed):
                     server.submit(features[0])
 
@@ -415,6 +440,24 @@ class TestServer:
                     features[0], deadline_s=30.0
                 ).result()
                 assert result.ok
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("deadline_s", [math.nan, math.inf])
+    def test_non_finite_deadline_refused_at_submit(
+        self, recognizer, workload, deadline_s
+    ):
+        """NaN compares false both ways, so one admitted NaN deadline
+        broke the EDF heap's order for everything queued beside it
+        (and itself resolved as an instant timeout)."""
+        features, _ = workload
+
+        async def scenario():
+            async with Server(recognizer, num_workers=1) as server:
+                with pytest.raises(ValueError, match="finite"):
+                    server.submit(features[0], deadline_s=deadline_s)
+                assert server.metrics().submitted == 0
+                assert (await server.decode(features[0])).ok
 
         asyncio.run(scenario())
 
@@ -708,40 +751,93 @@ class TestShardedServerIntegration:
 # ----------------------------------------------------------------------
 class TestAdmissionPolicy:
     def test_edf_queue_orders_by_deadline_then_arrival(self):
-        from types import SimpleNamespace
-
-        from repro.serve.server import _EdfQueue
-
-        q = _EdfQueue()
-        jobs = [
-            DecodeJob(0, np.zeros((1, 2)), 0.0, deadline_at=None),
-            DecodeJob(1, np.zeros((1, 2)), 0.0, deadline_at=10.0),
-            DecodeJob(2, np.zeros((1, 2)), 0.0, deadline_at=1.0),
-            DecodeJob(3, np.zeros((1, 2)), 0.0, deadline_at=None),
-        ]
-        for i, job in enumerate(jobs):
-            q.push(job, SimpleNamespace(client="a" if i % 2 else "b"))
+        q = EdfQueue(max_queue=8)
+        for i, deadline_at in enumerate([None, 10.0, 1.0, None]):
+            q.push(queued_session(i, deadline_at, "a" if i % 2 else "b"))
         # Tightest deadline first; deadline-free jobs last, FIFO.
-        assert [q.pop()[0].utt_id for _ in range(len(q))] == [2, 1, 0, 3]
+        assert [q.pop().utt_id for _ in range(len(q))] == [2, 1, 0, 3]
         assert q.pop() is None and len(q) == 0
 
     def test_edf_queue_remove_and_client_accounting(self):
-        from types import SimpleNamespace
-
-        from repro.serve.server import _EdfQueue
-
-        q = _EdfQueue()
-        for i in range(4):
-            q.push(
-                DecodeJob(i, np.zeros((1, 2)), 0.0, deadline_at=float(i)),
-                SimpleNamespace(client="a" if i < 3 else "b"),
-            )
+        q = EdfQueue(max_queue=8)
+        sessions = [
+            queued_session(i, float(i), "a" if i < 3 else "b") for i in range(4)
+        ]
+        for session in sessions:
+            q.push(session)
         assert q.queued_for("a") == 3 and q.queued_for("b") == 1
         assert q.active_clients() == 2
-        assert q.remove(1) and not q.remove(1)  # tombstoned once
+        assert q.remove(sessions[1]) and not q.remove(sessions[1])  # once
         assert q.queued_for("a") == 2
-        assert [q.pop()[0].utt_id for _ in range(len(q))] == [0, 2, 3]
+        assert [q.pop().utt_id for _ in range(len(q))] == [0, 2, 3]
         assert q.active_clients() == 0
+
+    CLIENTS = [None, "a", "b", "c"]
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["push", "pop", "remove", "repush"]),
+                st.integers(min_value=0, max_value=1 << 16),
+                st.sampled_from([None, 1.0, 2.0, 3.0]),
+                st.sampled_from(CLIENTS),
+            ),
+            max_size=60,
+        ),
+        max_queue=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edf_queue_random_walk_matches_a_sorted_list(self, ops, max_queue):
+        """The admission queue against the obvious model: a list kept
+        sorted by ``(deadline, arrival)``.  Pop order, ``len``,
+        per-client counts, the fair-share cap and the refusal it
+        implies agree after every push / pop / remove / re-push (what
+        a steal or a redispatch does)."""
+        q = EdfQueue(max_queue)
+        model = []  # (deadline key, arrival, session), kept sorted
+        out = []  # sessions that left the queue: re-push candidates
+        arrivals = itertools.count()
+        ids = itertools.count()
+
+        def push(session):
+            q.push(session)
+            deadline_at = session.job.deadline_at
+            key = math.inf if deadline_at is None else deadline_at
+            model.append((key, next(arrivals), session))
+            model.sort(key=lambda entry: entry[:2])
+
+        for op, pick, deadline_at, client in ops:
+            if op == "push":
+                push(queued_session(next(ids), deadline_at, client))
+            elif op == "repush" and out:
+                push(out.pop(pick % len(out)))
+            elif op == "pop":
+                expected = model.pop(0)[2] if model else None
+                assert q.pop() is expected
+                if expected is not None:
+                    out.append(expected)
+            elif op == "remove" and model:
+                session = model.pop(pick % len(model))[2]
+                assert q.remove(session) and not q.remove(session)
+                out.append(session)
+
+            assert len(q) == len(model)
+            assert q.peek() is (model[0][2] if model else None)
+            counts = Counter(entry[2].client for entry in model)
+            assert q.active_clients() == len(counts)
+            for c in self.CLIENTS:
+                assert q.queued_for(c) == counts[c]
+                active = len(counts) + (counts[c] == 0)
+                share = max_queue if active <= 1 else max(1, max_queue // active)
+                assert q.fair_share(c) == share
+                if len(model) >= max_queue:
+                    assert q.refusal(c) == ("queue_full", max_queue)
+                elif counts[c] >= share:
+                    assert q.refusal(c) == ("client_quota", max_queue)
+                else:
+                    assert q.refusal(c) is None
+        assert [s.utt_id for s in q.drain()] == [e[2].utt_id for e in model]
+        assert len(q) == 0 and q.active_clients() == 0
 
     def test_dispatch_follows_deadline_order_not_fifo(
         self, recognizer, workload
@@ -866,43 +962,36 @@ class TestAdmissionPolicy:
         """Unit-step the backlog autotuner: misses in the window halve
         the depth; a packed-and-healthy fleet with queued work grows
         it by one, up to the cap."""
-        from types import SimpleNamespace
+        max_lanes = 2
+        server = Server(recognizer, max_lanes=max_lanes, worker_backlog="auto")
+        assert server.metrics().worker_backlog == 2  # "auto" starts at max_lanes
+        shard = Shard(0)
 
-        server = Server(
-            recognizer, num_workers=1, max_lanes=2, worker_backlog="auto"
-        )
-        assert server._autotune and server._backlog == 2
+        def step(backlog, window_misses, queued):
+            return autotune_backlog(
+                backlog, window_misses, [shard], max_lanes, queued
+            )
 
         # Window with a timeout: depth halves.
-        server._timeouts = 1
-        server._autotune_tick()
-        assert server._backlog == 1
+        backlog = step(2, window_misses=1, queued=0)
+        assert backlog == 1
 
         # Quiet window, fleet not packed: unchanged.
-        server._workers = [object()]
-        server._worker_alive = [True]
-        server._in_flight = [0]
-        server._autotune_tick()
-        assert server._backlog == 1
+        backlog = step(backlog, window_misses=0, queued=0)
+        assert backlog == 1
 
         # Packed and healthy with queued work: grows by one per window.
-        server._pending.push(
-            DecodeJob(0, np.zeros((1, 2)), 0.0, None),
-            SimpleNamespace(client=None),
-        )
         for expected in (2, 3, 4, 5, 6, 7, 8):
-            server._in_flight = [server._capacity]
-            server._autotune_tick()
-            assert server._backlog == expected
+            shard.jobs = [object()] * capacity(shard, max_lanes, backlog)
+            backlog = step(backlog, window_misses=0, queued=1)
+            assert backlog == expected
         # Capped at 4 * max_lanes.
-        server._in_flight = [server._capacity]
-        server._autotune_tick()
-        assert server._backlog == 8 == server._backlog_max
+        shard.jobs = [object()] * capacity(shard, max_lanes, backlog)
+        backlog = step(backlog, window_misses=0, queued=1)
+        assert backlog == 8 == 4 * max_lanes
 
         # A rejection in the window halves it again.
-        server._rejections = 3
-        server._autotune_tick()
-        assert server._backlog == 4
+        assert step(backlog, window_misses=3, queued=1) == 4
 
 
 # ----------------------------------------------------------------------
@@ -910,6 +999,32 @@ class TestAdmissionPolicy:
 # re-dispatch to survivors
 # ----------------------------------------------------------------------
 class TestFleetResilience:
+    def test_pick_shard_least_loaded_then_least_recently_picked(self):
+        shards = [Shard(0, last_pick=5), Shard(1, last_pick=2), Shard(2, alive=False)]
+        shards[0].jobs = [queued_session(0)]
+        assert pick_shard(shards, 1, 1) is shards[1]  # 0 in flight beats 1
+        shards[1].jobs = [queued_session(1)]
+        assert pick_shard(shards, 1, 1) is shards[1]  # tie: picked longest ago
+        shards[1].jobs.append(queued_session(2))  # at lanes + backlog: full
+        assert pick_shard(shards, 1, 1) is shards[0]
+        shards[0].health = 0.25  # its backlog share rounds down to nothing
+        assert pick_shard(shards, 1, 1) is None  # the dead shard never is
+
+    def test_steal_candidate_is_newest_unstolen_job_of_most_loaded(self):
+        idle, busy, busier = Shard(0), Shard(1), Shard(2)
+        busy.jobs = [queued_session(i) for i in range(2)]
+        busier.jobs = [queued_session(i) for i in range(2, 5)]
+        shards = [idle, busy, busier]
+        assert steal_candidate(shards, 1) is busier.jobs[-1]
+        busier.jobs[-1].steal_pending = True
+        assert steal_candidate(shards, 1) is busier.jobs[-2]
+        assert steal_candidate([idle, Shard(3)], 1) is None  # nothing waits
+        idle.jobs = [queued_session(9)]  # every lane busy: nobody to feed
+        assert steal_candidate(shards, 1) is None
+        idle.jobs = []
+        idle.alive = False  # spare lanes on a dead shard do not count
+        assert steal_candidate(shards, 1) is None
+
     def test_work_stealing_rebalances_skewed_shards(self, task, workload):
         """One shard drains its short jobs while the other sits on a
         backlog of long ones: the server steals the waiting jobs back
@@ -985,8 +1100,8 @@ class TestFleetResilience:
             ) as server:
                 sessions = [server.submit(features[0]) for _ in range(6)]
                 # Both shards hold dispatched jobs.
-                assert server._in_flight[0] > 0 and server._in_flight[1] > 0
-                server._workers[0]._proc.kill()  # no goodbye event
+                assert all(shard.in_flight > 0 for shard in server._shards)
+                server._shards[0].worker._proc.kill()  # no goodbye event
                 results = await asyncio.gather(
                     *[s.result() for s in sessions]
                 )
@@ -996,7 +1111,7 @@ class TestFleetResilience:
                     assert result.result.score == baselines[0].score
                     assert result.worker == 1  # survivor decoded it...
                 # ...including jobs first dispatched to the dead shard.
-                assert not server._worker_alive[0]
+                assert not server._shards[0].alive
                 assert server.metrics().errors == 0
 
         asyncio.run(scenario())
@@ -1024,7 +1139,7 @@ class TestFleetResilience:
                 session = stream.finish()
                 victim = session.worker
                 assert victim is not None
-                server._workers[victim]._proc.kill()
+                server._shards[victim].worker._proc.kill()
                 result = await session.result()
                 assert result.status is ServeStatus.OK, result
                 assert result.words == baselines[0].words
@@ -1059,7 +1174,7 @@ class TestFleetResilience:
                 assert victim is not None
                 # Kill, then cancel, with no awaits in between: the
                 # CancelJob goes to a corpse and can never confirm.
-                server._workers[victim]._proc.kill()
+                server._shards[victim].worker._proc.kill()
                 assert sessions[0].cancel()
                 results = await asyncio.gather(
                     *[s.result() for s in sessions]

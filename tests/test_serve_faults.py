@@ -42,6 +42,13 @@ from repro.serve import (
     WireServer,
 )
 from repro.serve.client import WireProtocolError
+from repro.serve.fleet import (
+    Brownout,
+    Shard,
+    brownout_pressure,
+    capacity,
+    recover_health,
+)
 
 
 def make_recognizer(task, mode="reference", **kwargs):
@@ -182,47 +189,47 @@ class TestBrownout:
             BrownoutPolicy(admission_factor=0.0)
         with pytest.raises(ValueError):
             BrownoutPolicy(admission_factor=1.5)
+        # A typo here used to construct fine and then kill every blas
+        # shard (set_precision raising inside the serve loop) at the
+        # moment brownout engaged.
+        with pytest.raises(ValueError, match="supported: 'float64', 'float32'"):
+            BrownoutPolicy(precision="float16")
 
-    def test_hysteresis_needs_consecutive_windows(self, recognizer):
+    # One metrics window of an idle one-shard fleet with an empty
+    # queue: hot if it shed anything (pressure 1.0), else cool (0.0).
+    HOT = brownout_pressure(1, 0.0, [Shard(0)])
+    COOL = brownout_pressure(0, 0.0, [Shard(0)])
+
+    def test_hysteresis_needs_consecutive_windows(self):
         policy = BrownoutPolicy(
             engage_windows=2, release_windows=2, downshift_precision=False
         )
-        server = Server(recognizer, brownout=policy, max_queue=8)
-        server._timeouts += 1  # window 1 shed something -> pressure 1.0
-        server._brownout_tick()
-        assert not server._brownout_active  # one hot window is not enough
-        server._timeouts += 1
-        server._brownout_tick()
-        assert server._brownout_active
-        assert server._brownout_transitions == 1
-        server._brownout_tick()  # cool window 1 (no misses, empty queue)
-        assert server._brownout_active  # one cool window is not enough
-        server._brownout_tick()
-        assert not server._brownout_active
-        assert server._brownout_transitions == 2
+        brownout = Brownout(policy)
+        brownout.step(self.HOT)  # window 1 shed something -> pressure 1.0
+        assert not brownout.active  # one hot window is not enough
+        brownout.step(self.HOT)
+        assert brownout.active
+        assert brownout.transitions == 1
+        brownout.step(self.COOL)  # cool window 1 (no misses, empty queue)
+        assert brownout.active  # one cool window is not enough
+        brownout.step(self.COOL)
+        assert not brownout.active
+        assert brownout.transitions == 2
 
-    def test_interrupted_hot_streak_resets(self, recognizer):
+    def test_interrupted_hot_streak_resets(self):
         policy = BrownoutPolicy(
             engage_windows=2, release_windows=2, downshift_precision=False
         )
-        server = Server(recognizer, brownout=policy, max_queue=8)
-        server._timeouts += 1
-        server._brownout_tick()  # hot
-        server._brownout_tick()  # cool: streak broken
-        server._timeouts += 1
-        server._brownout_tick()  # hot again, but streak restarted
-        assert not server._brownout_active
+        brownout = Brownout(policy)
+        brownout.step(self.HOT)  # hot
+        brownout.step(self.COOL)  # cool: streak broken
+        brownout.step(self.HOT)  # hot again, but streak restarted
+        assert not brownout.active
 
-    def test_pressure_sees_dead_shards_and_sheds(self, recognizer):
-        server = Server(
-            recognizer,
-            num_workers=2,
-            brownout=BrownoutPolicy(downshift_precision=False),
-            max_queue=8,
-        )
-        server._worker_alive = [True, False]
-        assert server._brownout_pressure(0) == 0.5  # half the fleet is gone
-        assert server._brownout_pressure(3) == 1.0  # any shed forces 1.0
+    def test_pressure_sees_dead_shards_and_sheds(self):
+        shards = [Shard(0), Shard(1, alive=False)]
+        assert brownout_pressure(0, 0.0, shards) == 0.5  # half the fleet is gone
+        assert brownout_pressure(3, 0.0, shards) == 1.0  # any shed forces 1.0
 
     def test_precision_downshift_and_full_restoration(self, task, workload):
         """Engage: every live blas shard swaps to float32 tables
@@ -257,8 +264,8 @@ class TestBrownout:
                 assert server.metrics().scoring_precision == "float64"
 
                 server._timeouts += 1  # simulate a shed window
-                server._brownout_tick()
-                assert server._brownout_active
+                server._metrics_window()
+                assert server._brownout_state.active
                 m = server.metrics()
                 assert m.brownout_active and m.brownout_transitions == 1
                 assert m.scoring_precision == "float32"
@@ -266,8 +273,8 @@ class TestBrownout:
                 degraded = await server.submit(features[0]).result()
                 assert degraded.status is ServeStatus.OK  # degraded, not shed
 
-                server._brownout_tick()  # cool window -> release
-                assert not server._brownout_active
+                server._metrics_window()  # cool window -> release
+                assert not server._brownout_state.active
                 m = server.metrics()
                 assert not m.brownout_active and m.brownout_transitions == 2
                 assert m.scoring_precision == "float64"
@@ -305,11 +312,11 @@ class TestBrownout:
             server.AUTOTUNE_INTERVAL_S = 3600.0
             await server.start()
             try:
-                assert server._effective_max_queue() == 8
+                assert server._pending.effective_max_queue() == 8
                 server._timeouts += 1
-                server._brownout_tick()
-                assert server._brownout_active
-                assert server._effective_max_queue() == 4
+                server._metrics_window()
+                assert server._brownout_state.active
+                assert server._pending.effective_max_queue() == 4
                 # 1 dispatches (capacity=max_lanes), 4 fill the
                 # tightened queue; the next submit sheds typed.
                 sessions = [server.submit(features[0]) for _ in range(5)]
@@ -331,27 +338,24 @@ class TestBrownout:
 # Steal-aware shard health
 # ----------------------------------------------------------------------
 class TestShardHealth:
-    def test_health_recovers_one_quarter_per_clean_window(self, recognizer):
-        server = Server(recognizer, num_workers=2)
-        server._worker_health = [0.25, 1.0]
-        server._worker_stolen = [0, 0]
-        server._worker_stolen_last = [0, 0]
-        server._health_tick()
-        assert server._worker_health == [0.5, 1.0]
-        server._worker_stolen[0] += 1  # lost work again this window
-        server._health_tick()
-        assert server._worker_health == [0.5, 1.0]  # no recovery
-        server._health_tick()
-        server._health_tick()
-        assert server._worker_health == [1.0, 1.0]  # capped
+    def test_health_recovers_one_quarter_per_clean_window(self):
+        shards = [Shard(0, health=0.25), Shard(1)]
+        recover_health(shards)
+        assert [s.health for s in shards] == [0.5, 1.0]
+        shards[0].stolen += 1  # lost work again this window
+        recover_health(shards)
+        assert [s.health for s in shards] == [0.5, 1.0]  # no recovery
+        recover_health(shards)
+        recover_health(shards)
+        assert [s.health for s in shards] == [1.0, 1.0]  # capped
 
-    def test_capacity_scales_backlog_share_only(self, recognizer):
-        server = Server(recognizer, num_workers=2, max_lanes=2, worker_backlog=4)
-        server._worker_health = [1.0, 0.25]
-        assert server._capacity_for(0) == 6
-        assert server._capacity_for(1) == 3  # lanes always dispatchable
-        server._worker_health[1] = 0.5
-        assert server._capacity_for(1) == 4
+    def test_capacity_scales_backlog_share_only(self):
+        shards = [Shard(0), Shard(1, health=0.25)]
+        assert capacity(shards[0], max_lanes=2, backlog=4) == 6
+        # lanes always dispatchable
+        assert capacity(shards[1], max_lanes=2, backlog=4) == 3
+        shards[1].health = 0.5
+        assert capacity(shards[1], max_lanes=2, backlog=4) == 4
 
     def test_losing_a_steal_halves_health_with_floor(
         self, recognizer, workload
@@ -369,13 +373,13 @@ class TestShardHealth:
                 first = server.submit(features[0])
                 assert first.worker == 0
                 server._on_event(0, JobStolen(first.utt_id))
-                assert server._worker_health[0] == 0.5
-                assert server._worker_stolen[0] == 1
+                assert server._shards[0].health == 0.5
+                assert server._shards[0].stolen == 1
                 assert server.metrics().workers[0].health == 0.5
-                server._worker_health[0] = 0.4
+                server._shards[0].health = 0.4
                 second = server.submit(features[1])
                 server._on_event(second.worker, JobStolen(second.utt_id))
-                assert min(server._worker_health) == 0.25  # the floor
+                assert min(s.health for s in server._shards) == 0.25  # the floor
                 for session, base in ((first, baselines[0]), (second, baselines[1])):
                     result = await session.result()
                     assert result.status is ServeStatus.OK
@@ -461,7 +465,7 @@ class TestDispatchFaults:
                     assert result.status is ServeStatus.OK, result
                     assert result.words == baselines[0].words
                     assert result.result.score == baselines[0].score
-                assert not server._worker_alive[0]
+                assert not server._shards[0].alive
                 assert server.metrics().retries >= 1
                 assert server.metrics().errors == 0
                 # The death produced a timeline: the kill and the
@@ -665,7 +669,7 @@ class TestClientResilience:
                             break
                         await asyncio.sleep(0.01)
                     assert client.reconnects == 1
-                    assert stream.req_id in client._dead_streams
+                    assert isinstance(stream._ticket.failed, ConnectionLost)
                     with pytest.raises(ConnectionLost):
                         await stream.send_frames(features[0][30:60])
                     with pytest.raises(ConnectionLost):

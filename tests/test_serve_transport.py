@@ -32,6 +32,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decoder import Recognizer
 from repro.frontend.features import Frontend
@@ -50,6 +52,20 @@ from repro.serve.transport import (
     frame_bytes,
     read_frame,
     write_frame,
+)
+
+
+#: Anything ``json.loads`` can hand the codec (NaN-free, so frames
+#: compare equal after a round trip).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
 )
 
 
@@ -143,6 +159,66 @@ class TestFrameCodec:
                 await read_frame(huge)
 
         asyncio.run(scenario())
+
+    @given(
+        header=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4),
+        payload=st.binary(max_size=48),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_strict_prefix_of_a_frame_is_an_incomplete_read(
+        self, header, payload
+    ):
+        """Truncate at every byte: a peer that dies mid-frame is always
+        an ordinary EOF, never garbage accepted as a shorter frame."""
+        raw = frame_bytes(header, payload)
+
+        async def read(data):
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await read_frame(reader)
+
+        async def scenario():
+            for cut in range(len(raw)):
+                with pytest.raises(asyncio.IncompleteReadError):
+                    await read(raw[:cut])
+            assert await read(raw) == (header, payload)
+
+        asyncio.run(scenario())
+
+    @given(
+        meta=st.one_of(
+            JSON_VALUES,
+            st.fixed_dictionaries(
+                {
+                    "shape": st.one_of(
+                        JSON_VALUES, st.lists(st.integers(-3, 4), max_size=4)
+                    ),
+                    "dtype": st.one_of(
+                        JSON_VALUES,
+                        st.sampled_from(
+                            ["<f8", ">f4", "<i2", "?", "u1", "O", "V8", "U4",
+                             "S3", "c16", "m8[s]", "f8,f8", "(2,)f8"]
+                        ),
+                    ),
+                }
+            ),
+        ),
+        payload=st.binary(max_size=96),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_decode_array_returns_a_numeric_array_or_frame_error(
+        self, meta, payload
+    ):
+        """Whatever a peer claims about its payload, the codec either
+        honours it with a numeric ndarray or raises FrameError —
+        nothing else escapes into the connection handler."""
+        try:
+            arr = decode_array(meta, payload)
+        except FrameError:
+            return
+        assert isinstance(arr, np.ndarray) and arr.dtype.kind in "biuf"
+        assert arr.nbytes == len(payload)
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +331,73 @@ class TestWireLoopback:
                         assert result.score == baselines[0].score
                         # ... and the connection takes new work.
                         assert (await client.decode(features[1])).ok
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda h: {**h, "dtype": "O"},
+            lambda h: {**h, "shape": [-n for n in h["shape"]]},
+            lambda h: {**h, "key": [1, 2]},
+            lambda h: {**h, "id": [7]},
+            lambda h: {**h, "deadline_s": float("nan")},
+        ],
+        ids=[
+            "dtype-object",
+            "negative-shape",
+            "key-non-scalar",
+            "id-non-scalar",
+            "deadline-nan",
+        ],
+    )
+    def test_malformed_header_field_gets_a_typed_error_on_that_request_only(
+        self, recognizer, workload, mangle
+    ):
+        """Header fields no honest client sends.  The first four used
+        to escape ``handle`` as an internal error that closed the
+        socket under the neighbour; a NaN deadline was admitted and
+        broke the EDF heap's order."""
+        features, baselines = workload
+        meta, payload = encode_array(np.asarray(features[0], dtype=np.float64))
+        good = {"op": "submit", **meta}
+
+        async def scenario():
+            async with Server(recognizer, num_workers=1, max_lanes=2) as server:
+                async with WireServer(server) as wire:
+                    reader, writer = await asyncio.open_connection(
+                        wire.host, wire.port
+                    )
+
+                    async def events_until_result(req_id):
+                        seen = []
+                        while True:
+                            event, _ = await asyncio.wait_for(
+                                read_frame(reader), 30.0
+                            )
+                            seen.append(event)
+                            if event["event"] == "result" and event["id"] == req_id:
+                                return seen
+
+                    def assert_ok(result):
+                        assert result["status"] == "ok"
+                        assert tuple(result["words"]) == baselines[0].words
+                        assert result["score"] == baselines[0].score
+
+                    bad = mangle({**good, "id": 1})
+                    write_frame(writer, {**good, "id": 0}, payload)  # neighbour
+                    write_frame(writer, bad, payload)
+                    await writer.drain()
+                    seen = await events_until_result(0)
+                    [error] = [e for e in seen if e["event"] == "error"]
+                    assert error["id"] == bad["id"] and "fatal" not in error
+                    assert_ok(seen[-1])
+                    # ... and the connection takes new work.
+                    write_frame(writer, {**good, "id": 2}, payload)
+                    await writer.drain()
+                    assert_ok((await events_until_result(2))[-1])
+                    assert server.metrics().submitted == 2
+                    writer.close()
 
         asyncio.run(scenario())
 
