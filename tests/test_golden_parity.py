@@ -343,3 +343,83 @@ class TestContinuousGolden:
         result = rec.decode_stream(feats[::-1], max_lanes=3)
         for expected, lane in zip(fixture["utterances"][::-1], result):
             _assert_matches_golden(lane, expected)
+
+
+class TestDictationCdFastGolden:
+    """Fast mode over CONTEXT-DEPENDENT senones vs a committed fixture.
+
+    The command and dictation tasks are CI-tied (every senone is its
+    own parent), so layer 2 never substitutes a parent score there.
+    ``dictation_cd_fast.json`` was written by the per-lane kernels the
+    whole-bank array passes replaced, on the dictation task re-tied
+    over 1000 senones: most of the demand is answered by a CI parent,
+    as on the ``bank_tree`` workload.
+    """
+
+    @pytest.fixture(scope="class")
+    def cd_golden(self, dictation_task):
+        fixture = json.loads((GOLDEN_DIR / "dictation_cd_fast.json").read_text())
+        task = golden_generate.make_dictation_cd_task(dictation_task)
+        rec = golden_generate.make_tree_recognizer(task, "fast")
+        feats = [task.corpus.test[u["index"]].features for u in fixture["utterances"]]
+        return rec, fixture, feats
+
+    def test_fixture_pins_parent_substitution(self, cd_golden):
+        _, fixture, _ = cd_golden
+        for u in fixture["utterances"]:
+            fs = u["fast_stats"]
+            assert fs["senones_approximated"] > fs["senones_full"] > 0
+            assert 0 < fs["frames_skipped"] < fs["frames"]
+
+    def test_sequential_matches_golden(self, cd_golden):
+        rec, fixture, feats = cd_golden
+        for expected, f in zip(fixture["utterances"], feats):
+            _assert_matches_golden(rec.decode(f), expected)
+
+    def test_drained_batch_matches_golden(self, cd_golden):
+        rec, fixture, feats = cd_golden
+        for expected, lane in zip(fixture["utterances"], rec.decode_batch(feats)):
+            _assert_matches_golden(lane, expected)
+
+    def test_continuous_matches_golden(self, cd_golden):
+        rec, fixture, feats = cd_golden
+        result = rec.decode_stream(feats, max_lanes=2)
+        assert max(result.admit_steps) > 0  # refill actually happened
+        for expected, lane in zip(fixture["utterances"], result):
+            _assert_matches_golden(lane, expected)
+
+
+_FAST_LAYERS = json.loads((GOLDEN_DIR / "fast_layers.json").read_text())
+
+
+class TestFastLayersGolden:
+    """The pooled fast backend, layer by layer, vs a committed fixture:
+    16 layer combinations x shortlist 1|2 x PDE chunk 13|5, one lane
+    alone and three pooled, counters and a digest of the score bits —
+    also written by the kernels the array passes replaced."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return golden_generate.fast_layer_inputs()
+
+    def test_fixture_covers_every_configuration(self):
+        assert list(_FAST_LAYERS["configs"]) == list(
+            golden_generate.fast_layer_configs()
+        )
+        assert _FAST_LAYERS["counters"] == list(golden_generate.FAST_FIELDS)
+
+    def test_every_layer_fires_in_the_fixture(self):
+        lanes = _FAST_LAYERS["configs"]["cds+ci+vq+pde/g2/c5"]["B3"]["counters"]
+        for lane in lanes:
+            stats = dict(zip(_FAST_LAYERS["counters"], lane))
+            assert 0 < stats["frames_skipped"] < stats["frames"]
+            assert stats["senones_full"] > 0 and stats["senones_approximated"] > 0
+            assert stats["gaussians_evaluated"] < stats["gaussians_possible"]
+            # PDE abandoned components on top of the VQ shortlist.
+            assert stats["dims_evaluated"] < stats["gaussians_evaluated"] * 39
+
+    @pytest.mark.parametrize("name", list(_FAST_LAYERS["configs"]))
+    def test_configuration_matches_golden(self, inputs, name):
+        config = golden_generate.fast_layer_configs()[name]
+        record = golden_generate.fast_layer_record(config, inputs)
+        assert record == _FAST_LAYERS["configs"][name]
