@@ -10,10 +10,10 @@ configuration we report recognition accuracy, the work executed
 (Gaussians, dimensions, skipped frames) and the modelled unit power.
 """
 
-import numpy as np
+import dataclasses
 
 from repro.core.power import PowerModel
-from repro.decoder.fast_gmm import FastGmmConfig, equivalent_activity
+from repro.decoder.fast_gmm import FastGmmConfig, FastGmmStats, equivalent_activity
 from repro.decoder.recognizer import Recognizer
 from repro.eval.report import format_table
 from repro.eval.wer import corpus_wer
@@ -42,21 +42,23 @@ def _run_config(task, name, config, utterances=6):
         task.dictionary, task.pool, task.lm, task.tying,
         mode="fast", fast_config=config,
     )
-    refs, hyps = [], []
-    frames = 0
-    for utt in task.corpus.test[:utterances]:
-        result = recognizer.decode(utt.features)
-        refs.append(utt.words)
-        hyps.append(result.words)
-        frames += result.frames
-    counts = corpus_wer(refs, hyps)
-    # The last utterance's work (each decode starts fresh counters):
-    # the fractions below are per-utterance figures.
-    stats = result.fast_stats
-    activity = equivalent_activity(
-        stats, task.pool.dim, result.scoring_stats.senones_requested
+    utts = task.corpus.test[:utterances]
+    results = [recognizer.decode(utt.features) for utt in utts]
+    counts = corpus_wer([u.words for u in utts], [r.words for r in results])
+    # Each decode starts fresh counters, so the work of the list is the
+    # sum over its utterances — priced against the audio of the SAME
+    # utterances (one utterance's work spread over six utterances'
+    # audio understates the dynamic power about six-fold).
+    stats = FastGmmStats(
+        *(
+            sum(getattr(r.fast_stats, f.name) for r in results)
+            for f in dataclasses.fields(FastGmmStats)
+        )
     )
-    power = PowerModel().unit_report(activity, frames * 0.010)
+    senones_requested = sum(r.scoring_stats.senones_requested for r in results)
+    audio_s = sum(r.audio_seconds for r in results)
+    activity = equivalent_activity(stats, task.pool.dim, senones_requested)
+    power = PowerModel().unit_report(activity, audio_s)
     return {
         "config": name,
         "wer": counts.wer,
@@ -95,10 +97,11 @@ def test_fourlayer_ablation(benchmark, dictation_cd):
     )
     by_name = {r["config"]: r for r in rows}
     baseline = by_name["baseline"]
-    # Every layer must cut power without wrecking accuracy.  (With the
-    # word-decode feedback already pruning ~93% of senones, the
-    # decode-driven load sits near the leakage/clock floor; the big
-    # absolute CDS saving at full load is measured in bench_power.)
+    # Every layer must cut power without wrecking accuracy.  (The
+    # word-decode feedback already prunes ~93% of senones, yet the
+    # decode-driven load still sits well above the leakage/clock floor:
+    # the combined scheme roughly halves it.  The CDS saving at full
+    # load is measured in bench_power.)
     for name in ("L1 CDS", "L2 CI-select", "L3 Gauss-select", "L4 PDE", "all layers"):
         row = by_name[name]
         assert row["power_mw"] < baseline["power_mw"], name

@@ -25,21 +25,23 @@ The four layers, each independently switchable here:
 The scheme is split along the serving axis:
 
 * :class:`FastGmmModel` is the READ-ONLY part — the VQ codebook,
-  per-(codeword, senone) shortlists, CI parent maps and the scoring
-  kernels over explicit ``(row, senone)`` work items.  Built once,
-  shared by every decode lane.
-* :class:`FastGmmLaneState` is the PER-LANE selection state — the CDS
-  previous-frame feature/score cache, the skip-run counter and the
-  lane's :class:`FastGmmStats` work counters.
-* :class:`~repro.runtime.scoring.BatchFastGmmScorer` drives the model
-  kernels over the pooled union of every lane's demanded senones, with
-  one state per lane (layer 1, the per-lane CDS decision, lives there).
+  per-(codeword, senone) shortlists, CI parent maps and the Gaussian
+  kernel over explicit ``(row, senone)`` work items
+  (:meth:`FastGmmModel.score_items`, layers 3-4).  Built once, shared
+  by every decode lane and every twin; it keeps no per-step buffer.
+* :class:`~repro.runtime.scoring.BatchFastGmmScorer` owns everything a
+  step writes, as arrays indexed by lane (CDS previous frame and score
+  cache, skip runs, :class:`FastGmmStats` counters), and runs layers
+  1-2 over the whole bank's pooled demand; :class:`FastGmmLaneState`
+  is the snapshot it hands out of one lane.
 
-Because every kernel is elementwise per work item or a per-item
-reduction, pooling work items from many lanes changes no item's score
-or work accounting by a single bit — the invariant the fast-mode
-parity suite pins (``tests/test_runtime_fast.py``,
-``tests/golden/command_fast.json``).
+Because every kernel is elementwise per work item or a last-axis
+reduction over that item's own dimensions/components — never a matrix
+product, whose bits depend on the shape of the call — pooling work
+items from many lanes changes no item's score or work accounting by a
+single bit: the invariant the fast-mode parity suite pins
+(``tests/test_runtime_fast.py``, ``tests/golden/*fast*.json``,
+``tests/golden/fast_layers.json``).
 
 The per-lane counters track *work* — Gaussians touched, dimensions
 multiplied, frames skipped — and :func:`equivalent_activity` turns
@@ -49,6 +51,7 @@ layer's savings (ablation A1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +92,19 @@ class FastGmmConfig:
     pde_chunk: int = 13  # dimensions per PDE evaluation chunk
 
     def __post_init__(self) -> None:
-        if self.cds_distance <= 0:
-            raise ValueError(f"cds_distance must be positive, got {self.cds_distance}")
+        if not (0 < self.cds_distance < math.inf):
+            raise ValueError(
+                f"cds_distance must be positive and finite, got {self.cds_distance}"
+            )
+        # A negative or NaN margin fails every comparison, the best
+        # component's and the best parent's included: PDE would drop
+        # every component (all senones LOG_ZERO), CI selection would
+        # approximate even the frame-best parent's children.
+        for name in ("ci_margin", "pde_margin"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}"
+                )
         if self.cds_max_run < 1:
             raise ValueError(f"cds_max_run must be >= 1, got {self.cds_max_run}")
         if self.gs_codebook_size < 1 or self.gs_shortlist < 1:
@@ -106,7 +120,10 @@ class FastGmmConfig:
         which keeps only each codeword's TOP component per senone — the
         most aggressive layer-3 setting, safe because the shortlist
         retains the dominant component (scores are a tight lower
-        bound).  The golden fast-mode fixtures and the throughput
+        bound).  With one component per item PDE has nothing to
+        eliminate (``dims_frac == gaussians_frac`` in every run); here
+        it only fixes the order the dimensions are summed in, which the
+        fixtures pin.  The golden fast-mode fixtures and the throughput
         benchmark both use this preset, so "fast mode" means the same
         thing everywhere unless a caller overrides a threshold.
         """
@@ -151,40 +168,31 @@ class FastGmmStats:
         return self.dims_evaluated / self.dims_possible
 
 
+@dataclass(frozen=True)
 class FastGmmLaneState:
-    """Per-lane mutable selection state of the four-layer scheme.
+    """A snapshot of one lane's selection state, copied out of the
+    scorer's arrays by
+    :meth:`~repro.runtime.scoring.BatchFastGmmScorer.lane_state`.
+    ``last_obs`` / ``last_scores`` are ``None`` until the lane has
+    scored a frame in full under CDS."""
 
-    One instance per decode lane: the CDS layer's previous-frame
-    feature vector and dense score cache, the consecutive-skip run
-    counter, and the lane's work counters.  Everything an utterance
-    must NOT share with its neighbours lives here; everything it may
-    share lives in :class:`FastGmmModel`.
-    """
-
-    __slots__ = ("last_obs", "last_scores", "skip_run", "fast_stats")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the previous utterance entirely (fresh admission)."""
-        self.last_obs: np.ndarray | None = None
-        self.last_scores: np.ndarray | None = None
-        self.skip_run: int = 0
-        self.fast_stats = FastGmmStats()
+    last_obs: np.ndarray | None
+    last_scores: np.ndarray | None
+    skip_run: int
+    fast_stats: FastGmmStats
 
 
 class FastGmmModel:
     """The shared read-only model half of the four-layer scheme.
 
     Holds the derived scoring tables (mixture offsets, precision
-    halves), the layer-3 VQ codebook with its per-(codeword, senone)
-    component shortlists, and the layer-2 CI parent map.  All scoring
-    entry points take explicit ``(row, senone)`` work items against a
-    ``(B, L)`` observation block, so one model instance serves any
-    number of lanes concurrently — per item the arithmetic only ever
-    reads that item's row, which is what makes pooled evaluation
-    bit-identical to per-lane evaluation.
+    halves) as flat per-component rows, the layer-3 VQ codebook with
+    its per-(codeword, senone) component shortlists, and the layer-2 CI
+    parent map.  :meth:`score_items` takes explicit ``(row, senone)``
+    work items against a ``(B, L)`` observation block and keeps no
+    per-step buffer, so one instance serves any number of lanes and
+    scorers at once (``Recognizer.twin`` shares it between thread
+    shards).
     """
 
     def __init__(
@@ -217,6 +225,26 @@ class FastGmmModel:
             self.ci_parent = np.array(
                 [tying.ci_parent(s) for s in range(pool.num_senones)], dtype=np.int64
             )
+            # The parents are few: ``ci_ids`` lists them ascending and
+            # ``ci_rank`` maps a senone to its parent's place in that
+            # list, so per-lane parent tables are (B, C), not (B, N).
+            self.ci_ids, self.ci_rank = np.unique(self.ci_parent, return_inverse=True)
+        # One row per mixture component, so an item's components are ONE
+        # gather by ``senone * M + component``: (N, M) ids of every
+        # component, or (C, N, G) ids of each codeword's shortlist.
+        self._means = pool.means.reshape(-1, pool.dim)
+        self._precisions = self.precisions.reshape(-1, pool.dim)
+        self._offsets = self.offsets.ravel()
+        first = np.arange(pool.num_senones) * pool.num_components
+        if self.shortlist is None:
+            self._components = first[:, None] + np.arange(pool.num_components)
+        else:
+            self._components = first[None, :, None] + self.shortlist
+
+    @property
+    def components_per_item(self) -> int:
+        """Mixture components evaluated per item (the shortlist size)."""
+        return int(self._components.shape[-1])
 
     # ------------------------------------------------------------------
     def _build_codebook(self, data: np.ndarray | None) -> None:
@@ -235,211 +263,86 @@ class FastGmmModel:
         self.shortlist = np.argsort(comp, axis=-1)[..., ::-1][..., :g]
 
     # ------------------------------------------------------------------
-    def codewords_for(self, observations: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Nearest VQ codeword for each requested observation row.
-
-        Returns a ``(B,)`` map filled at ``rows`` (and ``-1`` elsewhere)
-        so downstream shortlist gathers can index by row id directly.
-        """
+    def codewords_for(self, observations: np.ndarray) -> np.ndarray:
+        """Nearest VQ codeword of each observation row, ``(R,)``."""
         assert self.codebook is not None
-        out = np.full(observations.shape[0], -1, dtype=np.int64)
-        if rows.size:
-            diff = self.codebook[None, :, :] - observations[rows][:, None, :]
-            out[rows] = np.argmin((diff * diff).sum(axis=2), axis=1)
-        return out
+        diff = self.codebook[None, :, :] - observations[:, None, :]
+        np.square(diff, out=diff)
+        return diff.sum(axis=2).argmin(axis=1)
 
     # ------------------------------------------------------------------
-    def score_requests(
-        self,
-        observations: np.ndarray,
-        requests: list[tuple[int, np.ndarray]],
-        stats_by_row: dict[int, FastGmmStats],
-    ) -> list[np.ndarray]:
-        """Layers 2-4 over independent per-row senone subsets, pooled.
-
-        ``requests`` holds ``(row, senones)`` items — each a lane's
-        demanded subset for this frame (a full feedback list, or the
-        missing senones of a CDS skip).  All subsets are scored in at
-        most two pooled Gaussian passes (CI parents, then the selected
-        CD senones), with each request's CI margin applied against its
-        OWN frame-best parent.  Returns one compact score array per
-        request; work is accounted to ``stats_by_row[row]``.
-        """
-        cfg = self.config
-        results: list[np.ndarray] = [np.empty(0)] * len(requests)
-        live = [(i, row, sen) for i, (row, sen) in enumerate(requests) if sen.size]
-        if not live:
-            return results
-        codewords = None
-        if cfg.gaussian_selection_enabled:
-            rows_active = np.unique(np.array([r for _, r, _ in live], dtype=np.int64))
-            codewords = self.codewords_for(observations, rows_active)
-
-        if not cfg.ci_selection_enabled:
-            item_rows = np.concatenate(
-                [np.full(sen.size, row, dtype=np.int64) for _, row, sen in live]
-            )
-            item_sen = np.concatenate([sen for _, _, sen in live])
-            scores = self.evaluate_pairs(
-                observations, item_rows, item_sen, codewords, stats_by_row
-            )
-            offset = 0
-            for i, _, sen in live:
-                results[i] = scores[offset : offset + sen.size]
-                offset += sen.size
-            return results
-
-        # Layer 2: pooled CI-parent pass, then per-request selection.
-        assert self.ci_parent is not None
-        metas = []
-        parent_rows, parent_sen = [], []
-        for i, row, sen in live:
-            parents = self.ci_parent[sen]
-            unique_parents, inverse = np.unique(parents, return_inverse=True)
-            metas.append((i, row, sen, parents, inverse, unique_parents.size))
-            parent_rows.append(np.full(unique_parents.size, row, dtype=np.int64))
-            parent_sen.append(unique_parents)
-        parent_scores = self.evaluate_pairs(
-            observations,
-            np.concatenate(parent_rows),
-            np.concatenate(parent_sen),
-            codewords,
-            stats_by_row,
-        )
-        cd_rows, cd_sen, pending = [], [], []
-        offset = 0
-        for i, row, sen, parents, inverse, n_parents in metas:
-            pvals = parent_scores[offset : offset + n_parents]
-            offset += n_parents
-            best_ci = float(pvals.max())
-            psen = pvals[inverse]  # each senone's own CI-parent score
-            expand = psen >= best_ci - cfg.ci_margin
-            is_ci = sen == parents  # CI senones were already evaluated
-            out = psen.copy()  # approximation by CI parent
-            cd_mask = expand & ~is_ci
-            cd = sen[cd_mask]
-            stats = stats_by_row[row]
-            stats.senones_full += int(cd.size) + int(is_ci.sum())
-            stats.senones_approximated += int((~expand & ~is_ci).sum())
-            results[i] = out
-            if cd.size:
-                cd_rows.append(np.full(cd.size, row, dtype=np.int64))
-                cd_sen.append(cd)
-                pending.append((out, cd_mask, cd.size))
-        if cd_rows:
-            cd_scores = self.evaluate_pairs(
-                observations,
-                np.concatenate(cd_rows),
-                np.concatenate(cd_sen),
-                codewords,
-                stats_by_row,
-            )
-            offset = 0
-            for out, cd_mask, n in pending:
-                out[cd_mask] = cd_scores[offset : offset + n]
-                offset += n
-        return results
-
-    # ------------------------------------------------------------------
-    def evaluate_pairs(
+    def score_items(
         self,
         observations: np.ndarray,
         rows: np.ndarray,
         senones: np.ndarray,
         codewords: np.ndarray | None,
-        stats_by_row: dict[int, FastGmmStats],
-    ) -> np.ndarray:
-        """Layers 3-4: pooled Gaussian computation for (row, senone) items.
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Layers 3-4: one Gaussian pass over ``(row, senone)`` items.
 
-        Every arithmetic step is elementwise per item or a reduction
-        along that item's component/dimension axes, so the scores and
-        the per-row work counters are independent of which other rows
-        share the pooled call.
+        ``codewords`` maps a row id to its VQ codeword (``None`` with
+        layer 3 off).  Returns the ``(P,)`` scores and the ``(P,)``
+        dimensions evaluated per item — ``None`` when every evaluated
+        component ran all of its dimensions (PDE off, or nothing for
+        it to eliminate).  Every step is elementwise per item or a
+        last-axis reduction over that item's dimensions/components —
+        never a matrix product, whose bits would depend on how many
+        items share the call — so the scores are independent of which
+        other rows are pooled in.
         """
-        cfg = self.config
-        p = int(senones.size)
-        m_full = self.pool.num_components
-        dim = self.pool.dim
-        means = self.pool.means[senones]  # (P, M, L)
-        precisions = self.precisions[senones]
-        offsets = self.offsets[senones]  # (P, M)
-        obs_rows = observations[rows]  # (P, L)
-        m = m_full
-        if cfg.gaussian_selection_enabled:
-            assert self.shortlist is not None and codewords is not None
-            take = self.shortlist[codewords[rows], senones]  # (P, G)
-            ridx = np.arange(p)[:, None]
-            means = means[ridx, take]
-            precisions = precisions[ridx, take]
-            offsets = offsets[ridx, take]
-            m = take.shape[1]
-        if cfg.pde_enabled:
-            comp, dims_item = self._pde_pairs(obs_rows, means, precisions, offsets)
+        if codewords is None:
+            components = self._components[senones]  # (P, M)
         else:
-            diff = obs_rows[:, None, :] - means
-            comp = (diff * diff * precisions).sum(axis=-1) + offsets
-            dims_item = None
-        # Work accounting, attributed to each item's own row.
-        unique_rows, counts = np.unique(rows, return_counts=True)
-        if dims_item is not None:
-            dims_by_row = np.bincount(
-                rows, weights=dims_item, minlength=int(unique_rows[-1]) + 1
-            )
-        for row, count in zip(unique_rows.tolist(), counts.tolist()):
-            stats = stats_by_row[row]
-            stats.gaussians_possible += count * m_full
-            stats.dims_possible += count * m_full * dim
-            stats.gaussians_evaluated += count * m
-            if dims_item is None:
-                stats.dims_evaluated += count * m * dim
-            else:
-                stats.dims_evaluated += int(dims_by_row[row])
+            components = self._components[codewords[rows], senones]  # (P, G)
+        quad = observations[rows][:, None, :] - self._means[components]
+        np.square(quad, out=quad)
+        quad *= self._precisions[components]  # (P, G, L): (o - mu)^2 * prec
+        offsets = self._offsets[components]
+        if self.config.pde_enabled:
+            comp, dims = self._pde(quad, offsets)
+        else:
+            comp, dims = quad.sum(axis=-1) + offsets, None
         peak = comp.max(axis=-1)
-        return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=-1))
+        return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=-1)), dims
 
-    def _pde_pairs(
-        self,
-        obs_rows: np.ndarray,
-        means: np.ndarray,
-        precisions: np.ndarray,
-        offsets: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized chunked partial distance elimination.
+    def _pde(
+        self, quad: np.ndarray, offsets: np.ndarray, race: bool | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Layer 4: chunked partial distance elimination.
 
-        Components whose partial log-score falls more than
-        ``pde_margin`` below the running per-item best are frozen at
-        ``LOG_ZERO`` (they cannot influence the 16-bit logadd result).
-        Each item's elimination race involves only its own components,
-        so pooling items from many lanes is exact.  Returns the (P, M)
-        component scores and the (P,) dimensions evaluated per item.
+        The dimension stream is consumed ``pde_chunk`` at a time, each
+        chunk one last-axis sum over a slice of ``quad``, accumulated
+        ``((offset + c0) + c1) + ...`` — the summation order the golden
+        fixtures pin.  After each chunk the race drops the components
+        more than ``pde_margin`` below their item's running best: they
+        are frozen at ``LOG_ZERO`` (they cannot influence the 16-bit
+        logadd result) and stop counting dimensions.  A lone component
+        is never below its own bound, so single-component items skip
+        the race — unless a partial is NaN, which fails every
+        comparison and does get the component dropped.  Returns the
+        (P, G) component scores and the (P,) dimensions evaluated per
+        item (``None``: all of them).
         """
         cfg = self.config
-        p, m, dim = means.shape
+        if race is None:
+            race = offsets.shape[1] > 1
         partial = offsets.copy()  # quad terms only make this smaller
-        alive = np.ones((p, m), dtype=bool)
-        dims_comp = np.zeros((p, m), dtype=np.int64)
-        item_of_comp = np.repeat(np.arange(p), m)  # component -> its item row
-        for start in range(0, dim, cfg.pde_chunk):
-            stop = min(start + cfg.pde_chunk, dim)
-            idx = np.flatnonzero(alive.ravel())
-            if idx.size == 0:
-                break
-            flat_means = means.reshape(p * m, dim)[idx, start:stop]
-            flat_prec = precisions.reshape(p * m, dim)[idx, start:stop]
-            obs_chunk = obs_rows[item_of_comp[idx], start:stop]
-            chunk = ((obs_chunk - flat_means) ** 2 * flat_prec).sum(axis=1)
-            partial.ravel()[idx] += chunk
-            dims_comp.ravel()[idx] += stop - start
-            # The bound must come from live components only: a killed
-            # component's stale partial stops decreasing and would
-            # otherwise overtake the true best as chunks accumulate.
-            live_partial = np.where(alive, partial, -np.inf)
-            best = live_partial.max(axis=1, keepdims=True)
-            alive &= partial >= best - cfg.pde_margin
-        # Surviving components hold complete sums; abandoned ones are
-        # dropped entirely (the PDE approximation).
-        comp = np.where(alive, partial, LOG_ZERO)
-        return comp, dims_comp.sum(axis=1)
+        alive = np.ones(offsets.shape, dtype=bool)
+        dims = np.zeros(offsets.shape[0], dtype=np.int64)
+        for start in range(0, quad.shape[-1], cfg.pde_chunk):
+            chunk = quad[..., start : start + cfg.pde_chunk]
+            partial += chunk.sum(axis=-1)  # a dropped partial is never read again
+            if race:
+                dims += chunk.shape[-1] * np.count_nonzero(alive, axis=1)
+                # The bound comes from live components only: a dropped
+                # one stays out even where its sum would recover.
+                best = np.where(alive, partial, -np.inf).max(axis=1, keepdims=True)
+                alive &= partial >= best - cfg.pde_margin
+        if race:
+            return np.where(alive, partial, LOG_ZERO), dims
+        if np.isnan(partial).any():
+            return self._pde(quad, offsets, race=True)
+        return partial, None
 
 
 def equivalent_activity(

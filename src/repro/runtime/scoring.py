@@ -8,7 +8,7 @@ ONE pooled GMM pass, instead of paying the numpy dispatch cost ``B``
 times per frame.  Per work item the arithmetic reads only that item's
 row (see :meth:`repro.hmm.senone.SenonePool.score_pairs`,
 :meth:`repro.core.opunit.OpUnit.score_pairs` and
-:meth:`repro.decoder.fast_gmm.FastGmmModel.score_requests`), so
+:meth:`repro.decoder.fast_gmm.FastGmmModel.score_items`), so
 pooling changes no utterance's scores by a single bit.  The one
 deliberate exception is :class:`BatchBlasScorer` (``mode="blas"``),
 which recasts the pooled pass as dense matrix products — words still
@@ -24,7 +24,8 @@ row either has work items this step or contributes nothing — and a
 lane's scores never depend on its neighbours' occupancy.
 
 The fast backend is the one with per-lane STATE (the CDS cache and
-work counters), so the protocol carries a lane lifecycle:
+work counters, rows of scorer-owned arrays), so the protocol carries a
+lane lifecycle:
 :meth:`BatchScoringBackend.admit_lane` when a lane is (re)seeded,
 :meth:`BatchScoringBackend.retire_lane` when its utterance finalizes
 (returning the lane's fast-GMM work counters, if any), and
@@ -68,15 +69,14 @@ class BatchScoringBackend(Protocol):
     ) -> np.ndarray:
         """Compact scores for (batch-row, senone) work items.
 
-        ``pair_rows`` must be row-major sorted (ascending rows), as
-        ``np.nonzero`` over the candidate mask produces — stateful
-        backends slice each lane's items out of the pooled arrays by
-        that order.  ``lanes`` lists every ACTIVE lane this step,
-        ascending — a superset of ``np.unique(pair_rows)``, since an
-        active lane may demand no senones on a frame.  Stateless
-        backends ignore it; the fast backend needs it to advance
-        per-lane frame state exactly as a 1-lane decode of that lane
-        would.
+        The banks send the items row-major sorted, as ``np.nonzero``
+        over the candidate mask produces them.  ``lanes`` lists every
+        ACTIVE lane this step, ascending — a superset of
+        ``np.unique(pair_rows)``, since an active lane may demand no
+        senones on a frame.  Stateless backends ignore it; the fast
+        backend needs it to advance per-lane frame state exactly as a
+        1-lane decode of that lane would, and refuses a lane that was
+        not admitted.
         """
         ...  # pragma: no cover - protocol definition
 
@@ -328,27 +328,35 @@ class BatchBlasScorer(_StatelessLaneMixin):
         self.fallback_steps = 0
 
 
+# Columns of the per-lane counter block: FastGmmStats' fields, in order.
+_FRAMES, _SKIPPED, _FULL, _APPROXIMATED = range(4)
+_WORK = slice(4, 8)  # Gaussians evaluated/possible, dims evaluated/possible
+
+
 class BatchFastGmmScorer:
-    """Pooled four-layer fast-GMM scoring with per-lane selection state.
+    """Pooled four-layer fast-GMM scoring as whole-bank array passes.
 
-    The shared :class:`~repro.decoder.fast_gmm.FastGmmModel` (VQ
-    codebook, shortlists, CI parents) is read-only and serves every
-    lane; each lane owns a
-    :class:`~repro.decoder.fast_gmm.FastGmmLaneState` created at
-    admission and detached at retirement.  Per step:
+    The shared :class:`~repro.decoder.fast_gmm.FastGmmModel` is
+    read-only and serves every lane and every twin; everything a step
+    writes is an array owned by THIS scorer and indexed by lane: the
+    CDS previous frame ``(B, L)`` and score cache ``(B, N)``, the skip
+    runs, and a ``(B, 8)`` counter block that :meth:`retire_lane` turns
+    into a :class:`~repro.decoder.fast_gmm.FastGmmStats`.  A step is a
+    fixed number of array passes whatever the bank width:
 
-    * layer 1 decides PER LANE whether the lane's own frame is close
-      enough to ITS previous frame to skip (different lanes skip
-      different steps — the per-lane CDS mask);
-    * the surviving demand — full feedback lists of scoring lanes plus
-      the cache-miss senones of skipping lanes — is pooled into at most
-      two shared Gaussian passes
-      (:meth:`~repro.decoder.fast_gmm.FastGmmModel.score_requests`),
-      with each lane's CI margin applied against its OWN frame-best
-      parent and all lanes sharing the VQ shortlist gathers and the
-      vectorized chunked PDE.
+    * layer 1 compares every warm lane's frame with ITS previous frame
+      in one reduction (different lanes skip different steps) and
+      clears a scoring lane's cache row, so the surviving demand —
+      every item of a scoring lane, the cache misses of a skipping one —
+      is one mask over the pairs, and answers are read back out of the
+      cache;
+    * layer 2 scores the unique ``(lane, CI parent)`` items of that
+      demand in one Gaussian pass, applies each lane's margin against
+      the best parent of ITS OWN items, and scores the selected CD
+      senones in a second (layers 3-4 inside both:
+      :meth:`~repro.decoder.fast_gmm.FastGmmModel.score_items`).
 
-    Every kernel is per-item, so each lane's scores and all four work
+    Every kernel is per-item, so each lane's scores and all eight work
     counters are bit-identical to a 1-lane decode of the same
     features, for any batch composition and arrival order.
     """
@@ -356,25 +364,77 @@ class BatchFastGmmScorer:
     def __init__(self, model: FastGmmModel) -> None:
         self.model = model
         self.num_senones = model.num_senones
-        self._lanes: dict[int, FastGmmLaneState] = {}
+        pool, g = model.pool, model.components_per_item
+        m, dim = pool.num_components, pool.dim
+        self._work_per_item = np.array([g, m, g * dim, m * dim])
+        # One record per lane, so growth and compaction move a lane's
+        # state together.  Only CDS reads scores back: without it the
+        # cache has no columns.
+        cached = self.num_senones if model.config.cds_enabled else 0
+        self._lane_dtype = np.dtype(
+            [
+                ("admitted", bool),
+                ("has_last", bool),
+                ("skip_run", np.int64),
+                ("last_obs", np.float64, (dim,)),
+                ("cache", np.float64, (cached,)),
+                ("counters", np.int64, (8,)),
+            ],
+            align=True,
+        )
+        self.reset()
 
     # -- lane lifecycle -------------------------------------------------
+    def reset(self) -> None:
+        self._set_lanes(np.zeros(0, dtype=self._lane_dtype))
+
+    def _set_lanes(self, state: np.ndarray) -> None:
+        """Install the lane table and per-step scratch of its width."""
+        self._lanes = state
+        cfg = self.model.config
+        self._codewords = np.zeros(state.size, dtype=np.int64)
+        # (lane, CI parent) tables, all False / -inf between steps.
+        parents = self.model.ci_ids.size if cfg.ci_selection_enabled else 0
+        self._parent_mask = np.zeros((state.size, parents), dtype=bool)
+        self._parent_scores = np.full((state.size, parents), -np.inf)
+
     def admit_lane(self, lane: int) -> None:
-        self._lanes[lane] = FastGmmLaneState()
+        grow = lane + 1 - self._lanes.size
+        if grow > 0:
+            pad = np.zeros(grow, dtype=self._lane_dtype)
+            self._set_lanes(np.concatenate([self._lanes, pad]))
+        # The cache row needs no clearing: a lane's first frame always
+        # scores in full, which clears it.
+        state = self._lanes[lane]
+        state["admitted"] = True
+        state["has_last"] = False
+        state["skip_run"] = 0
+        state["counters"] = 0
+
+    def _is_admitted(self, lane: int) -> bool:
+        return 0 <= lane < self._lanes.size and bool(self._lanes["admitted"][lane])
 
     def retire_lane(self, lane: int) -> FastGmmStats | None:
-        state = self._lanes.pop(lane, None)
-        return state.fast_stats if state is not None else None
+        if not self._is_admitted(lane):
+            return None
+        self._lanes["admitted"][lane] = False
+        return FastGmmStats(*self._lanes["counters"][lane].tolist())
 
     def compact_lanes(self, keep: Sequence[int]) -> None:
-        self._lanes = {new: self._lanes[old] for new, old in enumerate(keep)}
+        self._set_lanes(self._lanes[np.asarray(keep, dtype=np.int64)])
 
     def lane_state(self, lane: int) -> FastGmmLaneState:
-        """The live selection state of an occupied lane (inspection)."""
-        return self._lanes[lane]
-
-    def reset(self) -> None:
-        self._lanes = {}
+        """A copy of an occupied lane's selection state (inspection)."""
+        if not self._is_admitted(lane):
+            raise KeyError(lane)
+        state = self._lanes[lane]
+        warm = bool(state["has_last"])
+        return FastGmmLaneState(
+            last_obs=state["last_obs"].copy() if warm else None,
+            last_scores=state["cache"].copy() if warm else None,
+            skip_run=int(state["skip_run"]),
+            fast_stats=FastGmmStats(*state["counters"].tolist()),
+        )
 
     # ------------------------------------------------------------------
     def score_pairs(
@@ -384,58 +444,103 @@ class BatchFastGmmScorer:
         pair_senones: np.ndarray,
         lanes: np.ndarray | None = None,
     ) -> np.ndarray:
-        model = self.model
-        cfg = model.config
+        cfg = self.model.config
+        state = self._lanes
         if lanes is None:
             lanes = np.unique(pair_rows)
-        # Protocol precondition: row-major sorted items (np.nonzero
-        # order), so each lane's items form one contiguous slice.
-        assert pair_rows.size == 0 or np.all(np.diff(pair_rows) >= 0), (
-            "pair_rows must be sorted by row"
+        if not state["admitted"][lanes].all():  # IndexError past the capacity
+            raise KeyError(f"lanes {lanes.tolist()} are not all admitted")
+        counters = state["counters"]
+        counters[lanes, _FRAMES] += 1
+        if not cfg.cds_enabled:
+            return self._score_demand(observations, pair_rows, pair_senones, lanes)
+
+        # Layer 1: every warm lane's own CDS decision, in one reduction.
+        has_last, skip_run, last_obs = (
+            state["has_last"], state["skip_run"], state["last_obs"]
         )
-        out = np.empty(pair_senones.size)
-        lo = np.searchsorted(pair_rows, lanes, side="left")
-        hi = np.searchsorted(pair_rows, lanes, side="right")
-        requests: list[tuple[int, np.ndarray]] = []
-        sinks: list[tuple[str, int, slice, np.ndarray, np.ndarray | None]] = []
-        stats_by_row: dict[int, FastGmmStats] = {}
-        for lane, a, b in zip(lanes.tolist(), lo.tolist(), hi.tolist()):
-            state = self._lanes[lane]
-            stats_by_row[lane] = state.fast_stats
-            state.fast_stats.frames += 1
-            senones = pair_senones[a:b]
-            sl = slice(a, b)
-            obs = observations[lane]
-            # Layer 1: this lane's own CDS decision.
-            if cfg.cds_enabled and state.last_obs is not None:
-                distance = float(np.mean((obs - state.last_obs) ** 2))
-                if distance < cfg.cds_distance and state.skip_run < cfg.cds_max_run:
-                    state.skip_run += 1
-                    state.fast_stats.frames_skipped += 1
-                    cache = state.last_scores
-                    assert cache is not None
-                    missing = senones[cache[senones] <= LOG_ZERO / 2]
-                    if missing.size:
-                        requests.append((lane, missing))
-                        sinks.append(("fill", lane, sl, senones, missing))
-                    else:
-                        out[sl] = cache[senones]
-                    continue
-            state.skip_run = 0
-            requests.append((lane, senones))
-            sinks.append(("full", lane, sl, senones, None))
-        # Layers 2-4, pooled across every demanding lane.
-        results = model.score_requests(observations, requests, stats_by_row)
-        for (kind, lane, sl, senones, missing), compact in zip(sinks, results):
-            state = self._lanes[lane]
-            if kind == "fill":
-                assert state.last_scores is not None and missing is not None
-                state.last_scores[missing] = compact
-                out[sl] = state.last_scores[senones]
-            else:
-                scores = np.full(self.num_senones, LOG_ZERO)
-                scores[senones] = compact
-                state.last_obs = observations[lane].copy()
-                state.last_scores = scores
-                out[sl] = compact
-        return out
+        skips = has_last[lanes]
+        warm = lanes[skips]
+        if warm.size:
+            distance = ((observations[warm] - last_obs[warm]) ** 2).mean(axis=1)
+            skips[skips] = (distance < cfg.cds_distance) & (
+                skip_run[warm] < cfg.cds_max_run
+            )
+        skipping, scoring = lanes[skips], lanes[~skips]
+        skip_run[skipping] += 1
+        counters[skipping, _SKIPPED] += 1
+        skip_run[scoring] = 0
+        has_last[scoring] = True
+        last_obs[scoring] = observations[scoring]
+        cache = state["cache"]
+        cache[scoring] = LOG_ZERO
+        # The demand that survives: what the cache cannot answer (all
+        # of a scoring lane's items — its row was just cleared).
+        rows, senones = pair_rows, pair_senones
+        if skipping.size:
+            missing = cache[pair_rows, pair_senones] <= LOG_ZERO / 2
+            rows, senones = pair_rows[missing], pair_senones[missing]
+        scores = self._score_demand(observations, rows, senones, lanes)
+        cache[rows, senones] = scores
+        return cache[pair_rows, pair_senones] if skipping.size else scores
+
+    def _score_demand(
+        self,
+        observations: np.ndarray,
+        rows: np.ndarray,
+        senones: np.ndarray,
+        lanes: np.ndarray,
+    ) -> np.ndarray:
+        """Layers 2-4 over the pooled ``(row, senone)`` demand."""
+        model = self.model
+        cfg = model.config
+        if senones.size == 0:
+            return np.empty(0)
+        codewords = None
+        if cfg.gaussian_selection_enabled:
+            codewords = self._codewords
+            codewords[lanes] = model.codewords_for(observations[lanes])
+        if not cfg.ci_selection_enabled:
+            return self._gaussian_pass(observations, rows, senones, codewords)
+
+        # Layer 2: the unique (row, parent) items, in np.nonzero order.
+        ranks = model.ci_rank[senones]
+        mask, table = self._parent_mask, self._parent_scores
+        mask[rows, ranks] = True
+        parent_rows, parent_ranks = np.nonzero(mask)
+        mask[parent_rows, parent_ranks] = False
+        table[parent_rows, parent_ranks] = self._gaussian_pass(
+            observations, parent_rows, model.ci_ids[parent_ranks], codewords
+        )
+        scores = table[rows, ranks]  # approximation by CI parent
+        # Each row's margin is against the best parent of ITS OWN items.
+        best = table.max(axis=1)
+        table[parent_rows, parent_ranks] = -np.inf
+        expand = scores >= best[rows] - cfg.ci_margin
+        is_ci = senones == model.ci_parent[senones]  # already evaluated
+        full = expand | is_ci
+        counters, width = self._lanes["counters"], self._lanes.size
+        counters[:, _FULL] += np.bincount(rows[full], minlength=width)
+        counters[:, _APPROXIMATED] += np.bincount(rows[~full], minlength=width)
+        selected = expand & ~is_ci
+        if selected.any():
+            scores[selected] = self._gaussian_pass(
+                observations, rows[selected], senones[selected], codewords
+            )
+        return scores
+
+    def _gaussian_pass(
+        self,
+        observations: np.ndarray,
+        rows: np.ndarray,
+        senones: np.ndarray,
+        codewords: np.ndarray | None,
+    ) -> np.ndarray:
+        """Layers 3-4 for the items, work accounted to each item's row."""
+        scores, dims = self.model.score_items(observations, rows, senones, codewords)
+        width = self._lanes.size
+        work = np.bincount(rows, minlength=width)[:, None] * self._work_per_item
+        if dims is not None:
+            work[:, 2] = np.bincount(rows, weights=dims, minlength=width)
+        self._lanes["counters"][:, _WORK] += work
+        return scores

@@ -319,7 +319,7 @@ def write_fast_layers(path: Path) -> None:
     """One configuration per line, so the file stays a few KB."""
     fixture = generate_fast_layers()
     configs = fixture.pop("configs")
-    head = json.dumps(fixture, indent=1)[:-2]
+    head = json.dumps(fixture, indent=1)[:-2]  # minus the closing "\n}"
     lines = [f'  {json.dumps(k)}: {json.dumps(v)}' for k, v in configs.items()]
     path.write_text(head + ',\n "configs": {\n' + ",\n".join(lines) + "\n }\n}\n")
 

@@ -193,6 +193,31 @@ class TestLayer4Pde:
         assert np.all(out[senones] > LOG_ZERO / 2)
 
 
+    def test_single_component_shortcut_matches_the_race(self, rng):
+        """One component per item skips the elimination race; the race
+        run on the same items gives the same bits and the same
+        dimension counts — a NaN partial (which the race drops after
+        its first chunk) included."""
+        pool = SenonePool.random(30, num_components=1, dim=39, rng=rng)
+        model = FastGmmModel(pool, config=FastGmmConfig(pde_enabled=True, pde_chunk=5))
+        offsets = model.offsets.copy()
+        quad = rng.normal(size=(30, 39)) ** 2 * model.precisions[:, 0, :]
+        quad = quad[:, None, :]
+
+        comp, dims = model._pde(quad, offsets)
+        assert dims is None  # the shortcut: every dimension of every item
+        want, want_dims = model._pde(quad, offsets, race=True)
+        assert comp.tobytes() == want.tobytes()
+        assert want_dims.tolist() == [39] * 30
+
+        quad[7, 0, 12] = np.nan  # third chunk of item 7
+        comp, dims = model._pde(quad, offsets)
+        want, want_dims = model._pde(quad, offsets, race=True)
+        assert comp.tobytes() == want.tobytes()
+        assert dims.tolist() == want_dims.tolist()
+        assert comp[7, 0] == LOG_ZERO and dims[7] == 15 and dims[6] == 39
+
+
 class TestActivityExport:
     def test_activity_reflects_savings(self, small_pool, rng):
         full = OneLane(small_pool, config=FastGmmConfig())
@@ -307,3 +332,23 @@ class TestConfigValidation:
             FastGmmConfig(gs_codebook_size=0)
         with pytest.raises(ValueError):
             FastGmmConfig(pde_chunk=0)
+
+    @pytest.mark.parametrize("margin", [-1.0, float("nan"), float("inf")])
+    def test_pde_margin_that_drops_every_component_rejected(self, margin):
+        """A negative or NaN margin fails the best component's own
+        comparison: every senone would score LOG_ZERO, silently."""
+        with pytest.raises(ValueError, match="pde_margin"):
+            FastGmmConfig(pde_margin=margin)
+
+    @pytest.mark.parametrize("margin", [-5.0, float("nan"), float("inf")])
+    def test_ci_margin_that_approximates_the_best_parent_rejected(self, margin):
+        with pytest.raises(ValueError, match="ci_margin"):
+            FastGmmConfig(ci_margin=margin)
+
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
+    def test_non_finite_cds_distance_rejected(self, distance):
+        with pytest.raises(ValueError, match="cds_distance"):
+            FastGmmConfig(cds_distance=distance)
+
+    def test_boundary_margins_accepted(self):
+        FastGmmConfig(ci_margin=0.0, pde_margin=0.0)

@@ -228,7 +228,9 @@ class TestFastLaneLifecycle:
         for them afterwards."""
         rec = fast_rec
         result = rec.decode_stream(ragged_feats, max_lanes=2)
-        assert rec.scorer._lanes == {}  # all retired
+        for lane in range(2):  # all retired
+            with pytest.raises(KeyError):
+                rec.scorer.lane_state(lane)
         frames = [r.fast_stats.frames for r in result.results]
         assert frames == LENGTHS
 
@@ -241,3 +243,175 @@ class TestFastLaneLifecycle:
             total_seq = sum(getattr(r.fast_stats, field) for r in seq)
             total_stream = sum(getattr(r.fast_stats, field) for r in stream.results)
             assert total_stream == total_seq, field
+
+
+class TestLaneStateArrays:
+    """The lane lifecycle on scorer-owned arrays indexed by lane.
+
+    Lane state is rows of shared arrays, so a freed or moved row is
+    where stale state could survive: these drive the backend directly
+    with a CDS threshold that skips whenever it may, which makes any
+    inherited previous frame or cache row visible at once.
+    """
+
+    SENONES = np.arange(24)
+
+    @pytest.fixture()
+    def model(self, small_pool):
+        config = FastGmmConfig(cds_enabled=True, cds_distance=1e9, cds_max_run=2)
+        return FastGmmModel(small_pool, config=config)
+
+    @staticmethod
+    def _score(scorer, obs, lanes, senones):
+        """One step: every lane in ``lanes`` demands ``senones``."""
+        lanes = np.asarray(lanes)
+        return scorer.score_pairs(
+            obs,
+            np.repeat(lanes, len(senones)),
+            np.tile(senones, lanes.size),
+            lanes=lanes,
+        )
+
+    @pytest.mark.parametrize("mid_skip_run", [False, True])
+    def test_readmitted_lane_starts_cold(self, model, rng, mid_skip_run):
+        """Re-admission after retire/cancel (the bank calls
+        ``retire_lane`` for both): the first frame is scored in full
+        even if identical to the predecessor's last, and senones the
+        predecessor cached are computed from the NEW frame."""
+        scorer = BatchFastGmmScorer(model)
+        scorer.admit_lane(0)
+        old = rng.normal(size=(1, 13))
+        self._score(scorer, old, [0], self.SENONES)
+        if mid_skip_run:
+            self._score(scorer, old, [0], self.SENONES)
+            assert scorer.lane_state(0).skip_run == 1
+        scorer.retire_lane(0)
+        scorer.admit_lane(0)
+        cold = scorer.lane_state(0)
+        assert cold.last_obs is None and cold.last_scores is None
+        assert cold.skip_run == 0 and cold.fast_stats == FastGmmStats()
+
+        new = old + 5.0
+        fresh = BatchFastGmmScorer(model)
+        fresh.admit_lane(0)
+        for frame, senones in ((old, self.SENONES[:6]), (new, self.SENONES)):
+            got = self._score(scorer, frame, [0], senones)
+            assert np.array_equal(got, self._score(fresh, frame, [0], senones))
+        stats = scorer.lane_state(0).fast_stats
+        assert (stats.frames, stats.frames_skipped) == (2, 1)
+        assert stats == fresh.lane_state(0).fast_stats
+
+    def test_compaction_moves_a_lanes_state_together(self, model, rng):
+        """A lane mid-skip-run before ``compact_lanes`` decodes exactly
+        as in the uncompacted bank, and its snapshot moves intact."""
+        frames = rng.normal(size=(6, 3, 13))
+        wide, narrow = BatchFastGmmScorer(model), BatchFastGmmScorer(model)
+        for scorer in (wide, narrow):
+            for lane in range(3):
+                scorer.admit_lane(lane)
+            # Lanes start one step apart, so their skip runs differ.
+            self._score(scorer, frames[0], [2], self.SENONES[:9])
+            self._score(scorer, frames[1], [1, 2], self.SENONES[:9])
+            self._score(scorer, frames[2], [0, 1, 2], self.SENONES[:9])
+        assert [wide.lane_state(b).skip_run for b in range(3)] == [0, 1, 2]
+        narrow.retire_lane(1)
+        narrow.compact_lanes([0, 2])
+        for old, new in ((0, 0), (2, 1)):
+            before, after = wide.lane_state(old), narrow.lane_state(new)
+            assert np.array_equal(before.last_obs, after.last_obs)
+            assert np.array_equal(before.last_scores, after.last_scores)
+            assert before.skip_run == after.skip_run
+            assert before.fast_stats == after.fast_stats
+        with pytest.raises(KeyError):
+            narrow.lane_state(2)
+        for t in range(3, 6):
+            # New senones each step: skipping lanes fill cache misses.
+            senones = self.SENONES[: 9 + 5 * (t - 2)]
+            want = self._score(wide, frames[t], [0, 1, 2], senones)
+            got = self._score(narrow, frames[t][[0, 2]], [0, 1], senones)
+            want = want.reshape(3, -1)[[0, 2]].ravel()
+            assert np.array_equal(got, want), t
+        for old, new in ((0, 0), (2, 1)):
+            assert wide.lane_state(old).fast_stats == narrow.lane_state(new).fast_stats
+        assert wide.lane_state(2).fast_stats.frames_skipped > 0
+
+    def test_scoring_an_unadmitted_lane_raises(self, model, rng):
+        obs = rng.normal(size=(4, 13))
+        scorer = BatchFastGmmScorer(model)
+        with pytest.raises(LookupError):  # no lane was ever admitted
+            self._score(scorer, obs, [0], self.SENONES)
+        scorer.admit_lane(0)
+        scorer.admit_lane(1)
+        scorer.retire_lane(0)
+        with pytest.raises(LookupError):  # a retired row inside the arrays
+            self._score(scorer, obs, [0, 1], self.SENONES)
+        with pytest.raises(LookupError):  # a row past them
+            self._score(scorer, obs, [1, 3], self.SENONES)
+        with pytest.raises(LookupError):  # lanes inferred from the items
+            scorer.score_pairs(obs, np.zeros(24, dtype=np.int64), self.SENONES)
+        assert scorer.lane_state(1).fast_stats.frames == 0  # nothing was charged
+
+    def test_bank_wider_than_any_lane_admitted(self, model, rng):
+        """The arrays grow with the highest lane admitted, not with the
+        observation block: lane 0 of a 4-row block first, then lane 3."""
+        frames = rng.normal(size=(3, 4, 13))
+        bank = BatchFastGmmScorer(model)
+        alone = {lane: BatchFastGmmScorer(model) for lane in (0, 3)}
+        for scorer in alone.values():
+            scorer.admit_lane(0)
+        bank.admit_lane(0)
+        got = self._score(bank, frames[0], [0], self.SENONES)
+        want = self._score(alone[0], frames[0][[0]], [0], self.SENONES)
+        assert np.array_equal(got, want)
+        bank.admit_lane(3)  # grows past the never-admitted lanes 1 and 2
+        for t in (1, 2):
+            got = self._score(bank, frames[t], [0, 3], self.SENONES).reshape(2, -1)
+            for row, lane in enumerate((0, 3)):
+                want = self._score(alone[lane], frames[t][[lane]], [0], self.SENONES)
+                assert np.array_equal(got[row], want), (t, lane)
+        for lane in (0, 3):
+            assert bank.lane_state(lane).fast_stats == alone[lane].lane_state(0).fast_stats
+        with pytest.raises(KeyError):
+            bank.lane_state(1)
+
+
+class TestTwinsShareAReadOnlyModel:
+    def test_twins_scoring_from_two_threads_are_bit_identical(
+        self, task, ragged_feats
+    ):
+        """``twin()`` shares the FastGmmModel between thread shards, so
+        the model may hold no per-step buffer: two twins decoding at
+        once (switching threads every few bytecodes) each reproduce the
+        sequential decode bit for bit."""
+        import sys
+        import threading
+
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying,
+            mode="fast", fast_config=FastGmmConfig.all_layers(),
+        )
+        sequential = [rec.decode(f) for f in ragged_feats]
+        twins = [rec.twin(), rec.twin()]
+        assert all(t.scorer.model is rec.scorer.model for t in twins)
+        assert twins[0].scorer is not twins[1].scorer
+        results: dict[int, list] = {}
+
+        def work(i):
+            feats = ragged_feats if i == 0 else ragged_feats[::-1]
+            results[i] = twins[i].decode_stream(feats, max_lanes=2).results
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seq, lane in zip(sequential, results[0]):
+            _assert_lane_equal(seq, lane)
+        for seq, lane in zip(sequential[::-1], results[1]):
+            _assert_lane_equal(seq, lane)
