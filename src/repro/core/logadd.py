@@ -23,7 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LogAddTable", "logadd_exact", "LOG2"]
+__all__ = ["LogAddTable", "logadd_exact", "LOG2", "LOG_ZERO", "LOG_DEAD"]
+
+#: The log-domain "no path" sentinel — initialisation value of the
+#: delta registers ("Max '-ve'", Figure 3); finite, so adding scores
+#: never yields NaN.  The ONE definition: every module imports it.
+LOG_ZERO = -1.0e30
+
+#: Dead threshold: a score at or below this holds no path (a dead score
+#: stays dead under any realistic run of additions, float32 or float64).
+LOG_DEAD = LOG_ZERO / 2
 
 #: Natural log of 2 — the maximum of the correction term.
 LOG2 = float(np.log(2.0))

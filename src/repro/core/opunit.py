@@ -35,16 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.fpu import FloatUnit
-from repro.core.logadd import LogAddTable
+from repro.core.logadd import LOG_ZERO, LogAddTable
 from repro.core.scratch import DenseScratch
 from repro.core.pipeline import PipelineSpec, PipelineTrace
 from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 
 __all__ = ["OpUnitSpec", "OpUnit", "GaussianTable", "FrameScoreResult"]
-
-#: Log of a probability treated as "impossible" by the hardware; the
-#: register file initialises running maxima to this ("Max '-ve'").
-LOG_ZERO = -1.0e30
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,21 @@ transition occupies one "Add & Compare" slot of 2 cycles (Figure 3).
 Per Section III-B the unit handles 3-, 5- and 7-state HMM topologies,
 so different acoustic models can be decoded.
 
-Two paths are provided, mirroring :mod:`repro.core.opunit`:
+The left-to-right chain recurrence of the flat decoder — the
+``max(stay, forward, entry) + b_j(O_t)`` competition and its dead-token
+rule — is written ONCE, as :func:`chain_update`: any float dtype, one
+``(S,)`` chain bank or ``(B, S)`` stacked lanes.  The lane bank
+(:class:`repro.runtime.batch.LaneBank`) calls it in its own dtype and,
+in hardware mode, charges the unit beside it
+(:meth:`ViterbiUnit.charge_chain`); :meth:`ViterbiUnit.update_chain`
+is validation + that function at float32 + the same charge.  Besides:
 
 * :meth:`ViterbiUnit.step_column` — dense, bit-faithful: an arbitrary
   transition matrix column is swept transition by transition, each add
   and compare performed in float32 through the shared
   :class:`~repro.core.fpu.FloatUnit`.
-* :meth:`ViterbiUnit.update_chain` — vectorised left-to-right update
-  over a *flattened bank* of HMM chains (the decoder's fast path),
-  with identical transition counting for cycles/power.
+* :meth:`ViterbiUnit.update_tokens` / ``update_tokens_active`` — any
+  in-degree-1 topology (the lexical tree), dense / at live registers.
 """
 
 from __future__ import annotations
@@ -27,17 +33,98 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fpu import FloatUnit
+from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.pipeline import PipelineSpec, PipelineTrace
 
-__all__ = ["ViterbiUnitSpec", "ViterbiUnit", "ChainUpdateResult", "LOG_ZERO"]
+__all__ = [
+    "ViterbiUnitSpec",
+    "ViterbiUnit",
+    "ChainUpdateResult",
+    "chain_update",
+    "LOG_ZERO",
+]
 
-#: Initialisation value of delta registers ("Max '-ve'").
-LOG_ZERO = -1.0e30
-
-#: Backpointer codes emitted by :meth:`ViterbiUnit.update_chain`.
+#: Backpointer codes emitted by :func:`chain_update`.
 BP_SELF = 0
 BP_FORWARD = 1
 BP_ENTRY = 2
+
+
+def _chain_scratch(scratch: dict | None, shape: tuple, dtype) -> dict:
+    """``scratch`` holding :func:`chain_update`'s work arrays for this bank."""
+    scratch = {} if scratch is None else scratch
+    if scratch.get("for") != (shape, dtype):  # one check per frame, not per array
+        floats = ("best", "from_prev", "enter", "delta")
+        scratch.update({name: np.empty(shape, dtype) for name in floats})
+        scratch.update(mask=np.empty(shape, bool), backptr=np.empty(shape, np.int8))
+        scratch["for"] = (shape, dtype)
+    return scratch
+
+
+def chain_update(
+    delta: np.ndarray,
+    self_logp: np.ndarray,
+    fwd_logp: np.ndarray,
+    obs: np.ndarray,
+    entry_scores: np.ndarray | None,
+    is_start: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: dict | None = None,
+    entry_premasked: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One frame of the left-to-right chain recurrence (Figure 3).
+
+    All HMM states lie in one array where state ``s`` may receive
+    probability from itself (``self_logp[s]``) and from its left
+    neighbour (``fwd_logp[s-1]``, the arc *out of* that state), except
+    at chain starts (``is_start``), which instead receive
+    ``entry_scores`` (the token passer's word entries, entry transition
+    included; ``None`` = no entries).  A token with no path or an
+    unscored state (``best`` / ``obs`` at or below ``LOG_DEAD``) is
+    dead: ``LOG_ZERO``.
+
+    ``delta``/``obs``/``entry_scores`` are ``(S,)`` or ``(B, S)`` in
+    ONE float dtype, the dtype of the arithmetic; the constants are
+    shared ``(S,)`` arrays of that dtype or narrower (the network
+    stores float32).  Everything is elementwise along the trailing
+    axis, so a row of a bank gets the bits of that row updated alone.
+
+    A frame loop passes a ``scratch`` dict it keeps (filled here,
+    reallocated only when shape or dtype change) and the update
+    allocates nothing: the backpointer codes (``BP_*``) and, without
+    ``out``, the new deltas live in it until the next call.  ``out``
+    may alias ``delta`` (consumed before the one output write).
+    ``entry_premasked`` asserts ``entry_scores`` is already
+    ``LOG_ZERO`` off the start states, skipping the masking pass.
+    """
+    scratch = _chain_scratch(scratch, delta.shape, delta.dtype)
+    if out is None:
+        out = scratch["delta"]
+    best, from_prev = scratch["best"], scratch["from_prev"]
+    np.add(delta, self_logp, out=best)  # stay
+    np.add(delta[..., :-1], fwd_logp[:-1], out=from_prev[..., 1:])
+    from_prev[..., :1] = LOG_ZERO
+    from_prev[..., is_start] = LOG_ZERO
+    if entry_premasked:
+        enter = entry_scores
+    else:
+        enter = scratch["enter"]
+        enter.fill(LOG_ZERO)
+        if entry_scores is not None:
+            np.copyto(enter, entry_scores, where=is_start)
+    backptr, mask = scratch["backptr"], scratch["mask"]
+    backptr.fill(BP_SELF)
+    np.greater(from_prev, best, out=mask)
+    np.copyto(best, from_prev, where=mask)
+    backptr[mask] = BP_FORWARD
+    np.greater(enter, best, out=mask)
+    np.copyto(best, enter, where=mask)
+    backptr[mask] = BP_ENTRY
+    np.add(best, obs, out=out)
+    # The ONE dead rule: no arc offered a path, or the state was not scored.
+    np.less_equal(np.minimum(best, obs, out=best), LOG_DEAD, out=mask)
+    out[mask] = LOG_ZERO
+    return out, backptr
 
 
 @dataclass(frozen=True)
@@ -82,24 +169,7 @@ class ViterbiUnit:
         self._cycles_busy = 0
         self._transitions = 0
         self._columns = 0
-        self._bank_cache: dict | None = None
-        self._chain_scratch: dict | None = None
-
-    def _chain_buffers(self, k: int) -> dict:
-        """Per-step work arrays for :meth:`update_chain`, reused across
-        frames (reallocated only when the state count changes)."""
-        scratch = self._chain_scratch
-        if scratch is None or scratch["k"] != k:
-            scratch = self._chain_scratch = {
-                "k": k,
-                "best": np.empty(k, dtype=np.float32),
-                "from_prev": np.empty(k, dtype=np.float32),
-                "enter": np.empty(k, dtype=np.float32),
-                "delta": np.empty(k, dtype=np.float32),
-                "mask": np.empty(k, dtype=bool),
-                "backptr": np.empty(k, dtype=np.int8),
-            }
-        return scratch
+        self._chain_scratch: dict = {}  # update_chain's work arrays + outputs
 
     @property
     def cycles_busy(self) -> int:
@@ -202,8 +272,31 @@ class ViterbiUnit:
         return new_delta, backptr, cycles
 
     # ------------------------------------------------------------------
-    # Vectorised chain-bank update (decoder fast path)
+    # Left-to-right chain update (the flat decoder's recurrence)
     # ------------------------------------------------------------------
+    def charge_chain(
+        self, chain_start: np.ndarray, rows: int = 1, entries: bool = True
+    ) -> tuple[int, int]:
+        """Charge one :func:`chain_update` sweep; ``(cycles, transitions)``.
+
+        The ONE place a chain update costs anything.  Every state
+        consumes a self arc and, unless it starts a chain, a forward
+        arc; an entry offer is one more compare per start; each state
+        then adds its observation score.  ``rows`` stacked banks stream
+        through the add&compare array as one column (a dead or idle
+        row occupies its slots like a live one).
+        """
+        k = chain_start.shape[0]
+        per_row = 2 * k if entries else 2 * k - int(np.count_nonzero(chain_start))
+        transitions = rows * per_row
+        self.fpu.counts.add += transitions + rows * k  # + obs addition per state
+        self.fpu.counts.compare += transitions
+        cycles = self.spec.cycles_for_transitions(transitions)
+        self._cycles_busy += cycles
+        self._transitions += transitions
+        self._columns += 1
+        return cycles, transitions
+
     def update_chain(
         self,
         prev_delta: np.ndarray,
@@ -213,184 +306,47 @@ class ViterbiUnit:
         entry_scores: np.ndarray | None = None,
         chain_start: np.ndarray | None = None,
     ) -> ChainUpdateResult:
-        """Left-to-right update over a flattened bank of HMM chains.
+        """:func:`chain_update` at float32, validated and charged.
 
-        The decoder lays all active HMM states out in one array where
-        state ``s`` may receive probability from itself (``self_logp``)
-        and from its left neighbour (``forward_logp[s-1]``), except at
-        chain starts which instead receive ``entry_scores`` (word/phone
-        entry from the token passer).
+        ``prev_delta``/``obs_logprobs``/``entry_scores`` are ``(K,)``,
+        one flattened bank of chains, or ``(B, K)`` stacked banks over
+        shared ``(K,)`` constants; ``chain_start=None`` means no starts
+        (``entry_scores`` is then ignored).  A stacked call needs state
+        0 to start a chain: every row is then whole chains.
 
-        Parameters
-        ----------
-        prev_delta:
-            Previous log-deltas, shape (K,).
-        self_logp:
-            Self-loop log-probabilities, shape (K,).
-        forward_logp:
-            Forward-arc log-probability *out of* each state, shape (K,);
-            the value at a chain's last state is ignored.
-        obs_logprobs:
-            Senone score for each state, shape (K,).
-        entry_scores:
-            Log-score offered to each chain-start state (already
-            including the entry transition), shape (K,), ``LOG_ZERO``
-            where no entry is offered.  Ignored if ``chain_start`` is
-            None.
-        chain_start:
-            Boolean mask, True at the first state of each chain.
-
-        Returns
-        -------
-        ChainUpdateResult
-            New deltas, backpointer codes (``BP_SELF``, ``BP_FORWARD``,
-            ``BP_ENTRY``), cycles consumed and transition count.  The
-            ``delta`` and ``backpointer`` arrays are unit-owned scratch
-            buffers reused every step (allocation-free frame loop);
-            consume or copy them before the next chain update on this
-            unit — both decoder frame loops already do.
+        The returned ``delta`` and ``backpointer`` are unit-owned
+        scratch reused every step: consume or copy them before the next
+        chain update on this unit (passing ``delta`` straight back in
+        as ``prev_delta`` is safe).
         """
         prev = np.asarray(prev_delta, dtype=np.float32)
-        k = prev.shape[0]
+        if prev.ndim not in (1, 2):
+            raise ValueError(f"prev_delta must be (K,) or (B, K), got {prev.shape}")
+        k = prev.shape[-1]
         self_lp = np.asarray(self_logp, dtype=np.float32)
         fwd_lp = np.asarray(forward_logp, dtype=np.float32)
         obs = np.asarray(obs_logprobs, dtype=np.float32)
-        for name, arr in (("self_logp", self_lp), ("forward_logp", fwd_lp), ("obs", obs)):
-            if arr.shape != (k,):
-                raise ValueError(f"{name} shape {arr.shape} != ({k},)")
-        if chain_start is None:
-            starts = np.zeros(k, dtype=bool)
-        else:
-            starts = np.asarray(chain_start, dtype=bool)
-            if starts.shape != (k,):
-                raise ValueError(f"chain_start shape {starts.shape} != ({k},)")
-        # Every op below is the float32 sequence of the original
-        # allocating implementation, landed in preallocated buffers;
-        # ``prev`` is fully consumed before the single write to the
-        # delta buffer, so even ``prev is result.delta`` is safe.
-        scratch = self._chain_buffers(k)
-        best = scratch["best"]
-        np.add(prev, self_lp, out=best)  # stay
-        from_prev = scratch["from_prev"]
-        from_prev[0] = LOG_ZERO
-        if k > 1:
-            np.add(prev[:-1], fwd_lp[:-1], out=from_prev[1:])
-        from_prev[starts] = LOG_ZERO
-        enter = scratch["enter"]
-        enter.fill(LOG_ZERO)
-        if entry_scores is not None:
-            entry = np.asarray(entry_scores, dtype=np.float32)
-            if entry.shape != (k,):
-                raise ValueError(f"entry_scores shape {entry.shape} != ({k},)")
-            np.copyto(enter, entry, where=starts)
-        backptr = scratch["backptr"]
-        backptr.fill(BP_SELF)
-        mask = scratch["mask"]
-        np.greater(from_prev, best, out=mask)
-        np.copyto(best, from_prev, where=mask)
-        backptr[mask] = BP_FORWARD
-        np.greater(enter, best, out=mask)
-        np.copyto(best, enter, where=mask)
-        backptr[mask] = BP_ENTRY
-        new_delta = scratch["delta"]
-        np.add(best, obs, out=new_delta)
-        np.less_equal(best, np.float32(LOG_ZERO), out=mask)
-        new_delta[mask] = LOG_ZERO
-        # Activity: every state consumes a self arc and (if not a chain
-        # start) a forward arc; entry candidates add one more compare.
-        transitions = int(k + np.count_nonzero(~starts))
-        if entry_scores is not None:
-            transitions += int(np.count_nonzero(starts))
-        self.fpu.counts.add += transitions + k  # + obs addition per state
-        self.fpu.counts.compare += transitions
-        cycles = self.spec.cycles_for_transitions(transitions)
-        self._cycles_busy += cycles
-        self._transitions += transitions
-        self._columns += 1
-        return ChainUpdateResult(
-            delta=new_delta, backpointer=backptr, cycles=cycles, transitions=transitions
-        )
-
-    # ------------------------------------------------------------------
-    # Batched multi-utterance chain update (the flat LaneBank path)
-    # ------------------------------------------------------------------
-    def update_chain_bank(
-        self,
-        prev_delta: np.ndarray,
-        self_logp: np.ndarray,
-        forward_logp: np.ndarray,
-        obs_logprobs: np.ndarray,
-        entry_scores: np.ndarray,
-        chain_start: np.ndarray,
-    ) -> ChainUpdateResult:
-        """One :meth:`update_chain` over ``B`` stacked utterances.
-
-        ``prev_delta``/``obs_logprobs``/``entry_scores`` are ``(B, S)``
-        banks sharing the network's ``(S,)`` transition constants and
-        start mask.  The bank is flattened row-major and swept in a
-        single chain update; because every chain's first state is a
-        start state, row boundaries are sealed exactly like word
-        boundaries, and all arithmetic is elementwise float32 — each
-        row's deltas and backpointers are bit-identical to updating
-        that utterance alone.  Cycles/transitions account for the whole
-        bank (B x S states per frame).
-
-        The lane bank leans on this: a retired lane stays an
-        all-``LOG_ZERO`` row and a refill swaps a row's CONTENT —
-        neither changes ``B``, so the tiled-constant cache below
-        persists until the bank compacts.
-
-        Returns a :class:`ChainUpdateResult` whose ``delta`` and
-        ``backpointer`` are reshaped back to ``(B, S)``.
-        """
-        prev = np.asarray(prev_delta, dtype=np.float32)
-        if prev.ndim != 2:
-            raise ValueError(f"prev_delta must be (B, S), got {prev.shape}")
-        b, s = prev.shape
-        starts = np.asarray(chain_start, dtype=bool)
-        if starts.shape != (s,):
-            raise ValueError(f"chain_start shape {starts.shape} != ({s},)")
-        if s and not starts[0]:
-            raise ValueError("state 0 must be a chain start to seal row seams")
-        obs = np.asarray(obs_logprobs, dtype=np.float32)
-        entry = np.asarray(entry_scores, dtype=np.float32)
-        for name, arr in (("obs_logprobs", obs), ("entry_scores", entry)):
-            if arr.shape != (b, s):
-                raise ValueError(f"{name} shape {arr.shape} != ({b}, {s})")
-        # The tiled network constants are identical every frame of a
-        # batched decode; cache them keyed on the source arrays (held
-        # by reference, so identity comparison is sound).
-        cache = self._bank_cache
-        if (
-            cache is None
-            or cache["b"] != b
-            or cache["self_src"] is not self_logp
-            or cache["fwd_src"] is not forward_logp
-            or cache["start_src"] is not chain_start
+        starts = np.asarray(np.zeros(k) if chain_start is None else chain_start, bool)
+        entry = entry_scores
+        if entry is not None:
+            entry = np.asarray(entry, dtype=np.float32)
+        for name, arr, shape in (
+            ("self_logp", self_lp, (k,)),
+            ("forward_logp", fwd_lp, (k,)),
+            ("chain_start", starts, (k,)),
+            ("obs", obs, prev.shape),
+            ("entry_scores", prev if entry is None else entry, prev.shape),
         ):
-            cache = self._bank_cache = {
-                "b": b,
-                "self_src": self_logp,
-                "fwd_src": forward_logp,
-                "start_src": chain_start,
-                "self": np.tile(np.asarray(self_logp, dtype=np.float32), b),
-                "fwd": np.tile(np.asarray(forward_logp, dtype=np.float32), b),
-                "starts": np.tile(starts, b),
-            }
-        result = self.update_chain(
-            np.ascontiguousarray(prev).ravel(),
-            cache["self"],
-            cache["fwd"],
-            np.ascontiguousarray(obs).ravel(),
-            np.ascontiguousarray(entry).ravel(),
-            cache["starts"],
+            if arr.shape != shape:
+                raise ValueError(f"{name} shape {arr.shape} != {shape}")
+        if prev.ndim == 2 and not starts[:1].all():
+            raise ValueError("state 0 must be a chain start to seal row seams")
+        delta, backptr = chain_update(
+            prev, self_lp, fwd_lp, obs, entry, starts, scratch=self._chain_scratch
         )
-        return ChainUpdateResult(
-            delta=result.delta.reshape(b, s),
-            backpointer=result.backpointer.reshape(b, s),
-            cycles=result.cycles,
-            transitions=result.transitions,
-        )
+        rows = len(prev) if prev.ndim == 2 else 1
+        cost = self.charge_chain(starts, rows=rows, entries=entry is not None)
+        return ChainUpdateResult(delta, backptr, *cost)
 
     # ------------------------------------------------------------------
     # Active-list token update (the tree lane bank path)
@@ -490,7 +446,7 @@ class ViterbiUnit:
     ) -> ChainUpdateResult:
         """Token update where each state has one explicit predecessor.
 
-        Generalises :meth:`update_chain` from contiguous chains to any
+        Generalises :func:`chain_update` from contiguous chains to any
         in-degree-1 topology (e.g. a lexicon prefix tree, where a
         node's first state descends from its *parent node's* last
         state).  ``pred_state[s]`` is the predecessor state index (-1

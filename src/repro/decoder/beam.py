@@ -14,9 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BeamConfig", "apply_beam", "apply_beam_batch", "apply_beam_rows"]
+from repro.core.logadd import LOG_ZERO
 
-LOG_ZERO = -1.0e30
+__all__ = [
+    "BeamConfig",
+    "apply_beam",
+    "apply_beam_batch",
+    "apply_beam_rows",
+    "select_word_exits",
+]
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,26 @@ class BeamConfig:
             raise ValueError(
                 f"max_active_states must be >= 0, got {self.max_active_states}"
             )
+
+
+def select_word_exits(
+    scores: np.ndarray, viable: np.ndarray, word_beam: float, max_exits: int
+) -> np.ndarray:
+    """Positions of one utterance-frame's word exits worth recording.
+
+    The viable exits within ``word_beam`` of the best one, cut to the
+    ``max_exits`` best (best first) when there are more.  The one
+    source of exit order for both networks: the cut is a non-stable
+    ``argsort`` over the same per-lane arrays whatever bank the lane
+    rides in, so ties break identically for every batch shape.
+    """
+    if not viable.any():
+        return np.empty(0, dtype=np.int64)
+    threshold = float(scores[viable].max()) - word_beam
+    keep = np.flatnonzero(viable & (scores >= threshold))
+    if keep.size > max_exits:
+        keep = keep[np.argsort(scores[keep])[::-1][:max_exits]]
+    return keep
 
 
 def _histogram_trim(delta: np.ndarray, alive: np.ndarray, cap: int) -> None:

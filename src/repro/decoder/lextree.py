@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.logadd import LOG_DEAD, LOG_ZERO
+from repro.decoder.beam import select_word_exits
 from repro.decoder.lattice import WordLattice
 from repro.decoder.word_decode import DecoderConfig
 from repro.hmm.topology import HmmTopology
@@ -47,9 +49,6 @@ __all__ = [
     "prime_tree_entry",
     "record_tree_exits",
 ]
-
-LOG_ZERO = -1.0e30
-_DEAD = LOG_ZERO / 2
 
 
 def prime_tree_entry(config: DecoderConfig) -> tuple[float, int]:
@@ -82,20 +81,13 @@ def record_tree_exits(
     root re-entry score/source for the next frame (``LOG_ZERO``/-1 when
     no leaf is viable).
 
-    This is the single source of truth for exit ordering and capping
-    (the word-beam threshold and the non-stable ``argsort`` top-N cut):
-    a lane sees the same arrays here whatever bank it rides in, so ties
-    break identically for every batch shape.
+    Which exits are recorded, and in what order, is
+    :func:`~repro.decoder.beam.select_word_exits`.
     """
-    if not viable.any():
-        return [], LOG_ZERO, -1
     vocab = lm.vocabulary
-    best_raw = float(raw_scores[viable].max())
-    threshold = best_raw - config.beam.word_beam
-    order = np.flatnonzero(viable & (raw_scores >= threshold))
-    if order.size > config.max_exits_per_frame:
-        top = np.argsort(raw_scores[order])[::-1][: config.max_exits_per_frame]
-        order = order[top]
+    order = select_word_exits(
+        raw_scores, viable, config.beam.word_beam, config.max_exits_per_frame
+    )
     new_exits: list[int] = []
     best_entry, best_src = LOG_ZERO, -1
     for leaf_pos in order.tolist():

@@ -6,8 +6,8 @@ words in the dictionary" (Section III-C).  We realise the search space
 the way Sphinx-3's flat decoder does: every vocabulary word becomes a
 chain of triphone HMM states laid out in one dense array bank, so the
 per-frame Viterbi update vectorises across the entire vocabulary and
-maps 1:1 onto the Viterbi unit's chain fast path
-(:meth:`repro.core.viterbi_unit.ViterbiUnit.update_chain`).
+maps 1:1 onto the Viterbi unit's chain recurrence
+(:func:`repro.core.viterbi_unit.chain_update`).
 
 Array layout (K = total states over all words):
 

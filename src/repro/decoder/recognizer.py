@@ -402,18 +402,17 @@ class Recognizer:
         """Swap the blas scoring tables to ``precision``; True if changed.
 
         The brownout control of the serve loop.  Safe between the steps
-        of a running bank because the blas scorer keeps no per-lane
-        state — but a bank holds a direct scorer reference, so its
-        driver must re-point ``bank.scorer`` at :attr:`scorer`
-        afterwards.  Other modes have no precision axis and ignore the
-        call.
+        of a running bank: the blas scorer keeps no per-lane state, and
+        the scorer OBJECT stays (banks hold a reference to it; lanes in
+        flight measure their kernel steps against admission marks of
+        its counters) — only its table format changes.  Other modes
+        have no precision axis and ignore the call.
         """
         if self.mode != "blas" or precision == self.precision:
             return False
         validate_precision(self.mode, precision)
-        self.precision = precision
-        self.scorer = type(self.scorer)(self.scorer.pool, precision=precision)
-        self.phone_stage.scorer = self.scorer
+        self.scorer.pool.blas_tables(precision)  # built here, not on the next step
+        self.precision = self.scorer.precision = precision
         return True
 
     @classmethod

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.logadd import LOG_ZERO
+
 __all__ = [
     "ScoringStats",
     "LOG_ZERO",
@@ -21,8 +23,6 @@ __all__ = [
     "FLOAT32_SCORE_ATOL",
     "INT8_SCORE_ATOL",
 ]
-
-LOG_ZERO = -1.0e30
 
 #: Documented absolute tolerance between matmul-form (``mode="blas"``)
 #: and reference scores.  Both are float64 over the same parameters;

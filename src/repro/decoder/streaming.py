@@ -24,12 +24,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.logadd import LOG_DEAD
 from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.recognizer import Recognizer
 
 __all__ = ["StreamingEvent", "StreamingRecognizer"]
-
-_DEAD = -5e29
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ class StreamingRecognizer:
     def _update_endpoint_state(self) -> None:
         delta = self.recognizer.word_stage.delta
         best_state = int(np.argmax(delta))
-        if delta[best_state] <= _DEAD:
+        if delta[best_state] <= LOG_DEAD:
             return  # nothing alive yet
         in_silence = bool(self._silence[best_state])
         if in_silence and self._saw_speech:

@@ -17,9 +17,9 @@ the frame-at-a-time view of a 1-lane bank.  Each frame:
 1. determine candidate states (alive, their right neighbours, and
    word-start states holding a pending entry) — the union of their
    senones is the *feedback list* sent to the phone decode stage;
-2. run the left-to-right chain recurrence — through the
-   :class:`~repro.core.viterbi_unit.ViterbiUnit` model in hardware
-   mode, or in double precision in reference mode;
+2. run the left-to-right chain recurrence
+   (:func:`repro.core.viterbi_unit.chain_update`: float32 and charged
+   to the Viterbi unit model in hardware mode, else double precision);
 3. propagate token payloads (word entry frame, predecessor lattice
    exit) along the winning arcs;
 4. prune with the state beam / histogram cap;
@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.viterbi_unit import BP_ENTRY, BP_FORWARD, BP_SELF
-from repro.decoder.beam import BeamConfig
+from repro.core.logadd import LOG_ZERO
+from repro.decoder.beam import BeamConfig, select_word_exits
 from repro.decoder.lattice import WordLattice
 from repro.decoder.network import FlatLexiconNetwork
 from repro.lm.ngram import NGramModel
@@ -49,16 +49,12 @@ __all__ = [
     "DecoderConfig",
     "FrameStats",
     "WordDecodeStage",
-    "chain_update_reference",
     "prime_entries",
     "record_exits",
     "compute_pending_entries",
     "last_real_exit",
     "lm_history_of",
 ]
-
-LOG_ZERO = -1.0e30
-_DEAD = LOG_ZERO / 2  # anything at or below this counts as "no path"
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,12 @@ class FrameStats:
 # ----------------------------------------------------------------------
 # Shared search kernels
 #
-# The per-frame recurrences below are written over the *trailing* state
-# axis: shape (B, S), one row per lane in
+# The per-lane lattice and word-entry halves of a flat-bank frame; the
+# chain recurrence between them is ``core.viterbi_unit.chain_update``.
+# They take 1-D row views of the stacked arrays of
 # :class:`repro.runtime.LaneBank` (B = 1 under ``Recognizer.decode``),
-# or the (S,) of a unit test.  Everything is elementwise or a per-row
-# reduction, so stacking utterances changes no value; the lattice/entry
-# helpers take 1-D row views, so a freshly admitted lane replays the
-# same per-utterance sequence from its own frame 0 whatever its
-# neighbours do.
+# so a freshly admitted lane replays the same per-utterance sequence
+# from its own frame 0 whatever its neighbours do.
 # ----------------------------------------------------------------------
 
 
@@ -131,75 +125,6 @@ def prime_entries(
         pending_src[..., network.silence_word] = -1
 
 
-def make_chain_scratch(shape: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """Reusable buffers for :func:`chain_update_reference`."""
-    return {
-        "best": np.empty(shape),
-        "from_prev": np.empty(shape),
-        "enter": np.empty(shape),
-        "mask": np.empty(shape, dtype=bool),
-        "backptr": np.empty(shape, dtype=np.int8),
-    }
-
-
-def chain_update_reference(
-    delta: np.ndarray,
-    self_logp: np.ndarray,
-    fwd_logp: np.ndarray,
-    obs: np.ndarray,
-    entry_scores: np.ndarray,
-    is_start: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: dict[str, np.ndarray] | None = None,
-    entry_premasked: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Double-precision version of ``ViterbiUnit.update_chain``.
-
-    ``delta``/``obs``/``entry_scores`` may be ``(S,)`` or ``(B, S)``;
-    the transition constants and start mask are shared ``(S,)`` arrays.
-    A steady-state caller (the lane bank) passes ``out`` — the
-    new-delta destination, which may alias ``delta`` (the old bank is
-    fully consumed before the single output write) — and a
-    :func:`make_chain_scratch` dict so the per-frame update allocates
-    nothing; the returned backpointers then live in ``scratch`` until
-    the next call.  ``entry_premasked`` asserts that ``entry_scores``
-    already holds ``LOG_ZERO`` at every non-start state (true for the
-    bank's frame loop, which scatters pending entries into a
-    ``LOG_ZERO`` bank), skipping the masking pass.
-    """
-    if scratch is None:
-        scratch = make_chain_scratch(delta.shape)
-    if out is None:
-        out = np.empty(delta.shape)
-    best = scratch["best"]
-    np.add(delta, self_logp, out=best)  # stay
-    from_prev = scratch["from_prev"]
-    np.add(delta[..., :-1], fwd_logp[:-1], out=from_prev[..., 1:])
-    from_prev[..., 0] = LOG_ZERO
-    from_prev[..., is_start] = LOG_ZERO
-    if entry_premasked:
-        enter = entry_scores
-    else:
-        enter = scratch["enter"]
-        enter.fill(LOG_ZERO)
-        np.copyto(enter, entry_scores, where=is_start)
-    backptr = scratch["backptr"]
-    backptr.fill(BP_SELF)
-    mask = scratch["mask"]
-    np.greater(from_prev, best, out=mask)
-    np.copyto(best, from_prev, where=mask)
-    backptr[mask] = BP_FORWARD
-    np.greater(enter, best, out=mask)
-    np.copyto(best, enter, where=mask)
-    backptr[mask] = BP_ENTRY
-    np.add(best, obs, out=out)
-    np.less_equal(best, _DEAD, out=mask)
-    out[mask] = LOG_ZERO
-    np.less_equal(obs, _DEAD, out=mask)
-    out[mask] = LOG_ZERO
-    return out, backptr
-
-
 def record_exits(
     network: FlatLexiconNetwork,
     config: DecoderConfig,
@@ -216,14 +141,9 @@ def record_exits(
     liveness mask the caller computed from its ``delta`` row; ``payload``
     and ``entry_frame`` are that utterance's (S,) token-payload arrays.
     """
-    if not viable.any():
-        return []
-    best = float(exit_scores[viable].max())
-    threshold = best - config.beam.word_beam
-    candidates = np.flatnonzero(viable & (exit_scores >= threshold))
-    if candidates.size > config.max_exits_per_frame:
-        order = np.argsort(exit_scores[candidates])[::-1]
-        candidates = candidates[order[: config.max_exits_per_frame]]
+    candidates = select_word_exits(
+        exit_scores, viable, config.beam.word_beam, config.max_exits_per_frame
+    )
     new_exits: list[int] = []
     for w in candidates.tolist():
         end_state = int(network.end_state[w])

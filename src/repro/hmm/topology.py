@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["HmmTopology", "PhoneHmm", "LOG_ZERO"]
+from repro.core.logadd import LOG_ZERO
 
-LOG_ZERO = -1.0e30
+__all__ = ["HmmTopology", "PhoneHmm", "LOG_ZERO"]
 
 _SUPPORTED_STATES = (3, 5, 7)
 

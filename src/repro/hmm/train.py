@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.logadd import LOG_ZERO
 from repro.hmm.gaussian import VARIANCE_FLOOR
 from repro.hmm.gmm import GaussianMixture
 from repro.hmm.senone import SenonePool
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-3
-_LOG_ZERO = -1.0e30
 
 
 # ----------------------------------------------------------------------
@@ -175,12 +175,12 @@ def forced_alignment(
             f"cannot align {num_frames} frames to {num_states} states "
             "(chain needs at least one frame per state)"
         )
-    delta = np.full(num_states, _LOG_ZERO)
+    delta = np.full(num_states, LOG_ZERO)
     delta[0] = scores[0, 0]
     backptr = np.zeros((num_frames, num_states), dtype=np.int8)  # 1 = from left
     for t in range(1, num_frames):
         stay = delta + self_logp
-        advance = np.full(num_states, _LOG_ZERO)
+        advance = np.full(num_states, LOG_ZERO)
         advance[1:] = delta[:-1] + forward_logp
         from_left = advance > stay
         delta = np.where(from_left, advance, stay) + scores[t]

@@ -41,8 +41,9 @@ import time
 
 import numpy as np
 
+from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.scratch import DenseScratch
-from repro.core.viterbi_unit import BP_FORWARD, BP_SELF
+from repro.core.viterbi_unit import BP_FORWARD, BP_SELF, chain_update
 from repro.decoder.beam import apply_beam_batch, make_beam_scratch
 from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.lattice import WordLattice
@@ -50,18 +51,13 @@ from repro.decoder.recognizer import DecodeTiming, RecognitionResult, Recognizer
 from repro.decoder.scorer import ScoringStats
 from repro.decoder.word_decode import (
     FrameStats,
-    chain_update_reference,
     compute_pending_entries,
-    make_chain_scratch,
     prime_entries,
     record_exits,
 )
 from repro.obs.telemetry import DecodeTelemetry
 
 __all__ = ["LaneBank", "LaneBankBase"]
-
-LOG_ZERO = -1.0e30
-_DEAD = LOG_ZERO / 2
 
 
 class LaneBankBase:
@@ -88,7 +84,6 @@ class LaneBankBase:
         self.scorer = recognizer.scorer
         self.viterbi_unit = recognizer.viterbi_unit
         self.num_lanes = num_lanes
-        self._dtype = self._bank_dtype()
 
         # Lane lifecycle: occupancy, per-lane frame counters and the
         # per-lane artifacts a retirement will package into a result.
@@ -121,10 +116,6 @@ class LaneBankBase:
         self.frames_processed = 0
 
     # -- network-family hooks ------------------------------------------
-    def _bank_dtype(self) -> np.dtype:
-        """Dtype of the stacked token bank."""
-        raise NotImplementedError
-
     def _alloc_state(self) -> None:
         """Allocate the stacked search state and network constants."""
         raise NotImplementedError
@@ -459,13 +450,11 @@ class LaneBank(LaneBankBase):
     neighbours do.
     """
 
-    def _bank_dtype(self) -> np.dtype:
-        # Hardware mode runs the chain through the Viterbi unit, whose
-        # token arithmetic is float32; the software recurrence is float64.
-        return np.float32 if self.viterbi_unit is not None else np.float64
-
     def _alloc_state(self) -> None:
         net = self.net
+        # The Viterbi unit's token arithmetic (hardware mode) is
+        # float32; the software recurrence is float64.
+        self._dtype = np.float32 if self.viterbi_unit is not None else np.float64
         shape = (self.num_lanes, net.num_states)
         total_words = net.num_words + (1 if net.has_silence else 0)
         # Stacked word-decode state: one row per lane.
@@ -504,9 +493,7 @@ class LaneBank(LaneBankBase):
         self._entry_frame_next = np.empty(shape, dtype=np.int64)
         self._took_self = np.empty(shape, dtype=bool)
         self._took_fwd = np.empty(shape, dtype=bool)
-        self._chain_scratch = (
-            make_chain_scratch(shape) if self.viterbi_unit is None else None
-        )
+        self._chain_scratch: dict = {}  # filled by chain_update
         self._beam_scratch = make_beam_scratch(shape)
 
     def _reset_lane_state(self, lane: int) -> None:
@@ -550,13 +537,13 @@ class LaneBank(LaneBankBase):
         #    lanes are frozen at LOG_ZERO, so their rows stay empty
         #    without extra masking.
         candidates = self._candidates
-        np.greater(delta, _DEAD, out=candidates)  # alive
+        np.greater(delta, LOG_DEAD, out=candidates)  # alive
         shifted = self._shifted
         shifted[:, 0] = False
         shifted[:, 1:] = candidates[:, :-1]
         shifted[:, net.is_start] = False
         candidates |= shifted
-        entry_b, entry_w = np.nonzero(self.pending_entry > _DEAD)
+        entry_b, entry_w = np.nonzero(self.pending_entry > LOG_DEAD)
         candidates[entry_b, net.start_state[entry_w]] = True
 
         # 2. The union of per-lane unique senone requests, as
@@ -587,24 +574,15 @@ class LaneBank(LaneBankBase):
         t1 = time.perf_counter()
         self.stage_scoring_s += t1 - t0
 
-        # 4. One chain update advances every lane's token bank.
+        # 4. One chain update advances every lane's token bank in place
+        #    (entry_scores is LOG_ZERO off the start states by
+        #    construction); the Viterbi unit, if modelled, is charged.
+        _, backptr = chain_update(
+            delta, net.self_logp, net.fwd_logp, obs, entry_scores, net.is_start,
+            out=delta, scratch=self._chain_scratch, entry_premasked=True,
+        )
         if self.viterbi_unit is not None:
-            result = self.viterbi_unit.update_chain_bank(
-                delta, net.self_logp, net.fwd_logp, obs, entry_scores,
-                net.is_start,
-            )
-            backptr = result.backpointer
-            delta = result.delta.astype(self._dtype)
-            self.delta = delta
-        else:
-            # out=delta is safe (old bank fully consumed first);
-            # entry_scores is LOG_ZERO off the start states by
-            # construction, so the masking pass is skipped.
-            _, backptr = chain_update_reference(
-                delta, net.self_logp, net.fwd_logp,
-                obs, entry_scores, net.is_start,
-                out=delta, scratch=self._chain_scratch, entry_premasked=True,
-            )
+            self.viterbi_unit.charge_chain(net.is_start, rows=self.num_lanes)
 
         # 5. Token payload propagation along the winning arcs
         #    (a three-way select on the backpointer, via disjoint
@@ -637,11 +615,9 @@ class LaneBank(LaneBankBase):
 
         # 6. Row-wise beam prune, then per-lane exits and entries.
         _, n_active = apply_beam_batch(delta, cfg.beam, self._beam_scratch)
-        end_delta = delta[:, net.end_state]
-        if end_delta.dtype != np.float64:
-            end_delta = end_delta.astype(np.float64)
+        end_delta = delta[:, net.end_state].astype(np.float64, copy=False)
         exit_scores = end_delta + self._fwd_end
-        viable = end_delta > _DEAD
+        viable = end_delta > LOG_DEAD
         exit_lanes = np.flatnonzero(viable.any(axis=1))
         exit_counts = [0] * self.num_lanes
         for b in exit_lanes.tolist():

@@ -68,15 +68,13 @@ import time
 
 import numpy as np
 
+from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.viterbi_unit import BP_ENTRY, BP_FORWARD, ViterbiUnit
 from repro.decoder.beam import apply_beam_rows
 from repro.decoder.lextree import prime_tree_entry, record_tree_exits
 from repro.runtime.batch import LaneBankBase
 
 __all__ = ["TreeLaneBank"]
-
-LOG_ZERO = -1.0e30
-_DEAD = LOG_ZERO / 2
 
 
 def _child_csr(pred_state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,18 +100,15 @@ class TreeLaneBank(LaneBankBase):
     docstring for the parity contract.
     """
 
-    def _bank_dtype(self) -> np.dtype:
-        # Tree token arithmetic is float32 in EVERY mode (the token
-        # unit below is unconditional; the fixtures pin it).
-        return np.float32
-
     def _alloc_state(self) -> None:
         net = self.net
         num_lanes = self.num_lanes
         shape = (num_lanes, net.num_states)
         # Stacked token state: one row per lane, updated IN PLACE at
-        # the candidate slots of each step.  Payload values are lattice
-        # indices and frame numbers, far inside int32 range.
+        # the candidate slots of each step.  Token arithmetic is float32
+        # in EVERY mode (the token unit below is unconditional; the
+        # fixtures pin it).  Payload values are lattice indices and
+        # frame numbers, far inside int32 range.
         self.delta = np.full(shape, LOG_ZERO, dtype=np.float32)
         self.entry_frame = np.full(shape, -1, dtype=np.int32)
         self.payload = np.full(shape, -1, dtype=np.int32)
@@ -122,7 +117,7 @@ class TreeLaneBank(LaneBankBase):
         self.pending_entry = np.full(num_lanes, LOG_ZERO)
         self.pending_src = np.full(num_lanes, -1, dtype=np.int64)
         # The active list: ascending flat indices (lane * K + state) of
-        # the live slots, i.e. ``flatnonzero(delta > _DEAD)`` kept
+        # the live slots, i.e. ``flatnonzero(delta > LOG_DEAD)`` kept
         # incrementally so no step ever scans the bank.
         self._alive = np.empty(0, dtype=np.int64)
         # Static tree index helpers.
@@ -198,13 +193,13 @@ class TreeLaneBank(LaneBankBase):
         within = np.repeat(self._child_ptr[alive_s] - first, counts)
         within += np.arange(within.shape[0])
         children = np.repeat(alive - alive_s, counts) + self._child_idx[within]
-        entering = np.flatnonzero(self.pending_entry > _DEAD)
+        entering = np.flatnonzero(self.pending_entry > LOG_DEAD)
         roots = (entering[:, None] * num_states + self._roots).reshape(-1)
         # In-degree 1: no slot is the child of two, and a root is the
         # child of none — so dropping the already-alive leaves a
         # duplicate-free union.
         fresh = np.concatenate((children, roots))
-        fresh = fresh[self.delta.reshape(-1)[fresh] <= _DEAD]
+        fresh = fresh[self.delta.reshape(-1)[fresh] <= LOG_DEAD]
         return np.sort(np.concatenate((alive, fresh)))
 
     def _advance(
@@ -292,10 +287,10 @@ class TreeLaneBank(LaneBankBase):
         #    LM-weighted word exits through the shared tree-exit kernel.
         _, n_active = apply_beam_rows(new_delta, cand_b, self.num_lanes, cfg.beam)
         delta[slots] = new_delta
-        self._alive = slots[new_delta > _DEAD]
+        self._alive = slots[new_delta > LOG_DEAD]
         at_leaf = np.flatnonzero(self._is_leaf[cand_s])
         leaf_delta = new_delta[at_leaf].astype(np.float64)
-        live = leaf_delta > _DEAD
+        live = leaf_delta > LOG_DEAD
         at_leaf = at_leaf[live]
         leaf_states = cand_s[at_leaf]
         raw_scores = leaf_delta[live] + net.exit_logp[leaf_states]

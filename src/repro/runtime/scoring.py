@@ -39,6 +39,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.opunit import GaussianTable, OpUnit
 from repro.decoder.fast_gmm import FastGmmLaneState, FastGmmModel, FastGmmStats
 from repro.hmm.senone import BLAS_FULL_TABLE_ELEMENTS, SenonePool
@@ -51,8 +52,6 @@ __all__ = [
     "BatchBlasScorer",
     "LOG_ZERO",
 ]
-
-LOG_ZERO = -1.0e30
 
 
 class BatchScoringBackend(Protocol):
@@ -478,7 +477,7 @@ class BatchFastGmmScorer:
         # of a scoring lane's items — its row was just cleared).
         rows, senones = pair_rows, pair_senones
         if skipping.size:
-            missing = cache[pair_rows, pair_senones] <= LOG_ZERO / 2
+            missing = cache[pair_rows, pair_senones] <= LOG_DEAD
             rows, senones = pair_rows[missing], pair_senones[missing]
         scores = self._score_demand(observations, rows, senones, lanes)
         cache[rows, senones] = scores

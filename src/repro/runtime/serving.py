@@ -386,7 +386,6 @@ class ServeLoop:
                         stall_steps = msg.steps
                     elif isinstance(msg, SetPrecision):
                         if rec.set_precision(msg.precision):
-                            bank.scorer = rec.scorer
                             emit(stats())
                     else:
                         waiting.append((msg, self.clock()))

@@ -9,7 +9,7 @@ features, in reference and hardware modes, including ragged batches.
 import numpy as np
 import pytest
 
-from repro.core.logadd import LogAddTable
+from repro.core.logadd import LOG_DEAD, LogAddTable
 from repro.decoder.beam import BeamConfig, apply_beam, apply_beam_batch
 from repro.decoder.recognizer import Recognizer
 
@@ -337,6 +337,19 @@ class TestObsBankScratch:
             bank.step()
             assert bank._obs_bank.ctypes.data == bank_ptr
             assert bank._obs_cast.ctypes.data == cast_ptr
+
+    @pytest.mark.parametrize("mode", ["hardware", "reference"])
+    def test_token_bank_is_updated_in_place(self, task, mode):
+        """One chain kernel writes ``out=delta`` in every mode: no step
+        allocates or rebinds a ``(B, S)`` bank."""
+        bank = self._bank(task, mode)
+        delta = bank.delta
+        for _ in range(10):
+            bank.step()
+            assert bank.delta is delta
+        assert (delta > LOG_DEAD).any()  # and it is the live bank
+        if mode == "hardware":
+            assert bank.viterbi_unit.columns_processed == 10
 
     def test_reference_mode_needs_no_cast_scratch(self, task):
         bank = self._bank(task, "reference")

@@ -221,6 +221,55 @@ class TestSparseDemandFallback:
         assert scorer.dense_steps == 0 and scorer.fallback_steps == 0
 
 
+class TestPrecisionSwapTelemetry:
+    """A brownout precision swap mid-lane must not lose kernel steps.
+
+    Lane telemetry is the scorer's ``dense_steps``/``fallback_steps``
+    minus the lane's admission mark; ``set_precision`` used to build a
+    fresh scorer, restarting both at zero — a lane spanning the swap
+    lost its pre-swap steps, and one admitted after earlier traffic
+    reported NEGATIVE counts.  The swap now happens inside the scorer."""
+
+    def _second_lane_telemetry(self, task, swap_at):
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, mode="blas"
+        )
+        bank = rec.make_bank(1)
+        feats = rec._validate_features(0, task.corpus.test[0].features)
+        for utt in range(2):  # lane 0 = earlier traffic on the same scorer
+            bank.admit(0, utt, feats)
+            finished = []
+            while not finished:
+                if utt == 1 and bank.lane_t[0] == swap_at:
+                    assert rec.set_precision("float32")
+                    bank.scorer = rec.scorer  # whichever object scores now
+                finished = bank.step()
+            telemetry = bank.retire(0).telemetry
+        return telemetry
+
+    def test_swap_keeps_the_scorer_object(self, blas):
+        scorer, bank = blas.scorer, blas.make_bank(1)
+        try:
+            assert blas.set_precision("float32")
+            assert blas.scorer is scorer is bank.scorer
+            assert scorer.precision == blas.precision == "float32"
+            assert not blas.set_precision("float32")  # already there
+        finally:
+            blas.set_precision("float64")  # module-scoped fixture
+
+    def test_lane_across_swap_keeps_its_step_counts(self, task):
+        plain = self._second_lane_telemetry(task, swap_at=None)
+        swapped = self._second_lane_telemetry(task, swap_at=20)
+        assert plain.frames == swapped.frames > 20
+        assert swapped.blas_dense_steps >= 0
+        assert swapped.blas_gathered_steps >= 0
+        assert (
+            swapped.blas_dense_steps + swapped.blas_gathered_steps
+            == plain.blas_dense_steps + plain.blas_gathered_steps
+            == plain.frames
+        )
+
+
 class TestModeRegistration:
     def test_sequential_unknown_mode_names_supported_modes(self, task):
         with pytest.raises(ValueError) as err:

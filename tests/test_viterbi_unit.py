@@ -12,6 +12,7 @@ from repro.core.viterbi_unit import (
     LOG_ZERO,
     ViterbiUnit,
     ViterbiUnitSpec,
+    chain_update,
 )
 from repro.decoder.viterbi import viterbi_decode
 from repro.hmm.topology import HmmTopology
@@ -293,6 +294,82 @@ class TestChainScratchReuse:
         )
         np.testing.assert_array_equal(chained.delta, oracle.delta)
         np.testing.assert_array_equal(chained.backpointer, oracle.backpointer)
+
+
+class TestChainBank:
+    """One recurrence for ``(S,)`` and ``(B, S)``: stacking changes no bit."""
+
+    def _bank_inputs(self, rng, rows=5, k=12):
+        make = TestChainScratchReuse()._random_inputs
+        _, self_lp, fwd_lp, _, _, starts = make(rng, k)
+        per_row = [make(rng, k) for _ in range(rows)]
+        prev, obs, entry = (
+            np.stack([r[i] for r in per_row]) for i in (0, 3, 4)
+        )
+        prev[1] = LOG_ZERO  # a row with no live token rides along
+        return prev, self_lp, fwd_lp, obs, entry, starts
+
+    def test_bank_equals_separate_rows_bit_for_bit(self, rng):
+        prev, self_lp, fwd_lp, obs, entry, starts = self._bank_inputs(rng)
+        bank_unit, row_unit = ViterbiUnit(), ViterbiUnit()
+        bank = bank_unit.update_chain(
+            prev, self_lp, fwd_lp, obs, entry_scores=entry, chain_start=starts
+        )
+        assert bank.delta.shape == bank.backpointer.shape == prev.shape
+        transitions = 0
+        for b in range(prev.shape[0]):
+            row = row_unit.update_chain(
+                prev[b], self_lp, fwd_lp, obs[b],
+                entry_scores=entry[b], chain_start=starts,
+            )
+            np.testing.assert_array_equal(bank.delta[b], row.delta)
+            np.testing.assert_array_equal(bank.backpointer[b], row.backpointer)
+            transitions += row.transitions
+        # The bank streams as ONE column holding every row's transitions.
+        assert bank.transitions == transitions
+        assert bank.cycles == bank_unit.spec.cycles_for_transitions(transitions)
+        got, want = bank_unit.activity(), row_unit.activity()
+        for key in ("transitions", "add_ops", "compare_ops"):
+            assert got[key] == want[key]
+        assert got["columns"] == 1 and want["columns"] == prev.shape[0]
+        assert got["cycles_busy"] == bank.cycles
+
+    def test_bank_needs_state_zero_to_start_a_chain(self, rng):
+        prev, self_lp, fwd_lp, obs, entry, starts = self._bank_inputs(rng)
+        unit = ViterbiUnit()
+        open_seam = starts.copy()
+        open_seam[0] = False
+        for bad in (open_seam, None):
+            with pytest.raises(ValueError, match="state 0"):
+                unit.update_chain(
+                    prev, self_lp, fwd_lp, obs, entry_scores=entry, chain_start=bad
+                )
+        assert unit.activity()["transitions"] == 0  # refused before charging
+        with pytest.raises(ValueError, match="obs shape"):
+            unit.update_chain(prev, self_lp, fwd_lp, obs[0], chain_start=starts)
+
+    def test_float64_kernel_in_place_with_reused_scratch(self, rng):
+        """The software path's contract: ``out`` aliasing ``delta`` and a
+        scratch dict kept across frames change nothing."""
+        inputs = self._bank_inputs(rng)
+        prev, self_lp, fwd_lp, obs, entry, starts = (
+            a.astype(np.float64) if a.dtype == np.float32 else a for a in inputs
+        )
+        delta, scratch = prev.copy(), {}
+        for frame in range(3):  # frame 0 fills the scratch, 1-2 reuse it
+            fresh_delta, fresh_bp = chain_update(
+                delta.copy(), self_lp, fwd_lp, obs, entry, starts
+            )
+            buffers = dict(scratch)
+            out, backptr = chain_update(
+                delta, self_lp, fwd_lp, obs, entry, starts,
+                out=delta, scratch=scratch,
+            )
+            assert out is delta and out.dtype == np.float64
+            np.testing.assert_array_equal(out, fresh_delta)
+            np.testing.assert_array_equal(backptr, fresh_bp)
+            if frame:
+                assert all(scratch[name] is buf for name, buf in buffers.items())
 
 
 def _random_token_bank(rng, num_rows, num_states):
