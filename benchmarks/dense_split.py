@@ -1,0 +1,188 @@
+"""Where a ``bank_dense`` step goes, and what the next lever is worth.
+
+    python3 benchmarks/dense_split.py [--seed 2] [--utterances 100]
+
+ROADMAP item 3 asks to *measure first*: one traced pass of the
+``bank_dense`` workload (8 lanes, ``mode="blas"``, every senone every
+frame) with the benchmark's own :class:`SpanRecorder` around the
+layers of one step — ``bank.step`` > ``scorer.score_pairs`` >
+``pool.score_block_blas`` > ``_dense_quadratic`` / ``_fold_components``
+— reduced to self time per step, with the bank's stage clocks splitting
+what is left of the step.  Then the two sizing sweeps the NEXT decision
+needs, on the same pool and real frames: the dense block for K frames
+of every lane in one product (K = 1, 4, 16, 32; per-step cost is the
+block's time / K) and float32 against float64 tables.  Timings are
+this box's, best of ``--repeats``; the machine fingerprint is printed
+with them.  It decides nothing and gates nothing.
+
+Read-only on the measuring system: it imports ``SPECS`` /
+``make_requests`` / ``SpanRecorder`` / ``aggregate`` / ``fingerprint``
+from ``benchmarks/perf`` and edits nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+for _entry in (str(_ROOT / "src"), str(_ROOT)):
+    if _entry not in sys.path:
+        sys.path.insert(0, _entry)
+
+from benchmarks.perf.harness import fingerprint, pin_blas_threads  # noqa: E402
+
+BLOCK_FRAMES = (1, 4, 16, 32)
+
+
+def _best_us(call, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return 1e6 * best
+
+
+def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict:
+    import numpy as np
+
+    import repro.hmm.senone as senone_module
+    from benchmarks.perf.generator import make_requests
+    from benchmarks.perf.spans import SpanRecorder, aggregate
+    from benchmarks.perf.workloads import FRAME_S, MAX_LANES, SPECS
+    from repro.decoder.recognizer import Recognizer
+
+    spec = SPECS["bank_dense"]
+    stamp = fingerprint(_ROOT, seed)
+    task = spec.build_task()
+    requests = make_requests(
+        task, seed, utterances or spec.num_requests, spec.min_words, spec.max_words
+    )
+    features = [r.features for r in requests]
+    options = dict(spec.options)
+    rec = Recognizer.create(
+        task.dictionary, task.pool, task.lm, task.tying,
+        task.topology, options.pop("network"), **options,
+    )
+    pool, scorer = rec.pool, rec.scorer
+    rec.decode_stream(features[:1], max_lanes=MAX_LANES)  # tables built, caches warm
+
+    # -- the traced pass -----------------------------------------------
+    recorder = SpanRecorder()
+    banks = []
+
+    def capture_bank(args, kwargs, bank) -> None:
+        banks.append(bank)
+        recorder.wrap(bank, "step", "bank.step")
+
+    recorder.wrap(rec, "make_bank", "make_bank", capture_bank)
+    recorder.wrap(scorer, "score_pairs", "score_pairs")
+    # On the INSTANCE: a wrapper set on the class would lose the
+    # staticmethod binding of `_dense_quadratic`.
+    recorder.wrap(pool, "score_block_blas", "score_block_blas")
+    recorder.wrap(pool, "_dense_quadratic", "_dense_quadratic")
+    recorder.wrap(senone_module, "_fold_components", "_fold_components")
+    try:
+        out = rec.decode_stream(features, max_lanes=MAX_LANES)
+    finally:
+        recorder.unwrap_all()
+    bank, steps = banks[-1], out.steps
+    agg = aggregate(recorder.spans)
+    per_step = lambda seconds: 1e6 * seconds / steps  # noqa: E731
+    score_busy = agg["score_pairs"]["busy_s"]
+    step_busy = agg["bank.step"]["busy_s"]
+    stages = bank.stage_scoring_s + bank.stage_update_s + bank.stage_exit_s
+    split = {
+        "products": per_step(agg["_dense_quadratic"]["self_s"]),
+        "constant_add": per_step(agg["score_block_blas"]["self_s"]),
+        "fold": per_step(agg["_fold_components"]["self_s"]),
+        "scorer_glue": per_step(agg["score_pairs"]["self_s"]),
+        "bank_scoring_glue": per_step(bank.stage_scoring_s - score_busy),
+        "token_update": per_step(bank.stage_update_s),
+        "word_exits": per_step(bank.stage_exit_s),
+        "step_bookkeeping": per_step(step_busy - stages),
+    }
+    audio_s = out.frames_processed * FRAME_S
+    table_mb = scorer.dense_steps * pool.table_bytes(rec.precision) / 1e6
+
+    # -- sizing sweeps ---------------------------------------------------
+    frames = np.concatenate(features)
+    while frames.shape[0] < MAX_LANES * max(BLOCK_FRAMES):
+        frames = np.concatenate([frames, frames])
+    tables = pool.blas_tables(rec.precision)
+    block_us, products_us = {}, {}
+    for k in BLOCK_FRAMES:
+        block = frames[: MAX_LANES * k]
+        block_us[k] = _best_us(lambda: pool.score_block_blas(block), repeats) / k
+        products_us[k] = _best_us(
+            lambda: pool._dense_quadratic(block, tables.prec, tables.mu_prec), repeats
+        ) / k
+    step_block = frames[:MAX_LANES]
+    precision_us = {
+        precision: _best_us(
+            lambda: pool.score_block_blas(step_block, precision=precision), repeats
+        )
+        for precision in ("float64", "float32")
+    }
+    stamp["load_end"] = list(os.getloadavg())
+    return {
+        "seed": seed,
+        "utterances": len(features),
+        "lanes": MAX_LANES,
+        "senones": pool.num_senones,
+        "components": pool.num_components,
+        "dim": pool.dim,
+        "steps": steps,
+        "dense_steps": scorer.dense_steps,
+        "gathered_steps": scorer.fallback_steps,
+        "step_us": per_step(step_busy),
+        "split_us_per_step": split,
+        "table_mb_per_audio_s": table_mb / audio_s,
+        "block_us_per_step": block_us,
+        "block_products_us_per_step": products_us,
+        "table_precision_us_per_step": precision_us,
+        "fingerprint": stamp,
+    }
+
+
+def render(report: dict) -> str:
+    step = report["step_us"]
+    lines = [
+        f"bank_dense seed {report['seed']}: {report['utterances']} utterances, "
+        f"{report['lanes']} lanes x {report['senones']} senones x "
+        f"{report['components']} components x {report['dim']} dims",
+        f"steps {report['steps']} (dense {report['dense_steps']}, gathered "
+        f"{report['gathered_steps']}), {step:.0f} us/step traced, "
+        f"table_mb_per_audio_s {report['table_mb_per_audio_s']:.3f}",
+        "",
+        "self time per step (us, share of the step):",
+    ]
+    for name, value in report["split_us_per_step"].items():
+        lines.append(f"  {name:<18} {value:8.1f}  {value / step:6.1%}")
+    lines += [
+        "",
+        "K frames of every lane in one block (us/step: whole block, products alone):",
+    ]
+    for k, value in report["block_us_per_step"].items():
+        products = report["block_products_us_per_step"][k]
+        lines.append(f"  K = {k:<3} {value:8.1f} {products:8.1f}")
+    lines += ["", "whole-table block at K = 1, by table precision (us/step):"]
+    for precision, value in report["table_precision_us_per_step"].items():
+        lines.append(f"  {precision:<8} {value:8.1f}")
+    lines += ["", "fingerprint: " + json.dumps(report["fingerprint"])]
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=2)
+    parser.add_argument("--utterances", type=int, default=None)
+    parser.add_argument("--repeats", type=int, default=30)
+    args = parser.parse_args()
+    pin_blas_threads()  # before numpy is imported anywhere
+    print(render(run(args.seed, args.utterances, args.repeats)))

@@ -30,16 +30,9 @@ from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 __all__ = [
     "SenonePool",
     "BlasTables",
-    "BLAS_FULL_TABLE_ELEMENTS",
     "BLAS_PRECISIONS",
     "check_blas_precision",
 ]
-
-#: Table sizes (senones x components x dims) up to this many elements
-#: are cheapest to score by streaming the WHOLE stacked table through
-#: the dense products (dispatch dominates at small scale); bigger
-#: pools should gather the demanded senone-major row blocks first.
-BLAS_FULL_TABLE_ELEMENTS = 262_144
 
 #: Storage precisions :meth:`SenonePool.blas_tables` can build, widest
 #: first.  ``float64`` is the original exact-rounding backend;
@@ -61,16 +54,30 @@ def check_blas_precision(precision: str) -> None:
 
 
 def _fold_components(items: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over the trailing mixture-component axis.
+    """Log-sum-exp over the trailing mixture-component axis, in the
+    items' own dtype — the fold of the matmul-form (blas) kernels only.
 
-    ``logaddexp.reduce`` pays ufunc-reduce machinery on every call;
-    the common two-component case goes ~2.5x faster through the
-    direct binary ufunc — bit-identically, since reducing a length-2
-    axis IS one ``logaddexp``.
+    Two components fold as ``max + log1p(exp(-|a - b|))`` in array
+    passes, within a few ulp of ``np.logaddexp`` and several times
+    faster.  The gap is clipped at -40: past it the smaller component
+    adds < 5e-18 (under half an ulp of any score), and real mixtures
+    sit there often enough to keep ``exp``/``log1p`` on their slow
+    underflow paths.  An all-``-inf`` item has the gap ``-inf - -inf =
+    nan``; every other fold is >= its peak, so ``fmax`` against the
+    peak turns exactly that case back into ``-inf``.
     """
-    if items.shape[-1] == 2:
-        return np.logaddexp(items[..., 0], items[..., 1])
-    return np.logaddexp.reduce(items, axis=-1)
+    if items.shape[-1] != 2:
+        return np.logaddexp.reduce(items, axis=-1)
+    a, b = items[..., 0], items[..., 1]
+    peak = np.maximum(a, b)
+    out = np.minimum(a, b)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, repaired below
+        out -= peak
+    np.maximum(out, -40.0, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += peak
+    return np.fmax(out, peak, out=out)
 
 
 @dataclass(frozen=True)
@@ -212,6 +219,30 @@ class SenonePool:
         peak = comp.max(axis=-1)
         return peak + np.log(np.exp(comp - peak[..., None]).sum(axis=-1))
 
+    def check_pairs(
+        self,
+        observations: np.ndarray,
+        pair_rows: np.ndarray,
+        pair_senones: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one spelling of what every pair kernel refuses: a block
+        that is not ``(B, dim)``, pair arrays of different shapes, a
+        senone or row out of range (numpy would wrap a negative row
+        onto ANOTHER row's frame).  Returns float64 / int64 arrays."""
+        obs = np.asarray(observations, dtype=np.float64)
+        if obs.ndim != 2 or obs.shape[1] != self.dim:
+            raise ValueError(f"observations must be (B, {self.dim}), got {obs.shape}")
+        rows = np.asarray(pair_rows, dtype=np.int64)
+        idx = np.asarray(pair_senones, dtype=np.int64)
+        if rows.shape != idx.shape:
+            raise ValueError(f"pair shapes differ: {rows.shape} vs {idx.shape}")
+        if idx.size:
+            if idx.min() < 0 or idx.max() >= self.num_senones:
+                raise IndexError("pair senone index out of range")
+            if rows.min() < 0 or rows.max() >= obs.shape[0]:
+                raise IndexError("pair feature row out of range")
+        return obs, rows, idx
+
     def score_pairs(
         self,
         observations: np.ndarray,
@@ -228,19 +259,9 @@ class SenonePool:
         allocates only the parameter gathers (reused in place for every
         intermediate).
         """
-        obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.dim:
-            raise ValueError(f"observations must be (B, {self.dim}), got {obs.shape}")
-        rows = np.asarray(pair_rows, dtype=np.int64)
-        idx = np.asarray(pair_senones, dtype=np.int64)
-        if rows.shape != idx.shape:
-            raise ValueError(f"pair shapes differ: {rows.shape} vs {idx.shape}")
+        obs, rows, idx = self.check_pairs(observations, pair_rows, pair_senones)
         if idx.size == 0:
             return np.empty(0)
-        if idx.min() < 0 or idx.max() >= self.num_senones:
-            raise IndexError("pair senone index out of range")
-        if rows.min() < 0 or rows.max() >= obs.shape[0]:
-            raise IndexError("pair feature row out of range")
         # diff^2 * precision, summed over dims — the exact op order of
         # score_frame, computed in place on the gathered block.
         work = self.means.take(idx, axis=0)  # (P, M, L)
@@ -342,10 +363,8 @@ class SenonePool:
         prec_scale: np.ndarray | None = None,
         mu_prec_scale: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``-1/2 (obs^2 @ prec.T) + obs @ mu_prec.T`` — the shared
-        dense-product core of both matmul-form entry points (one
-        numerics definition, so a future format change cannot split
-        them).
+        """``-1/2 (obs^2 @ prec.T) + obs @ mu_prec.T`` — the
+        dense-product core of :meth:`score_block_blas`.
 
         The products run in the tables' storage precision: float64
         tables keep the original dgemm path bit-for-bit; float32
@@ -439,55 +458,6 @@ class SenonePool:
         comp = comp.reshape(obs.shape[0], count, m)
         comp += const.reshape(1, count, m)
         out = _fold_components(comp)
-        if out.dtype != np.float64:
-            out = out.astype(np.float64)
-        return out
-
-    def score_pairs_blas(
-        self,
-        observations: np.ndarray,
-        pair_rows: np.ndarray,
-        pair_senones: np.ndarray,
-        precision: str = "float64",
-    ) -> np.ndarray:
-        """Matmul-form scores for explicit (row, senone) work items.
-
-        The dense twin of :meth:`score_pairs`, shaped for the batched
-        runtime's pooled demand: the two dense products cover EVERY
-        (row, senone) cell of the full pool, but the mixture constant
-        add and the log-sum-exp fold touch only the ``P`` requested
-        pairs — with per-step demand well below the full grid, the
-        fold (the transcendental-heavy part) scales with ``P`` while
-        the matmuls stay one BLAS call each.  Same ``exact=False``
-        contract and ``precision`` semantics as
-        :meth:`score_block_blas` (fold in the storage precision,
-        float64 scores out).
-        """
-        obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.dim:
-            raise ValueError(f"observations must be (B, {self.dim}), got {obs.shape}")
-        rows = np.asarray(pair_rows, dtype=np.int64)
-        idx = np.asarray(pair_senones, dtype=np.int64)
-        if rows.shape != idx.shape:
-            raise ValueError(f"pair shapes differ: {rows.shape} vs {idx.shape}")
-        if idx.size == 0:
-            return np.empty(0)
-        if idx.min() < 0 or idx.max() >= self.num_senones:
-            raise IndexError("pair senone index out of range")
-        if rows.min() < 0 or rows.max() >= obs.shape[0]:
-            raise IndexError("pair feature row out of range")
-        tables = self.blas_tables(precision)
-        m = self.num_components
-        comp = self._dense_quadratic(
-            obs,
-            tables.prec,
-            tables.mu_prec,
-            tables.prec_scale,
-            tables.mu_prec_scale,
-        )
-        items = comp.reshape(obs.shape[0], self.num_senones, m)[rows, idx]
-        items += tables.const[idx]
-        out = _fold_components(items)
         if out.dtype != np.float64:
             out = out.astype(np.float64)
         return out

@@ -121,8 +121,12 @@ class LaneBankBase:
         raise NotImplementedError
 
     def _alloc_scratch(self) -> None:
-        """(Re)allocate per-step scratch at the current lane width."""
-        raise NotImplementedError
+        """(Re)allocate per-step scratch at the current lane width
+        (subclasses extend with their own buffers)."""
+        num_lanes = self.num_lanes
+        self._obs_block = np.zeros((num_lanes, self.recognizer.pool.dim))
+        self._cand_mask = np.zeros((num_lanes, self.scorer.num_senones), dtype=bool)
+        self._grid = None  # the feedback-off demand, built by `_demand`
 
     def _reset_lane_state(self, lane: int) -> None:
         """Reset one lane's search rows to the start-of-utterance state."""
@@ -151,6 +155,39 @@ class LaneBankBase:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    def _demand(
+        self, lanes: np.ndarray, candidates
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This step's senone demand: ``(pair_b, pair_s, scored_counts)``.
+
+        The ``(lane, senone)`` work items of the ONE pooled evaluation,
+        in ``np.nonzero`` order, and each lane's count.  Under feedback
+        ``candidates()`` returns ``(cand_b, cand_senone)`` — the senone
+        behind every slot that can be live next frame — and a lane
+        demands its unique set of them.  Without feedback it is never
+        called: every active lane asks for every senone, a grid that
+        changes only with the active-lane set or the bank width
+        (``_alloc_scratch`` drops it), so it is kept, not filled into a
+        mask and scanned back out per step.  Scorers never write to it.
+        """
+        if self.cfg.use_feedback:
+            cand_mask = self._cand_mask
+            cand_mask[:] = False
+            cand_b, cand_senone = candidates()
+            cand_mask[cand_b, cand_senone] = True
+            pair_b, pair_s = np.nonzero(cand_mask)
+            return pair_b, pair_s, np.count_nonzero(cand_mask, axis=1)
+        key = lanes.tobytes()
+        if self._grid is None or self._grid[0] != key:
+            num_senones = self.scorer.num_senones
+            self._grid = (
+                key,
+                np.repeat(lanes, num_senones),
+                np.tile(np.arange(num_senones), lanes.size),
+                self.active * num_senones,  # per-lane counts
+            )
+        return self._grid[1:]
+
     @property
     def any_active(self) -> bool:
         return bool(self.active.any())
@@ -469,11 +506,10 @@ class LaneBank(LaneBankBase):
 
     def _alloc_scratch(self) -> None:
         # Frame scratch (allocated once per bank width, reused every step).
+        super()._alloc_scratch()
         num_lanes = self.num_lanes
         shape = (num_lanes, self.net.num_states)
-        num_senones = self.scorer.num_senones
-        self._obs_block = np.zeros((num_lanes, self.recognizer.pool.dim))
-        self._score_mat = DenseScratch((num_lanes, num_senones), LOG_ZERO)
+        self._score_mat = DenseScratch((num_lanes, self.scorer.num_senones), LOG_ZERO)
         self._obs_bank = np.empty(shape)
         # Cast target for narrow-dtype token banks (hardware mode):
         # without it every step paid an `astype` allocation.
@@ -486,7 +522,6 @@ class LaneBank(LaneBankBase):
         self._entry_payload = np.full(shape, -1, dtype=np.int64)
         self._candidates = np.empty(shape, dtype=bool)
         self._shifted = np.empty(shape, dtype=bool)
-        self._cand_mask = np.zeros((num_lanes, num_senones), dtype=bool)
         self._prev_payload = np.empty(shape, dtype=np.int64)
         self._prev_entry_frame = np.empty(shape, dtype=np.int64)
         self._payload_next = np.empty(shape, dtype=np.int64)
@@ -517,6 +552,24 @@ class LaneBank(LaneBankBase):
         self.pending_entry = self.pending_entry[keep]
         self.pending_src = self.pending_src[keep]
 
+    def _candidate_senones(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lane, senone)`` of every candidate state — alive, right
+        neighbour of alive, or start state of a pending entry: the
+        per-lane feedback lists, batched.  Idle lanes are frozen at
+        LOG_ZERO, so their rows stay empty without extra masking."""
+        net = self.net
+        candidates = self._candidates
+        np.greater(self.delta, LOG_DEAD, out=candidates)  # alive
+        shifted = self._shifted
+        shifted[:, 0] = False
+        shifted[:, 1:] = candidates[:, :-1]
+        shifted[:, net.is_start] = False
+        candidates |= shifted
+        entry_b, entry_w = np.nonzero(self.pending_entry > LOG_DEAD)
+        candidates[entry_b, net.start_state[entry_w]] = True
+        cand_b, cand_s = np.nonzero(candidates)
+        return cand_b, net.senone_id[cand_s]
+
     def _advance(
         self,
         obs_block: np.ndarray,
@@ -532,37 +585,21 @@ class LaneBank(LaneBankBase):
         # Stage clocks: one read per stage per STEP, not per lane.
         t0 = time.perf_counter()
 
-        # 1. Candidate states (alive, right neighbours, pending
-        #    entries) — the per-lane feedback lists, batched.  Idle
-        #    lanes are frozen at LOG_ZERO, so their rows stay empty
-        #    without extra masking.
-        candidates = self._candidates
-        np.greater(delta, LOG_DEAD, out=candidates)  # alive
-        shifted = self._shifted
-        shifted[:, 0] = False
-        shifted[:, 1:] = candidates[:, :-1]
-        shifted[:, net.is_start] = False
-        candidates |= shifted
-        entry_b, entry_w = np.nonzero(self.pending_entry > LOG_DEAD)
-        candidates[entry_b, net.start_state[entry_w]] = True
-
-        # 2. The union of per-lane unique senone requests, as
+        # 1-2. The union of per-lane unique senone requests, as
         #    (lane, senone) work items for one pooled evaluation.
-        cand_mask = self._cand_mask
-        if cfg.use_feedback:
-            cand_mask[:] = False
-            cand_b, cand_s = np.nonzero(candidates)
-            cand_mask[cand_b, net.senone_id[cand_s]] = True
-        else:
-            cand_mask[:] = active[:, None]
-        pair_b, pair_s = np.nonzero(cand_mask)
-        scored_counts = np.count_nonzero(cand_mask, axis=1)
+        pair_b, pair_s, scored_counts = self._demand(lanes, self._candidate_senones)
 
-        # 3. One pooled GMM pass for the whole bank.
+        # 3. One pooled GMM pass for the whole bank.  When the answer
+        #    covers every senone of every active lane it is written
+        #    (and next step re-zeroed) as whole rows, not pair by pair.
         scores = self._score_mat.clean()
         compact = self.scorer.score_pairs(obs_block, pair_b, pair_s, lanes=lanes)
-        scores[pair_b, pair_s] = compact
-        self._score_mat.publish((pair_b, pair_s))
+        if compact.size == lanes.size * scores.shape[1]:
+            scores[lanes] = compact.reshape(lanes.size, -1)
+            self._score_mat.publish(lanes)
+        else:
+            scores[pair_b, pair_s] = compact
+            self._score_mat.publish((pair_b, pair_s))
         obs_bank = scores.take(net.senone_id, axis=1, out=self._obs_bank)
         if self._obs_cast is None:
             obs = obs_bank

@@ -138,14 +138,13 @@ class TreeLaneBank(LaneBankBase):
         self._token_unit = self.viterbi_unit or ViterbiUnit()
 
     def _alloc_scratch(self) -> None:
-        num_lanes = self.num_lanes
-        num_senones = self.scorer.num_senones
-        self._obs_block = np.zeros((num_lanes, self.recognizer.pool.dim))
+        super()._alloc_scratch()
         # Pooled scores land here cast to float32 (the token dtype).  Only this step's (lane, senone) requests
         # are written and only those are gathered, so it is never
         # cleared.
-        self._score_cast = np.empty((num_lanes, num_senones), dtype=np.float32)
-        self._cand_mask = np.zeros((num_lanes, num_senones), dtype=bool)
+        self._score_cast = np.empty(
+            (self.num_lanes, self.scorer.num_senones), dtype=np.float32
+        )
 
     def _kill_lane(self, lane: int) -> None:
         self.delta[lane] = LOG_ZERO
@@ -229,14 +228,9 @@ class TreeLaneBank(LaneBankBase):
 
         # 2. The union of per-lane unique senone requests, as
         #    (lane, senone) work items for one pooled evaluation.
-        cand_mask = self._cand_mask
-        if cfg.use_feedback:
-            cand_mask[:] = False
-            cand_mask[cand_b, cand_senone] = True
-        else:
-            cand_mask[:] = active[:, None]
-        pair_b, pair_s = np.nonzero(cand_mask)
-        scored_counts = np.count_nonzero(cand_mask, axis=1)
+        pair_b, pair_s, scored_counts = self._demand(
+            lanes, lambda: (cand_b, cand_senone)
+        )
 
         # 3. One pooled GMM pass for the whole bank, gathered back to
         #    the candidates' float32 observation scores.

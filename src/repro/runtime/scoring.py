@@ -13,7 +13,12 @@ pooling changes no utterance's scores by a single bit.  The one
 deliberate exception is :class:`BatchBlasScorer` (``mode="blas"``),
 which recasts the pooled pass as dense matrix products — words still
 match the reference decode, but scores agree only to rounding
-(``exact = False``).
+(``exact = False``).  It holds three kernels and picks one per step
+from the shape of that step's work items alone: the exact gathered
+kernel for sparse demand, products over the demanded senones' union
+for dense partial demand, and — when a bank asks for every senone of
+every active lane, the paper's worst-case-bandwidth regime — the whole
+dense block with no per-pair indexing at all.
 
 Because each work item is self-contained, the pooled pass is also
 indifferent to WHICH lanes contribute items: drained batches, ragged
@@ -42,7 +47,7 @@ import numpy as np
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.opunit import GaussianTable, OpUnit
 from repro.decoder.fast_gmm import FastGmmLaneState, FastGmmModel, FastGmmStats
-from repro.hmm.senone import BLAS_FULL_TABLE_ELEMENTS, SenonePool
+from repro.hmm.senone import SenonePool
 
 __all__ = [
     "BatchScoringBackend",
@@ -193,23 +198,25 @@ class BatchHardwareScorer(_StatelessLaneMixin):
 class BatchBlasScorer(_StatelessLaneMixin):
     """Pooled matmul-form (BLAS) scoring for the batched runtimes.
 
-    Instead of gathering per-(row, senone) parameter blocks, the whole
-    step's demand is served DENSELY.  Pools whose full table fits
-    ``full_table_elements`` stream the WHOLE stacked tables through
-    one pair of products, with the mixture-constant add and
-    log-sum-exp fold touching only the requested pairs
-    (:meth:`~repro.hmm.senone.SenonePool.score_pairs_blas`); larger
-    pools first gather the demanded senones' senone-major row blocks
-    and run the products on the union
-    (:meth:`~repro.hmm.senone.SenonePool.score_block_blas`), so a
-    paper-scale pool never streams parameters nobody asked for.  The
-    matmuls compute ``rows x union`` quadratic forms to answer ``P``
-    work items, so the dense kernel only wins when the demand covers
-    enough of that grid; steps below ``min_pairs`` items or below
-    ``min_density`` grid coverage fall back to the gathered kernel
-    (:meth:`~repro.hmm.senone.SenonePool.score_pairs`).
-    ``dense_steps`` / ``fallback_steps`` count which kernel served
-    each step.
+    Three kernels, selected per step by what that step's (validated)
+    work items look like — there is no option for it:
+
+    * **full grid** — exactly ``rows x every senone`` in ``np.nonzero``
+      order (what a ``use_feedback=False`` bank sends; checked pair by
+      pair, never inferred from the count): the answer IS the dense
+      block of :meth:`~repro.hmm.senone.SenonePool.score_block_blas`
+      over the whole tables — two products, one in-place constant add,
+      one fold, no index array built, gathered or scattered;
+    * **union block** — other demand covering at least ``min_density``
+      of its ``rows x union`` grid: the products run on the demanded
+      senones' gathered row blocks (a paper-scale pool never streams
+      parameters nobody asked for) and the items are read out of it;
+    * **gathered** — steps below ``min_pairs`` items or ``min_density``
+      coverage run the exact per-pair kernel
+      (:meth:`~repro.hmm.senone.SenonePool.score_pairs`).
+
+    ``dense_steps`` counts the steps the first two served,
+    ``fallback_steps`` the third.
 
     ``precision`` selects the stored table format
     (:data:`~repro.hmm.senone.BLAS_PRECISIONS`): ``"float64"`` keeps
@@ -234,25 +241,17 @@ class BatchBlasScorer(_StatelessLaneMixin):
 
     exact = False
 
-    #: Table sizes (senones x components x dims) up to this many
-    #: elements score through the full-table products; bigger pools
-    #: gather the demanded union first.
-    FULL_TABLE_ELEMENTS = BLAS_FULL_TABLE_ELEMENTS
-
     def __init__(
         self,
         pool: SenonePool,
         min_pairs: int = 32,
         min_density: float = 0.25,
-        full_table_elements: int | None = None,
         precision: str = "float64",
     ) -> None:
         if min_pairs < 0:
             raise ValueError(f"min_pairs must be >= 0, got {min_pairs}")
         if not 0.0 <= min_density <= 1.0:
-            raise ValueError(
-                f"min_density must be in [0, 1], got {min_density}"
-            )
+            raise ValueError(f"min_density must be in [0, 1], got {min_density}")
         self.pool = pool
         self.num_senones = pool.num_senones
         self.min_pairs = min_pairs
@@ -260,13 +259,25 @@ class BatchBlasScorer(_StatelessLaneMixin):
         self.precision = precision
         self.dense_steps = 0
         self.fallback_steps = 0
-        if full_table_elements is None:
-            full_table_elements = self.FULL_TABLE_ELEMENTS
-        self._full_table = (
-            pool.num_senones * pool.num_components * pool.dim
-            <= full_table_elements
-        )
+        self._every_senone = np.arange(pool.num_senones)
         pool.blas_tables(precision)  # build once up front, not on the first step
+
+    def _full_grid_rows(self, pair_rows: np.ndarray, pair_senones: np.ndarray):
+        """The ascending row list if the (validated) work items are
+        exactly ``rows x every senone`` in ``np.nonzero`` order, else
+        ``None`` — a short, duplicated or permuted list does not pass."""
+        n = self.num_senones
+        k, ragged = divmod(pair_senones.size, n)
+        if ragged or pair_rows.ndim != 1:
+            return None
+        rows = pair_rows[::n]
+        if (
+            (np.diff(rows) <= 0).any()
+            or (pair_senones.reshape(k, n) != self._every_senone).any()
+            or (pair_rows.reshape(k, n) != rows[:, None]).any()
+        ):
+            return None
+        return rows
 
     def score_pairs(
         self,
@@ -275,50 +286,37 @@ class BatchBlasScorer(_StatelessLaneMixin):
         pair_senones: np.ndarray,
         lanes: np.ndarray | None = None,
     ) -> np.ndarray:
-        p = int(pair_senones.size)
-        if p == 0:
+        if np.size(pair_senones) == 0:
             return np.empty(0)
-        obs = np.asarray(observations, dtype=np.float64)
-        if p < self.min_pairs:
+        pool = self.pool
+        obs, pair_b, pair_s = pool.check_pairs(observations, pair_rows, pair_senones)
+        compact = None
+        if pair_s.size >= self.min_pairs:
+            rows = self._full_grid_rows(pair_b, pair_s)
+            if rows is not None:
+                compact = pool.score_block_blas(
+                    obs[rows], precision=self.precision
+                ).ravel()
+            else:
+                # Demanded rows and senone union via masks (no sorts).
+                row_mask = np.zeros(obs.shape[0], dtype=bool)
+                row_mask[pair_b] = True
+                rows = np.flatnonzero(row_mask)
+                sen_mask = np.zeros(self.num_senones, dtype=bool)
+                sen_mask[pair_s] = True
+                union = np.flatnonzero(sen_mask)
+                if pair_s.size >= self.min_density * rows.size * union.size:
+                    # A demanded row / senone's position in the block.
+                    row_pos, col_pos = np.cumsum(row_mask) - 1, np.cumsum(sen_mask) - 1
+                    compact = pool.score_block_blas(
+                        obs[rows], union, precision=self.precision
+                    )[row_pos[pair_b], col_pos[pair_s]]
+        if compact is None:
             self.fallback_steps += 1
-            compact = self.pool.score_pairs(obs, pair_rows, pair_senones)
-            compact[np.isneginf(compact)] = LOG_ZERO
-            return compact
-        # Demanded rows and senone union via masks (no sorts).
-        row_mask = np.zeros(obs.shape[0], dtype=bool)
-        row_mask[pair_rows] = True
-        num_rows = int(np.count_nonzero(row_mask))
-        sen_mask = np.zeros(self.num_senones, dtype=bool)
-        sen_mask[pair_senones] = True
-        union_size = int(np.count_nonzero(sen_mask))
-        if p < self.min_density * num_rows * union_size:
-            self.fallback_steps += 1
-            compact = self.pool.score_pairs(obs, pair_rows, pair_senones)
+            compact = pool.score_pairs(obs, pair_b, pair_s)
         else:
             self.dense_steps += 1
-            rows = np.flatnonzero(row_mask)
-            row_pos = np.empty(obs.shape[0], dtype=np.int64)
-            row_pos[rows] = np.arange(rows.size)
-            if self._full_table:
-                compact = self.pool.score_pairs_blas(
-                    obs[rows],
-                    row_pos[pair_rows],
-                    pair_senones,
-                    precision=self.precision,
-                )
-            else:
-                union = np.flatnonzero(sen_mask)
-                col_pos = np.empty(self.num_senones, dtype=np.int64)
-                col_pos[union] = np.arange(union_size)
-                dense = self.pool.score_block_blas(
-                    obs[rows], union, precision=self.precision
-                )
-                if p == num_rows * union_size:
-                    # Full-density demand in np.nonzero order IS the
-                    # dense block, row-major — skip the fancy gather.
-                    compact = dense.ravel()
-                else:
-                    compact = dense[row_pos[pair_rows], col_pos[pair_senones]]
+        # A senone with no finite score is "no path", not -inf.
         compact[np.isneginf(compact)] = LOG_ZERO
         return compact
 

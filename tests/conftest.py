@@ -24,3 +24,23 @@ def small_pool() -> SenonePool:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def spy_block_unions(monkeypatch):
+    """``spy_block_unions(pool)`` records the ``senones`` argument of
+    every ``pool.score_block_blas`` call from then on (``None`` = the
+    whole tables, no gather) — which blas kernel served a step."""
+
+    def attach(pool: SenonePool) -> list:
+        unions = []
+        original = pool.score_block_blas
+
+        def spy(observations, senones=None, precision="float64"):
+            unions.append(senones)
+            return original(observations, senones, precision=precision)
+
+        monkeypatch.setattr(pool, "score_block_blas", spy)
+        return unions
+
+    return attach

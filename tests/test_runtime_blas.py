@@ -165,20 +165,20 @@ class TestSparseDemandFallback:
         np.testing.assert_allclose(compact, reference, atol=BLAS_SCORE_ATOL)
 
     def test_large_pool_gathers_subset_instead_of_full_table(
-        self, small_pool, rng
+        self, small_pool, rng, spy_block_unions
     ):
-        """Past the full-table budget the dense path gathers rows —
-        at one lane demanding every senone the union IS the table."""
-        full = BatchBlasScorer(small_pool, min_pairs=0)
-        subset = BatchBlasScorer(small_pool, min_pairs=0, full_table_elements=0)
-        assert full._full_table and not subset._full_table
+        """One lane demanding every senone is the full grid: the whole
+        tables go through the products, no union is gathered."""
+        scorer = BatchBlasScorer(small_pool, min_pairs=0)
+        unions = spy_block_unions(small_pool)
         obs, pair_rows, pair_senones = self._demand(
             small_pool, rng, 1, small_pool.num_senones
         )
-        a = full.score_pairs(obs, pair_rows, pair_senones)
-        b = subset.score_pairs(obs, pair_rows, pair_senones)
-        assert subset.dense_steps == 1
-        np.testing.assert_allclose(a, b, atol=BLAS_SCORE_ATOL)
+        out = scorer.score_pairs(obs, pair_rows, pair_senones)
+        assert unions == [None]
+        assert scorer.dense_steps == 1 and scorer.fallback_steps == 0
+        reference = small_pool.score_pairs(obs, pair_rows, pair_senones)
+        np.testing.assert_allclose(out, reference, atol=BLAS_SCORE_ATOL)
 
     def test_sequential_threshold_falls_back(self, small_pool, rng):
         """One lane below ``min_pairs`` scores through the gathered
@@ -195,22 +195,19 @@ class TestSparseDemandFallback:
         )
 
     def test_large_pool_batch_gathers_union_instead_of_full_table(
-        self, small_pool, rng
+        self, small_pool, rng, spy_block_unions
     ):
-        """Past the full-table budget the pooled dense path gathers the
-        demanded union's senone-major blocks."""
-        full = BatchBlasScorer(small_pool, min_pairs=0, min_density=0.0)
-        subset = BatchBlasScorer(
-            small_pool, min_pairs=0, min_density=0.0, full_table_elements=0
-        )
-        assert full._full_table and not subset._full_table
+        """Partial dense demand gathers the demanded union's
+        senone-major blocks, at every pool size."""
+        scorer = BatchBlasScorer(small_pool, min_pairs=0, min_density=0.0)
+        unions = spy_block_unions(small_pool)
         obs, pair_rows, pair_senones = self._demand(small_pool, rng, 4, 12)
-        a = full.score_pairs(obs, pair_rows, pair_senones)
-        b = subset.score_pairs(obs, pair_rows, pair_senones)
-        assert subset.dense_steps == 1 and subset.fallback_steps == 0
-        np.testing.assert_allclose(a, b, atol=BLAS_SCORE_ATOL)
+        out = scorer.score_pairs(obs, pair_rows, pair_senones)
+        assert len(unions) == 1
+        np.testing.assert_array_equal(unions[0], np.unique(pair_senones))
+        assert scorer.dense_steps == 1 and scorer.fallback_steps == 0
         reference = small_pool.score_pairs(obs, pair_rows, pair_senones)
-        np.testing.assert_allclose(b, reference, atol=BLAS_SCORE_ATOL)
+        np.testing.assert_allclose(out, reference, atol=BLAS_SCORE_ATOL)
 
     def test_empty_demand(self, small_pool):
         scorer = BatchBlasScorer(small_pool)
