@@ -6,14 +6,19 @@ ROADMAP item 3 asks to *measure first*: one traced pass of the
 ``bank_dense`` workload (8 lanes, ``mode="blas"``, every senone every
 frame) with the benchmark's own :class:`SpanRecorder` around the
 layers of one step — ``bank.step`` > ``scorer.score_pairs`` >
-``pool.score_block_blas`` > ``_dense_quadratic`` / ``_fold_components``
-— reduced to self time per step, with the bank's stage clocks splitting
-what is left of the step.  Then the two sizing sweeps the NEXT decision
-needs, on the same pool and real frames: the dense block for K frames
-of every lane in one product (K = 1, 4, 16, 32; per-step cost is the
-block's time / K) and float32 against float64 tables.  Timings are
-this box's, best of ``--repeats``; the machine fingerprint is printed
-with them.  It decides nothing and gates nothing.
+``scorer._score_table`` > ``pool.score_block_blas`` >
+``_dense_quadratic`` / ``_fold_components`` — reduced to self time per
+step, with the bank's stage clocks splitting what is left of the step.
+The scorer scores each lane's next frames a block AHEAD, so the scoring
+share is reported twice more: what is paid once per block (amortised
+over the steps that read it) against what is still paid every step, and
+the parameter stream as it really is — ``table_streams`` whole-table
+passes — beside the frozen harness's ``dense_steps x table bytes``.
+Then the sizing sweeps the NEXT decision needs, on the same pool and
+real frames: a lane's block at 8 / 32 / 128 frames (per-step cost is
+lanes x the block's time / its frames) and float32 against float64
+tables.  Timings are this box's, best of ``--repeats``; the machine
+fingerprint is printed with them.  It decides nothing and gates nothing.
 
 Read-only on the measuring system: it imports ``SPECS`` /
 ``make_requests`` / ``SpanRecorder`` / ``aggregate`` / ``fingerprint``
@@ -36,7 +41,7 @@ for _entry in (str(_ROOT / "src"), str(_ROOT)):
 
 from benchmarks.perf.harness import fingerprint, pin_blas_threads  # noqa: E402
 
-BLOCK_FRAMES = (1, 4, 16, 32)
+SWEEP_FRAMES = (8, 32, 128)  # frames of ONE lane per block
 
 
 def _best_us(call, repeats: int) -> float:
@@ -70,6 +75,7 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
         task.topology, options.pop("network"), **options,
     )
     pool, scorer = rec.pool, rec.scorer
+    block_frames = scorer._block_frames
     rec.decode_stream(features[:1], max_lanes=MAX_LANES)  # tables built, caches warm
 
     # -- the traced pass -----------------------------------------------
@@ -82,6 +88,7 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
 
     recorder.wrap(rec, "make_bank", "make_bank", capture_bank)
     recorder.wrap(scorer, "score_pairs", "score_pairs")
+    recorder.wrap(scorer, "_score_table", "_score_table")
     # On the INSTANCE: a wrapper set on the class would lose the
     # staticmethod binding of `_dense_quadratic`.
     recorder.wrap(pool, "score_block_blas", "score_block_blas")
@@ -101,6 +108,7 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
         "products": per_step(agg["_dense_quadratic"]["self_s"]),
         "constant_add": per_step(agg["score_block_blas"]["self_s"]),
         "fold": per_step(agg["_fold_components"]["self_s"]),
+        "log_zero_map": per_step(agg["_score_table"]["self_s"]),
         "scorer_glue": per_step(agg["score_pairs"]["self_s"]),
         "bank_scoring_glue": per_step(bank.stage_scoring_s - score_busy),
         "token_update": per_step(bank.stage_update_s),
@@ -108,24 +116,26 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
         "step_bookkeeping": per_step(step_busy - stages),
     }
     audio_s = out.frames_processed * FRAME_S
-    table_mb = scorer.dense_steps * pool.table_bytes(rec.precision) / 1e6
+    table_mb = pool.table_bytes(rec.precision) / 1e6
 
     # -- sizing sweeps ---------------------------------------------------
     frames = np.concatenate(features)
-    while frames.shape[0] < MAX_LANES * max(BLOCK_FRAMES):
+    while frames.shape[0] < max(SWEEP_FRAMES):
         frames = np.concatenate([frames, frames])
     tables = pool.blas_tables(rec.precision)
     block_us, products_us = {}, {}
-    for k in BLOCK_FRAMES:
-        block = frames[: MAX_LANES * k]
-        block_us[k] = _best_us(lambda: pool.score_block_blas(block), repeats) / k
-        products_us[k] = _best_us(
+    for k in SWEEP_FRAMES:
+        block, per_step_of = frames[:k], MAX_LANES / k
+        block_us[k] = per_step_of * _best_us(
+            lambda: pool.score_block_blas(block), repeats
+        )
+        products_us[k] = per_step_of * _best_us(
             lambda: pool._dense_quadratic(block, tables.prec, tables.mu_prec), repeats
-        ) / k
-    step_block = frames[:MAX_LANES]
+        )
+    lane_block = frames[:block_frames]
     precision_us = {
-        precision: _best_us(
-            lambda: pool.score_block_blas(step_block, precision=precision), repeats
+        precision: MAX_LANES / block_frames * _best_us(
+            lambda: pool.score_block_blas(lane_block, precision=precision), repeats
         )
         for precision in ("float64", "float32")
     }
@@ -140,9 +150,17 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
         "steps": steps,
         "dense_steps": scorer.dense_steps,
         "gathered_steps": scorer.fallback_steps,
+        "table_streams": scorer.table_streams,
+        "block_frames": block_frames,
         "step_us": per_step(step_busy),
         "split_us_per_step": split,
-        "table_mb_per_audio_s": table_mb / audio_s,
+        # Behind the seam, paid once per block (products, constant add,
+        # fold, LOG_ZERO map); `scorer_glue` is what every step still
+        # pays (frame check, row read-out).
+        "block_amortised_us_per_step": per_step(agg["_score_table"]["busy_s"]),
+        "block_us": 1e6 * agg["_score_table"]["busy_s"] / scorer.table_streams,
+        "table_mb_per_audio_s": scorer.table_streams * table_mb / audio_s,
+        "harness_table_mb_per_audio_s": scorer.dense_steps * table_mb / audio_s,
         "block_us_per_step": block_us,
         "block_products_us_per_step": products_us,
         "table_precision_us_per_step": precision_us,
@@ -157,8 +175,11 @@ def render(report: dict) -> str:
         f"{report['lanes']} lanes x {report['senones']} senones x "
         f"{report['components']} components x {report['dim']} dims",
         f"steps {report['steps']} (dense {report['dense_steps']}, gathered "
-        f"{report['gathered_steps']}), {step:.0f} us/step traced, "
-        f"table_mb_per_audio_s {report['table_mb_per_audio_s']:.3f}",
+        f"{report['gathered_steps']}), {step:.0f} us/step traced",
+        f"table_mb_per_audio_s {report['table_mb_per_audio_s']:.3f} "
+        f"({report['table_streams']} whole-table passes; the harness's "
+        f"dense_steps x table bytes reads "
+        f"{report['harness_table_mb_per_audio_s']:.3f})",
         "",
         "self time per step (us, share of the step):",
     ]
@@ -166,12 +187,23 @@ def render(report: dict) -> str:
         lines.append(f"  {name:<18} {value:8.1f}  {value / step:6.1%}")
     lines += [
         "",
-        "K frames of every lane in one block (us/step: whole block, products alone):",
+        f"behind score_pairs, blocks of <= {report['block_frames']} frames per lane "
+        "(us/step):",
+        f"  block amortised    {report['block_amortised_us_per_step']:8.1f}  "
+        f"({report['block_us']:.0f} us per block)",
+        f"  per-step remainder {report['split_us_per_step']['scorer_glue']:8.1f}",
+        "",
+        f"K frames of ONE lane per block, x {report['lanes']} lanes "
+        "(us/step: whole block, products alone):",
     ]
     for k, value in report["block_us_per_step"].items():
         products = report["block_products_us_per_step"][k]
         lines.append(f"  K = {k:<3} {value:8.1f} {products:8.1f}")
-    lines += ["", "whole-table block at K = 1, by table precision (us/step):"]
+    lines += [
+        "",
+        f"whole-table block at K = {report['block_frames']}, by table precision "
+        "(us/step):",
+    ]
     for precision, value in report["table_precision_us_per_step"].items():
         lines.append(f"  {precision:<8} {value:8.1f}")
     lines += ["", "fingerprint: " + json.dumps(report["fingerprint"])]

@@ -402,11 +402,14 @@ class Recognizer:
         """Swap the blas scoring tables to ``precision``; True if changed.
 
         The brownout control of the serve loop.  Safe between the steps
-        of a running bank: the blas scorer keeps no per-lane state, and
-        the scorer OBJECT stays (banks hold a reference to it; lanes in
-        flight measure their kernel steps against admission marks of
-        its counters) — only its table format changes.  Other modes
-        have no precision axis and ignore the call.
+        of a running bank: in-flight utterances finish on the new
+        tables — the blas scorer ties every block it scored ahead for a
+        lane to the table format it was scored on, and rescores from
+        the lane's next frame after a swap — and the scorer OBJECT
+        stays (banks hold a reference to it; lanes in flight measure
+        their kernel steps against admission marks of its counters);
+        only its table format changes.  Other modes have no precision
+        axis and ignore the call.
         """
         if self.mode != "blas" or precision == self.precision:
             return False
@@ -514,6 +517,11 @@ class Recognizer:
         """Recognize one utterance from its feature matrix (T, L)."""
         feats = self._validate_features(None, features)
         self.word_stage.reset()
+        # The stage's lane is fed frame by frame through the
+        # `process_frame` seam, but here the whole utterance is known:
+        # tell the scorer, so it may score ahead exactly as it does for
+        # a lane of `decode_stream`.
+        self.scorer.admit_lane(0, feats)
         process_frame = self.word_stage.process_frame
         for frame in feats:
             process_frame(frame)

@@ -219,6 +219,17 @@ class SenonePool:
         peak = comp.max(axis=-1)
         return peak + np.log(np.exp(comp - peak[..., None]).sum(axis=-1))
 
+    def check_block(self, observations: np.ndarray, min_rows: int = 0) -> np.ndarray:
+        """The observation block as float64 ``(B, dim)``; refuses
+        another shape, and a block without the ``min_rows`` rows that
+        already-validated work items point into."""
+        obs = np.asarray(observations, dtype=np.float64)
+        if obs.ndim != 2 or obs.shape[1] != self.dim:
+            raise ValueError(f"observations must be (B, {self.dim}), got {obs.shape}")
+        if obs.shape[0] < min_rows:
+            raise IndexError("pair feature row out of range")
+        return obs
+
     def check_pairs(
         self,
         observations: np.ndarray,
@@ -229,9 +240,7 @@ class SenonePool:
         that is not ``(B, dim)``, pair arrays of different shapes, a
         senone or row out of range (numpy would wrap a negative row
         onto ANOTHER row's frame).  Returns float64 / int64 arrays."""
-        obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.dim:
-            raise ValueError(f"observations must be (B, {self.dim}), got {obs.shape}")
+        obs = self.check_block(observations)
         rows = np.asarray(pair_rows, dtype=np.int64)
         idx = np.asarray(pair_senones, dtype=np.int64)
         if rows.shape != idx.shape:
@@ -417,9 +426,7 @@ class SenonePool:
         run in the narrow storage; only the returned scores are
         float64.
         """
-        obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.dim:
-            raise ValueError(f"observations must be (B, {self.dim}), got {obs.shape}")
+        obs = self.check_block(observations)
         tables = self.blas_tables(precision)
         m = self.num_components
         if senones is None:

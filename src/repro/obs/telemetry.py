@@ -5,7 +5,8 @@ mergeable record: beam survivors and senones scored per frame (the
 paper's active-fraction argument), the four-layer fast-GMM scheme's
 layer hits (frames short-circuited by CDS, Gaussians and dimensions
 actually touched, senones answered from the CI/VQ approximation), the
-blas backend's dense-vs-gathered kernel dispatch, and the wall-clock
+blas backend's dense-vs-gathered kernel dispatch and its passes over
+the whole parameter tables, and the wall-clock
 split of the engine's decode stages (scoring vs token-bank update vs
 word-exit recording, sampled inside the lane bank's step).
 
@@ -50,6 +51,7 @@ class DecodeTelemetry:
     # Blas backend kernel dispatch (blas mode only; zero elsewhere).
     blas_dense_steps: int = 0  # steps served by the dense matmul kernel
     blas_gathered_steps: int = 0  # steps served by the gathered fallback
+    blas_table_streams: int = 0  # passes over the WHOLE parameter tables
     # Engine stage wall-clock split, sampled inside the lane bank step.
     stage_scoring_s: float = 0.0  # pooled GMM pass
     stage_update_s: float = 0.0  # token-bank chain update + propagation

@@ -168,7 +168,9 @@ class LaneBankBase:
         called: every active lane asks for every senone, a grid that
         changes only with the active-lane set or the bank width
         (``_alloc_scratch`` drops it), so it is kept, not filled into a
-        mask and scanned back out per step.  Scorers never write to it.
+        mask and scanned back out per step.  The two pair arrays are
+        handed out read-only and own their data, so a scorer may
+        remember that these very objects passed its validation.
         """
         if self.cfg.use_feedback:
             cand_mask = self._cand_mask
@@ -180,12 +182,11 @@ class LaneBankBase:
         key = lanes.tobytes()
         if self._grid is None or self._grid[0] != key:
             num_senones = self.scorer.num_senones
-            self._grid = (
-                key,
-                np.repeat(lanes, num_senones),
-                np.tile(np.arange(num_senones), lanes.size),
-                self.active * num_senones,  # per-lane counts
-            )
+            pair_b = np.repeat(lanes, num_senones)
+            pair_s = np.arange(pair_b.size) % num_senones
+            for pairs in (pair_b, pair_s):
+                pairs.setflags(write=False)
+            self._grid = (key, pair_b, pair_s, self.active * num_senones)
         return self._grid[1:]
 
     @property
@@ -220,7 +221,7 @@ class LaneBankBase:
             raise RuntimeError(f"lane {lane} is still occupied")
         if features is not None and (features.ndim != 2 or features.shape[0] == 0):
             raise ValueError(f"lane {lane}: features must be non-empty (T, L)")
-        self.scorer.admit_lane(lane)
+        self.scorer.admit_lane(lane, features)
         self._reset_lane_state(lane)
         self.lane_feats[lane] = features
         self.lane_admitted[lane] = time.monotonic()
@@ -379,6 +380,7 @@ class LaneBankBase:
             self.stage_exit_s,
             getattr(scorer, "dense_steps", 0),
             getattr(scorer, "fallback_steps", 0),
+            getattr(scorer, "table_streams", 0),
         )
 
     def _lane_telemetry(self, lane: int, fast_stats) -> DecodeTelemetry:
@@ -406,6 +408,7 @@ class LaneBankBase:
             tel.blas_gathered_steps = (
                 getattr(scorer, "fallback_steps", 0) - mark[4]
             )
+            tel.blas_table_streams = getattr(scorer, "table_streams", 0) - mark[5]
         return tel
 
     def cancel(self, lane: int) -> int:

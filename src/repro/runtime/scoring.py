@@ -18,7 +18,17 @@ from the shape of that step's work items alone: the exact gathered
 kernel for sparse demand, products over the demanded senones' union
 for dense partial demand, and — when a bank asks for every senone of
 every active lane, the paper's worst-case-bandwidth regime — the whole
-dense block with no per-pair indexing at all.
+dense block with no per-pair indexing at all.  That last demand does
+not depend on the search, so it is scored AHEAD of it, behind the
+``score_pairs`` seam: a lane admitted with its audio gets its next
+:data:`BLOCK_FRAMES` frames in one product the step it runs out, and
+the tables are streamed once per block, not once per 10 ms frame.
+Every step still checks that the frame it is handed is the frame the
+cached row was scored from; a lane whose frames are not the admitted
+ones, a fed lane and a caller without a lane are scored directly, one
+frame at a time, by the same function.  A precision swap invalidates
+what was scored on the old tables; retiring a lane drops its block, so
+a cancelled lane wastes at most ``BLOCK_FRAMES - 1`` frames of scoring.
 
 Because each work item is self-contained, the pooled pass is also
 indifferent to WHICH lanes contribute items: drained batches, ragged
@@ -28,10 +38,11 @@ present the same contract — a
 row either has work items this step or contributes nothing — and a
 lane's scores never depend on its neighbours' occupancy.
 
-The fast backend is the one with per-lane STATE (the CDS cache and
-work counters, rows of scorer-owned arrays), so the protocol carries a
-lane lifecycle:
-:meth:`BatchScoringBackend.admit_lane` when a lane is (re)seeded,
+Two backends keep per-lane STATE — fast (the CDS cache and work
+counters, rows of scorer-owned arrays) and blas (the block scored
+ahead) — so the protocol carries a lane lifecycle:
+:meth:`BatchScoringBackend.admit_lane` when a lane is (re)seeded (with
+the lane's features when the caller has them),
 :meth:`BatchScoringBackend.retire_lane` when its utterance finalizes
 (returning the lane's fast-GMM work counters, if any), and
 :meth:`BatchScoringBackend.compact_lanes` when the bank shrinks to its
@@ -88,8 +99,13 @@ class BatchScoringBackend(Protocol):
         """Clear per-decode accounting."""
         ...  # pragma: no cover - protocol definition
 
-    def admit_lane(self, lane: int) -> None:
-        """A lane was (re)seeded; forget any previous occupant's state."""
+    def admit_lane(self, lane: int, features: np.ndarray | None = None) -> None:
+        """A lane was (re)seeded; forget any previous occupant's state.
+
+        ``features`` is the lane's whole ``(T, L)`` utterance when the
+        caller has it (``None`` for a fed lane): a backend may score
+        ahead of the search from it, and must not need it.
+        """
         ...  # pragma: no cover - protocol definition
 
     def retire_lane(self, lane: int) -> FastGmmStats | None:
@@ -104,7 +120,7 @@ class BatchScoringBackend(Protocol):
 class _StatelessLaneMixin:
     """No-op lane lifecycle for backends without per-lane state."""
 
-    def admit_lane(self, lane: int) -> None:
+    def admit_lane(self, lane: int, features: np.ndarray | None = None) -> None:
         pass
 
     def retire_lane(self, lane: int) -> FastGmmStats | None:
@@ -195,7 +211,34 @@ class BatchHardwareScorer(_StatelessLaneMixin):
             unit.reset_counters()
 
 
-class BatchBlasScorer(_StatelessLaneMixin):
+#: Frames of ONE lane scored ahead in one whole-table product.
+BLOCK_FRAMES = 32
+
+
+def _frozen(array) -> bool:
+    """A read-only array that owns its data: it stays the work items it
+    was when it was validated for as long as it stays this object."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.flags.owndata
+        and not array.flags.writeable
+    )
+
+
+class _LaneAhead:
+    """A lane admitted with its audio, and the block scored ahead of it."""
+
+    __slots__ = ("features", "frames", "scores", "offset", "precision")
+
+    def __init__(self, features: np.ndarray) -> None:
+        self.features = features  # from the block's first frame on
+        self.frames: list[bytes] = []  # each block row's frame as it was scored
+        self.scores = None  # (len(frames), N), LOG_ZERO-mapped
+        self.offset = 0  # the block row of the lane's next frame
+        self.precision = None  # the table format the block was scored on
+
+
+class BatchBlasScorer:
     """Pooled matmul-form (BLAS) scoring for the batched runtimes.
 
     Three kernels, selected per step by what that step's (validated)
@@ -203,10 +246,11 @@ class BatchBlasScorer(_StatelessLaneMixin):
 
     * **full grid** — exactly ``rows x every senone`` in ``np.nonzero``
       order (what a ``use_feedback=False`` bank sends; checked pair by
-      pair, never inferred from the count): the answer IS the dense
-      block of :meth:`~repro.hmm.senone.SenonePool.score_block_blas`
-      over the whole tables — two products, one in-place constant add,
-      one fold, no index array built, gathered or scattered;
+      pair, never inferred from the count): the answer is dense blocks
+      of :meth:`~repro.hmm.senone.SenonePool.score_block_blas` over the
+      whole tables — two products, one in-place constant add, one fold,
+      no index array built, gathered or scattered — scored AHEAD per
+      lane where the lane's audio is known (below);
     * **union block** — other demand covering at least ``min_density``
       of its ``rows x union`` grid: the products run on the demanded
       senones' gathered row blocks (a paper-scale pool never streams
@@ -216,7 +260,35 @@ class BatchBlasScorer(_StatelessLaneMixin):
       (:meth:`~repro.hmm.senone.SenonePool.score_pairs`).
 
     ``dense_steps`` counts the steps the first two served,
-    ``fallback_steps`` the third.
+    ``fallback_steps`` the third, ``table_streams`` the passes over the
+    WHOLE tables (one per ``score_block_blas(senones=None)``) — what
+    the paper's parameter-bandwidth figure multiplies.
+
+    **Scored ahead.**  Full-grid demand does not depend on the search,
+    so a lane admitted with its features (:meth:`admit_lane`) is scored
+    a block of up to :data:`BLOCK_FRAMES` of ITS OWN next frames at a
+    time — one product, constant add, fold and ``LOG_ZERO`` map per
+    block instead of per 10 ms frame, in the step that needs the
+    block's first row — and the following steps read one row each.  A
+    block row answers a step only if that step's ``observations`` row
+    EQUALS the frame the row was scored from (kept as a copy) and the
+    block was scored on the tables of the current ``precision``; a swap
+    rescores from the lane's next frame.  A row that is not its lane's
+    next frame drops the lane's state for good.  Such rows, and rows of
+    lanes admitted without features (fed / streaming lanes, direct
+    callers), are stacked into one direct product — the one-frame case
+    of the same function.  :meth:`retire_lane` drops a lane's block
+    (a cancelled lane wasted at most ``BLOCK_FRAMES - 1`` rows of
+    scoring), :meth:`compact_lanes` moves it with its lane.  Because a
+    lane's blocks are cut from its own utterance alone, the bits of its
+    scores do not depend on the bank's width or on its co-tenants.
+
+    The work items themselves are validated on every call
+    (:meth:`~repro.hmm.senone.SenonePool.check_pairs`, then the exact
+    grid test) — except the very OBJECTS that already passed: a bank's
+    feedback-off grid is the same two read-only arrays every step, and
+    an array that is read-only and owns its data cannot have changed.
+    Equal-but-distinct or writeable arrays are validated again.
 
     ``precision`` selects the stored table format
     (:data:`~repro.hmm.senone.BLAS_PRECISIONS`): ``"float64"`` keeps
@@ -229,11 +301,8 @@ class BatchBlasScorer(_StatelessLaneMixin):
     fallback always runs the exact gathered kernel regardless of table
     precision.
 
-    Like the reference backend the scorer is stateless per lane (the
-    no-op lifecycle), so any batch composition, retirement pattern or
-    continuous refill order presents the same contract.  ``exact =
-    False``: words match the reference decode, scores agree within
-    :data:`~repro.decoder.scorer.BLAS_SCORE_ATOL` (dot-product
+    ``exact = False``: words match the reference decode, scores agree
+    within :data:`~repro.decoder.scorer.BLAS_SCORE_ATOL` (dot-product
     summation order only; both kernels are float64 over the same
     parameters) at float64 precision, within the per-precision bounds
     above otherwise.
@@ -257,11 +326,40 @@ class BatchBlasScorer(_StatelessLaneMixin):
         self.min_pairs = min_pairs
         self.min_density = min_density
         self.precision = precision
-        self.dense_steps = 0
-        self.fallback_steps = 0
         self._every_senone = np.arange(pool.num_senones)
+        # A block's (frames, N, M) intermediate stays inside the pool's
+        # scratch budget however large the tables are.
+        per_frame = pool.num_senones * pool.num_components
+        self._block_frames = max(
+            1, min(BLOCK_FRAMES, pool.SCORE_SCRATCH_ELEMENTS // per_frame)
+        )
+        self.reset()
         pool.blas_tables(precision)  # build once up front, not on the first step
 
+    # -- lane lifecycle -------------------------------------------------
+    def reset(self) -> None:
+        self.dense_steps = 0
+        self.fallback_steps = 0
+        self.table_streams = 0
+        self._ahead: dict[int, _LaneAhead] = {}
+        self._grid = None  # (pair_rows, pair_senones, rows) that passed AS OBJECTS
+
+    def admit_lane(self, lane: int, features: np.ndarray | None = None) -> None:
+        self._ahead.pop(lane, None)  # never a previous occupant's rows
+        if features is not None:
+            self._ahead[lane] = _LaneAhead(features)
+
+    def retire_lane(self, lane: int) -> FastGmmStats | None:
+        self._ahead.pop(lane, None)
+        return None
+
+    def compact_lanes(self, keep: Sequence[int]) -> None:
+        ahead = self._ahead
+        self._ahead = {
+            new: ahead[old] for new, old in enumerate(keep) if old in ahead
+        }
+
+    # ------------------------------------------------------------------
     def _full_grid_rows(self, pair_rows: np.ndarray, pair_senones: np.ndarray):
         """The ascending row list if the (validated) work items are
         exactly ``rows x every senone`` in ``np.nonzero`` order, else
@@ -277,7 +375,56 @@ class BatchBlasScorer(_StatelessLaneMixin):
             or (pair_rows.reshape(k, n) != rows[:, None]).any()
         ):
             return None
-        return rows
+        return rows.tolist()
+
+    def _score_table(self, frames: np.ndarray) -> np.ndarray:
+        """Every senone for every row of ``frames`` in ONE pass over
+        the whole tables."""
+        self.table_streams += 1
+        block = self.pool.score_block_blas(frames, precision=self.precision)
+        # A senone with no finite score is "no path", not -inf.
+        block[np.isneginf(block)] = LOG_ZERO
+        return block
+
+    def _next_row(self, ahead: _LaneAhead, frame: np.ndarray):
+        """The scored-ahead answer for ``frame`` if it IS the lane's
+        next frame, else ``None``; scores the lane's next block first
+        when the last one is used up or was scored on other tables."""
+        if ahead.offset == len(ahead.frames) or ahead.precision != self.precision:
+            ahead.features = ahead.features[ahead.offset :]
+            ahead.offset = 0
+            ahead.precision = self.precision
+            block = np.asarray(
+                ahead.features[: self._block_frames], dtype=np.float64
+            )
+            ahead.frames = [row.tobytes() for row in block]
+            if ahead.frames:
+                ahead.scores = self._score_table(block)
+        offset = ahead.offset
+        if offset == len(ahead.frames) or frame.tobytes() != ahead.frames[offset]:
+            return None
+        ahead.offset = offset + 1
+        return ahead.scores[offset]
+
+    def _score_grid(self, obs: np.ndarray, rows: list[int]) -> np.ndarray:
+        """One full-grid step: a row from its lane's block where that
+        is the frame it was scored from, the rest in one direct product."""
+        self.dense_steps += 1
+        lanes_ahead = self._ahead
+        out = np.empty((len(rows), self.num_senones))
+        direct = []
+        for i, row in enumerate(rows):
+            ahead = lanes_ahead.get(row)
+            if ahead is not None:
+                scores = self._next_row(ahead, obs[row])
+                if scores is not None:
+                    out[i] = scores
+                    continue
+                del lanes_ahead[row]  # for good: its cursor is lost
+            direct.append(i)
+        if direct:
+            out[direct] = self._score_table(obs[[rows[i] for i in direct]])
+        return out.ravel()
 
     def score_pairs(
         self,
@@ -289,28 +436,38 @@ class BatchBlasScorer(_StatelessLaneMixin):
         if np.size(pair_senones) == 0:
             return np.empty(0)
         pool = self.pool
+        grid = self._grid
+        if (
+            grid is not None
+            and pair_rows is grid[0]
+            and pair_senones is grid[1]
+            and _frozen(pair_rows)
+            and _frozen(pair_senones)
+        ):
+            rows = grid[2]
+            obs = pool.check_block(observations, min_rows=rows[-1] + 1)
+            return self._score_grid(obs, rows)
         obs, pair_b, pair_s = pool.check_pairs(observations, pair_rows, pair_senones)
         compact = None
         if pair_s.size >= self.min_pairs:
             rows = self._full_grid_rows(pair_b, pair_s)
             if rows is not None:
+                if _frozen(pair_rows) and _frozen(pair_senones):
+                    self._grid = (pair_rows, pair_senones, rows)
+                return self._score_grid(obs, rows)
+            # Demanded rows and senone union via masks (no sorts).
+            row_mask = np.zeros(obs.shape[0], dtype=bool)
+            row_mask[pair_b] = True
+            rows = np.flatnonzero(row_mask)
+            sen_mask = np.zeros(self.num_senones, dtype=bool)
+            sen_mask[pair_s] = True
+            union = np.flatnonzero(sen_mask)
+            if pair_s.size >= self.min_density * rows.size * union.size:
+                # A demanded row / senone's position in the block.
+                row_pos, col_pos = np.cumsum(row_mask) - 1, np.cumsum(sen_mask) - 1
                 compact = pool.score_block_blas(
-                    obs[rows], precision=self.precision
-                ).ravel()
-            else:
-                # Demanded rows and senone union via masks (no sorts).
-                row_mask = np.zeros(obs.shape[0], dtype=bool)
-                row_mask[pair_b] = True
-                rows = np.flatnonzero(row_mask)
-                sen_mask = np.zeros(self.num_senones, dtype=bool)
-                sen_mask[pair_s] = True
-                union = np.flatnonzero(sen_mask)
-                if pair_s.size >= self.min_density * rows.size * union.size:
-                    # A demanded row / senone's position in the block.
-                    row_pos, col_pos = np.cumsum(row_mask) - 1, np.cumsum(sen_mask) - 1
-                    compact = pool.score_block_blas(
-                        obs[rows], union, precision=self.precision
-                    )[row_pos[pair_b], col_pos[pair_s]]
+                    obs[rows], union, precision=self.precision
+                )[row_pos[pair_b], col_pos[pair_s]]
         if compact is None:
             self.fallback_steps += 1
             compact = pool.score_pairs(obs, pair_b, pair_s)
@@ -319,10 +476,6 @@ class BatchBlasScorer(_StatelessLaneMixin):
         # A senone with no finite score is "no path", not -inf.
         compact[np.isneginf(compact)] = LOG_ZERO
         return compact
-
-    def reset(self) -> None:
-        self.dense_steps = 0
-        self.fallback_steps = 0
 
 
 # Columns of the per-lane counter block: FastGmmStats' fields, in order.
@@ -395,7 +548,7 @@ class BatchFastGmmScorer:
         self._parent_mask = np.zeros((state.size, parents), dtype=bool)
         self._parent_scores = np.full((state.size, parents), -np.inf)
 
-    def admit_lane(self, lane: int) -> None:
+    def admit_lane(self, lane: int, features: np.ndarray | None = None) -> None:
         grow = lane + 1 - self._lanes.size
         if grow > 0:
             pad = np.zeros(grow, dtype=self._lane_dtype)

@@ -131,10 +131,11 @@ class SetPrecision:
     """Brownout control: swap the blas scoring tables to ``precision``.
 
     Only meaningful for ``mode="blas"`` recognizers (ignored
-    otherwise): the blas scorer keeps no per-lane state, so swapping it
-    between frame-synchronous steps is safe mid-decode — in-flight
-    utterances finish on the new tables.  The loop reports the active
-    precision in every subsequent :class:`LoopStats`.
+    otherwise).  Swapping between frame-synchronous steps is safe
+    mid-decode — in-flight utterances finish on the new tables: what
+    the blas scorer scored ahead for a lane on the old tables is never
+    read after the swap.  The loop reports the active precision in
+    every subsequent :class:`LoopStats`.
     """
 
     precision: str

@@ -132,6 +132,116 @@ class TestEveryKernelRefusesTheSameInput:
             scorer.score_pairs(obs, rows, senones)
 
 
+class TestOnlyTheSameFrozenObjectsSkipValidation:
+    """A bank's feedback-off grid is the same two read-only arrays every
+    step; the scorer may remember that THOSE OBJECTS passed.  Anything
+    else is validated exactly as before."""
+
+    @pytest.fixture()
+    def checks(self, pool, monkeypatch):
+        """Calls of ``pool.check_pairs`` from here on."""
+        calls = []
+        original = pool.check_pairs
+
+        def spy(observations, pair_rows, pair_senones):
+            calls.append(pair_rows)
+            return original(observations, pair_rows, pair_senones)
+
+        monkeypatch.setattr(pool, "check_pairs", spy)
+        return calls
+
+    @staticmethod
+    def _frozen_grid(rows, num_senones):
+        rows = np.asarray(rows, dtype=np.int64)
+        pairs = (
+            np.repeat(rows, num_senones),
+            np.arange(rows.size * num_senones) % num_senones,
+        )
+        for array in pairs:
+            array.setflags(write=False)
+        return pairs
+
+    def test_same_read_only_objects_are_validated_once(self, pool, rng, checks):
+        scorer = BatchBlasScorer(pool)
+        obs = rng.normal(0.0, 2.0, size=(BLOCK_ROWS, pool.dim))
+        grid = self._frozen_grid([0, 2, 5], pool.num_senones)
+        first = scorer.score_pairs(obs, *grid)
+        again = scorer.score_pairs(obs, *grid)
+        assert len(checks) == 1 and scorer.dense_steps == 2
+        np.testing.assert_array_equal(first, again)
+
+    def test_writeable_copy_is_validated_every_time(self, pool, rng, checks):
+        scorer = BatchBlasScorer(pool)
+        obs = rng.normal(0.0, 2.0, size=(BLOCK_ROWS, pool.dim))
+        grid = _grid([0, 2, 5], pool.num_senones)
+        assert all(array.flags.writeable for array in grid)
+        for _ in range(3):
+            scorer.score_pairs(obs, *grid)
+        assert len(checks) == 3
+
+    def test_equal_but_distinct_read_only_pair_is_validated(self, pool, rng, checks):
+        scorer = BatchBlasScorer(pool)
+        obs = rng.normal(0.0, 2.0, size=(BLOCK_ROWS, pool.dim))
+        grid = self._frozen_grid([0, 2, 5], pool.num_senones)
+        twin = self._frozen_grid([0, 2, 5], pool.num_senones)
+        scorer.score_pairs(obs, *grid)
+        scorer.score_pairs(obs, *twin)
+        scorer.score_pairs(obs, grid[0], twin[1])  # half of each
+        assert len(checks) == 3
+
+    def test_read_only_view_of_a_writeable_array_is_validated(self, pool, rng, checks):
+        scorer = BatchBlasScorer(pool)
+        obs = rng.normal(0.0, 2.0, size=(BLOCK_ROWS, pool.dim))
+        base = _grid([1], pool.num_senones)
+        views = tuple(array[:] for array in base)
+        for view in views:
+            view.setflags(write=False)
+        scorer.score_pairs(obs, *views)
+        base[0][:] = -1  # the view changed under its read-only flag
+        with pytest.raises(IndexError, match="pair feature row out of range"):
+            scorer.score_pairs(obs, *views)
+        assert len(checks) == 2
+
+    def test_remembered_grid_edited_after_unfreezing_is_refused(self, pool, rng, checks):
+        scorer = BatchBlasScorer(pool)
+        obs = rng.normal(0.0, 2.0, size=(BLOCK_ROWS, pool.dim))
+        grid = self._frozen_grid([0, 1], pool.num_senones)
+        scorer.score_pairs(obs, *grid)
+        grid[0].setflags(write=True)
+        grid[0][-1] = -1
+        with pytest.raises(IndexError, match="pair feature row out of range"):
+            scorer.score_pairs(obs, *grid)
+
+    def test_remembered_grid_still_checks_the_observation_block(self, pool, rng):
+        scorer = BatchBlasScorer(pool)
+        obs = rng.normal(0.0, 2.0, size=(BLOCK_ROWS, pool.dim))
+        grid = self._frozen_grid([0, 2, 5], pool.num_senones)
+        scorer.score_pairs(obs, *grid)
+        with pytest.raises(IndexError, match="pair feature row out of range"):
+            scorer.score_pairs(obs[:5], *grid)  # row 5 is not in the block
+        with pytest.raises(ValueError, match="observations must be"):
+            scorer.score_pairs(obs[:, :-1], *grid)
+        assert scorer.dense_steps == 1
+
+    def test_bank_hands_out_its_grid_frozen_and_is_validated_once(
+        self, task, monkeypatch
+    ):
+        rec = _recognizer(task, "blas", "flat")
+        calls = []
+        original = rec.pool.check_pairs
+
+        def spy(observations, pair_rows, pair_senones):
+            calls.append(pair_rows)
+            return original(observations, pair_rows, pair_senones)
+
+        monkeypatch.setattr(rec.pool, "check_pairs", spy)
+        feats = [u.features[:40] for u in task.corpus.test[:2]]
+        out = rec.decode_stream(feats, max_lanes=2)
+        assert out.steps == 40 == rec.scorer.dense_steps
+        assert len(calls) == 1  # one lane set, one validation
+        assert not calls[0].flags.writeable and calls[0].flags.owndata
+
+
 class TestFusedFold:
     def test_matches_logaddexp_on_random_items_and_wide_gaps(self, rng):
         items = rng.normal(0.0, 300.0, size=(6, 500, 2))

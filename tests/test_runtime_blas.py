@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.decoder.recognizer import Recognizer
-from repro.decoder.scorer import BLAS_SCORE_ATOL
+from repro.decoder.scorer import BLAS_SCORE_ATOL, FLOAT32_SCORE_ATOL
+from repro.decoder.word_decode import DecoderConfig
 from repro.runtime.scoring import BatchBlasScorer, BatchReferenceScorer
 
 
@@ -265,6 +266,68 @@ class TestPrecisionSwapTelemetry:
             == plain.blas_dense_steps + plain.blas_gathered_steps
             == plain.frames
         )
+
+
+class TestPrecisionSwapDropsWhatWasScoredAhead:
+    """``set_precision`` promises that in-flight utterances finish on
+    the new tables; the scorer scores full-grid demand up to a block of
+    frames AHEAD per lane, so a block scored before the swap must not
+    answer a step after it."""
+
+    def test_every_frame_after_the_swap_is_scored_on_the_new_tables(
+        self, task, monkeypatch
+    ):
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying,
+            mode="blas", config=DecoderConfig(use_feedback=False),
+        )
+        feats = [
+            rec._validate_features(i, u.features[:n])
+            for i, (u, n) in enumerate(zip(task.corpus.test, (70, 50, 90)))
+        ]
+        bank = rec.make_bank(3)
+        scorer = rec.scorer
+        steps = []  # (observations, pair_rows, pair_senones, answer)
+        original = scorer.score_pairs
+
+        def spy(observations, pair_rows, pair_senones, lanes=None):
+            out = original(observations, pair_rows, pair_senones, lanes=lanes)
+            steps.append((observations.copy(), pair_rows, pair_senones, out.copy()))
+            return out
+
+        monkeypatch.setattr(scorer, "score_pairs", spy)
+        for lane, f in enumerate(feats):
+            bank.admit(lane, lane, f)
+        swap_at = 20  # mid-block for every lane
+        telemetry = {}
+        while bank.any_active:
+            if bank.steps == swap_at:
+                assert rec.set_precision("float32")
+            for lane in bank.step():
+                utt = int(bank.lane_utt[lane])
+                telemetry[utt] = bank.retire(lane).telemetry
+        assert len(steps) == 90
+
+        def is_float32(values):
+            return bool((values == values.astype(np.float32)).all())
+
+        fresh = BatchBlasScorer(task.pool, precision="float32")
+        for step, (obs, pair_rows, pair_senones, out) in enumerate(steps):
+            # float32 tables answer in float32 values; float64 ones do not.
+            assert is_float32(out) == (step >= swap_at), step
+            if step >= swap_at:
+                np.testing.assert_allclose(
+                    out,
+                    fresh.score_pairs(obs, pair_rows.copy(), pair_senones.copy()),
+                    atol=FLOAT32_SCORE_ATOL,
+                )
+        # PR 21's fix stays fixed: pre-swap steps are not lost.
+        for utt, f in enumerate(feats):
+            assert telemetry[utt].blas_dense_steps == len(f)
+            assert telemetry[utt].blas_gathered_steps == 0
+        # Three blocks before the swap, every lane rescored from its
+        # frame 20 after it: 70 -> 2 more blocks, 50 -> 1, 90 -> 3.
+        assert scorer.table_streams == 3 + 2 + 1 + 3
 
 
 class TestModeRegistration:
