@@ -40,7 +40,36 @@ from repro.core.scratch import DenseScratch
 from repro.core.pipeline import PipelineSpec, PipelineTrace
 from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 
-__all__ = ["OpUnitSpec", "OpUnit", "GaussianTable", "FrameScoreResult"]
+__all__ = [
+    "OpUnitSpec",
+    "OpUnit",
+    "GaussianTable",
+    "FrameScoreResult",
+    "check_pair_indices",
+]
+
+
+def check_pair_indices(
+    pair_rows: np.ndarray, pair_senones: np.ndarray, num_rows: int, num_senones: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled ``(feature-row, senone)`` work items as int64 arrays.
+
+    The one spelling of what every pair kernel refuses: arrays of
+    different shapes, a senone or a row out of range (numpy would wrap
+    a negative row onto ANOTHER row's frame).  One reduction per array
+    — the maximum of its unsigned view, where a negative index reads
+    as 2**63 or more — catches both ends.
+    """
+    rows = np.asarray(pair_rows, dtype=np.int64)
+    idx = np.asarray(pair_senones, dtype=np.int64)
+    if rows.shape != idx.shape:
+        raise ValueError(f"pair shapes differ: {rows.shape} vs {idx.shape}")
+    if idx.size:
+        if idx.view(np.uint64).max() >= num_senones:
+            raise IndexError("pair senone index out of range")
+        if rows.view(np.uint64).max() >= num_rows:
+            raise IndexError("pair feature row out of range")
+    return rows, idx
 
 
 @dataclass(frozen=True)
@@ -498,16 +527,11 @@ class OpUnit:
             raise ValueError(
                 f"features must be (B, {self.spec.feature_dim}), got {feats.shape}"
             )
-        rows = np.asarray(pair_rows, dtype=np.int64)
-        idx = np.asarray(pair_senones, dtype=np.int64)
-        if rows.shape != idx.shape:
-            raise ValueError(f"pair shapes differ: {rows.shape} vs {idx.shape}")
+        rows, idx = check_pair_indices(
+            pair_rows, pair_senones, feats.shape[0], table.num_senones
+        )
         if idx.size == 0:
             return np.empty(0, dtype=np.float64), 0
-        if idx.min() < 0 or idx.max() >= table.num_senones:
-            raise IndexError("pair senone index out of range")
-        if rows.min() < 0 or rows.max() >= feats.shape[0]:
-            raise IndexError("pair feature row out of range")
         mixture = self._mixture_logs(table, feats[rows][:, None, :], idx)
         cycles, _ = self._account_block(table, int(idx.size))
         self._running_max = np.float32(

@@ -12,11 +12,11 @@ so different acoustic models can be decoded.
 The left-to-right chain recurrence of the flat decoder — the
 ``max(stay, forward, entry) + b_j(O_t)`` competition and its dead-token
 rule — is written ONCE, as :func:`chain_update`: any float dtype, one
-``(S,)`` chain bank or ``(B, S)`` stacked lanes.  The lane bank
-(:class:`repro.runtime.batch.LaneBank`) calls it in its own dtype and,
-in hardware mode, charges the unit beside it
-(:meth:`ViterbiUnit.charge_chain`); :meth:`ViterbiUnit.update_chain`
-is validation + that function at float32 + the same charge.  Besides:
+``(S,)`` chain bank or ``(B, S)`` stacked lanes, its decisions returned
+as masks.  :class:`repro.runtime.batch.LaneBank` calls it in its own
+dtype and, in hardware mode, charges the unit beside it
+(:meth:`ViterbiUnit.charge_chain`); :meth:`ViterbiUnit.update_chain` is
+validation + that function at float32 (``BP_*`` codes) + the charge.  Besides:
 
 * :meth:`ViterbiUnit.step_column` — dense, bit-faithful: an arbitrary
   transition matrix column is swept transition by transition, each add
@@ -44,7 +44,7 @@ __all__ = [
     "LOG_ZERO",
 ]
 
-#: Backpointer codes emitted by :func:`chain_update`.
+#: Backpointer codes of :class:`ChainUpdateResult` (self < forward < entry).
 BP_SELF = 0
 BP_FORWARD = 1
 BP_ENTRY = 2
@@ -56,7 +56,10 @@ def _chain_scratch(scratch: dict | None, shape: tuple, dtype) -> dict:
     if scratch.get("for") != (shape, dtype):  # one check per frame, not per array
         floats = ("best", "from_prev", "enter", "delta")
         scratch.update({name: np.empty(shape, dtype) for name in floats})
-        scratch.update(mask=np.empty(shape, bool), backptr=np.empty(shape, np.int8))
+        masks = ("took_fwd", "took_entry", "dead")
+        scratch.update({name: np.empty(shape, bool) for name in masks})
+        # State 0 has no left neighbour, and nothing below writes it.
+        scratch["from_prev"][..., 0] = LOG_ZERO
         scratch["for"] = (shape, dtype)
     return scratch
 
@@ -71,7 +74,7 @@ def chain_update(
     out: np.ndarray | None = None,
     scratch: dict | None = None,
     entry_premasked: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One frame of the left-to-right chain recurrence (Figure 3).
 
     All HMM states lie in one array where state ``s`` may receive
@@ -83,6 +86,11 @@ def chain_update(
     unscored state (``best`` / ``obs`` at or below ``LOG_DEAD``) is
     dead: ``LOG_ZERO``.
 
+    Returns ``(new_delta, took_fwd, took_entry)``, the compare's two
+    decisions as masks.  A challenger wins only when strictly greater
+    — forward against stay, then entry against the better of the two —
+    so the token ENTERED where both are set and stayed where neither is.
+
     ``delta``/``obs``/``entry_scores`` are ``(S,)`` or ``(B, S)`` in
     ONE float dtype, the dtype of the arithmetic; the constants are
     shared ``(S,)`` arrays of that dtype or narrower (the network
@@ -91,11 +99,11 @@ def chain_update(
 
     A frame loop passes a ``scratch`` dict it keeps (filled here,
     reallocated only when shape or dtype change) and the update
-    allocates nothing: the backpointer codes (``BP_*``) and, without
-    ``out``, the new deltas live in it until the next call.  ``out``
-    may alias ``delta`` (consumed before the one output write).
-    ``entry_premasked`` asserts ``entry_scores`` is already
-    ``LOG_ZERO`` off the start states, skipping the masking pass.
+    allocates nothing: the masks and, without ``out``, the new deltas
+    live in it until the next call.  ``out`` may alias ``delta``
+    (consumed before the one output write).  ``entry_premasked``
+    asserts ``entry_scores`` is already ``LOG_ZERO`` off the start
+    states, skipping the masking pass.
     """
     scratch = _chain_scratch(scratch, delta.shape, delta.dtype)
     if out is None:
@@ -103,7 +111,6 @@ def chain_update(
     best, from_prev = scratch["best"], scratch["from_prev"]
     np.add(delta, self_logp, out=best)  # stay
     np.add(delta[..., :-1], fwd_logp[:-1], out=from_prev[..., 1:])
-    from_prev[..., :1] = LOG_ZERO
     from_prev[..., is_start] = LOG_ZERO
     if entry_premasked:
         enter = entry_scores
@@ -112,19 +119,16 @@ def chain_update(
         enter.fill(LOG_ZERO)
         if entry_scores is not None:
             np.copyto(enter, entry_scores, where=is_start)
-    backptr, mask = scratch["backptr"], scratch["mask"]
-    backptr.fill(BP_SELF)
-    np.greater(from_prev, best, out=mask)
-    np.copyto(best, from_prev, where=mask)
-    backptr[mask] = BP_FORWARD
-    np.greater(enter, best, out=mask)
-    np.copyto(best, enter, where=mask)
-    backptr[mask] = BP_ENTRY
+    took_fwd, took_entry = scratch["took_fwd"], scratch["took_entry"]
+    np.greater(from_prev, best, out=took_fwd)
+    np.copyto(best, from_prev, where=took_fwd)
+    np.greater(enter, best, out=took_entry)
+    np.copyto(best, enter, where=took_entry)
     np.add(best, obs, out=out)
     # The ONE dead rule: no arc offered a path, or the state was not scored.
-    np.less_equal(np.minimum(best, obs, out=best), LOG_DEAD, out=mask)
-    out[mask] = LOG_ZERO
-    return out, backptr
+    dead = np.less_equal(np.minimum(best, obs, out=best), LOG_DEAD, out=scratch["dead"])
+    np.copyto(out, LOG_ZERO, where=dead)
+    return out, took_fwd, took_entry
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,8 @@ class ViterbiUnit:
         self._cycles_busy = 0
         self._transitions = 0
         self._columns = 0
-        self._chain_scratch: dict = {}  # update_chain's work arrays + outputs
+        self._chain_scratch: dict = {}  # update_chain's work arrays + delta
+        self._backptr = np.empty(0, dtype=np.int8)  # update_chain's codes
 
     @property
     def cycles_busy(self) -> int:
@@ -341,9 +346,15 @@ class ViterbiUnit:
                 raise ValueError(f"{name} shape {arr.shape} != {shape}")
         if prev.ndim == 2 and not starts[:1].all():
             raise ValueError("state 0 must be a chain start to seal row seams")
-        delta, backptr = chain_update(
+        delta, took_fwd, took_entry = chain_update(
             prev, self_lp, fwd_lp, obs, entry, starts, scratch=self._chain_scratch
         )
+        if self._backptr.shape != delta.shape:
+            self._backptr = np.empty(delta.shape, dtype=np.int8)
+        backptr = self._backptr
+        backptr.fill(BP_SELF)
+        backptr[took_fwd] = BP_FORWARD
+        backptr[took_entry] = BP_ENTRY  # entry wins
         rows = len(prev) if prev.ndim == 2 else 1
         cost = self.charge_chain(starts, rows=rows, entries=entry is not None)
         return ChainUpdateResult(delta, backptr, *cost)

@@ -119,7 +119,8 @@ def apply_beam_batch(
     Dead rows (all ``LOG_ZERO``) report zero survivors and are left
     untouched, exactly like :func:`apply_beam` on an empty utterance —
     which is what makes idle lanes free in the batched runtimes: a
-    retired or not-yet-refilled lane is just a dead row.
+    retired or not-yet-refilled lane is just a dead row, and only a
+    bank that has one pays for masking it out and back in.
     """
     if delta.ndim != 2:
         raise ValueError(f"delta must be 2-D, got shape {delta.shape}")
@@ -127,17 +128,20 @@ def apply_beam_batch(
         scratch = make_beam_scratch(delta.shape)
     alive, kill = scratch["alive"], scratch["kill"]
     best = delta.max(axis=1)
-    dead_rows = best <= LOG_ZERO
     threshold = best - config.state_beam
     np.greater(delta, threshold[:, None], out=alive)
-    alive[dead_rows] = False
-    counts = np.count_nonzero(alive, axis=1)
+    dead_rows = best <= LOG_ZERO
+    any_dead = dead_rows.any()  # the exception: an idle lane of a wide bank
+    if any_dead:
+        alive[dead_rows] = False
+    counts = alive.sum(axis=1)
     if config.max_active_states:
         for b in np.flatnonzero(counts > config.max_active_states):
             _histogram_trim(delta[b], alive[b], config.max_active_states)
             counts[b] = int(alive[b].sum())
     np.logical_not(alive, out=kill)
-    kill[dead_rows] = False  # dead rows stay untouched, as in apply_beam
+    if any_dead:
+        kill[dead_rows] = False  # dead rows stay untouched, as in apply_beam
     np.copyto(delta, LOG_ZERO, where=kill)
     return alive, counts
 

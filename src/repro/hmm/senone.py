@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.opunit import GaussianTable
+from repro.core.opunit import GaussianTable, check_pair_indices
 from repro.hmm.gaussian import (
     VARIANCE_FLOOR,
     log_normalizer,
@@ -236,20 +236,15 @@ class SenonePool:
         pair_rows: np.ndarray,
         pair_senones: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The one spelling of what every pair kernel refuses: a block
-        that is not ``(B, dim)``, pair arrays of different shapes, a
-        senone or row out of range (numpy would wrap a negative row
-        onto ANOTHER row's frame).  Returns float64 / int64 arrays."""
+        """What every pair kernel refuses: a block that is not ``(B,
+        dim)``, or work items
+        :func:`~repro.core.opunit.check_pair_indices` refuses (shapes
+        that differ, a senone or row out of range).  Returns float64 /
+        int64 arrays."""
         obs = self.check_block(observations)
-        rows = np.asarray(pair_rows, dtype=np.int64)
-        idx = np.asarray(pair_senones, dtype=np.int64)
-        if rows.shape != idx.shape:
-            raise ValueError(f"pair shapes differ: {rows.shape} vs {idx.shape}")
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.num_senones:
-                raise IndexError("pair senone index out of range")
-            if rows.min() < 0 or rows.max() >= obs.shape[0]:
-                raise IndexError("pair feature row out of range")
+        rows, idx = check_pair_indices(
+            pair_rows, pair_senones, obs.shape[0], self.num_senones
+        )
         return obs, rows, idx
 
     def score_pairs(

@@ -6,33 +6,34 @@ star is heavy traffic.  Both are the same engine at different widths:
 frame by frame, ``Recognizer.decode_stream`` (``decode_batch`` is a
 stream as long as its lanes) and the serve loop step B lanes at once,
 refilling retired lanes from a waiting queue mid-decode.
-:class:`LaneBank` owns the stacked per-lane decode state — the
-word-decode arrays (``delta``, ``payload``, ``entry_frame``) stacked
-into ``(B, S)`` banks, per-lane pending word entries, lattices and
-statistics — and the lane *lifecycle*: :meth:`LaneBank.admit` seeds a
-free lane with a fresh utterance, :meth:`LaneBank.step` advances every
-occupied lane by one frame (ONE pooled GMM evaluation, ONE chain
-update, ONE row-wise beam pass for the whole bank), and
-:meth:`LaneBank.retire` finalizes a finished lane and frees it.
+:class:`LaneBank` owns the stacked per-lane decode state — token scores
+``delta`` as a ``(B, S)`` bank, what a token carries (``payload``,
+``entry_frame``) as the two rows of ONE ``(2, B, S)`` record, per-lane
+pending word entries, lattices and statistics — and the lane
+*lifecycle*: :meth:`LaneBank.admit` seeds a free lane with a fresh
+utterance, :meth:`LaneBank.step` advances every occupied lane by one
+frame, :meth:`LaneBank.retire` finalizes a finished lane and frees it.
+A frame is a short fixed list of whole-bank array passes (at 1 lane x
+537 states their NUMBER is the cost): ONE pooled GMM evaluation, ONE
+chain update handing back its two decisions as masks, the record moved
+along them by three ``copyto`` (stay, forward, entry), ONE beam pass.
 
 Everything per-lane — lattices, word exits, LM-weighted pending
 entries, per-frame statistics — runs through the per-lane kernels of
 :mod:`repro.decoder.word_decode`, on row views of the stacked arrays,
-and every piece of per-lane bookkeeping is indexed by the lane's OWN
-frame counter (``lane_t``), never the global step.  Scoring backends
-with per-lane state (the four-layer fast-GMM scheme's CDS cache and
-work counters) participate in the lifecycle through
-admit/retire/compact hooks, so a reseeded lane can never observe a
-previous occupant's selection state.  Because every batched
-operation is elementwise or a per-row reduction, each utterance's word
-sequence, path score and frame statistics are IDENTICAL to a 1-lane
-decode of the same features
-(:class:`~repro.decoder.recognizer.Recognizer.decode`, pinned by the
-committed fixtures of ``tests/golden/``), in reference, hardware and
-fast modes — regardless of batch composition, admission step or refill
-order.  A retired (or never admitted) lane's state is frozen at
-``LOG_ZERO`` so no idle step ever reaches a lattice or a statistics
-record.
+and is indexed by the lane's OWN frame counter (``lane_t``), never the
+global step.  Scoring backends with per-lane state (fast-GMM's CDS
+cache and work counters, blas blocks scored ahead) join the lifecycle
+through admit/retire/compact hooks, so a reseeded lane can never
+observe a previous occupant's state.  Because every batched operation
+is elementwise or a per-row reduction, each utterance's word sequence,
+path score and frame statistics are IDENTICAL to a 1-lane decode of the
+same features (:class:`~repro.decoder.recognizer.Recognizer.decode`,
+pinned by the committed fixtures of ``tests/golden/``), in reference,
+hardware and fast modes — regardless of batch composition, admission
+step or refill order.  A retired (or never admitted) lane's state is
+frozen at ``LOG_ZERO`` so no idle step ever reaches a lattice or a
+statistics record.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.scratch import DenseScratch
-from repro.core.viterbi_unit import BP_FORWARD, BP_SELF, chain_update
+from repro.core.viterbi_unit import chain_update
 from repro.decoder.beam import apply_beam_batch, make_beam_scratch
 from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.lattice import WordLattice
@@ -178,7 +179,7 @@ class LaneBankBase:
             cand_b, cand_senone = candidates()
             cand_mask[cand_b, cand_senone] = True
             pair_b, pair_s = np.nonzero(cand_mask)
-            return pair_b, pair_s, np.count_nonzero(cand_mask, axis=1)
+            return pair_b, pair_s, cand_mask.sum(axis=1)
         key = lanes.tobytes()
         if self._grid is None or self._grid[0] != key:
             num_senones = self.scorer.num_senones
@@ -497,15 +498,22 @@ class LaneBank(LaneBankBase):
         self._dtype = np.float32 if self.viterbi_unit is not None else np.float64
         shape = (self.num_lanes, net.num_states)
         total_words = net.num_words + (1 if net.has_silence else 0)
-        # Stacked word-decode state: one row per lane.
+        # Stacked word-decode state: one row per lane.  What a token
+        # carries besides its score is ONE record, moved as one.
         self.delta = np.full(shape, LOG_ZERO, dtype=self._dtype)
-        self.entry_frame = np.full(shape, -1, dtype=np.int64)
-        self.payload = np.full(shape, -1, dtype=np.int64)
+        self._bind_record(np.full((2,) + shape, -1, dtype=np.int64))
         self.pending_entry = np.full((self.num_lanes, total_words), LOG_ZERO)
         self.pending_src = np.full(
             (self.num_lanes, total_words), -1, dtype=np.int64
         )
         self._fwd_end = net.fwd_logp[net.end_state]
+        self._has_left = ~net.is_start[1:]  # state s+1 continues s's chain
+
+    def _bind_record(self, record: np.ndarray) -> None:
+        """``payload`` (the lattice exit a token's word was entered
+        from) and ``entry_frame`` are the two rows of ``record``."""
+        self._record = record
+        self.payload, self.entry_frame = record
 
     def _alloc_scratch(self) -> None:
         # Frame scratch (allocated once per bank width, reused every step).
@@ -521,23 +529,20 @@ class LaneBank(LaneBankBase):
             if self._dtype == np.float64
             else np.empty(shape, dtype=self._dtype)
         )
+        # The word entries offered this frame, as banks: the scores
+        # (LOG_ZERO off the start columns, which alone are written)
+        # and the record an entering token starts from.
         self._entry_scores = np.full(shape, LOG_ZERO, dtype=self._dtype)
-        self._entry_payload = np.full(shape, -1, dtype=np.int64)
+        self._entry_record = np.full((2,) + shape, -1, dtype=np.int64)
+        self._record_next = np.empty((2,) + shape, dtype=np.int64)
         self._candidates = np.empty(shape, dtype=bool)
         self._shifted = np.empty(shape, dtype=bool)
-        self._prev_payload = np.empty(shape, dtype=np.int64)
-        self._prev_entry_frame = np.empty(shape, dtype=np.int64)
-        self._payload_next = np.empty(shape, dtype=np.int64)
-        self._entry_frame_next = np.empty(shape, dtype=np.int64)
-        self._took_self = np.empty(shape, dtype=bool)
-        self._took_fwd = np.empty(shape, dtype=bool)
         self._chain_scratch: dict = {}  # filled by chain_update
         self._beam_scratch = make_beam_scratch(shape)
 
     def _reset_lane_state(self, lane: int) -> None:
         self.delta[lane] = LOG_ZERO
-        self.entry_frame[lane] = -1
-        self.payload[lane] = -1
+        self._record[:, lane] = -1
         prime_entries(
             self.net, self.cfg, self.lm,
             self.pending_entry[lane], self.pending_src[lane],
@@ -550,28 +555,24 @@ class LaneBank(LaneBankBase):
 
     def _compact_state(self, keep: np.ndarray) -> None:
         self.delta = self.delta[keep]
-        self.entry_frame = self.entry_frame[keep]
-        self.payload = self.payload[keep]
+        self._bind_record(self._record.take(keep, axis=1))
         self.pending_entry = self.pending_entry[keep]
         self.pending_src = self.pending_src[keep]
 
     def _candidate_senones(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lane, senone)`` of every candidate state — alive, right
-        neighbour of alive, or start state of a pending entry: the
-        per-lane feedback lists, batched.  Idle lanes are frozen at
+        neighbour of alive, or start state of a pending entry (read off
+        ``_entry_scores``, which this frame's offers are already in):
+        the per-lane feedback lists, batched.  Idle lanes are frozen at
         LOG_ZERO, so their rows stay empty without extra masking."""
-        net = self.net
-        candidates = self._candidates
+        candidates, shifted = self._candidates, self._shifted
         np.greater(self.delta, LOG_DEAD, out=candidates)  # alive
-        shifted = self._shifted
-        shifted[:, 0] = False
-        shifted[:, 1:] = candidates[:, :-1]
-        shifted[:, net.is_start] = False
+        np.logical_and(candidates[:, :-1], self._has_left, out=shifted[:, 1:])
+        np.logical_or(candidates[:, 1:], shifted[:, 1:], out=candidates[:, 1:])
+        np.greater(self._entry_scores, LOG_DEAD, out=shifted)
         candidates |= shifted
-        entry_b, entry_w = np.nonzero(self.pending_entry > LOG_DEAD)
-        candidates[entry_b, net.start_state[entry_w]] = True
         cand_b, cand_s = np.nonzero(candidates)
-        return cand_b, net.senone_id[cand_s]
+        return cand_b, self.net.senone_id[cand_s]
 
     def _advance(
         self,
@@ -581,15 +582,16 @@ class LaneBank(LaneBankBase):
         lane_t_list: list[int],
     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         net, cfg = self.net, self.cfg
-        active = self.active
         delta = self.delta
-        payload, entry_frame = self.payload, self.entry_frame
 
         # Stage clocks: one read per stage per STEP, not per lane.
         t0 = time.perf_counter()
 
-        # 1-2. The union of per-lane unique senone requests, as
-        #    (lane, senone) work items for one pooled evaluation.
+        # 1-2. This frame's word entries as a bank, then the union of
+        #    per-lane unique senone requests as (lane, senone) work
+        #    items for one pooled evaluation.
+        entry_scores = self._entry_scores
+        entry_scores[:, net.start_state] = self.pending_entry
         pair_b, pair_s, scored_counts = self._demand(lanes, self._candidate_senones)
 
         # 3. One pooled GMM pass for the whole bank.  When the answer
@@ -609,71 +611,54 @@ class LaneBank(LaneBankBase):
         else:
             obs = self._obs_cast
             obs[...] = obs_bank
-        entry_scores = self._entry_scores
-        entry_scores[:, net.start_state] = self.pending_entry
         t1 = time.perf_counter()
         self.stage_scoring_s += t1 - t0
 
-        # 4. One chain update advances every lane's token bank in place
-        #    (entry_scores is LOG_ZERO off the start states by
-        #    construction); the Viterbi unit, if modelled, is charged.
-        _, backptr = chain_update(
+        # 4. One chain update advances every lane's token bank in
+        #    place; the Viterbi unit, if modelled, is charged.
+        _, took_fwd, took_entry = chain_update(
             delta, net.self_logp, net.fwd_logp, obs, entry_scores, net.is_start,
             out=delta, scratch=self._chain_scratch, entry_premasked=True,
         )
         if self.viterbi_unit is not None:
             self.viterbi_unit.charge_chain(net.is_start, rows=self.num_lanes)
 
-        # 5. Token payload propagation along the winning arcs
-        #    (a three-way select on the backpointer, via disjoint
-        #    masks into double buffers).  Entry frames are
-        #    stamped with each lane's OWN frame counter.
-        prev_payload = self._prev_payload
-        prev_payload[:, 0] = -1
-        prev_payload[:, 1:] = payload[:, :-1]
-        prev_entry_frame = self._prev_entry_frame
-        prev_entry_frame[:, 0] = -1
-        prev_entry_frame[:, 1:] = entry_frame[:, :-1]
-        entry_payload = self._entry_payload
-        entry_payload[:, net.start_state] = self.pending_src
-        took_self, took_fwd = self._took_self, self._took_fwd
-        np.equal(backptr, BP_SELF, out=took_self)
-        np.equal(backptr, BP_FORWARD, out=took_fwd)
-        payload_next = self._payload_next
-        np.copyto(payload_next, entry_payload)
-        np.copyto(payload_next, prev_payload, where=took_fwd)
-        np.copyto(payload_next, payload, where=took_self)
-        self.payload, self._payload_next = payload_next, payload
-        entry_frame_next = self._entry_frame_next
-        entry_frame_next[:] = self.lane_t[:, None]
-        np.copyto(entry_frame_next, prev_entry_frame, where=took_fwd)
-        np.copyto(entry_frame_next, entry_frame, where=took_self)
-        self.entry_frame, self._entry_frame_next = entry_frame_next, entry_frame
-        payload, entry_frame = self.payload, self.entry_frame
+        # 5. The token record follows the winning arc: it stays, moves
+        #    one state right, or (entry wins) starts from the entry
+        #    record — the lattice exit behind the offer, stamped with
+        #    each lane's OWN frame counter.
+        record, moved, entry = self._record, self._record_next, self._entry_record
+        entry[0][:, net.start_state] = self.pending_src
+        entry[1][:] = self.lane_t[:, None]
+        np.copyto(moved, record)
+        np.copyto(moved[..., 1:], record[..., :-1], where=took_fwd[:, 1:])
+        np.copyto(moved, entry, where=took_entry)
+        self._record_next = record
+        self._bind_record(moved)
         t2 = time.perf_counter()
         self.stage_update_s += t2 - t1
 
-        # 6. Row-wise beam prune, then per-lane exits and entries.
+        # 6. Row-wise beam prune, then per-lane exits and entries: an
+        #    offer lasts one frame, so every row is cleared first.
         _, n_active = apply_beam_batch(delta, cfg.beam, self._beam_scratch)
-        end_delta = delta[:, net.end_state].astype(np.float64, copy=False)
-        exit_scores = end_delta + self._fwd_end
+        end_delta = delta.take(net.end_state, axis=1)
         viable = end_delta > LOG_DEAD
-        exit_lanes = np.flatnonzero(viable.any(axis=1))
         exit_counts = [0] * self.num_lanes
-        for b in exit_lanes.tolist():
-            exits = record_exits(
-                self.net, cfg, self.lattices[b], payload[b], entry_frame[b],
-                lane_t_list[b], exit_scores[b], viable[b],
-            )
-            exit_counts[b] = len(exits)
-            compute_pending_entries(
-                self.net, cfg, self.lm, self.lattices[b], exits,
-                self.pending_entry[b], self.pending_src[b],
-            )
-        no_exit = active.copy()
-        no_exit[exit_lanes] = False
-        self.pending_entry[no_exit] = LOG_ZERO
-        self.pending_src[no_exit] = -1
+        self.pending_entry.fill(LOG_ZERO)
+        self.pending_src.fill(-1)
+        exit_lanes = np.flatnonzero(viable.any(axis=1))
+        if exit_lanes.size:
+            exit_scores = end_delta.astype(np.float64, copy=False) + self._fwd_end
+            for b in exit_lanes.tolist():
+                exits = record_exits(
+                    net, cfg, self.lattices[b], self.payload[b], self.entry_frame[b],
+                    lane_t_list[b], exit_scores[b], viable[b],
+                )
+                exit_counts[b] = len(exits)
+                compute_pending_entries(
+                    net, cfg, self.lm, self.lattices[b], exits,
+                    self.pending_entry[b], self.pending_src[b],
+                )
         self.stage_exit_s += time.perf_counter() - t2
 
         return n_active, scored_counts, exit_counts

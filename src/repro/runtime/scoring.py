@@ -144,12 +144,21 @@ class BatchReferenceScorer(_StatelessLaneMixin):
         pair_senones: np.ndarray,
         lanes: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Exact scores of the work items, ``-inf`` mapped to ``LOG_ZERO``.
+
+        A senone with no finite score is "no path", not ``-inf``; the
+        map is one in-place ``maximum`` (NaN propagates through it
+        untouched, so a poisoned score still surfaces).  It cannot
+        move a finite score: a log-sum-exp is at least its best
+        component's log density, and that reaches ``LOG_ZERO`` only for
+        a frame some 1e15 standard deviations from every mean — far
+        outside any finite-energy audio, and the search would read
+        such a score (anything at or below ``LOG_DEAD``) as dead anyway.
+        """
         if pair_senones.size == 0:
             return np.empty(0)
         compact = self.pool.score_pairs(observations, pair_rows, pair_senones)
-        # A senone with no finite score is "no path", not -inf.
-        compact[np.isneginf(compact)] = LOG_ZERO
-        return compact
+        return np.maximum(compact, LOG_ZERO, out=compact)
 
     def reset(self) -> None:  # stateless
         pass
@@ -596,6 +605,9 @@ class BatchFastGmmScorer:
     ) -> np.ndarray:
         cfg = self.model.config
         state = self._lanes
+        observations, pair_rows, pair_senones = self.model.pool.check_pairs(
+            observations, pair_rows, pair_senones
+        )
         if lanes is None:
             lanes = np.unique(pair_rows)
         if not state["admitted"][lanes].all():  # IndexError past the capacity

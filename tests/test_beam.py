@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.decoder.beam import LOG_ZERO, BeamConfig, apply_beam, apply_beam_rows
+from repro.decoder.beam import (
+    LOG_ZERO,
+    BeamConfig,
+    apply_beam,
+    apply_beam_batch,
+    apply_beam_rows,
+    make_beam_scratch,
+)
 
 
 class TestBeamConfig:
@@ -62,6 +69,44 @@ class TestApplyBeam:
         delta = np.array([0.0, -500.0])
         apply_beam(delta, BeamConfig(state_beam=100.0))
         assert delta[1] == LOG_ZERO
+
+
+class TestApplyBeamBatch:
+    """The bank beam vs ``apply_beam`` on each row; dead rows are the
+    guarded exception and must come through bit-untouched."""
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    @pytest.mark.parametrize("dead", ["none", "some", "all"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_row_wise_apply_beam(self, rng, dead, cap, dtype):
+        config = BeamConfig(state_beam=12.0, max_active_states=cap)
+        scratch = make_beam_scratch((5, 30))
+        for _ in range(20):
+            # Integer scores: plateaus that straddle the cap are common.
+            bank = np.round(rng.normal(-100, 6, (5, 30))).astype(dtype)
+            bank[rng.random(bank.shape) < 0.3] = LOG_ZERO
+            dead_rows = {
+                "none": [], "some": [1, 3], "all": list(range(5))
+            }[dead]
+            # Dead is "nothing above LOG_ZERO" — a row may hold less.
+            bank[dead_rows] = LOG_ZERO
+            bank[dead_rows, ::7] = -np.inf
+            before = bank.copy()
+            rows = bank.copy()
+            expected = [apply_beam(rows[b], config) for b in range(5)]
+            alive, counts = apply_beam_batch(bank, config, scratch)
+            assert alive is scratch["alive"] and bank.dtype == dtype
+            assert counts.tolist() == [count for _, count in expected]
+            assert np.array_equal(alive, np.stack([mask for mask, _ in expected]))
+            assert np.array_equal(bank, rows)  # pruned in place alike
+            assert bank[dead_rows].tobytes() == before[dead_rows].tobytes()
+            assert not alive[dead_rows].any() and not counts[dead_rows].any()
+            if cap:
+                assert counts.max() <= cap
+
+    def test_rejects_a_single_row(self):
+        with pytest.raises(ValueError, match="2-D"):
+            apply_beam_batch(np.zeros(4), BeamConfig())
 
 
 class TestApplyBeamRows:

@@ -6,12 +6,15 @@ and lattice must be identical to a sequential decode of the same
 features, in reference and hardware modes, including ragged batches.
 """
 
+from itertools import count
+
 import numpy as np
 import pytest
 
-from repro.core.logadd import LOG_DEAD, LogAddTable
+from repro.core.logadd import LOG_DEAD, LOG_ZERO, LogAddTable
 from repro.decoder.beam import BeamConfig, apply_beam, apply_beam_batch
 from repro.decoder.recognizer import Recognizer
+from repro.runtime.scoring import BatchReferenceScorer
 
 
 @pytest.fixture(scope="module", params=["reference", "hardware"])
@@ -368,3 +371,151 @@ class TestObsBankScratch:
         assert bank._obs_cast is not None
         assert bank._obs_cast.shape[0] == 2
         bank.step()  # still steps cleanly at the new width
+
+
+class TestTokenRecord:
+    """``payload`` and ``entry_frame`` are the two rows of ONE
+    ``(2, B, S)`` record, moved together; every operation that swaps
+    or rebuilds the record must rebind both views."""
+
+    _bank = TestObsBankScratch._bank
+
+    @staticmethod
+    def _assert_one_record(bank):
+        record = bank._record
+        assert record.shape == (2, bank.num_lanes, bank.net.num_states)
+        assert record.dtype == np.int64 and record.flags.c_contiguous
+        for row, view in enumerate((bank.payload, bank.entry_frame)):
+            assert view.base is record
+            assert view.ctypes.data == record[row].ctypes.data
+            assert view.shape == record.shape[1:]
+        assert not np.shares_memory(record, bank._record_next)
+
+    @pytest.mark.parametrize("mode", ["reference", "hardware"])
+    def test_views_survive_the_whole_lifecycle(self, task, mode):
+        bank = self._bank(task, mode, num_lanes=3)
+        self._assert_one_record(bank)  # after admit
+        for _ in range(12):  # the double buffer swaps every step
+            bank.step()
+            self._assert_one_record(bank)
+        assert (bank.entry_frame >= 0).any()  # tokens did enter words
+        bank.cancel(1)
+        self._assert_one_record(bank)
+        assert bank.compact() == 2
+        self._assert_one_record(bank)
+        bank.step()
+        self._assert_one_record(bank)
+        short = task.corpus.test[3].features[:4]
+        bank.cancel(0)
+        bank.admit(0, 7, short)
+        finished = []
+        while 0 not in finished:
+            finished = bank.step()
+        bank.retire(0)
+        self._assert_one_record(bank)
+
+    def test_a_reseeded_lane_reads_minus_one_everywhere(self, task):
+        bank = self._bank(task, "reference", num_lanes=2)
+        for _ in range(15):
+            bank.step()
+        assert (bank.payload[0] >= 0).any() or (bank.entry_frame[0] >= 0).any()
+        neighbour = bank._record[:, 1].copy()
+        bank.cancel(0)
+        bank.admit(0, 5, task.corpus.test[2].features)
+        assert (bank._record[:, 0] == -1).all()
+        assert (bank.payload[0] == -1).all() and (bank.entry_frame[0] == -1).all()
+        np.testing.assert_array_equal(bank._record[:, 1], neighbour)
+
+    @pytest.mark.parametrize("mode", ["reference", "hardware"])
+    def test_mid_stream_compact_changes_no_surviving_lattice(self, task, mode):
+        """Compaction relocates rows of the record (and drops the
+        double buffer); the survivors' lattices must not notice."""
+
+        def run(compact):
+            bank = self._bank(task, mode, num_lanes=4)
+            lattices = {int(utt): bank.lattices[b] for b, utt in enumerate(bank.lane_utt)}
+            results = {}
+            for step in count():
+                if step == 9:
+                    bank.cancel(0)
+                    bank.cancel(2)
+                    if compact:
+                        assert bank.compact() == 2
+                for lane in bank.step():
+                    utt = int(bank.lane_utt[lane])
+                    results[utt] = bank.retire(lane)
+                if not bank.any_active:
+                    return lattices, results
+
+        plain_lattices, plain = run(compact=False)
+        lattices, compacted = run(compact=True)
+        assert sorted(compacted) == sorted(plain) == [1, 3]
+        for utt in (1, 3):
+            exits = [lattices[utt].exit(i) for i in range(len(lattices[utt]))]
+            want = [
+                plain_lattices[utt].exit(i) for i in range(len(plain_lattices[utt]))
+            ]
+            assert exits == want and len(exits) > 0
+            assert [e.score.hex() for e in exits] == [e.score.hex() for e in want]
+            _assert_lane_equal(plain[utt], compacted[utt])
+
+
+class TestNoFiniteScore:
+    """``BatchReferenceScorer`` maps "no finite score" in one pass."""
+
+    def test_neg_inf_becomes_log_zero_and_nothing_else_moves(
+        self, small_pool, monkeypatch
+    ):
+        raw = np.array([-np.inf, -3.25, np.nan, 0.0, -1.0e29, -np.inf, 7.5])
+        monkeypatch.setattr(small_pool, "score_pairs", lambda *_: raw.copy())
+        out = BatchReferenceScorer(small_pool).score_pairs(
+            np.zeros((1, small_pool.dim)), np.zeros(7, int), np.arange(7)
+        )
+        gone = np.isneginf(raw)
+        assert (out[gone] == LOG_ZERO).all()
+        assert np.isnan(out[2])  # a poisoned score still surfaces
+        kept = ~gone & ~np.isnan(raw)
+        assert out[kept].tobytes() == raw[kept].tobytes()
+
+    def test_no_work_items(self, small_pool):
+        empty = np.empty(0, dtype=np.int64)
+        out = BatchReferenceScorer(small_pool).score_pairs(
+            np.zeros((1, small_pool.dim)), empty, empty
+        )
+        assert out.shape == (0,)
+
+
+class TestEveryBackendRefusesTheSameItems:
+    """``check_pair_indices`` is the one spelling: whichever backend a
+    bank scores through, a bad work item is the same ``IndexError``."""
+
+    @pytest.fixture(scope="class", params=["reference", "hardware", "fast", "blas"])
+    def scorer(self, request, task):
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, mode=request.param
+        )
+        for lane in range(3):
+            rec.scorer.admit_lane(lane)
+        return rec.scorer
+
+    @pytest.mark.parametrize(
+        "rows, senones, message",
+        [
+            ([0, -1, 2], [0, 1, 2], "pair feature row out of range"),
+            ([0, 1, 3], [0, 1, 2], "pair feature row out of range"),
+            ([0, 1, 2], [0, -1, 2], "pair senone index out of range"),
+            ([0, 1, 2], [0, 1, None], "pair senone index out of range"),
+        ],
+        ids=["negative-row", "row-too-large", "negative-senone", "senone-too-large"],
+    )
+    def test_bad_item_raises_the_same_error(self, scorer, task, rows, senones, message):
+        senones = [scorer.num_senones if s is None else s for s in senones]
+        obs = np.zeros((3, task.pool.dim))
+        with pytest.raises(IndexError, match=f"^{message}$"):
+            scorer.score_pairs(
+                obs, np.array(rows), np.array(senones), lanes=np.arange(3)
+            )
+        good = scorer.score_pairs(
+            obs, np.arange(3), np.arange(3), lanes=np.arange(3)
+        )
+        assert good.shape == (3,) and np.isfinite(good).all()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.logadd import LOG_DEAD
 from repro.core.viterbi_unit import (
     BP_ENTRY,
     BP_FORWARD,
@@ -357,19 +358,166 @@ class TestChainBank:
         )
         delta, scratch = prev.copy(), {}
         for frame in range(3):  # frame 0 fills the scratch, 1-2 reuse it
-            fresh_delta, fresh_bp = chain_update(
+            fresh_delta, *fresh_masks = chain_update(
                 delta.copy(), self_lp, fwd_lp, obs, entry, starts
             )
             buffers = dict(scratch)
-            out, backptr = chain_update(
+            out, *masks = chain_update(
                 delta, self_lp, fwd_lp, obs, entry, starts,
                 out=delta, scratch=scratch,
             )
             assert out is delta and out.dtype == np.float64
             np.testing.assert_array_equal(out, fresh_delta)
-            np.testing.assert_array_equal(backptr, fresh_bp)
+            for mask, fresh in zip(masks, fresh_masks, strict=True):
+                np.testing.assert_array_equal(mask, fresh)
             if frame:
                 assert all(scratch[name] is buf for name, buf in buffers.items())
+
+
+def _chain_scalar_oracle(prev, self_lp, fwd_lp, obs, entry, starts):
+    """``chain_update`` one state at a time: ``(delta, took_fwd, took_entry)``.
+
+    Scalars keep their array's dtype, so every add is the add the
+    kernel performs (float32 constants widen exactly)."""
+    zero = prev.dtype.type(LOG_ZERO)
+    delta = np.empty_like(prev)
+    took_fwd, took_entry = np.zeros(prev.shape, bool), np.zeros(prev.shape, bool)
+    for at in np.ndindex(prev.shape):
+        row, s = at[:-1], at[-1]
+        best = prev[at] + self_lp[s]
+        from_prev = zero
+        if s > 0 and not starts[s]:
+            from_prev = prev[row + (s - 1,)] + fwd_lp[s - 1]
+        enter = entry[at] if entry is not None and starts[s] else zero
+        if from_prev > best:
+            took_fwd[at], best = True, from_prev
+        if enter > best:
+            took_entry[at], best = True, enter
+        dead = min(best, obs[at]) <= LOG_DEAD
+        delta[at] = zero if dead else best + obs[at]
+    return delta, took_fwd, took_entry
+
+
+class TestChainUpdateAgainstScalarOracle:
+    """The masks ARE the decisions: state by state against a plain loop."""
+
+    def _bank(self, seed, shape, dtype):
+        rng = np.random.default_rng(seed)
+        k = shape[-1]
+        # Coarse scores and equal constants: stay/forward/entry ties
+        # are generated, not hoped for.
+        prev = np.round(rng.normal(-20.0, 3.0, shape)).astype(dtype)
+        prev[rng.random(shape) < 0.3] = LOG_ZERO
+        if len(shape) == 2:
+            prev[1] = LOG_ZERO  # an all-dead row rides along
+        self_lp = np.full(k, -1.0, dtype=np.float32)
+        fwd_lp = np.full(k, -1.0, dtype=np.float32)
+        obs = np.round(rng.normal(-4.0, 2.0, shape)).astype(dtype)
+        obs[rng.random(shape) < 0.2] = LOG_ZERO  # unscored states
+        starts = np.zeros(k, dtype=bool)
+        starts[::4] = True
+        # Offers everywhere: only the ones at chain starts may count.
+        entry = np.round(rng.normal(-21.0, 3.0, shape)).astype(dtype)
+        entry[rng.random(shape) < 0.5] = LOG_ZERO
+        return prev, self_lp, fwd_lp, obs, entry, starts
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(13,), (4, 13)])
+    def test_delta_and_masks_state_by_state(self, shape, dtype):
+        seen = np.zeros(3, dtype=int)  # stayed, moved, entered
+        scratch: dict = {}
+        for seed in range(25):
+            prev, self_lp, fwd_lp, obs, entry, starts = self._bank(seed, shape, dtype)
+            want = _chain_scalar_oracle(prev, self_lp, fwd_lp, obs, entry, starts)
+            # Fresh buffers; then in place on ``delta`` with a scratch
+            # dict kept across seeds; then the premasked spelling.
+            got = chain_update(prev.copy(), self_lp, fwd_lp, obs, entry, starts)
+            delta = prev.copy()
+            in_place = chain_update(
+                delta, self_lp, fwd_lp, obs, entry, starts, out=delta, scratch=scratch
+            )
+            assert in_place[0] is delta and delta.dtype == dtype
+            premasked = np.where(starts, entry, dtype(LOG_ZERO))
+            masked = chain_update(
+                prev.copy(), self_lp, fwd_lp, obs, premasked, starts,
+                entry_premasked=True,
+            )
+            for result in (got, in_place, masked):
+                for have, expect in zip(result, want, strict=True):
+                    np.testing.assert_array_equal(have, expect)
+            new_delta, took_fwd, took_entry = want
+            assert not took_entry[..., ~starts].any()  # entries only at starts
+            if len(shape) == 2:  # the dead row comes alive by entry alone
+                assert (new_delta[1] == LOG_ZERO)[~took_entry[1]].all()
+            seen += [
+                (~took_fwd & ~took_entry).sum(),
+                (took_fwd & ~took_entry).sum(),
+                took_entry.sum(),
+            ]
+        assert seen.all()  # every decision was exercised
+
+    def test_a_tie_keeps_the_incumbent(self):
+        """Strict ``>``: forward ties stay, entry ties the better of the two."""
+        prev = np.array([-5.0, -5.0], dtype=np.float64)
+        ones = np.full(2, -1.0, dtype=np.float32)
+        starts = np.array([True, False])
+        entry = np.array([-6.0, LOG_ZERO])  # == stay at state 0
+        delta, took_fwd, took_entry = chain_update(
+            prev, ones, ones, np.zeros(2), entry, starts
+        )
+        assert not took_fwd.any() and not took_entry.any()
+        np.testing.assert_array_equal(delta, [-6.0, -6.0])
+
+    def test_entry_wins_where_both_masks_are_set(self):
+        """Only a token below ``LOG_ZERO`` loses to the masked-out
+        forward arc of a chain start; the entry then beats both."""
+        prev = np.array([-np.inf, -3.0], dtype=np.float32)
+        ones = np.full(2, -1.0, dtype=np.float32)
+        starts = np.array([True, False])
+        entry = np.array([-2.0, LOG_ZERO], dtype=np.float32)
+        obs = np.zeros(2, dtype=np.float32)
+        delta, took_fwd, took_entry = chain_update(prev, ones, ones, obs, entry, starts)
+        assert took_fwd.tolist() == [True, False]
+        assert took_entry.tolist() == [True, False]
+        np.testing.assert_array_equal(delta, [-2.0, -4.0])
+        codes = ViterbiUnit().update_chain(
+            prev, ones, ones, obs, entry_scores=entry, chain_start=starts
+        ).backpointer
+        assert codes.tolist() == [BP_ENTRY, BP_SELF]
+
+    @pytest.mark.parametrize("with_entries", [True, False])
+    @pytest.mark.parametrize("shape", [(13,), (4, 13)])
+    def test_update_chain_publishes_codes_and_charges_as_before(
+        self, shape, with_entries
+    ):
+        prev, self_lp, fwd_lp, obs, entry, starts = self._bank(3, shape, np.float32)
+        delta, took_fwd, took_entry = _chain_scalar_oracle(
+            prev, self_lp, fwd_lp, obs, entry if with_entries else None, starts
+        )
+        unit = ViterbiUnit()
+        result = unit.update_chain(
+            prev, self_lp, fwd_lp, obs,
+            entry_scores=entry if with_entries else None, chain_start=starts,
+        )
+        codes = np.where(took_entry, BP_ENTRY, np.where(took_fwd, BP_FORWARD, BP_SELF))
+        np.testing.assert_array_equal(result.delta, delta)
+        np.testing.assert_array_equal(result.backpointer, codes)
+        assert result.backpointer.dtype == np.int8
+        # Every state a self arc, every non-start a forward arc (the
+        # entry offer takes that slot at a start when entries ride),
+        # plus one observation add per state.
+        rows, k = prev.size // shape[-1], shape[-1]
+        per_row = 2 * k if with_entries else 2 * k - int(starts.sum())
+        transitions = rows * per_row
+        assert result.transitions == transitions
+        assert result.cycles == unit.spec.cycles_for_transitions(transitions)
+        assert unit.activity() == {
+            "cycles_busy": float(result.cycles),
+            "add_ops": float(transitions + rows * k),
+            "compare_ops": float(transitions),
+            "transitions": float(transitions),
+            "columns": 1.0,
+        }
 
 
 def _random_token_bank(rng, num_rows, num_states):
