@@ -9,21 +9,22 @@ transition occupies one "Add & Compare" slot of 2 cycles (Figure 3).
 Per Section III-B the unit handles 3-, 5- and 7-state HMM topologies,
 so different acoustic models can be decoded.
 
-The left-to-right chain recurrence of the flat decoder — the
-``max(stay, forward, entry) + b_j(O_t)`` competition and its dead-token
-rule — is written ONCE, as :func:`chain_update`: any float dtype, one
-``(S,)`` chain bank or ``(B, S)`` stacked lanes, its decisions returned
-as masks.  :class:`repro.runtime.batch.LaneBank` calls it in its own
-dtype and, in hardware mode, charges the unit beside it
-(:meth:`ViterbiUnit.charge_chain`); :meth:`ViterbiUnit.update_chain` is
-validation + that function at float32 (``BP_*`` codes) + the charge.  Besides:
-
-* :meth:`ViterbiUnit.step_column` — dense, bit-faithful: an arbitrary
-  transition matrix column is swept transition by transition, each add
-  and compare performed in float32 through the shared
-  :class:`~repro.core.fpu.FloatUnit`.
-* :meth:`ViterbiUnit.update_tokens` / ``update_tokens_active`` — any
-  in-degree-1 topology (the lexical tree), dense / at live registers.
+The token competition of both lexicon networks — the
+``max(stay, forward, entry) + b_j(O_t)`` compare and its dead-token
+rule — is written ONCE, behind two ways of reaching a state's one
+predecessor: :func:`chain_update` SHIFTS (the flat network's
+left-to-right chains, any float dtype, ``(S,)`` or ``(B, S)`` stacked
+lanes) and :func:`tree_update` GATHERS at a list of slots (any
+in-degree-1 topology: the lexicon tree's active list).  Both return the
+compare's decisions as masks.  The lane banks of :mod:`repro.runtime`
+call them and, in hardware mode, charge the unit beside them through
+the one charge point, :meth:`ViterbiUnit.charge_chain`;
+:meth:`ViterbiUnit.update_chain` is validation + :func:`chain_update`
+at float32 (``BP_*`` codes) + the charge.  Besides,
+:meth:`ViterbiUnit.step_column` is dense and bit-faithful: an arbitrary
+transition matrix column is swept transition by transition, each add
+and compare performed in float32 through the shared
+:class:`~repro.core.fpu.FloatUnit`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "ViterbiUnit",
     "ChainUpdateResult",
     "chain_update",
+    "tree_update",
     "LOG_ZERO",
 ]
 
@@ -119,14 +121,61 @@ def chain_update(
         enter.fill(LOG_ZERO)
         if entry_scores is not None:
             np.copyto(enter, entry_scores, where=is_start)
-    took_fwd, took_entry = scratch["took_fwd"], scratch["took_entry"]
-    np.greater(from_prev, best, out=took_fwd)
+    return _compete(
+        best, from_prev, enter, obs,
+        out, scratch["took_fwd"], scratch["took_entry"], scratch["dead"],
+    )
+
+
+def tree_update(
+    delta: np.ndarray,
+    slots: np.ndarray,
+    pred_slots: np.ndarray,
+    self_logp: np.ndarray,
+    pred_logp: np.ndarray,
+    obs: np.ndarray,
+    entry_scores: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame of the in-degree-1 token recurrence at a list of slots.
+
+    :func:`chain_update` for a topology where a state's predecessor is
+    any other state (a lexicon tree node's first state descends from
+    its parent node's last): the predecessor is GATHERED, not shifted.
+    ``delta`` is the whole flat token bank (only read) and ``slots``
+    the ``(n,)`` indices to evaluate; the other arrays are ``(n,)``,
+    aligned with ``slots``: ``pred_slots`` each slot's predecessor
+    (-1 for none), ``pred_logp`` that arc, ``self_logp`` the self
+    loop, ``obs`` the senone score, ``entry_scores`` the entry offer
+    (``LOG_ZERO`` for none).
+
+    Returns ``(new_delta, took_fwd, took_entry)`` for the listed slots,
+    from :func:`chain_update`'s compare and dead rule.  An unlisted slot
+    that is dead, with a dead predecessor and no entry offer, would stay
+    dead with neither mask set, so a caller need not list it.
+    """
+    best = delta[slots] + self_logp  # stay
+    from_pred = delta[pred_slots] + pred_logp
+    from_pred[pred_slots < 0] = LOG_ZERO  # no predecessor: -1 read the last slot
+    return _compete(best, from_pred, entry_scores, obs)
+
+
+def _compete(
+    best, from_prev, enter, obs, out=None, took_fwd=None, took_entry=None, dead=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stay -> forward -> entry compare and the ONE dead rule of
+    both updates (semantics: :func:`chain_update`).
+
+    ``best`` holds the stay scores and is clobbered.  Outputs left
+    ``None`` are allocated; ``out`` may alias the bank ``best`` was
+    read from.
+    """
+    took_fwd = np.greater(from_prev, best, out=took_fwd)
     np.copyto(best, from_prev, where=took_fwd)
-    np.greater(enter, best, out=took_entry)
+    took_entry = np.greater(enter, best, out=took_entry)
     np.copyto(best, enter, where=took_entry)
-    np.add(best, obs, out=out)
-    # The ONE dead rule: no arc offered a path, or the state was not scored.
-    dead = np.less_equal(np.minimum(best, obs, out=best), LOG_DEAD, out=scratch["dead"])
+    out = np.add(best, obs, out=out)
+    # No arc offered a path, or the state was not scored.
+    dead = np.less_equal(np.minimum(best, obs, out=best), LOG_DEAD, out=dead)
     np.copyto(out, LOG_ZERO, where=dead)
     return out, took_fwd, took_entry
 
@@ -277,19 +326,22 @@ class ViterbiUnit:
         return new_delta, backptr, cycles
 
     # ------------------------------------------------------------------
-    # Left-to-right chain update (the flat decoder's recurrence)
+    # Token updates of the lexicon networks
     # ------------------------------------------------------------------
     def charge_chain(
         self, chain_start: np.ndarray, rows: int = 1, entries: bool = True
     ) -> tuple[int, int]:
-        """Charge one :func:`chain_update` sweep; ``(cycles, transitions)``.
+        """Charge one token-update sweep; ``(cycles, transitions)``.
 
-        The ONE place a chain update costs anything.  Every state
-        consumes a self arc and, unless it starts a chain, a forward
-        arc; an entry offer is one more compare per start; each state
-        then adds its observation score.  ``rows`` stacked banks stream
-        through the add&compare array as one column (a dead or idle
-        row occupies its slots like a live one).
+        The ONE place a :func:`chain_update` or :func:`tree_update`
+        costs anything.  Every state consumes a self arc and, unless it
+        starts a chain, a forward arc; an entry offer is one more
+        compare per start; each state then adds its observation score.
+        A lexicon tree is charged as chains whose starts are its roots
+        (the states with no predecessor).  ``rows`` stacked banks
+        stream through the add&compare array as one column (a dead or
+        idle register occupies its slots like a live one, so an update
+        evaluated at an active list is charged for the whole bank).
         """
         k = chain_start.shape[0]
         per_row = 2 * k if entries else 2 * k - int(np.count_nonzero(chain_start))
@@ -358,167 +410,3 @@ class ViterbiUnit:
         rows = len(prev) if prev.ndim == 2 else 1
         cost = self.charge_chain(starts, rows=rows, entries=entry is not None)
         return ChainUpdateResult(delta, backptr, *cost)
-
-    # ------------------------------------------------------------------
-    # Active-list token update (the tree lane bank path)
-    # ------------------------------------------------------------------
-    def update_tokens_active(
-        self,
-        prev_delta: np.ndarray,
-        slots: np.ndarray,
-        pred_slots: np.ndarray,
-        self_logp: np.ndarray,
-        pred_logp: np.ndarray,
-        obs_logprobs: np.ndarray,
-        entry_scores: np.ndarray,
-        bank_transitions: int,
-    ) -> ChainUpdateResult:
-        """:meth:`update_tokens` evaluated at a list of live registers.
-
-        ``prev_delta`` is the whole token bank (the tree lane bank
-        stacks ``(B, S)`` utterance rows; it is only read) and
-        ``slots`` the ``(n,)`` flat indices of the registers that can
-        hold a live token after this frame: alive now, predecessor
-        alive, or offered an entry.  The other arrays are ``(n,)``,
-        aligned with ``slots``: ``pred_slots`` the flat index of each
-        register's predecessor (-1 for none), ``pred_logp`` that arc,
-        ``self_logp`` the self-loop, ``obs_logprobs`` the senone score,
-        ``entry_scores`` the entry offer (``LOG_ZERO`` for none).
-
-        The stay/forward/entry competition is the float32 sequence of
-        :meth:`update_tokens`, so the returned ``(n,)`` ``delta`` and
-        ``backpointer`` are bit-identical to that method's at
-        ``slots``; at any other register it would leave a dead token
-        dead with ``BP_SELF``, so the caller leaves those alone.
-
-        The unit itself still streams the whole bank — a dead register
-        occupies the same add&compare slots as a live one — so cycles
-        and operation counts are charged for ``bank_transitions``, the
-        count :meth:`update_tokens` reports for the full bank
-        (registers + predecessor arcs + entry offers), not for ``n``.
-        """
-        prev = np.asarray(prev_delta, dtype=np.float32).reshape(-1)
-        n = slots.shape[0]
-        self_lp = np.asarray(self_logp, dtype=np.float32)
-        pred_lp = np.asarray(pred_logp, dtype=np.float32)
-        obs = np.asarray(obs_logprobs, dtype=np.float32)
-        entry = np.asarray(entry_scores, dtype=np.float32)
-        for name, arr in (
-            ("pred_slots", pred_slots),
-            ("self_logp", self_lp),
-            ("pred_logp", pred_lp),
-            ("obs_logprobs", obs),
-            ("entry_scores", entry),
-        ):
-            if arr.shape != (n,):
-                raise ValueError(f"{name} shape {arr.shape} != ({n},)")
-        if bank_transitions < prev.shape[0]:
-            raise ValueError(
-                f"bank_transitions {bank_transitions} < bank size {prev.shape[0]}"
-            )
-        best = prev[slots] + self_lp  # stay
-        no_pred = pred_slots < 0
-        from_pred = prev[np.where(no_pred, 0, pred_slots)] + pred_lp
-        from_pred[no_pred] = LOG_ZERO
-        backptr = np.full(n, BP_SELF, dtype=np.int8)
-        better = from_pred > best
-        np.copyto(best, from_pred, where=better)
-        backptr[better] = BP_FORWARD
-        better = entry > best
-        np.copyto(best, entry, where=better)
-        backptr[better] = BP_ENTRY
-        new_delta = best + obs
-        new_delta[best <= np.float32(LOG_ZERO)] = LOG_ZERO
-        self.fpu.counts.add += bank_transitions + prev.shape[0]
-        self.fpu.counts.compare += bank_transitions
-        cycles = self.spec.cycles_for_transitions(bank_transitions)
-        self._cycles_busy += cycles
-        self._transitions += bank_transitions
-        self._columns += 1
-        return ChainUpdateResult(
-            delta=new_delta,
-            backpointer=backptr,
-            cycles=cycles,
-            transitions=bank_transitions,
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorised general token update (tree-structured lexica)
-    # ------------------------------------------------------------------
-    def update_tokens(
-        self,
-        prev_delta: np.ndarray,
-        self_logp: np.ndarray,
-        pred_state: np.ndarray,
-        pred_logp: np.ndarray,
-        obs_logprobs: np.ndarray,
-        entry_scores: np.ndarray | None = None,
-        entry_mask: np.ndarray | None = None,
-    ) -> ChainUpdateResult:
-        """Token update where each state has one explicit predecessor.
-
-        Generalises :func:`chain_update` from contiguous chains to any
-        in-degree-1 topology (e.g. a lexicon prefix tree, where a
-        node's first state descends from its *parent node's* last
-        state).  ``pred_state[s]`` is the predecessor state index (-1
-        for none); ``pred_logp[s]`` the log-probability of that arc
-        *into* ``s``.  ``entry_mask`` marks states that may also accept
-        ``entry_scores`` (tree roots).
-        """
-        prev = np.asarray(prev_delta, dtype=np.float32)
-        k = prev.shape[0]
-        self_lp = np.asarray(self_logp, dtype=np.float32)
-        preds = np.asarray(pred_state, dtype=np.int64)
-        pred_lp = np.asarray(pred_logp, dtype=np.float32)
-        obs = np.asarray(obs_logprobs, dtype=np.float32)
-        for name, arr in (
-            ("self_logp", self_lp),
-            ("pred_state", preds),
-            ("pred_logp", pred_lp),
-            ("obs", obs),
-        ):
-            if arr.shape != (k,):
-                raise ValueError(f"{name} shape {arr.shape} != ({k},)")
-        if preds.max(initial=-1) >= k:
-            raise ValueError("pred_state index out of range")
-        stay = prev + self_lp
-        has_pred = preds >= 0
-        safe = np.where(has_pred, preds, 0)
-        from_pred = np.where(
-            has_pred, prev[safe] + pred_lp, np.float32(LOG_ZERO)
-        ).astype(np.float32)
-        if entry_mask is None:
-            mask = np.zeros(k, dtype=bool)
-        else:
-            mask = np.asarray(entry_mask, dtype=bool)
-            if mask.shape != (k,):
-                raise ValueError(f"entry_mask shape {mask.shape} != ({k},)")
-        if entry_scores is not None:
-            entry = np.asarray(entry_scores, dtype=np.float32)
-            if entry.shape != (k,):
-                raise ValueError(f"entry_scores shape {entry.shape} != ({k},)")
-            enter = np.where(mask, entry, np.float32(LOG_ZERO))
-        else:
-            enter = np.full(k, LOG_ZERO, dtype=np.float32)
-        best = stay
-        backptr = np.full(k, BP_SELF, dtype=np.int8)
-        better = from_pred > best
-        best = np.where(better, from_pred, best)
-        backptr[better] = BP_FORWARD
-        better = enter > best
-        best = np.where(better, enter, best)
-        backptr[better] = BP_ENTRY
-        new_delta = (best + obs).astype(np.float32)
-        new_delta[best <= np.float32(LOG_ZERO)] = LOG_ZERO
-        transitions = int(k + np.count_nonzero(has_pred))
-        if entry_scores is not None:
-            transitions += int(np.count_nonzero(mask))
-        self.fpu.counts.add += transitions + k
-        self.fpu.counts.compare += transitions
-        cycles = self.spec.cycles_for_transitions(transitions)
-        self._cycles_busy += cycles
-        self._transitions += transitions
-        self._columns += 1
-        return ChainUpdateResult(
-            delta=new_delta, backpointer=backptr, cycles=cycles, transitions=transitions
-        )

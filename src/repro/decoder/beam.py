@@ -10,6 +10,7 @@ own (tighter) beam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,11 @@ class BeamConfig:
     max_active_states: int = 0  # 0 disables the histogram prune
 
     def __post_init__(self) -> None:
-        if self.state_beam <= 0:
-            raise ValueError(f"state_beam must be positive, got {self.state_beam}")
-        if self.word_beam <= 0:
-            raise ValueError(f"word_beam must be positive, got {self.word_beam}")
+        # A NaN beam compares False everywhere and prunes every token.
+        for name in ("state_beam", "word_beam"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_active_states < 0:
             raise ValueError(
                 f"max_active_states must be >= 0, got {self.max_active_states}"

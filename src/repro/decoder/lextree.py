@@ -15,9 +15,10 @@ context).  This keeps the acoustic scores identical to the flat
 network's — the tree is a pure search-space reorganisation.
 
 :class:`TreeLexiconNetwork` compiles the dictionary into dense arrays
-(one predecessor per state, so the Viterbi unit's
-:meth:`~repro.core.viterbi_unit.ViterbiUnit.update_tokens` fast path
-applies); :class:`repro.runtime.lextree.TreeLaneBank` runs token
+(one predecessor per state, which
+:func:`~repro.core.viterbi_unit.tree_update` gathers — the flat
+network's compare and dead rule, not a copy of them);
+:class:`repro.runtime.lextree.TreeLaneBank` runs token
 passing over it (one lane under ``Recognizer.decode``, B lanes in the
 batched runtimes) with the per-lane kernels below, producing the same
 :class:`~repro.decoder.lattice.WordLattice` the global best path

@@ -35,6 +35,7 @@ and the global best path search reduces to an exact traceback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,10 @@ class DecoderConfig:
             raise TypeError(
                 f"beam must be a BeamConfig, got {type(self.beam).__name__}"
             )
+        # A NaN weight poisons every path score it touches.
+        for name in ("lm_scale", "word_insertion_penalty", "silence_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lm_scale <= 0:
             raise ValueError(f"lm_scale must be positive, got {self.lm_scale}")
         if self.max_exits_per_frame < 1:

@@ -141,6 +141,16 @@ class LaneBankBase:
         """Keep only ``keep``'s rows of the stacked search state."""
         raise NotImplementedError
 
+    def _bind_record(self, record: np.ndarray) -> None:
+        """What a token carries besides its score is ONE ``(2, B, S)``
+        record: ``payload`` (the lattice exit its word was entered
+        from) and ``entry_frame`` are its two row views.  Rebind after
+        replacing it; a compacted record comes from ``take(keep,
+        axis=1)``, which stays C-contiguous (``record[:, keep]`` does
+        not)."""
+        self._record = record
+        self.payload, self.entry_frame = record
+
     def _advance(
         self,
         obs_block: np.ndarray,
@@ -508,12 +518,6 @@ class LaneBank(LaneBankBase):
         )
         self._fwd_end = net.fwd_logp[net.end_state]
         self._has_left = ~net.is_start[1:]  # state s+1 continues s's chain
-
-    def _bind_record(self, record: np.ndarray) -> None:
-        """``payload`` (the lattice exit a token's word was entered
-        from) and ``entry_frame`` are the two rows of ``record``."""
-        self._record = record
-        self.payload, self.entry_frame = record
 
     def _alloc_scratch(self) -> None:
         # Frame scratch (allocated once per bank width, reused every step).

@@ -16,11 +16,14 @@ The beam leaves a few percent of the ``(lane, state)`` slots alive, so
 a step never sweeps the bank.  It expands the ascending list of live
 slots into the candidate list (alive, children of alive through a
 static child CSR, roots of lanes holding a pending entry), runs
-:meth:`~repro.core.viterbi_unit.ViterbiUnit.update_tokens_active` and
+:func:`~repro.core.viterbi_unit.tree_update` (the flat bank's compare
+and dead rule, with the predecessor gathered instead of shifted) and
 the list-form row beam (:func:`~repro.decoder.beam.apply_beam_rows`)
 on the values gathered for just those slots, and scatters the result
 back into the dense state IN PLACE; the survivors are the next step's
-live list.  Per-step cost follows the candidates, not ``B x K``.
+live list.  Per-step cost follows the candidates, not ``B x K``.  In
+hardware mode the recognizer's Viterbi unit is charged beside it, for
+the whole bank (the unit streams every register).
 
 Parity contract
 ---------------
@@ -29,15 +32,11 @@ features (``Recognizer.decode``) and to the committed
 ``tests/golden/dictation_*.json``, for any batch composition,
 admission step or refill order:
 
-* token arithmetic ALWAYS runs through a
-  :class:`~repro.core.viterbi_unit.ViterbiUnit` in float32 (unlike the
-  flat bank, which is float64 without a unit), so the stacked token
-  bank here is float32 in every mode;
+* token arithmetic is float32 in EVERY mode (the fixtures pin it;
+  the flat bank is float64 outside hardware mode);
 * a slot outside the candidate list is dead with a dead predecessor
-  and no entry offer: a dense update
-  (:meth:`~repro.core.viterbi_unit.ViterbiUnit.update_tokens`) leaves
-  it at ``LOG_ZERO`` with its payload untouched, which is what not
-  visiting it does;
+  and no entry offer: the update would leave it at ``LOG_ZERO`` with
+  its token record untouched, which is what not visiting it does;
 * every per-slot operation is elementwise and every gather stays
   inside the slot's own row (predecessor and child indices are offset
   by the lane), so no lane's arithmetic can observe another lane;
@@ -69,7 +68,7 @@ import time
 import numpy as np
 
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
-from repro.core.viterbi_unit import BP_ENTRY, BP_FORWARD, ViterbiUnit
+from repro.core.viterbi_unit import tree_update
 from repro.decoder.beam import apply_beam_rows
 from repro.decoder.lextree import prime_tree_entry, record_tree_exits
 from repro.runtime.batch import LaneBankBase
@@ -106,12 +105,10 @@ class TreeLaneBank(LaneBankBase):
         shape = (num_lanes, net.num_states)
         # Stacked token state: one row per lane, updated IN PLACE at
         # the candidate slots of each step.  Token arithmetic is float32
-        # in EVERY mode (the token unit below is unconditional; the
-        # fixtures pin it).  Payload values are lattice indices and
-        # frame numbers, far inside int32 range.
+        # in EVERY mode (the fixtures pin it).  The token record holds
+        # lattice indices and frame numbers, far inside int32 range.
         self.delta = np.full(shape, LOG_ZERO, dtype=np.float32)
-        self.entry_frame = np.full(shape, -1, dtype=np.int32)
-        self.payload = np.full(shape, -1, dtype=np.int32)
+        self._bind_record(np.full((2,) + shape, -1, dtype=np.int32))
         # Root re-entry is one scalar per lane (all roots receive the
         # best LM'd exit), unlike the flat bank's per-word rows.
         self.pending_entry = np.full(num_lanes, LOG_ZERO)
@@ -125,17 +122,6 @@ class TreeLaneBank(LaneBankBase):
         self._child_ptr, self._child_idx = _child_csr(net.pred_state)
         self._child_count = np.diff(self._child_ptr)
         self._is_leaf = net.leaf_word >= 0
-        # What ``update_tokens`` charges for ONE lane's row: a stay per
-        # state, a forward arc per non-root state, an entry per root.
-        self._row_transitions = int(
-            net.num_states
-            + np.count_nonzero(net.pred_state >= 0)
-            + self._roots.size
-        )
-        # Outside hardware mode the bank makes its own unit; in
-        # hardware mode sharing the recognizer's keeps cycle
-        # accounting in one place.
-        self._token_unit = self.viterbi_unit or ViterbiUnit()
 
     def _alloc_scratch(self) -> None:
         super()._alloc_scratch()
@@ -152,8 +138,7 @@ class TreeLaneBank(LaneBankBase):
 
     def _reset_lane_state(self, lane: int) -> None:
         self._kill_lane(lane)
-        self.entry_frame[lane] = -1
-        self.payload[lane] = -1
+        self._record[:, lane] = -1
         self.pending_entry[lane], self.pending_src[lane] = prime_tree_entry(
             self.cfg
         )
@@ -165,8 +150,7 @@ class TreeLaneBank(LaneBankBase):
 
     def _compact_state(self, keep: np.ndarray) -> None:
         self.delta = self.delta[keep]
-        self.entry_frame = self.entry_frame[keep]
-        self.payload = self.payload[keep]
+        self._bind_record(self._record.take(keep, axis=1))
         self.pending_entry = self.pending_entry[keep]
         self.pending_src = self.pending_src[keep]
         # Only occupied lanes are kept and only those hold live slots;
@@ -212,8 +196,7 @@ class TreeLaneBank(LaneBankBase):
         active = self.active
         # Flat views of the in-place state, indexed by slot.
         delta = self.delta.reshape(-1)
-        payload = self.payload.reshape(-1)
-        entry_frame = self.entry_frame.reshape(-1)
+        record = self._record.reshape(2, -1)
 
         # Stage clocks: same boundaries as the flat bank's, so a
         # tree-lexicon trace reads identically.
@@ -245,34 +228,27 @@ class TreeLaneBank(LaneBankBase):
         t1 = time.perf_counter()
         self.stage_scoring_s += t1 - t0
 
-        # 4. One token update advances every lane's candidates.
+        # 4. One token update advances every lane's candidates; the
+        #    Viterbi unit, if modelled, is charged for the whole bank.
         pred_s = net.pred_state[cand_s]
         pred_slots = np.where(pred_s >= 0, slots - cand_s + pred_s, -1)
-        result = self._token_unit.update_tokens_active(
-            delta,
-            slots,
-            pred_slots,
-            net.self_logp[cand_s],
-            net.pred_logp[cand_s],
-            obs,
-            entry,
-            self.num_lanes * self._row_transitions,
+        new_delta, took_fwd, took_entry = tree_update(
+            delta, slots, pred_slots,
+            net.self_logp[cand_s], net.pred_logp[cand_s], obs, entry,
         )
-        new_delta, backptr = result.delta, result.backpointer
+        if self.viterbi_unit is not None:
+            self.viterbi_unit.charge_chain(net.is_root_start, rows=self.num_lanes)
 
-        # 5. Token payload propagation along the winning arcs.  A
-        #    BP_SELF slot keeps its payload, so only forward moves and
-        #    entries write; the moved values are gathered before any
-        #    write, so a chain of forward moves reads last frame's.
-        forward = np.flatnonzero(backptr == BP_FORWARD)
-        entered = np.flatnonzero(backptr == BP_ENTRY)
-        source, target = pred_slots[forward], slots[forward]
-        moved_payload, moved_frame = payload[source], entry_frame[source]
-        payload[target] = moved_payload
-        entry_frame[target] = moved_frame
-        target = slots[entered]
-        payload[target] = self.pending_src[cand_b[entered]]
-        entry_frame[target] = self.lane_t[cand_b[entered]]
+        # 5. The token record follows the winning arc: a stay keeps it,
+        #    a forward move copies the predecessor's (gathered before
+        #    the write, so a chain of moves reads last frame's), an
+        #    entry (which beats a forward move) starts from the lattice
+        #    exit behind the offer, stamped with the lane's OWN frame.
+        moved = np.flatnonzero(took_fwd & ~took_entry)
+        record[:, slots[moved]] = record[:, pred_slots[moved]]
+        entered = np.flatnonzero(took_entry)
+        lane = cand_b[entered]
+        record[:, slots[entered]] = self.pending_src[lane], self.lane_t[lane]
         t2 = time.perf_counter()
         self.stage_update_s += t2 - t1
 

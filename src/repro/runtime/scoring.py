@@ -222,6 +222,11 @@ class BatchHardwareScorer(_StatelessLaneMixin):
 
 #: Frames of ONE lane scored ahead in one whole-table product.
 BLOCK_FRAMES = 32
+#: Fewest work items a step must hold for the products to serve it.
+MIN_PAIRS = 32
+#: Least share of its ``rows x union`` grid a step's items must cover
+#: for the union block to serve it.
+MIN_DENSITY = 0.25
 
 
 def _frozen(array) -> bool:
@@ -260,12 +265,13 @@ class BatchBlasScorer:
       whole tables — two products, one in-place constant add, one fold,
       no index array built, gathered or scattered — scored AHEAD per
       lane where the lane's audio is known (below);
-    * **union block** — other demand covering at least ``min_density``
-      of its ``rows x union`` grid: the products run on the demanded
-      senones' gathered row blocks (a paper-scale pool never streams
-      parameters nobody asked for) and the items are read out of it;
-    * **gathered** — steps below ``min_pairs`` items or ``min_density``
-      coverage run the exact per-pair kernel
+    * **union block** — other demand covering at least
+      :data:`MIN_DENSITY` of its ``rows x union`` grid: the products
+      run on the demanded senones' gathered row blocks (a paper-scale
+      pool never streams parameters nobody asked for) and the items
+      are read out of it;
+    * **gathered** — steps below :data:`MIN_PAIRS` items or
+      :data:`MIN_DENSITY` coverage run the exact per-pair kernel
       (:meth:`~repro.hmm.senone.SenonePool.score_pairs`).
 
     ``dense_steps`` counts the steps the first two served,
@@ -319,21 +325,9 @@ class BatchBlasScorer:
 
     exact = False
 
-    def __init__(
-        self,
-        pool: SenonePool,
-        min_pairs: int = 32,
-        min_density: float = 0.25,
-        precision: str = "float64",
-    ) -> None:
-        if min_pairs < 0:
-            raise ValueError(f"min_pairs must be >= 0, got {min_pairs}")
-        if not 0.0 <= min_density <= 1.0:
-            raise ValueError(f"min_density must be in [0, 1], got {min_density}")
+    def __init__(self, pool: SenonePool, precision: str = "float64") -> None:
         self.pool = pool
         self.num_senones = pool.num_senones
-        self.min_pairs = min_pairs
-        self.min_density = min_density
         self.precision = precision
         self._every_senone = np.arange(pool.num_senones)
         # A block's (frames, N, M) intermediate stays inside the pool's
@@ -458,7 +452,7 @@ class BatchBlasScorer:
             return self._score_grid(obs, rows)
         obs, pair_b, pair_s = pool.check_pairs(observations, pair_rows, pair_senones)
         compact = None
-        if pair_s.size >= self.min_pairs:
+        if pair_s.size >= MIN_PAIRS:
             rows = self._full_grid_rows(pair_b, pair_s)
             if rows is not None:
                 if _frozen(pair_rows) and _frozen(pair_senones):
@@ -471,7 +465,7 @@ class BatchBlasScorer:
             sen_mask = np.zeros(self.num_senones, dtype=bool)
             sen_mask[pair_s] = True
             union = np.flatnonzero(sen_mask)
-            if pair_s.size >= self.min_density * rows.size * union.size:
+            if pair_s.size >= MIN_DENSITY * rows.size * union.size:
                 # A demanded row / senone's position in the block.
                 row_pos, col_pos = np.cumsum(row_mask) - 1, np.cumsum(sen_mask) - 1
                 compact = pool.score_block_blas(

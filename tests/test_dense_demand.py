@@ -17,7 +17,7 @@ from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL, FLOAT32_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
 from repro.hmm.senone import SenonePool, _fold_components
-from repro.runtime.scoring import BatchBlasScorer
+from repro.runtime.scoring import MIN_PAIRS, BatchBlasScorer
 
 BLOCK_ROWS = 8
 
@@ -104,29 +104,37 @@ class TestFullGridScorer:
                 )
 
 
+#: Items per row of a two-row demand, keyed by the kernel it would
+#: reach: 0 = the products (MIN_PAIRS items), 10**6 = the gathered one
+#: (fewer).  The keys are the ids these cases have always run under.
+PER_ROW = {0: MIN_PAIRS // 2, 10**6: MIN_PAIRS // 4}
+
+
 class TestEveryKernelRefusesTheSameInput:
     """A negative row used to wrap onto ANOTHER lane's frame under the
     dense kernel while the gathered kernel raised."""
 
-    @pytest.mark.parametrize("min_pairs", [0, 10**6])  # dense / gathered
+    @pytest.mark.parametrize("kernel", PER_ROW)
     def test_negative_row_raises_whichever_kernel_serves(
-        self, small_pool, rng, min_pairs
+        self, small_pool, rng, kernel
     ):
-        scorer = BatchBlasScorer(small_pool, min_pairs=min_pairs)
+        scorer = BatchBlasScorer(small_pool)
         obs = rng.normal(0.0, 1.0, size=(3, small_pool.dim))
-        rows = np.array([0] * 16 + [-1] * 16)
-        senones = np.tile(np.arange(16), 2)
+        per_row = PER_ROW[kernel]
+        rows = np.repeat([0, -1], per_row)
+        senones = np.tile(np.arange(per_row), 2)
         with pytest.raises(IndexError, match="pair feature row out of range"):
             scorer.score_pairs(obs, rows, senones)
         assert scorer.dense_steps == 0 and scorer.fallback_steps == 0
 
-    @pytest.mark.parametrize("min_pairs", [0, 10**6])
+    @pytest.mark.parametrize("kernel", PER_ROW)
     @pytest.mark.parametrize("bad", [-1, 24])
-    def test_senone_out_of_range_raises(self, small_pool, rng, min_pairs, bad):
-        scorer = BatchBlasScorer(small_pool, min_pairs=min_pairs)
+    def test_senone_out_of_range_raises(self, small_pool, rng, kernel, bad):
+        scorer = BatchBlasScorer(small_pool)
         obs = rng.normal(0.0, 1.0, size=(2, small_pool.dim))
-        rows = np.repeat([0, 1], 12)
-        senones = np.tile(np.arange(12), 2)
+        per_row = PER_ROW[kernel]
+        rows = np.repeat([0, 1], per_row)
+        senones = np.tile(np.arange(per_row), 2)
         senones[5] = bad
         with pytest.raises(IndexError, match="pair senone index out of range"):
             scorer.score_pairs(obs, rows, senones)

@@ -21,7 +21,12 @@ import pytest
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL, FLOAT32_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
-from repro.runtime.scoring import BatchBlasScorer, BatchReferenceScorer
+from repro.runtime.scoring import (
+    MIN_DENSITY,
+    MIN_PAIRS,
+    BatchBlasScorer,
+    BatchReferenceScorer,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +144,9 @@ class TestSparseDemandFallback:
         return obs, np.array(pair_rows), np.array(pair_senones)
 
     def test_sparse_demand_falls_back_to_gathered_kernel(self, small_pool, rng):
-        scorer = BatchBlasScorer(small_pool, min_pairs=32)
+        scorer = BatchBlasScorer(small_pool)
         obs, pair_rows, pair_senones = self._demand(small_pool, rng, 2, 3)
+        assert pair_senones.size < MIN_PAIRS
         compact = scorer.score_pairs(obs, pair_rows, pair_senones)
         assert scorer.fallback_steps == 1 and scorer.dense_steps == 0
         # The fallback IS the reference kernel — bit-identical.
@@ -149,14 +155,21 @@ class TestSparseDemandFallback:
         )
 
     def test_low_density_falls_back(self, small_pool, rng):
-        # Plenty of pairs, but spread thin over the rows x union grid.
-        scorer = BatchBlasScorer(small_pool, min_pairs=0, min_density=0.9)
-        obs, pair_rows, pair_senones = self._demand(small_pool, rng, 8, 6)
+        # Plenty of pairs, but spread thin over the rows x union grid:
+        # two senones a row, every third pair of senones, 16 of 24 in all.
+        scorer = BatchBlasScorer(small_pool)
+        rows = 16
+        obs = rng.normal(0.0, 1.0, size=(rows, small_pool.dim))
+        pair_rows = np.repeat(np.arange(rows), 2)
+        pair_senones = (3 * pair_rows + np.tile([0, 1], rows)) % small_pool.num_senones
+        union = np.unique(pair_senones).size
+        assert pair_senones.size >= MIN_PAIRS
+        assert pair_senones.size < MIN_DENSITY * rows * union
         scorer.score_pairs(obs, pair_rows, pair_senones)
         assert scorer.fallback_steps == 1 and scorer.dense_steps == 0
 
     def test_dense_demand_takes_matmul_kernel(self, small_pool, rng):
-        scorer = BatchBlasScorer(small_pool, min_pairs=8, min_density=0.25)
+        scorer = BatchBlasScorer(small_pool)
         obs, pair_rows, pair_senones = self._demand(
             small_pool, rng, 4, small_pool.num_senones
         )
@@ -168,12 +181,12 @@ class TestSparseDemandFallback:
     def test_large_pool_gathers_subset_instead_of_full_table(
         self, small_pool, rng, spy_block_unions
     ):
-        """One lane demanding every senone is the full grid: the whole
+        """Lanes demanding every senone are the full grid: the whole
         tables go through the products, no union is gathered."""
-        scorer = BatchBlasScorer(small_pool, min_pairs=0)
+        scorer = BatchBlasScorer(small_pool)
         unions = spy_block_unions(small_pool)
         obs, pair_rows, pair_senones = self._demand(
-            small_pool, rng, 1, small_pool.num_senones
+            small_pool, rng, 2, small_pool.num_senones
         )
         out = scorer.score_pairs(obs, pair_rows, pair_senones)
         assert unions == [None]
@@ -182,13 +195,14 @@ class TestSparseDemandFallback:
         np.testing.assert_allclose(out, reference, atol=BLAS_SCORE_ATOL)
 
     def test_sequential_threshold_falls_back(self, small_pool, rng):
-        """One lane below ``min_pairs`` scores through the gathered
+        """One lane below ``MIN_PAIRS`` scores through the gathered
         kernel — bit-identical to the reference backend."""
-        blas = BatchBlasScorer(small_pool, min_pairs=small_pool.num_senones + 1)
+        blas = BatchBlasScorer(small_pool)
         ref = BatchReferenceScorer(small_pool)
         obs, pair_rows, pair_senones = self._demand(
             small_pool, rng, 1, small_pool.num_senones // 2
         )
+        assert pair_senones.size < MIN_PAIRS
         out = blas.score_pairs(obs, pair_rows, pair_senones)
         assert blas.fallback_steps == 1 and blas.dense_steps == 0
         np.testing.assert_array_equal(
@@ -200,8 +214,9 @@ class TestSparseDemandFallback:
     ):
         """Partial dense demand gathers the demanded union's
         senone-major blocks, at every pool size."""
-        scorer = BatchBlasScorer(small_pool, min_pairs=0, min_density=0.0)
+        scorer = BatchBlasScorer(small_pool)
         unions = spy_block_unions(small_pool)
+        # 4 x 12 items: at least half of any rows x union grid.
         obs, pair_rows, pair_senones = self._demand(small_pool, rng, 4, 12)
         out = scorer.score_pairs(obs, pair_rows, pair_senones)
         assert len(unions) == 1

@@ -28,6 +28,7 @@ stepped, never WHAT it computes:
 import numpy as np
 import pytest
 
+from repro.core.viterbi_unit import ViterbiUnit
 from repro.decoder.beam import LOG_ZERO, BeamConfig
 from repro.decoder.fast_gmm import FastGmmConfig
 from repro.decoder.lextree import TreeLexiconNetwork
@@ -386,6 +387,28 @@ def _summed(activities):
     if activities[0] is None:
         return None
     return {key: sum(a[key] for a in activities) for key in activities[0]}
+
+
+def test_only_hardware_mode_holds_and_charges_a_viterbi_unit(task):
+    """Outside hardware mode the tree bank runs the token kernel with no
+    unit model at all; in hardware mode the recognizer's unit is charged
+    once per step for exactly the lanes stepped: a 1-lane stream is the
+    sum of its utterances' sequential decodes on all five keys, and a
+    ragged batch (compacted as its short lanes retire) on the per-arc
+    ones, in one column per step."""
+    bank = make_tree_recognizer(task, "reference").make_bank(2)
+    assert not any(isinstance(v, ViterbiUnit) for v in vars(bank).values())
+    rec = make_tree_recognizer(task, "hardware")
+    feats = [u.features[: 12 + 7 * i] for i, u in enumerate(task.corpus.test[:3])]
+    summed = _summed([rec.decode(f).viterbi_activity for f in feats])
+    assert set(summed) == {
+        "cycles_busy", "add_ops", "compare_ops", "transitions", "columns"
+    }
+    assert rec.decode_stream(feats, max_lanes=1).viterbi_activity == summed
+    batch = rec.decode_batch(feats)
+    for key in ("add_ops", "compare_ops", "transitions"):
+        assert batch.viterbi_activity[key] == summed[key]
+    assert batch.viterbi_activity["columns"] == batch.steps == len(feats[-1])
 
 
 class TestTreeBlasParity:

@@ -14,6 +14,7 @@ from repro.core.viterbi_unit import (
     ViterbiUnit,
     ViterbiUnitSpec,
     chain_update,
+    tree_update,
 )
 from repro.decoder.viterbi import viterbi_decode
 from repro.hmm.topology import HmmTopology
@@ -521,12 +522,17 @@ class TestChainUpdateAgainstScalarOracle:
 
 
 def _random_token_bank(rng, num_rows, num_states):
-    """An in-degree-1 forest shared by ``num_rows`` rows of tokens.
+    """An in-degree-1 forest shared by ``num_rows`` rows of tokens,
+    flattened row-major: ``(prev, pred_slots, self_lp, pred_lp, obs,
+    entry)``, one value per slot.
 
     Every state has at most one predecessor (any other state: the
-    labels are shuffled, so arcs run up and down the index order); a
-    row is all dead, sparsely alive or densely alive, and may or may
-    not be offered a root entry.
+    labels are shuffled, so arcs run up and down the index order; each
+    row's predecessor slots lie in its own row); a row is all dead,
+    sparsely alive or densely alive, and may or may not be offered a
+    root entry.  A few slots off the roots are offered one too (the
+    kernel does not know roots: that is where both masks get set), and
+    a fifth of the slots are unscored.
     """
     label = rng.permutation(num_states)
     pred = np.full(num_states, -1, dtype=np.int64)
@@ -535,7 +541,8 @@ def _random_token_bank(rng, num_rows, num_states):
             pred[label[k]] = label[rng.integers(k)]
     roots = pred < 0
     roots &= rng.random(num_states) < 0.7  # not every root takes entries
-    prev = np.full((num_rows, num_states), LOG_ZERO, dtype=np.float32)
+    shape = (num_rows, num_states)
+    prev = np.full(shape, LOG_ZERO, dtype=np.float32)
     entry = np.full(num_rows, LOG_ZERO, dtype=np.float32)
     for b in range(num_rows):
         density = rng.choice([0.0, 0.1, 0.6])
@@ -548,15 +555,42 @@ def _random_token_bank(rng, num_rows, num_states):
     prev = np.round(prev)
     self_lp = np.round(rng.normal(-1.0, 0.5, num_states)).astype(np.float32)
     pred_lp = np.round(rng.normal(-1.0, 0.5, num_states)).astype(np.float32)
-    for b, r in zip(*np.nonzero(roots & (prev > LOG_ZERO / 2))):
+    for b, r in zip(*np.nonzero(roots & (prev > LOG_DEAD))):
         if rng.random() < 0.3:
             entry[b] = prev[b, r] + self_lp[r]
-    obs = rng.normal(-30.0, 10.0, (num_rows, num_states)).astype(np.float32)
-    return pred, roots, prev, entry, self_lp, pred_lp, obs
+    offer = np.where(roots, entry[:, None], np.float32(LOG_ZERO))
+    stray = rng.random(shape) < 0.1
+    offer[stray] = np.round(rng.normal(-190.0, 60.0, int(stray.sum())))
+    obs = rng.normal(-30.0, 10.0, shape).astype(np.float32)
+    obs[rng.random(shape) < 0.2] = LOG_ZERO
+    every = np.arange(prev.size)
+    state = every % num_states
+    pred_slots = np.where(pred[state] >= 0, every - state + pred[state], -1)
+    return (
+        prev.reshape(-1), pred_slots, self_lp[state], pred_lp[state],
+        obs.reshape(-1), offer.reshape(-1),
+    )
+
+
+def _tree_scalar_oracle(delta, slots, pred_slots, self_lp, pred_lp, obs, entry):
+    """``tree_update`` one slot at a time: ``(delta, took_fwd, took_entry)``."""
+    zero = np.float32(LOG_ZERO)
+    new = np.empty(slots.shape, np.float32)
+    took_fwd, took_entry = np.zeros(slots.shape, bool), np.zeros(slots.shape, bool)
+    for i, slot in enumerate(slots):
+        best = delta[slot] + self_lp[i]
+        from_pred = delta[pred_slots[i]] + pred_lp[i] if pred_slots[i] >= 0 else zero
+        if from_pred > best:
+            took_fwd[i], best = True, from_pred
+        if entry[i] > best:
+            took_entry[i], best = True, entry[i]
+        dead = min(best, obs[i]) <= LOG_DEAD
+        new[i] = zero if dead else best + obs[i]
+    return new, took_fwd, took_entry
 
 
 class TestActiveTokenUpdate:
-    """``update_tokens_active`` vs the dense ``update_tokens``."""
+    """``tree_update`` at an active list vs a plain per-slot loop."""
 
     @given(
         st.integers(min_value=0, max_value=100_000),
@@ -568,85 +602,86 @@ class TestActiveTokenUpdate:
         self, seed, num_rows, num_states
     ):
         rng = np.random.default_rng(seed)
-        pred, roots, prev, entry, self_lp, pred_lp, obs = _random_token_bank(
+        prev, pred_slots, self_lp, pred_lp, obs, entry = _random_token_bank(
             rng, num_rows, num_states
         )
-        # The dense call: the bank flattened row-major into one forest,
-        # each row's predecessor indices offset into its own row.
-        offset = np.repeat(np.arange(num_rows) * num_states, num_states)
-        flat_pred = np.tile(pred, num_rows)
-        flat_pred = np.where(flat_pred >= 0, flat_pred + offset, -1)
-        flat_roots = np.tile(roots, num_rows)
-        dense_unit = ViterbiUnit()
-        dense = dense_unit.update_tokens(
-            prev.reshape(-1),
-            np.tile(self_lp, num_rows),
-            flat_pred,
-            np.tile(pred_lp, num_rows),
-            obs.reshape(-1),
-            entry_scores=np.repeat(entry, num_states),
-            entry_mask=flat_roots,
-        )
-        # The active list, by brute force: alive, child of alive, or a
-        # root of a row that is offered an entry.
-        alive = prev.reshape(-1) > LOG_ZERO / 2
-        listed = alive.copy()
-        listed |= (flat_pred >= 0) & alive[np.maximum(flat_pred, 0)]
-        listed |= flat_roots & np.repeat(entry > LOG_ZERO / 2, num_states)
+        # Every slot, one at a time: the dense answer.
+        every = np.arange(prev.size)
+        dense = _tree_scalar_oracle(prev, every, pred_slots, self_lp, pred_lp, obs, entry)
+        # The active list, by brute force: alive, child of alive, or
+        # offered an entry.
+        alive = prev > LOG_DEAD
+        listed = alive | ((pred_slots >= 0) & alive[pred_slots]) | (entry > LOG_DEAD)
         slots = np.flatnonzero(listed)
-        state = slots % num_states
         before = prev.copy()
-        unit = ViterbiUnit()
-        result = unit.update_tokens_active(
-            prev,
-            slots,
-            flat_pred[slots],
-            self_lp[state],
-            pred_lp[state],
-            obs.reshape(-1)[slots],
-            np.where(flat_roots[slots], np.repeat(entry, num_states)[slots], LOG_ZERO),
-            bank_transitions=dense.transitions,
+        got = tree_update(
+            prev, slots, pred_slots[slots], self_lp[slots], pred_lp[slots],
+            obs[slots], entry[slots],
         )
-        assert np.array_equal(result.delta, dense.delta[slots])
-        assert result.delta.dtype == np.float32
-        assert np.array_equal(result.backpointer, dense.backpointer[slots])
+        for have, want in zip(got, dense, strict=True):
+            np.testing.assert_array_equal(have, want[slots])
+            assert have.dtype == want.dtype
         # Nothing outside the list could have come alive or moved.
-        assert np.all(dense.delta[~listed] == np.float32(LOG_ZERO))
-        assert np.all(dense.backpointer[~listed] == BP_SELF)
+        assert np.all(dense[0][~listed] == np.float32(LOG_ZERO))
+        assert not dense[1][~listed].any() and not dense[2][~listed].any()
         assert np.array_equal(prev, before)  # the bank is only read
-        # The unit is charged for the whole bank, as the dense call was.
-        assert unit.activity() == dense_unit.activity()
-        assert unit.fpu.counts == dense_unit.fpu.counts
-        assert (result.cycles, result.transitions) == (dense.cycles, dense.transitions)
 
     def test_empty_list_still_charges_the_bank(self):
-        unit = ViterbiUnit()
-        empty = np.empty(0, dtype=np.float32)
-        result = unit.update_tokens_active(
-            np.full((2, 3), LOG_ZERO, dtype=np.float32),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            empty, empty, empty, empty,
-            bank_transitions=10,
+        """No live slot: the update returns empty lists, and the unit is
+        still charged for every register of the bank it streams."""
+        none, empty = np.empty(0, np.int64), np.empty(0, np.float32)
+        bank = np.full(10, LOG_ZERO, dtype=np.float32)
+        delta, took_fwd, took_entry = tree_update(
+            bank, none, none, empty, empty, empty, empty
         )
-        assert result.delta.shape == result.backpointer.shape == (0,)
-        assert unit.transitions_processed == 10
-        assert unit.fpu.counts.add == 16 and unit.fpu.counts.compare == 10
+        assert delta.shape == took_fwd.shape == took_entry.shape == (0,)
+        assert delta.dtype == np.float32
+        # Two rows of a branching 5-state tree: a stay per state, a
+        # predecessor arc per non-root, an entry offer per root.
+        pred = np.array([-1, 0, 1, 1, -1])
+        roots = pred < 0
+        unit = ViterbiUnit()
+        unit.charge_chain(roots, rows=2)
+        transitions = 2 * (5 + int((pred >= 0).sum()) + int(roots.sum()))
+        assert unit.transitions_processed == transitions == 20
+        assert unit.fpu.counts.add == transitions + 10
+        assert unit.fpu.counts.compare == transitions
         assert unit.columns_processed == 1
+        assert unit.cycles_busy == unit.spec.cycles_for_transitions(transitions)
 
     def test_validation(self):
-        unit = ViterbiUnit()
-        bank = np.zeros((2, 3), dtype=np.float32)
-        slots = np.array([0, 4])
-        two = np.zeros(2, dtype=np.float32)
-        with pytest.raises(ValueError, match="obs_logprobs"):
-            unit.update_tokens_active(
-                bank, slots, np.array([-1, 3]), two, two, np.zeros(3), two, 12
-            )
-        with pytest.raises(ValueError, match="bank_transitions"):
-            unit.update_tokens_active(
-                bank, slots, np.array([-1, 3]), two, two, two, two, 5
-            )
+        """Misaligned lists and slots past the bank are refused, not
+        broadcast or clipped, and nothing is written."""
+        bank = np.zeros(6, dtype=np.float32)
+        slots, preds, two = np.array([0, 4]), np.array([-1, 3]), np.zeros(2, np.float32)
+        with pytest.raises(ValueError):
+            tree_update(bank, slots, preds, two, two, np.zeros(3, np.float32), two)
+        with pytest.raises(IndexError):
+            tree_update(bank, np.array([0, 6]), preds, two, two, two, two)
+        with pytest.raises(IndexError):
+            tree_update(bank, slots, np.array([-1, 6]), two, two, two, two)
+        assert not bank.any()
+
+    def test_ties_both_masks_and_unscored_slots(self):
+        """Strict ``>`` at both compares; an entry beats a forward move
+        that beat the stay; an unscored slot dies whatever its token."""
+        bank = np.array([-5.0, -5.0, LOG_ZERO, -5.0, LOG_ZERO, LOG_ZERO], np.float32)
+        slots = np.arange(5)
+        pred_slots = np.array([-1, 0, 1, -1, 3])
+        ones = np.full(5, -1.0, np.float32)
+        entry = np.array([-6.0, LOG_ZERO, -3.0, LOG_ZERO, LOG_ZERO], np.float32)
+        obs = np.array([0.0, -1.0, 0.0, LOG_ZERO, -2.0], np.float32)
+        got = tree_update(bank, slots, pred_slots, ones, ones, obs, entry)
+        want = _tree_scalar_oracle(bank, slots, pred_slots, ones, ones, obs, entry)
+        for have, expect in zip(got, want, strict=True):
+            np.testing.assert_array_equal(have, expect)
+        delta, took_fwd, took_entry = got
+        # entry ties stay | forward ties stay | both | unscored | forward
+        np.testing.assert_array_equal(
+            delta, np.array([-6.0, -7.0, -3.0, LOG_ZERO, -8.0], np.float32)
+        )
+        assert took_fwd.tolist() == [False, False, True, False, True]
+        assert took_entry.tolist() == [False, False, True, False, False]
 
 
 class TestSpecValidation:

@@ -128,6 +128,21 @@ class TestDecodeMechanics:
             DecoderConfig(max_exits_per_frame=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field",
+    ["state_beam", "word_beam", "lm_scale", "word_insertion_penalty", "silence_penalty"],
+)
+def test_non_finite_search_thresholds_are_refused(field, value):
+    """A NaN beam decoded nothing and a NaN LM weight scored the path
+    NaN, both silently: every float threshold must be finite."""
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        if field.endswith("_beam"):
+            BeamConfig(**{field: value})
+        else:
+            DecoderConfig(**{field: value})
+
+
 class TestSilenceTransparency:
     def test_silence_exit_inherits_lm_history(self, micro_world):
         d, tying, pool, lm, network = micro_world
