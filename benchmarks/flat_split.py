@@ -34,8 +34,8 @@ from benchmarks.perf.harness import fingerprint, pin_blas_threads  # noqa: E402
 STAGES = ("demand", "scoring", "chain", "token_move", "beam", "exits", "bookkeeping")
 
 
-def c_calls_in_step(rec, features) -> int:
-    """C-level calls made inside ``bank.step`` over one ``rec.decode``."""
+def step_c_calls(run):
+    """``(C-level calls made inside bank.step, result)`` of ``run()``."""
     from repro.runtime.batch import LaneBankBase
 
     step_code = LaneBankBase.step.__code__
@@ -49,10 +49,15 @@ def c_calls_in_step(rec, features) -> int:
 
     sys.setprofile(profiler)
     try:
-        rec.decode(features)
+        result = run()
     finally:
         sys.setprofile(None)
-    return state["calls"]
+    return state["calls"], result
+
+
+def c_calls_in_step(rec, features) -> int:
+    """C-level calls made inside ``bank.step`` over one ``rec.decode``."""
+    return step_c_calls(lambda: rec.decode(features))[0]
 
 
 def run(seed: int = 2, utterances: int | None = None, repeats: int = 3) -> dict:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.decoder.lattice import WordExit, WordLattice
 from repro.decoder.network import FlatLexiconNetwork
+from repro.decoder.word_decode import lm_history_of
 from repro.lm.ngram import NGramModel
 
 __all__ = ["BestPath", "find_best_path", "n_best_paths"]
@@ -35,10 +36,8 @@ class BestPath:
         return len(self.words)
 
 
-def _final_candidates(
-    lattice: WordLattice, final_frame: int
-) -> list[WordExit]:
-    """Exits eligible to end the utterance.
+def _final_candidates(lattice: WordLattice, final_frame: int) -> list[int]:
+    """Dense indices of the exits eligible to end the utterance.
 
     Prefer exits on the final frame; if the beam starved it, fall back
     to the most recent frame that produced any.
@@ -46,58 +45,32 @@ def _final_candidates(
     frame = lattice.last_frame_with_exits(final_frame)
     if frame is None:
         return []
-    return lattice.exits_at(frame)
+    return lattice.indices_at(frame)
 
 
-def _exit_history(
-    record: WordExit,
-    lattice: WordLattice,
-    network: FlatLexiconNetwork,
-    lm: NGramModel,
-) -> tuple[int, ...]:
-    """LM context of a final exit (silence-transparent; trigram-aware)."""
-    vocab = lm.vocabulary
-
-    def last_real(index: int) -> WordExit | None:
-        while index >= 0:
-            r = lattice.exit(index)
-            if r.word != network.silence_word:
-                return r
-            index = r.predecessor
-        return None
-
-    first = (
-        record
-        if record.word != network.silence_word
-        else last_real(record.predecessor)
-    )
-    if first is None:
-        return (vocab.bos_id,)
-    if lm.order < 3:
-        return (first.lm_history,)
-    second = last_real(first.predecessor)
-    prev = vocab.bos_id if second is None else second.lm_history
-    return (prev, first.lm_history)
-
-
-def _final_score(
-    record: WordExit,
+def _final_scores(
+    candidates: list[int],
     lattice: WordLattice,
     network: FlatLexiconNetwork,
     lm: NGramModel,
     lm_scale: float,
-) -> float:
-    history = _exit_history(record, lattice, network, lm)
-    return record.score + lm_scale * lm.eos_log_prob(history)
+) -> list[float]:
+    """Each candidate's path score with the ``</s>`` term added."""
+    scores = lattice.score
+    return [
+        scores[index]
+        + lm_scale * lm.eos_log_prob(lm_history_of(lattice, network, lm, index))
+        for index in candidates
+    ]
 
 
 def _path_from_exit(
-    record: WordExit,
+    index: int,
     lattice: WordLattice,
     network: FlatLexiconNetwork,
     final_score: float,
 ) -> BestPath:
-    chain = lattice.backtrace(record.index)
+    chain = lattice.backtrace(index)
     words = tuple(
         network.word_name(e.word) for e in chain if e.word != network.silence_word
     )
@@ -115,11 +88,9 @@ def find_best_path(
     candidates = _final_candidates(lattice, final_frame)
     if not candidates:
         return None
-    scored = [
-        (_final_score(e, lattice, network, lm, lm_scale), e) for e in candidates
-    ]
-    best_score, best_exit = max(scored, key=lambda pair: pair[0])
-    return _path_from_exit(best_exit, lattice, network, best_score)
+    scores = _final_scores(candidates, lattice, network, lm, lm_scale)
+    best = max(range(len(candidates)), key=scores.__getitem__)
+    return _path_from_exit(candidates[best], lattice, network, scores[best])
 
 
 def n_best_paths(
@@ -134,11 +105,9 @@ def n_best_paths(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     candidates = _final_candidates(lattice, final_frame)
-    scored = sorted(
-        ((_final_score(e, lattice, network, lm, lm_scale), e) for e in candidates),
-        key=lambda pair: -pair[0],
-    )
+    scores = _final_scores(candidates, lattice, network, lm, lm_scale)
+    scored = sorted(zip(scores, candidates), key=lambda pair: -pair[0])
     return [
-        _path_from_exit(record, lattice, network, score)
-        for score, record in scored[:n]
+        _path_from_exit(index, lattice, network, score)
+        for score, index in scored[:n]
     ]

@@ -302,6 +302,8 @@ class FastGmmModel:
             comp, dims = self._pde(quad, offsets)
         else:
             comp, dims = quad.sum(axis=-1) + offsets, None
+        if comp.shape[-1] == 1:  # the log-sum-exp of one term is the term
+            return comp[:, 0], dims
         peak = comp.max(axis=-1)
         return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=-1)), dims
 
@@ -327,8 +329,9 @@ class FastGmmModel:
         if race is None:
             race = offsets.shape[1] > 1
         partial = offsets.copy()  # quad terms only make this smaller
-        alive = np.ones(offsets.shape, dtype=bool)
-        dims = np.zeros(offsets.shape[0], dtype=np.int64)
+        if race:
+            alive = np.ones(offsets.shape, dtype=bool)
+            dims = np.zeros(offsets.shape[0], dtype=np.int64)
         for start in range(0, quad.shape[-1], cfg.pde_chunk):
             chunk = quad[..., start : start + cfg.pde_chunk]
             partial += chunk.sum(axis=-1)  # a dropped partial is never read again

@@ -20,13 +20,16 @@ network's — the tree is a pure search-space reorganisation.
 network's compare and dead rule, not a copy of them);
 :class:`repro.runtime.lextree.TreeLaneBank` runs token
 passing over it (one lane under ``Recognizer.decode``, B lanes in the
-batched runtimes) with the per-lane kernels below, producing the same
+batched runtimes), recording every lane's word exits in ONE pass per
+step into the same columnar
 :class:`~repro.decoder.lattice.WordLattice` the global best path
 search consumes.  Differences from the flat network inherent to the
 tree: word entries carry no LM mass (tokens in shared prefixes are
 word-agnostic) — the LM row of the predecessor's history is added
 when a leaf exits — and all roots receive the same entry score (the
-best LM'd exit so far).
+best LM'd exit so far).  The leaf sees one word of history, so the
+tree decodes with a bigram (or unigram) LM only: ``Recognizer``
+rejects a trigram on ``network="tree"``.
 """
 
 from __future__ import annotations
@@ -35,21 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.logadd import LOG_DEAD, LOG_ZERO
-from repro.decoder.beam import select_word_exits
-from repro.decoder.lattice import WordLattice
 from repro.decoder.word_decode import DecoderConfig
 from repro.hmm.topology import HmmTopology
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.phones import SILENCE
 from repro.lexicon.triphone import SenoneTying, Triphone
-from repro.lm.ngram import NGramModel
 
-__all__ = [
-    "TreeLexiconNetwork",
-    "prime_tree_entry",
-    "record_tree_exits",
-]
+__all__ = ["TreeLexiconNetwork", "prime_tree_entry"]
 
 
 def prime_tree_entry(config: DecoderConfig) -> tuple[float, int]:
@@ -59,70 +54,6 @@ def prime_tree_entry(config: DecoderConfig) -> tuple[float, int]:
     entry score is just the word insertion penalty with no source exit.
     """
     return float(config.word_insertion_penalty), -1
-
-
-def record_tree_exits(
-    network: TreeLexiconNetwork,
-    config: DecoderConfig,
-    lm: NGramModel,
-    lattice: WordLattice,
-    payload: np.ndarray,
-    entry_frame: np.ndarray,
-    t: int,
-    raw_scores: np.ndarray,
-    viable: np.ndarray,
-    leaves: np.ndarray,
-) -> tuple[list[int], float, int]:
-    """LM-weighted word exits at leaf states for one utterance-frame.
-
-    ``raw_scores``/``viable`` are the per-leaf exit scores (float64,
-    ``leaf_delta + exit_logp``) and liveness mask; ``payload`` and
-    ``entry_frame`` are the utterance's full (K,) token-payload rows.
-    Returns ``(new_exit_indices, pending_entry, pending_src)`` — the
-    root re-entry score/source for the next frame (``LOG_ZERO``/-1 when
-    no leaf is viable).
-
-    Which exits are recorded, and in what order, is
-    :func:`~repro.decoder.beam.select_word_exits`.
-    """
-    vocab = lm.vocabulary
-    order = select_word_exits(
-        raw_scores, viable, config.beam.word_beam, config.max_exits_per_frame
-    )
-    new_exits: list[int] = []
-    best_entry, best_src = LOG_ZERO, -1
-    for leaf_pos in order.tolist():
-        state = int(leaves[leaf_pos])
-        word = int(network.leaf_word[state])
-        predecessor = int(payload[state])
-        if word == network.silence_word:
-            lm_history = (
-                lattice.exit(predecessor).lm_history if predecessor >= 0 else -1
-            )
-            lm_term = config.silence_penalty
-        else:
-            lm_history = word
-            history = (
-                (vocab.bos_id,)
-                if predecessor < 0
-                else (lattice.exit(predecessor).lm_history,)
-            )
-            history = (vocab.bos_id,) if history[0] < 0 else history
-            lm_term = config.lm_scale * float(lm.log_prob_row(history)[word])
-        score = float(raw_scores[leaf_pos]) + lm_term
-        index = lattice.add(
-            word=word,
-            entry_frame=int(entry_frame[state]),
-            exit_frame=t,
-            predecessor=predecessor,
-            score=score,
-            lm_history=lm_history,
-        )
-        new_exits.append(index)
-        entry_candidate = score + config.word_insertion_penalty
-        if entry_candidate > best_entry:
-            best_entry, best_src = entry_candidate, index
-    return new_exits, best_entry, best_src
 
 
 @dataclass

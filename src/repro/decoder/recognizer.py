@@ -353,6 +353,12 @@ class Recognizer:
             )
         if tuple(lm.vocabulary.words()) != tuple(network.words):
             raise ValueError("LM vocabulary order must match network words")
+        if isinstance(network, TreeLexiconNetwork) and lm.order > 2:
+            # A leaf exit knows one word of history; a trigram would
+            # silently decode as a bigram (and score </s> as a trigram).
+            raise ValueError(
+                f"network='tree' supports LM order <= 2, got order {lm.order}"
+            )
         if config is not None and not isinstance(config, DecoderConfig):
             raise TypeError(
                 f"config must be a DecoderConfig, got {type(config).__name__}"

@@ -134,79 +134,67 @@ def record_exits(
     network: FlatLexiconNetwork,
     config: DecoderConfig,
     lattice: WordLattice,
-    payload: np.ndarray,
-    entry_frame: np.ndarray,
+    record: np.ndarray,
     t: int,
     exit_scores: np.ndarray,
     viable: np.ndarray,
-) -> list[int]:
+) -> range:
     """Append one utterance's frame-``t`` word exits to its lattice.
 
     ``exit_scores``/``viable`` are the per-word exit scores and
-    liveness mask the caller computed from its ``delta`` row; ``payload``
-    and ``entry_frame`` are that utterance's (S,) token-payload arrays.
+    liveness mask the caller computed from its ``delta`` row; ``record``
+    is that utterance's ``(2, S)`` token record (payload, entry frame).
+    Returns the new exits' dense indices, in recorded order.
     """
-    candidates = select_word_exits(
+    words = select_word_exits(
         exit_scores, viable, config.beam.word_beam, config.max_exits_per_frame
+    ).tolist()
+    predecessors, entry_frames = record[:, network.end_state[words]].tolist()
+    # network order == vocabulary order; silence forwards its
+    # predecessor's history (BOS = -1).
+    history_of, silence = lattice.lm_history, network.silence_word
+    lm_histories = [
+        word if word != silence else history_of[p] if p >= 0 else -1
+        for word, p in zip(words, predecessors)
+    ]
+    first = lattice.extend(
+        t, words, entry_frames, predecessors, exit_scores[words].tolist(),
+        lm_histories,
     )
-    new_exits: list[int] = []
-    for w in candidates.tolist():
-        end_state = int(network.end_state[w])
-        predecessor = int(payload[end_state])
-        if w == network.silence_word:
-            lm_history = (
-                lattice.exit(predecessor).lm_history if predecessor >= 0 else -1
-            )
-        else:
-            lm_history = w  # network order == vocabulary order
-        index = lattice.add(
-            word=w,
-            entry_frame=int(entry_frame[end_state]),
-            exit_frame=t,
-            predecessor=predecessor,
-            score=float(exit_scores[w]),
-            lm_history=lm_history,
-        )
-        new_exits.append(index)
-    return new_exits
+    return range(first, first + len(words))
 
 
-def last_real_exit(lattice: WordLattice, network: FlatLexiconNetwork, index: int):
-    """Nearest non-silence exit at or before ``index`` (None = BOS)."""
-    while index >= 0:
-        record = lattice.exit(index)
-        if record.word != network.silence_word:
-            return record
-        index = record.predecessor
-    return None
+def last_real_exit(lattice: WordLattice, network: FlatLexiconNetwork, index: int) -> int:
+    """Nearest non-silence exit at or before ``index`` (-1 = BOS)."""
+    word, predecessor = lattice.word, lattice.predecessor
+    while index >= 0 and word[index] == network.silence_word:
+        index = predecessor[index]
+    return index
 
 
 def lm_history_of(
     lattice: WordLattice,
     network: FlatLexiconNetwork,
     lm: NGramModel,
-    record,
+    index: int,
 ) -> tuple[int, ...]:
-    """The LM context a lattice exit exposes.
+    """The LM context lattice exit ``index`` exposes.
 
     For bigram models this is the last real word; for trigram models
     the last two.  Silence records are transparent: the walk skips
     them, so "w1 <sil> w2" exposes ``(w1, w2)``.  ``<s>`` fills missing
-    positions.
+    positions.  The one history walk of both the word-entry kernels and
+    the best path search's final ``</s>`` term.
     """
     vocab = lm.vocabulary
-    first = (
-        record
-        if record.word != network.silence_word
-        else last_real_exit(lattice, network, record.predecessor)
-    )
-    if first is None:
+    first = last_real_exit(lattice, network, index)
+    if first < 0:
         return (vocab.bos_id,)
     if lm.order < 3:
-        return (first.lm_history,)
-    second = last_real_exit(lattice, network, first.predecessor)
-    prev = vocab.bos_id if second is None else second.lm_history
-    return (prev, first.lm_history)
+        return (lattice.lm_history[first],)
+    second = last_real_exit(lattice, network, lattice.predecessor[first])
+    prev = vocab.bos_id if second < 0 else lattice.lm_history[second]
+    return (prev, lattice.lm_history[first])
 
 
 def compute_pending_entries(
@@ -214,7 +202,7 @@ def compute_pending_entries(
     config: DecoderConfig,
     lm: NGramModel,
     lattice: WordLattice,
-    exit_indices: list[int],
+    exit_indices,
     pending_entry: np.ndarray,
     pending_src: np.ndarray,
 ) -> None:
@@ -227,20 +215,21 @@ def compute_pending_entries(
     pending_entry.fill(LOG_ZERO)
     pending_src.fill(-1)
     v = network.num_words
+    scores = lattice.score
     for index in exit_indices:
-        record = lattice.exit(index)
-        history = lm_history_of(lattice, network, lm, record)
-        # record.score + lm_scale * row + penalty, built in place on
-        # the one scaled-row temporary (IEEE addition is commutative,
-        # so folding the scalars in is bit-identical).
+        score = scores[index]
+        history = lm_history_of(lattice, network, lm, index)
+        # score + lm_scale * row + penalty, built in place on the one
+        # scaled-row temporary (IEEE addition is commutative, so
+        # folding the scalars in is bit-identical).
         candidate = config.lm_scale * lm.log_prob_row(history)
-        np.add(candidate, record.score, out=candidate)
+        np.add(candidate, score, out=candidate)
         np.add(candidate, config.word_insertion_penalty, out=candidate)
         better = candidate > pending_entry[:v]
         np.copyto(pending_entry[:v], candidate, where=better)
         np.copyto(pending_src[:v], index, where=better)
         if network.has_silence:
-            sil_candidate = record.score + config.silence_penalty
+            sil_candidate = score + config.silence_penalty
             if sil_candidate > pending_entry[network.silence_word]:
                 pending_entry[network.silence_word] = sil_candidate
                 pending_src[network.silence_word] = index

@@ -655,7 +655,7 @@ class LaneBank(LaneBankBase):
             exit_scores = end_delta.astype(np.float64, copy=False) + self._fwd_end
             for b in exit_lanes.tolist():
                 exits = record_exits(
-                    net, cfg, self.lattices[b], self.payload[b], self.entry_frame[b],
+                    net, cfg, self.lattices[b], self._record[:, b],
                     lane_t_list[b], exit_scores[b], viable[b],
                 )
                 exit_counts[b] = len(exits)

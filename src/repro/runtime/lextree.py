@@ -14,14 +14,20 @@ Active list
 -----------
 The beam leaves a few percent of the ``(lane, state)`` slots alive, so
 a step never sweeps the bank.  It expands the ascending list of live
-slots into the candidate list (alive, children of alive through a
-static child CSR, roots of lanes holding a pending entry), runs
+slots into the candidate list (alive; children of alive — the next
+slot inside a node, a static child CSR at a node's last state; roots
+of lanes holding a pending entry), runs
 :func:`~repro.core.viterbi_unit.tree_update` (the flat bank's compare
 and dead rule, with the predecessor gathered instead of shifted) and
 the list-form row beam (:func:`~repro.decoder.beam.apply_beam_rows`)
 on the values gathered for just those slots, and scatters the result
 back into the dense state IN PLACE; the survivors are the next step's
-live list.  Per-step cost follows the candidates, not ``B x K``.  In
+live list.  The word exits of ALL lanes are then recorded in one pass
+over the bank's live leaves (``_record_exits``): one mask and a few
+``tolist`` calls, then a walk over the leaves (about a dozen per step
+on ``bank_tree``) as Python lists, one
+:meth:`~repro.decoder.lattice.WordLattice.extend` per lane that exits.
+Per-step cost follows the candidates, not ``B x K``.  In
 hardware mode the recognizer's Viterbi unit is charged beside it, for
 the whole bank (the unit streams every register).
 
@@ -43,8 +49,8 @@ admission step or refill order:
 * the candidate list is ascending, so each lane's segment of it is
   that lane's dense row filtered to its candidates IN ORDER — the
   order-dependent steps (the histogram trim's ``argsort`` and the
-  top-N cut of the shared
-  :func:`~repro.decoder.lextree.record_tree_exits` kernel) see the
+  top-N cut of :func:`~repro.decoder.beam.select_word_exits`, which
+  the one exit pass hands just a capped lane's own leaves) see the
   same arrays at every bank width and tie-break identically;
 * idle lanes are frozen at ``LOG_ZERO`` with no live slot and no
   pending entry, so an unoccupied row can never produce a candidate,
@@ -69,8 +75,8 @@ import numpy as np
 
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.viterbi_unit import tree_update
-from repro.decoder.beam import apply_beam_rows
-from repro.decoder.lextree import prime_tree_entry, record_tree_exits
+from repro.decoder.beam import apply_beam_rows, select_word_exits
+from repro.decoder.lextree import prime_tree_entry
 from repro.runtime.batch import LaneBankBase
 
 __all__ = ["TreeLaneBank"]
@@ -121,13 +127,25 @@ class TreeLaneBank(LaneBankBase):
         self._roots = np.flatnonzero(net.is_root_start)
         self._child_ptr, self._child_idx = _child_csr(net.pred_state)
         self._child_count = np.diff(self._child_ptr)
+        # Inside a node a state's ONE child is the next state; only a
+        # node's last state (a fork, a leaf, or a lone child stored
+        # elsewhere) needs the CSR.
+        self._chain_next = np.zeros(net.num_states, dtype=bool)
+        self._chain_next[:-1] = (
+            net.pred_state[1:] == np.arange(net.num_states - 1)
+        ) & (self._child_count[:-1] == 1)
         self._is_leaf = net.leaf_word >= 0
+        # Predecessor as an offset within the lane's row (0 at a root,
+        # whose slot is masked to -1 for ``tree_update``).
+        self._pred_offset = np.where(
+            net.is_root_start, 0, net.pred_state - np.arange(net.num_states)
+        )
 
     def _alloc_scratch(self) -> None:
         super()._alloc_scratch()
-        # Pooled scores land here cast to float32 (the token dtype).  Only this step's (lane, senone) requests
-        # are written and only those are gathered, so it is never
-        # cleared.
+        # Pooled scores land here cast to float32 (the token dtype).
+        # Only this step's (lane, senone) requests are written and only
+        # those are gathered, so it is never cleared.
         self._score_cast = np.empty(
             (self.num_lanes, self.scorer.num_senones), dtype=np.float32
         )
@@ -161,27 +179,31 @@ class TreeLaneBank(LaneBankBase):
     def _candidate_slots(self) -> np.ndarray:
         """Ascending flat indices of every slot that can be live next frame.
 
-        Alive slots, children of alive slots (through the child CSR)
-        and the roots of lanes holding a pending entry — the feedback
-        set, for all lanes at once.  Idle lanes are frozen at
+        Alive slots, children of alive slots and the roots of lanes
+        holding a pending entry — the feedback set, for all lanes at
+        once.  A state inside a node has one child, the next slot; only
+        the forks go through the child CSR.  Idle lanes are frozen at
         ``LOG_ZERO`` with ``LOG_ZERO`` pending entries, so they
         contribute nothing without extra masking.
         """
         num_states = self.net.num_states
         alive = self._alive
         alive_s = alive % num_states
-        counts = self._child_count[alive_s]
-        # Child j of the i-th alive slot sits at child_idx[ptr[s_i] + j].
+        chain = self._chain_next[alive_s]
+        fork = ~chain
+        fork_s = alive_s[fork]
+        counts = self._child_count[fork_s]
+        # Child j of the i-th fork sits at child_idx[ptr[s_i] + j].
         first = np.cumsum(counts) - counts
-        within = np.repeat(self._child_ptr[alive_s] - first, counts)
+        within = np.repeat(self._child_ptr[fork_s] - first, counts)
         within += np.arange(within.shape[0])
-        children = np.repeat(alive - alive_s, counts) + self._child_idx[within]
+        children = np.repeat(alive[fork] - fork_s, counts) + self._child_idx[within]
         entering = np.flatnonzero(self.pending_entry > LOG_DEAD)
         roots = (entering[:, None] * num_states + self._roots).reshape(-1)
         # In-degree 1: no slot is the child of two, and a root is the
         # child of none — so dropping the already-alive leaves a
         # duplicate-free union.
-        fresh = np.concatenate((children, roots))
+        fresh = np.concatenate((alive[chain] + 1, children, roots))
         fresh = fresh[self.delta.reshape(-1)[fresh] <= LOG_DEAD]
         return np.sort(np.concatenate((alive, fresh)))
 
@@ -193,10 +215,9 @@ class TreeLaneBank(LaneBankBase):
         lane_t_list: list[int],
     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         net, cfg = self.net, self.cfg
-        active = self.active
         # Flat views of the in-place state, indexed by slot.
         delta = self.delta.reshape(-1)
-        record = self._record.reshape(2, -1)
+        payload, entry_frame = self._record.reshape(2, -1)
 
         # Stage clocks: same boundaries as the flat bank's, so a
         # tree-lexicon trace reads identically.
@@ -216,22 +237,24 @@ class TreeLaneBank(LaneBankBase):
         )
 
         # 3. One pooled GMM pass for the whole bank, gathered back to
-        #    the candidates' float32 observation scores.
+        #    the candidates' float32 observation scores; the lane's
+        #    pending entry is offered at its roots.
         score_cast = self._score_cast
         score_cast[pair_b, pair_s] = self.scorer.score_pairs(
             obs_block, pair_b, pair_s, lanes=lanes
         )
         obs = score_cast[cand_b, cand_senone]
-        entry = np.full(slots.shape, LOG_ZERO, dtype=np.float32)
-        at_root = np.flatnonzero(net.is_root_start[cand_s])
-        entry[at_root] = self.pending_entry[cand_b[at_root]]
+        at_root = net.is_root_start[cand_s]
+        entry = np.where(
+            at_root, self.pending_entry.astype(np.float32)[cand_b], np.float32(LOG_ZERO)
+        )
         t1 = time.perf_counter()
         self.stage_scoring_s += t1 - t0
 
         # 4. One token update advances every lane's candidates; the
         #    Viterbi unit, if modelled, is charged for the whole bank.
-        pred_s = net.pred_state[cand_s]
-        pred_slots = np.where(pred_s >= 0, slots - cand_s + pred_s, -1)
+        pred_slots = slots + self._pred_offset[cand_s]
+        pred_slots[at_root] = -1
         new_delta, took_fwd, took_entry = tree_update(
             delta, slots, pred_slots,
             net.self_logp[cand_s], net.pred_logp[cand_s], obs, entry,
@@ -244,54 +267,119 @@ class TreeLaneBank(LaneBankBase):
         #    the write, so a chain of moves reads last frame's), an
         #    entry (which beats a forward move) starts from the lattice
         #    exit behind the offer, stamped with the lane's OWN frame.
+        #    Row by row: one 1-D gather/scatter each beats the 2-D form.
         moved = np.flatnonzero(took_fwd & ~took_entry)
-        record[:, slots[moved]] = record[:, pred_slots[moved]]
+        dst, src = slots[moved], pred_slots[moved]
+        payload[dst] = payload[src]
+        entry_frame[dst] = entry_frame[src]
         entered = np.flatnonzero(took_entry)
-        lane = cand_b[entered]
-        record[:, slots[entered]] = self.pending_src[lane], self.lane_t[lane]
+        lane, dst = cand_b[entered], slots[entered]
+        payload[dst] = self.pending_src[lane]
+        entry_frame[dst] = self.lane_t[lane]
         t2 = time.perf_counter()
         self.stage_update_s += t2 - t1
 
         # 6. Row-wise beam prune on the list, survivors (and the
-        #    LOG_ZERO of the pruned) scattered back, then per-lane
-        #    LM-weighted word exits through the shared tree-exit kernel.
+        #    LOG_ZERO of the pruned) scattered back, then ONE pass over
+        #    the bank's live leaves records every lane's word exits.
         _, n_active = apply_beam_rows(new_delta, cand_b, self.num_lanes, cfg.beam)
         delta[slots] = new_delta
-        self._alive = slots[new_delta > LOG_DEAD]
-        at_leaf = np.flatnonzero(self._is_leaf[cand_s])
-        leaf_delta = new_delta[at_leaf].astype(np.float64)
-        live = leaf_delta > LOG_DEAD
-        at_leaf = at_leaf[live]
-        leaf_states = cand_s[at_leaf]
-        raw_scores = leaf_delta[live] + net.exit_logp[leaf_states]
-        viable = np.ones(at_leaf.shape, dtype=bool)
-        bounds = np.searchsorted(
-            cand_b[at_leaf], np.arange(self.num_lanes + 1)
-        ).tolist()
-        exit_counts = [0] * self.num_lanes
-        no_exit = active.copy()
-        for b in range(self.num_lanes):
-            lo, hi = bounds[b], bounds[b + 1]
-            if lo == hi:
-                continue
-            exits, best_entry, best_src = record_tree_exits(
-                net,
-                cfg,
-                self.lm,
-                self.lattices[b],
-                self.payload[b],
-                self.entry_frame[b],
-                lane_t_list[b],
-                raw_scores[lo:hi],
-                viable[lo:hi],
-                leaf_states[lo:hi],
-            )
-            exit_counts[b] = len(exits)
-            self.pending_entry[b] = best_entry
-            self.pending_src[b] = best_src
-            no_exit[b] = False
-        self.pending_entry[no_exit] = LOG_ZERO
-        self.pending_src[no_exit] = -1
+        live = new_delta > LOG_DEAD
+        self._alive = slots[live]
+        leaves = np.flatnonzero(live & self._is_leaf[cand_s])
+        exit_counts = self._record_exits(
+            slots[leaves], cand_b[leaves], cand_s[leaves], new_delta[leaves],
+            lane_t_list,
+        )
         self.stage_exit_s += time.perf_counter() - t2
 
         return n_active, scored_counts, exit_counts
+
+    def _record_exits(
+        self,
+        leaf_slots: np.ndarray,
+        leaf_b: np.ndarray,
+        leaf_s: np.ndarray,
+        leaf_delta: np.ndarray,
+        lane_t_list: list[int],
+    ) -> list[int]:
+        """Every lane's LM-weighted word exits at its live leaves.
+
+        The leaves come in slot order, so grouped by lane and, within
+        a lane, in state order.  Each lane keeps the leaves within
+        ``word_beam`` of its best raw exit score (``leaf_delta +
+        exit_logp``, float64) in that order — what
+        :func:`~repro.decoder.beam.select_word_exits` picks — and only
+        a lane with more than ``max_exits_per_frame`` of them asks
+        :func:`select_word_exits` for its top-N cut and order.  The exit
+        adds the LM row of the predecessor's history (silence: the
+        silence penalty, and it forwards that history), lands in the
+        lane's lattice with ONE ``extend``, and the best LM'd exit plus
+        the insertion penalty becomes the lane's root entry for the next
+        frame (strict ``>`` in recorded order; ``LOG_ZERO``/-1 for a
+        lane without exits).  Returns the per-lane exit counts.
+        """
+        net, cfg = self.net, self.cfg
+        exit_counts = [0] * self.num_lanes
+        pending_entry, pending_src = self.pending_entry, self.pending_src
+        pending_entry.fill(LOG_ZERO)
+        pending_src.fill(-1)
+        if not leaf_slots.size:
+            return exit_counts
+        raw = leaf_delta.astype(np.float64) + net.exit_logp[leaf_s]
+        raw_list = raw.tolist()
+        lane_of = leaf_b.tolist()
+        word_of = net.leaf_word[leaf_s].tolist()
+        pred_of, entry_of = self._record.reshape(2, -1)[:, leaf_slots].tolist()
+        word_beam, cap = cfg.beam.word_beam, cfg.max_exits_per_frame
+        lm_scale, silence = cfg.lm_scale, net.silence_word
+        silence_penalty, penalty = cfg.silence_penalty, cfg.word_insertion_penalty
+        rows = _LmRows(self.lm)
+        n, lo = len(lane_of), 0
+        while lo < n:
+            b = lane_of[lo]
+            hi = lo + 1
+            while hi < n and lane_of[hi] == b:
+                hi += 1
+            threshold = max(raw_list[lo:hi]) - word_beam
+            keep = [i for i in range(lo, hi) if raw_list[i] >= threshold]
+            if len(keep) > cap:
+                viable = np.ones(hi - lo, dtype=bool)
+                keep = (
+                    select_word_exits(raw[lo:hi], viable, word_beam, cap) + lo
+                ).tolist()
+            lattice = self.lattices[b]
+            history_of = lattice.lm_history
+            words = [word_of[i] for i in keep]
+            preds = [pred_of[i] for i in keep]
+            prevs = [history_of[p] if p >= 0 else -1 for p in preds]
+            scores = [
+                raw_list[i] + silence_penalty
+                if w == silence
+                else raw_list[i] + lm_scale * float(rows[p][w])
+                for i, w, p in zip(keep, words, prevs)
+            ]
+            first = lattice.extend(
+                lane_t_list[b], words, [entry_of[i] for i in keep], preds, scores,
+                [p if w == silence else w for w, p in zip(words, prevs)],
+            )
+            offers = [score + penalty for score in scores]
+            best = max(offers)
+            exit_counts[b] = len(words)
+            pending_entry[b], pending_src[b] = best, first + offers.index(best)
+            lo = hi
+        return exit_counts
+
+
+class _LmRows(dict):
+    """One step's LM rows by predecessor history (-1 = BOS), fetched
+    on first use."""
+
+    def __init__(self, lm) -> None:
+        super().__init__()
+        self.lm = lm
+
+    def __missing__(self, history: int) -> np.ndarray:
+        key = self.lm.vocabulary.bos_id if history < 0 else history
+        row = self[history] = self.lm.log_prob_row((key,))
+        return row

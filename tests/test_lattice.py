@@ -1,8 +1,9 @@
 """Tests for repro.decoder.lattice."""
 
+import numpy as np
 import pytest
 
-from repro.decoder.lattice import WordLattice
+from repro.decoder.lattice import WordExit, WordLattice
 
 
 class TestWordLattice:
@@ -68,3 +69,86 @@ class TestWordLattice:
         assert len(lat) == 0
         lat.add(word=0, entry_frame=0, exit_frame=1, predecessor=-1, score=0.0, lm_history=0)
         assert len(lat) == 1
+
+
+class TestLatticeValidation:
+    """Only ``-1`` (BOS) is a legal negative predecessor, and frames are
+    never negative: ``backtrace`` would read any negative index as BOS."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(predecessor=-5),
+            dict(predecessor=-2),
+            dict(predecessor=1),  # not yet in the lattice
+            dict(entry_frame=-1),
+            dict(entry_frame=-3, exit_frame=-2),
+            dict(entry_frame=4),  # after its exit frame
+        ],
+        ids=["pred-5", "pred-2", "pred-ahead", "entry-neg", "both-neg", "entry-late"],
+    )
+    def test_add_rejects(self, fields):
+        lat = WordLattice()
+        lat.add(word=0, entry_frame=0, exit_frame=1, predecessor=-1, score=0.0, lm_history=0)
+        record = dict(word=1, entry_frame=2, exit_frame=3, predecessor=0,
+                      score=-1.0, lm_history=1)
+        record.update(fields)
+        with pytest.raises(ValueError):
+            lat.add(**record)
+        assert len(lat) == 1 and lat.exits_at(record["exit_frame"]) == (
+            [] if record["exit_frame"] != 1 else [lat.exit(0)]
+        )
+
+    def test_extend_checks_the_whole_batch_before_storing(self):
+        lat = WordLattice()
+        lat.add(word=0, entry_frame=0, exit_frame=1, predecessor=-1, score=0.0, lm_history=0)
+        with pytest.raises(ValueError):
+            lat.extend(3, [1, 2], [2, 2], [0, -5], [-1.0, -2.0], [1, 2])
+        assert len(lat) == 1 and lat.exits_at(3) == []
+        assert lat.extend(3, [], [], [], [], []) == 1  # an empty batch is a no-op
+        assert len(lat) == 1 and lat.last_frame_with_exits(9) == 1
+
+
+def test_columns_round_trip_against_a_list_oracle():
+    """Every ``exit(i)`` field is what ``extend`` was given; ``backtrace``,
+    ``exits_at`` and ``last_frame_with_exits`` agree with a plain list."""
+    rng = np.random.default_rng(11)
+    lat = WordLattice()
+    oracle: list[WordExit] = []
+    for frame in range(0, 60, 3):
+        count = int(rng.integers(0, 4))
+        batch = [
+            WordExit(
+                index=len(oracle) + k,
+                word=int(rng.integers(0, 50)),
+                entry_frame=int(rng.integers(0, frame + 1)),
+                exit_frame=frame,
+                predecessor=int(rng.integers(-1, len(oracle))) if oracle else -1,
+                score=float(rng.normal(-100.0, 30.0)),
+                lm_history=int(rng.integers(-1, 50)),
+            )
+            for k in range(count)
+        ]
+        first = lat.extend(
+            frame,
+            [e.word for e in batch],
+            [e.entry_frame for e in batch],
+            [e.predecessor for e in batch],
+            [e.score for e in batch],
+            [e.lm_history for e in batch],
+        )
+        assert first == len(oracle)
+        oracle += batch
+    assert len(lat) == len(oracle) > 20
+    for record in oracle:
+        assert lat.exit(record.index) == record
+        chain, cursor = [], record.index
+        while cursor >= 0:
+            chain.append(oracle[cursor])
+            cursor = oracle[cursor].predecessor
+        assert lat.backtrace(record.index) == chain[::-1]
+    for frame in range(-1, 62):
+        assert lat.exits_at(frame) == [e for e in oracle if e.exit_frame == frame]
+        earlier = [e.exit_frame for e in oracle if e.exit_frame <= frame]
+        assert lat.last_frame_with_exits(frame) == (max(earlier) if earlier else None)
+    assert lat.backtrace(-1) == []

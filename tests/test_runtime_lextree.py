@@ -35,8 +35,15 @@ from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
+from repro.lm.ngram import NGramModel
 from repro.runtime import LaneBank, TreeLaneBank
-from repro.workloads.tasks import dictation_cd_task, expand_to_context_dependent
+from repro.runtime import lextree as lextree_runtime
+from repro.runtime.batch import LaneBankBase
+from repro.workloads.tasks import (
+    dictation_cd_task,
+    dictation_task,
+    expand_to_context_dependent,
+)
 
 EXACT_MODES = ("reference", "hardware", "fast")
 N_TRIALS = 3
@@ -497,6 +504,87 @@ class TestTreeStageValidation:
         with pytest.raises(TypeError) as err:
             DecoderConfig(beam=100.0)  # a raw float, not BeamConfig
         assert "BeamConfig" in str(err.value)
+
+
+class TestTreeExitCap:
+    """A lane with more than ``max_exits_per_frame`` live leaves within
+    the word beam (``bank_tree`` never has one) takes the
+    ``select_word_exits`` cut inside the bank's one exit pass: B = 8
+    lanes, lattices included, equal the B = 1 decode."""
+
+    CAP = 2
+    FRAMES = 150
+
+    @pytest.fixture(scope="class")
+    def capped(self):
+        dictation = dictation_task(
+            vocabulary_size=300, train_sentences=60, test_sentences=12, seed=31
+        )
+        config = DecoderConfig(max_exits_per_frame=self.CAP)
+        rec = make_tree_recognizer(dictation, "fast", config=config)
+        feats = [u.features[: self.FRAMES] for u in dictation.corpus.test[:9]]
+        return rec, feats
+
+    @staticmethod
+    def _lattices(monkeypatch):
+        """Every packaged lane's lattice columns, by utterance id."""
+        packaged = {}
+        package = LaneBankBase.package
+
+        def spy(bank, lane, best):
+            lat = bank.lattices[lane]
+            packaged[bank.lane_utt[lane]] = (
+                lat.word[:], lat.entry_frame[:], lat.exit_frame[:],
+                lat.predecessor[:], lat.score[:], lat.lm_history[:],
+            )
+            return package(bank, lane, best)
+
+        monkeypatch.setattr(LaneBankBase, "package", spy)
+        return packaged
+
+    def test_capped_lanes_match_sequential(self, capped, monkeypatch):
+        rec, feats = capped
+        cuts = []
+        select = lextree_runtime.select_word_exits
+
+        def count_cuts(scores, viable, word_beam, max_exits):
+            keep = select(scores, viable, word_beam, max_exits)
+            cuts.append((scores.size, keep.size))
+            return keep
+
+        monkeypatch.setattr(lextree_runtime, "select_word_exits", count_cuts)
+        packaged = self._lattices(monkeypatch)
+        seq, seq_lattices = [], []
+        for f in feats:
+            seq.append(rec.decode(f))
+            (lattice,) = packaged.values()
+            seq_lattices.append(lattice)
+            packaged.clear()
+        sequential_cuts = len(cuts)
+        # The cap binds: some lane-frames had more than CAP candidates.
+        assert sequential_cuts > 0 and all(k == self.CAP for _, k in cuts)
+        assert max(n for n, _ in cuts) > self.CAP
+
+        result = rec.decode_stream(feats, max_lanes=8)
+        assert len(cuts) == 2 * sequential_cuts
+        for i, lane in enumerate(result):
+            _assert_lane_equal(seq[i], lane)
+            assert lane.score.hex() == seq[i].score.hex()
+            assert max(f.word_exits for f in lane.frame_stats) <= self.CAP
+            assert packaged[i] == seq_lattices[i]
+
+
+def test_tree_rejects_a_trigram_lm(task):
+    """A leaf exit knows one word of history: a trigram on the tree
+    would decode as a bigram, so the recognizer refuses it."""
+    trigram = NGramModel(task.corpus.vocabulary, order=3)
+    trigram.train([utt.words for utt in task.corpus.train])
+    with pytest.raises(ValueError, match="order"):
+        Recognizer.create(
+            task.dictionary, task.pool, trigram, task.tying, network="tree"
+        )
+    flat = Recognizer.create(task.dictionary, task.pool, trigram, task.tying)
+    assert flat.network_kind == "flat"
 
 
 class TestContextDependentDictation:

@@ -54,7 +54,7 @@ class TestTrigramDecoding:
         # a silence index and must have order-1 entries at most.
         net = rec.network
         for i in range(len(lattice)):
-            history = lm_history_of(lattice, net, trigram_lm, lattice.exit(i))
+            history = lm_history_of(lattice, net, trigram_lm, i)
             assert 1 <= len(history) <= 2
             for h in history:
                 assert h != net.silence_word or h >= net.num_words
