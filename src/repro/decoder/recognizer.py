@@ -21,11 +21,9 @@ lanes) and the serve loop step wider banks built by the same
   expanded into dense products against stacked senone-major tables
   (``exact=False`` — words match the reference decode, scores agree
   within :data:`~repro.decoder.scorer.BLAS_SCORE_ATOL`).  The
-  ``precision`` knob selects the stored tables: ``"float64"`` (the
-  default), ``"float32"`` (half the table bandwidth, drift within
-  :data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`) or ``"int8"``
-  (symmetric per-row codes, ~1/7 the table bytes, drift within
-  :data:`~repro.decoder.scorer.INT8_SCORE_ATOL`).
+  ``precision`` knob is the dtype of the stored tables: ``"float64"``
+  (the default) or ``"float32"`` (half the table bandwidth, drift
+  within :data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`).
 
 The recognizer is reusable across utterances — per-decode state is
 reset at each ``decode*`` call — but runs ONE decode at a time: its
@@ -111,10 +109,10 @@ def build_network(
 def validate_precision(mode: str, precision: str) -> None:
     """Reject precision/mode combinations no backend implements.
 
-    The ``precision`` knob selects reduced-precision BLAS tables
+    The ``precision`` knob is the dtype of the BLAS tables
     (:data:`~repro.hmm.senone.BLAS_PRECISIONS`), so it only has meaning
-    in ``mode="blas"``; asking any other backend for float32/int8
-    tables would be silently ignored — error out instead.  Shared by
+    in ``mode="blas"``; asking any other backend for float32 tables
+    would be silently ignored — error out instead.  Shared by
     construction and the serve loop's brownout swap
     (:meth:`Recognizer.set_precision`).
     """

@@ -21,7 +21,6 @@ __all__ = [
     "LOG_ZERO",
     "BLAS_SCORE_ATOL",
     "FLOAT32_SCORE_ATOL",
-    "INT8_SCORE_ATOL",
 ]
 
 #: Documented absolute tolerance between matmul-form (``mode="blas"``)
@@ -40,23 +39,6 @@ BLAS_SCORE_ATOL = 1e-6
 #: continuous arrivals (pinned by the quantized-parity suite).  The
 #: bound carries ~10x margin over the measured worst case.
 FLOAT32_SCORE_ATOL = 1e-2
-
-#: Documented absolute path-score tolerance of ``precision="int8"``
-#: blas tables vs the float64 blas backend.  Per-row symmetric int8
-#: storage bounds each parameter's error by half a grid step (row max
-#: / 254), but the quadratic term multiplies that error by the squared
-#: observation — on high-energy frames the per-frame drift reaches
-#: thousands of log-units, and path scores on the command golden set
-#: drift up to ~7.7e3 while word outputs stay identical (the drift is
-#: strongly correlated across senones within a frame, so the Viterbi
-#: ranking survives there; on the broader command test corpus a few
-#: utterances do flip words).  int8 trades accuracy headroom for ~7x
-#: table density.  Last full-mode measurement (PR 6 demand-trace
-#: replay, ``command_task(seed=19)``, 15 test utterances, batch 8;
-#: the script that took it is retired): 13/15 transcripts identical to
-#: float64 blas, max path-score drift 6 507, WER 0.0698 -> 0.1628,
-#: replay speed 1.14x float64 against float32's 1.26x.
-INT8_SCORE_ATOL = 1.0e4
 
 
 @dataclass

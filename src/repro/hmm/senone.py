@@ -24,7 +24,6 @@ from repro.hmm.gaussian import (
     precision_halves,
 )
 from repro.hmm.gmm import GaussianMixture
-from repro.quant.fixed_point import dequantize_rows_int8, quantize_rows_int8
 from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 
 __all__ = [
@@ -34,13 +33,10 @@ __all__ = [
     "check_blas_precision",
 ]
 
-#: Storage precisions :meth:`SenonePool.blas_tables` can build, widest
+#: Storage dtypes :meth:`SenonePool.blas_tables` can build, widest
 #: first.  ``float64`` is the original exact-rounding backend;
-#: ``float32`` halves table bandwidth (products run as sgemm);
-#: ``int8`` stores per-row symmetric codes with per-row float32 scales
-#: (~1/7 the float64 table bytes) and dequantizes into float32 just
-#: ahead of the products.
-BLAS_PRECISIONS = ("float64", "float32", "int8")
+#: ``float32`` halves table bandwidth (products run as sgemm).
+BLAS_PRECISIONS = ("float64", "float32")
 
 
 def check_blas_precision(precision: str) -> None:
@@ -98,35 +94,23 @@ class BlasTables:
     active-set gather touches one contiguous block per senone and the
     products hit BLAS directly.
 
-    ``precision`` selects the storage dtype of ``prec``/``mu_prec``
-    (one of :data:`BLAS_PRECISIONS`).  In ``"int8"`` the two matrices
-    hold symmetric per-row codes and ``prec_scale``/``mu_prec_scale``
-    hold the per-row float32 dequantization scales; ``const`` is never
-    quantized below float32 (it is tiny and added after the products).
+    ``precision`` is the numpy dtype of all three arrays (one of
+    :data:`BLAS_PRECISIONS`).
     """
 
     #: ``1 / sigma^2`` — shape (N*M, L), C-contiguous, senone-major.
-    #: float64 / float32 values, or int8 codes in the ``"int8"`` tables.
     prec: np.ndarray
     #: ``mu / sigma^2`` — shape (N*M, L), C-contiguous, senone-major.
     mu_prec: np.ndarray
     #: ``log w + log normalizer - 1/2 sum mu^2/sigma^2`` — shape (N, M).
     const: np.ndarray
-    #: Storage precision of the stacked matrices (:data:`BLAS_PRECISIONS`).
+    #: Storage dtype of the three arrays (:data:`BLAS_PRECISIONS`).
     precision: str = "float64"
-    #: Per-row float32 dequantization scales, shape (N*M, 1) — int8 only.
-    prec_scale: np.ndarray | None = None
-    mu_prec_scale: np.ndarray | None = None
 
     @property
     def table_bytes(self) -> int:
         """Resident bytes of everything a scoring call reads."""
-        total = self.prec.nbytes + self.mu_prec.nbytes + self.const.nbytes
-        if self.prec_scale is not None:
-            total += self.prec_scale.nbytes
-        if self.mu_prec_scale is not None:
-            total += self.mu_prec_scale.nbytes
-        return int(total)
+        return int(self.prec.nbytes + self.mu_prec.nbytes + self.const.nbytes)
 
 
 class SenonePool:
@@ -291,11 +275,8 @@ class SenonePool:
 
         Built lazily on first use (the exact backends never pay for
         them) and cached per ``precision`` — parameters are immutable
-        after construction, so the tables are too.  Reduced precisions
-        derive from the float64 tables: ``"float32"`` is a dtype
-        narrowing (round-to-nearest), ``"int8"`` is per-row symmetric
-        quantization (:func:`repro.quant.fixed_point.quantize_rows_int8`)
-        with per-row float32 scales; ``const`` stays float32 in both.
+        after construction, so the tables are too.  A narrower dtype is
+        the float64 tables cast to it (round-to-nearest).
         """
         check_blas_precision(precision)
         tables = self._blas.get(precision)
@@ -319,25 +300,12 @@ class SenonePool:
             )
         if precision not in self._blas:
             full = self._blas["float64"]
-            const32 = full.const.astype(np.float32)
-            if precision == "float32":
-                self._blas[precision] = BlasTables(
-                    prec=full.prec.astype(np.float32),
-                    mu_prec=full.mu_prec.astype(np.float32),
-                    const=const32,
-                    precision=precision,
-                )
-            else:  # int8
-                prec_q, prec_scale = quantize_rows_int8(full.prec)
-                mu_q, mu_scale = quantize_rows_int8(full.mu_prec)
-                self._blas[precision] = BlasTables(
-                    prec=prec_q,
-                    mu_prec=mu_q,
-                    const=const32,
-                    precision=precision,
-                    prec_scale=prec_scale,
-                    mu_prec_scale=mu_scale,
-                )
+            self._blas[precision] = BlasTables(
+                prec=full.prec.astype(precision),
+                mu_prec=full.mu_prec.astype(precision),
+                const=full.const.astype(precision),
+                precision=precision,
+            )
         return self._blas[precision]
 
     def table_bytes(self, precision: str = "float64") -> int:
@@ -351,41 +319,25 @@ class SenonePool:
         """
         check_blas_precision(precision)
         rows = self.num_senones * self.num_components
-        matrix = 2 * rows * self.dim  # prec + mu_prec elements
-        if precision == "float64":
-            return matrix * 8 + rows * 8  # float64 const
-        if precision == "float32":
-            return matrix * 4 + rows * 4  # float32 const
-        # int8 codes + two (rows, 1) float32 scale columns + f32 const.
-        return matrix * 1 + 2 * rows * 4 + rows * 4
+        # prec + mu_prec (rows x dim each) + const (rows), one dtype.
+        return (2 * rows * self.dim + rows) * np.dtype(precision).itemsize
 
     @staticmethod
     def _dense_quadratic(
-        obs: np.ndarray,
-        prec: np.ndarray,
-        mu_prec: np.ndarray,
-        prec_scale: np.ndarray | None = None,
-        mu_prec_scale: np.ndarray | None = None,
+        obs: np.ndarray, prec: np.ndarray, mu_prec: np.ndarray
     ) -> np.ndarray:
         """``-1/2 (obs^2 @ prec.T) + obs @ mu_prec.T`` — the
         dense-product core of :meth:`score_block_blas`.
 
-        The products run in the tables' storage precision: float64
-        tables keep the original dgemm path bit-for-bit; float32
-        tables cast the (tiny) observation block and accumulate in
-        float32 sgemm; int8 tables are dequantized to float32 right
-        here (codes x per-row scale) and then take the float32 path.
-        The call sites keep the mixture-constant add and the
-        log-sum-exp fold in the same storage precision (their const
-        tables match this dtype) and upcast only the final scores, so
-        a reduced-precision call never touches a full-width
-        intermediate.
+        The products run in the tables' dtype: float64 tables keep the
+        original dgemm path bit-for-bit; float32 tables cast the (tiny)
+        observation block and accumulate in float32 sgemm.  The call
+        sites keep the mixture-constant add and the log-sum-exp fold in
+        the same dtype (their const tables match it) and upcast only the
+        final scores, so a reduced-precision call never touches a
+        full-width intermediate.
         """
-        if prec_scale is not None:
-            prec = dequantize_rows_int8(prec, prec_scale)
-            mu_prec = dequantize_rows_int8(mu_prec, mu_prec_scale)
-        if prec.dtype != np.float64:
-            obs = obs.astype(np.float32)
+        obs = obs.astype(prec.dtype, copy=False)
         comp = (obs * obs) @ prec.T
         comp *= -0.5
         comp += obs @ mu_prec.T
@@ -404,19 +356,17 @@ class SenonePool:
         ``obs @ mu_prec.T``) and a vectorized log-sum-exp mixture fold.
         ``senones=None`` scores the full pool with no gather at all.
         ``precision`` selects the stored tables
-        (:data:`BLAS_PRECISIONS`); the gather, the products and (for
-        int8) the dequantization all touch only the narrow storage, so
-        a reduced-precision table moves proportionally fewer bytes per
-        scoring call.
+        (:data:`BLAS_PRECISIONS`); the gather and the products touch
+        only the narrow storage, so a reduced-precision table moves
+        proportionally fewer bytes per scoring call.
 
         The float summation order inside the dot products differs from
         :meth:`score_senones`'s elementwise fold, so results agree with
         the reference backend only to rounding (the ``mode="blas"``
         backends document this as ``exact=False``); the values are
-        otherwise the same log-likelihoods.  Reduced precisions add
-        their documented drift on top
-        (:data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL` /
-        :data:`~repro.decoder.scorer.INT8_SCORE_ATOL`): the quadratic
+        otherwise the same log-likelihoods.  float32 adds its
+        documented drift on top
+        (:data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`): the quadratic
         form, the mixture-constant add and the log-sum-exp fold all
         run in the narrow storage; only the returned scores are
         float64.
@@ -426,8 +376,6 @@ class SenonePool:
         m = self.num_components
         if senones is None:
             prec, mu_prec, const = tables.prec, tables.mu_prec, tables.const
-            prec_scale = tables.prec_scale
-            mu_scale = tables.mu_prec_scale
             count = self.num_senones
         else:
             idx = np.asarray(senones, dtype=np.int64)
@@ -442,21 +390,11 @@ class SenonePool:
             prec = tables.prec.take(rows, axis=0)
             mu_prec = tables.mu_prec.take(rows, axis=0)
             const = tables.const.take(idx, axis=0)
-            prec_scale = (
-                tables.prec_scale.take(rows, axis=0)
-                if tables.prec_scale is not None
-                else None
-            )
-            mu_scale = (
-                tables.mu_prec_scale.take(rows, axis=0)
-                if tables.mu_prec_scale is not None
-                else None
-            )
         # The two dense products the whole mode exists for, then a
         # stable log-sum-exp mixture fold in the storage precision
         # (the const tables match the comp dtype by construction);
         # only the final scores are upcast to float64.
-        comp = self._dense_quadratic(obs, prec, mu_prec, prec_scale, mu_scale)
+        comp = self._dense_quadratic(obs, prec, mu_prec)
         comp = comp.reshape(obs.shape[0], count, m)
         comp += const.reshape(1, count, m)
         out = _fold_components(comp)

@@ -305,22 +305,19 @@ class BatchBlasScorer:
     an array that is read-only and owns its data cannot have changed.
     Equal-but-distinct or writeable arrays are validated again.
 
-    ``precision`` selects the stored table format
+    ``precision`` is the dtype of the stored tables
     (:data:`~repro.hmm.senone.BLAS_PRECISIONS`): ``"float64"`` keeps
     the original tables, ``"float32"`` halves the bytes every dense
     step gathers and streams (drift within
     :data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL` of the float64
-    backend), ``"int8"`` stores symmetric per-row codes with per-row
-    float32 scales (~1/7 the bytes, drift within
-    :data:`~repro.decoder.scorer.INT8_SCORE_ATOL`).  The sparse-step
-    fallback always runs the exact gathered kernel regardless of table
-    precision.
+    backend).  The sparse-step fallback always runs the exact gathered
+    kernel regardless of table precision.
 
     ``exact = False``: words match the reference decode, scores agree
     within :data:`~repro.decoder.scorer.BLAS_SCORE_ATOL` (dot-product
     summation order only; both kernels are float64 over the same
-    parameters) at float64 precision, within the per-precision bounds
-    above otherwise.
+    parameters) at float64 precision, within the float32 bound above
+    otherwise.
     """
 
     exact = False

@@ -158,8 +158,8 @@ class BrownoutPolicy:
     While engaged the server degrades instead of shedding blindly:
 
     * ``downshift_precision`` swaps every live blas worker's scoring
-      tables to ``precision`` (float32 halves table bandwidth; decoded
-      words stay within the documented quantized-parity tolerances),
+      tables to ``precision`` (float32 halves table bandwidth; path
+      scores stay within the documented ``FLOAT32_SCORE_ATOL``),
       restored to the recognizer's own precision on release;
     * ``admission_factor < 1.0`` tightens the effective admission
       bound to ``max(1, int(max_queue * admission_factor))`` so the

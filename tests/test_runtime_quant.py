@@ -1,22 +1,22 @@
-"""Quantized-table parity suite for reduced-precision blas scoring.
+"""Parity suite for reduced-precision blas scoring.
 
-``SenonePool.blas_tables(precision=...)`` offers three storage
-formats for the matmul-form tables: ``"float64"`` (the original exact
-rounding), ``"float32"`` (half the table bandwidth) and ``"int8"``
-(per-row symmetric codes, ~1/7 the bytes).  The contracts pinned here:
+The blas precision axis is the numpy dtype of the matmul-form tables
+(``SenonePool.blas_tables(precision=...)``): ``"float64"`` (the
+original exact rounding) or ``"float32"`` (half the table bandwidth).
+The contracts pinned here:
 
 * ``float32`` decodes are WORD-identical to the float64 blas backend
   on the command task across batch sizes 1-8 and ragged continuous
   arrivals, with path scores within
   :data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`;
-* ``int8`` path-score drift stays within the documented
-  :data:`~repro.decoder.scorer.INT8_SCORE_ATOL` (its measured WER
-  drift is recorded beside that constant);
-* the int8 quantizer round-trips within half a grid step per entry;
 * ``SenonePool.table_bytes`` is an exact analytic account of the
-  built tables, and int8 comes in under half the float64 footprint;
+  built tables, and float32 is exactly half the float64 footprint;
+* any other precision — ``"int8"`` included — is refused at every
+  door that takes one;
 * ``TestQuantGolden`` replays the committed reference fixtures at
-  batch 8 — the acceptance gate of the precision axis.
+  batch 8 — the acceptance gate of the precision axis;
+* the standalone int8 row quantizer of :mod:`repro.quant.fixed_point`
+  (no scoring path uses it) round-trips within half a grid step.
 
 This module only pins correctness; no ``BENCHMARK.json`` workload runs
 reduced-precision tables, so their speed is currently unmeasured.
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.decoder.recognizer import Recognizer, validate_precision
-from repro.decoder.scorer import FLOAT32_SCORE_ATOL, INT8_SCORE_ATOL
+from repro.decoder.scorer import FLOAT32_SCORE_ATOL
 from repro.hmm.senone import BLAS_PRECISIONS, SenonePool
 from repro.quant.fixed_point import (
     INT8_LEVELS,
@@ -37,7 +37,7 @@ from repro.quant.fixed_point import (
     quantize_rows_int8,
 )
 from repro.runtime.scoring import BatchBlasScorer
-from repro.serve import Server
+from repro.serve import BrownoutPolicy, Server
 from repro.workloads.tasks import command_task
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -110,36 +110,6 @@ class TestFloat32Parity:
             _assert_quant_parity(lane, base, FLOAT32_SCORE_ATOL)
 
 
-class TestInt8Drift:
-    """int8 drift on the golden acceptance utterances — the set where
-    word outputs are empirically identical, so best-path score drift
-    against the float64 blas baseline is directly comparable (the
-    broader test corpus flips a few words; that WER drift is recorded
-    beside ``INT8_SCORE_ATOL``, not asserted here)."""
-
-    @pytest.fixture(scope="class")
-    def golden_pairs(self, golden_task, recs):
-        fixture = json.loads(
-            (GOLDEN_DIR / "command_reference.json").read_text()
-        )
-        feats = [
-            golden_task.corpus.test[u["index"]].features
-            for u in fixture["utterances"]
-        ]
-        return feats, [recs["float64"].decode(f) for f in feats]
-
-    def test_sequential_drift_bounded(self, recs, golden_pairs):
-        feats, baselines = golden_pairs
-        for f, base in zip(feats, baselines):
-            _assert_quant_parity(recs["int8"].decode(f), base, INT8_SCORE_ATOL)
-
-    def test_batch_drift_bounded(self, recs, golden_pairs):
-        feats, baselines = golden_pairs
-        result = recs["int8"].decode_batch(feats)
-        for lane, base in zip(result, baselines):
-            _assert_quant_parity(lane, base, INT8_SCORE_ATOL)
-
-
 class TestInt8RoundTrip:
     def _table(self, rng, rows=32, cols=39):
         # Mixed-magnitude rows, like precision tables: some dims huge.
@@ -203,9 +173,6 @@ class TestTableBytes:
     def test_analytic_matches_built_tables(self, pool, precision):
         assert pool.table_bytes(precision) == pool.blas_tables(precision).table_bytes
 
-    def test_int8_under_half_the_float64_footprint(self, pool):
-        assert pool.table_bytes("int8") <= 0.5 * pool.table_bytes("float64")
-
     def test_float32_exactly_half_the_float64_footprint(self, pool):
         assert pool.table_bytes("float32") * 2 == pool.table_bytes("float64")
 
@@ -218,7 +185,7 @@ class TestTableBytes:
 
 class TestPrecisionValidation:
     def test_unknown_precision_names_supported(self):
-        with pytest.raises(ValueError, match="int8"):
+        with pytest.raises(ValueError, match="float32"):
             validate_precision("blas", "bfloat16")
 
     @pytest.mark.parametrize("mode", ["reference", "hardware", "fast"])
@@ -234,7 +201,7 @@ class TestPrecisionValidation:
         with pytest.raises(ValueError, match="blas"):
             Recognizer.create(
                 golden_task.dictionary, golden_task.pool, golden_task.lm,
-                golden_task.tying, mode="reference", precision="int8",
+                golden_task.tying, mode="reference", precision="float32",
             )
 
     def test_blas_scorer_rejects_unknown_precision(self):
@@ -243,6 +210,36 @@ class TestPrecisionValidation:
         )
         with pytest.raises(ValueError, match="float32"):
             BatchBlasScorer(pool, precision="fp8")
+
+    @pytest.mark.parametrize(
+        "door",
+        [
+            "Recognizer.create",
+            "BatchBlasScorer",
+            "blas_tables",
+            "table_bytes",
+            "BrownoutPolicy",
+            "set_precision",
+        ],
+    )
+    def test_int8_refused_at_every_door(self, golden_task, recs, door):
+        assert BLAS_PRECISIONS == ("float64", "float32")
+        pool = golden_task.pool
+        rec = recs["float32"]
+        doors = {
+            "Recognizer.create": lambda: Recognizer.create(
+                golden_task.dictionary, pool, golden_task.lm,
+                golden_task.tying, mode="blas", precision="int8",
+            ),
+            "BatchBlasScorer": lambda: BatchBlasScorer(pool, precision="int8"),
+            "blas_tables": lambda: pool.blas_tables("int8"),
+            "table_bytes": lambda: pool.table_bytes("int8"),
+            "BrownoutPolicy": lambda: BrownoutPolicy(precision="int8"),
+            "set_precision": lambda: rec.set_precision("int8"),
+        }
+        with pytest.raises(ValueError, match="'float64', 'float32'"):
+            doors[door]()
+        assert rec.precision == rec.scorer.precision == "float32"
 
 
 class TestPrecisionThreading:
@@ -255,9 +252,9 @@ class TestPrecisionThreading:
         assert twin.scorer.precision == "float32"
 
     def test_continuous_twin_keeps_precision(self, recs):
-        twin = recs["int8"].twin()
-        assert twin.precision == "int8"
-        assert twin.scorer.precision == "int8"
+        twin = recs["float32"].as_continuous()
+        assert twin.precision == "float32"
+        assert twin.scorer.precision == "float32"
 
     def test_server_metrics_report_precision_and_footprint(self, recs):
         server = Server(recs["float32"])
@@ -282,7 +279,7 @@ class TestPrecisionThreading:
 class TestQuantGolden:
     """Reduced precisions vs the COMMITTED reference fixtures at
     batch 8 — the acceptance gate: float32 must reproduce the golden
-    words exactly; int8 must stay within its documented drift."""
+    words exactly."""
 
     @pytest.fixture(scope="class")
     def fixture(self):
@@ -298,7 +295,7 @@ class TestQuantGolden:
 
     @pytest.mark.parametrize(
         "precision, atol",
-        [("float32", FLOAT32_SCORE_ATOL), ("int8", INT8_SCORE_ATOL)],
+        [("float32", FLOAT32_SCORE_ATOL)],
     )
     def test_batch8_matches_reference_fixture(
         self, recs, fixture, golden_feats, precision, atol
