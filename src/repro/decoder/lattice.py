@@ -75,7 +75,8 @@ class WordLattice:
     ) -> int:
         """Append a batch of exits recorded at ``exit_frame``.
 
-        The five lists are equal-length columns of the batch.  Every
+        The five lists are the batch's columns: the strict walk below
+        raises ``ValueError`` for columns of unequal length.  Every
         predecessor must already be in the lattice (``-1`` is BOS) and
         every entry frame in ``[0, exit_frame]``; the batch is checked
         as a whole before anything is stored.  Returns the dense index
@@ -83,9 +84,9 @@ class WordLattice:
         """
         first = len(self.word)
         count = len(words)
-        if not count:
-            return first
-        for predecessor, entry_frame in zip(predecessors, entry_frames):
+        for predecessor, entry_frame, _, _, _ in zip(
+            predecessors, entry_frames, words, scores, lm_histories, strict=True
+        ):
             if not -1 <= predecessor < first:
                 raise ValueError(
                     f"predecessor {predecessor} not in [-1, {first}) "
@@ -95,6 +96,8 @@ class WordLattice:
                 raise ValueError(
                     f"entry_frame {entry_frame} not in [0, exit_frame {exit_frame}]"
                 )
+        if not count:
+            return first
         self.word += words
         self.entry_frame += entry_frames
         self.exit_frame += [exit_frame] * count

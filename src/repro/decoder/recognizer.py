@@ -129,9 +129,10 @@ def validate_utterance_features(
 ) -> np.ndarray:
     """One utterance's features as the ``(T, dim)`` float64 the lane
     bank expects — the single validator behind every ``decode*``
-    method, the serve loop and the server's submit, so the accepted
-    shape rules cannot drift apart.  ``index`` labels the utterance in
-    multi-utterance error messages (None for a lone decode)."""
+    method, the serve loop, the lane bank's ``admit`` and the server's
+    submit, so the accepted shape rules cannot drift apart.  ``index``
+    labels the utterance in multi-utterance error messages (None for a
+    lone decode)."""
     prefix = "" if index is None else f"utterance {index}: "
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != dim:

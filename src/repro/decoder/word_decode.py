@@ -11,8 +11,9 @@ Implementation: time-synchronous Viterbi token passing over the
 :class:`~repro.decoder.network.FlatLexiconNetwork`.  The frame loop is
 :class:`repro.runtime.batch.LaneBank` (one lane for one audio stream,
 B lanes for B); this module holds the search configuration, the
-per-lane kernels the loop is made of, and :class:`WordDecodeStage`,
-the frame-at-a-time view of a 1-lane bank.  Each frame:
+start-of-utterance entries, the one LM-history walk over a lattice, and
+:class:`WordDecodeStage`, the frame-at-a-time view of a 1-lane bank.
+Each frame:
 
 1. determine candidate states (alive, their right neighbours, and
    word-start states holding a pending entry) — the union of their
@@ -26,7 +27,9 @@ the frame-at-a-time view of a 1-lane bank.  Each frame:
 5. record word exits above the word beam into the
    :class:`~repro.decoder.lattice.WordLattice`, and convert them into
    LM-weighted *pending entries* offered to every word (and the
-   silence model) at the next frame.
+   silence model) at the next frame — every lane in one pass per step,
+   the pass the tree bank runs too
+   (:meth:`~repro.runtime.batch.LaneBankBase._record_exits`).
 
 The language model is applied at word entry (bigram/trigram row of the
 exiting word's history), so the lattice scores already contain LM mass
@@ -40,8 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.logadd import LOG_ZERO
-from repro.decoder.beam import BeamConfig, select_word_exits
+from repro.decoder.beam import BeamConfig
 from repro.decoder.lattice import WordLattice
 from repro.decoder.network import FlatLexiconNetwork
 from repro.lm.ngram import NGramModel
@@ -51,8 +53,6 @@ __all__ = [
     "FrameStats",
     "WordDecodeStage",
     "prime_entries",
-    "record_exits",
-    "compute_pending_entries",
     "last_real_exit",
     "lm_history_of",
 ]
@@ -97,14 +97,8 @@ class FrameStats:
 
 
 # ----------------------------------------------------------------------
-# Shared search kernels
-#
-# The per-lane lattice and word-entry halves of a flat-bank frame; the
-# chain recurrence between them is ``core.viterbi_unit.chain_update``.
-# They take 1-D row views of the stacked arrays of
-# :class:`repro.runtime.LaneBank` (B = 1 under ``Recognizer.decode``),
-# so a freshly admitted lane replays the same per-utterance sequence
-# from its own frame 0 whatever its neighbours do.
+# What the flat bank's lanes start from, and the history walk its exit
+# pass (and the best path search) reads the LM through.
 # ----------------------------------------------------------------------
 
 
@@ -130,40 +124,6 @@ def prime_entries(
         pending_src[..., network.silence_word] = -1
 
 
-def record_exits(
-    network: FlatLexiconNetwork,
-    config: DecoderConfig,
-    lattice: WordLattice,
-    record: np.ndarray,
-    t: int,
-    exit_scores: np.ndarray,
-    viable: np.ndarray,
-) -> range:
-    """Append one utterance's frame-``t`` word exits to its lattice.
-
-    ``exit_scores``/``viable`` are the per-word exit scores and
-    liveness mask the caller computed from its ``delta`` row; ``record``
-    is that utterance's ``(2, S)`` token record (payload, entry frame).
-    Returns the new exits' dense indices, in recorded order.
-    """
-    words = select_word_exits(
-        exit_scores, viable, config.beam.word_beam, config.max_exits_per_frame
-    ).tolist()
-    predecessors, entry_frames = record[:, network.end_state[words]].tolist()
-    # network order == vocabulary order; silence forwards its
-    # predecessor's history (BOS = -1).
-    history_of, silence = lattice.lm_history, network.silence_word
-    lm_histories = [
-        word if word != silence else history_of[p] if p >= 0 else -1
-        for word, p in zip(words, predecessors)
-    ]
-    first = lattice.extend(
-        t, words, entry_frames, predecessors, exit_scores[words].tolist(),
-        lm_histories,
-    )
-    return range(first, first + len(words))
-
-
 def last_real_exit(lattice: WordLattice, network: FlatLexiconNetwork, index: int) -> int:
     """Nearest non-silence exit at or before ``index`` (-1 = BOS)."""
     word, predecessor = lattice.word, lattice.predecessor
@@ -183,8 +143,9 @@ def lm_history_of(
     For bigram models this is the last real word; for trigram models
     the last two.  Silence records are transparent: the walk skips
     them, so "w1 <sil> w2" exposes ``(w1, w2)``.  ``<s>`` fills missing
-    positions.  The one history walk of both the word-entry kernels and
-    the best path search's final ``</s>`` term.
+    positions.  The one history walk: it keys the LM rows of the lane
+    banks' exit pass and gives the best path search's final ``</s>``
+    term.
     """
     vocab = lm.vocabulary
     first = last_real_exit(lattice, network, index)
@@ -195,44 +156,6 @@ def lm_history_of(
     second = last_real_exit(lattice, network, lattice.predecessor[first])
     prev = vocab.bos_id if second < 0 else lattice.lm_history[second]
     return (prev, lattice.lm_history[first])
-
-
-def compute_pending_entries(
-    network: FlatLexiconNetwork,
-    config: DecoderConfig,
-    lm: NGramModel,
-    lattice: WordLattice,
-    exit_indices,
-    pending_entry: np.ndarray,
-    pending_src: np.ndarray,
-) -> None:
-    """Turn one utterance's frame exits into next-frame word entries.
-
-    Operates in place on the utterance's ``pending_entry``/
-    ``pending_src`` rows (1-D views work, so the lane bank passes
-    slices of its stacked arrays).
-    """
-    pending_entry.fill(LOG_ZERO)
-    pending_src.fill(-1)
-    v = network.num_words
-    scores = lattice.score
-    for index in exit_indices:
-        score = scores[index]
-        history = lm_history_of(lattice, network, lm, index)
-        # score + lm_scale * row + penalty, built in place on the one
-        # scaled-row temporary (IEEE addition is commutative, so
-        # folding the scalars in is bit-identical).
-        candidate = config.lm_scale * lm.log_prob_row(history)
-        np.add(candidate, score, out=candidate)
-        np.add(candidate, config.word_insertion_penalty, out=candidate)
-        better = candidate > pending_entry[:v]
-        np.copyto(pending_entry[:v], candidate, where=better)
-        np.copyto(pending_src[:v], index, where=better)
-        if network.has_silence:
-            sil_candidate = score + config.silence_penalty
-            if sil_candidate > pending_entry[network.silence_word]:
-                pending_entry[network.silence_word] = sil_candidate
-                pending_src[network.silence_word] = index
 
 
 class WordDecodeStage:

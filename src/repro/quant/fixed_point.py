@@ -21,56 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "QFormat",
-    "FixedPointStats",
-    "INT8_LEVELS",
-    "quantize_rows_int8",
-    "dequantize_rows_int8",
-]
-
-#: Symmetric signed-8-bit grid: codes in ``[-127, 127]`` (the -128 code
-#: is unused so negation is exact and dequantization is a pure scale).
-INT8_LEVELS = 127
-
-
-def quantize_rows_int8(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row symmetric int8 quantization of a 2-D table.
-
-    Each row is mapped onto the symmetric grid
-    ``{-127, ..., 127} * scale`` with its own ``scale = max|row| / 127``
-    (float32), round-to-nearest.  Zero-point is always 0, so
-    dequantization is a single elementwise multiply — exactly what a
-    dense-product kernel wants to apply before (or fold after) a BLAS
-    call.  All-zero rows get ``scale = 0`` and quantize to zero codes.
-
-    Returns ``(codes, scales)``: ``codes`` is int8 with the input's
-    shape, ``scales`` is float32 of shape ``(rows, 1)`` ready to
-    broadcast against the codes.
-    """
-    table = np.asarray(values, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError(f"expected a 2-D table, got shape {table.shape}")
-    peak = np.abs(table).max(axis=1, keepdims=True)
-    scales = (peak / INT8_LEVELS).astype(np.float32)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        codes = np.where(peak > 0.0, np.round(table / scales), 0.0)
-    codes = np.clip(codes, -INT8_LEVELS, INT8_LEVELS).astype(np.int8)
-    return codes, scales
-
-
-def dequantize_rows_int8(
-    codes: np.ndarray, scales: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Inverse of :func:`quantize_rows_int8` (float32 result).
-
-    The reconstruction error of any element is at most half a grid
-    step, ``scale / 2`` of its row.
-    """
-    if out is None:
-        out = np.empty(codes.shape, dtype=np.float32)
-    np.multiply(codes, scales, out=out, casting="unsafe")
-    return out
+__all__ = ["QFormat", "FixedPointStats"]
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ A frame is a short fixed list of whole-bank array passes (at 1 lane x
 chain update handing back its two decisions as masks, the record moved
 along them by three ``copyto`` (stay, forward, entry), ONE beam pass.
 
-Everything per-lane — lattices, word exits, LM-weighted pending
-entries, per-frame statistics — runs through the per-lane kernels of
-:mod:`repro.decoder.word_decode`, on row views of the stacked arrays,
-and is indexed by the lane's OWN frame counter (``lane_t``), never the
-global step.  Scoring backends with per-lane state (fast-GMM's CDS
+The word exits of every lane are recorded in ONE pass per step,
+:meth:`LaneBankBase._record_exits`, for both lexicon networks: a bank
+hands it the step's live word ends grouped by lane, and two small hooks
+hold what the networks do differently — the score an exit is recorded
+at and the entry offer its exits make for the next frame.  Lattices,
+pending entries and per-frame statistics are indexed by the lane's OWN
+frame counter (``lane_t``), never the global step.  Scoring backends
+with per-lane state (fast-GMM's CDS
 cache and work counters, blas blocks scored ahead) join the lifecycle
 through admit/retire/compact hooks, so a reseeded lane can never
 observe a previous occupant's state.  Because every batched operation
@@ -45,17 +48,14 @@ import numpy as np
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.scratch import DenseScratch
 from repro.core.viterbi_unit import chain_update
-from repro.decoder.beam import apply_beam_batch, make_beam_scratch
+from repro.decoder.beam import apply_beam_batch, make_beam_scratch, select_word_exits
 from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.lattice import WordLattice
-from repro.decoder.recognizer import DecodeTiming, RecognitionResult, Recognizer
-from repro.decoder.scorer import ScoringStats
-from repro.decoder.word_decode import (
-    FrameStats,
-    compute_pending_entries,
-    prime_entries,
-    record_exits,
+from repro.decoder.recognizer import (
+    DecodeTiming, RecognitionResult, Recognizer, validate_utterance_features,
 )
+from repro.decoder.scorer import ScoringStats
+from repro.decoder.word_decode import FrameStats, lm_history_of, prime_entries
 from repro.obs.telemetry import DecodeTelemetry
 
 __all__ = ["LaneBank", "LaneBankBase"]
@@ -165,6 +165,16 @@ class LaneBankBase:
         """
         raise NotImplementedError
 
+    def _exit_scores(self, lattice, raw, words, preds, rows) -> list[float]:
+        """The scores one lane's kept exits (``words``, continuing from
+        exits ``preds``) are recorded at, from their ``raw`` scores."""
+        raise NotImplementedError
+
+    def _offer(self, lane, lattice, first, scores, rows) -> None:
+        """Turn one lane's new exits (dense indices from ``first`` on,
+        recorded at ``scores``) into its word entries for next frame."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     def _demand(
         self, lanes: np.ndarray, candidates
@@ -200,6 +210,74 @@ class LaneBankBase:
             self._grid = (key, pair_b, pair_s, self.active * num_senones)
         return self._grid[1:]
 
+    def _record_exits(
+        self,
+        lanes: np.ndarray,
+        words: np.ndarray,
+        raw: np.ndarray,
+        record: np.ndarray,
+        lane_t_list: list[int],
+    ) -> list[int]:
+        """Every lane's word exits of this step, in ONE pass; returns
+        the per-lane exit counts.
+
+        The candidates are the word ends alive after the beam, grouped
+        by lane (ascending) and in network order inside a lane: their
+        ``words``, float64 ``raw`` exit scores and ``(2, n)`` token
+        ``record`` (predecessor exit, entry frame).  A lane keeps those
+        within ``word_beam`` of its best raw score, in that order — what
+        :func:`~repro.decoder.beam.select_word_exits` picks — and only a
+        lane with more than ``max_exits_per_frame`` of them asks it for
+        the top-N cut and its order.  The kept exits land in the lane's
+        lattice with ONE ``extend`` at the scores :meth:`_exit_scores`
+        gives (silence forwards its predecessor's LM history), then
+        :meth:`_offer` turns them into next frame's entries; an offer
+        lasts one frame, so every lane's is cleared first.  Both hooks
+        read LM rows through one per-step lookup keyed by the history
+        :func:`~repro.decoder.word_decode.lm_history_of` returns.
+        """
+        exit_counts = [0] * self.num_lanes
+        self.pending_entry.fill(LOG_ZERO)
+        self.pending_src.fill(-1)
+        if not lanes.size:
+            return exit_counts
+        lane_of, word_of, raw_list = lanes.tolist(), words.tolist(), raw.tolist()
+        pred_of, entry_of = record.tolist()
+        word_beam, cap = self.cfg.beam.word_beam, self.cfg.max_exits_per_frame
+        silence = self.net.silence_word
+        rows = _LmRows(self.lm)
+        n, lo = len(lane_of), 0
+        while lo < n:
+            b = lane_of[lo]
+            hi = lo + 1
+            while hi < n and lane_of[hi] == b:
+                hi += 1
+            threshold = max(raw_list[lo:hi]) - word_beam
+            keep = [i for i in range(lo, hi) if raw_list[i] >= threshold]
+            if len(keep) > cap:
+                viable = np.ones(hi - lo, dtype=bool)
+                keep = (
+                    select_word_exits(raw[lo:hi], viable, word_beam, cap) + lo
+                ).tolist()
+            lattice = self.lattices[b]
+            history_of = lattice.lm_history
+            kept = [word_of[i] for i in keep]
+            preds = [pred_of[i] for i in keep]
+            scores = self._exit_scores(
+                lattice, [raw_list[i] for i in keep], kept, preds, rows
+            )
+            first = lattice.extend(
+                lane_t_list[b], kept, [entry_of[i] for i in keep], preds, scores,
+                [
+                    w if w != silence else history_of[p] if p >= 0 else -1
+                    for w, p in zip(kept, preds)
+                ],
+            )
+            exit_counts[b] = len(kept)
+            self._offer(b, lattice, first, scores, rows)
+            lo = hi
+        return exit_counts
+
     @property
     def any_active(self) -> bool:
         return bool(self.active.any())
@@ -226,12 +304,17 @@ class LaneBankBase:
         ``enqueued_at`` (a ``time.monotonic`` stamp) records when the
         utterance entered a waiting queue; it defaults to the admission
         instant, so a decode with no queue in front of it reports zero
-        wait.
+        wait.  Features go through
+        :func:`~repro.decoder.recognizer.validate_utterance_features`
+        (labelled with ``utt_id``) before anything changes, so a refused
+        admission leaves the bank as it was.
         """
         if self.active[lane]:
             raise RuntimeError(f"lane {lane} is still occupied")
-        if features is not None and (features.ndim != 2 or features.shape[0] == 0):
-            raise ValueError(f"lane {lane}: features must be non-empty (T, L)")
+        if features is not None:
+            features = validate_utterance_features(
+                self.recognizer.pool.dim, utt_id, features
+            )
         self.scorer.admit_lane(lane, features)
         self._reset_lane_state(lane)
         self.lane_feats[lane] = features
@@ -516,7 +599,8 @@ class LaneBank(LaneBankBase):
         self.pending_src = np.full(
             (self.num_lanes, total_words), -1, dtype=np.int64
         )
-        self._fwd_end = net.fwd_logp[net.end_state]
+        # Widened once: a float32 token's exit score is float64 (exact).
+        self._fwd_end = net.fwd_logp[net.end_state].astype(np.float64)
         self._has_left = ~net.is_start[1:]  # state s+1 continues s's chain
 
     def _alloc_scratch(self) -> None:
@@ -642,27 +726,53 @@ class LaneBank(LaneBankBase):
         t2 = time.perf_counter()
         self.stage_update_s += t2 - t1
 
-        # 6. Row-wise beam prune, then per-lane exits and entries: an
-        #    offer lasts one frame, so every row is cleared first.
+        # 6. Row-wise beam prune, then every lane's live word ends, in
+        #    word order, go through the one exit pass.
         _, n_active = apply_beam_batch(delta, cfg.beam, self._beam_scratch)
         end_delta = delta.take(net.end_state, axis=1)
-        viable = end_delta > LOG_DEAD
-        exit_counts = [0] * self.num_lanes
-        self.pending_entry.fill(LOG_ZERO)
-        self.pending_src.fill(-1)
-        exit_lanes = np.flatnonzero(viable.any(axis=1))
-        if exit_lanes.size:
-            exit_scores = end_delta.astype(np.float64, copy=False) + self._fwd_end
-            for b in exit_lanes.tolist():
-                exits = record_exits(
-                    net, cfg, self.lattices[b], self._record[:, b],
-                    lane_t_list[b], exit_scores[b], viable[b],
-                )
-                exit_counts[b] = len(exits)
-                compute_pending_entries(
-                    net, cfg, self.lm, self.lattices[b], exits,
-                    self.pending_entry[b], self.pending_src[b],
-                )
+        exit_b, exit_w = (end_delta > LOG_DEAD).nonzero()
+        exit_counts = self._record_exits(
+            exit_b, exit_w, end_delta[exit_b, exit_w] + self._fwd_end[exit_w],
+            self._record[:, exit_b, net.end_state[exit_w]], lane_t_list,
+        )
         self.stage_exit_s += time.perf_counter() - t2
 
         return n_active, scored_counts, exit_counts
+
+    def _exit_scores(self, lattice, raw, words, preds, rows) -> list[float]:
+        return raw  # the flat network applies the LM at word entry
+
+    def _offer(self, lane, lattice, first, scores, rows) -> None:
+        """Every word's best LM-weighted entry (silence's: the penalty
+        only) over the lane's new exits, strict ``>`` in recorded order:
+        ties go to the first exit, and a word no exit lifts above
+        ``LOG_ZERO`` keeps ``LOG_ZERO``/-1."""
+        net, cfg, lm = self.net, self.cfg, self.lm
+        silence = net.silence_word
+        entry, src = self.pending_entry[lane], self.pending_src[lane]
+        word_entry, word_src = entry[: net.num_words], src[: net.num_words]
+        for index, score in enumerate(scores, first):
+            # lm_scale * row + score + penalty, built in place on the
+            # one scaled-row temporary.
+            candidate = cfg.lm_scale * rows[lm_history_of(lattice, net, lm, index)]
+            candidate += score
+            candidate += cfg.word_insertion_penalty
+            better = candidate > word_entry
+            np.copyto(word_entry, candidate, where=better)
+            np.copyto(word_src, index, where=better)
+            if silence >= 0 and score + cfg.silence_penalty > entry[silence]:
+                entry[silence], src[silence] = score + cfg.silence_penalty, index
+
+
+class _LmRows(dict):
+    """One step's LM rows by history (what
+    :func:`~repro.decoder.word_decode.lm_history_of` returns), fetched
+    on first use."""
+
+    def __init__(self, lm) -> None:
+        super().__init__()
+        self.lm = lm
+
+    def __missing__(self, history: tuple[int, ...]) -> np.ndarray:
+        row = self[history] = self.lm.log_prob_row(history)
+        return row

@@ -22,12 +22,12 @@ and dead rule, with the predecessor gathered instead of shifted) and
 the list-form row beam (:func:`~repro.decoder.beam.apply_beam_rows`)
 on the values gathered for just those slots, and scatters the result
 back into the dense state IN PLACE; the survivors are the next step's
-live list.  The word exits of ALL lanes are then recorded in one pass
-over the bank's live leaves (``_record_exits``): one mask and a few
-``tolist`` calls, then a walk over the leaves (about a dozen per step
-on ``bank_tree``) as Python lists, one
-:meth:`~repro.decoder.lattice.WordLattice.extend` per lane that exits.
-Per-step cost follows the candidates, not ``B x K``.  In
+live list.  The bank's live leaves (one mask; about a dozen per step on
+``bank_tree``) then go through the exit pass both banks share,
+:meth:`~repro.runtime.batch.LaneBankBase._record_exits`; the tree's
+hooks add the predecessor history's LM term at the leaf and offer every
+lane ONE root entry.  Per-step cost follows the candidates, not
+``B x K``.  In
 hardware mode the recognizer's Viterbi unit is charged beside it, for
 the whole bank (the unit streams every register).
 
@@ -75,8 +75,9 @@ import numpy as np
 
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.viterbi_unit import tree_update
-from repro.decoder.beam import apply_beam_rows, select_word_exits
+from repro.decoder.beam import apply_beam_rows
 from repro.decoder.lextree import prime_tree_entry
+from repro.decoder.word_decode import lm_history_of
 from repro.runtime.batch import LaneBankBase
 
 __all__ = ["TreeLaneBank"]
@@ -217,7 +218,8 @@ class TreeLaneBank(LaneBankBase):
         net, cfg = self.net, self.cfg
         # Flat views of the in-place state, indexed by slot.
         delta = self.delta.reshape(-1)
-        payload, entry_frame = self._record.reshape(2, -1)
+        record = self._record.reshape(2, -1)
+        payload, entry_frame = record
 
         # Stage clocks: same boundaries as the flat bank's, so a
         # tree-lexicon trace reads identically.
@@ -280,106 +282,40 @@ class TreeLaneBank(LaneBankBase):
         self.stage_update_s += t2 - t1
 
         # 6. Row-wise beam prune on the list, survivors (and the
-        #    LOG_ZERO of the pruned) scattered back, then ONE pass over
-        #    the bank's live leaves records every lane's word exits.
+        #    LOG_ZERO of the pruned) scattered back, then the live
+        #    leaves, in slot order, go through the one exit pass.
         _, n_active = apply_beam_rows(new_delta, cand_b, self.num_lanes, cfg.beam)
         delta[slots] = new_delta
         live = new_delta > LOG_DEAD
         self._alive = slots[live]
         leaves = np.flatnonzero(live & self._is_leaf[cand_s])
+        leaf_s = cand_s[leaves]
         exit_counts = self._record_exits(
-            slots[leaves], cand_b[leaves], cand_s[leaves], new_delta[leaves],
-            lane_t_list,
+            cand_b[leaves], net.leaf_word[leaf_s],
+            new_delta[leaves].astype(np.float64) + net.exit_logp[leaf_s],
+            record[:, slots[leaves]], lane_t_list,
         )
         self.stage_exit_s += time.perf_counter() - t2
 
         return n_active, scored_counts, exit_counts
 
-    def _record_exits(
-        self,
-        leaf_slots: np.ndarray,
-        leaf_b: np.ndarray,
-        leaf_s: np.ndarray,
-        leaf_delta: np.ndarray,
-        lane_t_list: list[int],
-    ) -> list[int]:
-        """Every lane's LM-weighted word exits at its live leaves.
-
-        The leaves come in slot order, so grouped by lane and, within
-        a lane, in state order.  Each lane keeps the leaves within
-        ``word_beam`` of its best raw exit score (``leaf_delta +
-        exit_logp``, float64) in that order — what
-        :func:`~repro.decoder.beam.select_word_exits` picks — and only
-        a lane with more than ``max_exits_per_frame`` of them asks
-        :func:`select_word_exits` for its top-N cut and order.  The exit
-        adds the LM row of the predecessor's history (silence: the
-        silence penalty, and it forwards that history), lands in the
-        lane's lattice with ONE ``extend``, and the best LM'd exit plus
-        the insertion penalty becomes the lane's root entry for the next
-        frame (strict ``>`` in recorded order; ``LOG_ZERO``/-1 for a
-        lane without exits).  Returns the per-lane exit counts.
-        """
-        net, cfg = self.net, self.cfg
-        exit_counts = [0] * self.num_lanes
-        pending_entry, pending_src = self.pending_entry, self.pending_src
-        pending_entry.fill(LOG_ZERO)
-        pending_src.fill(-1)
-        if not leaf_slots.size:
-            return exit_counts
-        raw = leaf_delta.astype(np.float64) + net.exit_logp[leaf_s]
-        raw_list = raw.tolist()
-        lane_of = leaf_b.tolist()
-        word_of = net.leaf_word[leaf_s].tolist()
-        pred_of, entry_of = self._record.reshape(2, -1)[:, leaf_slots].tolist()
-        word_beam, cap = cfg.beam.word_beam, cfg.max_exits_per_frame
+    def _exit_scores(self, lattice, raw, words, preds, rows) -> list[float]:
+        """The leaf adds the LM term of the predecessor's history
+        (silence: the silence penalty instead)."""
+        net, lm, cfg = self.net, self.lm, self.cfg
         lm_scale, silence = cfg.lm_scale, net.silence_word
-        silence_penalty, penalty = cfg.silence_penalty, cfg.word_insertion_penalty
-        rows = _LmRows(self.lm)
-        n, lo = len(lane_of), 0
-        while lo < n:
-            b = lane_of[lo]
-            hi = lo + 1
-            while hi < n and lane_of[hi] == b:
-                hi += 1
-            threshold = max(raw_list[lo:hi]) - word_beam
-            keep = [i for i in range(lo, hi) if raw_list[i] >= threshold]
-            if len(keep) > cap:
-                viable = np.ones(hi - lo, dtype=bool)
-                keep = (
-                    select_word_exits(raw[lo:hi], viable, word_beam, cap) + lo
-                ).tolist()
-            lattice = self.lattices[b]
-            history_of = lattice.lm_history
-            words = [word_of[i] for i in keep]
-            preds = [pred_of[i] for i in keep]
-            prevs = [history_of[p] if p >= 0 else -1 for p in preds]
-            scores = [
-                raw_list[i] + silence_penalty
-                if w == silence
-                else raw_list[i] + lm_scale * float(rows[p][w])
-                for i, w, p in zip(keep, words, prevs)
-            ]
-            first = lattice.extend(
-                lane_t_list[b], words, [entry_of[i] for i in keep], preds, scores,
-                [p if w == silence else w for w, p in zip(words, prevs)],
-            )
-            offers = [score + penalty for score in scores]
-            best = max(offers)
-            exit_counts[b] = len(words)
-            pending_entry[b], pending_src[b] = best, first + offers.index(best)
-            lo = hi
-        return exit_counts
+        return [
+            r + cfg.silence_penalty
+            if w == silence
+            else r + lm_scale * float(rows[lm_history_of(lattice, net, lm, p)][w])
+            for r, w, p in zip(raw, words, preds)
+        ]
 
-
-class _LmRows(dict):
-    """One step's LM rows by predecessor history (-1 = BOS), fetched
-    on first use."""
-
-    def __init__(self, lm) -> None:
-        super().__init__()
-        self.lm = lm
-
-    def __missing__(self, history: int) -> np.ndarray:
-        key = self.lm.vocabulary.bos_id if history < 0 else history
-        row = self[history] = self.lm.log_prob_row((key,))
-        return row
+    def _offer(self, lane, lattice, first, scores, rows) -> None:
+        """All roots share one entry: the best LM'd exit plus the
+        insertion penalty (strict ``>`` in recorded order)."""
+        offers = [score + self.cfg.word_insertion_penalty for score in scores]
+        best = max(offers)
+        self.pending_entry[lane], self.pending_src[lane] = (
+            best, first + offers.index(best)
+        )

@@ -84,8 +84,14 @@ class TestLatticeValidation:
             dict(entry_frame=-1),
             dict(entry_frame=-3, exit_frame=-2),
             dict(entry_frame=4),  # after its exit frame
+            # Columns of unequal length: two words, one of everything else.
+            dict(word=[1, 2], entry_frame=[0], predecessor=[-1], score=[0.0],
+                 lm_history=[1]),
         ],
-        ids=["pred-5", "pred-2", "pred-ahead", "entry-neg", "both-neg", "entry-late"],
+        ids=[
+            "pred-5", "pred-2", "pred-ahead", "entry-neg", "both-neg", "entry-late",
+            "ragged",
+        ],
     )
     def test_add_rejects(self, fields):
         lat = WordLattice()
@@ -93,11 +99,18 @@ class TestLatticeValidation:
         record = dict(word=1, entry_frame=2, exit_frame=3, predecessor=0,
                       score=-1.0, lm_history=1)
         record.update(fields)
+        exit_frame = record.pop("exit_frame")
+        # One batch through the one writer (``add`` is its one-exit form).
+        columns = [v if isinstance(v, list) else [v] for v in record.values()]
         with pytest.raises(ValueError):
-            lat.add(**record)
-        assert len(lat) == 1 and lat.exits_at(record["exit_frame"]) == (
-            [] if record["exit_frame"] != 1 else [lat.exit(0)]
+            lat.extend(exit_frame, *columns)
+        assert len(lat) == 1 and lat.exits_at(exit_frame) == (
+            [] if exit_frame != 1 else [lat.exit(0)]
         )
+        assert [len(column) for column in (
+            lat.word, lat.entry_frame, lat.exit_frame, lat.predecessor,
+            lat.score, lat.lm_history,
+        )] == [1] * 6
 
     def test_extend_checks_the_whole_batch_before_storing(self):
         lat = WordLattice()

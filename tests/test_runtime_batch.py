@@ -256,6 +256,43 @@ class TestValidation:
                 bank.step(np.zeros(shape))
         assert bank.step(np.zeros((2, dim))) == [0, 1]
 
+    @pytest.mark.parametrize("network", ["flat", "tree"])
+    @pytest.mark.parametrize("width", [1, 40], ids=["one-column", "one-too-many"])
+    def test_admit_refuses_features_of_the_wrong_width(self, task, network, width):
+        """A ``(5, 1)`` block used to decode silently (numpy broadcast
+        its one column over every dimension) and a ``(5, 40)`` one made
+        every later ``step`` raise, wedging the other lanes: ``admit``
+        runs the one feature validator, and a refused admission leaves
+        the bank and its other lanes as they were."""
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, network=network
+        )
+        feats = task.corpus.test[0].features
+        want = rec.decode(feats)
+        rec._reset_accounting()
+        bank = rec.make_bank(2)
+        bank.admit(0, 0, feats)
+        bank.step()
+
+        def state():
+            return [
+                a.copy() for a in (
+                    bank.delta, bank._record, bank.pending_entry, bank.pending_src,
+                    bank.active, bank.lane_t, bank.lane_len, bank.lane_utt,
+                )
+            ]
+
+        before = state()
+        with pytest.raises(ValueError, match=rf"^utterance 1: features must be \(T, "):
+            bank.admit(1, 1, np.zeros((5, width)))
+        for was, now in zip(before, state(), strict=True):
+            np.testing.assert_array_equal(now, was)
+        assert bank.lattices[1] is None and bank.lane_feats[1] is None
+        while 0 not in bank.step():
+            pass
+        got = bank.retire(0)
+        assert got.words == want.words and got.score == want.score
+
 
 class TestBatchedKernels:
     def test_apply_beam_batch_matches_rows(self, rng):

@@ -37,7 +37,7 @@ from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
 from repro.lm.ngram import NGramModel
 from repro.runtime import LaneBank, TreeLaneBank
-from repro.runtime import lextree as lextree_runtime
+from repro.runtime import batch as batch_runtime
 from repro.runtime.batch import LaneBankBase
 from repro.workloads.tasks import (
     dictation_cd_task,
@@ -545,14 +545,14 @@ class TestTreeExitCap:
     def test_capped_lanes_match_sequential(self, capped, monkeypatch):
         rec, feats = capped
         cuts = []
-        select = lextree_runtime.select_word_exits
+        select = batch_runtime.select_word_exits
 
         def count_cuts(scores, viable, word_beam, max_exits):
             keep = select(scores, viable, word_beam, max_exits)
             cuts.append((scores.size, keep.size))
             return keep
 
-        monkeypatch.setattr(lextree_runtime, "select_word_exits", count_cuts)
+        monkeypatch.setattr(batch_runtime, "select_word_exits", count_cuts)
         packaged = self._lattices(monkeypatch)
         seq, seq_lattices = [], []
         for f in feats:
@@ -572,6 +572,24 @@ class TestTreeExitCap:
             assert lane.score.hex() == seq[i].score.hex()
             assert max(f.word_exits for f in lane.frame_stats) <= self.CAP
             assert packaged[i] == seq_lattices[i]
+
+
+class TestFlatExitCap(TestTreeExitCap):
+    """The same cut on the flat bank's word ends: both banks record
+    exits through the one pass, so the cap binds the same way."""
+
+    CAP = 1
+
+    @pytest.fixture(scope="class")
+    def capped(self, task):
+        config = DecoderConfig(max_exits_per_frame=self.CAP)
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, config=config
+        )
+        feats = [u.features for u in task.corpus.test]
+        feats.append(feats[0][:60])  # nine utterances: a refill at 8 lanes
+        assert isinstance(rec.make_bank(1), LaneBank)
+        return rec, feats
 
 
 def test_tree_rejects_a_trigram_lm(task):

@@ -14,9 +14,7 @@ The contracts pinned here:
 * any other precision — ``"int8"`` included — is refused at every
   door that takes one;
 * ``TestQuantGolden`` replays the committed reference fixtures at
-  batch 8 — the acceptance gate of the precision axis;
-* the standalone int8 row quantizer of :mod:`repro.quant.fixed_point`
-  (no scoring path uses it) round-trips within half a grid step.
+  batch 8 — the acceptance gate of the precision axis.
 
 This module only pins correctness; no ``BENCHMARK.json`` workload runs
 reduced-precision tables, so their speed is currently unmeasured.
@@ -31,11 +29,6 @@ import pytest
 from repro.decoder.recognizer import Recognizer, validate_precision
 from repro.decoder.scorer import FLOAT32_SCORE_ATOL
 from repro.hmm.senone import BLAS_PRECISIONS, SenonePool
-from repro.quant.fixed_point import (
-    INT8_LEVELS,
-    dequantize_rows_int8,
-    quantize_rows_int8,
-)
 from repro.runtime.scoring import BatchBlasScorer
 from repro.serve import BrownoutPolicy, Server
 from repro.workloads.tasks import command_task
@@ -108,58 +101,6 @@ class TestFloat32Parity:
         result = recs["float32"].decode_stream(feats[::-1], max_lanes=3)
         for lane, base in zip(result, oracle[::-1]):
             _assert_quant_parity(lane, base, FLOAT32_SCORE_ATOL)
-
-
-class TestInt8RoundTrip:
-    def _table(self, rng, rows=32, cols=39):
-        # Mixed-magnitude rows, like precision tables: some dims huge.
-        table = rng.standard_normal((rows, cols))
-        table[:, 0] *= 100.0
-        return table
-
-    def test_round_trip_error_within_half_grid_step(self, rng):
-        table = self._table(rng)
-        codes, scales = quantize_rows_int8(table)
-        back = dequantize_rows_int8(codes, scales)
-        # Per-entry error <= scale/2 (+ float32 scale rounding slack).
-        bound = scales.astype(np.float64) / 2 * 1.001 + 1e-12
-        assert np.all(np.abs(back - table) <= bound)
-
-    def test_codes_and_scales_dtypes(self, rng):
-        codes, scales = quantize_rows_int8(self._table(rng))
-        assert codes.dtype == np.int8
-        assert scales.dtype == np.float32
-        assert scales.shape == (codes.shape[0], 1)
-        assert dequantize_rows_int8(codes, scales).dtype == np.float32
-
-    def test_codes_span_symmetric_range(self, rng):
-        codes, _ = quantize_rows_int8(self._table(rng))
-        assert codes.min() >= -INT8_LEVELS
-        assert codes.max() <= INT8_LEVELS
-        # The row peak always lands on the full-scale code.
-        assert np.all(np.abs(codes).max(axis=1) == INT8_LEVELS)
-
-    def test_negation_symmetry(self, rng):
-        table = self._table(rng)
-        codes_pos, scales_pos = quantize_rows_int8(table)
-        codes_neg, scales_neg = quantize_rows_int8(-table)
-        assert np.array_equal(scales_pos, scales_neg)
-        assert np.array_equal(codes_neg, -codes_pos)
-
-    def test_all_zero_rows_are_exact(self, rng):
-        table = self._table(rng)
-        table[3] = 0.0
-        codes, scales = quantize_rows_int8(table)
-        assert scales[3, 0] == 0.0
-        assert np.all(codes[3] == 0)
-        assert np.all(dequantize_rows_int8(codes, scales)[3] == 0.0)
-
-    def test_dequantize_into_preallocated_out(self, rng):
-        codes, scales = quantize_rows_int8(self._table(rng))
-        out = np.empty(codes.shape, dtype=np.float32)
-        back = dequantize_rows_int8(codes, scales, out=out)
-        assert back is out
-        assert np.array_equal(back, dequantize_rows_int8(codes, scales))
 
 
 class TestTableBytes:
