@@ -7,8 +7,7 @@ every width and the streaming facade over its 1-lane stage.
 """
 
 from repro.decoder.beam import BeamConfig, apply_beam
-from repro.decoder.best_path import BestPath, find_best_path, n_best_paths
-from repro.decoder.confidence import WordConfidence, score_confidence
+from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.fast_gmm import (
     FastGmmConfig,
     FastGmmLaneState,
@@ -49,7 +48,6 @@ __all__ = [
     "WordExit",
     "BestPath",
     "find_best_path",
-    "n_best_paths",
     "BeamConfig",
     "apply_beam",
     "ScoringStats",
@@ -68,6 +66,4 @@ __all__ = [
     "analyze_lattice",
     "oracle_paths",
     "prune_lattice",
-    "WordConfidence",
-    "score_confidence",
 ]

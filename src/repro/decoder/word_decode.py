@@ -183,7 +183,8 @@ class WordDecodeStage:
         bank.recognizer._reset_accounting()
         bank.admit(0, 0)
         # Held here as well: the bank drops its references when the
-        # lane is packaged, and lattice tools read them after decode().
+        # lane is packaged, and StreamingRecognizer's best path search
+        # and the tests read them after decode().
         self.lattice = bank.lattices[0]
         self.frame_stats = bank.lane_frame_stats[0]
 

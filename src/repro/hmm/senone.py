@@ -183,26 +183,6 @@ class SenonePool:
     # ------------------------------------------------------------------
     # Reference scoring
     # ------------------------------------------------------------------
-    def score_senones(
-        self, observation: np.ndarray, senones: np.ndarray
-    ) -> np.ndarray:
-        """Compact exact log scores: shape ``(len(senones),)``.
-
-        The allocation-light core of :meth:`score_frame` — gathers the
-        precomputed precision/normalizer tables instead of recomputing
-        logs every frame, and returns only the requested scores so the
-        caller can scatter into its own dense buffer.
-        """
-        obs = np.asarray(observation, dtype=np.float64)
-        if obs.shape != (self.dim,):
-            raise ValueError(f"observation shape {obs.shape} != ({self.dim},)")
-        idx = np.asarray(senones, dtype=np.int64)
-        diff = obs[None, None, :] - self.means[idx]
-        quad = (diff * diff * self._precisions[idx]).sum(axis=-1)
-        comp = quad + self._log_norm[idx] + self._log_weights[idx]
-        peak = comp.max(axis=-1)
-        return peak + np.log(np.exp(comp - peak[..., None]).sum(axis=-1))
-
     def check_block(self, observations: np.ndarray, min_rows: int = 0) -> np.ndarray:
         """The observation block as float64 ``(B, dim)``; refuses
         another shape, and a block without the ``min_rows`` rows that
@@ -241,17 +221,17 @@ class SenonePool:
 
         One evaluation covers a whole batch of utterances: row
         ``pair_rows[p]`` of the ``(B, L)`` observation block is scored
-        against senone ``pair_senones[p]``.  Per pair the arithmetic is
-        the exact sequence of :meth:`score_frame`, so pooling does not
-        change a single bit of any utterance's scores.  The hot path
-        allocates only the parameter gathers (reused in place for every
-        intermediate).
+        against senone ``pair_senones[p]``.  Each pair's arithmetic is
+        independent of the others, so pooling does not change a single
+        bit of any utterance's scores (:meth:`score_frame` is the
+        one-row block).  The hot path allocates only the parameter
+        gathers (reused in place for every intermediate).
         """
         obs, rows, idx = self.check_pairs(observations, pair_rows, pair_senones)
         if idx.size == 0:
             return np.empty(0)
-        # diff^2 * precision, summed over dims — the exact op order of
-        # score_frame, computed in place on the gathered block.
+        # diff^2 * precision, summed over dims, computed in place on the
+        # gathered block.
         work = self.means.take(idx, axis=0)  # (P, M, L)
         np.subtract(obs.take(rows, axis=0)[:, None, :], work, out=work)
         np.multiply(work, work, out=work)
@@ -361,7 +341,7 @@ class SenonePool:
         proportionally fewer bytes per scoring call.
 
         The float summation order inside the dot products differs from
-        :meth:`score_senones`'s elementwise fold, so results agree with
+        :meth:`score_pairs`'s elementwise fold, so results agree with
         the reference backend only to rounding (the ``mode="blas"``
         backends document this as ``exact=False``); the values are
         otherwise the same log-likelihoods.  float32 adds its
@@ -409,7 +389,9 @@ class SenonePool:
 
         Returns an array of length ``num_senones`` filled with the
         scores of ``senones`` (default: all); unscored entries are
-        ``-inf``.
+        ``-inf``.  The frame is scored as a one-row :meth:`score_pairs`
+        block, so the observation must be ``(dim,)`` and every senone
+        in range.
         """
         if senones is None:
             idx = np.arange(self.num_senones)
@@ -417,7 +399,8 @@ class SenonePool:
         else:
             idx = np.asarray(senones, dtype=np.int64)
             out = np.full(self.num_senones, -np.inf)
-        out[idx] = self.score_senones(observation, idx)
+        block = np.asarray(observation)[None]
+        out[idx] = self.score_pairs(block, np.zeros_like(idx), idx)
         return out
 
     #: Scratch budget for blocked multi-frame scoring: the largest

@@ -54,7 +54,35 @@ class TestScoring:
         with pytest.raises(ValueError):
             small_pool.score_frame(np.zeros(small_pool.dim + 1))
         with pytest.raises(ValueError):
+            small_pool.score_frame(np.zeros((1, small_pool.dim)))
+        with pytest.raises(ValueError):
             small_pool.score_frames(np.zeros((3, small_pool.dim + 1)))
+
+    @pytest.mark.parametrize(
+        "shape", [(), ("dim", 1), (2, "dim")], ids=["scalar", "column", "two_rows"]
+    )
+    def test_non_vector_observation_rejected(self, small_pool, shape):
+        """Only a ``(dim,)`` frame is a one-row block."""
+        shape = tuple(small_pool.dim if n == "dim" else n for n in shape)
+        with pytest.raises(ValueError):
+            small_pool.score_frame(np.zeros(shape))
+
+    def test_bit_equal_to_one_row_score_pairs(self, small_pool, rng):
+        obs = rng.normal(size=small_pool.dim)
+        subset = np.array([3, 0, 17, 23])
+        pairs = small_pool.score_pairs(obs[None], np.zeros_like(subset), subset)
+        scores = small_pool.score_frame(obs, subset)
+        assert np.array_equal(scores[subset].view(np.uint64), pairs.view(np.uint64))
+        full = small_pool.score_frame(obs)
+        assert np.array_equal(full[subset].view(np.uint64), pairs.view(np.uint64))
+
+    @pytest.mark.parametrize("senone", [-1, "num_senones"])
+    def test_out_of_range_senone_rejected(self, small_pool, senone):
+        """A negative senone must not wrap onto senone N - 1."""
+        if senone == "num_senones":
+            senone = small_pool.num_senones
+        with pytest.raises(IndexError):
+            small_pool.score_frame(np.zeros(small_pool.dim), [senone])
 
     def test_mixture_out_of_range(self, small_pool):
         with pytest.raises(IndexError):
