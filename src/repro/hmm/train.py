@@ -18,6 +18,7 @@ a few hundred synthetic utterances takes seconds.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,22 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-3
+
+#: Float64 values per temporary when a build-time distance grid (the
+#: k-means assignment here, the fast-GMM shortlists) is computed a block
+#: of rows at a time: 2 MB, so a block stays in cache and the build's
+#: transient memory does not grow with the model.
+GRID_BLOCK_ELEMENTS = 1 << 18
+
+
+def row_blocks(rows: int, per_row: int) -> Iterator[slice]:
+    """Slices covering ``range(rows)``, each a block of rows whose
+    ``per_row``-value temporaries fit :data:`GRID_BLOCK_ELEMENTS` (one
+    row at least).  Every grid value is a last-axis reduction over its
+    own row, so blocking changes no bit of the result."""
+    step = max(1, GRID_BLOCK_ELEMENTS // max(per_row, 1))
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
 
 
 # ----------------------------------------------------------------------
@@ -80,8 +97,13 @@ def kmeans(
     if centroids.shape[0] < k:  # fewer frames than clusters: replicate
         reps = rng.choice(n, size=k - centroids.shape[0], replace=True)
         centroids = np.vstack([centroids, data[reps] + rng.normal(0, 1e-3, (len(reps), data.shape[1]))])
+    d2 = np.empty((n, k))
+    blocks = list(row_blocks(n, k * data.shape[1]))
     for _ in range(iterations):
-        d2 = ((data[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        for rows in blocks:
+            diff = data[rows, None, :] - centroids[None]
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=d2[rows])
         assign = d2.argmin(axis=1)
         for j in range(k):
             members = data[assign == j]

@@ -42,6 +42,9 @@ class Phone:
         return self.phone_class is PhoneClass.SILENCE
 
 
+#: Dense index of each articulatory class, in declaration order.
+_CLASS_INDEX = {cls: i for i, cls in enumerate(PhoneClass)}
+
 #: Name of the silence phone used at utterance and word boundaries.
 SILENCE = "SIL"
 
@@ -116,8 +119,7 @@ class PhoneSet:
 
     def class_index(self, name: str) -> int:
         """Dense index of the phone's articulatory class."""
-        classes = list(PhoneClass)
-        return classes.index(self.phone(name).phone_class)
+        return _CLASS_INDEX[self.phone(name).phone_class]
 
 
 def default_phone_set() -> PhoneSet:

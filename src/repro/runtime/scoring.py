@@ -654,7 +654,9 @@ class BatchFastGmmScorer:
             codewords = self._codewords
             codewords[lanes] = model.codewords_for(observations[lanes])
         if not cfg.ci_selection_enabled:
-            return self._gaussian_pass(observations, rows, senones, codewords)
+            scores, dims = model.score_items(observations, rows, senones, codewords)
+            self._count_work(rows, dims)
+            return scores
 
         # Layer 2: the unique (row, parent) items, in np.nonzero order.
         ranks = model.ci_rank[senones]
@@ -662,7 +664,7 @@ class BatchFastGmmScorer:
         mask[rows, ranks] = True
         parent_rows, parent_ranks = np.nonzero(mask)
         mask[parent_rows, parent_ranks] = False
-        table[parent_rows, parent_ranks] = self._gaussian_pass(
+        table[parent_rows, parent_ranks], dims = model.score_items(
             observations, parent_rows, model.ci_ids[parent_ranks], codewords
         )
         scores = table[rows, ranks]  # approximation by CI parent
@@ -676,24 +678,27 @@ class BatchFastGmmScorer:
         counters[:, _FULL] += np.bincount(rows[full], minlength=width)
         counters[:, _APPROXIMATED] += np.bincount(rows[~full], minlength=width)
         selected = expand & ~is_ci
+        evaluated = parent_rows
         if selected.any():
-            scores[selected] = self._gaussian_pass(
-                observations, rows[selected], senones[selected], codewords
+            cd_rows = rows[selected]
+            scores[selected], cd_dims = model.score_items(
+                observations, cd_rows, senones[selected], codewords
             )
+            if dims is not None or cd_dims is not None:
+                full_dims = self._work_per_item[2]
+                dims = np.concatenate([
+                    np.full(parent_rows.size, full_dims) if dims is None else dims,
+                    np.full(cd_rows.size, full_dims) if cd_dims is None else cd_dims,
+                ])
+            evaluated = np.concatenate([parent_rows, cd_rows])
+        self._count_work(evaluated, dims)
         return scores
 
-    def _gaussian_pass(
-        self,
-        observations: np.ndarray,
-        rows: np.ndarray,
-        senones: np.ndarray,
-        codewords: np.ndarray | None,
-    ) -> np.ndarray:
-        """Layers 3-4 for the items, work accounted to each item's row."""
-        scores, dims = self.model.score_items(observations, rows, senones, codewords)
+    def _count_work(self, rows: np.ndarray, dims: np.ndarray | None) -> None:
+        """Account a step's Gaussian work to each evaluated item's row
+        (``dims``: dimensions per item, ``None`` when all of them ran)."""
         width = self._lanes.size
         work = np.bincount(rows, minlength=width)[:, None] * self._work_per_item
         if dims is not None:
             work[:, 2] = np.bincount(rows, weights=dims, minlength=width)
         self._lanes["counters"][:, _WORK] += work
-        return scores

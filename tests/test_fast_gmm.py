@@ -1,6 +1,8 @@
 """Tests for repro.decoder.fast_gmm — the four-layer scheme, driven
 through ``BatchFastGmmScorer`` at one lane."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -352,3 +354,36 @@ class TestConfigValidation:
 
     def test_boundary_margins_accepted(self):
         FastGmmConfig(ci_margin=0.0, pde_margin=0.0)
+
+
+class TestCodebookDataValidation:
+    """``codebook_data`` trains the layer-3 codebook; frames the
+    observations could never be compared with are refused up front."""
+
+    CFG = FastGmmConfig(gaussian_selection_enabled=True)
+
+    @pytest.mark.parametrize(
+        "shape", [(50, 1), (50, 14), (0, 13), (13,), (2, 5, 13)]
+    )
+    def test_wrong_shape_rejected(self, small_pool, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            FastGmmModel(small_pool, config=self.CFG, codebook_data=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, small_pool, rng, bad):
+        data = rng.normal(size=(50, small_pool.dim))
+        data[7, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            FastGmmModel(small_pool, config=self.CFG, codebook_data=data)
+        with pytest.raises(ValueError, match="non-finite"):
+            FastGmmModel(small_pool, config=self.CFG,
+                         codebook_data=np.full((50, small_pool.dim), np.nan))
+
+    def test_refused_with_selection_off_too(self, small_pool):
+        with pytest.raises(ValueError, match="got shape"):
+            FastGmmModel(small_pool, codebook_data=np.zeros((50, 1)))
+
+    def test_valid_frames_train_the_codebook(self, small_pool, rng):
+        data = rng.normal(size=(100, small_pool.dim)).tolist()  # any array-like
+        model = FastGmmModel(small_pool, config=self.CFG, codebook_data=data)
+        assert model.codebook.shape == (self.CFG.gs_codebook_size, small_pool.dim)

@@ -1,0 +1,158 @@
+"""The fast-GMM model build computes its distance grids a block of rows
+at a time (``repro.hmm.train.row_blocks``).  These tests hold the
+blocked k-means and VQ shortlists to the one-shot broadcast formulas
+they replaced, bit for bit, at several block sizes, and bound the
+build's peak memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import repro.hmm.train as train
+from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel
+from repro.hmm.senone import SenonePool
+from repro.hmm.train import kmeans, row_blocks
+
+
+def _kmeans_one_shot(frames, k, rng, iterations=10):
+    """The oracle: k-means whose Lloyd step broadcasts the whole
+    ``(n, k, L)`` grid at once (same seeding, same rng draws)."""
+    data = np.asarray(frames, dtype=np.float64)
+    n = data.shape[0]
+    first = int(rng.integers(n))
+    seeds = [data[first]]
+    d2 = ((data - seeds[0]) ** 2).sum(axis=1)
+    while len(seeds) < min(k, n):
+        total = d2.sum()
+        if total <= 0:
+            seeds.append(data[int(rng.integers(n))])
+        else:
+            seeds.append(data[int(rng.choice(n, p=d2 / total))])
+        d2 = np.minimum(d2, ((data - seeds[-1]) ** 2).sum(axis=1))
+    centroids = np.array(seeds)
+    if centroids.shape[0] < k:
+        reps = rng.choice(n, size=k - centroids.shape[0], replace=True)
+        noise = rng.normal(0, 1e-3, (len(reps), data.shape[1]))
+        centroids = np.vstack([centroids, data[reps] + noise])
+    for _ in range(iterations):
+        d2 = ((data[:, None, :] - centroids[None]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        for j in range(k):
+            members = data[assign == j]
+            if members.shape[0] == 0:
+                centroids[j] = data[d2.min(axis=1).argmax()]
+            else:
+                centroids[j] = members.mean(axis=0)
+    return centroids
+
+
+def _shortlist_one_shot(model):
+    """The oracle: every codeword's component densities as ONE
+    ``(C, N, M, L)`` broadcast, then the top ``g`` per (codeword, senone)."""
+    pool = model.pool
+    diff = model.codebook[:, None, None, :] - pool.means[None]
+    comp = (diff * diff * model.precisions[None]).sum(axis=-1) + model.offsets[None]
+    g = min(model.config.gs_shortlist, pool.num_components)
+    return np.argsort(comp, axis=-1)[..., ::-1][..., :g]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# One row per block, ragged multi-row blocks, and the shipped size.
+BLOCKS = [1, 500, train.GRID_BLOCK_ELEMENTS]
+
+
+@pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b}")
+def block(request, monkeypatch):
+    monkeypatch.setattr(train, "GRID_BLOCK_ELEMENTS", request.param)
+    return request.param
+
+
+@pytest.fixture()
+def pool():
+    return SenonePool.random(50, num_components=4, dim=13,
+                             rng=np.random.default_rng(21))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows,per_row", [(0, 5), (1, 5), (10, 3), (7, 10**9)])
+    def test_blocks_tile_the_rows_in_order(self, block, rows, per_row):
+        covered = [i for s in row_blocks(rows, per_row) for i in range(rows)[s]]
+        assert covered == list(range(rows))
+
+    def test_block_temporaries_fit_the_budget(self, block):
+        for s in row_blocks(100, 7):
+            assert (s.stop - s.start) * 7 <= max(block, 7)
+
+
+class TestKmeansBits:
+    @pytest.mark.parametrize("n,k,dim", [(300, 16, 13), (40, 3, 39), (5, 8, 2)])
+    def test_blocked_matches_one_shot(self, block, n, k, dim):
+        """(5, 8, 2) is a codebook larger than the data."""
+        data = np.random.default_rng(n).normal(size=(n, dim))
+        got = kmeans(data, k, np.random.default_rng(4), iterations=6)
+        want = _kmeans_one_shot(data, k, np.random.default_rng(4), iterations=6)
+        assert _same_bits(got, want)
+
+    def test_empty_cluster_reseed_matches_one_shot(self, block):
+        """Duplicate points leave clusters empty: the farthest-point
+        re-seed reads the whole distance grid."""
+        data = np.repeat(np.random.default_rng(2).normal(size=(4, 3)), 10, axis=0)
+        got = kmeans(data, 7, np.random.default_rng(9))
+        want = _kmeans_one_shot(data, 7, np.random.default_rng(9))
+        assert _same_bits(got, want)
+
+
+class TestShortlistBits:
+    @pytest.mark.parametrize("shortlist", [1, 2])
+    def test_means_as_training_data(self, block, pool, shortlist):
+        cfg = FastGmmConfig(gaussian_selection_enabled=True, gs_codebook_size=16,
+                            gs_shortlist=shortlist)
+        model = FastGmmModel(pool, config=cfg)
+        data = pool.means.reshape(-1, pool.dim)
+        want = _kmeans_one_shot(data, 16, np.random.default_rng(11), iterations=6)
+        assert _same_bits(model.codebook, want)
+        assert _same_bits(model.shortlist, _shortlist_one_shot(model))
+
+    @pytest.mark.parametrize("shortlist", [1, 2])
+    def test_given_codebook_data(self, block, pool, shortlist):
+        data = np.random.default_rng(6).normal(0.0, 3.0, size=(400, pool.dim))
+        cfg = FastGmmConfig(gaussian_selection_enabled=True, gs_codebook_size=32,
+                            gs_shortlist=shortlist)
+        model = FastGmmModel(pool, config=cfg, codebook_data=data, seed=3)
+        want = _kmeans_one_shot(data, 32, np.random.default_rng(3), iterations=6)
+        assert _same_bits(model.codebook, want)
+        assert _same_bits(model.shortlist, _shortlist_one_shot(model))
+
+    def test_codebook_larger_than_the_data(self, block, pool):
+        """64 codewords asked of 20 frames: the codebook is the 20."""
+        data = np.random.default_rng(8).normal(size=(20, pool.dim))
+        cfg = FastGmmConfig(gaussian_selection_enabled=True, gs_shortlist=2)
+        model = FastGmmModel(pool, config=cfg, codebook_data=data)
+        assert model.codebook.shape == (20, pool.dim)
+        assert _same_bits(model.shortlist, _shortlist_one_shot(model))
+
+    def test_shortlist_wider_than_the_mixture(self, block, pool):
+        cfg = FastGmmConfig(gaussian_selection_enabled=True, gs_shortlist=9)
+        model = FastGmmModel(pool, config=cfg)
+        assert model.components_per_item == pool.num_components
+        assert _same_bits(model.shortlist, _shortlist_one_shot(model))
+
+
+def test_build_peak_memory_is_bounded():
+    """64 codewords x 1000 senones x 3 components x 39 dims (the
+    ``bank_tree`` model): the one-shot grid alone was 60 MB."""
+    pool = SenonePool.random(1000, num_components=3, dim=39,
+                             rng=np.random.default_rng(5))
+    cfg = FastGmmConfig.all_layers(ci_selection_enabled=False)
+    tracemalloc.start()
+    try:
+        model = FastGmmModel(pool, config=cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"model build peaked at {peak / 2**20:.1f} MB"
+    assert _same_bits(model.shortlist, _shortlist_one_shot(model))
