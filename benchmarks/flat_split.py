@@ -10,10 +10,15 @@ passes over the workload's own requests — the benchmark's
 ``chain_update`` / ``apply_beam_batch``, the bank's stage clocks
 splitting the rest — give the frame as demand / scoring / chain / token
 move / beam / exits / bookkeeping in µs (this box's, best pass per
-stage).  The count beside them is exact: the C-level calls
+stage).  The count beside them repeats run for run: the C-level calls
 (``sys.setprofile`` ``c_call`` events) inside ``bank.step`` over the
-first utterance repeat run for run — report them as a count.  It gates
-nothing and is read-only on ``benchmarks/perf`` (imports, no edits).
+first utterance.  It counts calls of C functions and methods
+(``take``, ``divmod``, ``fill``, ``flatnonzero``, ...) and NOT
+subscripts: ``a[i, j]`` and ``a[key] = v`` raise no ``c_call`` event
+however much they cost, so replacing a fancy index with a ``take``
+raises the count while the frame may get faster.  Report it as a count
+of one kind of dispatch, never as a cost.  It gates nothing and is
+read-only on ``benchmarks/perf`` (imports, no edits).
 """
 
 from __future__ import annotations
@@ -134,9 +139,10 @@ def render(report: dict) -> str:
         f"({report['active_states_mean']:.2f} live)",
         f"[exact] senones_requested {report['senones_requested']}, "
         f"word_exits {report['word_exits']}\n"
-        f"[exact] C-level calls inside bank.step: {report['c_calls']} over the "
+        f"[count] C-level calls inside bank.step: {report['c_calls']} over the "
         f"{report['c_calls_frames']} frames of utterance 0 = "
-        f"{report['c_calls'] / report['c_calls_frames']:.2f} per frame",
+        f"{report['c_calls'] / report['c_calls_frames']:.2f} per frame "
+        "(C function calls only, a[i, j] subscripts uncounted: not a cost)",
         "",
         f"traced frame {frame:.1f} us (best of the passes per stage; share of it):",
     ]

@@ -11,12 +11,19 @@ requests — the benchmark's :class:`SpanRecorder` around ``bank.step`` >
 ``apply_beam_rows``, the bank's stage clocks splitting the rest — give
 the step as candidates / demand / scoring / token update / token move /
 beam / exits / bookkeeping in µs (this box's, best pass per stage).
-The count beside them is exact: the C-level calls (``sys.setprofile``
-``c_call`` events) inside ``bank.step`` over the first 8-lane stream
-repeat run for run — report them as a count, per step.  The ``[exact]``
-work counts (score_pairs calls and pairs, live states, word exits) are
-what a change that claims equal work must leave equal.  It gates
-nothing and is read-only on ``benchmarks/perf`` (imports, no edits).
+The count beside them repeats run for run: the C-level calls
+(``sys.setprofile`` ``c_call`` events) inside ``bank.step`` over the
+first 8-lane stream, per step.  It counts calls of C functions and
+methods (``take``, ``divmod``, ``fill``, ``flatnonzero``, ...) and NOT
+subscripts: ``a[i, j]`` and ``a[key] = v`` raise no ``c_call`` event
+however much they cost, so spelling a 2-D fancy index as a flat-key
+``take`` RAISES the count while the step gets faster (the flat-key
+step read 149.26 -> 186.73 per step and ran faster).  Report it as a
+count of one kind of dispatch, never as a cost, and gate nothing on
+it.  The ``[exact]`` work counts (score_pairs calls and pairs, live
+states, word exits) are what a change that claims equal work must
+leave equal.  It gates nothing and is read-only on ``benchmarks/perf``
+(imports, no edits).
 """
 
 from __future__ import annotations
@@ -144,10 +151,11 @@ def render(report: dict) -> str:
         f"{report['pairs']}, active_states_mean "
         f"{report['active_states_mean']:.2f}, senones_requested "
         f"{report['senones_requested']}, word_exits {report['word_exits']}",
-        f"[exact] C-level calls inside bank.step: {report['c_calls']} over the "
+        f"[count] C-level calls inside bank.step: {report['c_calls']} over the "
         f"{report['c_calls_steps']} steps of the first "
         f"{report['c_calls_utterances']}-utterance stream = "
-        f"{report['c_calls'] / report['c_calls_steps']:.2f} per step",
+        f"{report['c_calls'] / report['c_calls_steps']:.2f} per step "
+        "(C function calls only, a[i, j] subscripts uncounted: not a cost)",
         "",
         f"traced step {step:.1f} us (best of the passes per stage; share of it):",
     ]

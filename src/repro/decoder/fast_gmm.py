@@ -235,7 +235,8 @@ class FastGmmModel:
             self.ci_ids, self.ci_rank = np.unique(self.ci_parent, return_inverse=True)
         # One row per mixture component, so an item's components are ONE
         # gather by ``senone * M + component``: (N, M) ids of every
-        # component, or (C, N, G) ids of each codeword's shortlist.
+        # component, or (C * N, G) ids of each codeword's shortlist, row
+        # ``codeword * N + senone`` — both read with one 1-D ``take``.
         self._means = pool.means.reshape(-1, pool.dim)
         self._precisions = self.precisions.reshape(-1, pool.dim)
         self._offsets = self.offsets.ravel()
@@ -243,7 +244,9 @@ class FastGmmModel:
         if self.shortlist is None:
             self._components = first[:, None] + np.arange(pool.num_components)
         else:
-            self._components = first[None, :, None] + self.shortlist
+            self._components = (first[None, :, None] + self.shortlist).reshape(
+                -1, self.shortlist.shape[-1]
+            )
 
     @property
     def components_per_item(self) -> int:
@@ -279,8 +282,16 @@ class FastGmmModel:
     # ------------------------------------------------------------------
     def codewords_for(self, observations: np.ndarray) -> np.ndarray:
         """Nearest VQ codeword of each observation row, ``(R,)``."""
-        assert self.codebook is not None
-        diff = self.codebook[None, :, :] - observations[:, None, :]
+        codebook = self.codebook
+        assert codebook is not None
+        # codebook - observation into a contiguous (R, C, L) copy of the
+        # rows: the same values as the broadcast, without its strided
+        # operand.
+        observations = np.asarray(observations, dtype=np.float64)
+        diff = np.repeat(observations, codebook.shape[0], axis=0).reshape(
+            observations.shape[0], *codebook.shape
+        )
+        np.subtract(codebook, diff, out=diff)
         np.square(diff, out=diff)
         return diff.sum(axis=2).argmin(axis=1)
 
@@ -305,13 +316,17 @@ class FastGmmModel:
         other rows are pooled in.
         """
         if codewords is None:
-            components = self._components[senones]  # (P, M)
+            components = self._components.take(senones, axis=0)  # (P, M)
         else:
-            components = self._components[codewords[rows], senones]  # (P, G)
-        quad = observations[rows][:, None, :] - self._means[components]
+            key = codewords.take(rows) * self.num_senones
+            key += senones
+            components = self._components.take(key, axis=0)  # (P, G)
+        # (o - mu)^2 * prec, (P, G, L), in place on the gathered means.
+        quad = self._means.take(components, axis=0)
+        np.subtract(observations.take(rows, axis=0)[:, None, :], quad, out=quad)
         np.square(quad, out=quad)
-        quad *= self._precisions[components]  # (P, G, L): (o - mu)^2 * prec
-        offsets = self._offsets[components]
+        quad *= self._precisions.take(components, axis=0)
+        offsets = self._offsets.take(components)
         if self.config.pde_enabled:
             comp, dims = self._pde(quad, offsets)
         else:

@@ -124,9 +124,15 @@ class LaneBankBase:
     def _alloc_scratch(self) -> None:
         """(Re)allocate per-step scratch at the current lane width
         (subclasses extend with their own buffers)."""
-        num_lanes = self.num_lanes
+        num_lanes, num_senones = self.num_lanes, self.scorer.num_senones
         self._obs_block = np.zeros((num_lanes, self.recognizer.pool.dim))
-        self._cand_mask = np.zeros((num_lanes, self.scorer.num_senones), dtype=bool)
+        # (lane, senone) is ONE flat key, ``lane * N + senone``: the key
+        # of every (lane, state) slot, flat like the slots, and the
+        # demand mask it is marked in.
+        self._slot_key = (
+            np.arange(num_lanes)[:, None] * num_senones + self.net.senone_id
+        ).reshape(-1)
+        self._cand_mask = np.zeros(num_lanes * num_senones, dtype=bool)
         self._grid = None  # the feedback-off demand, built by `_demand`
 
     def _reset_lane_state(self, lane: int) -> None:
@@ -178,36 +184,43 @@ class LaneBankBase:
     # ------------------------------------------------------------------
     def _demand(
         self, lanes: np.ndarray, candidates
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This step's senone demand: ``(pair_b, pair_s, scored_counts)``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """This step's senone demand: ``(pair_key, pair_b, pair_s,
+        scored_counts)``.
 
         The ``(lane, senone)`` work items of the ONE pooled evaluation,
-        in ``np.nonzero`` order, and each lane's count.  Under feedback
-        ``candidates()`` returns ``(cand_b, cand_senone)`` — the senone
-        behind every slot that can be live next frame — and a lane
-        demands its unique set of them.  Without feedback it is never
+        ascending by their flat key ``pair_key = pair_b * N + pair_s``
+        (the row-major order ``np.nonzero`` gives a ``(B, N)`` mask),
+        and each lane's count.  Under feedback ``candidates()`` returns
+        the flat keys (:attr:`_slot_key`) of the slots that can be live
+        next frame — duplicates allowed — and a lane demands its unique
+        set of them: one mask marked and scanned back out, one
+        ``divmod`` into lane and senone.  Without feedback it is never
         called: every active lane asks for every senone, a grid that
         changes only with the active-lane set or the bank width
         (``_alloc_scratch`` drops it), so it is kept, not filled into a
-        mask and scanned back out per step.  The two pair arrays are
-        handed out read-only and own their data, so a scorer may
-        remember that these very objects passed its validation.
+        mask and scanned back out per step; its arrays are handed out
+        read-only and the two pair arrays own their data, so a scorer
+        may remember that these very objects passed its validation.
         """
+        num_senones = self.scorer.num_senones
         if self.cfg.use_feedback:
             cand_mask = self._cand_mask
-            cand_mask[:] = False
-            cand_b, cand_senone = candidates()
-            cand_mask[cand_b, cand_senone] = True
-            pair_b, pair_s = np.nonzero(cand_mask)
-            return pair_b, pair_s, cand_mask.sum(axis=1)
+            cand_mask.fill(False)
+            cand_mask[candidates()] = True
+            pair_key = np.flatnonzero(cand_mask)
+            pair_b, pair_s = np.divmod(pair_key, num_senones)
+            return pair_key, pair_b, pair_s, np.bincount(
+                pair_b, minlength=self.num_lanes
+            )
         key = lanes.tobytes()
         if self._grid is None or self._grid[0] != key:
-            num_senones = self.scorer.num_senones
-            pair_b = np.repeat(lanes, num_senones)
-            pair_s = np.arange(pair_b.size) % num_senones
-            for pairs in (pair_b, pair_s):
+            pair_key = lanes[:, None] * num_senones + np.arange(num_senones)
+            pair_key = pair_key.reshape(-1)
+            pair_b, pair_s = np.divmod(pair_key, num_senones)
+            for pairs in (pair_key, pair_b, pair_s):
                 pairs.setflags(write=False)
-            self._grid = (key, pair_b, pair_s, self.active * num_senones)
+            self._grid = (key, pair_key, pair_b, pair_s, self.active * num_senones)
         return self._grid[1:]
 
     def _record_exits(
@@ -647,20 +660,20 @@ class LaneBank(LaneBankBase):
         self.pending_entry = self.pending_entry[keep]
         self.pending_src = self.pending_src[keep]
 
-    def _candidate_senones(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(lane, senone)`` of every candidate state — alive, right
-        neighbour of alive, or start state of a pending entry (read off
-        ``_entry_scores``, which this frame's offers are already in):
-        the per-lane feedback lists, batched.  Idle lanes are frozen at
-        LOG_ZERO, so their rows stay empty without extra masking."""
+    def _candidate_senones(self) -> np.ndarray:
+        """The flat ``(lane, senone)`` key of every candidate state —
+        alive, right neighbour of alive, or start state of a pending
+        entry (read off ``_entry_scores``, which this frame's offers are
+        already in): the per-lane feedback lists, batched.  Idle lanes
+        are frozen at LOG_ZERO, so their rows stay empty without extra
+        masking."""
         candidates, shifted = self._candidates, self._shifted
         np.greater(self.delta, LOG_DEAD, out=candidates)  # alive
         np.logical_and(candidates[:, :-1], self._has_left, out=shifted[:, 1:])
         np.logical_or(candidates[:, 1:], shifted[:, 1:], out=candidates[:, 1:])
         np.greater(self._entry_scores, LOG_DEAD, out=shifted)
         candidates |= shifted
-        cand_b, cand_s = np.nonzero(candidates)
-        return cand_b, self.net.senone_id[cand_s]
+        return self._slot_key.take(np.flatnonzero(candidates))
 
     def _advance(
         self,
@@ -680,7 +693,9 @@ class LaneBank(LaneBankBase):
         #    items for one pooled evaluation.
         entry_scores = self._entry_scores
         entry_scores[:, net.start_state] = self.pending_entry
-        pair_b, pair_s, scored_counts = self._demand(lanes, self._candidate_senones)
+        _, pair_b, pair_s, scored_counts = self._demand(
+            lanes, self._candidate_senones
+        )
 
         # 3. One pooled GMM pass for the whole bank.  When the answer
         #    covers every senone of every active lane it is written

@@ -144,11 +144,11 @@ class TreeLaneBank(LaneBankBase):
 
     def _alloc_scratch(self) -> None:
         super()._alloc_scratch()
-        # Pooled scores land here cast to float32 (the token dtype).
-        # Only this step's (lane, senone) requests are written and only
-        # those are gathered, so it is never cleared.
+        # Pooled scores land here cast to float32 (the token dtype), at
+        # their flat (lane, senone) keys.  Only this step's requests are
+        # written and only those are gathered, so it is never cleared.
         self._score_cast = np.empty(
-            (self.num_lanes, self.scorer.num_senones), dtype=np.float32
+            self.num_lanes * self.scorer.num_senones, dtype=np.float32
         )
 
     def _kill_lane(self, lane: int) -> None:
@@ -230,22 +230,22 @@ class TreeLaneBank(LaneBankBase):
         slots = self._candidate_slots()
         cand_b = slots // net.num_states
         cand_s = slots - cand_b * net.num_states
-        cand_senone = net.senone_id[cand_s]
+        cand_key = self._slot_key.take(slots)  # lane * N + senone
 
         # 2. The union of per-lane unique senone requests, as
         #    (lane, senone) work items for one pooled evaluation.
-        pair_b, pair_s, scored_counts = self._demand(
-            lanes, lambda: (cand_b, cand_senone)
+        pair_key, pair_b, pair_s, scored_counts = self._demand(
+            lanes, lambda: cand_key
         )
 
         # 3. One pooled GMM pass for the whole bank, gathered back to
         #    the candidates' float32 observation scores; the lane's
         #    pending entry is offered at its roots.
         score_cast = self._score_cast
-        score_cast[pair_b, pair_s] = self.scorer.score_pairs(
+        score_cast[pair_key] = self.scorer.score_pairs(
             obs_block, pair_b, pair_s, lanes=lanes
         )
-        obs = score_cast[cand_b, cand_senone]
+        obs = score_cast.take(cand_key)
         at_root = net.is_root_start[cand_s]
         entry = np.where(
             at_root, self.pending_entry.astype(np.float32)[cand_b], np.float32(LOG_ZERO)

@@ -84,14 +84,19 @@ class BatchScoringBackend(Protocol):
     ) -> np.ndarray:
         """Compact scores for (batch-row, senone) work items.
 
-        The banks send the items row-major sorted, as ``np.nonzero``
-        over the candidate mask produces them.  ``lanes`` lists every
-        ACTIVE lane this step, ascending — a superset of
-        ``np.unique(pair_rows)``, since an active lane may demand no
-        senones on a frame.  Stateless backends ignore it; the fast
-        backend needs it to advance per-lane frame state exactly as a
-        1-lane decode of that lane would, and refuses a lane that was
-        not admitted.
+        The banks send the items ascending by their flat key
+        ``pair_rows * num_senones + pair_senones`` — row-major, lanes
+        ascending and each lane's senones ascending, unique.  ``lanes``
+        lists every ACTIVE lane this step, strictly ascending — a
+        superset of ``np.unique(pair_rows)``, since an active lane may
+        demand no senones on a frame — and ``None`` means exactly
+        ``np.unique(pair_rows)``.  Stateless backends ignore it.  The
+        fast backend advances per-lane frame state (CDS decision, cache
+        row, counters) for exactly these lanes, as a 1-lane decode of
+        each would, so it refuses, before any state moves, a ``lanes``
+        that is not 1-D, not strictly ascending, outside the observation
+        rows or missing a pair row (``ValueError``) or holds a lane that
+        was not admitted (``KeyError``).
         """
         ...  # pragma: no cover - protocol definition
 
@@ -488,10 +493,13 @@ class BatchFastGmmScorer:
 
     The shared :class:`~repro.decoder.fast_gmm.FastGmmModel` is
     read-only and serves every lane and every twin; everything a step
-    writes is an array owned by THIS scorer and indexed by lane: the
-    CDS previous frame ``(B, L)`` and score cache ``(B, N)``, the skip
-    runs, and a ``(B, 8)`` counter block that :meth:`retire_lane` turns
-    into a :class:`~repro.decoder.fast_gmm.FastGmmStats`.  A step is a
+    writes is an array owned by THIS scorer and indexed by lane: a lane
+    record (the CDS previous frame ``(B, L)``, the skip runs, and a
+    ``(B, 8)`` counter block that :meth:`retire_lane` turns into a
+    :class:`~repro.decoder.fast_gmm.FastGmmStats`) and the CDS score
+    cache, a contiguous ``(B, N)`` array read and written at the flat
+    key ``lane * N + senone``.  The step's ``lanes`` are validated
+    first (see :meth:`BatchScoringBackend.score_pairs`).  A step is a
     fixed number of array passes whatever the bank width:
 
     * layer 1 compares every warm lane's frame with ITS previous frame
@@ -501,7 +509,8 @@ class BatchFastGmmScorer:
       is one mask over the pairs, and answers are read back out of the
       cache;
     * layer 2 scores the unique ``(lane, CI parent)`` items of that
-      demand in one Gaussian pass, applies each lane's margin against
+      demand (one flat mask and score table keyed ``lane * C + rank``)
+      in one Gaussian pass, applies each lane's margin against
       the best parent of ITS OWN items, and scores the selected CD
       senones in a second (layers 3-4 inside both:
       :meth:`~repro.decoder.fast_gmm.FastGmmModel.score_items`).
@@ -518,16 +527,17 @@ class BatchFastGmmScorer:
         m, dim = pool.num_components, pool.dim
         self._work_per_item = np.array([g, m, g * dim, m * dim])
         # One record per lane, so growth and compaction move a lane's
-        # state together.  Only CDS reads scores back: without it the
-        # cache has no columns.
-        cached = self.num_senones if model.config.cds_enabled else 0
+        # state together.  The CDS score cache is the one field read at
+        # (lane, senone) pairs, so it is its own contiguous (B, N) array
+        # keyed ``lane * N + senone``; only CDS reads scores back, so
+        # without it the cache has no columns.
+        self._cached = self.num_senones if model.config.cds_enabled else 0
         self._lane_dtype = np.dtype(
             [
                 ("admitted", bool),
                 ("has_last", bool),
                 ("skip_run", np.int64),
                 ("last_obs", np.float64, (dim,)),
-                ("cache", np.float64, (cached,)),
                 ("counters", np.int64, (8,)),
             ],
             align=True,
@@ -536,23 +546,29 @@ class BatchFastGmmScorer:
 
     # -- lane lifecycle -------------------------------------------------
     def reset(self) -> None:
-        self._set_lanes(np.zeros(0, dtype=self._lane_dtype))
+        self._set_lanes(
+            np.zeros(0, dtype=self._lane_dtype), np.zeros((0, self._cached))
+        )
 
-    def _set_lanes(self, state: np.ndarray) -> None:
-        """Install the lane table and per-step scratch of its width."""
-        self._lanes = state
+    def _set_lanes(self, state: np.ndarray, cache: np.ndarray) -> None:
+        """Install the lane table, its score cache and the per-step
+        scratch of their width."""
+        self._lanes, self._cache = state, cache
         cfg = self.model.config
         self._codewords = np.zeros(state.size, dtype=np.int64)
-        # (lane, CI parent) tables, all False / -inf between steps.
+        # (lane, CI parent) tables keyed ``lane * C + rank``, all False /
+        # -inf between steps.
         parents = self.model.ci_ids.size if cfg.ci_selection_enabled else 0
-        self._parent_mask = np.zeros((state.size, parents), dtype=bool)
-        self._parent_scores = np.full((state.size, parents), -np.inf)
+        self._parent_mask = np.zeros(state.size * parents, dtype=bool)
+        self._parent_scores = np.full(state.size * parents, -np.inf)
 
     def admit_lane(self, lane: int, features: np.ndarray | None = None) -> None:
         grow = lane + 1 - self._lanes.size
         if grow > 0:
-            pad = np.zeros(grow, dtype=self._lane_dtype)
-            self._set_lanes(np.concatenate([self._lanes, pad]))
+            self._set_lanes(
+                np.concatenate([self._lanes, np.zeros(grow, dtype=self._lane_dtype)]),
+                np.concatenate([self._cache, np.zeros((grow, self._cached))]),
+            )
         # The cache row needs no clearing: a lane's first frame always
         # scores in full, which clears it.
         state = self._lanes[lane]
@@ -571,7 +587,8 @@ class BatchFastGmmScorer:
         return FastGmmStats(*self._lanes["counters"][lane].tolist())
 
     def compact_lanes(self, keep: Sequence[int]) -> None:
-        self._set_lanes(self._lanes[np.asarray(keep, dtype=np.int64)])
+        keep = np.asarray(keep, dtype=np.int64)
+        self._set_lanes(self._lanes.take(keep), self._cache.take(keep, axis=0))
 
     def lane_state(self, lane: int) -> FastGmmLaneState:
         """A copy of an occupied lane's selection state (inspection)."""
@@ -581,10 +598,39 @@ class BatchFastGmmScorer:
         warm = bool(state["has_last"])
         return FastGmmLaneState(
             last_obs=state["last_obs"].copy() if warm else None,
-            last_scores=state["cache"].copy() if warm else None,
+            last_scores=self._cache[lane].copy() if warm else None,
             skip_run=int(state["skip_run"]),
             fast_stats=FastGmmStats(*state["counters"].tolist()),
         )
+
+    def _check_lanes(
+        self, lanes, observations: np.ndarray, pair_rows: np.ndarray
+    ) -> np.ndarray:
+        """``lanes`` as the protocol defines it, or an error before any
+        state changes: strictly ascending rows of ``observations``
+        (``ValueError``), every one admitted (``KeyError``), covering
+        every pair row (``ValueError``).  A lane left out of its own
+        pairs would read a cache row that was never cleared; a negative
+        lane would advance another lane's frame state."""
+        lanes = np.asarray(lanes)
+        if lanes.ndim != 1 or lanes.dtype.kind not in "iu":
+            raise ValueError(f"lanes must be a 1-D integer array, got {lanes!r}")
+        lane_list, rows = lanes.tolist(), observations.shape[0]
+        if lane_list != sorted(set(lane_list)):
+            raise ValueError(f"lanes {lane_list} are not strictly ascending")
+        if lane_list and (lane_list[0] < 0 or lane_list[-1] >= rows):
+            raise ValueError(f"lanes {lane_list} outside the {rows} observation rows")
+        admitted = self._lanes["admitted"]
+        if lane_list and (
+            lane_list[-1] >= admitted.size
+            or np.count_nonzero(admitted.take(lanes)) != lanes.size
+        ):
+            raise KeyError(f"lanes {lane_list} are not all admitted")
+        listed = np.zeros(rows, dtype=bool)
+        listed[lanes] = True
+        if np.count_nonzero(listed.take(pair_rows)) != pair_rows.size:
+            raise ValueError(f"pair rows outside lanes {lane_list}")
+        return lanes
 
     # ------------------------------------------------------------------
     def score_pairs(
@@ -599,12 +645,11 @@ class BatchFastGmmScorer:
         observations, pair_rows, pair_senones = self.model.pool.check_pairs(
             observations, pair_rows, pair_senones
         )
-        if lanes is None:
-            lanes = np.unique(pair_rows)
-        if not state["admitted"][lanes].all():  # IndexError past the capacity
-            raise KeyError(f"lanes {lanes.tolist()} are not all admitted")
+        lanes = self._check_lanes(
+            np.unique(pair_rows) if lanes is None else lanes, observations, pair_rows
+        )
         counters = state["counters"]
-        counters[lanes, _FRAMES] += 1
+        counters[:, _FRAMES][lanes] += 1
         if not cfg.cds_enabled:
             return self._score_demand(observations, pair_rows, pair_senones, lanes)
 
@@ -621,21 +666,24 @@ class BatchFastGmmScorer:
             )
         skipping, scoring = lanes[skips], lanes[~skips]
         skip_run[skipping] += 1
-        counters[skipping, _SKIPPED] += 1
+        counters[:, _SKIPPED][skipping] += 1
         skip_run[scoring] = 0
         has_last[scoring] = True
         last_obs[scoring] = observations[scoring]
-        cache = state["cache"]
-        cache[scoring] = LOG_ZERO
+        self._cache[scoring] = LOG_ZERO
+        cache = self._cache.reshape(-1)  # keyed lane * N + senone
+        key = pair_rows * self.num_senones
+        key += pair_senones
         # The demand that survives: what the cache cannot answer (all
         # of a scoring lane's items — its row was just cleared).
-        rows, senones = pair_rows, pair_senones
+        rows, senones, missed = pair_rows, pair_senones, key
         if skipping.size:
-            missing = cache[pair_rows, pair_senones] <= LOG_DEAD
+            missing = cache.take(key) <= LOG_DEAD
             rows, senones = pair_rows[missing], pair_senones[missing]
+            missed = key[missing]
         scores = self._score_demand(observations, rows, senones, lanes)
-        cache[rows, senones] = scores
-        return cache[pair_rows, pair_senones] if skipping.size else scores
+        cache[missed] = scores
+        return cache.take(key) if skipping.size else scores
 
     def _score_demand(
         self,
@@ -658,21 +706,25 @@ class BatchFastGmmScorer:
             self._count_work(rows, dims)
             return scores
 
-        # Layer 2: the unique (row, parent) items, in np.nonzero order.
-        ranks = model.ci_rank[senones]
+        # Layer 2: the unique (row, parent) items, in row-major order,
+        # on tables keyed ``row * C + rank``.
+        parents = model.ci_ids.size
+        key = rows * parents
+        key += model.ci_rank.take(senones)
         mask, table = self._parent_mask, self._parent_scores
-        mask[rows, ranks] = True
-        parent_rows, parent_ranks = np.nonzero(mask)
-        mask[parent_rows, parent_ranks] = False
-        table[parent_rows, parent_ranks], dims = model.score_items(
-            observations, parent_rows, model.ci_ids[parent_ranks], codewords
+        mask[key] = True
+        parent_key = np.flatnonzero(mask)
+        mask.fill(False)
+        parent_rows, parent_ranks = np.divmod(parent_key, parents)
+        table[parent_key], dims = model.score_items(
+            observations, parent_rows, model.ci_ids.take(parent_ranks), codewords
         )
-        scores = table[rows, ranks]  # approximation by CI parent
+        scores = table.take(key)  # approximation by CI parent
         # Each row's margin is against the best parent of ITS OWN items.
-        best = table.max(axis=1)
-        table[parent_rows, parent_ranks] = -np.inf
-        expand = scores >= best[rows] - cfg.ci_margin
-        is_ci = senones == model.ci_parent[senones]  # already evaluated
+        best = table.reshape(-1, parents).max(axis=1)
+        table.fill(-np.inf)
+        expand = scores >= best.take(rows) - cfg.ci_margin
+        is_ci = senones == model.ci_parent.take(senones)  # already evaluated
         full = expand | is_ci
         counters, width = self._lanes["counters"], self._lanes.size
         counters[:, _FULL] += np.bincount(rows[full], minlength=width)

@@ -351,6 +351,68 @@ class TestLaneStateArrays:
             scorer.score_pairs(obs, np.zeros(24, dtype=np.int64), self.SENONES)
         assert scorer.lane_state(1).fast_stats.frames == 0  # nothing was charged
 
+    @pytest.mark.parametrize(
+        "lanes, rows",
+        [
+            ([0], [0, 1]),  # lane 1's pairs, lane 1 not listed
+            ([1], [0, 1]),
+            ([-1], [0]),  # would wrap to the last lane
+            ([1, 0], [0, 1]),  # not ascending
+            ([0, 0, 1], [0, 1]),  # not strictly ascending
+            ([0, 1, 2], [0, 1]),  # past the observation rows
+            ([[0, 1]], [0, 1]),  # not 1-D
+        ],
+    )
+    def test_lanes_must_be_the_active_lanes(self, model, rng, lanes, rows):
+        """``lanes`` is every active lane, strictly ascending, admitted,
+        a superset of the pair rows: anything else is refused before a
+        counter, a skip run or a cache row moves."""
+        scorer = BatchFastGmmScorer(model)
+        for lane in (0, 1):
+            scorer.admit_lane(lane)
+        obs = rng.normal(size=(2, 13))
+        rows = np.asarray(rows)
+        with pytest.raises((ValueError, KeyError)):
+            scorer.score_pairs(
+                obs,
+                np.repeat(rows, self.SENONES.size),
+                np.tile(self.SENONES, rows.size),
+                lanes=np.asarray(lanes),
+            )
+        for lane in (0, 1):
+            assert scorer.lane_state(lane).fast_stats.frames == 0
+            assert scorer.lane_state(lane).last_obs is None
+
+    def test_an_unlisted_lane_cannot_read_a_stale_cache_row(self, small_pool, rng):
+        """The case the check closes: lane 1 scored at frame 0, then its
+        pairs sent with ``lanes=[0]`` while lane 0 skips — its cache row
+        was never cleared, so it would be answered with frame 0's
+        scores."""
+        model = FastGmmModel(
+            small_pool, config=FastGmmConfig(cds_enabled=True, cds_distance=1.0)
+        )
+        scorer, alone = BatchFastGmmScorer(model), BatchFastGmmScorer(model)
+        for lane in (0, 1):
+            scorer.admit_lane(lane)
+        alone.admit_lane(0)
+        frames = rng.normal(size=(2, 2, 13))
+        frames[1, 0] = frames[0, 0]  # lane 0 stands still: it skips
+        frames[1, 1] += 5.0  # lane 1 moves: it must score in full
+        self._score(scorer, frames[0], [0, 1], self.SENONES)
+        self._score(alone, frames[0][[1]], [0], self.SENONES)
+        with pytest.raises(ValueError):
+            scorer.score_pairs(
+                frames[1],
+                np.repeat([0, 1], self.SENONES.size),
+                np.tile(self.SENONES, 2),
+                lanes=np.array([0]),
+            )
+        got = self._score(scorer, frames[1], [0, 1], self.SENONES).reshape(2, -1)
+        want = self._score(alone, frames[1][[1]], [0], self.SENONES)
+        assert np.array_equal(got[1], want)
+        assert scorer.lane_state(0).skip_run == 1
+        assert scorer.lane_state(1).skip_run == 0
+
     def test_bank_wider_than_any_lane_admitted(self, model, rng):
         """The arrays grow with the highest lane admitted, not with the
         observation block: lane 0 of a 4-row block first, then lane 3."""
