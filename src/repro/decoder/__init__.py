@@ -16,12 +16,6 @@ from repro.decoder.fast_gmm import (
     equivalent_activity,
 )
 from repro.decoder.lattice import WordExit, WordLattice
-from repro.decoder.lattice_tools import (
-    LatticeReport,
-    analyze_lattice,
-    oracle_paths,
-    prune_lattice,
-)
 from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.network import FlatLexiconNetwork
 from repro.decoder.phone_decode import PhoneDecodeStage
@@ -62,8 +56,4 @@ __all__ = [
     "TreeLexiconNetwork",
     "StreamingRecognizer",
     "StreamingEvent",
-    "LatticeReport",
-    "analyze_lattice",
-    "oracle_paths",
-    "prune_lattice",
 ]

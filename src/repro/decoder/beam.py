@@ -11,6 +11,7 @@ own (tighter) beam.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,23 @@ __all__ = [
     "apply_beam",
     "apply_beam_batch",
     "apply_beam_rows",
+    "check_count",
     "select_word_exits",
 ]
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an integer ``>= minimum``.
+
+    A float cap fails mid-decode (``np.partition`` and slicing want an
+    integer) and a NaN one compares False and is never applied, so
+    anything but a ``numbers.Integral`` (numpy integers included, a
+    ``bool`` not) is a ``ValueError`` at construction.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +56,7 @@ class BeamConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_active_states < 0:
-            raise ValueError(
-                f"max_active_states must be >= 0, got {self.max_active_states}"
-            )
+        check_count("max_active_states", self.max_active_states, 0)
 
 
 def select_word_exits(

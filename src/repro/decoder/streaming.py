@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.logadd import LOG_DEAD
+from repro.decoder.beam import check_count
 from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.recognizer import Recognizer
 
@@ -74,10 +75,8 @@ class StreamingRecognizer:
     ) -> None:
         if not recognizer.network.has_silence:
             raise ValueError("endpointing needs the silence word in the network")
-        if partial_interval < 0:
-            raise ValueError("partial_interval must be >= 0")
-        if endpoint_silence_frames < 1:
-            raise ValueError("endpoint_silence_frames must be >= 1")
+        check_count("partial_interval", partial_interval, 0)
+        check_count("endpoint_silence_frames", endpoint_silence_frames, 1)
         self.recognizer = recognizer
         self.partial_interval = partial_interval
         self.endpoint_silence_frames = endpoint_silence_frames

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.decoder.beam import BeamConfig
+from repro.decoder.beam import BeamConfig, check_count
 from repro.decoder.lattice import WordLattice
 from repro.decoder.network import FlatLexiconNetwork
 from repro.lm.ngram import NGramModel
@@ -80,10 +80,7 @@ class DecoderConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lm_scale <= 0:
             raise ValueError(f"lm_scale must be positive, got {self.lm_scale}")
-        if self.max_exits_per_frame < 1:
-            raise ValueError(
-                f"max_exits_per_frame must be >= 1, got {self.max_exits_per_frame}"
-            )
+        check_count("max_exits_per_frame", self.max_exits_per_frame, 1)
 
 
 @dataclass

@@ -9,8 +9,31 @@ from repro.decoder.beam import (
     apply_beam,
     apply_beam_batch,
     apply_beam_rows,
+    check_count,
     make_beam_scratch,
 )
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, float("nan"), float("inf"), True, "3"]
+    )
+    def test_refuses_non_integers(self, value):
+        # 3.0 is integral in value but not in type: slicing and
+        # np.partition refuse it just the same.
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            check_count("cap", value, 0)
+
+    @pytest.mark.parametrize("value", [0, 7, np.int64(7), np.uint8(7)])
+    def test_accepts_integers(self, value):
+        check_count("cap", value, 0)
+
+    def test_refuses_below_minimum(self):
+        with pytest.raises(ValueError, match="cap must be >= 1, got 0"):
+            check_count("cap", 0, 1)
+        with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+            check_count("cap", np.int64(-1), 0)
+        check_count("cap", 1, 1)
 
 
 class TestBeamConfig:
@@ -21,6 +44,12 @@ class TestBeamConfig:
             BeamConfig(word_beam=-1)
         with pytest.raises(ValueError):
             BeamConfig(max_active_states=-1)
+        # The histogram cap is a count: a float one would fail
+        # mid-decode inside np.partition and a NaN one never applies.
+        for bad in (30.5, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="max_active_states must be an integer"):
+                BeamConfig(max_active_states=bad)
+        assert BeamConfig(max_active_states=np.int64(30)).max_active_states == 30
 
 
 class TestApplyBeam:

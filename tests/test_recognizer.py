@@ -160,7 +160,7 @@ class TestInstruments:
         assert second.telemetry.frames == second.frames
 
     def test_lattice_outlives_the_decode(self, task):
-        """Lattice tools read ``word_stage.lattice`` after ``decode``
+        """``word_stage.lattice`` is still readable after ``decode``
         returned, though the bank has dropped its own reference."""
         rec = Recognizer.create(task.dictionary, task.pool, task.lm, task.tying)
         result = rec.decode(task.corpus.test[0].features)

@@ -110,6 +110,18 @@ class TestStreaming:
             StreamingRecognizer(recognizer, partial_interval=-1)
         with pytest.raises(ValueError):
             StreamingRecognizer(recognizer, endpoint_silence_frames=0)
+        for bad in (2.5, float("nan"), float("inf"), False):
+            with pytest.raises(ValueError, match="partial_interval must be an integer"):
+                StreamingRecognizer(recognizer, partial_interval=bad)
+        for bad in (30.5, float("nan"), float("inf"), True):
+            with pytest.raises(
+                ValueError, match="endpoint_silence_frames must be an integer"
+            ):
+                StreamingRecognizer(recognizer, endpoint_silence_frames=bad)
+        streaming = StreamingRecognizer(
+            recognizer, partial_interval=np.int64(5), endpoint_silence_frames=np.int64(7)
+        )
+        assert (streaming.partial_interval, streaming.endpoint_silence_frames) == (5, 7)
 
     def test_non_finite_frame_rejected_without_consuming_it(self, task, recognizer):
         utt = task.corpus.test[0]

@@ -126,6 +126,12 @@ class TestDecodeMechanics:
             DecoderConfig(lm_scale=0.0)
         with pytest.raises(ValueError):
             DecoderConfig(max_exits_per_frame=0)
+        # The exit cap is a count: a float one would fail inside
+        # select_word_exits and a NaN one never applies.
+        for bad in (2.5, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="max_exits_per_frame must be an integer"):
+                DecoderConfig(max_exits_per_frame=bad)
+        assert DecoderConfig(max_exits_per_frame=np.int32(3)).max_exits_per_frame == 3
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
