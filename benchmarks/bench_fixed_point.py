@@ -21,8 +21,7 @@ from repro.quant.float_formats import IEEE_SINGLE
 def _collect_scores(task, utterances=3):
     scores = []
     for utt in task.corpus.test[:utterances]:
-        frame_scores = task.pool.score_frames(utt.features)
-        scores.append(frame_scores.ravel())
+        scores.extend(task.pool.score_frame(frame) for frame in utt.features)
     return np.concatenate(scores)
 
 

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.opunit import OpUnitSpec
+from repro.decoder.beam import check_count
 from repro.decoder.scorer import LOG_ZERO
 from repro.hmm.senone import SenonePool
 from repro.hmm.train import kmeans, row_blocks
@@ -105,12 +106,8 @@ class FastGmmConfig:
                 raise ValueError(
                     f"{name} must be finite and >= 0, got {getattr(self, name)}"
                 )
-        if self.cds_max_run < 1:
-            raise ValueError(f"cds_max_run must be >= 1, got {self.cds_max_run}")
-        if self.gs_codebook_size < 1 or self.gs_shortlist < 1:
-            raise ValueError("codebook and shortlist sizes must be >= 1")
-        if self.pde_chunk < 1:
-            raise ValueError(f"pde_chunk must be >= 1, got {self.pde_chunk}")
+        for name in ("cds_max_run", "gs_codebook_size", "gs_shortlist", "pde_chunk"):
+            check_count(name, getattr(self, name), 1)
 
     @classmethod
     def all_layers(cls, **overrides) -> "FastGmmConfig":

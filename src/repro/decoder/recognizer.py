@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.opunit import OpUnit, OpUnitSpec
 from repro.core.viterbi_unit import ViterbiUnit, ViterbiUnitSpec
+from repro.decoder.beam import check_count
 from repro.decoder.best_path import find_best_path
 from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel, FastGmmStats
 from repro.decoder.lextree import TreeLexiconNetwork
@@ -384,8 +385,7 @@ class Recognizer:
             return pool.quantized(storage_format)
 
         if mode == "hardware":
-            if num_unit_pairs < 1:
-                raise ValueError(f"num_unit_pairs must be >= 1, got {num_unit_pairs}")
+            check_count("num_unit_pairs", num_unit_pairs, 1)
             spec = OpUnitSpec(feature_dim=pool.dim)
             self.op_units = [OpUnit(spec) for _ in range(num_unit_pairs)]
             table = pool.gaussian_table(storage_format)
@@ -587,8 +587,7 @@ class Recognizer:
         scores within tolerance) for any arrival order and any
         ``max_lanes`` — enforced by ``tests/test_golden_parity.py``.
         """
-        if max_lanes < 1:
-            raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
+        check_count("max_lanes", max_lanes, 1)
         queue = iter(features)
 
         # Seed up to max_lanes utterances; a stream shorter than the

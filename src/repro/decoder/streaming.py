@@ -13,8 +13,7 @@ decoder:
 * endpointing is decoder-driven, the standard technique: when the
   best-scoring active HMM state has belonged to the silence model for
   ``endpoint_silence_frames`` consecutive frames, the utterance is
-  declared finished — no separate VAD needed (though the frontend VAD
-  can pre-gate frames to save power).
+  declared finished — no separate VAD needed.
 """
 
 from __future__ import annotations

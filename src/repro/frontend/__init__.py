@@ -20,13 +20,8 @@ from repro.frontend.filterbank import (
     mel_to_hz,
 )
 from repro.frontend.mfcc import cepstra, dct_matrix, lifter, power_spectrum
-from repro.frontend.vad import EnergyVad, VadConfig, frame_log_energy, speech_bounds
 
 __all__ = [
-    "EnergyVad",
-    "VadConfig",
-    "frame_log_energy",
-    "speech_bounds",
     "Frontend",
     "FrontendConfig",
     "StreamingAudioBuffer",

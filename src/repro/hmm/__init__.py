@@ -1,7 +1,6 @@
 """HMM/GMM acoustic modelling substrate (Section II of the paper)."""
 
 from repro.hmm.acoustic_model import AcousticModel, memory_bandwidth_table
-from repro.hmm.adapt import MeanTransform, align_and_adapt, estimate_transform
 from repro.hmm.gaussian import (
     VARIANCE_FLOOR,
     log_gaussian,
@@ -23,9 +22,6 @@ from repro.hmm.train import (
 __all__ = [
     "AcousticModel",
     "memory_bandwidth_table",
-    "MeanTransform",
-    "align_and_adapt",
-    "estimate_transform",
     "GaussianMixture",
     "SenonePool",
     "HmmTopology",

@@ -153,7 +153,7 @@ class SenonePool:
             self._log_weights = np.log(self.weights)
         # Scoring constants, precomputed once: the per-frame hot path
         # only gathers (parameters are immutable after construction;
-        # training/adaptation build new pools).
+        # training builds new pools).
         self._precisions = precision_halves(self.variances)
         self._log_norm = log_normalizer(self.variances)
         self._blas: dict[str, BlasTables] = {}
@@ -401,44 +401,6 @@ class SenonePool:
             out = np.full(self.num_senones, -np.inf)
         block = np.asarray(observation)[None]
         out[idx] = self.score_pairs(block, np.zeros_like(idx), idx)
-        return out
-
-    #: Scratch budget for blocked multi-frame scoring: the largest
-    #: (block, N, M, L) temporary may hold this many float64 elements
-    #: (32 MB) — long utterances against big pools no longer
-    #: materialize the full (T, N, M, L) tensor.
-    SCORE_SCRATCH_ELEMENTS = 4_000_000
-
-    def score_frames(
-        self, observations: np.ndarray, block_frames: int | None = None
-    ) -> np.ndarray:
-        """Exact log scores for many frames: shape (T, num_senones).
-
-        Frames are evaluated in blocks of ``block_frames`` (default:
-        sized so scratch stays under :attr:`SCORE_SCRATCH_ELEMENTS`);
-        per-frame rows are independent, so blocking returns exactly the
-        same scores as one giant evaluation.
-        """
-        obs = np.asarray(observations, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.dim:
-            raise ValueError(f"observations must be (T, {self.dim}), got {obs.shape}")
-        per_frame = self.num_senones * self.num_components * self.dim
-        if block_frames is None:
-            block_frames = max(1, self.SCORE_SCRATCH_ELEMENTS // max(per_frame, 1))
-        elif block_frames < 1:
-            raise ValueError(f"block_frames must be >= 1, got {block_frames}")
-        t = obs.shape[0]
-        out = np.empty((t, self.num_senones))
-        consts = self._log_norm + self._log_weights
-        for lo in range(0, t, block_frames):
-            hi = min(lo + block_frames, t)
-            diff = obs[lo:hi, None, None, :] - self.means[None]
-            quad = (diff * diff * self._precisions[None]).sum(axis=-1)
-            comp = quad + consts[None]
-            peak = comp.max(axis=-1)
-            out[lo:hi] = peak + np.log(
-                np.exp(comp - peak[..., None]).sum(axis=-1)
-            )
         return out
 
     # ------------------------------------------------------------------

@@ -251,7 +251,8 @@ def train_senone_pool(
 
     Uses flat-start uniform alignment, then
     ``config.realignment_passes`` rounds of Viterbi re-alignment with
-    the freshly estimated models.
+    the freshly estimated models; a realignment scores each utterance
+    against its own transcript chain's senones only.
     """
     cfg = config or TrainingConfig()
     if len(utterances) != len(transcripts):
@@ -273,14 +274,34 @@ def train_senone_pool(
     topo = transcripts[0][0].topology
     self_lp, fwd_lp = topo.chain_log_probs()
     for _ in range(cfg.realignment_passes):
-        assignments = []
-        for u, chain in zip(utterances, chains):
-            frames = np.asarray(u, dtype=np.float64)
-            all_scores = pool.score_frames(frames)
-            chain_scores = all_scores[:, np.asarray(chain)]
-            assignments.append(forced_alignment(chain_scores, self_lp, fwd_lp))
+        assignments = [
+            forced_alignment(_chain_scores(pool, u, chain), self_lp, fwd_lp)
+            for u, chain in zip(utterances, chains)
+        ]
         pool = _estimate_pool(utterances, chains, assignments, num_senones, dim, cfg, rng)
     return pool
+
+
+def _chain_scores(
+    pool: SenonePool, utterance: np.ndarray, chain: list[int]
+) -> np.ndarray:
+    """The ``(T, len(chain))`` reference scores of every frame against
+    its transcript chain's senones — no other senone is scored.  Frames
+    go through :meth:`SenonePool.score_pairs` a :func:`row_blocks` block
+    at a time, so its ``(pairs, M, L)`` gather stays bounded however
+    long the utterance."""
+    frames = np.asarray(utterance, dtype=np.float64)
+    senones = np.asarray(chain, dtype=np.int64)
+    width = senones.size
+    out = np.empty((frames.shape[0], width))
+    per_frame = width * pool.num_components * pool.dim
+    for block in row_blocks(frames.shape[0], per_frame):
+        obs = frames[block]
+        count = obs.shape[0]
+        rows = np.repeat(np.arange(count), width)
+        scores = pool.score_pairs(obs, rows, np.tile(senones, count))
+        out[block] = scores.reshape(count, width)
+    return out
 
 
 def _transcript_chain(transcript: list[PhoneHmm]) -> list[int]:

@@ -48,7 +48,12 @@ import numpy as np
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
 from repro.core.scratch import DenseScratch
 from repro.core.viterbi_unit import chain_update
-from repro.decoder.beam import apply_beam_batch, make_beam_scratch, select_word_exits
+from repro.decoder.beam import (
+    apply_beam_batch,
+    check_count,
+    make_beam_scratch,
+    select_word_exits,
+)
 from repro.decoder.best_path import BestPath, find_best_path
 from repro.decoder.lattice import WordLattice
 from repro.decoder.recognizer import (
@@ -76,8 +81,7 @@ class LaneBankBase:
     """
 
     def __init__(self, recognizer: Recognizer, num_lanes: int) -> None:
-        if num_lanes < 1:
-            raise ValueError(f"need at least one lane, got {num_lanes}")
+        check_count("num_lanes", num_lanes, 1)
         self.recognizer = recognizer
         self.net = recognizer.network
         self.cfg = recognizer.config

@@ -227,6 +227,9 @@ class BatchHardwareScorer(_StatelessLaneMixin):
 
 #: Frames of ONE lane scored ahead in one whole-table product.
 BLOCK_FRAMES = 32
+#: Float64 elements a block's ``(frames, N, M)`` intermediate may hold
+#: (32 MB): a paper-scale pool gets a shorter block, not more memory.
+BLOCK_SCRATCH_ELEMENTS = 4_000_000
 #: Fewest work items a step must hold for the products to serve it.
 MIN_PAIRS = 32
 #: Least share of its ``rows x union`` grid a step's items must cover
@@ -332,11 +335,9 @@ class BatchBlasScorer:
         self.num_senones = pool.num_senones
         self.precision = precision
         self._every_senone = np.arange(pool.num_senones)
-        # A block's (frames, N, M) intermediate stays inside the pool's
-        # scratch budget however large the tables are.
         per_frame = pool.num_senones * pool.num_components
         self._block_frames = max(
-            1, min(BLOCK_FRAMES, pool.SCORE_SCRATCH_ELEMENTS // per_frame)
+            1, min(BLOCK_FRAMES, BLOCK_SCRATCH_ELEMENTS // per_frame)
         )
         self.reset()
         pool.blas_tables(precision)  # build once up front, not on the first step

@@ -39,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.decoder.beam import check_count
 from repro.decoder.recognizer import RecognitionResult, Recognizer
 from repro.obs.telemetry import DecodeTelemetry
 from repro.obs.trace import Trace, mint_trace_id
@@ -271,8 +272,7 @@ class ServeLoop:
         clock: Callable[[], float] = time.monotonic,
         worker_id: int | None = None,
     ) -> None:
-        if max_lanes < 1:
-            raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
+        check_count("max_lanes", max_lanes, 1)
         self.recognizer = recognizer
         self.max_lanes = max_lanes
         self.clock = clock

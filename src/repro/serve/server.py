@@ -60,6 +60,7 @@ import time
 
 import numpy as np
 
+from repro.decoder.beam import check_count
 from repro.decoder.recognizer import Recognizer, validate_utterance_features
 from repro.decoder.streaming import StreamingRecognizer
 from repro.frontend.features import Frontend, StreamingAudioBuffer
@@ -352,19 +353,13 @@ class Server:
         brownout: BrownoutPolicy | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if max_lanes < 1:
-            raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+        check_count("num_workers", num_workers, 1)
+        check_count("max_lanes", max_lanes, 1)
+        check_count("max_queue", max_queue, 1)
         self._autotune = worker_backlog == "auto"
         if worker_backlog is None or self._autotune:
             worker_backlog = max_lanes
-        if not isinstance(worker_backlog, int) or worker_backlog < 0:
-            raise ValueError(
-                f"worker_backlog must be >= 0 or 'auto', got {worker_backlog!r}"
-            )
+        check_count("worker_backlog", worker_backlog, 0)
         self.recognizer = recognizer
         self.num_workers = num_workers
         self.max_lanes = max_lanes

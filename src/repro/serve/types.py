@@ -11,8 +11,10 @@ door, deadlines inside the engine.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
+from repro.decoder.beam import check_count
 from repro.decoder.recognizer import RecognitionResult
 from repro.hmm.senone import check_blas_precision
 from repro.obs.trace import Trace
@@ -125,12 +127,13 @@ class RetryPolicy:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_reconnects < 0:
-            raise ValueError(
-                f"max_reconnects must be >= 0, got {self.max_reconnects}"
-            )
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff times must be >= 0")
+        check_count("max_reconnects", self.max_reconnects, 0)
+        # A NaN or infinite backoff is a reconnect sleep that never
+        # ends: the in-flight tickets would never resolve.
+        for name in ("backoff_base_s", "backoff_cap_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
@@ -187,8 +190,8 @@ class BrownoutPolicy:
                 "release_pressure must be in [0, engage_pressure); got "
                 f"{self.release_pressure} vs {self.engage_pressure}"
             )
-        if self.engage_windows < 1 or self.release_windows < 1:
-            raise ValueError("hysteresis window counts must be >= 1")
+        check_count("engage_windows", self.engage_windows, 1)
+        check_count("release_windows", self.release_windows, 1)
         if not 0.0 < self.admission_factor <= 1.0:
             raise ValueError(
                 f"admission_factor must be in (0, 1], got {self.admission_factor}"

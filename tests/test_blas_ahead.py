@@ -24,6 +24,7 @@ from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.decoder.streaming import StreamingRecognizer
 from repro.decoder.word_decode import DecoderConfig
 from repro.hmm.senone import SenonePool
+from repro.runtime import scoring
 from repro.runtime.scoring import BLOCK_FRAMES, BatchBlasScorer
 
 DIM = 13
@@ -167,13 +168,13 @@ class TestLaneBlocks:
         lanes.scorer.reset()
         assert lanes.scorer._ahead == {} and lanes.scorer.table_streams == 0
 
-    def test_paper_scale_pool_shortens_the_block_not_the_budget(self, pool):
-        class Huge(SenonePool):
-            SCORE_SCRATCH_ELEMENTS = 5 * 40 * 2  # five frames of this pool
-
-        huge = Huge(pool.means, pool.variances, pool.weights)
-        assert BatchBlasScorer(huge)._block_frames == 5
+    def test_paper_scale_pool_shortens_the_block_not_the_budget(
+        self, pool, monkeypatch
+    ):
         assert BatchBlasScorer(pool)._block_frames == BLOCK_FRAMES
+        # A budget of five frames of this pool stands in for a big pool.
+        monkeypatch.setattr(scoring, "BLOCK_SCRATCH_ELEMENTS", 5 * 40 * 2)
+        assert BatchBlasScorer(pool)._block_frames == 5
 
 
 class TestOnlyTheAdmittedFrameReadsTheBlock:

@@ -23,9 +23,6 @@ ALLOWED = {
     # A reference implementation: the exact Viterbi oracle of
     # tests/test_viterbi_unit.py.
     "repro.decoder.viterbi",
-    # Parked scaffolding, ROADMAP item 5, next PR.
-    "repro.frontend.vad",
-    "repro.hmm.adapt",
 }
 
 

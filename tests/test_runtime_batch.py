@@ -339,12 +339,6 @@ class TestBatchedKernels:
         for p, (b, s) in enumerate(zip(pair_rows, pair_senones)):
             assert pooled[p] == small_pool.score_frame(obs[b])[s]
 
-    def test_score_frames_blocked_identical(self, small_pool, rng):
-        frames = rng.normal(size=(11, small_pool.dim))
-        full = small_pool.score_frames(frames, block_frames=11)
-        blocked = small_pool.score_frames(frames, block_frames=2)
-        assert np.array_equal(full, blocked)
-
 
 class TestObsBankScratch:
     """``LaneBank.step`` must reuse its observation-bank scratch.

@@ -43,20 +43,11 @@ class TestScoring:
         full = small_pool.score_frame(obs)
         assert scores[2] == pytest.approx(full[2])
 
-    def test_score_frames_matches_per_frame(self, small_pool, rng):
-        frames = rng.normal(size=(5, small_pool.dim))
-        batch = small_pool.score_frames(frames)
-        assert batch.shape == (5, small_pool.num_senones)
-        for t in range(5):
-            assert np.allclose(batch[t], small_pool.score_frame(frames[t]))
-
     def test_wrong_dim_rejected(self, small_pool):
         with pytest.raises(ValueError):
             small_pool.score_frame(np.zeros(small_pool.dim + 1))
         with pytest.raises(ValueError):
             small_pool.score_frame(np.zeros((1, small_pool.dim)))
-        with pytest.raises(ValueError):
-            small_pool.score_frames(np.zeros((3, small_pool.dim + 1)))
 
     @pytest.mark.parametrize(
         "shape", [(), ("dim", 1), (2, "dim")], ids=["scalar", "column", "two_rows"]
@@ -105,7 +96,10 @@ class TestBlasScoring:
     def test_full_block_matches_gathered_scores(self, small_pool, rng):
         frames = rng.normal(size=(4, small_pool.dim))
         dense = small_pool.score_block_blas(frames)
-        gathered = small_pool.score_frames(frames)
+        n = small_pool.num_senones
+        gathered = small_pool.score_pairs(
+            frames, np.repeat(np.arange(4), n), np.tile(np.arange(n), 4)
+        ).reshape(4, n)
         np.testing.assert_allclose(dense, gathered, atol=1e-9)
 
     def test_subset_block_matches_full_columns(self, small_pool, rng):

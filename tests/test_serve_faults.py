@@ -22,6 +22,7 @@ No pytest-asyncio dependency: async tests run under ``asyncio.run``.
 """
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,15 @@ class TestRetryPolicy:
             RetryPolicy(jitter=2.0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base_s=-0.1)
+
+    @pytest.mark.parametrize("name", ["backoff_base_s", "backoff_cap_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_refuses_a_backoff_that_never_ends(self, name, value):
+        """``ServeClient`` awaits the backoff before it reconnects: a
+        NaN or infinite one never ends, and the in-flight tickets would
+        never resolve."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RetryPolicy(**{name: value})
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hmm import train
 from repro.hmm.topology import HmmTopology, PhoneHmm
 from repro.hmm.train import (
     TrainingConfig,
@@ -130,6 +131,24 @@ class TestTrainSenonePool:
         probe_b = pool.score_frame(np.full(dim, -2.0))
         assert probe_a[:3].max() > probe_a[3:].max()
         assert probe_b[3:].max() > probe_b[:3].max()
+
+    # One frame per block, two frames (a ragged last block), one block.
+    @pytest.mark.parametrize("elements", [1, 2 * 5 * 4 * 13, 1 << 18])
+    def test_realignment_scores_the_chain_columns_blockwise(
+        self, small_pool, rng, monkeypatch, elements
+    ):
+        """Realignment scores only the transcript chain's senones, a
+        block of frames at a time: the bits of the full grid's chain
+        columns at every block size."""
+        monkeypatch.setattr(train, "GRID_BLOCK_ELEMENTS", elements)
+        frames = rng.normal(size=(9, small_pool.dim))
+        chain = [3, 3, 7, 0, 23]
+        n = small_pool.num_senones
+        grid = small_pool.score_pairs(
+            frames, np.repeat(np.arange(9), n), np.tile(np.arange(n), 9)
+        ).reshape(9, n)
+        got = train._chain_scores(small_pool, frames, chain)
+        assert np.array_equal(got.view(np.uint64), grid[:, chain].view(np.uint64))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
