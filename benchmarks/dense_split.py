@@ -9,6 +9,8 @@ layers of one step — ``bank.step`` > ``scorer.score_pairs`` >
 ``scorer._score_table`` > ``pool.score_block_blas`` >
 ``_dense_quadratic`` / ``_fold_components`` — reduced to self time per
 step, with the bank's stage clocks splitting what is left of the step.
+The ``product`` row is the one stacked product (the mixture constant
+rides in the table) with its block call's own glue around it.
 The scorer scores each lane's next frames a block AHEAD, so the scoring
 share is reported twice more: what is paid once per block (amortised
 over the steps that read it) against what is still paid every step, and
@@ -105,8 +107,9 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
     step_busy = agg["bank.step"]["busy_s"]
     stages = bank.stage_scoring_s + bank.stage_update_s + bank.stage_exit_s
     split = {
-        "products": per_step(agg["_dense_quadratic"]["self_s"]),
-        "constant_add": per_step(agg["score_block_blas"]["self_s"]),
+        "product": per_step(
+            agg["_dense_quadratic"]["self_s"] + agg["score_block_blas"]["self_s"]
+        ),
         "fold": per_step(agg["_fold_components"]["self_s"]),
         "log_zero_map": per_step(agg["_score_table"]["self_s"]),
         "scorer_glue": per_step(agg["score_pairs"]["self_s"]),
@@ -123,14 +126,14 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
     while frames.shape[0] < max(SWEEP_FRAMES):
         frames = np.concatenate([frames, frames])
     tables = pool.blas_tables(rec.precision)
-    block_us, products_us = {}, {}
+    block_us, product_us = {}, {}
     for k in SWEEP_FRAMES:
         block, per_step_of = frames[:k], MAX_LANES / k
         block_us[k] = per_step_of * _best_us(
             lambda: pool.score_block_blas(block), repeats
         )
-        products_us[k] = per_step_of * _best_us(
-            lambda: pool._dense_quadratic(block, tables.prec, tables.mu_prec), repeats
+        product_us[k] = per_step_of * _best_us(
+            lambda: pool._dense_quadratic(block, tables.centre, tables.table), repeats
         )
     lane_block = frames[:block_frames]
     precision_us = {
@@ -154,15 +157,15 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
         "block_frames": block_frames,
         "step_us": per_step(step_busy),
         "split_us_per_step": split,
-        # Behind the seam, paid once per block (products, constant add,
-        # fold, LOG_ZERO map); `scorer_glue` is what every step still
-        # pays (frame check, row read-out).
+        # Behind the seam, paid once per block (product, fold, LOG_ZERO
+        # map); `scorer_glue` is what every step still pays (frame
+        # check, row read-out).
         "block_amortised_us_per_step": per_step(agg["_score_table"]["busy_s"]),
         "block_us": 1e6 * agg["_score_table"]["busy_s"] / scorer.table_streams,
         "table_mb_per_audio_s": scorer.table_streams * table_mb / audio_s,
         "harness_table_mb_per_audio_s": scorer.dense_steps * table_mb / audio_s,
         "block_us_per_step": block_us,
-        "block_products_us_per_step": products_us,
+        "block_product_us_per_step": product_us,
         "table_precision_us_per_step": precision_us,
         "fingerprint": stamp,
     }
@@ -194,11 +197,11 @@ def render(report: dict) -> str:
         f"  per-step remainder {report['split_us_per_step']['scorer_glue']:8.1f}",
         "",
         f"K frames of ONE lane per block, x {report['lanes']} lanes "
-        "(us/step: whole block, products alone):",
+        "(us/step: whole block, the product alone):",
     ]
     for k, value in report["block_us_per_step"].items():
-        products = report["block_products_us_per_step"][k]
-        lines.append(f"  K = {k:<3} {value:8.1f} {products:8.1f}")
+        product = report["block_product_us_per_step"][k]
+        lines.append(f"  K = {k:<3} {value:8.1f} {product:8.1f}")
     lines += [
         "",
         f"whole-table block at K = {report['block_frames']}, by table precision "

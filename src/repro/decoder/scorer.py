@@ -31,13 +31,14 @@ __all__ = [
 BLAS_SCORE_ATOL = 1e-6
 
 #: Documented absolute path-score tolerance of ``precision="float32"``
-#: blas tables vs the float64 blas backend.  The quadratic form, the
-#: mixture-constant add and the log-sum-exp fold all run in float32
-#: over float32-stored parameters; on the command-task test set the
-#: measured path-score drift tops out near 1.1e-3 (batch 8, dense
-#: demand) and word outputs are identical across batch 1-8 and ragged
-#: continuous arrivals (pinned by the quantized-parity suite).  The
-#: bound carries ~10x margin over the measured worst case.
+#: blas tables vs the float64 blas backend.  The one stacked product
+#: (mixture constant included) and the log-sum-exp fold run in float32
+#: over the float32-stored table; on the command-task test set the
+#: measured path-score drift tops out near 7.7e-4 (dense demand, every
+#: batch size; at most 5.5e-4 with feedback) and word outputs are
+#: identical across batch 1-8 and ragged continuous arrivals (pinned
+#: by the quantized-parity suite).  The bound carries ~13x margin over
+#: the measured worst case.
 FLOAT32_SCORE_ATOL = 1e-2
 
 

@@ -78,39 +78,36 @@ def _fold_components(items: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlasTables:
-    """Senone-major stacked tables for matmul-form (BLAS) scoring.
+    """One senone-major stacked table for matmul-form (BLAS) scoring.
 
-    Expanding the diagonal-Gaussian quadratic form
+    Around a centre ``c`` (the pool's mean of means; ``x' = x - c``,
+    ``mu' = mu - c``), the diagonal-Gaussian quadratic form expands to
 
-        -1/2 sum_i (x_i - mu_i)^2 / sigma_i^2
-            = -1/2 sum_i x_i^2 p_i  +  sum_i x_i (mu_i p_i)
-              - 1/2 sum_i mu_i^2 p_i          with  p = 1/sigma^2
+        -1/2 sum_i (x_i - mu_i)^2 p_i
+            = sum_i x'_i^2 (-p_i / 2)  +  sum_i x'_i (mu'_i p_i)
+              - 1/2 sum_i mu'_i^2 p_i          with  p = 1/sigma^2
 
-    turns per-frame scoring into two dense products against fixed
-    matrices: ``obs^2 @ prec.T`` and ``obs @ mu_prec.T``, plus a
-    per-mixture constant that folds the Gaussian normalizer, the log
-    mixture weight and the ``mu^2`` term.  Rows are senone-major
+    so a mixture row's log density is ONE dot product of the frame's
+    ``[x'^2, x', 1]`` with the row ``[-p/2 | mu' p | const']``, where
+    ``const'`` folds the Gaussian normalizer, the log mixture weight
+    and the ``mu'^2`` term.  Shifting to the centre keeps ``mu'^2`` and
+    ``x'^2`` small, so the terms the product sums do not cancel from
+    large magnitudes (float32 needs that).  Rows are senone-major
     (senone index slowest, mixture fastest) and C-contiguous, so the
     active-set gather touches one contiguous block per senone and the
-    products hit BLAS directly.
-
-    ``precision`` is the numpy dtype of all three arrays (one of
-    :data:`BLAS_PRECISIONS`).
+    product hits BLAS directly.
     """
 
-    #: ``1 / sigma^2`` — shape (N*M, L), C-contiguous, senone-major.
-    prec: np.ndarray
-    #: ``mu / sigma^2`` — shape (N*M, L), C-contiguous, senone-major.
-    mu_prec: np.ndarray
-    #: ``log w + log normalizer - 1/2 sum mu^2/sigma^2`` — shape (N, M).
-    const: np.ndarray
-    #: Storage dtype of the three arrays (:data:`BLAS_PRECISIONS`).
-    precision: str = "float64"
+    #: ``[-p/2 | mu' p | const']`` — shape (N*M, 2L+1), C-contiguous,
+    #: senone-major, in the storage dtype (:data:`BLAS_PRECISIONS`).
+    table: np.ndarray
+    #: The centre ``c`` — shape (L,), float64.
+    centre: np.ndarray
 
     @property
     def table_bytes(self) -> int:
-        """Resident bytes of everything a scoring call reads."""
-        return int(self.prec.nbytes + self.mu_prec.nbytes + self.const.nbytes)
+        """Resident bytes of the table every scoring call streams."""
+        return int(self.table.nbytes)
 
 
 class SenonePool:
@@ -251,77 +248,78 @@ class SenonePool:
     # Matmul-form (BLAS) scoring
     # ------------------------------------------------------------------
     def blas_tables(self, precision: str = "float64") -> BlasTables:
-        """The stacked senone-major tables for matmul-form scoring.
+        """The stacked senone-major table for matmul-form scoring.
 
         Built lazily on first use (the exact backends never pay for
-        them) and cached per ``precision`` — parameters are immutable
-        after construction, so the tables are too.  A narrower dtype is
-        the float64 tables cast to it (round-to-nearest).
+        it) and cached per ``precision`` — parameters are immutable
+        after construction, so the table is too.  A narrower dtype is
+        the float64 table cast to it (round-to-nearest), around the
+        same centre.
         """
         check_blas_precision(precision)
         tables = self._blas.get(precision)
         if tables is not None:
             return tables
         if "float64" not in self._blas:
-            n, m, dim = self.num_senones, self.num_components, self.dim
-            prec = np.ascontiguousarray(
-                (1.0 / self.variances).reshape(n * m, dim)
-            )
-            mu_prec = np.ascontiguousarray(
-                (self.means / self.variances).reshape(n * m, dim)
-            )
-            const = (
-                self._log_norm
-                + self._log_weights
-                - 0.5 * (self.means * self.means / self.variances).sum(axis=-1)
-            )
-            self._blas["float64"] = BlasTables(
-                prec=prec, mu_prec=mu_prec, const=const
-            )
+            rows, dim = self.num_senones * self.num_components, self.dim
+            means = self.means.reshape(rows, dim)
+            centre = np.full(rows, 1.0 / rows) @ means  # mean of means, one gemv
+            # -p/2 is the pool's own precision halves (p is never divided
+            # out again); the other two blocks are products of it.
+            half = self._precisions.reshape(rows, dim)
+            shifted = means - centre
+            half_linear = shifted * half  # -mu' p / 2
+            table = np.empty((rows, 2 * dim + 1))
+            table[:, :dim] = half
+            np.multiply(half_linear, -2.0, out=table[:, dim:-1])  # mu' p, exactly
+            const = table[:, -1]
+            np.einsum("ij,ij->i", half_linear, shifted, out=const)
+            const += self._log_norm.ravel()
+            const += self._log_weights.ravel()
+            self._blas["float64"] = BlasTables(table=table, centre=centre)
         if precision not in self._blas:
             full = self._blas["float64"]
             self._blas[precision] = BlasTables(
-                prec=full.prec.astype(precision),
-                mu_prec=full.mu_prec.astype(precision),
-                const=full.const.astype(precision),
-                precision=precision,
+                table=full.table.astype(precision), centre=full.centre
             )
         return self._blas[precision]
 
     def table_bytes(self, precision: str = "float64") -> int:
-        """Resident bytes of the matmul-form tables at ``precision``.
+        """Resident bytes of the matmul-form table at ``precision``.
 
         Computed from shapes and dtypes alone (same arithmetic idiom
         as :func:`repro.hmm.acoustic_model.memory_bandwidth_table`), so
         asking for a footprint never builds 10s of MB of tables; the
-        quantized-parity suite pins it against the built tables'
+        quantized-parity suite pins it against the built table's
         actual ``nbytes``.
         """
         check_blas_precision(precision)
         rows = self.num_senones * self.num_components
-        # prec + mu_prec (rows x dim each) + const (rows), one dtype.
-        return (2 * rows * self.dim + rows) * np.dtype(precision).itemsize
+        # [-p/2 | mu' p | const'] is 2 * dim + 1 columns of one dtype.
+        return rows * (2 * self.dim + 1) * np.dtype(precision).itemsize
 
     @staticmethod
     def _dense_quadratic(
-        obs: np.ndarray, prec: np.ndarray, mu_prec: np.ndarray
+        obs: np.ndarray, centre: np.ndarray, table: np.ndarray
     ) -> np.ndarray:
-        """``-1/2 (obs^2 @ prec.T) + obs @ mu_prec.T`` — the
-        dense-product core of :meth:`score_block_blas`.
+        """``[x'^2, x', 1] @ table.T`` with ``x' = obs - centre`` — the
+        one dense product of :meth:`score_block_blas`, mixture constant
+        included: shape ``(B, rows of table)``.
 
-        The products run in the tables' dtype: float64 tables keep the
-        original dgemm path bit-for-bit; float32 tables cast the (tiny)
-        observation block and accumulate in float32 sgemm.  The call
-        sites keep the mixture-constant add and the log-sum-exp fold in
-        the same dtype (their const tables match it) and upcast only the
-        final scores, so a reduced-precision call never touches a
+        The product runs in the table's dtype: the (tiny) stacked
+        observation block is built in it, so float64 tables run dgemm
+        and float32 tables accumulate in float32 sgemm.  The call site
+        keeps the log-sum-exp fold in the same dtype and upcasts only
+        the final scores, so a reduced-precision call never touches a
         full-width intermediate.
         """
-        obs = obs.astype(prec.dtype, copy=False)
-        comp = (obs * obs) @ prec.T
-        comp *= -0.5
-        comp += obs @ mu_prec.T
-        return comp
+        dim = centre.size
+        stacked = np.empty((obs.shape[0], 2 * dim + 1), dtype=table.dtype)
+        shifted = stacked[:, dim:-1]
+        np.subtract(obs, centre, out=shifted)
+        np.multiply(shifted, shifted, out=stacked[:, :dim])
+        stacked[:, -1] = 1.0
+        return stacked @ table.T
 
     def score_block_blas(
         self,
@@ -332,30 +330,31 @@ class SenonePool:
         """Dense matmul-form scores: shape ``(B, len(senones))``.
 
         Every observation row is scored against every requested senone
-        through two dense products (``obs^2 @ prec.T`` and
-        ``obs @ mu_prec.T``) and a vectorized log-sum-exp mixture fold.
-        ``senones=None`` scores the full pool with no gather at all.
-        ``precision`` selects the stored tables
-        (:data:`BLAS_PRECISIONS`); the gather and the products touch
+        through ONE dense product of its ``[x'^2, x', 1]`` with the
+        stacked table (:class:`BlasTables`; the mixture constant rides
+        in it) and a vectorized log-sum-exp mixture fold.
+        ``senones=None`` scores the full pool with no gather at all;
+        otherwise the requested senones' row blocks are gathered from
+        the one table.  ``precision`` selects the stored table
+        (:data:`BLAS_PRECISIONS`); the gather and the product touch
         only the narrow storage, so a reduced-precision table moves
         proportionally fewer bytes per scoring call.
 
-        The float summation order inside the dot products differs from
+        The float summation order inside the dot product differs from
         :meth:`score_pairs`'s elementwise fold, so results agree with
         the reference backend only to rounding (the ``mode="blas"``
         backends document this as ``exact=False``); the values are
         otherwise the same log-likelihoods.  float32 adds its
         documented drift on top
-        (:data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`): the quadratic
-        form, the mixture-constant add and the log-sum-exp fold all
-        run in the narrow storage; only the returned scores are
-        float64.
+        (:data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`): the product
+        and the log-sum-exp fold run in the narrow storage; only the
+        returned scores are float64.
         """
         obs = self.check_block(observations)
         tables = self.blas_tables(precision)
         m = self.num_components
+        table = tables.table
         if senones is None:
-            prec, mu_prec, const = tables.prec, tables.mu_prec, tables.const
             count = self.num_senones
         else:
             idx = np.asarray(senones, dtype=np.int64)
@@ -364,20 +363,11 @@ class SenonePool:
             count = int(idx.size)
             if count == 0:
                 return np.empty((obs.shape[0], 0))
-            # One senone-major row gather per table: rows of senone s
-            # are the contiguous block [s*M, (s+1)*M).
-            rows = (idx[:, None] * m + np.arange(m)).ravel()
-            prec = tables.prec.take(rows, axis=0)
-            mu_prec = tables.mu_prec.take(rows, axis=0)
-            const = tables.const.take(idx, axis=0)
-        # The two dense products the whole mode exists for, then a
-        # stable log-sum-exp mixture fold in the storage precision
-        # (the const tables match the comp dtype by construction);
-        # only the final scores are upcast to float64.
-        comp = self._dense_quadratic(obs, prec, mu_prec)
-        comp = comp.reshape(obs.shape[0], count, m)
-        comp += const.reshape(1, count, m)
-        out = _fold_components(comp)
+            # One senone-major row gather: rows of senone s are the
+            # contiguous block [s*M, (s+1)*M).
+            table = table.take((idx[:, None] * m + np.arange(m)).ravel(), axis=0)
+        comp = self._dense_quadratic(obs, tables.centre, table)
+        out = _fold_components(comp.reshape(obs.shape[0], count, m))
         if out.dtype != np.float64:
             out = out.astype(np.float64)
         return out

@@ -22,7 +22,7 @@ dense block with no per-pair indexing at all.  That last demand does
 not depend on the search, so it is scored AHEAD of it, behind the
 ``score_pairs`` seam: a lane admitted with its audio gets its next
 :data:`BLOCK_FRAMES` frames in one product the step it runs out, and
-the tables are streamed once per block, not once per 10 ms frame.
+the table is streamed once per block, not once per 10 ms frame.
 Every step still checks that the frame it is handed is the frame the
 cached row was scored from; a lane whose frames are not the admitted
 ones, a fed lane and a caller without a lane are scored directly, one
@@ -160,8 +160,6 @@ class BatchReferenceScorer(_StatelessLaneMixin):
         outside any finite-energy audio, and the search would read
         such a score (anything at or below ``LOG_DEAD``) as dead anyway.
         """
-        if pair_senones.size == 0:
-            return np.empty(0)
         compact = self.pool.score_pairs(observations, pair_rows, pair_senones)
         return np.maximum(compact, LOG_ZERO, out=compact)
 
@@ -200,8 +198,10 @@ class BatchHardwareScorer(_StatelessLaneMixin):
         pair_senones: np.ndarray,
         lanes: np.ndarray | None = None,
     ) -> np.ndarray:
-        p = int(pair_senones.size)
+        p = int(np.size(pair_senones))
         if p == 0:
+            # No unit sees the call, so one validates it (and scores nothing).
+            self.units[0].score_pairs(self.table, observations, pair_rows, pair_senones)
             self.frame_critical_cycles.append(0)
             return np.empty(0)
         feats32 = np.asarray(observations, dtype=np.float32)
@@ -270,9 +270,9 @@ class BatchBlasScorer:
       order (what a ``use_feedback=False`` bank sends; checked pair by
       pair, never inferred from the count): the answer is dense blocks
       of :meth:`~repro.hmm.senone.SenonePool.score_block_blas` over the
-      whole tables — two products, one in-place constant add, one fold,
-      no index array built, gathered or scattered — scored AHEAD per
-      lane where the lane's audio is known (below);
+      whole table — one product (the mixture constant rides in the
+      table), one fold, no index array built, gathered or scattered —
+      scored AHEAD per lane where the lane's audio is known (below);
     * **union block** — other demand covering at least
       :data:`MIN_DENSITY` of its ``rows x union`` grid: the products
       run on the demanded senones' gathered row blocks (a paper-scale
@@ -284,23 +284,23 @@ class BatchBlasScorer:
 
     ``dense_steps`` counts the steps the first two served,
     ``fallback_steps`` the third, ``table_streams`` the passes over the
-    WHOLE tables (one per ``score_block_blas(senones=None)``) — what
+    WHOLE table (one per ``score_block_blas(senones=None)``) — what
     the paper's parameter-bandwidth figure multiplies.
 
     **Scored ahead.**  Full-grid demand does not depend on the search,
     so a lane admitted with its features (:meth:`admit_lane`) is scored
     a block of up to :data:`BLOCK_FRAMES` of ITS OWN next frames at a
-    time — one product, constant add, fold and ``LOG_ZERO`` map per
-    block instead of per 10 ms frame, in the step that needs the
-    block's first row — and the following steps read one row each.  A
-    block row answers a step only if that step's ``observations`` row
-    EQUALS the frame the row was scored from (kept as a copy) and the
-    block was scored on the tables of the current ``precision``; a swap
-    rescores from the lane's next frame.  A row that is not its lane's
-    next frame drops the lane's state for good.  Such rows, and rows of
-    lanes admitted without features (fed / streaming lanes, direct
-    callers), are stacked into one direct product — the one-frame case
-    of the same function.  :meth:`retire_lane` drops a lane's block
+    time — one product, fold and ``LOG_ZERO`` map per block instead
+    of per 10 ms frame, in the step that needs the block's first row —
+    and the following steps read one row each.  A block row answers a
+    step only if that step's ``observations`` row EQUALS the frame the
+    row was scored from (kept as a copy) and the block was scored on
+    the table of the current ``precision``; a swap rescores from the
+    lane's next frame.  A row that is not its lane's next frame drops
+    the lane's state for good.  Such rows, and rows of lanes admitted
+    without features (fed / streaming lanes, direct callers), are
+    stacked into one direct product — the one-frame case of the same
+    function.  :meth:`retire_lane` drops a lane's block
     (a cancelled lane wasted at most ``BLOCK_FRAMES - 1`` rows of
     scoring), :meth:`compact_lanes` moves it with its lane.  Because a
     lane's blocks are cut from its own utterance alone, the bits of its
@@ -313,9 +313,9 @@ class BatchBlasScorer:
     an array that is read-only and owns its data cannot have changed.
     Equal-but-distinct or writeable arrays are validated again.
 
-    ``precision`` is the dtype of the stored tables
+    ``precision`` is the dtype of the stored table
     (:data:`~repro.hmm.senone.BLAS_PRECISIONS`): ``"float64"`` keeps
-    the original tables, ``"float32"`` halves the bytes every dense
+    the full-width table, ``"float32"`` halves the bytes every dense
     step gathers and streams (drift within
     :data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL` of the float64
     backend).  The sparse-step fallback always runs the exact gathered
@@ -385,12 +385,11 @@ class BatchBlasScorer:
 
     def _score_table(self, frames: np.ndarray) -> np.ndarray:
         """Every senone for every row of ``frames`` in ONE pass over
-        the whole tables."""
+        the whole table."""
         self.table_streams += 1
         block = self.pool.score_block_blas(frames, precision=self.precision)
         # A senone with no finite score is "no path", not -inf.
-        block[np.isneginf(block)] = LOG_ZERO
-        return block
+        return np.maximum(block, LOG_ZERO, out=block)
 
     def _next_row(self, ahead: _LaneAhead, frame: np.ndarray):
         """The scored-ahead answer for ``frame`` if it IS the lane's
@@ -439,8 +438,6 @@ class BatchBlasScorer:
         pair_senones: np.ndarray,
         lanes: np.ndarray | None = None,
     ) -> np.ndarray:
-        if np.size(pair_senones) == 0:
-            return np.empty(0)
         pool = self.pool
         grid = self._grid
         if (
@@ -454,6 +451,8 @@ class BatchBlasScorer:
             obs = pool.check_block(observations, min_rows=rows[-1] + 1)
             return self._score_grid(obs, rows)
         obs, pair_b, pair_s = pool.check_pairs(observations, pair_rows, pair_senones)
+        if pair_s.size == 0:
+            return np.empty(0)
         compact = None
         if pair_s.size >= MIN_PAIRS:
             rows = self._full_grid_rows(pair_b, pair_s)
@@ -480,8 +479,7 @@ class BatchBlasScorer:
         else:
             self.dense_steps += 1
         # A senone with no finite score is "no path", not -inf.
-        compact[np.isneginf(compact)] = LOG_ZERO
-        return compact
+        return np.maximum(compact, LOG_ZERO, out=compact)
 
 
 # Columns of the per-lane counter block: FastGmmStats' fields, in order.

@@ -301,7 +301,9 @@ class TestFusedFold:
 
     def test_all_dead_senone_leaves_score_pairs_as_log_zero(self, rng):
         pool = self._zero_weight_pool(rng)
-        pool.blas_tables().const[3] = -np.inf  # no component left alive
+        m = pool.num_components
+        # The constant column of senone 3's rows: no component left alive.
+        pool.blas_tables().table[3 * m : 4 * m, -1] = -np.inf
         scorer = BatchBlasScorer(pool)
         obs = rng.normal(0.0, 2.0, size=(2, pool.dim))
         pair_rows, pair_senones = _grid(range(2), pool.num_senones)

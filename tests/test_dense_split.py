@@ -33,7 +33,7 @@ def test_five_utterance_cut_splits_a_step_and_sizes_the_next_levers():
     assert report["block_amortised_us_per_step"] > 0.0
 
     text = dense_split.render(report)
-    for name in ("products", "fold", "scorer_glue", "bank_scoring_glue"):
+    for name in ("product", "fold", "scorer_glue", "bank_scoring_glue"):
         assert name in text
     for phrase in ("block amortised", "per-step remainder", "whole-table passes"):
         assert phrase in text

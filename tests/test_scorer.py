@@ -1,13 +1,20 @@
-"""Scoring statistics, and the reference and hardware backends of
-repro.runtime.scoring driven at one lane."""
+"""Scoring statistics, the reference and hardware backends of
+repro.runtime.scoring driven at one lane, and what every pooled
+backend refuses."""
 
 import numpy as np
 import pytest
 
 from repro.core.opunit import OpUnit, OpUnitSpec
+from repro.decoder.fast_gmm import FastGmmModel
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import LOG_ZERO, ScoringStats
-from repro.runtime.scoring import BatchHardwareScorer, BatchReferenceScorer
+from repro.runtime.scoring import (
+    BatchBlasScorer,
+    BatchFastGmmScorer,
+    BatchHardwareScorer,
+    BatchReferenceScorer,
+)
 
 
 def _score(scorer, obs, senones):
@@ -116,3 +123,40 @@ class TestHardwareScorer:
         units = [OpUnit(OpUnitSpec(feature_dim=small_pool.dim + 1))]
         with pytest.raises(ValueError):
             BatchHardwareScorer(units, small_pool.gaussian_table())
+
+
+BACKENDS = {
+    "reference": BatchReferenceScorer,
+    "hardware": lambda pool: BatchHardwareScorer(
+        [OpUnit(OpUnitSpec(feature_dim=pool.dim))], pool.gaussian_table()
+    ),
+    "fast": lambda pool: BatchFastGmmScorer(FastGmmModel(pool)),
+    "blas": BatchBlasScorer,
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestEmptyDemandIsValidated:
+    """A call with no work items is refused for what it is, exactly as
+    one with work items would be — no backend answers it unchecked."""
+
+    def test_wrong_width_refused(self, backend, small_pool):
+        scorer = BACKENDS[backend](small_pool)
+        no_pairs = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError):
+            scorer.score_pairs(np.zeros((2, small_pool.dim + 1)), no_pairs, no_pairs)
+
+    def test_pair_shapes_that_differ_refused(self, backend, small_pool):
+        scorer = BACKENDS[backend](small_pool)
+        with pytest.raises(ValueError):
+            scorer.score_pairs(
+                np.zeros((2, small_pool.dim)),
+                np.array([0, 1]),
+                np.zeros(0, dtype=np.int64),
+            )
+
+    def test_valid_empty_demand_scores_nothing(self, backend, small_pool):
+        scorer = BACKENDS[backend](small_pool)
+        no_pairs = np.zeros(0, dtype=np.int64)
+        out = scorer.score_pairs(np.zeros((2, small_pool.dim)), no_pairs, no_pairs)
+        assert out.shape == (0,)

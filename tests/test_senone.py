@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.hmm.senone import SenonePool
 from repro.quant.float_formats import IEEE_SINGLE, MANTISSA_12, MANTISSA_15
 
@@ -86,11 +87,20 @@ class TestBlasScoring:
         n, m, dim = (
             small_pool.num_senones, small_pool.num_components, small_pool.dim
         )
-        assert tables.prec.shape == (n * m, dim)
-        assert tables.mu_prec.shape == (n * m, dim)
-        assert tables.const.shape == (n, m)
-        assert tables.prec.flags["C_CONTIGUOUS"]
-        assert tables.mu_prec.flags["C_CONTIGUOUS"]
+        # ONE table, [-p/2 | mu' p | const'] per (senone, mixture) row.
+        assert tables.table.shape == (n * m, 2 * dim + 1)
+        assert tables.table.flags["C_CONTIGUOUS"]
+        assert tables.centre.shape == (dim,)
+        np.testing.assert_allclose(
+            tables.centre, small_pool.means.reshape(n * m, dim).mean(axis=0)
+        )
+        # Senone-major: row s * M + k is mixture component k of senone s.
+        precision = 1.0 / small_pool.variances[5, 2]
+        row = tables.table[5 * m + 2]
+        np.testing.assert_allclose(row[:dim], -0.5 * precision)
+        np.testing.assert_allclose(
+            row[dim:-1], (small_pool.means[5, 2] - tables.centre) * precision
+        )
         assert small_pool.blas_tables() is tables  # cached
 
     def test_full_block_matches_gathered_scores(self, small_pool, rng):
@@ -110,6 +120,34 @@ class TestBlasScoring:
         # Same dot products; gathered vs full matrices may block
         # differently inside BLAS, so compare to rounding only.
         np.testing.assert_allclose(dense, full[:, subset], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("components", [2, 4])
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    def test_block_matches_reference_with_dead_components(self, rows, components):
+        """One product per block, whatever its height, scores every
+        senone as the reference does — a zero-weight component (a -inf
+        constant) and an all-dead senone included."""
+        rng = np.random.default_rng(rows * 10 + components)
+        n, dim = 30, 13
+        shape = (n, components, dim)
+        weights = rng.uniform(0.5, 1.5, size=(n, components))
+        weights[:, 1] = 0.0  # one zero-weight component per senone
+        pool = SenonePool(
+            rng.normal(0.0, 3.0, size=shape),
+            rng.uniform(0.3, 2.0, size=shape),
+            weights / weights.sum(axis=1, keepdims=True),
+        )
+        dead = 4  # no component left alive: -inf in all its rows' constants
+        table = pool.blas_tables().table
+        table[dead * components : (dead + 1) * components, -1] = -np.inf
+        obs = rng.normal(0.0, 2.0, size=(rows, dim))
+        block = pool.score_block_blas(obs)
+        expected = pool.score_pairs(
+            obs, np.repeat(np.arange(rows), n), np.tile(np.arange(n), rows)
+        ).reshape(rows, n)
+        expected[:, dead] = -np.inf
+        assert block.shape == (rows, n) and not np.isnan(block).any()
+        np.testing.assert_allclose(block, expected, rtol=0.0, atol=BLAS_SCORE_ATOL)
 
     def test_empty_subset(self, small_pool, rng):
         out = small_pool.score_block_blas(
