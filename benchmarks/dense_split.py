@@ -16,6 +16,12 @@ share is reported twice more: what is paid once per block (amortised
 over the steps that read it) against what is still paid every step, and
 the parameter stream as it really is — ``table_streams`` whole-table
 passes — beside the frozen harness's ``dense_steps x table bytes``.
+On two CPUs the blocks run on the process's scoring worker thread,
+where their spans (``_score_table`` and below) no longer nest under
+``score_pairs``: the step's split then holds only what the search
+thread pays, its wait for the worker included, and the worker's busy
+time and that wait are printed from the scorer's own ``block_busy_s``
+and ``block_wait_s`` counters.
 Then the sizing sweeps the NEXT decision needs, on the same pool and
 real frames: a lane's block at 8 / 32 / 128 frames (per-step cost is
 lanes x the block's time / its frames) and float32 against float64
@@ -55,14 +61,38 @@ def _best_us(call, repeats: int) -> float:
     return 1e6 * best
 
 
+def _locked_recorder():
+    """A :class:`SpanRecorder` whose spans may open on two threads (the
+    search and the scoring worker) — one lock around its span list."""
+    import threading
+
+    from benchmarks.perf.spans import SpanRecorder
+
+    class LockedRecorder(SpanRecorder):
+        def __init__(self) -> None:
+            super().__init__()
+            self._lock = threading.Lock()
+
+        def open(self, name: str, request: int | None = None) -> int:
+            with self._lock:
+                return super().open(name, request)
+
+        def close(self, index: int) -> None:
+            with self._lock:
+                super().close(index)
+
+    return LockedRecorder()
+
+
 def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict:
     import numpy as np
 
     import repro.hmm.senone as senone_module
     from benchmarks.perf.generator import make_requests
-    from benchmarks.perf.spans import SpanRecorder, aggregate
+    from benchmarks.perf.spans import aggregate
     from benchmarks.perf.workloads import FRAME_S, MAX_LANES, SPECS
     from repro.decoder.recognizer import Recognizer
+    from repro.runtime import scoring
 
     spec = SPECS["bank_dense"]
     stamp = fingerprint(_ROOT, seed)
@@ -81,7 +111,7 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
     rec.decode_stream(features[:1], max_lanes=MAX_LANES)  # tables built, caches warm
 
     # -- the traced pass -----------------------------------------------
-    recorder = SpanRecorder()
+    recorder = _locked_recorder()
     banks = []
 
     def capture_bank(args, kwargs, bank) -> None:
@@ -106,13 +136,18 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
     score_busy = agg["score_pairs"]["busy_s"]
     step_busy = agg["bank.step"]["busy_s"]
     stages = bank.stage_scoring_s + bank.stage_update_s + bank.stage_exit_s
-    split = {
+    on_worker = scoring._WORKER.executor() is not None
+    blocks = {
         "product": per_step(
             agg["_dense_quadratic"]["self_s"] + agg["score_block_blas"]["self_s"]
         ),
         "fold": per_step(agg["_fold_components"]["self_s"]),
         "log_zero_map": per_step(agg["_score_table"]["self_s"]),
-        "scorer_glue": per_step(agg["score_pairs"]["self_s"]),
+    }
+    split = {
+        **({} if on_worker else blocks),  # in line, the blocks are in the step
+        "block_wait": per_step(scorer.block_wait_s),
+        "scorer_glue": per_step(agg["score_pairs"]["self_s"] - scorer.block_wait_s),
         "bank_scoring_glue": per_step(bank.stage_scoring_s - score_busy),
         "token_update": per_step(bank.stage_update_s),
         "word_exits": per_step(bank.stage_exit_s),
@@ -156,7 +191,13 @@ def run(seed: int = 2, utterances: int | None = None, repeats: int = 30) -> dict
         "table_streams": scorer.table_streams,
         "block_frames": block_frames,
         "step_us": per_step(step_busy),
+        "placement": "on the worker thread" if on_worker else "in line",
         "split_us_per_step": split,
+        "block_split_us_per_step": blocks,
+        # The scorer's own counters: its blocks' time (on the worker
+        # when there is one) and the search thread's wait for them.
+        "worker_busy_us_per_step": per_step(scorer.block_busy_s),
+        "wait_us_per_step": per_step(scorer.block_wait_s),
         # Behind the seam, paid once per block (product, fold, LOG_ZERO
         # map); `scorer_glue` is what every step still pays (frame
         # check, row read-out).
@@ -184,17 +225,25 @@ def render(report: dict) -> str:
         f"dense_steps x table bytes reads "
         f"{report['harness_table_mb_per_audio_s']:.3f})",
         "",
-        "self time per step (us, share of the step):",
+        "self time per step on the search thread (us, share of the step):",
     ]
     for name, value in report["split_us_per_step"].items():
         lines.append(f"  {name:<18} {value:8.1f}  {value / step:6.1%}")
     lines += [
         "",
-        f"behind score_pairs, blocks of <= {report['block_frames']} frames per lane "
-        "(us/step):",
+        f"behind score_pairs, blocks of <= {report['block_frames']} frames per lane, "
+        f"scored {report['placement']} (us/step):",
+    ]
+    for name, value in report["block_split_us_per_step"].items():
+        lines.append(f"  {name:<18} {value:8.1f}")
+    lines += [
         f"  block amortised    {report['block_amortised_us_per_step']:8.1f}  "
         f"({report['block_us']:.0f} us per block)",
         f"  per-step remainder {report['split_us_per_step']['scorer_glue']:8.1f}",
+        f"  worker busy        {report['worker_busy_us_per_step']:8.1f}  "
+        "(scorer.block_busy_s)",
+        f"  main-thread wait   {report['wait_us_per_step']:8.1f}  "
+        "(scorer.block_wait_s)",
         "",
         f"K frames of ONE lane per block, x {report['lanes']} lanes "
         "(us/step: whole block, the product alone):",

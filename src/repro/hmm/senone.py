@@ -49,9 +49,10 @@ def check_blas_precision(precision: str) -> None:
         )
 
 
-def _fold_components(items: np.ndarray) -> np.ndarray:
+def _fold_components(items: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Log-sum-exp over the trailing mixture-component axis, in the
-    items' own dtype — the fold of the matmul-form (blas) kernels only.
+    items' own dtype — the fold of the matmul-form (blas) kernels only
+    (into ``out`` when given: same dtype, the items' leading shape).
 
     Two components fold as ``max + log1p(exp(-|a - b|))`` in array
     passes, within a few ulp of ``np.logaddexp`` and several times
@@ -63,10 +64,10 @@ def _fold_components(items: np.ndarray) -> np.ndarray:
     peak turns exactly that case back into ``-inf``.
     """
     if items.shape[-1] != 2:
-        return np.logaddexp.reduce(items, axis=-1)
+        return np.logaddexp.reduce(items, axis=-1, out=out)
     a, b = items[..., 0], items[..., 1]
     peak = np.maximum(a, b)
-    out = np.minimum(a, b)
+    out = np.minimum(a, b, out=out)
     with np.errstate(invalid="ignore"):  # -inf - -inf, repaired below
         out -= peak
     np.maximum(out, -40.0, out=out)
@@ -326,6 +327,7 @@ class SenonePool:
         observations: np.ndarray,
         senones: np.ndarray | None = None,
         precision: str = "float64",
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Dense matmul-form scores: shape ``(B, len(senones))``.
 
@@ -349,6 +351,11 @@ class SenonePool:
         (:data:`~repro.decoder.scorer.FLOAT32_SCORE_ATOL`): the product
         and the log-sum-exp fold run in the narrow storage; only the
         returned scores are float64.
+
+        ``out`` (float64, the result's shape) receives the scores
+        instead of a new array — the same bits: a caller that owns the
+        block's memory hands it in (the blas scorer's worker writes each
+        block into rows its caller allocated).
         """
         obs = self.check_block(observations)
         tables = self.blas_tables(precision)
@@ -361,15 +368,26 @@ class SenonePool:
             if idx.size and (idx.min() < 0 or idx.max() >= self.num_senones):
                 raise IndexError("senone index out of range")
             count = int(idx.size)
-            if count == 0:
-                return np.empty((obs.shape[0], 0))
+        if out is not None and (
+            out.shape != (obs.shape[0], count) or out.dtype != np.float64
+        ):
+            raise ValueError(
+                f"out must be float64 of shape {(obs.shape[0], count)}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        if count == 0:
+            return np.empty((obs.shape[0], 0)) if out is None else out
+        if senones is not None:
             # One senone-major row gather: rows of senone s are the
             # contiguous block [s*M, (s+1)*M).
             table = table.take((idx[:, None] * m + np.arange(m)).ravel(), axis=0)
         comp = self._dense_quadratic(obs, tables.centre, table)
-        out = _fold_components(comp.reshape(obs.shape[0], count, m))
-        if out.dtype != np.float64:
-            out = out.astype(np.float64)
+        items = comp.reshape(obs.shape[0], count, m)
+        if table.dtype == np.float64:
+            return _fold_components(items, out=out)
+        if out is None:
+            return _fold_components(items).astype(np.float64)
+        out[...] = _fold_components(items)
         return out
 
     def score_frame(

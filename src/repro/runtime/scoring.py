@@ -21,14 +21,19 @@ every active lane, the paper's worst-case-bandwidth regime — the whole
 dense block with no per-pair indexing at all.  That last demand does
 not depend on the search, so it is scored AHEAD of it, behind the
 ``score_pairs`` seam: a lane admitted with its audio gets its next
-:data:`BLOCK_FRAMES` frames in one product the step it runs out, and
-the table is streamed once per block, not once per 10 ms frame.
-Every step still checks that the frame it is handed is the frame the
-cached row was scored from; a lane whose frames are not the admitted
-ones, a fed lane and a caller without a lane are scored directly, one
-frame at a time, by the same function.  A precision swap invalidates
-what was scored on the old tables; retiring a lane drops its block, so
-a cancelled lane wastes at most ``BLOCK_FRAMES - 1`` frames of scoring.
+:data:`BLOCK_FRAMES` frames in one product, and the table is streamed
+once per block, not once per 10 ms frame.  Where the process may use
+two CPUs, those products run on its ONE scoring worker thread (every
+scorer in the process shares it) while the search runs on the lane's
+current block — the paper's Figure 1 split, OP units scoring beside
+the processor that searches (:mod:`repro.core.soc`); on one CPU they
+run in line, in the step that runs out.  Either way a score has the same bits.  Every step still
+checks that the frame it is handed is the frame the cached row was
+scored from; a lane whose frames are not the admitted ones, a fed lane
+and a caller without a lane are scored directly, one frame at a time,
+by the same function.  A precision swap drops what was scored, or is
+being scored, on the old tables; retiring a lane drops its blocks, so
+a cancelled lane wastes under ``2 * BLOCK_FRAMES`` frames of scoring.
 
 Because each work item is self-contained, the pooled pass is also
 indifferent to WHICH lanes contribute items: drained batches, ragged
@@ -51,6 +56,10 @@ occupied lanes.  The stateless backends implement them as no-ops.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -229,7 +238,24 @@ class BatchHardwareScorer(_StatelessLaneMixin):
 BLOCK_FRAMES = 32
 #: Float64 elements a block's ``(frames, N, M)`` intermediate may hold
 #: (32 MB): a paper-scale pool gets a shorter block, not more memory.
+#: Resident besides: two blocks of scores per lane at most (the one it
+#: reads and the next, in flight), allocated by the search thread and
+#: written by the worker through ``out=`` (rows the worker allocates
+#: itself read ≈ +7 MB peak RSS on ``bank_dense``), and ONE
+#: intermediate on the process's scoring worker, which runs one pass
+#: at a time.
 BLOCK_SCRATCH_ELEMENTS = 4_000_000
+#: Unread rows left in a lane's block when its next block goes to the
+#: scoring worker.  The lead barely moves the time on ``bank_dense``
+#: (2 vCPUs, in-process against in-line scoring, two sweeps at leads
+#: 8 / 11 / 16 / 32: +17 / +22 / +23 / +30 % on a quiet box, +6 / +3 /
+#: −1 / −5 % on a busy one): the worker is busy most of each step, so
+#: a lane that runs out mostly waits behind other lanes' blocks, not
+#: its own.  What the lead does set is the waste: a swap or cancel
+#: that lands in a block's last ``LEAD_FRAMES`` rows throws the next
+#: block's pass away.  At 11, one in the first two thirds of a block
+#: costs no pass.
+LEAD_FRAMES = 11
 #: Fewest work items a step must hold for the products to serve it.
 MIN_PAIRS = 32
 #: Least share of its ``rows x union`` grid a step's items must cover
@@ -247,17 +273,106 @@ def _frozen(array) -> bool:
     )
 
 
-class _LaneAhead:
-    """A lane admitted with its audio, and the block scored ahead of it."""
+def _cpus() -> int:
+    """The CPUs this process may run on (every CPU where the OS cannot
+    say, as on macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    __slots__ = ("features", "frames", "scores", "offset", "precision")
+
+class _ScoringWorker:
+    """The process's ONE scoring worker thread, shared by every blas
+    scorer in it (every twin of a thread-sharded ``Server``), started on
+    first use; and the gate every whole-table pass runs inside.
+
+    ``os.fork`` waits at the gate until no pass runs, and no pass starts
+    until the fork is done: OpenBLAS tears its thread pool down when the
+    process forks, and a thread that is inside a threaded product at
+    that moment, or the fork itself, never returns (the thread spins at
+    full CPU for good, and so does every later threaded product).  The
+    worker runs its blocks while other threads go on, so a fork — a
+    sharded ``Server`` starting its shards — could land on one.
+    (``subprocess`` starts children by ``vfork``, which runs no fork
+    handlers.)  The child gets an open gate and no worker: it starts its
+    own on first use."""
+
+    def __init__(self) -> None:
+        self._reset()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(
+                before=self._close,
+                after_in_parent=self._open,
+                after_in_child=self._reset,
+            )
+
+    def _reset(self) -> None:
+        """Open, with no pass running and no thread (the child has no
+        other thread)."""
+        self._idle = threading.Condition()
+        self._running = 0
+        self._executor: ThreadPoolExecutor | None = None
+
+    def executor(self) -> ThreadPoolExecutor | None:
+        """The worker, or ``None`` where the process may run on one CPU
+        only (read at every call: ``taskset`` may move a live process)."""
+        if _cpus() < 2:
+            return None
+        with self._idle:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(1, thread_name_prefix="blas-ahead")
+            return self._executor
+
+    def __enter__(self) -> None:
+        with self._idle:
+            self._running += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._idle:
+            self._running -= 1
+            if not self._running:
+                self._idle.notify_all()
+
+    def _close(self) -> None:
+        """Before a fork: wait out the passes, then hold the gate shut."""
+        self._idle.acquire()
+        while self._running:
+            self._idle.wait()
+
+    def _open(self) -> None:
+        self._idle.release()
+
+
+_WORKER = _ScoringWorker()
+
+
+class _Block:
+    """A block of one lane's frames and their scores: submitted, then
+    installed."""
+
+    __slots__ = ("start", "frames", "precision", "scores", "future", "pid", "busy_s")
+
+    def __init__(self, start: int, frames: list[bytes], precision: str | None) -> None:
+        self.start = start  # the utterance frame of the block's first row
+        self.frames = frames  # each row's frame as it was scored
+        self.precision = precision  # the table format it is scored on
+        self.scores = None  # (len(frames), N), LOG_ZERO-mapped
+        self.future = None  # the worker's pass, until the block is installed
+        self.pid = os.getpid()  # the process whose worker runs that pass
+        self.busy_s = 0.0  # that pass's own time
+
+
+class _LaneAhead:
+    """A lane admitted with its audio, and the blocks scored ahead of it."""
+
+    __slots__ = ("features", "block", "offset", "lead", "pending")
 
     def __init__(self, features: np.ndarray) -> None:
-        self.features = features  # from the block's first frame on
-        self.frames: list[bytes] = []  # each block row's frame as it was scored
-        self.scores = None  # (len(frames), N), LOG_ZERO-mapped
+        self.features = features  # the lane's whole utterance
+        self.block = _Block(0, [], None)  # the block its rows are read from
         self.offset = 0  # the block row of the lane's next frame
-        self.precision = None  # the table format the block was scored on
+        self.lead = -1  # the row whose read sends the next block to the worker
+        self.pending = None  # the next block, on the worker
 
 
 class BatchBlasScorer:
@@ -285,26 +400,48 @@ class BatchBlasScorer:
     ``dense_steps`` counts the steps the first two served,
     ``fallback_steps`` the third, ``table_streams`` the passes over the
     WHOLE table (one per ``score_block_blas(senones=None)``) — what
-    the paper's parameter-bandwidth figure multiplies.
+    the paper's parameter-bandwidth figure multiplies.  A block's pass
+    counts when the block is read or dropped: a submitted pass is never
+    cancelled, so a dropped block ran too, whatever the threads' timing.
 
     **Scored ahead.**  Full-grid demand does not depend on the search,
     so a lane admitted with its features (:meth:`admit_lane`) is scored
     a block of up to :data:`BLOCK_FRAMES` of ITS OWN next frames at a
     time — one product, fold and ``LOG_ZERO`` map per block instead
-    of per 10 ms frame, in the step that needs the block's first row —
-    and the following steps read one row each.  A block row answers a
-    step only if that step's ``observations`` row EQUALS the frame the
-    row was scored from (kept as a copy) and the block was scored on
-    the table of the current ``precision``; a swap rescores from the
-    lane's next frame.  A row that is not its lane's next frame drops
-    the lane's state for good.  Such rows, and rows of lanes admitted
+    of per 10 ms frame — and the steps read one row each.  Where the
+    process may use two CPUs, the blocks run on the process's ONE
+    scoring worker thread (shared by every scorer) beside the search,
+    as the paper's OP units score beside its processor: a lane's first
+    block is submitted at :meth:`admit_lane` and each next one when
+    :data:`LEAD_FRAMES` rows of the block before it are left, so a step
+    only waits for a block the worker has not finished
+    (``block_wait_s``) and never scores one itself.  On one
+    CPU the blocks are scored in line, in the step that needs the
+    block's first row.  Either way each block is one
+    ``score_block_blas`` call on a copy of its frames taken at submit
+    time, into rows allocated here, with BLAS at the caller's thread
+    count — so a score's bits do not depend on where it ran.
+    ``block_busy_s`` is the read blocks' own time, on whichever thread.
+
+    A block row answers a step only if that step's ``observations``
+    row EQUALS the frame the row was scored from and the block was
+    scored on the table of the current ``precision``; setting the
+    ``precision`` drops every block in flight and a lane rescores from
+    its next frame.  A row that is not its lane's next frame drops the
+    lane's state for good.  Such rows, and rows of lanes admitted
     without features (fed / streaming lanes, direct callers), are
-    stacked into one direct product — the one-frame case of the same
-    function.  :meth:`retire_lane` drops a lane's block
-    (a cancelled lane wasted at most ``BLOCK_FRAMES - 1`` rows of
-    scoring), :meth:`compact_lanes` moves it with its lane.  Because a
-    lane's blocks are cut from its own utterance alone, the bits of its
-    scores do not depend on the bank's width or on its co-tenants.
+    stacked into one direct product on the calling thread — the
+    one-frame case of the same function.  :meth:`retire_lane` and
+    :meth:`reset` drop a lane's blocks — a cancelled lane wasted the
+    rest of its block and the next one in flight, at most
+    ``BLOCK_FRAMES + LEAD_FRAMES`` rows and so under
+    ``2 * BLOCK_FRAMES - 1`` — and :meth:`compact_lanes` moves them
+    with their lane.  Because a lane's blocks are cut from its own
+    utterance alone, the bits of its scores do not depend on the bank's
+    width or on its co-tenants.  The worker belongs to the process that
+    started it: a forked child starts its own and rescores what its
+    parent's worker still owed, and a fork waits for the block the
+    worker is scoring (:class:`_ScoringWorker`).
 
     The work items themselves are validated on every call
     (:meth:`~repro.hmm.senone.SenonePool.check_pairs`, then the exact
@@ -333,37 +470,117 @@ class BatchBlasScorer:
     def __init__(self, pool: SenonePool, precision: str = "float64") -> None:
         self.pool = pool
         self.num_senones = pool.num_senones
-        self.precision = precision
+        pool.blas_tables(precision)  # build once up front, not on the first step
+        self._precision = precision
         self._every_senone = np.arange(pool.num_senones)
         per_frame = pool.num_senones * pool.num_components
         self._block_frames = max(
             1, min(BLOCK_FRAMES, BLOCK_SCRATCH_ELEMENTS // per_frame)
         )
+        self._ahead: dict[int, _LaneAhead] = {}
         self.reset()
-        pool.blas_tables(precision)  # build once up front, not on the first step
+
+    @property
+    def precision(self) -> str:
+        return self._precision
+
+    @precision.setter
+    def precision(self, precision: str) -> None:
+        """Swap the table format; every block in flight is dropped."""
+        if precision == self._precision:
+            return
+        self.pool.blas_tables(precision)  # built here, never on the worker
+        self._precision = precision
+        for ahead in self._ahead.values():
+            self._drop(ahead)
 
     # -- lane lifecycle -------------------------------------------------
     def reset(self) -> None:
         self.dense_steps = 0
         self.fallback_steps = 0
         self.table_streams = 0
-        self._ahead: dict[int, _LaneAhead] = {}
+        self.block_busy_s = 0.0  # the read blocks' own time, on whichever thread
+        self.block_wait_s = 0.0  # steps waiting for the worker's block
+        self._ahead = {}  # a block still on the worker runs, unread, uncounted
         self._grid = None  # (pair_rows, pair_senones, rows) that passed AS OBJECTS
 
     def admit_lane(self, lane: int, features: np.ndarray | None = None) -> None:
-        self._ahead.pop(lane, None)  # never a previous occupant's rows
+        self._drop(self._ahead.pop(lane, None))  # never a previous occupant's rows
         if features is not None:
-            self._ahead[lane] = _LaneAhead(features)
+            ahead = self._ahead[lane] = _LaneAhead(features)
+            if _WORKER.executor() is not None:
+                ahead.pending = self._submit(ahead, 0)
 
     def retire_lane(self, lane: int) -> FastGmmStats | None:
-        self._ahead.pop(lane, None)
+        self._drop(self._ahead.pop(lane, None))
         return None
 
     def compact_lanes(self, keep: Sequence[int]) -> None:
         ahead = self._ahead
         self._ahead = {
-            new: ahead[old] for new, old in enumerate(keep) if old in ahead
+            new: ahead.pop(old) for new, old in enumerate(keep) if old in ahead
         }
+        for gone in ahead.values():
+            self._drop(gone)
+
+    # -- blocks ----------------------------------------------------------
+    def _score_ahead(self, block: _Block, frames: np.ndarray) -> float:
+        """One block's pass into its rows; returns the pass's own time."""
+        t0 = time.perf_counter()
+        self._score_table(frames, block.precision, block.scores)
+        return time.perf_counter() - t0
+
+    def _submit(self, ahead: _LaneAhead, start: int) -> _Block:
+        """The lane's block from frame ``start`` on the current tables:
+        its frames copied (the block is scored from, and checked
+        against, that one snapshot), then scored — on the worker when
+        there is one, else here."""
+        frames = np.array(
+            ahead.features[start : start + self._block_frames], dtype=np.float64
+        )
+        block = _Block(start, [row.tobytes() for row in frames], self._precision)
+        if block.frames:
+            block.scores = np.empty((len(block.frames), self.num_senones))
+            worker = _WORKER.executor()
+            if worker is None:
+                block.busy_s = self._score_ahead(block, frames)
+            else:
+                block.future = worker.submit(self._score_ahead, block, frames)
+        return block
+
+    def _drop(self, ahead: _LaneAhead | None) -> None:
+        """Forget the lane's block in flight; its pass runs all the same,
+        so it counts."""
+        if ahead is not None and ahead.pending is not None:
+            self.table_streams += bool(ahead.pending.frames)
+            ahead.pending = None
+
+    def _install(self, ahead: _LaneAhead) -> _Block:
+        """The block holding the lane's next frame on the current tables:
+        the one in flight (a swap drops that one, so it is never of other
+        tables), else one cut now (in line, after a swap, or in a forked
+        child whose parent's worker owed it).  Waits for the worker's
+        pass and counts it."""
+        block, ahead.pending = ahead.pending, None
+        if block is None or (block.future is not None and block.pid != os.getpid()):
+            block = self._submit(ahead, ahead.block.start + ahead.offset)
+        if block.future is not None:
+            t0 = time.perf_counter()
+            block.busy_s = block.future.result()  # the worker's error surfaces here
+            self.block_wait_s += time.perf_counter() - t0
+            block.future = None
+        if block.frames:
+            self.table_streams += 1
+            self.block_busy_s += block.busy_s
+        ahead.block, ahead.offset = block, 0
+        rows = len(block.frames)
+        ahead.lead = (
+            max(0, rows - LEAD_FRAMES - 1)
+            if block.start + rows < len(ahead.features)
+            and _WORKER.executor() is not None
+            else -1
+        )
+        return block
 
     # ------------------------------------------------------------------
     def _full_grid_rows(self, pair_rows: np.ndarray, pair_senones: np.ndarray):
@@ -383,33 +600,33 @@ class BatchBlasScorer:
             return None
         return rows.tolist()
 
-    def _score_table(self, frames: np.ndarray) -> np.ndarray:
+    def _score_table(
+        self, frames: np.ndarray, precision: str, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Every senone for every row of ``frames`` in ONE pass over
-        the whole table."""
-        self.table_streams += 1
-        block = self.pool.score_block_blas(frames, precision=self.precision)
+        the whole table (uncounted: the callers count), never across a
+        fork (:class:`_ScoringWorker`)."""
+        with _WORKER:
+            block = self.pool.score_block_blas(frames, precision=precision, out=out)
         # A senone with no finite score is "no path", not -inf.
         return np.maximum(block, LOG_ZERO, out=block)
 
     def _next_row(self, ahead: _LaneAhead, frame: np.ndarray):
         """The scored-ahead answer for ``frame`` if it IS the lane's
-        next frame, else ``None``; scores the lane's next block first
-        when the last one is used up or was scored on other tables."""
-        if ahead.offset == len(ahead.frames) or ahead.precision != self.precision:
-            ahead.features = ahead.features[ahead.offset :]
-            ahead.offset = 0
-            ahead.precision = self.precision
-            block = np.asarray(
-                ahead.features[: self._block_frames], dtype=np.float64
-            )
-            ahead.frames = [row.tobytes() for row in block]
-            if ahead.frames:
-                ahead.scores = self._score_table(block)
+        next frame, else ``None``; installs the lane's next block first
+        when the last one is used up or was scored on other tables, and
+        sends the one after it to the worker when :data:`LEAD_FRAMES`
+        rows are left."""
+        block = ahead.block
+        if ahead.offset == len(block.frames) or block.precision != self._precision:
+            block = self._install(ahead)
         offset = ahead.offset
-        if offset == len(ahead.frames) or frame.tobytes() != ahead.frames[offset]:
+        if offset == len(block.frames) or frame.tobytes() != block.frames[offset]:
             return None
         ahead.offset = offset + 1
-        return ahead.scores[offset]
+        if offset == ahead.lead:
+            ahead.pending = self._submit(ahead, block.start + len(block.frames))
+        return block.scores[offset]
 
     def _score_grid(self, obs: np.ndarray, rows: list[int]) -> np.ndarray:
         """One full-grid step: a row from its lane's block where that
@@ -425,10 +642,13 @@ class BatchBlasScorer:
                 if scores is not None:
                     out[i] = scores
                     continue
-                del lanes_ahead[row]  # for good: its cursor is lost
+                self._drop(lanes_ahead.pop(row))  # for good: its cursor is lost
             direct.append(i)
         if direct:
-            out[direct] = self._score_table(obs[[rows[i] for i in direct]])
+            self.table_streams += 1
+            out[direct] = self._score_table(
+                obs[[rows[i] for i in direct]], self._precision
+            )
         return out.ravel()
 
     def score_pairs(

@@ -36,9 +36,9 @@ def spy_block_unions(monkeypatch):
         unions = []
         original = pool.score_block_blas
 
-        def spy(observations, senones=None, precision="float64"):
+        def spy(observations, senones=None, precision="float64", out=None):
             unions.append(senones)
-            return original(observations, senones, precision=precision)
+            return original(observations, senones, precision=precision, out=out)
 
         monkeypatch.setattr(pool, "score_block_blas", spy)
         return unions

@@ -149,6 +149,18 @@ class TestBlasScoring:
         assert block.shape == (rows, n) and not np.isnan(block).any()
         np.testing.assert_allclose(block, expected, rtol=0.0, atol=BLAS_SCORE_ATOL)
 
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("senones", [None, [3, 1, 8], []])
+    def test_out_receives_the_same_bits(self, small_pool, rng, precision, senones):
+        frames = rng.normal(size=(5, small_pool.dim))
+        fresh = small_pool.score_block_blas(frames, senones, precision=precision)
+        out = np.full(fresh.shape, np.nan)
+        got = small_pool.score_block_blas(frames, senones, precision=precision, out=out)
+        assert got is out and np.array_equal(out, fresh)
+        for wrong in (np.empty((5, fresh.shape[1] + 1)), fresh.astype(np.float32)):
+            with pytest.raises(ValueError, match="out must be float64"):
+                small_pool.score_block_blas(frames, senones, precision=precision, out=wrong)
+
     def test_empty_subset(self, small_pool, rng):
         out = small_pool.score_block_blas(
             rng.normal(size=(2, small_pool.dim)), np.empty(0, np.int64)
