@@ -4,10 +4,11 @@
 units, and multiplexers.  The different mode settings provide
 course-grain control over different stages of the pipeline."
 
-The controller sequences the OP unit through its operating modes and
-drives clock gating: in each mode only the blocks that mode uses
-receive a clock.  The power model consults :meth:`gated_blocks` to
-decide which blocks are toggling.  Mode transitions are validated so a
+The controller sequences the OP unit through its operating modes,
+names the blocks each mode clocks (:meth:`active_blocks`, the rest
+:meth:`gated_blocks`) and charges each mode its cycles
+(:meth:`duty_cycle`).  The power model does not read it: it prices the
+units' activity counters.  Mode transitions are validated so a
 test can prove the hardware never, say, streams Gaussians without a
 latched feature vector — the kind of sequencing bug the real control
 module guards against.

@@ -42,6 +42,7 @@ statistics record.
 from __future__ import annotations
 
 import time
+from time import perf_counter
 
 import numpy as np
 
@@ -63,7 +64,17 @@ from repro.decoder.scorer import ScoringStats
 from repro.decoder.word_decode import FrameStats, lm_history_of, prime_entries
 from repro.obs.telemetry import DecodeTelemetry
 
-__all__ = ["LaneBank", "LaneBankBase"]
+__all__ = ["STAGES", "LaneBank", "LaneBankBase"]
+
+# The stages of one step, a float each in the bank's ONE clock
+# (``LaneBankBase.stage_s``).  ``score`` is the ``scorer.score_pairs``
+# call alone, ``score_in`` the bank's own work on its answer (scatter,
+# gather, entry bank), ``bookkeeping`` what ``step`` does around
+# ``_advance``.
+STAGES = (
+    "candidates", "demand", "score", "score_in", "token_update", "token_move",
+    "beam", "exits", "bookkeeping",
+)
 
 
 class LaneBankBase:
@@ -103,15 +114,13 @@ class LaneBankBase:
         self.lane_frame_stats: list[list[FrameStats]] = [[] for _ in range(num_lanes)]
         self.lane_scoring: list[ScoringStats | None] = [None] * num_lanes
 
-        # Decode-stage wall-clock accounting (scoring vs token update
-        # vs word-exit recording), sampled inside `_advance` by the
-        # subclasses.  Bank-level totals; per-lane attribution is the
-        # delta between a lane's admission mark and its retirement, so
-        # concurrent lanes each observe the engine work of the steps
-        # they rode in.
-        self.stage_scoring_s = 0.0
-        self.stage_update_s = 0.0
-        self.stage_exit_s = 0.0
+        # The stage clock: seconds per STAGES entry, stamped once per
+        # stage boundary as plain floats (a numpy element costs 4x a
+        # stamp).  Bank-level totals that `compact` keeps; per-lane
+        # attribution is the delta between a lane's admission mark and
+        # its retirement, so concurrent lanes each observe the engine
+        # work of the steps they rode in.
+        self.stage_s = [0.0] * len(STAGES)
         self._lane_marks: list[tuple | None] = [None] * num_lanes
 
         self._alloc_state()
@@ -167,11 +176,14 @@ class LaneBankBase:
         lanes: np.ndarray,
         lane_list: list[int],
         lane_t_list: list[int],
-    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Advance the search state one frame for every occupied lane.
+        last: float,
+    ) -> tuple[np.ndarray, np.ndarray, list[int], float]:
+        """Advance the search state one frame for every occupied lane,
+        stamping :attr:`stage_s` at each stage's end from ``last`` (the
+        ``perf_counter`` it starts at).
 
         Returns ``(active_states, scored_counts, exit_counts)`` per
-        lane for the bookkeeping pass.
+        lane for the bookkeeping pass, and the last stamp.
         """
         raise NotImplementedError
 
@@ -187,7 +199,7 @@ class LaneBankBase:
 
     # ------------------------------------------------------------------
     def _demand(
-        self, lanes: np.ndarray, candidates
+        self, lanes: np.ndarray, candidates: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """This step's senone demand: ``(pair_key, pair_b, pair_s,
         scored_counts)``.
@@ -195,12 +207,13 @@ class LaneBankBase:
         The ``(lane, senone)`` work items of the ONE pooled evaluation,
         ascending by their flat key ``pair_key = pair_b * N + pair_s``
         (the row-major order ``np.nonzero`` gives a ``(B, N)`` mask),
-        and each lane's count.  Under feedback ``candidates()`` returns
-        the flat keys (:attr:`_slot_key`) of the slots that can be live
+        and each lane's count.  Under feedback ``candidates`` holds the
+        flat keys (:attr:`_slot_key`) of the slots that can be live
         next frame — duplicates allowed — and a lane demands its unique
         set of them: one mask marked and scanned back out, one
-        ``divmod`` into lane and senone.  Without feedback it is never
-        called: every active lane asks for every senone, a grid that
+        ``divmod`` into lane and senone.  Without feedback it is not
+        read (the flat bank passes ``None``, computing no candidates):
+        every active lane asks for every senone, a grid that
         changes only with the active-lane set or the bank width
         (``_alloc_scratch`` drops it), so it is kept, not filled into a
         mask and scanned back out per step; its arrays are handed out
@@ -211,7 +224,7 @@ class LaneBankBase:
         if self.cfg.use_feedback:
             cand_mask = self._cand_mask
             cand_mask.fill(False)
-            cand_mask[candidates()] = True
+            cand_mask[candidates] = True
             pair_key = np.flatnonzero(cand_mask)
             pair_b, pair_s = np.divmod(pair_key, num_senones)
             return pair_key, pair_b, pair_s, np.bincount(
@@ -296,6 +309,21 @@ class LaneBankBase:
         return exit_counts
 
     @property
+    def stage_scoring_s(self) -> float:
+        """Candidates through ``score_in``: the pooled GMM pass and its glue."""
+        return sum(self.stage_s[:4])
+
+    @property
+    def stage_update_s(self) -> float:
+        """Token update and token move."""
+        return sum(self.stage_s[4:6])
+
+    @property
+    def stage_exit_s(self) -> float:
+        """Beam prune and word-exit recording."""
+        return sum(self.stage_s[6:8])
+
+    @property
     def any_active(self) -> bool:
         return bool(self.active.any())
 
@@ -364,6 +392,7 @@ class LaneBankBase:
         Raises ValueError for a block of another shape and RuntimeError
         when an occupied lane was admitted WITH features.
         """
+        start = perf_counter()
         lanes = np.flatnonzero(self.active)
         if lanes.size == 0:
             raise RuntimeError("no occupied lanes to step")
@@ -391,8 +420,11 @@ class LaneBankBase:
             for b in lane_list:
                 obs_block[b] = self.lane_feats[b][lane_t_list[b]]
 
-        n_active, scored_counts, exit_counts = self._advance(
-            obs_block, lanes, lane_list, lane_t_list
+        clock = self.stage_s
+        last = perf_counter()
+        clock[8] += last - start  # bookkeeping
+        n_active, scored_counts, exit_counts, last = self._advance(
+            obs_block, lanes, lane_list, lane_t_list, last
         )
 
         # Per-lane bookkeeping at each lane's own frame counter;
@@ -418,6 +450,7 @@ class LaneBankBase:
                 finished.append(b)
         self.steps += 1
         self.frames_processed += len(lane_list)
+        clock[8] += perf_counter() - last  # bookkeeping
         return finished
 
     # ------------------------------------------------------------------
@@ -685,27 +718,29 @@ class LaneBank(LaneBankBase):
         lanes: np.ndarray,
         lane_list: list[int],
         lane_t_list: list[int],
-    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        last: float,
+    ) -> tuple[np.ndarray, np.ndarray, list[int], float]:
         net, cfg = self.net, self.cfg
         delta = self.delta
-
-        # Stage clocks: one read per stage per STEP, not per lane.
-        t0 = time.perf_counter()
+        clock = self.stage_s  # one stamp per stage per STEP, not per lane
 
         # 1-2. This frame's word entries as a bank, then the union of
         #    per-lane unique senone requests as (lane, senone) work
         #    items for one pooled evaluation.
         entry_scores = self._entry_scores
         entry_scores[:, net.start_state] = self.pending_entry
-        _, pair_b, pair_s, scored_counts = self._demand(
-            lanes, self._candidate_senones
-        )
+        t = perf_counter(); clock[3] += t - last; last = t  # score_in (entry bank)
+        keys = self._candidate_senones() if cfg.use_feedback else None
+        t = perf_counter(); clock[0] += t - last; last = t  # candidates
+        _, pair_b, pair_s, scored_counts = self._demand(lanes, keys)
+        t = perf_counter(); clock[1] += t - last; last = t  # demand
 
         # 3. One pooled GMM pass for the whole bank.  When the answer
         #    covers every senone of every active lane it is written
         #    (and next step re-zeroed) as whole rows, not pair by pair.
-        scores = self._score_mat.clean()
         compact = self.scorer.score_pairs(obs_block, pair_b, pair_s, lanes=lanes)
+        t = perf_counter(); clock[2] += t - last; last = t  # score
+        scores = self._score_mat.clean()
         if compact.size == lanes.size * scores.shape[1]:
             scores[lanes] = compact.reshape(lanes.size, -1)
             self._score_mat.publish(lanes)
@@ -718,8 +753,7 @@ class LaneBank(LaneBankBase):
         else:
             obs = self._obs_cast
             obs[...] = obs_bank
-        t1 = time.perf_counter()
-        self.stage_scoring_s += t1 - t0
+        t = perf_counter(); clock[3] += t - last; last = t  # score_in
 
         # 4. One chain update advances every lane's token bank in
         #    place; the Viterbi unit, if modelled, is charged.
@@ -729,6 +763,7 @@ class LaneBank(LaneBankBase):
         )
         if self.viterbi_unit is not None:
             self.viterbi_unit.charge_chain(net.is_start, rows=self.num_lanes)
+        t = perf_counter(); clock[4] += t - last; last = t  # token_update
 
         # 5. The token record follows the winning arc: it stays, moves
         #    one state right, or (entry wins) starts from the entry
@@ -742,21 +777,21 @@ class LaneBank(LaneBankBase):
         np.copyto(moved, entry, where=took_entry)
         self._record_next = record
         self._bind_record(moved)
-        t2 = time.perf_counter()
-        self.stage_update_s += t2 - t1
+        t = perf_counter(); clock[5] += t - last; last = t  # token_move
 
         # 6. Row-wise beam prune, then every lane's live word ends, in
         #    word order, go through the one exit pass.
         _, n_active = apply_beam_batch(delta, cfg.beam, self._beam_scratch)
+        t = perf_counter(); clock[6] += t - last; last = t  # beam
         end_delta = delta.take(net.end_state, axis=1)
         exit_b, exit_w = (end_delta > LOG_DEAD).nonzero()
         exit_counts = self._record_exits(
             exit_b, exit_w, end_delta[exit_b, exit_w] + self._fwd_end[exit_w],
             self._record[:, exit_b, net.end_state[exit_w]], lane_t_list,
         )
-        self.stage_exit_s += time.perf_counter() - t2
+        t = perf_counter(); clock[7] += t - last  # exits
 
-        return n_active, scored_counts, exit_counts
+        return n_active, scored_counts, exit_counts, t
 
     def _exit_scores(self, lattice, raw, words, preds, rows) -> list[float]:
         return raw  # the flat network applies the LM at word entry

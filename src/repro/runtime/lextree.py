@@ -69,7 +69,7 @@ random lifecycle that hunts for stale rows).
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 
 import numpy as np
 
@@ -214,16 +214,16 @@ class TreeLaneBank(LaneBankBase):
         lanes: np.ndarray,
         lane_list: list[int],
         lane_t_list: list[int],
-    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        last: float,
+    ) -> tuple[np.ndarray, np.ndarray, list[int], float]:
         net, cfg = self.net, self.cfg
         # Flat views of the in-place state, indexed by slot.
         delta = self.delta.reshape(-1)
         record = self._record.reshape(2, -1)
         payload, entry_frame = record
-
-        # Stage clocks: same boundaries as the flat bank's, so a
+        # The stage clock: same boundaries as the flat bank's, so a
         # tree-lexicon trace reads identically.
-        t0 = time.perf_counter()
+        clock = self.stage_s
 
         # 1. The active list.  Everything below runs on these n slots
         #    (a few percent of the bank), never on (B, K).
@@ -231,27 +231,26 @@ class TreeLaneBank(LaneBankBase):
         cand_b = slots // net.num_states
         cand_s = slots - cand_b * net.num_states
         cand_key = self._slot_key.take(slots)  # lane * N + senone
+        t = perf_counter(); clock[0] += t - last; last = t  # candidates
 
         # 2. The union of per-lane unique senone requests, as
         #    (lane, senone) work items for one pooled evaluation.
-        pair_key, pair_b, pair_s, scored_counts = self._demand(
-            lanes, lambda: cand_key
-        )
+        pair_key, pair_b, pair_s, scored_counts = self._demand(lanes, cand_key)
+        t = perf_counter(); clock[1] += t - last; last = t  # demand
 
         # 3. One pooled GMM pass for the whole bank, gathered back to
         #    the candidates' float32 observation scores; the lane's
         #    pending entry is offered at its roots.
+        answer = self.scorer.score_pairs(obs_block, pair_b, pair_s, lanes=lanes)
+        t = perf_counter(); clock[2] += t - last; last = t  # score
         score_cast = self._score_cast
-        score_cast[pair_key] = self.scorer.score_pairs(
-            obs_block, pair_b, pair_s, lanes=lanes
-        )
+        score_cast[pair_key] = answer
         obs = score_cast.take(cand_key)
         at_root = net.is_root_start[cand_s]
         entry = np.where(
             at_root, self.pending_entry.astype(np.float32)[cand_b], np.float32(LOG_ZERO)
         )
-        t1 = time.perf_counter()
-        self.stage_scoring_s += t1 - t0
+        t = perf_counter(); clock[3] += t - last; last = t  # score_in
 
         # 4. One token update advances every lane's candidates; the
         #    Viterbi unit, if modelled, is charged for the whole bank.
@@ -263,6 +262,7 @@ class TreeLaneBank(LaneBankBase):
         )
         if self.viterbi_unit is not None:
             self.viterbi_unit.charge_chain(net.is_root_start, rows=self.num_lanes)
+        t = perf_counter(); clock[4] += t - last; last = t  # token_update
 
         # 5. The token record follows the winning arc: a stay keeps it,
         #    a forward move copies the predecessor's (gathered before
@@ -278,8 +278,7 @@ class TreeLaneBank(LaneBankBase):
         lane, dst = cand_b[entered], slots[entered]
         payload[dst] = self.pending_src[lane]
         entry_frame[dst] = self.lane_t[lane]
-        t2 = time.perf_counter()
-        self.stage_update_s += t2 - t1
+        t = perf_counter(); clock[5] += t - last; last = t  # token_move
 
         # 6. Row-wise beam prune on the list, survivors (and the
         #    LOG_ZERO of the pruned) scattered back, then the live
@@ -288,6 +287,7 @@ class TreeLaneBank(LaneBankBase):
         delta[slots] = new_delta
         live = new_delta > LOG_DEAD
         self._alive = slots[live]
+        t = perf_counter(); clock[6] += t - last; last = t  # beam
         leaves = np.flatnonzero(live & self._is_leaf[cand_s])
         leaf_s = cand_s[leaves]
         exit_counts = self._record_exits(
@@ -295,9 +295,9 @@ class TreeLaneBank(LaneBankBase):
             new_delta[leaves].astype(np.float64) + net.exit_logp[leaf_s],
             record[:, slots[leaves]], lane_t_list,
         )
-        self.stage_exit_s += time.perf_counter() - t2
+        t = perf_counter(); clock[7] += t - last  # exits
 
-        return n_active, scored_counts, exit_counts
+        return n_active, scored_counts, exit_counts, t
 
     def _exit_scores(self, lattice, raw, words, preds, rows) -> list[float]:
         """The leaf adds the LM term of the predecessor's history

@@ -78,7 +78,7 @@ class TestFlatDemand:
             order = np.random.default_rng(3).permutation(keys.size)
             keys = np.concatenate([keys, keys[order], keys[:5]])
         lanes = np.flatnonzero(bank.active)
-        pair_key, pair_b, pair_s, counts = bank._demand(lanes, lambda: keys)
+        pair_key, pair_b, pair_s, counts = bank._demand(lanes, keys)
         want_b, want_s, want_counts = _demand_oracle(
             bank.num_lanes, num_senones, cand_b, cand_senone
         )
@@ -92,7 +92,7 @@ class TestFlatDemand:
         bank = mid_decode_bank
         lanes = np.flatnonzero(bank.active)
         none = np.empty(0, dtype=np.int64)
-        pair_key, pair_b, pair_s, counts = bank._demand(lanes, lambda: none)
+        pair_key, pair_b, pair_s, counts = bank._demand(lanes, none)
         want_b, want_s, want_counts = _demand_oracle(
             bank.num_lanes, bank.scorer.num_senones, none, none
         )
