@@ -24,7 +24,9 @@ Two evaluation paths are provided:
 * :meth:`OpUnit.score_frame` — a numpy-vectorised path over many
   senones with identical parameter quantization and the same SRAM
   logadd (component order preserved), used by the decoder where the
-  serial path would be prohibitively slow.  Cycle and activity counts
+  serial path would be prohibitively slow.  Each call returns a fresh
+  dense score array (``LOG_ZERO`` off the requested senones), so a
+  result stays valid after the next call.  Cycle and activity counts
   are derived from the same timing formulas.
 """
 
@@ -36,7 +38,6 @@ import numpy as np
 
 from repro.core.fpu import FloatUnit
 from repro.core.logadd import LOG_ZERO, LogAddTable
-from repro.core.scratch import DenseScratch
 from repro.core.pipeline import PipelineSpec, PipelineTrace
 from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 
@@ -252,7 +253,6 @@ class OpUnit:
         self.fpu = float_unit or FloatUnit()
         self.trace = trace
         self._feature = np.zeros(self.spec.feature_dim, dtype=np.float32)
-        self._scores: DenseScratch | None = None
         self._cycles_busy = 0
         self._senones_scored = 0
         self._gaussians_evaluated = 0
@@ -412,16 +412,6 @@ class OpUnit:
     # ------------------------------------------------------------------
     # Vectorised frame scoring (decoder fast path)
     # ------------------------------------------------------------------
-    def _frame_scores(self, num_senones: int) -> np.ndarray:
-        """The dense per-frame output buffer, dirty entries re-zeroed.
-
-        The buffer is owned by the unit and reused every frame; callers
-        must consume (or copy) it before the next scoring call.
-        """
-        if self._scores is None or self._scores.array.shape[0] != num_senones:
-            self._scores = DenseScratch(num_senones, LOG_ZERO)
-        return self._scores.clean()
-
     def _mixture_logs(
         self, table: GaussianTable, feature_rows: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
@@ -478,8 +468,7 @@ class OpUnit:
         over components is performed in the same serial order through
         the same SRAM table).  Cycle counts use
         :meth:`OpUnitSpec.cycles_per_senone`.  The returned ``scores``
-        array is a unit-owned scratch buffer, valid until the next
-        scoring call on this unit.
+        is a fresh dense array, ``LOG_ZERO`` off ``active``.
         """
         self.load_feature(feature)
         if active is None:
@@ -488,13 +477,12 @@ class OpUnit:
             idx = np.asarray(active, dtype=np.int64)
             if idx.size and (idx.min() < 0 or idx.max() >= table.num_senones):
                 raise IndexError("active senone index out of range")
-        scores = self._frame_scores(table.num_senones)
+        scores = np.full(table.num_senones, LOG_ZERO)
         n = int(idx.size)
         if n == 0:
             return FrameScoreResult(scores, 0, 0, 0.0)
         mixture = self._mixture_logs(table, self._feature[None, None, :], idx)
         scores[idx] = mixture
-        self._scores.publish(idx)
         cycles, param_bytes = self._account_block(table, n)
         self._running_max = np.float32(max(float(self._running_max), float(mixture.max())))
         return FrameScoreResult(

@@ -4,8 +4,8 @@ The senone scoring backends themselves live in
 :mod:`repro.runtime.scoring` (one pooled family serves one lane or
 many).  What stays here is what every layer imports: ``LOG_ZERO``, the
 documented score tolerances of the inexact backends, and
-:class:`ScoringStats` — the per-frame active-senone counts that
-experiment R2 reports.
+:class:`ScoringStats` — a decode's per-frame active-senone counts
+(experiment R2), built once when its lane is packaged.
 """
 
 from __future__ import annotations
@@ -44,17 +44,19 @@ FLOAT32_SCORE_ATOL = 1e-2
 
 @dataclass
 class ScoringStats:
-    """Per-decode scoring activity (drives R2 and the power model)."""
+    """Per-decode scoring activity (drives R2 and the power model):
+    the senones requested at each frame, out of ``senone_budget``."""
 
-    frames: int = 0
-    senones_requested: int = 0
     senone_budget: int = 0
     active_per_frame: list[int] = field(default_factory=list)
 
-    def record(self, requested: int) -> None:
-        self.frames += 1
-        self.senones_requested += requested
-        self.active_per_frame.append(requested)
+    @property
+    def frames(self) -> int:
+        return len(self.active_per_frame)
+
+    @property
+    def senones_requested(self) -> int:
+        return sum(self.active_per_frame)
 
     @property
     def mean_active(self) -> float:

@@ -17,6 +17,12 @@ A frame is a short fixed list of whole-bank array passes (at 1 lane x
 537 states their NUMBER is the cost): ONE pooled GMM evaluation, ONE
 chain update handing back its two decisions as masks, the record moved
 along them by three ``copyto`` (stay, forward, entry), ONE beam pass.
+The pooled answer enters the token bank through ONE flat score row,
+shared with the tree bank: it is written at its ``lane * N + senone``
+keys in the token dtype (one slab per lane when the bank asked for the
+whole grid) and read back with one ``take`` at every slot's key.  The
+row is never cleared; a slot whose senone was not demanded reads an
+older finite score, which the chain update's dead rule discards.
 
 The word exits of every lane are recorded in ONE pass per step,
 :meth:`LaneBankBase._record_exits`, for both lexicon networks: a bank
@@ -47,7 +53,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.logadd import LOG_DEAD, LOG_ZERO
-from repro.core.scratch import DenseScratch
 from repro.core.viterbi_unit import chain_update
 from repro.decoder.beam import (
     apply_beam_batch,
@@ -112,7 +117,6 @@ class LaneBankBase:
         self.lane_admitted: list[float] = [0.0] * num_lanes
         self.lattices: list[WordLattice | None] = [None] * num_lanes
         self.lane_frame_stats: list[list[FrameStats]] = [[] for _ in range(num_lanes)]
-        self.lane_scoring: list[ScoringStats | None] = [None] * num_lanes
 
         # The stage clock: seconds per STAGES entry, stamped once per
         # stage boundary as plain floats (a numpy element costs 4x a
@@ -147,6 +151,13 @@ class LaneBankBase:
         ).reshape(-1)
         self._cand_mask = np.zeros(num_lanes * num_senones, dtype=bool)
         self._grid = None  # the feedback-off demand, built by `_demand`
+        # The ONE score row (`_land`), in the token dtype.  It is never
+        # cleared: a key not demanded this step keeps an older score,
+        # which must be finite, so it starts at LOG_ZERO and never as
+        # uninitialised memory.
+        self._score_row = np.full(
+            num_lanes * num_senones, LOG_ZERO, dtype=self.delta.dtype
+        )
 
     def _reset_lane_state(self, lane: int) -> None:
         """Reset one lane's search rows to the start-of-utterance state."""
@@ -239,6 +250,20 @@ class LaneBankBase:
                 pairs.setflags(write=False)
             self._grid = (key, pair_key, pair_b, pair_s, self.active * num_senones)
         return self._grid[1:]
+
+    def _land(
+        self, answer: np.ndarray, pair_key: np.ndarray, lanes: np.ndarray
+    ) -> np.ndarray:
+        """Write the pooled ``answer`` into :attr:`_score_row` at its
+        flat keys ``pair_key`` and return the row.  When the bank asked
+        for the whole grid (feedback off) the answer is one slab per
+        active lane, written as such."""
+        row = self._score_row
+        if self.cfg.use_feedback:
+            row[pair_key] = answer
+        else:
+            row.reshape(self.num_lanes, -1)[lanes] = answer.reshape(lanes.size, -1)
+        return row
 
     def _record_exits(
         self,
@@ -372,9 +397,6 @@ class LaneBankBase:
         self.lane_utt[lane] = utt_id
         self.lattices[lane] = WordLattice()
         self.lane_frame_stats[lane] = []
-        self.lane_scoring[lane] = ScoringStats(
-            senone_budget=self.recognizer.pool.num_senones
-        )
         self._lane_marks[lane] = self._observability_mark()
         self.active[lane] = True
 
@@ -435,13 +457,11 @@ class LaneBankBase:
         scored_list = scored_counts.tolist()
         for b in lane_list:
             t_b = lane_t_list[b]
-            requested = scored_list[b]
-            self.lane_scoring[b].record(requested)
             self.lane_frame_stats[b].append(
                 FrameStats(
                     frame=t_b,
                     active_states=n_active_list[b],
-                    requested_senones=requested,
+                    requested_senones=scored_list[b],
                     word_exits=exit_counts[b],
                 )
             )
@@ -492,9 +512,9 @@ class LaneBankBase:
         """
         frames = self._finished_frames(lane)
         lattice = self.lattices[lane]
-        scoring = self.lane_scoring[lane]
-        assert lattice is not None and scoring is not None
+        assert lattice is not None
         fast_stats = self.scorer.retire_lane(lane)
+        telemetry, scoring = self._lane_counters(lane, fast_stats)
         result = RecognitionResult(
             words=best.words if best is not None else (),
             score=best.score if best is not None else float("-inf"),
@@ -509,7 +529,7 @@ class LaneBankBase:
                 admitted_at=self.lane_admitted[lane],
                 finished_at=time.monotonic(),
             ),
-            telemetry=self._lane_telemetry(lane, fast_stats),
+            telemetry=telemetry,
         )
         self._release(lane)
         return result
@@ -527,13 +547,20 @@ class LaneBankBase:
             getattr(scorer, "table_streams", 0),
         )
 
-    def _lane_telemetry(self, lane: int, fast_stats) -> DecodeTelemetry:
-        """Package one lane's decode-depth counters at retirement."""
+    def _lane_counters(
+        self, lane: int, fast_stats
+    ) -> tuple[DecodeTelemetry, ScoringStats]:
+        """Package one lane's decode-depth counters at retirement: its
+        telemetry and its scoring statistics, both read off the lane's
+        ``frame_stats`` in one pass."""
         tel = DecodeTelemetry(frames=int(self.lane_len[lane]))
+        scoring = ScoringStats(senone_budget=self.recognizer.pool.num_senones)
+        requested = scoring.active_per_frame
         for fs in self.lane_frame_stats[lane]:
             tel.active_states += fs.active_states
-            tel.senones_scored += fs.requested_senones
+            requested.append(fs.requested_senones)
             tel.word_exits += fs.word_exits
+        tel.senones_scored = scoring.senones_requested
         if fast_stats is not None:
             tel.fast_frames_skipped = fast_stats.frames_skipped
             tel.fast_senones_full = fast_stats.senones_full
@@ -553,7 +580,7 @@ class LaneBankBase:
                 getattr(scorer, "fallback_steps", 0) - mark[4]
             )
             tel.blas_table_streams = getattr(scorer, "table_streams", 0) - mark[5]
-        return tel
+        return tel, scoring
 
     def cancel(self, lane: int) -> int:
         """Early-retire hook: free a lane MID-utterance, no result.
@@ -582,7 +609,6 @@ class LaneBankBase:
         self._freeze_lane_state(lane)
         self.lane_feats[lane] = None
         self.lattices[lane] = None
-        self.lane_scoring[lane] = None
         self.lane_frame_stats[lane] = []
         self.lane_utt[lane] = -1
         self._lane_marks[lane] = None
@@ -615,7 +641,6 @@ class LaneBankBase:
         self.lane_admitted = [self.lane_admitted[b] for b in keep_list]
         self.lattices = [self.lattices[b] for b in keep_list]
         self.lane_frame_stats = [self.lane_frame_stats[b] for b in keep_list]
-        self.lane_scoring = [self.lane_scoring[b] for b in keep_list]
         self._lane_marks = [self._lane_marks[b] for b in keep_list]
         self.num_lanes = n
         self._alloc_scratch()
@@ -656,17 +681,9 @@ class LaneBank(LaneBankBase):
     def _alloc_scratch(self) -> None:
         # Frame scratch (allocated once per bank width, reused every step).
         super()._alloc_scratch()
-        num_lanes = self.num_lanes
-        shape = (num_lanes, self.net.num_states)
-        self._score_mat = DenseScratch((num_lanes, self.scorer.num_senones), LOG_ZERO)
-        self._obs_bank = np.empty(shape)
-        # Cast target for narrow-dtype token banks (hardware mode):
-        # without it every step paid an `astype` allocation.
-        self._obs_cast = (
-            None
-            if self._dtype == np.float64
-            else np.empty(shape, dtype=self._dtype)
-        )
+        shape = (self.num_lanes, self.net.num_states)
+        # Each slot's observation score, gathered from the score row.
+        self._slot_obs = np.empty(shape, dtype=self._dtype)
         # The word entries offered this frame, as banks: the scores
         # (LOG_ZERO off the start columns, which alone are written)
         # and the record an entering token starts from.
@@ -732,27 +749,23 @@ class LaneBank(LaneBankBase):
         t = perf_counter(); clock[3] += t - last; last = t  # score_in (entry bank)
         keys = self._candidate_senones() if cfg.use_feedback else None
         t = perf_counter(); clock[0] += t - last; last = t  # candidates
-        _, pair_b, pair_s, scored_counts = self._demand(lanes, keys)
+        pair_key, pair_b, pair_s, scored_counts = self._demand(lanes, keys)
         t = perf_counter(); clock[1] += t - last; last = t  # demand
 
-        # 3. One pooled GMM pass for the whole bank.  When the answer
-        #    covers every senone of every active lane it is written
-        #    (and next step re-zeroed) as whole rows, not pair by pair.
-        compact = self.scorer.score_pairs(obs_block, pair_b, pair_s, lanes=lanes)
+        # 3. One pooled GMM pass for the whole bank, landed in the score
+        #    row and gathered back at every slot.  A slot whose senone
+        #    was not demanded reads an older finite score: such a slot
+        #    has no live stay, forward or entry arc, so the dead rule
+        #    (`min(best, obs) <= LOG_DEAD`) writes LOG_ZERO whatever it
+        #    reads, and the took-masks never read `obs`.  The slot keys
+        #    are in range by construction: `mode="wrap"` writes `out`
+        #    directly, where the default mode fills a buffer first.
+        answer = self.scorer.score_pairs(obs_block, pair_b, pair_s, lanes=lanes)
         t = perf_counter(); clock[2] += t - last; last = t  # score
-        scores = self._score_mat.clean()
-        if compact.size == lanes.size * scores.shape[1]:
-            scores[lanes] = compact.reshape(lanes.size, -1)
-            self._score_mat.publish(lanes)
-        else:
-            scores[pair_b, pair_s] = compact
-            self._score_mat.publish((pair_b, pair_s))
-        obs_bank = scores.take(net.senone_id, axis=1, out=self._obs_bank)
-        if self._obs_cast is None:
-            obs = obs_bank
-        else:
-            obs = self._obs_cast
-            obs[...] = obs_bank
+        obs = self._slot_obs
+        self._land(answer, pair_key, lanes).take(
+            self._slot_key, out=obs.reshape(-1), mode="wrap"
+        )
         t = perf_counter(); clock[3] += t - last; last = t  # score_in
 
         # 4. One chain update advances every lane's token bank in

@@ -142,15 +142,6 @@ class TreeLaneBank(LaneBankBase):
             net.is_root_start, 0, net.pred_state - np.arange(net.num_states)
         )
 
-    def _alloc_scratch(self) -> None:
-        super()._alloc_scratch()
-        # Pooled scores land here cast to float32 (the token dtype), at
-        # their flat (lane, senone) keys.  Only this step's requests are
-        # written and only those are gathered, so it is never cleared.
-        self._score_cast = np.empty(
-            self.num_lanes * self.scorer.num_senones, dtype=np.float32
-        )
-
     def _kill_lane(self, lane: int) -> None:
         self.delta[lane] = LOG_ZERO
         self._alive = self._alive[self._alive // self.net.num_states != lane]
@@ -239,13 +230,12 @@ class TreeLaneBank(LaneBankBase):
         t = perf_counter(); clock[1] += t - last; last = t  # demand
 
         # 3. One pooled GMM pass for the whole bank, gathered back to
-        #    the candidates' float32 observation scores; the lane's
-        #    pending entry is offered at its roots.
+        #    the candidates' float32 observation scores (every one of
+        #    them demanded this step); the lane's pending entry is
+        #    offered at its roots.
         answer = self.scorer.score_pairs(obs_block, pair_b, pair_s, lanes=lanes)
         t = perf_counter(); clock[2] += t - last; last = t  # score
-        score_cast = self._score_cast
-        score_cast[pair_key] = answer
-        obs = score_cast.take(cand_key)
+        obs = self._land(answer, pair_key, lanes).take(cand_key)
         at_root = net.is_root_start[cand_s]
         entry = np.where(
             at_root, self.pending_entry.astype(np.float32)[cand_b], np.float32(LOG_ZERO)

@@ -199,6 +199,21 @@ class TestBatchScoring:
         result = unit.score_frame(table, rng.normal(size=table.feature_dim), np.array([], dtype=np.int64))
         assert result.cycles == 0 and result.senones_scored == 0
 
+    def test_a_result_outlives_the_next_call(self, unit_and_table, rng):
+        """Each call returns its own scores: a second frame, over other
+        senones, leaves the first result as it was."""
+        unit, table = unit_and_table
+        first = unit.score_frame(
+            table, rng.normal(size=table.feature_dim), np.array([1, 5, 7])
+        )
+        kept = first.scores.copy()
+        second = unit.score_frame(
+            table, rng.normal(size=table.feature_dim), np.array([2, 5])
+        )
+        assert second.scores is not first.scores
+        assert np.array_equal(first.scores, kept)
+        assert set(np.flatnonzero(second.scores > LOG_ZERO / 2)) == {2, 5}
+
     def test_cycles_match_formula(self, unit_and_table, rng):
         unit, table = unit_and_table
         result = unit.score_frame(table, rng.normal(size=table.feature_dim))

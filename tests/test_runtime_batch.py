@@ -14,6 +14,7 @@ import pytest
 from repro.core.logadd import LOG_DEAD, LOG_ZERO, LogAddTable
 from repro.decoder.beam import BeamConfig, apply_beam, apply_beam_batch
 from repro.decoder.recognizer import Recognizer
+from repro.decoder.word_decode import DecoderConfig
 from repro.runtime.scoring import BatchReferenceScorer
 
 
@@ -341,13 +342,11 @@ class TestBatchedKernels:
 
 
 class TestObsBankScratch:
-    """``LaneBank.step`` must reuse its observation-bank scratch.
-
-    The hardware mode's narrow token banks previously paid a fresh
-    ``astype`` allocation per frame to cast the gathered senone scores;
-    the cast now lands in a preallocated buffer.  Pinned by buffer
-    identity across steps — and the existing equivalence suite keeps
-    the cast bit-exact."""
+    """``LaneBank.step`` lands each step's pooled answer in ONE score
+    row and gathers it into ONE observation bank, both in the token
+    dtype (float32 in hardware mode, float64 otherwise: the cast is the
+    row's write), allocated once per bank width and reused every step.
+    The equivalence suites keep the cast bit-exact."""
 
     def _bank(self, task, mode, num_lanes=2):
         from repro.runtime.batch import LaneBank
@@ -361,16 +360,19 @@ class TestObsBankScratch:
             bank.admit(lane, lane, rec._validate_features(lane, utt.features))
         return bank
 
+    def _assert_reused(self, bank, steps):
+        row_ptr = bank._score_row.ctypes.data
+        obs_ptr = bank._slot_obs.ctypes.data
+        for _ in range(steps):
+            bank.step()
+            assert bank._score_row.ctypes.data == row_ptr
+            assert bank._slot_obs.ctypes.data == obs_ptr
+
     def test_hardware_cast_scratch_reused_across_steps(self, task):
         bank = self._bank(task, "hardware")
-        assert bank._obs_cast is not None
-        assert bank._obs_cast.dtype == bank._dtype != np.float64
-        bank_ptr = bank._obs_bank.ctypes.data
-        cast_ptr = bank._obs_cast.ctypes.data
-        for _ in range(5):
-            bank.step()
-            assert bank._obs_bank.ctypes.data == bank_ptr
-            assert bank._obs_cast.ctypes.data == cast_ptr
+        assert bank.delta.dtype == np.float32
+        assert bank._score_row.dtype == bank._slot_obs.dtype == np.float32
+        self._assert_reused(bank, 5)
 
     @pytest.mark.parametrize("mode", ["hardware", "reference"])
     def test_token_bank_is_updated_in_place(self, task, mode):
@@ -387,21 +389,69 @@ class TestObsBankScratch:
 
     def test_reference_mode_needs_no_cast_scratch(self, task):
         bank = self._bank(task, "reference")
-        assert bank._obs_cast is None
-        bank_ptr = bank._obs_bank.ctypes.data
-        for _ in range(3):
-            bank.step()
-            assert bank._obs_bank.ctypes.data == bank_ptr
+        assert bank.delta.dtype == np.float64
+        assert bank._score_row.dtype == bank._slot_obs.dtype == np.float64
+        self._assert_reused(bank, 3)
 
     def test_compact_rebuilds_scratch_at_new_width(self, task):
         bank = self._bank(task, "hardware", num_lanes=3)
         bank.cancel(2)  # free a lane so compact() has something to drop
         n = bank.compact()
         assert n == 2
-        assert bank._obs_bank.shape[0] == 2
-        assert bank._obs_cast is not None
-        assert bank._obs_cast.shape[0] == 2
+        assert bank._score_row.shape == (2 * bank.scorer.num_senones,)
+        assert bank._slot_obs.shape == (2, bank.net.num_states)
+        assert bank._score_row.dtype == bank._slot_obs.dtype == np.float32
         bank.step()  # still steps cleanly at the new width
+
+
+def _stream_by_hand(rec, feats, num_lanes, junk):
+    """Every utterance of ``feats`` through one flat bank with refills;
+    with ``junk`` the whole score row is overwritten before each step."""
+    from repro.runtime.batch import LaneBank
+
+    rec._reset_accounting()
+    bank = LaneBank(rec, num_lanes)
+    waiting = list(enumerate(feats))
+    results = {}
+    while waiting or bank.any_active:
+        for lane in bank.free_lanes():
+            if waiting:
+                utt, f = waiting.pop(0)
+                bank.admit(lane, utt, f)
+        if junk:
+            bank._score_row.fill(0.0)
+        for lane in bank.step():
+            utt = int(bank.lane_utt[lane])
+            results[utt] = bank.retire(lane)
+    return [results[utt] for utt in range(len(feats))]
+
+
+class TestStaleScoreRow:
+    """The score row is never cleared: a key not demanded this step
+    holds an older score, and the flat bank gathers it at every slot of
+    that senone.  No decode may depend on it — such a slot has no live
+    arc, so the dead rule writes ``LOG_ZERO`` whatever it reads.  Junk
+    in the whole row before every step (0.0, better than any real
+    score) must change nothing, with feedback demand and with the full
+    grid."""
+
+    @pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "grid"])
+    @pytest.mark.parametrize("mode", ["reference", "hardware"])
+    def test_junk_in_the_row_changes_nothing(self, task, mode, feedback):
+        rec = Recognizer.create(
+            task.dictionary, task.pool, task.lm, task.tying, mode=mode,
+            network="flat", config=DecoderConfig(use_feedback=feedback),
+        )
+        feats = [u.features for u in task.corpus.test[:5]]
+        feats[1] = feats[1][:12]  # ragged: a refill mid-stream
+        clean = _stream_by_hand(rec, feats, 3, junk=False)
+        dirty = _stream_by_hand(rec, feats, 3, junk=True)
+        for a, b in zip(clean, dirty):
+            assert a.words == b.words
+            assert a.score.hex() == b.score.hex()
+            assert [f.__dict__ for f in a.frame_stats] == [
+                f.__dict__ for f in b.frame_stats
+            ]
 
 
 class TestTokenRecord:

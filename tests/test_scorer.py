@@ -29,9 +29,8 @@ def _score(scorer, obs, senones):
 
 class TestScoringStats:
     def test_fractions(self):
-        stats = ScoringStats(senone_budget=100)
-        stats.record(20)
-        stats.record(40)
+        stats = ScoringStats(senone_budget=100, active_per_frame=[20, 40])
+        assert stats.frames == 2 and stats.senones_requested == 60
         assert stats.mean_active == 30.0
         assert stats.mean_active_fraction == pytest.approx(0.30)
         assert stats.peak_active_fraction == pytest.approx(0.40)
