@@ -10,14 +10,16 @@ benchmark report.  This decodes the workload's own requests (a 1-lane
 ``rec.decode`` each for ``seq_command``, an 8-lane ``decode_stream``
 for the banks) and prints that clock per step, best pass per stage,
 beside the ``[exact]`` work counts of the results' ``frame_stats``,
-which a change claiming equal work must leave equal.  For blas it adds
-the scorer's own counters: the kernel per step, the whole-table passes
-(the true table MB per audio second beside the frozen harness's
-``dense_steps x table bytes``), the scored-ahead blocks' time on the
-scoring worker and the search thread's wait for them.  It wraps no
-method: the bank is ``rec.word_stage.bank`` or what the instance-
-shadowable ``make_bank`` seam hands out.  Timings are this box's (the
-fingerprint is printed); it gates nothing and edits nothing under
+which a change claiming equal work must leave equal, and each pass's
+wall time beside the process's CPU time (their ratio reads above 1 only
+while a second thread, the blas scoring worker, runs beside the
+search).  For blas it adds the scorer's own counters: the kernel per
+step, the whole-table passes (the true table MB per audio second beside
+the frozen harness's ``dense_steps x table bytes``), the scored-ahead
+blocks' time on the scoring worker and the search thread's wait for
+them.  It wraps no method: the bank is ``rec.word_stage.bank`` or what
+the instance-shadowable ``make_bank`` seam hands out.  Timings are this
+box's (the fingerprint is printed); it gates nothing and edits nothing under
 ``benchmarks/perf``.  ``blas_sweep.py`` sizes the blas block itself.
 """
 
@@ -27,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -87,8 +90,12 @@ def measure(rec, workload: str, features: list, stamp: dict, repeats: int = 3) -
     from repro.runtime.batch import STAGES
 
     best = [float("inf")] * len(STAGES)
+    passes = []
     for _ in range(repeats):
+        wall, cpu = time.perf_counter(), time.process_time()
         spent, results, steps = _decode(rec, workload, features)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        passes.append({"wall_s": wall, "cpu_s": cpu, "cpu_per_wall": cpu / wall})
         best = [min(b, 1e6 * s / steps) for b, s in zip(best, spent)]
     stats = [s for r in results for s in r.frame_stats]
     exact = {
@@ -105,6 +112,7 @@ def measure(rec, workload: str, features: list, stamp: dict, repeats: int = 3) -
         "exact": exact,
         "split_us_per_step": dict(zip(STAGES, best)),
         "step_us": sum(best),
+        "passes": passes,
         "fingerprint": stamp,
     }
     scorer = rec.scorer
@@ -144,6 +152,12 @@ def render(report: dict) -> str:
     ]
     for name, value in report["split_us_per_step"].items():
         lines.append(f"  {name:<12} {value:8.1f}  {value / step:6.1%}")
+    lines.append("")
+    for i, run in enumerate(report["passes"], 1):
+        lines.append(
+            f"pass {i}: wall {run['wall_s']:.3f} s, process CPU {run['cpu_s']:.3f} s "
+            f"({run['cpu_per_wall']:.2f} CPU s per wall s; above 1 = threads overlapped)"
+        )
     blas = report.get("blas")
     if blas:
         lines += [

@@ -190,7 +190,9 @@ class LogAddTable:
         count are bit-identical to ``M-1`` sequential :meth:`logadd`
         calls.  All intermediates live in preallocated scratch, so the
         decoder's per-frame cost is one table-indexed reduction with no
-        temporaries.
+        temporaries.  Every value must be below ``+inf`` (``-inf`` is log
+        zero): a NaN or ``+inf`` has no table index, and the block is
+        refused with ``ValueError``.
         """
         values = np.asarray(log_values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] < 1:
@@ -198,6 +200,8 @@ class LogAddTable:
                 f"logadd_fold needs a (n, M>=1) block, got shape {values.shape}"
             )
         n, m = values.shape
+        if n and not values.max() < np.inf:
+            raise ValueError("logadd_fold needs log values below +inf, got NaN or +inf")
         acc = values[:, 0].copy()
         if m == 1 or n == 0:
             return acc
@@ -220,11 +224,13 @@ class LogAddTable:
             # Inline of :meth:`correction` on scratch (same binning,
             # same short-circuit, same read count).
             np.divide(diff, self.bin_width, out=fdiv)
+            np.minimum(fdiv, top, out=fdiv)  # before the cast: no int64 overflow
             np.copyto(idx, fdiv, casting="unsafe")  # trunc == astype
-            np.minimum(idx, top, out=idx)
             np.less(diff, self.max_difference, out=in_range)
             self._reads += int(np.count_nonzero(in_range))
-            np.take(self._entries, idx, out=vals)
+            # 0 <= fdiv <= top (lo = -inf was set to max_difference), so
+            # idx is in range: "clip" only skips "raise"'s buffer copy.
+            np.take(self._entries, idx, out=vals, mode="clip")
             np.logical_not(in_range, out=out_range)
             vals[out_range] = 0.0
             np.add(hi, vals, out=res)

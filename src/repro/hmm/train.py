@@ -41,10 +41,17 @@ __all__ = [
 _WEIGHT_FLOOR = 1e-3
 
 #: Float64 values per temporary when a build-time distance grid (the
-#: k-means assignment here, the fast-GMM shortlists) is computed a block
+#: k-means prefilter here, the fast-GMM shortlists) is computed a block
 #: of rows at a time: 2 MB, so a block stays in cache and the build's
 #: transient memory does not grow with the model.
 GRID_BLOCK_ELEMENTS = 1 << 18
+
+#: :func:`kmeans` refuses frames with a larger squared norm: below it no
+#: sum or product of its prefilter can overflow.
+_NORM_LIMIT = 2.0**1000
+#: The prefilter bound's absolute slack: it covers every product that
+#: underflows (each is off by at most 2**-1075).
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def row_blocks(rows: int, per_row: int) -> Iterator[slice]:
@@ -72,6 +79,36 @@ def kmeans(
     sampling, avoiding the merged-cluster local optima plain random
     initialisation falls into.  Empty clusters are re-seeded from the
     farthest points, so exactly ``k`` centroids always come back.
+
+    Every distance that decides anything is the exact one,
+    ``((x - c) ** 2).sum()`` over the contiguous last axis, so the
+    centroids are bit for bit those of the whole ``(n, k, L)`` grid;
+    only *which* distances are needed is found cheaply.  One product per
+    :func:`row_blocks` block gives ``approx = |x|^2 + |c|^2 - 2 x.c``
+    for every centroid, and::
+
+        B(x, c) = 2 (L + 4) eps (|x|^2 + |c|^2) + tiny  >=  (L + 4) eps (|x| + |c|)^2
+
+    bounds ``|approx - exact|`` whatever the summation order or BLAS
+    thread count (gamma bounds, ``u = eps / 2``): the squared norms and
+    the dot product are each within ``gamma_L``, the exact distance
+    within ``gamma_(L+2)``, of their true values -- ``(4L + 4) u`` of
+    ``|x|^2 + |c|^2`` in all -- and the rest of ``B``'s
+    ``(4L + 16) u`` covers the few roundings that form the bounds;
+    ``tiny`` (``2**-1022``) covers products that underflow.  A row's
+    candidates are the centroids whose ``approx - B`` is within
+    ``2 B(x, c_max)`` (``c_max`` the longest centroid) of its least
+    ``approx - B``: an upper bound on ``min(approx + B)``, so every
+    centroid at the exact minimum is one.  A lone candidate is the
+    row's assignment outright; where there are more, the first index of
+    the exact minimum among them is.  The empty-cluster re-seed reads
+    the exact row minima -- each row's exact distance to its assigned
+    centroid, computed only in a step that leaves a cluster empty.
+    Seeding recomputes a row's distance to the new seed only where
+    ``approx - B < d2``, so ``d2`` -- and with it every ``rng.choice``
+    draw -- keeps its bits.  Frames that are not finite, or whose
+    squared norm exceeds ``2**1000`` (where the bounds' own sums could
+    overflow), are refused with ``ValueError``.
     """
     data = np.asarray(frames, dtype=np.float64)
     if data.ndim != 2:
@@ -81,10 +118,16 @@ def kmeans(
         raise ValueError("cannot run k-means on zero frames")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    sq = np.einsum("ij,ij->i", data, data)
+    if not (sq <= _NORM_LIMIT).all():
+        raise ValueError("k-means frames must be finite, with squared norms below 2**1000")
+    rel = 2 * (data.shape[1] + 4) * np.finfo(np.float64).eps
+    row_lo = sq * (1 - rel) - _TINY  # the row's share of approx - B
+    width = 2 * rel * sq + 2 * _TINY  # the row's share of 2 B
     # k-means++ seeding.
     first = int(rng.integers(n))
     seeds = [data[first]]
-    d2 = ((data - seeds[0]) ** 2).sum(axis=1)
+    d2 = _distances(data, np.arange(n), seeds[0])
     while len(seeds) < min(k, n):
         total = d2.sum()
         if total <= 0:
@@ -92,27 +135,81 @@ def kmeans(
         else:
             pick = int(rng.choice(n, p=d2 / total))
             seeds.append(data[pick])
-        d2 = np.minimum(d2, ((data - seeds[-1]) ** 2).sum(axis=1))
+        seed = seeds[-1]
+        lower = np.subtract((seed @ seed) * (1 - rel), data @ (2.0 * seed))
+        lower += row_lo
+        closer = np.flatnonzero(lower < d2)
+        d2[closer] = np.minimum(d2[closer], _distances(data, closer, seed))
     centroids = np.array(seeds)
     if centroids.shape[0] < k:  # fewer frames than clusters: replicate
         reps = rng.choice(n, size=k - centroids.shape[0], replace=True)
         centroids = np.vstack([centroids, data[reps] + rng.normal(0, 1e-3, (len(reps), data.shape[1]))])
-    d2 = np.empty((n, k))
-    blocks = list(row_blocks(n, k * data.shape[1]))
     for _ in range(iterations):
-        for rows in blocks:
-            diff = data[rows, None, :] - centroids[None]
-            np.square(diff, out=diff)
-            diff.sum(axis=2, out=d2[rows])
-        assign = d2.argmin(axis=1)
+        assign = _assign(data, width, centroids, rel)
+        nearest = None  # each row's exact distance to its centroid, on demand
+        previous = centroids.copy()  # the centroids `assign` was made against
         for j in range(k):
             members = data[assign == j]
             if members.shape[0] == 0:
-                farthest = d2.min(axis=1).argmax()
+                if nearest is None:
+                    nearest = _distances(data, np.arange(n), previous, assign)
+                farthest = nearest.argmax()
                 centroids[j] = data[farthest]
             else:
                 centroids[j] = members.mean(axis=0)
     return centroids
+
+
+def _assign(
+    data: np.ndarray, width: np.ndarray, centroids: np.ndarray, rel: float
+) -> np.ndarray:
+    """Each row's nearest centroid, the first on a tie, ``(n,)``:
+    :func:`kmeans`' prefilter, then the exact distances of the rows it
+    leaves more than one candidate."""
+    n, k = data.shape[0], centroids.shape[0]
+    cc = np.einsum("ij,ij->i", centroids, centroids)
+    col_lo = cc * (1 - rel)
+    reach = width + 2 * rel * cc.max()
+    twice = 2.0 * centroids.T
+    assign = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, k):
+        # approx - B, less the row's own share (the same for every centroid)
+        grid = data[rows] @ twice
+        np.subtract(col_lo, grid, out=grid)
+        limit = grid.min(axis=1)
+        limit += reach[rows]
+        candidate = grid <= limit[:, None]
+        # A lone candidate is the least approx - B: the row's answer.
+        assign[rows] = grid.argmin(axis=1)
+        ties = np.flatnonzero(np.count_nonzero(candidate, axis=1) > 1)
+        if ties.size:
+            candidate = candidate[ties]
+            pick = np.flatnonzero(candidate)
+            tie, j = np.divmod(pick, k)
+            exact = np.full(candidate.shape, np.inf)
+            np.put(exact, pick, _distances(data, ties[tie] + rows.start, centroids, j))
+            assign[ties + rows.start] = exact.argmin(axis=1)
+    return assign
+
+
+def _distances(
+    data: np.ndarray,
+    rows: np.ndarray,
+    centres: np.ndarray,
+    cols: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact ``((data[rows] - c) ** 2).sum(axis=1)``, ``c`` the row's
+    centre ``centres[cols]`` (or the one ``(L,)`` centre ``centres``),
+    a :func:`row_blocks` block of rows at a time: each value is a
+    last-axis sum over its own contiguous row, the bits of the whole
+    grid's."""
+    out = np.empty(rows.size)
+    for part in row_blocks(rows.size, data.shape[1]):
+        diff = data[rows[part]]
+        diff -= centres if cols is None else centres[cols[part]]
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[part])
+    return out
 
 
 def fit_gmm(

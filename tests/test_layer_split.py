@@ -49,6 +49,11 @@ def test_the_split_is_the_clock_and_tiles_the_step(prepared, workload):
     assert 0 < exact["steps"] <= exact["frames"]
     assert exact["pairs"] > 0 and exact["word_exits"] > 0
     assert 0 < report["active_states_mean"] < report["states"]
+    passes = report["passes"]
+    assert len(passes) == 2
+    for run in passes:  # process CPU beside wall time, per pass
+        assert run["wall_s"] > 0.0 and run["cpu_s"] > 0.0
+        assert run["cpu_per_wall"] == run["cpu_s"] / run["wall_s"]
     if workload == "seq_command":
         assert exact["steps"] == exact["frames"]  # one lane: a frame is a step
     if workload == "bank_dense":
@@ -75,6 +80,8 @@ def test_the_rendered_split_carries_the_counts_and_the_fingerprint(prepared, wor
         assert name in text
     assert "[exact] " in text and f"word_exits {report['exact']['word_exits']}" in text
     assert '"blas_threads"' in text  # the machine fingerprint
+    run = report["passes"][0]
+    assert f"pass 1: wall {run['wall_s']:.3f} s, process CPU {run['cpu_s']:.3f} s" in text
     assert ("whole-table passes" in text) == (workload == "bank_dense")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.logadd import LOG2, LogAddTable, logadd_exact
+from repro.core.logadd import LOG2, LOG_ZERO, LogAddTable, logadd_exact
 
 
 class TestTableConstruction:
@@ -114,6 +114,29 @@ class TestLogAdd:
     def test_logadd_many_empty_raises(self):
         with pytest.raises(ValueError):
             LogAddTable().logadd_many(np.array([]))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fold_refuses_a_nan_or_plus_inf_value(self, bad, column):
+        """The fold's table index is only in range for values below
+        +inf; ``-inf`` (log zero) is a value it must fold."""
+        values = np.array([[-1.0, -2.0, -np.inf], [-3.0, -np.inf, -np.inf]])
+        values[0, column] = bad
+        with pytest.raises(ValueError, match="inf"):
+            LogAddTable().logadd_fold(values)
+
+    def test_fold_keeps_log_zero(self):
+        values = np.array([[-np.inf, -np.inf, -np.inf], [-np.inf, -2.0, -np.inf]])
+        folded = LogAddTable().logadd_fold(values)
+        assert folded[0] == -np.inf and folded[1] == -2.0
+
+    def test_fold_ignores_a_far_smaller_finite_value(self):
+        """A difference past int64 once the table's bin width divides it
+        (LOG_ZERO beside a score) adds nothing, like any difference past
+        ``max_difference``."""
+        values = np.array([[0.0, LOG_ZERO], [LOG_ZERO, -3.0], [-1e300, -1e300]])
+        folded = LogAddTable().logadd_fold(values)
+        assert folded.tolist() == [0.0, -3.0, -1e300]
 
     def test_vectorized_matches_scalar(self):
         table = LogAddTable()

@@ -1,13 +1,17 @@
 """The fast-GMM model build computes its distance grids a block of rows
-at a time (``repro.hmm.train.row_blocks``).  These tests hold the
-blocked k-means and VQ shortlists to the one-shot broadcast formulas
-they replaced, bit for bit, at several block sizes, and bound the
-build's peak memory."""
+at a time (``repro.hmm.train.row_blocks``), and k-means finds each
+row's nearest centroid through a GEMM prefilter plus an exact recheck.
+These tests hold k-means and the VQ shortlists to the one-shot
+broadcast formulas they replaced, bit for bit, at several block sizes
+and on data built to break the prefilter's bound, and bound the build's
+peak memory."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.hmm.train as train
 from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel
@@ -106,6 +110,55 @@ class TestKmeansBits:
         assert _same_bits(got, want)
 
 
+def _adversarial(kind, n, dim, seed):
+    """``n x dim`` frames of one adversarial family, most of them far
+    from the origin, where ``|x|^2 + |c|^2 - 2 x.c`` cancels ~8 digits
+    and its rounding swamps a near tie."""
+    rng = np.random.default_rng(seed)
+    offset = rng.choice([0.0, 1e3, 1e4])
+    if kind == "offset":  # at 1e8 the rounding is as large as the distances
+        return rng.normal(size=(n, dim)) + rng.choice([1e4, 1e6, 1e8])
+    if kind == "duplicates":  # few distinct points: exact ties between
+        # equal centroids (whose products may round apart), empty clusters
+        points = rng.normal(size=(max(1, n // 4), dim))
+        return points[rng.integers(points.shape[0], size=n)] + offset
+    if kind == "lattice":  # a non-dyadic grid: ties that round unevenly
+        return rng.integers(-2, 3, size=(n, dim)) * 0.1 + offset
+    # mirror: +p, -p and 0 rows: a 0 row ties between the seeds +p and -p
+    half = rng.normal(size=((n + 1) // 2, dim))
+    return np.vstack([half, -half, np.zeros((1, dim))])[:n] + offset
+
+
+class TestKmeansAdversarial:
+    """The prefilter keeps every centroid that could be the exact minimum,
+    so k-means equals the one-shot grid bit for bit whatever the data."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["offset", "duplicates", "lattice", "mirror"]),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 6),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        block=st.sampled_from(BLOCKS),
+    )
+    def test_equals_the_one_shot_grid(self, kind, n, dim, k, seed, block):
+        data = _adversarial(kind, n, dim, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(train, "GRID_BLOCK_ELEMENTS", block)
+            got = kmeans(data, k, np.random.default_rng(seed), iterations=4)
+        want = _kmeans_one_shot(data, k, np.random.default_rng(seed), iterations=4)
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 5), (7, 1), (6, 9)])
+    def test_degenerate_shapes(self, block, n, k):
+        """One frame, one centroid, more centroids than frames."""
+        data = _adversarial("offset", n, 3, n + k)
+        got = kmeans(data, k, np.random.default_rng(k))
+        want = _kmeans_one_shot(data, k, np.random.default_rng(k))
+        assert _same_bits(got, want)
+
+
 class TestShortlistBits:
     @pytest.mark.parametrize("shortlist", [1, 2])
     def test_means_as_training_data(self, block, pool, shortlist):
@@ -156,3 +209,19 @@ def test_build_peak_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"model build peaked at {peak / 2**20:.1f} MB"
     assert _same_bits(model.shortlist, _shortlist_one_shot(model))
+
+
+def test_kmeans_holds_no_row_by_centroid_grid():
+    """40 000 x 39 frames, 64 centroids: the whole ``(n, k)`` distance
+    grid alone is 20.5 MB, twice the bound; the prefilter holds a block
+    of it at a time (2 MB per temporary) beside ``(n,)`` vectors."""
+    n, k = 40_000, 64
+    data = np.random.default_rng(12).normal(size=(n, 39))
+    tracemalloc.start()
+    try:
+        kmeans(data, k, np.random.default_rng(1), iterations=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid = n * k * 8
+    assert peak < grid / 2, f"k-means peaked at {peak / 2**20:.1f} MB"

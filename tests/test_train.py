@@ -38,6 +38,18 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((5, 2)), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160])
+    def test_rejects_frames_the_prefilter_cannot_bound(self, bad, k):
+        """The nearest-centroid prefilter's rounding bound assumes finite
+        frames whose squared norms cannot overflow; anything else is
+        refused at the door, whatever ``k`` (at ``k = 1`` no seeding draw
+        would trip over a NaN probability)."""
+        data = np.random.default_rng(3).normal(size=(12, 4))
+        data[5, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(data, k, np.random.default_rng(0))
+
 
 class TestFitGmm:
     def test_likelihood_improves_over_single_gaussian(self):
