@@ -1,11 +1,9 @@
 """A cycle-level walk through Figures 2 and 3.
 
-Scores one senone on the OP unit in its bit-faithful serial mode and
+Scores four senones on the OP unit in its bit-faithful serial mode and
 runs one Viterbi column, printing:
 
-* the control module's mode sequence (boot -> feature -> Gaussian ->
-  logadd -> Viterbi) with per-mode clock-gated blocks,
-* the pipeline trace (issue/retire cycles per senone/column),
+* the pipeline trace (start and retire cycle of each senone),
 * the logadd SRAM statistics,
 * the resulting score against the double-precision reference.
 
@@ -14,7 +12,6 @@ Run:  python examples/hardware_trace.py
 
 import numpy as np
 
-from repro.core.controller import ModeController, UnitMode
 from repro.core.opunit import OpUnit, OpUnitSpec
 from repro.core.pipeline import PipelineTrace
 from repro.core.viterbi_unit import ViterbiUnit
@@ -28,25 +25,7 @@ def main() -> None:
     table = pool.gaussian_table()
     obs = rng.normal(size=39)
 
-    print("=== control module (Figure 2, coarse-grain modes) ===")
-    controller = ModeController()
-    schedule = [
-        (UnitMode.LOAD_TABLE, 256),   # boot: fill the 512-byte logadd SRAM
-        (UnitMode.LOAD_FEATURE, 39),  # latch the 39-dim feature vector
-        (UnitMode.GAUSSIAN, 319),     # stream 8 x 39 dims through (X-Y)^2*Z
-        (UnitMode.LOGADD, 15),        # fold 8 components through the SRAM
-        (UnitMode.VITERBI, 40),       # column updates on the same structure
-        (UnitMode.IDLE, 0),
-    ]
-    for mode, cycles in schedule:
-        controller.enter(mode, cycles=cycles)
-        gated = ", ".join(sorted(controller.gated_blocks())) or "(none)"
-        print(f"  {mode.value:<13} {cycles:>4} cycles   clock-gated: {gated}")
-    duty = controller.duty_cycle()
-    print(f"  duty cycle: gaussian {duty['gaussian']:.0%}, "
-          f"viterbi {duty['viterbi']:.0%}")
-
-    print("\n=== OP unit serial trace (Figure 2 datapath) ===")
+    print("=== OP unit serial trace (Figure 2 datapath) ===")
     trace = PipelineTrace()
     unit = OpUnit(OpUnitSpec(), trace=trace)
     unit.load_feature(obs)

@@ -2,12 +2,12 @@
 
 This package is the paper's primary contribution rendered as
 cycle-accurate Python: the Observation Probability unit (Figure 2),
-the Viterbi decoder unit (Figure 3), the logadd SRAM, the control
-module, the flash/DMA/SRAM memory system, the embedded-processor cost
-model and the activity-based power/area model.
+the Viterbi decoder unit (Figure 3), the logadd SRAM, the flash/DMA
+memory system, the embedded-processor cost model and the
+activity-based power/area model, which prices the units' activity
+counters.
 """
 
-from repro.core.controller import ModeController, UnitMode
 from repro.core.fpu import FloatUnit, OpCounts
 from repro.core.logadd import LOG2, LogAddTable, logadd_exact
 from repro.core.memory import (
@@ -18,18 +18,13 @@ from repro.core.memory import (
     FlashMemory,
     FlashRegion,
     Mbit,
-    Sram,
 )
 from repro.core.opunit import FrameScoreResult, GaussianTable, OpUnit, OpUnitSpec
 from repro.core.pipeline import PipelineSpec, PipelineTrace, TraceEvent
 from repro.core.power import AreaTable, EnergyTable, PowerModel, PowerReport
 from repro.core.processor import EmbeddedProcessor, SoftwareCosts, StageCharge
 from repro.core.scheduler import FrameSchedule, ScheduleConfig, SenoneScheduler
-from repro.core.viterbi_unit import (
-    ChainUpdateResult,
-    ViterbiUnit,
-    ViterbiUnitSpec,
-)
+from repro.core.viterbi_unit import ViterbiUnit, ViterbiUnitSpec
 
 __all__ = [
     "OpUnit",
@@ -38,7 +33,6 @@ __all__ = [
     "FrameScoreResult",
     "ViterbiUnit",
     "ViterbiUnitSpec",
-    "ChainUpdateResult",
     "LogAddTable",
     "logadd_exact",
     "LOG2",
@@ -54,7 +48,6 @@ __all__ = [
     "FlashMemory",
     "FlashRegion",
     "DmaChannel",
-    "Sram",
     "BandwidthMeter",
     "MB",
     "GB",
@@ -65,6 +58,4 @@ __all__ = [
     "SenoneScheduler",
     "ScheduleConfig",
     "FrameSchedule",
-    "ModeController",
-    "UnitMode",
 ]

@@ -126,15 +126,28 @@ class LogAddTable:
         SRAM access, matching the hardware short-circuit.
         """
         d = np.asarray(difference, dtype=np.float64)
-        if np.any(d < 0):
-            raise ValueError("difference must be non-negative (operands swapped?)")
-        index = np.minimum(
-            (d / self.bin_width).astype(np.int64), self.num_entries - 1
+        if not np.all(d >= 0):
+            raise ValueError("difference must be non-negative (operands swapped?), not NaN")
+        return self._lookup(d.reshape(-1)).reshape(d.shape)
+
+    def _lookup(self, d, fdiv=None, idx=None, vals=None, in_range=None):
+        """The SRAM read behind :meth:`correction` and :meth:`logadd_fold`:
+        bin each difference of the 1-D ``d >= 0``, read the in-range ones
+        (counted) and return their corrections, 0.0 from
+        ``max_difference`` on.  The buffers, all ``d``-long, are the
+        fold's scratch; left ``None`` they are allocated.
+        """
+        # Clamp BEFORE the int cast: past int64 the cast wraps to INT64_MIN.
+        fdiv = np.minimum(
+            np.divide(d, self.bin_width, out=fdiv), self.num_entries - 1, out=fdiv
         )
-        in_range = d < self.max_difference
+        idx = np.empty(d.shape, np.int64) if idx is None else idx
+        np.copyto(idx, fdiv, casting="unsafe")  # truncation, as astype
+        in_range = np.less(d, self.max_difference, out=in_range)
         self._reads += int(np.count_nonzero(in_range))
-        values = self._entries[index]
-        return np.where(in_range, values, 0.0)
+        # 0 <= idx <= top: "clip" only skips "raise"'s buffer copy.
+        vals = np.take(self._entries, idx, out=vals, mode="clip")
+        return np.multiply(vals, in_range, out=vals)  # entries >= 0: 0.0 out of range
 
     def logadd(
         self, log_a: np.ndarray | float, log_b: np.ndarray | float
@@ -160,25 +173,17 @@ class LogAddTable:
         result = np.where(lo_inf, hi, result)
         return np.where(both_inf, -np.inf, result)
 
-    def _scratch(self, capacity: int) -> dict[str, np.ndarray]:
-        """Preallocated fold buffers, grown geometrically on demand."""
-        if self._fold_scratch.get("capacity", 0) < capacity:
-            cap = max(capacity, 2 * self._fold_scratch.get("capacity", 0))
-            self._fold_scratch = {
-                "capacity": cap,
-                "hi": np.empty(cap),
-                "lo": np.empty(cap),
-                "diff": np.empty(cap),
-                "fdiv": np.empty(cap),
-                "vals": np.empty(cap),
-                "res": np.empty(cap),
-                "idx": np.empty(cap, dtype=np.int64),
-                "lo_inf": np.empty(cap, dtype=bool),
-                "both_inf": np.empty(cap, dtype=bool),
-                "in_range": np.empty(cap, dtype=bool),
-                "out_range": np.empty(cap, dtype=bool),
-            }
-        return self._fold_scratch
+    def _scratch(self, n: int) -> dict[str, np.ndarray]:
+        """``n``-long views of the fold buffers, grown geometrically on demand."""
+        cap = self._fold_scratch["hi"].size if self._fold_scratch else 0
+        if cap < n:
+            cap = max(n, 2 * cap)
+            floats = ("hi", "lo", "diff", "res", "fdiv", "vals")
+            self._fold_scratch = {name: np.empty(cap) for name in floats}
+            for name in ("lo_inf", "both_inf", "in_range"):
+                self._fold_scratch[name] = np.empty(cap, dtype=bool)
+            self._fold_scratch["idx"] = np.empty(cap, dtype=np.int64)
+        return {name: buf[:n] for name, buf in self._fold_scratch.items()}
 
     def logadd_fold(self, log_values: np.ndarray) -> np.ndarray:
         """Serial :meth:`logadd` fold over axis 1 of a ``(n, M)`` block.
@@ -206,12 +211,9 @@ class LogAddTable:
         if m == 1 or n == 0:
             return acc
         s = self._scratch(n)
-        hi, lo, diff = s["hi"][:n], s["lo"][:n], s["diff"][:n]
-        fdiv, vals, res = s["fdiv"][:n], s["vals"][:n], s["res"][:n]
-        idx = s["idx"][:n]
-        lo_inf, both_inf = s["lo_inf"][:n], s["both_inf"][:n]
-        in_range, out_range = s["in_range"][:n], s["out_range"][:n]
-        top = self.num_entries - 1
+        hi, lo, diff, res = s["hi"], s["lo"], s["diff"], s["res"]
+        lo_inf, both_inf = s["lo_inf"], s["both_inf"]
+        lookup = {name: s[name] for name in ("fdiv", "idx", "vals", "in_range")}
         for k in range(1, m):
             col = values[:, k]
             np.maximum(acc, col, out=hi)
@@ -221,19 +223,7 @@ class LogAddTable:
             with np.errstate(invalid="ignore"):
                 np.subtract(hi, lo, out=diff)
             diff[lo_inf] = self.max_difference
-            # Inline of :meth:`correction` on scratch (same binning,
-            # same short-circuit, same read count).
-            np.divide(diff, self.bin_width, out=fdiv)
-            np.minimum(fdiv, top, out=fdiv)  # before the cast: no int64 overflow
-            np.copyto(idx, fdiv, casting="unsafe")  # trunc == astype
-            np.less(diff, self.max_difference, out=in_range)
-            self._reads += int(np.count_nonzero(in_range))
-            # 0 <= fdiv <= top (lo = -inf was set to max_difference), so
-            # idx is in range: "clip" only skips "raise"'s buffer copy.
-            np.take(self._entries, idx, out=vals, mode="clip")
-            np.logical_not(in_range, out=out_range)
-            vals[out_range] = 0.0
-            np.add(hi, vals, out=res)
+            np.add(hi, self._lookup(diff, **lookup), out=res)
             np.copyto(res, hi, where=lo_inf)
             res[both_inf] = -np.inf
             np.copyto(acc, res)

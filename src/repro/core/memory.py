@@ -1,10 +1,10 @@
-"""Memory system model: flash, working RAM and the DMA interface.
+"""Memory system model: flash, the DMA interface and bandwidth.
 
 Section III-C of the paper: the dictionary, acoustic model and
-language model live in flash memory, accessed through a DMA interface;
-RAM holds intermediate values.  Section IV-B derives the headline
-storage and bandwidth numbers (15.16 MB acoustic model, 1.516 GB/s
-worst-case stream at a 10 ms frame rate, ~11 Mbit dictionary).
+language model live in flash memory, accessed through a DMA interface.
+Section IV-B derives the headline storage and bandwidth numbers
+(15.16 MB acoustic model, 1.516 GB/s worst-case stream at a 10 ms
+frame rate, ~11 Mbit dictionary).
 
 These classes do byte-level *accounting*, not data movement — model
 parameters flow through numpy; what the experiments need is exactly
@@ -17,13 +17,12 @@ and gigabytes per second (1 GB/s = 10^9 B/s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "FlashRegion",
     "FlashMemory",
     "DmaChannel",
-    "Sram",
     "BandwidthMeter",
     "MB",
     "GB",
@@ -116,44 +115,6 @@ class DmaChannel:
     @property
     def total_setup_cycles(self) -> int:
         return self.transfers * self.setup_cycles
-
-
-@dataclass
-class Sram:
-    """On-chip working RAM for intermediate values (deltas, lattices)."""
-
-    capacity_bytes: float = 256e3
-    high_water_bytes: float = 0.0
-    reads: int = 0
-    writes: int = 0
-    bytes_read: float = 0.0
-    bytes_written: float = 0.0
-    _allocated: dict[str, float] = field(default_factory=dict)
-
-    def allocate(self, name: str, num_bytes: float) -> None:
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be non-negative, got {num_bytes}")
-        self._allocated[name] = num_bytes
-        used = sum(self._allocated.values())
-        if used > self.capacity_bytes:
-            raise MemoryError(
-                f"SRAM overflow: {used / 1e3:.1f} kB > {self.capacity_bytes / 1e3:.1f} kB"
-            )
-        self.high_water_bytes = max(self.high_water_bytes, used)
-
-    def free(self, name: str) -> None:
-        self._allocated.pop(name, None)
-
-    def allocated_bytes(self) -> float:
-        return sum(self._allocated.values())
-
-    def record_read(self, num_bytes: float) -> None:
-        self.reads += 1
-        self.bytes_read += num_bytes
-
-    def record_write(self, num_bytes: float) -> None:
-        self.writes += 1
-        self.bytes_written += num_bytes
 
 
 class BandwidthMeter:

@@ -18,9 +18,7 @@ lanes) and :func:`tree_update` GATHERS at a list of slots (any
 in-degree-1 topology: the lexicon tree's active list).  Both return the
 compare's decisions as masks.  The lane banks of :mod:`repro.runtime`
 call them and, in hardware mode, charge the unit beside them through
-the one charge point, :meth:`ViterbiUnit.charge_chain`;
-:meth:`ViterbiUnit.update_chain` is validation + :func:`chain_update`
-at float32 (``BP_*`` codes) + the charge.  Besides,
+the one charge point, :meth:`ViterbiUnit.charge_chain`.  Besides,
 :meth:`ViterbiUnit.step_column` is dense and bit-faithful: an arbitrary
 transition matrix column is swept transition by transition, each add
 and compare performed in float32 through the shared
@@ -40,17 +38,10 @@ from repro.core.pipeline import PipelineSpec, PipelineTrace
 __all__ = [
     "ViterbiUnitSpec",
     "ViterbiUnit",
-    "ChainUpdateResult",
     "chain_update",
     "tree_update",
     "LOG_ZERO",
 ]
-
-#: Backpointer codes of :class:`ChainUpdateResult` (self < forward < entry).
-BP_SELF = 0
-BP_FORWARD = 1
-BP_ENTRY = 2
-
 
 def _chain_scratch(scratch: dict | None, shape: tuple, dtype) -> dict:
     """``scratch`` holding :func:`chain_update`'s work arrays for this bank."""
@@ -197,16 +188,6 @@ class ViterbiUnitSpec:
         return self.add_compare.cycles(transitions)
 
 
-@dataclass
-class ChainUpdateResult:
-    """Result of one vectorised chain update."""
-
-    delta: np.ndarray
-    backpointer: np.ndarray
-    cycles: int
-    transitions: int
-
-
 class ViterbiUnit:
     """One dedicated Viterbi decoder instance."""
 
@@ -222,8 +203,6 @@ class ViterbiUnit:
         self._cycles_busy = 0
         self._transitions = 0
         self._columns = 0
-        self._chain_scratch: dict = {}  # update_chain's work arrays + delta
-        self._backptr = np.empty(0, dtype=np.int8)  # update_chain's codes
 
     @property
     def cycles_busy(self) -> int:
@@ -353,60 +332,3 @@ class ViterbiUnit:
         self._transitions += transitions
         self._columns += 1
         return cycles, transitions
-
-    def update_chain(
-        self,
-        prev_delta: np.ndarray,
-        self_logp: np.ndarray,
-        forward_logp: np.ndarray,
-        obs_logprobs: np.ndarray,
-        entry_scores: np.ndarray | None = None,
-        chain_start: np.ndarray | None = None,
-    ) -> ChainUpdateResult:
-        """:func:`chain_update` at float32, validated and charged.
-
-        ``prev_delta``/``obs_logprobs``/``entry_scores`` are ``(K,)``,
-        one flattened bank of chains, or ``(B, K)`` stacked banks over
-        shared ``(K,)`` constants; ``chain_start=None`` means no starts
-        (``entry_scores`` is then ignored).  A stacked call needs state
-        0 to start a chain: every row is then whole chains.
-
-        The returned ``delta`` and ``backpointer`` are unit-owned
-        scratch reused every step: consume or copy them before the next
-        chain update on this unit (passing ``delta`` straight back in
-        as ``prev_delta`` is safe).
-        """
-        prev = np.asarray(prev_delta, dtype=np.float32)
-        if prev.ndim not in (1, 2):
-            raise ValueError(f"prev_delta must be (K,) or (B, K), got {prev.shape}")
-        k = prev.shape[-1]
-        self_lp = np.asarray(self_logp, dtype=np.float32)
-        fwd_lp = np.asarray(forward_logp, dtype=np.float32)
-        obs = np.asarray(obs_logprobs, dtype=np.float32)
-        starts = np.asarray(np.zeros(k) if chain_start is None else chain_start, bool)
-        entry = entry_scores
-        if entry is not None:
-            entry = np.asarray(entry, dtype=np.float32)
-        for name, arr, shape in (
-            ("self_logp", self_lp, (k,)),
-            ("forward_logp", fwd_lp, (k,)),
-            ("chain_start", starts, (k,)),
-            ("obs", obs, prev.shape),
-            ("entry_scores", prev if entry is None else entry, prev.shape),
-        ):
-            if arr.shape != shape:
-                raise ValueError(f"{name} shape {arr.shape} != {shape}")
-        if prev.ndim == 2 and not starts[:1].all():
-            raise ValueError("state 0 must be a chain start to seal row seams")
-        delta, took_fwd, took_entry = chain_update(
-            prev, self_lp, fwd_lp, obs, entry, starts, scratch=self._chain_scratch
-        )
-        if self._backptr.shape != delta.shape:
-            self._backptr = np.empty(delta.shape, dtype=np.int8)
-        backptr = self._backptr
-        backptr.fill(BP_SELF)
-        backptr[took_fwd] = BP_FORWARD
-        backptr[took_entry] = BP_ENTRY  # entry wins
-        rows = len(prev) if prev.ndim == 2 else 1
-        cost = self.charge_chain(starts, rows=rows, entries=entry is not None)
-        return ChainUpdateResult(delta, backptr, *cost)

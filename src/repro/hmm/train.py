@@ -148,15 +148,19 @@ def kmeans(
         assign = _assign(data, width, centroids, rel)
         nearest = None  # each row's exact distance to its centroid, on demand
         previous = centroids.copy()  # the centroids `assign` was made against
+        # Cluster j's rows, in row order, are order[ends[j-1]:ends[j]]:
+        # the rows `data[assign == j]` would gather, so the same means.
+        order = np.argsort(assign, kind="stable")
+        ends = np.cumsum(np.bincount(assign, minlength=k))
         for j in range(k):
-            members = data[assign == j]
-            if members.shape[0] == 0:
+            start = ends[j - 1] if j else 0
+            if start == ends[j]:
                 if nearest is None:
                     nearest = _distances(data, np.arange(n), previous, assign)
                 farthest = nearest.argmax()
                 centroids[j] = data[farthest]
             else:
-                centroids[j] = members.mean(axis=0)
+                centroids[j] = data[order[start : ends[j]]].mean(axis=0)
     return centroids
 
 

@@ -57,6 +57,19 @@ class TestCorrection:
         with pytest.raises(ValueError):
             LogAddTable().correction(-0.1)
 
+    def test_rejects_nan_difference(self):
+        with pytest.raises(ValueError, match="NaN"):
+            LogAddTable().correction(np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("difference", [1e18, -LOG_ZERO, np.inf])
+    def test_difference_past_int64_bins_is_zero_without_read(self, difference):
+        """``d / bin_width`` past int64 is clamped to the last bin BEFORE
+        the int cast: it never wraps to a negative table index."""
+        table = LogAddTable()
+        assert table.correction(difference).tolist() == 0.0
+        assert table.correction(np.array([0.0, difference]))[1] == 0.0
+        assert table.reads == 1
+
     def test_error_bound(self):
         table = LogAddTable()
         assert table.max_error() <= table.theoretical_error_bound()
@@ -137,6 +150,40 @@ class TestLogAdd:
         values = np.array([[0.0, LOG_ZERO], [LOG_ZERO, -3.0], [-1e300, -1e300]])
         folded = LogAddTable().logadd_fold(values)
         assert folded.tolist() == [0.0, -3.0, -1e300]
+
+    def test_log_zero_operand_forwards_the_other(self):
+        table = LogAddTable()
+        assert table.logadd(0.0, LOG_ZERO).tolist() == 0.0
+        assert table.logadd(LOG_ZERO, -3.0).tolist() == -3.0
+        assert table.logadd_many([-2.0, LOG_ZERO, -2.0]) == table.logadd_many([-2.0, -2.0])
+
+    def test_fold_and_logadd_bin_alike(self):
+        """One binning: the fold equals ``logadd_many`` row by row, read
+        count included, at bin edges and centres, at ``max_difference``
+        and past int64 bins."""
+        bins = np.arange(LogAddTable().num_entries + 4)
+        diffs = np.concatenate(
+            [bins, bins + 0.5, bins + 1 - 1e-9]
+        ) * LogAddTable().bin_width
+        diffs = np.append(diffs, [12.0, 1e18, -LOG_ZERO])
+        values = np.stack([np.full_like(diffs, -7.0), -7.0 - diffs], axis=1)
+        fold, serial = LogAddTable(), LogAddTable()
+        folded = fold.logadd_fold(values)
+        assert folded.tolist() == [serial.logadd_many(row) for row in values]
+        assert fold.reads == serial.reads > 0
+
+    def test_fold_scratch_regrows_without_changing_results(self, rng):
+        """Blocks of growing and shrinking height reuse and regrow the
+        fold's buffers; each answer equals a fresh table's."""
+        table, reads = LogAddTable(), 0
+        for n in (3, 100, 3, 257):
+            values = rng.normal(-20.0, 6.0, size=(n, 5))
+            values[rng.random(values.shape) < 0.2] = LOG_ZERO
+            fresh = LogAddTable()
+            want = fresh.logadd_fold(values)
+            assert table.logadd_fold(values).tolist() == want.tolist()
+            reads += fresh.reads
+        assert table.reads == reads > 0
 
     def test_vectorized_matches_scalar(self):
         table = LogAddTable()

@@ -8,7 +8,6 @@ from repro.core.memory import (
     BandwidthMeter,
     DmaChannel,
     FlashMemory,
-    Sram,
 )
 
 
@@ -70,29 +69,6 @@ class TestDma:
         assert dma.bytes_transferred == 5056.0
         assert dma.total_setup_cycles == 2 * dma.setup_cycles
         assert flash.region("model").bytes_read == 5056.0
-
-
-class TestSram:
-    def test_allocation_and_highwater(self):
-        sram = Sram(capacity_bytes=1000)
-        sram.allocate("delta", 600)
-        sram.allocate("payload", 300)
-        assert sram.allocated_bytes() == 900
-        sram.free("payload")
-        assert sram.allocated_bytes() == 600
-        assert sram.high_water_bytes == 900
-
-    def test_overflow(self):
-        sram = Sram(capacity_bytes=100)
-        with pytest.raises(MemoryError):
-            sram.allocate("big", 200)
-
-    def test_access_counters(self):
-        sram = Sram()
-        sram.record_read(64)
-        sram.record_write(128)
-        assert sram.reads == 1 and sram.writes == 1
-        assert sram.bytes_read == 64 and sram.bytes_written == 128
 
 
 class TestBandwidthMeter:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.opunit import LOG_ZERO, GaussianTable, OpUnit, OpUnitSpec
 from repro.core.pipeline import PipelineTrace
+from repro.hmm.senone import SenonePool
 from repro.quant.float_formats import MANTISSA_12
 
 
@@ -137,6 +138,26 @@ class TestSerialScoring:
         unit.load_feature(obs)
         unit.score_senone(table, 0, prune_threshold=-10.0)
         assert unit.dims_evaluated <= full_dims
+
+    @pytest.mark.parametrize("senone", range(4))
+    def test_pde_that_prunes_some_components_folds_the_rest(self, senone):
+        """Pruned components enter the mixture fold as ``LOG_ZERO`` and
+        add nothing: the score is the logadd of the survivors."""
+        rng = np.random.default_rng(42)
+        pool = SenonePool.random(4, num_components=8, dim=39, rng=rng)
+        table = pool.gaussian_table()
+        obs = rng.normal(size=39)
+        unit = OpUnit(OpUnitSpec())
+        unit.load_feature(obs)
+        threshold = unit.score_senone(table, senone) - 5.0
+        comp = table.offsets[senone] + (
+            (obs - table.means[senone]) ** 2 * table.precisions[senone]
+        ).sum(axis=1)
+        survivors = comp[comp >= threshold]
+        assert 0 < survivors.size < table.num_components
+        pruned = unit.score_senone(table, senone, prune_threshold=threshold)
+        bound = (survivors.size - 1) * unit.logadd.theoretical_error_bound()
+        assert abs(pruned - np.logaddexp.reduce(survivors)) <= bound + 5e-3
 
     def test_pde_reduces_cycles(self, small_pool, rng):
         unit = OpUnit(OpUnitSpec(feature_dim=small_pool.dim))

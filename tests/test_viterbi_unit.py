@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.logadd import LOG_DEAD
 from repro.core.viterbi_unit import (
-    BP_ENTRY,
-    BP_FORWARD,
-    BP_SELF,
     LOG_ZERO,
     ViterbiUnit,
     ViterbiUnitSpec,
@@ -109,7 +106,8 @@ class TestDenseColumn:
 
 class TestChainUpdate:
     def test_matches_dense_on_single_chain(self, rng):
-        """The vectorised chain path equals the dense path for an L-R HMM."""
+        """The vectorised chain path equals the dense path for an L-R HMM,
+        and the unit charges both the same column."""
         unit_dense = ViterbiUnit()
         unit_chain = ViterbiUnit()
         topo = HmmTopology(num_states=3)
@@ -118,124 +116,112 @@ class TestChainUpdate:
         delta = rng.normal(-5, 1, size=3).astype(np.float32)
         obs = rng.normal(-2, 1, size=3).astype(np.float32)
         dense, _, _ = unit_dense.step_column(delta, trans, obs)
-        chain = unit_chain.update_chain(
+        starts = np.array([True, False, False])
+        chain, _, _ = chain_update(
             delta,
             np.full(3, self_lp, dtype=np.float32),
             np.full(3, fwd_lp, dtype=np.float32),
             obs,
-            chain_start=np.array([True, False, False]),
+            None,
+            starts,
         )
-        assert np.allclose(dense, chain.delta, atol=1e-4)
+        assert np.allclose(dense, chain, atol=1e-4)
+        unit_chain.charge_chain(starts, entries=False)  # 3 self + 2 forward arcs
+        assert unit_chain.activity() == unit_dense.activity()
 
     def test_entry_wins_when_better(self):
-        unit = ViterbiUnit()
         delta = np.full(3, LOG_ZERO, dtype=np.float32)
         entry = np.array([-1.0, LOG_ZERO, LOG_ZERO], dtype=np.float32)
-        result = unit.update_chain(
+        delta, took_fwd, took_entry = chain_update(
             delta,
             np.full(3, -0.5, dtype=np.float32),
             np.full(3, -0.7, dtype=np.float32),
             np.zeros(3, dtype=np.float32),
-            entry_scores=entry,
-            chain_start=np.array([True, False, False]),
+            entry,
+            np.array([True, False, False]),
         )
-        assert result.backpointer[0] == BP_ENTRY
-        assert result.delta[0] == pytest.approx(-1.0)
-        assert result.delta[1] == LOG_ZERO
+        assert took_entry.tolist() == [True, False, False]
+        assert delta[0] == pytest.approx(-1.0)
+        assert delta[1] == LOG_ZERO
 
     def test_forward_propagation(self):
-        unit = ViterbiUnit()
         delta = np.array([-1.0, LOG_ZERO, LOG_ZERO], dtype=np.float32)
-        result = unit.update_chain(
+        delta, took_fwd, took_entry = chain_update(
             delta,
             np.full(3, np.log(0.5), dtype=np.float32),
             np.full(3, np.log(0.5), dtype=np.float32),
             np.zeros(3, dtype=np.float32),
-            chain_start=np.array([True, False, False]),
+            None,
+            np.array([True, False, False]),
         )
-        assert result.backpointer[1] == BP_FORWARD
-        assert result.delta[1] == pytest.approx(-1.0 + np.log(0.5), abs=1e-5)
-        assert result.backpointer[0] == BP_SELF
+        assert took_fwd[1] and not took_entry[1]
+        assert delta[1] == pytest.approx(-1.0 + np.log(0.5), abs=1e-5)
+        assert not took_fwd[0] and not took_entry[0]  # state 0 stayed
 
     def test_chain_boundary_isolation(self):
         """Probability must not leak across chain starts."""
-        unit = ViterbiUnit()
         delta = np.array([-1.0, -1.0, -1.0, LOG_ZERO], dtype=np.float32)
         starts = np.array([True, False, False, True])  # two chains: 3 + 1
-        result = unit.update_chain(
+        delta, took_fwd, _ = chain_update(
             delta,
             np.full(4, np.log(0.6), dtype=np.float32),
             np.full(4, np.log(0.4), dtype=np.float32),
             np.zeros(4, dtype=np.float32),
-            chain_start=starts,
+            None,
+            starts,
         )
         # State 3 heads a new chain: no forward arc from state 2.
-        assert result.delta[3] == LOG_ZERO
+        assert delta[3] == LOG_ZERO
+        assert not took_fwd[3]
 
     def test_transition_counting(self):
         unit = ViterbiUnit()
-        delta = np.zeros(4, dtype=np.float32)
         starts = np.array([True, False, True, False])
-        result = unit.update_chain(
-            delta,
-            np.zeros(4, dtype=np.float32),
-            np.zeros(4, dtype=np.float32),
-            np.zeros(4, dtype=np.float32),
-            entry_scores=np.zeros(4, dtype=np.float32),
-            chain_start=starts,
-        )
         # 4 self + 2 forward + 2 entry = 8.
-        assert result.transitions == 8
-        assert result.cycles == unit.spec.cycles_for_transitions(8)
-
-    def test_shape_validation(self):
-        unit = ViterbiUnit()
-        with pytest.raises(ValueError):
-            unit.update_chain(
-                np.zeros(3, dtype=np.float32),
-                np.zeros(2, dtype=np.float32),
-                np.zeros(3, dtype=np.float32),
-                np.zeros(3, dtype=np.float32),
-            )
+        assert unit.charge_chain(starts) == (unit.spec.cycles_for_transitions(8), 8)
+        # No entry offers: the starts' slots go unused; stacked rows
+        # stream through the array as ONE column.
+        cycles, transitions = unit.charge_chain(starts, rows=3, entries=False)
+        assert transitions == 3 * 6
+        assert cycles == unit.spec.cycles_for_transitions(18)
+        assert unit.activity() == {
+            "cycles_busy": float(unit.spec.cycles_for_transitions(8) + cycles),
+            "add_ops": float(8 + 4 + 18 + 3 * 4),  # + one obs add per state
+            "compare_ops": 26.0,
+            "transitions": 26.0,
+            "columns": 2.0,
+        }
 
     def test_activity_and_reset(self):
         unit = ViterbiUnit()
-        unit.update_chain(
-            np.zeros(3, dtype=np.float32),
-            np.zeros(3, dtype=np.float32),
-            np.zeros(3, dtype=np.float32),
-            np.zeros(3, dtype=np.float32),
-        )
+        unit.charge_chain(np.zeros(3, dtype=bool))
         act = unit.activity()
         assert act["columns"] == 1
         assert act["transitions"] > 0
         unit.reset_counters()
-        assert unit.activity()["transitions"] == 0
+        assert unit.activity() == dict.fromkeys(act, 0.0)
 
 
 def _chain_update_oracle(prev, self_lp, fwd_lp, obs, entry, starts):
-    """Freshly-allocating float32 chain update (the pre-scratch math)."""
+    """Freshly-allocating float32 chain update (the pre-scratch math):
+    ``(delta, took_fwd, took_entry)``."""
     stay = prev + self_lp
     from_prev = np.empty_like(prev)
     from_prev[0] = LOG_ZERO
     from_prev[1:] = prev[:-1] + fwd_lp[:-1]
     from_prev[starts] = LOG_ZERO
     enter = np.where(starts, entry, np.float32(LOG_ZERO))
-    best = stay
-    backptr = np.full(prev.shape, BP_SELF, dtype=np.int8)
-    better = from_prev > best
-    best = np.where(better, from_prev, best)
-    backptr[better] = BP_FORWARD
-    better = enter > best
-    best = np.where(better, enter, best)
-    backptr[better] = BP_ENTRY
+    took_fwd = from_prev > stay
+    best = np.where(took_fwd, from_prev, stay)
+    took_entry = enter > best
+    best = np.where(took_entry, enter, best)
     new_delta = (best + obs).astype(np.float32)
     new_delta[best <= np.float32(LOG_ZERO)] = LOG_ZERO
-    return new_delta, backptr
+    return new_delta, took_fwd, took_entry
 
 
 class TestChainScratchReuse:
-    """update_chain reuses per-step work arrays; outputs must not change."""
+    """chain_update reuses a kept scratch dict; outputs must not change."""
 
     def _random_inputs(self, rng, k=12):
         prev = rng.normal(-5, 2, size=k).astype(np.float32)
@@ -252,50 +238,37 @@ class TestChainScratchReuse:
         return prev, self_lp, fwd_lp, obs, entry, starts
 
     def test_repeated_calls_bit_identical_to_oracle(self, rng):
-        unit = ViterbiUnit()
+        scratch: dict = {}
         for _ in range(5):
             inputs = self._random_inputs(rng)
-            result = unit.update_chain(
-                inputs[0], inputs[1], inputs[2], inputs[3],
-                entry_scores=inputs[4], chain_start=inputs[5],
-            )
-            delta, backptr = _chain_update_oracle(*inputs)
-            np.testing.assert_array_equal(result.delta, delta)
-            np.testing.assert_array_equal(result.backpointer, backptr)
+            got = chain_update(*inputs, scratch=scratch)
+            for have, want in zip(got, _chain_update_oracle(*inputs), strict=True):
+                np.testing.assert_array_equal(have, want)
 
     def test_buffers_are_reused_across_frames(self, rng):
-        unit = ViterbiUnit()
-        first = unit.update_chain(*self._random_inputs(rng)[:4])
-        second = unit.update_chain(*self._random_inputs(rng)[:4])
-        assert first.delta is second.delta  # unit-owned scratch
-        assert first.backpointer is second.backpointer
+        scratch: dict = {}
+        first = chain_update(*self._random_inputs(rng), scratch=scratch)
+        second = chain_update(*self._random_inputs(rng), scratch=scratch)
+        # delta and both masks live in the caller's scratch
+        assert all(a is b for a, b in zip(first, second, strict=True))
 
     def test_size_change_reallocates(self, rng):
-        unit = ViterbiUnit()
-        small = unit.update_chain(*self._random_inputs(rng, k=8)[:4])
-        assert small.delta.shape == (8,)
-        large = unit.update_chain(*self._random_inputs(rng, k=16)[:4])
-        assert large.delta.shape == (16,)
+        scratch: dict = {}
+        small = chain_update(*self._random_inputs(rng, k=8), scratch=scratch)
+        assert small[0].shape == (8,)
+        large = chain_update(*self._random_inputs(rng, k=16), scratch=scratch)
+        assert all(out.shape == (16,) for out in large)
 
     def test_prev_may_alias_the_delta_scratch(self, rng):
         """Feeding the returned delta straight back in must be safe."""
-        unit, fresh = ViterbiUnit(), ViterbiUnit()
-        inputs = self._random_inputs(rng)
-        result = unit.update_chain(
-            inputs[0], inputs[1], inputs[2], inputs[3],
-            entry_scores=inputs[4], chain_start=inputs[5],
-        )
-        expected_prev = result.delta.copy()
-        chained = unit.update_chain(
-            result.delta, inputs[1], inputs[2], inputs[3],
-            entry_scores=inputs[4], chain_start=inputs[5],
-        )
-        oracle = fresh.update_chain(
-            expected_prev, inputs[1], inputs[2], inputs[3],
-            entry_scores=inputs[4], chain_start=inputs[5],
-        )
-        np.testing.assert_array_equal(chained.delta, oracle.delta)
-        np.testing.assert_array_equal(chained.backpointer, oracle.backpointer)
+        scratch: dict = {}
+        prev, *consts = self._random_inputs(rng)
+        result = chain_update(prev, *consts, scratch=scratch)
+        expected_prev = result[0].copy()
+        chained = chain_update(result[0], *consts, scratch=scratch)
+        oracle = chain_update(expected_prev, *consts)
+        for have, want in zip(chained, oracle, strict=True):
+            np.testing.assert_array_equal(have, want)
 
 
 class TestChainBank:
@@ -314,41 +287,34 @@ class TestChainBank:
     def test_bank_equals_separate_rows_bit_for_bit(self, rng):
         prev, self_lp, fwd_lp, obs, entry, starts = self._bank_inputs(rng)
         bank_unit, row_unit = ViterbiUnit(), ViterbiUnit()
-        bank = bank_unit.update_chain(
-            prev, self_lp, fwd_lp, obs, entry_scores=entry, chain_start=starts
-        )
-        assert bank.delta.shape == bank.backpointer.shape == prev.shape
+        bank = chain_update(prev, self_lp, fwd_lp, obs, entry, starts)
+        assert all(out.shape == prev.shape for out in bank)
+        cycles, bank_transitions = bank_unit.charge_chain(starts, rows=prev.shape[0])
         transitions = 0
         for b in range(prev.shape[0]):
-            row = row_unit.update_chain(
-                prev[b], self_lp, fwd_lp, obs[b],
-                entry_scores=entry[b], chain_start=starts,
-            )
-            np.testing.assert_array_equal(bank.delta[b], row.delta)
-            np.testing.assert_array_equal(bank.backpointer[b], row.backpointer)
-            transitions += row.transitions
+            row = chain_update(prev[b], self_lp, fwd_lp, obs[b], entry[b], starts)
+            for have, want in zip(bank, row, strict=True):
+                np.testing.assert_array_equal(have[b], want)
+            transitions += row_unit.charge_chain(starts)[1]
         # The bank streams as ONE column holding every row's transitions.
-        assert bank.transitions == transitions
-        assert bank.cycles == bank_unit.spec.cycles_for_transitions(transitions)
+        assert bank_transitions == transitions
+        assert cycles == bank_unit.spec.cycles_for_transitions(transitions)
         got, want = bank_unit.activity(), row_unit.activity()
         for key in ("transitions", "add_ops", "compare_ops"):
             assert got[key] == want[key]
         assert got["columns"] == 1 and want["columns"] == prev.shape[0]
-        assert got["cycles_busy"] == bank.cycles
+        assert got["cycles_busy"] == cycles
 
-    def test_bank_needs_state_zero_to_start_a_chain(self, rng):
+    def test_rows_are_sealed_without_a_start_at_state_zero(self, rng):
+        """The forward arc shifts along each row: a row's last token
+        never reaches the next row's state 0, chain start or not."""
         prev, self_lp, fwd_lp, obs, entry, starts = self._bank_inputs(rng)
-        unit = ViterbiUnit()
-        open_seam = starts.copy()
-        open_seam[0] = False
-        for bad in (open_seam, None):
-            with pytest.raises(ValueError, match="state 0"):
-                unit.update_chain(
-                    prev, self_lp, fwd_lp, obs, entry_scores=entry, chain_start=bad
-                )
-        assert unit.activity()["transitions"] == 0  # refused before charging
-        with pytest.raises(ValueError, match="obs shape"):
-            unit.update_chain(prev, self_lp, fwd_lp, obs[0], chain_start=starts)
+        starts[0] = False
+        prev[:, 0] = LOG_ZERO  # state 0 could only fill from the left
+        prev[:, -1] = -1.0  # ... where every row holds a live token
+        delta, took_fwd, _ = chain_update(prev, self_lp, fwd_lp, obs, entry, starts)
+        assert (delta[:, 0] == LOG_ZERO).all()
+        assert not took_fwd[:, 0].any()
 
     def test_float64_kernel_in_place_with_reused_scratch(self, rng):
         """The software path's contract: ``out`` aliasing ``delta`` and a
@@ -481,44 +447,6 @@ class TestChainUpdateAgainstScalarOracle:
         assert took_fwd.tolist() == [True, False]
         assert took_entry.tolist() == [True, False]
         np.testing.assert_array_equal(delta, [-2.0, -4.0])
-        codes = ViterbiUnit().update_chain(
-            prev, ones, ones, obs, entry_scores=entry, chain_start=starts
-        ).backpointer
-        assert codes.tolist() == [BP_ENTRY, BP_SELF]
-
-    @pytest.mark.parametrize("with_entries", [True, False])
-    @pytest.mark.parametrize("shape", [(13,), (4, 13)])
-    def test_update_chain_publishes_codes_and_charges_as_before(
-        self, shape, with_entries
-    ):
-        prev, self_lp, fwd_lp, obs, entry, starts = self._bank(3, shape, np.float32)
-        delta, took_fwd, took_entry = _chain_scalar_oracle(
-            prev, self_lp, fwd_lp, obs, entry if with_entries else None, starts
-        )
-        unit = ViterbiUnit()
-        result = unit.update_chain(
-            prev, self_lp, fwd_lp, obs,
-            entry_scores=entry if with_entries else None, chain_start=starts,
-        )
-        codes = np.where(took_entry, BP_ENTRY, np.where(took_fwd, BP_FORWARD, BP_SELF))
-        np.testing.assert_array_equal(result.delta, delta)
-        np.testing.assert_array_equal(result.backpointer, codes)
-        assert result.backpointer.dtype == np.int8
-        # Every state a self arc, every non-start a forward arc (the
-        # entry offer takes that slot at a start when entries ride),
-        # plus one observation add per state.
-        rows, k = prev.size // shape[-1], shape[-1]
-        per_row = 2 * k if with_entries else 2 * k - int(starts.sum())
-        transitions = rows * per_row
-        assert result.transitions == transitions
-        assert result.cycles == unit.spec.cycles_for_transitions(transitions)
-        assert unit.activity() == {
-            "cycles_busy": float(result.cycles),
-            "add_ops": float(transitions + rows * k),
-            "compare_ops": float(transitions),
-            "transitions": float(transitions),
-            "columns": 1.0,
-        }
 
 
 def _random_token_bank(rng, num_rows, num_states):
