@@ -1,28 +1,18 @@
-"""Hardware models: the paper's dedicated units, memories and power.
+"""Hardware models: the paper's dedicated units and their power.
 
 This package is the paper's primary contribution rendered as
 cycle-accurate Python: the Observation Probability unit (Figure 2),
-the Viterbi decoder unit (Figure 3), the logadd SRAM, the flash/DMA
-memory system, the embedded-processor cost model and the
+the Viterbi decoder unit (Figure 3), the logadd SRAM and the
 activity-based power/area model, which prices the units' activity
-counters.
+counters.  The assembled SoC (``repro.core.soc``: the embedded core's
+software stages and the flash behind DMA) reports over one decode.
 """
 
 from repro.core.fpu import FloatUnit, OpCounts
 from repro.core.logadd import LOG2, LogAddTable, logadd_exact
-from repro.core.memory import (
-    GB,
-    MB,
-    BandwidthMeter,
-    DmaChannel,
-    FlashMemory,
-    FlashRegion,
-    Mbit,
-)
 from repro.core.opunit import FrameScoreResult, GaussianTable, OpUnit, OpUnitSpec
 from repro.core.pipeline import PipelineSpec, PipelineTrace, TraceEvent
 from repro.core.power import AreaTable, EnergyTable, PowerModel, PowerReport
-from repro.core.processor import EmbeddedProcessor, SoftwareCosts, StageCharge
 from repro.core.scheduler import FrameSchedule, ScheduleConfig, SenoneScheduler
 from repro.core.viterbi_unit import ViterbiUnit, ViterbiUnitSpec
 
@@ -45,16 +35,6 @@ __all__ = [
     "PowerReport",
     "EnergyTable",
     "AreaTable",
-    "FlashMemory",
-    "FlashRegion",
-    "DmaChannel",
-    "BandwidthMeter",
-    "MB",
-    "GB",
-    "Mbit",
-    "EmbeddedProcessor",
-    "SoftwareCosts",
-    "StageCharge",
     "SenoneScheduler",
     "ScheduleConfig",
     "FrameSchedule",

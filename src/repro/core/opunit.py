@@ -21,12 +21,13 @@ Two evaluation paths are provided:
   dimension per cycle through the datapath, accumulation in hardware
   order, every elementary op counted.  Used by tests, traces and
   fidelity experiments.
-* :meth:`OpUnit.score_frame` — a numpy-vectorised path over many
-  senones with identical parameter quantization and the same SRAM
-  logadd (component order preserved), used by the decoder where the
-  serial path would be prohibitively slow.  Each call returns a fresh
-  dense score array (``LOG_ZERO`` off the requested senones), so a
-  result stays valid after the next call.  Cycle and activity counts
+* :meth:`OpUnit.score_pairs` — a numpy-vectorised path over many
+  (feature-row, senone) work items with identical parameter
+  quantization and the same SRAM logadd (component order preserved),
+  used by the decoder where the serial path would be prohibitively
+  slow.  :meth:`OpUnit.score_frame` is its one-row form and returns a
+  fresh dense score array (``LOG_ZERO`` off the requested senones), so
+  a result stays valid after the next call.  Cycle and activity counts
   are derived from the same timing formulas.
 """
 
@@ -378,12 +379,14 @@ class OpUnit:
                     if partial < prune_threshold:
                         aborted = True
                         break
-            component_log = np.float32(
-                self.fpu.fused_multiply_add(acc, np.float32(1.0), offset)
-            )
-            self._gaussians_evaluated += 1
             if aborted:
+                # The component never reaches the SWA stage.
                 component_log = np.float32(LOG_ZERO)
+            else:
+                component_log = np.float32(
+                    self.fpu.fused_multiply_add(acc, np.float32(1.0), offset)
+                )
+                self._gaussians_evaluated += 1
             if mixture_log is None:
                 mixture_log = float(component_log)
             else:
@@ -439,22 +442,6 @@ class OpUnit:
         np.add(comp, blk[..., 2 * dim], out=comp)
         return self.logadd.logadd_fold(comp)
 
-    def _account_block(self, table: GaussianTable, n: int) -> tuple[int, float]:
-        """Bookkeeping equivalent to the serial path for ``n`` senones."""
-        dims = n * table.num_components * table.feature_dim
-        self.fpu.counts.square_diff_multiply += dims
-        self.fpu.counts.add += dims
-        self.fpu.counts.fused_multiply_add += n * table.num_components
-        self.fpu.counts.compare += n
-        self._gaussians_evaluated += n * table.num_components
-        self._dims_evaluated += dims
-        self._senones_scored += n
-        param_bytes = n * table.senone_bytes()
-        self._parameter_bytes += param_bytes
-        cycles = n * self.spec.cycles_per_senone(table.num_components)
-        self._cycles_busy += cycles
-        return cycles, param_bytes
-
     def score_frame(
         self,
         table: GaussianTable,
@@ -463,33 +450,28 @@ class OpUnit:
     ) -> FrameScoreResult:
         """Score ``active`` senones (default: all) for one frame.
 
-        Numerically this matches the serial path up to float32
-        summation-order effects in the dimension loop (the logadd fold
-        over components is performed in the same serial order through
-        the same SRAM table).  Cycle counts use
-        :meth:`OpUnitSpec.cycles_per_senone`.  The returned ``scores``
-        is a fresh dense array, ``LOG_ZERO`` off ``active``.
+        A one-row :meth:`score_pairs`: the feature is latched, every
+        senone is paired with it, and the answer lands in a fresh dense
+        ``scores`` array, ``LOG_ZERO`` off ``active``.  Numerically
+        this matches the serial path up to float32 summation-order
+        effects in the dimension loop (the logadd fold over components
+        is performed in the same serial order through the same SRAM
+        table).  Cycle counts use :meth:`OpUnitSpec.cycles_per_senone`.
         """
         self.load_feature(feature)
         if active is None:
-            idx = np.arange(table.num_senones)
-        else:
-            idx = np.asarray(active, dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= table.num_senones):
-                raise IndexError("active senone index out of range")
+            active = np.arange(table.num_senones)
+        senones = np.asarray(active, dtype=np.int64)
+        mixture, cycles = self.score_pairs(
+            table, self._feature[None, :], np.zeros_like(senones), senones
+        )
         scores = np.full(table.num_senones, LOG_ZERO)
-        n = int(idx.size)
-        if n == 0:
-            return FrameScoreResult(scores, 0, 0, 0.0)
-        mixture = self._mixture_logs(table, self._feature[None, None, :], idx)
-        scores[idx] = mixture
-        cycles, param_bytes = self._account_block(table, n)
-        self._running_max = np.float32(max(float(self._running_max), float(mixture.max())))
+        scores[senones] = mixture
         return FrameScoreResult(
             scores=scores,
-            senones_scored=n,
+            senones_scored=senones.size,
             cycles=cycles,
-            parameter_bytes=param_bytes,
+            parameter_bytes=senones.size * table.senone_bytes(),
         )
 
     def score_pairs(
@@ -521,7 +503,19 @@ class OpUnit:
         if idx.size == 0:
             return np.empty(0, dtype=np.float64), 0
         mixture = self._mixture_logs(table, feats[rows][:, None, :], idx)
-        cycles, _ = self._account_block(table, int(idx.size))
+        # Bookkeeping equivalent to the serial path for n unpruned senones.
+        n = int(idx.size)
+        dims = n * table.num_components * table.feature_dim
+        self.fpu.counts.square_diff_multiply += dims
+        self.fpu.counts.add += dims
+        self.fpu.counts.fused_multiply_add += n * table.num_components
+        self.fpu.counts.compare += n
+        self._gaussians_evaluated += n * table.num_components
+        self._dims_evaluated += dims
+        self._senones_scored += n
+        self._parameter_bytes += n * table.senone_bytes()
+        cycles = n * self.spec.cycles_per_senone(table.num_components)
+        self._cycles_busy += cycles
         self._running_max = np.float32(
             max(float(self._running_max), float(mixture.max()))
         )

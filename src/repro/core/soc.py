@@ -1,35 +1,67 @@
 """The complete SoC: processor + dedicated structures + memories.
 
 This is the paper's Figure 1 system assembled: the MFCC frontend and
-the word-decode/best-path stages run on the embedded-processor cost
-model, senone scoring and Viterbi updates run on the dedicated unit
-models (two structures by default, as the paper concludes), the
-acoustic model / dictionary / LM live in flash behind a DMA channel,
-and every decode yields a consolidated report: recognized words,
-real-time factors, memory footprints, sustained and worst-case
-bandwidth, and the power breakdown.
+the word-decode/best-path stages run in software on the embedded
+processor, senone scoring and Viterbi updates run on the dedicated unit
+models (two structures by default, as the paper concludes), and the
+acoustic model / dictionary / LM live in flash behind a DMA channel.
+Every decode yields a consolidated report: recognized words, real-time
+factors, flash footprint, sustained and peak bandwidth, and the power
+breakdown.  The report is arithmetic over the one decode it describes:
+nothing carries over from one call to the next.
+
+Sizes follow the paper's Section IV-B convention: decimal megabytes
+(1 MB = 10^6 B) and gigabytes per second (1 GB/s = 10^9 B/s), so the
+15.168 MB acoustic model streamed every 10 ms frame is 1.5168 GB/s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.memory import BandwidthMeter, DmaChannel, FlashMemory, MB
 from repro.core.power import AreaTable, PowerModel, PowerReport
-from repro.core.processor import EmbeddedProcessor
 from repro.decoder.recognizer import RecognitionResult, Recognizer
-from repro.decoder.word_decode import DecoderConfig
 from repro.eval.realtime import RealTimeReport, analyze_unit_cycles
-from repro.frontend.features import Frontend, FrontendConfig
+from repro.frontend.features import Frontend
 from repro.hmm.senone import SenonePool
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.triphone import SenoneTying
 from repro.lm.ngram import NGramModel
 from repro.quant.float_formats import IEEE_SINGLE, FloatFormat
 
-__all__ = ["SpeechSoC", "SocDecodeReport"]
+__all__ = ["SpeechSoC", "SocDecodeReport", "SoftwareCosts"]
+
+MB = 1e6
+#: The flash module the three stored models must fit in.
+FLASH_CAPACITY_BYTES = 64 * MB
+#: Clock of the embedded core (ARM946E-S class) running the software stages.
+CORE_CLOCK_HZ = 200e6
+
+
+@dataclass(frozen=True)
+class SoftwareCosts:
+    """Cycle prices of the software stages on the embedded core.
+
+    The paper leaves the frontend, the word decode stage and the global
+    best-path search to the core, and calls them "lightweight" beside
+    the observation probabilities.  The prices are conservative (high),
+    so real-time conclusions are not flattered by the software model:
+    the frontend is dominated by the FFT, the word decode scales with
+    the active words.
+    """
+
+    frontend_per_frame: int = 60_000  # 512-pt FFT + filterbank + DCT + deltas
+    word_decode_per_active_word: int = 220  # token bookkeeping per word per frame
+    word_decode_base_per_frame: int = 8_000  # pruning, list management
+    lattice_insert: int = 400  # per word-lattice entry
+    best_path_per_edge: int = 90  # LM lookup + relax per lattice edge
+    feedback_per_phone: int = 25  # "phones for evaluation" list build
+
+
+#: What the core pays for each software stage.
+CORE_COSTS = SoftwareCosts()
 
 
 @dataclass
@@ -99,20 +131,30 @@ class SpeechSoC:
         pool: SenonePool,
         lm: NGramModel,
         tying: SenoneTying,
-        decoder_config: DecoderConfig | None = None,
         num_structures: int = 2,
         storage_format: FloatFormat = IEEE_SINGLE,
         clock_gating: bool = True,
-        frontend_config: FrontendConfig | None = None,
-        flash_capacity_mb: float = 64.0,
-        frame_period_s: float = 0.010,
     ) -> None:
         if num_structures < 1:
             raise ValueError(f"num_structures must be >= 1, got {num_structures}")
+        # Flash image: acoustic model + dictionary + LM, behind DMA.
+        flash_bytes = {
+            "acoustic-model": pool.storage_bytes(storage_format),
+            "dictionary": dictionary.storage_bits()["total_bits"] / 8,
+            "language-model": lm.storage_bytes(),
+        }
+        stored = sum(flash_bytes.values())
+        if stored > FLASH_CAPACITY_BYTES:
+            raise MemoryError(
+                f"flash overflow: {stored / MB:.2f} MB > capacity "
+                f"{FLASH_CAPACITY_BYTES / MB:.2f} MB"
+            )
+        self.flash_footprint_mb = {
+            name: num_bytes / MB for name, num_bytes in flash_bytes.items()
+        }
+        self._model_bytes = flash_bytes["acoustic-model"]
         self.storage_format = storage_format
-        self.frame_period_s = frame_period_s
-        self.frontend = Frontend(frontend_config)
-        self.processor = EmbeddedProcessor()
+        self.frontend = Frontend()
         self.recognizer = Recognizer.create(
             dictionary,
             pool,
@@ -121,8 +163,6 @@ class SpeechSoC:
             mode="hardware",
             storage_format=storage_format,
             num_unit_pairs=num_structures,
-            config=decoder_config,
-            frame_period_s=frame_period_s,
         )
         self.power_model = PowerModel(
             clock_hz=self.recognizer.op_units[0].spec.clock_hz,
@@ -130,14 +170,6 @@ class SpeechSoC:
         )
         self.area = AreaTable()
         self.num_structures = num_structures
-        # Flash image: acoustic model + dictionary + LM, behind DMA.
-        self.flash = FlashMemory(capacity_bytes=flash_capacity_mb * MB)
-        self._model_bytes = pool.storage_bytes(storage_format)
-        self.flash.store("acoustic-model", self._model_bytes)
-        dict_bits = dictionary.storage_bits()
-        self.flash.store("dictionary", dict_bits["total_bits"] / 8)
-        self.flash.store("language-model", lm.storage_bytes())
-        self.dma = DmaChannel(self.flash)
         self._senone_bytes = (
             self.recognizer.pool.gaussian_table(storage_format).senone_bytes()
         )
@@ -148,64 +180,64 @@ class SpeechSoC:
         features = self.frontend.extract(np.asarray(waveform, dtype=np.float64))
         if features.shape[0] == 0:
             raise ValueError("waveform too short for a single frame")
-        self.processor.charge_frontend(frames=features.shape[0])
-        return self.decode_features(features, frontend_charged=True)
+        return self._report(self.recognizer.decode(features), features.shape[0])
 
-    def decode_features(
-        self, features: np.ndarray, frontend_charged: bool = False
-    ) -> SocDecodeReport:
+    def decode_features(self, features: np.ndarray) -> SocDecodeReport:
         """Decode pre-extracted features through the dedicated units."""
-        if not frontend_charged:
-            self.processor.reset()
-        result = self.recognizer.decode(features)
-        audio_s = result.audio_seconds
+        return self._report(self.recognizer.decode(features), 0)
 
+    def _report(
+        self, result: RecognitionResult, frontend_frames: int
+    ) -> SocDecodeReport:
+        """The report of one decode, from its result alone.
+
+        ``frontend_frames`` are the frames the core's frontend extracted
+        for it (none when the features came in pre-extracted).
+        """
+        period = result.frame_period_s
         # Software stage costs (Figure 1 dotted boxes).
-        meter = BandwidthMeter(self.frame_period_s)
+        costs = CORE_COSTS
+        cycles = frontend_frames * costs.frontend_per_frame
         for stats in result.frame_stats:
-            active_words = max(stats.active_states // 3, 1)
-            self.processor.charge_word_decode(active_words)
-            self.processor.charge_feedback(stats.requested_senones)
-            frame_bytes = stats.requested_senones * self._senone_bytes
-            self.dma.transfer("acoustic-model", frame_bytes)
-            meter.record_frame(frame_bytes)
-        self.processor.charge_lattice(result.lattice_size)
-        self.processor.charge_best_path(result.lattice_size)
+            cycles += (
+                costs.word_decode_base_per_frame
+                + max(stats.active_states // 3, 1) * costs.word_decode_per_active_word
+                + stats.requested_senones * costs.feedback_per_phone
+            )
+        cycles += result.lattice_size * (
+            costs.lattice_insert + costs.best_path_per_edge
+        )
+        # Senone parameters the DMA streams from flash, frame by frame.
+        frame_bytes = [
+            stats.requested_senones * self._senone_bytes
+            for stats in result.frame_stats
+        ]
 
         # Per-structure real-time reports: the OP stream dominates; the
         # Viterbi unit's transitions are divided across structures.
-        op_reports = []
-        viterbi_cycles = (
-            result.viterbi_activity["cycles_busy"] if result.viterbi_activity else 0.0
+        viterbi = result.viterbi_activity
+        viterbi_share = viterbi["cycles_busy"] / (
+            self.num_structures * max(result.frames, 1)
         )
-        viterbi_share = viterbi_cycles / (self.num_structures * max(result.frames, 1))
-        assert result.frame_critical_cycles is not None
         critical = np.asarray(result.frame_critical_cycles, dtype=np.float64)
-        per_frame = critical + viterbi_share
-        clock = self.recognizer.op_units[0].spec.clock_hz
-        for _ in range(self.num_structures):
-            op_reports.append(
-                analyze_unit_cycles(per_frame, clock, self.frame_period_s)
-            )
+        unit_report = analyze_unit_cycles(
+            critical + viterbi_share, self.power_model.clock_hz, period
+        )
 
-        activities = [u.activity() for u in self.recognizer.op_units]
-        if result.viterbi_activity is not None:
-            activities.append(result.viterbi_activity)
-        power = self.power_model.combined_report(activities, audio_s)
+        activities = [*result.op_unit_activities, viterbi]
+        audio_s = result.audio_seconds
         return SocDecodeReport(
             recognition=result,
-            op_unit_reports=op_reports,
-            power=power,
-            processor_utilization=self.processor.utilization(audio_s),
-            mean_bandwidth_gbps=meter.mean_gb_per_second(),
-            peak_bandwidth_gbps=meter.peak_gb_per_second(),
-            flash_footprint_mb={
-                region.name: region.num_bytes / MB for region in self.flash.regions()
-            },
+            op_unit_reports=[unit_report] * self.num_structures,
+            power=self.power_model.combined_report(activities, audio_s),
+            processor_utilization=cycles / CORE_CLOCK_HZ / audio_s,
+            mean_bandwidth_gbps=sum(frame_bytes) / len(frame_bytes) / period / 1e9,
+            peak_bandwidth_gbps=max(frame_bytes) / period / 1e9,
+            flash_footprint_mb=dict(self.flash_footprint_mb),
             area_mm2=self.area.total() * self.num_structures,
         )
 
     # ------------------------------------------------------------------
     def worst_case_bandwidth_gbps(self) -> float:
         """All senones streamed every frame (the paper's worst case)."""
-        return (self._model_bytes / self.frame_period_s) / 1e9
+        return self._model_bytes / self.recognizer.frame_period_s / 1e9

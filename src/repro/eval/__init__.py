@@ -2,12 +2,11 @@
 
 from repro.eval.realtime import RealTimeReport, analyze_unit_cycles, frame_cycle_budget
 from repro.eval.report import check_within, format_comparison, format_table
-from repro.eval.wer import ErrorCounts, align_words, corpus_wer, word_error_rate
+from repro.eval.wer import ErrorCounts, align_words, corpus_wer
 
 __all__ = [
     "ErrorCounts",
     "align_words",
-    "word_error_rate",
     "corpus_wer",
     "RealTimeReport",
     "analyze_unit_cycles",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ErrorCounts", "align_words", "word_error_rate", "corpus_wer"]
+__all__ = ["ErrorCounts", "align_words", "corpus_wer"]
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,6 @@ def align_words(
     return ErrorCounts(
         substitutions=subs, deletions=dels, insertions=ins, reference_length=n
     )
-
-
-def word_error_rate(
-    reference: list[str] | tuple[str, ...],
-    hypothesis: list[str] | tuple[str, ...],
-) -> float:
-    """WER of a single utterance."""
-    return align_words(reference, hypothesis).wer
 
 
 def corpus_wer(

@@ -16,7 +16,7 @@ from repro.workloads.tasks import (
     tiny_task,
     wsj_sizing_dictionary,
 )
-from repro.workloads.wordgen import generate_vocabulary, generate_words
+from repro.workloads.wordgen import generate_words
 
 __all__ = [
     "Corpus",
@@ -33,5 +33,4 @@ __all__ = [
     "wsj_sizing_dictionary",
     "expand_to_context_dependent",
     "generate_words",
-    "generate_vocabulary",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from repro.lexicon.g2p import phones_to_spelling
 from repro.lexicon.phones import PhoneClass, PhoneSet, default_phone_set
 
-__all__ = ["generate_words", "generate_vocabulary"]
+__all__ = ["generate_words"]
 
 _ONSET_CLASSES = (
     PhoneClass.STOP,
@@ -104,10 +104,3 @@ def generate_words(
         seen_phones.add(key)
         words[spelling] = key
     return words
-
-
-def generate_vocabulary(
-    count: int, seed: int = 0, phone_set: PhoneSet | None = None
-) -> list[str]:
-    """Just the spellings, sorted (vocabulary/dictionary ID order)."""
-    return sorted(generate_words(count, seed=seed, phone_set=phone_set))

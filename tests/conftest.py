@@ -16,6 +16,30 @@ def task() -> TrainedTask:
 
 
 @pytest.fixture(scope="session")
+def soc(task):
+    """The tiny task on the two-structure SoC.  Its reports depend on
+    the decode alone, so one instance serves every test."""
+    from repro.core.soc import SpeechSoC
+
+    return SpeechSoC(task.dictionary, task.pool, task.lm, task.tying)
+
+
+@pytest.fixture(scope="session")
+def tiny_waveform(task) -> tuple[list[str], np.ndarray]:
+    """Audio of the first two words of the tiny task's first test
+    utterance: ``(words, waveform)``."""
+    from repro.workloads.corpus import _realize_sentence
+    from repro.workloads.synthesizer import PhoneSynthesizer
+
+    words = list(task.corpus.test[0].words[:2])
+    synth = PhoneSynthesizer(task.corpus.phone_set)
+    waveform, _ = _realize_sentence(
+        words, task.dictionary, synth, np.random.default_rng(99)
+    )
+    return words, waveform
+
+
+@pytest.fixture(scope="session")
 def small_pool() -> SenonePool:
     """A random 24-senone pool for unit-level scoring tests."""
     return SenonePool.random(24, num_components=4, dim=13, rng=np.random.default_rng(3))

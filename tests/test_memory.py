@@ -1,101 +1,55 @@
-"""Tests for repro.core.memory."""
+"""The SoC's memory arithmetic (repro.core.soc): the flash image the
+models occupy and the senone parameters the DMA streams per frame."""
 
 import pytest
 
-from repro.core.memory import (
-    GB,
-    MB,
-    BandwidthMeter,
-    DmaChannel,
-    FlashMemory,
-)
+from repro.core import soc as soc_module
+from repro.core.soc import MB, SpeechSoC
+from repro.quant.float_formats import IEEE_SINGLE
 
 
 class TestFlash:
-    def test_store_and_lookup(self):
-        flash = FlashMemory(capacity_bytes=32 * MB)
-        region = flash.store("acoustic-model", 15.168 * MB)
-        assert region.num_bytes == 15.168 * MB
-        assert flash.region("acoustic-model").name == "acoustic-model"
+    def test_store_and_lookup(self, soc, task):
+        """The three stored sizes, in decimal megabytes."""
+        footprint = soc.flash_footprint_mb
+        assert footprint["acoustic-model"] == task.pool.storage_bytes() / MB
+        bits = task.dictionary.storage_bits()["total_bits"]
+        assert footprint["dictionary"] == bits / 8 / MB
+        assert footprint["language-model"] == task.lm.storage_bytes() / MB
 
-    def test_capacity_enforced(self):
-        flash = FlashMemory(capacity_bytes=10 * MB)
-        flash.store("a", 8 * MB)
+    def test_capacity_enforced(self, task, monkeypatch):
+        stored = sum(
+            SpeechSoC(task.dictionary, task.pool, task.lm, task.tying)
+            .flash_footprint_mb.values()
+        )
+        monkeypatch.setattr(soc_module, "FLASH_CAPACITY_BYTES", 0.5 * stored * MB)
         with pytest.raises(MemoryError):
-            flash.store("b", 4 * MB)
-
-    def test_replace_region(self):
-        flash = FlashMemory(capacity_bytes=10 * MB)
-        flash.store("a", 8 * MB)
-        flash.store("a", 2 * MB)  # replacement frees the old allocation
-        assert flash.total_stored_bytes == 2 * MB
-
-    def test_failed_replace_keeps_original(self):
-        flash = FlashMemory(capacity_bytes=10 * MB)
-        flash.store("a", 4 * MB)
-        flash.store("b", 4 * MB)
-        with pytest.raises(MemoryError):
-            flash.store("a", 8 * MB)
-        assert flash.region("a").num_bytes == 4 * MB
-
-    def test_unknown_region(self):
-        with pytest.raises(KeyError):
-            FlashMemory().region("nope")
-
-    def test_read_accounting(self):
-        flash = FlashMemory()
-        flash.store("model", MB)
-        flash.record_read("model", 1000.0)
-        flash.record_read("model", 500.0)
-        region = flash.region("model")
-        assert region.reads == 2
-        assert region.bytes_read == 1500.0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            FlashMemory(capacity_bytes=0)
-        with pytest.raises(ValueError):
-            FlashMemory().store("x", -1)
-
-
-class TestDma:
-    def test_transfer_accounting(self):
-        flash = FlashMemory()
-        flash.store("model", MB)
-        dma = DmaChannel(flash)
-        dma.transfer("model", 2528.0)
-        dma.transfer("model", 2528.0)
-        assert dma.transfers == 2
-        assert dma.bytes_transferred == 5056.0
-        assert dma.total_setup_cycles == 2 * dma.setup_cycles
-        assert flash.region("model").bytes_read == 5056.0
+            SpeechSoC(task.dictionary, task.pool, task.lm, task.tying)
 
 
 class TestBandwidthMeter:
-    def test_paper_worst_case(self):
-        """15.168 MB per 10 ms frame = 1.5168 GB/s (Section IV-B)."""
-        meter = BandwidthMeter(frame_period_s=0.010)
-        meter.record_frame(15.168 * MB)
-        assert meter.peak_gb_per_second() == pytest.approx(1.5168)
+    def test_paper_worst_case(self, soc):
+        """15.168 MB per 10 ms frame = 1.5168 GB/s (Section IV-B): the
+        worst case streams the whole stored model every frame."""
+        model_mb = soc.flash_footprint_mb["acoustic-model"]
+        assert soc.worst_case_bandwidth_gbps() == pytest.approx(
+            model_mb * MB / 0.010 / 1e9
+        )
+        paper_mb = IEEE_SINGLE.storage_bytes(6000 * 8 * (2 * 39 + 1)) / MB
+        assert paper_mb == pytest.approx(15.168)
+        scale = paper_mb / model_mb
+        assert soc.worst_case_bandwidth_gbps() * scale == pytest.approx(1.5168)
 
-    def test_mean_vs_peak(self):
-        meter = BandwidthMeter(frame_period_s=0.010)
-        meter.record_frame(10 * MB)
-        meter.record_frame(20 * MB)
-        assert meter.peak_bytes_per_second == pytest.approx(20 * MB / 0.010)
-        assert meter.mean_bytes_per_second == pytest.approx(15 * MB / 0.010)
-
-    def test_empty_meter(self):
-        meter = BandwidthMeter()
-        assert meter.peak_gb_per_second() == 0.0
-        assert meter.mean_gb_per_second() == 0.0
-        assert meter.frames == 0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            BandwidthMeter(frame_period_s=0)
-        with pytest.raises(ValueError):
-            BandwidthMeter().record_frame(-1)
-
-    def test_units(self):
-        assert GB == 1e9 and MB == 1e6
+    def test_mean_vs_peak(self, soc, task):
+        """Each frame streams the parameters of the senones it requested."""
+        report = soc.decode_features(task.corpus.test[0].features)
+        senone_bytes = task.pool.gaussian_table().senone_bytes()
+        frame_bytes = [
+            stats.requested_senones * senone_bytes
+            for stats in report.recognition.frame_stats
+        ]
+        assert min(frame_bytes) < max(frame_bytes)
+        assert report.peak_bandwidth_gbps == max(frame_bytes) / 0.010 / 1e9
+        assert report.mean_bandwidth_gbps == pytest.approx(
+            sum(frame_bytes) / len(frame_bytes) / 0.010 / 1e9
+        )

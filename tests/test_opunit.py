@@ -159,6 +159,67 @@ class TestSerialScoring:
         bound = (survivors.size - 1) * unit.logadd.theoretical_error_bound()
         assert abs(pruned - np.logaddexp.reduce(survivors)) <= bound + 5e-3
 
+    def test_a_pruned_component_skips_the_swa_stage(self):
+        """PDE aborts a component inside its dimension loop: it charges
+        the dimensions it ran and the comparisons it made, but no SWA
+        FMA and no evaluated Gaussian."""
+        pool = SenonePool.random(
+            4, num_components=8, dim=39, rng=np.random.default_rng(42)
+        )
+        table = pool.gaussian_table()
+        obs = np.random.default_rng(42).normal(size=39)
+        unit = OpUnit(OpUnitSpec())
+        unit.load_feature(obs)
+        unpruned = unit.score_senone(table, 0)
+        unit.reset_counters()
+        unit.load_feature(obs)
+        score = unit.score_senone(table, 0, prune_threshold=unpruned - 5.0)
+        act = unit.activity()
+        assert unit.dims_evaluated == 138  # of 8 x 39 = 312
+        assert act["sdm_ops"] == act["add_ops"] == 138
+        assert act["compare_ops"] == 139  # one per dimension + the max register
+        assert act["fma_ops"] == 1  # the one component that finished
+        assert act["gaussians"] == 1
+        assert unit.cycles_busy == 164
+        assert score == unpruned  # the pruned seven added nothing
+
+    @pytest.mark.parametrize("margin", [0.0, 5.0, 1e3], ids=["all", "some", "none"])
+    @pytest.mark.parametrize("senone", range(4))
+    def test_pde_counts_follow_from_the_dimensions_run(self, senone, margin):
+        """Activity from first principles: each component streams its
+        dimensions, in order, until ``offset + partial sum`` falls below
+        the threshold; only a component that finishes reaches the SWA
+        FMA and counts as an evaluated Gaussian."""
+        pool = SenonePool.random(
+            4, num_components=8, dim=39, rng=np.random.default_rng(42)
+        )
+        table = pool.gaussian_table()
+        obs = np.random.default_rng(42).normal(size=39)
+        unit = OpUnit(OpUnitSpec())
+        unit.load_feature(obs)
+        threshold = unit.score_senone(table, senone) - margin
+        unit.reset_counters()
+        unit.load_feature(obs)
+        unit.score_senone(table, senone, prune_threshold=threshold)
+
+        diff = obs.astype(np.float32) - table.means[senone]
+        terms = diff * diff * table.precisions[senone]  # float32, (M, L)
+        partial = np.cumsum(terms, axis=1, dtype=np.float32)
+        dims = finished = 0
+        for k in range(table.num_components):
+            below = np.flatnonzero(
+                float(table.offsets[senone, k]) + partial[k].astype(np.float64)
+                < threshold
+            )
+            dims += below[0] + 1 if below.size else table.feature_dim
+            finished += below.size == 0
+        act = unit.activity()
+        assert unit.dims_evaluated == act["sdm_ops"] == act["add_ops"] == dims
+        assert act["compare_ops"] == dims + 1
+        assert act["fma_ops"] == act["gaussians"] == finished
+        if margin == 1e3:
+            assert finished == table.num_components
+
     def test_pde_reduces_cycles(self, small_pool, rng):
         unit = OpUnit(OpUnitSpec(feature_dim=small_pool.dim))
         table = small_pool.gaussian_table()
@@ -252,6 +313,13 @@ class TestBatchScoring:
             unit.score_frame(
                 table, rng.normal(size=table.feature_dim), np.array([999999])
             )
+
+    def test_negative_active_rejected_before_any_charge(self, unit_and_table, rng):
+        unit, table = unit_and_table
+        with pytest.raises(IndexError):
+            unit.score_frame(table, rng.normal(size=table.feature_dim), np.array([0, -1]))
+        assert unit.cycles_busy == 0
+        assert unit.activity()["sdm_ops"] == 0
 
     def test_activity_snapshot(self, unit_and_table, rng):
         unit, table = unit_and_table

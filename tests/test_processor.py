@@ -1,81 +1,56 @@
-"""Tests for repro.core.processor."""
+"""The embedded core's share of a decode (repro.core.soc): the software
+stages priced by ``CORE_COSTS`` against the 200 MHz clock."""
 
 import pytest
 
-from repro.core.processor import EmbeddedProcessor, SoftwareCosts
+from repro.core.soc import CORE_CLOCK_HZ, CORE_COSTS, SoftwareCosts
 
 
 class TestCharging:
-    def test_named_stage_accumulates(self):
-        cpu = EmbeddedProcessor()
-        cpu.charge("frontend", 1000)
-        cpu.charge("frontend", 500)
-        assert cpu.total_cycles == 1500
-        stage = cpu.stages()[0]
-        assert stage.invocations == 2
-
-    def test_convenience_wrappers(self):
-        cpu = EmbeddedProcessor()
-        cpu.charge_frontend(frames=2)
-        cpu.charge_word_decode(active_words=100)
-        cpu.charge_lattice(entries=10)
-        cpu.charge_best_path(edges=10)
-        cpu.charge_feedback(phones=50)
-        costs = cpu.costs
-        expected = (
-            2 * costs.frontend_per_frame
-            + costs.word_decode_base_per_frame
-            + 100 * costs.word_decode_per_active_word
-            + 10 * costs.lattice_insert
-            + 10 * costs.best_path_per_edge
-            + 50 * costs.feedback_per_phone
-        )
-        assert cpu.total_cycles == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EmbeddedProcessor().charge("x", -1)
-
-    def test_rejects_bad_clock(self):
-        with pytest.raises(ValueError):
-            EmbeddedProcessor(clock_hz=0)
+    def test_convenience_wrappers(self, soc, task):
+        """Word decode and feedback per frame, lattice and best path per
+        lattice entry; no frontend for pre-extracted features."""
+        report = soc.decode_features(task.corpus.test[0].features)
+        result = report.recognition
+        costs = CORE_COSTS
+        expected = sum(
+            costs.word_decode_base_per_frame
+            + max(stats.active_states // 3, 1) * costs.word_decode_per_active_word
+            + stats.requested_senones * costs.feedback_per_phone
+            for stats in result.frame_stats
+        ) + result.lattice_size * (costs.lattice_insert + costs.best_path_per_edge)
+        busy_s = report.processor_utilization * result.audio_seconds
+        assert busy_s * CORE_CLOCK_HZ == pytest.approx(expected)
 
 
 class TestUtilization:
-    def test_busy_seconds(self):
-        cpu = EmbeddedProcessor(clock_hz=100e6)
-        cpu.charge("x", 50_000_000)
-        assert cpu.busy_seconds() == pytest.approx(0.5)
-
-    def test_utilization(self):
-        cpu = EmbeddedProcessor(clock_hz=100e6)
-        cpu.charge("x", 10_000_000)
-        assert cpu.utilization(1.0) == pytest.approx(0.1)
-
-    def test_utilization_rejects_zero_elapsed(self):
-        with pytest.raises(ValueError):
-            EmbeddedProcessor().utilization(0.0)
+    def test_utilization(self, soc, tiny_waveform):
+        """Audio in adds the frontend's frames to the same decode."""
+        _, waveform = tiny_waveform
+        audio = soc.decode_waveform(waveform)
+        features = soc.frontend.extract(waveform)
+        feats = soc.decode_features(features)
+        frames = features.shape[0]
+        assert audio.words == feats.words
+        frontend = frames * CORE_COSTS.frontend_per_frame / CORE_CLOCK_HZ
+        seconds = audio.recognition.audio_seconds
+        assert audio.processor_utilization == pytest.approx(
+            feats.processor_utilization + frontend / seconds
+        )
 
     def test_frontend_is_lightweight(self):
         """Section III-A: the frontend 'is a lightweight process'."""
-        cpu = EmbeddedProcessor()
-        cpu.charge_frontend(frames=100)  # one second of audio
-        assert cpu.utilization(1.0) < 0.05
-
-    def test_reset_and_format(self):
-        cpu = EmbeddedProcessor()
-        cpu.charge_frontend()
-        assert "frontend" in cpu.format()
-        cpu.reset()
-        assert cpu.total_cycles == 0
-
-    def test_stages_sorted_by_cost(self):
-        cpu = EmbeddedProcessor()
-        cpu.charge("small", 10)
-        cpu.charge("big", 1000)
-        assert cpu.stages()[0].name == "big"
+        one_second = 100 * CORE_COSTS.frontend_per_frame  # 100 frames
+        assert one_second / CORE_CLOCK_HZ < 0.05
 
     def test_costs_frozen(self):
-        costs = SoftwareCosts()
         with pytest.raises(Exception):
-            costs.frontend_per_frame = 0  # type: ignore[misc]
+            CORE_COSTS.frontend_per_frame = 0  # type: ignore[misc]
+        assert CORE_COSTS == SoftwareCosts(
+            frontend_per_frame=60_000,
+            word_decode_per_active_word=220,
+            word_decode_base_per_frame=8_000,
+            lattice_insert=400,
+            best_path_per_edge=90,
+            feedback_per_phone=25,
+        )

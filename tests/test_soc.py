@@ -1,15 +1,9 @@
 """Tests for repro.core.soc — the assembled system."""
 
-import numpy as np
 import pytest
 
 from repro.core.soc import SpeechSoC
-from repro.quant.float_formats import MANTISSA_12
-
-
-@pytest.fixture(scope="module")
-def soc(task):
-    return SpeechSoC(task.dictionary, task.pool, task.lm, task.tying)
+from repro.quant.float_formats import IEEE_SINGLE, MANTISSA_12
 
 
 class TestDecode:
@@ -18,18 +12,24 @@ class TestDecode:
         report = soc.decode_features(utt.features)
         assert report.words == tuple(utt.words)
 
-    def test_decode_waveform_end_to_end(self, task):
+    def test_decode_waveform_end_to_end(self, task, tiny_waveform):
         """Audio in, words out — the full Figure 1 pipeline."""
-        from repro.workloads.corpus import _realize_sentence
-        from repro.workloads.synthesizer import PhoneSynthesizer
-
         soc = SpeechSoC(task.dictionary, task.pool, task.lm, task.tying)
-        rng = np.random.default_rng(99)
-        synth = PhoneSynthesizer(task.corpus.phone_set)
-        words = list(task.corpus.test[0].words[:2])
-        waveform, _ = _realize_sentence(words, task.dictionary, synth, rng)
+        words, waveform = tiny_waveform
         report = soc.decode_waveform(waveform)
         assert report.words == tuple(words)
+
+    def test_a_repeated_waveform_reports_the_same(self, task, tiny_waveform):
+        """Nothing carries over between decodes: the second report of
+        the same audio on one SoC is the first one again, and the core
+        reads 3.5 % busy both times."""
+        soc = SpeechSoC(task.dictionary, task.pool, task.lm, task.tying)
+        _, waveform = tiny_waveform
+        first = soc.decode_waveform(waveform)
+        second = soc.decode_waveform(waveform)
+        assert first.processor_utilization == pytest.approx(0.0350, abs=5e-5)
+        assert second.processor_utilization == first.processor_utilization
+        assert second == first
 
     def test_real_time_on_tiny_task(self, soc, task):
         report = soc.decode_features(task.corpus.test[0].features)
@@ -51,10 +51,11 @@ class TestDecode:
         report = soc.decode_features(task.corpus.test[0].features)
         assert 0 < report.peak_bandwidth_gbps < soc.worst_case_bandwidth_gbps()
 
-    def test_flash_regions(self, soc):
-        assert set(soc.flash.regions()[0].name.split()) # non-empty names
-        names = {r.name for r in soc.flash.regions()}
-        assert names == {"acoustic-model", "dictionary", "language-model"}
+    def test_flash_regions(self, soc, task):
+        names = ["acoustic-model", "dictionary", "language-model"]
+        assert list(soc.flash_footprint_mb) == names
+        report = soc.decode_features(task.corpus.test[0].features)
+        assert report.flash_footprint_mb == soc.flash_footprint_mb
 
     def test_area_scales_with_structures(self, task):
         one = SpeechSoC(task.dictionary, task.pool, task.lm, task.tying,
@@ -75,8 +76,8 @@ class TestConfiguration:
             task.dictionary, task.pool, task.lm, task.tying,
             storage_format=MANTISSA_12,
         )
-        wide_mb = wide.flash.region("acoustic-model").num_bytes
-        narrow_mb = narrow.flash.region("acoustic-model").num_bytes
+        wide_mb = wide.flash_footprint_mb["acoustic-model"]
+        narrow_mb = narrow.flash_footprint_mb["acoustic-model"]
         assert narrow_mb == pytest.approx(wide_mb * 21 / 32)
 
     def test_clock_gating_saves_energy(self, task):
@@ -97,3 +98,24 @@ class TestConfiguration:
     def test_worst_case_bandwidth_formula(self, soc, task):
         expected = task.pool.storage_bytes() / 0.010 / 1e9
         assert soc.worst_case_bandwidth_gbps() == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("storage", [IEEE_SINGLE, MANTISSA_12], ids=["ieee", "m12"])
+@pytest.mark.parametrize("structures", [1, 2])
+@pytest.mark.parametrize("entry", ["features", "waveform"])
+def test_a_report_is_a_function_of_its_decode(
+    task, tiny_waveform, entry, structures, storage
+):
+    """Other decodes in between change nothing: an input reads the
+    report a fresh SoC gives it."""
+    soc = SpeechSoC(task.dictionary, task.pool, task.lm, task.tying,
+                    num_structures=structures, storage_format=storage)
+    _, waveform = tiny_waveform
+    if entry == "features":
+        decode, source = soc.decode_features, task.corpus.test[0].features
+    else:
+        decode, source = soc.decode_waveform, waveform
+    first = decode(source)
+    soc.decode_features(task.corpus.test[1].features)
+    soc.decode_waveform(waveform)
+    assert decode(source) == first

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.wer import ErrorCounts, align_words, corpus_wer, word_error_rate
+from repro.eval.wer import ErrorCounts, align_words, corpus_wer
 
 _WORDS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)
 
@@ -70,10 +70,6 @@ class TestErrorCounts:
     def test_corpus_length_mismatch(self):
         with pytest.raises(ValueError):
             corpus_wer([["a"]], [])
-
-    def test_word_error_rate_helper(self):
-        assert word_error_rate(["a", "b"], ["a", "b"]) == 0.0
-        assert word_error_rate(["a", "b"], ["a"]) == 0.5
 
 
 @given(_WORDS, _WORDS)

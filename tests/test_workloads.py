@@ -7,7 +7,7 @@ from repro.lexicon.g2p import spelling_to_phones
 from repro.lexicon.phones import default_phone_set
 from repro.workloads.corpus import CorpusConfig, build_corpus, monophone_hmms
 from repro.workloads.synthesizer import PhoneSynthesizer, SynthesisConfig
-from repro.workloads.wordgen import generate_vocabulary, generate_words
+from repro.workloads.wordgen import generate_words
 from repro.lexicon.triphone import SenoneTying
 
 
@@ -90,10 +90,6 @@ class TestWordGen:
         mean_short = np.mean([len(p) for p in short.values()])
         mean_long = np.mean([len(p) for p in long.values()])
         assert mean_long > 2 * mean_short
-
-    def test_vocabulary_sorted(self):
-        vocab = generate_vocabulary(30, seed=6)
-        assert vocab == sorted(vocab)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
