@@ -25,6 +25,7 @@ from repro.core.power import AreaTable, PowerModel, PowerReport
 from repro.decoder.recognizer import RecognitionResult, Recognizer
 from repro.eval.realtime import RealTimeReport, analyze_unit_cycles
 from repro.frontend.features import Frontend
+from repro.hmm.acoustic_model import AcousticModel
 from repro.hmm.senone import SenonePool
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.triphone import SenoneTying
@@ -152,7 +153,6 @@ class SpeechSoC:
         self.flash_footprint_mb = {
             name: num_bytes / MB for name, num_bytes in flash_bytes.items()
         }
-        self._model_bytes = flash_bytes["acoustic-model"]
         self.storage_format = storage_format
         self.frontend = Frontend()
         self.recognizer = Recognizer.create(
@@ -239,5 +239,10 @@ class SpeechSoC:
 
     # ------------------------------------------------------------------
     def worst_case_bandwidth_gbps(self) -> float:
-        """All senones streamed every frame (the paper's worst case)."""
-        return self._model_bytes / self.recognizer.frame_period_s / 1e9
+        """All senones streamed every frame (the paper's worst case,
+        :meth:`~repro.hmm.acoustic_model.AcousticModel.worst_case_bandwidth`
+        at the decoder's frame period)."""
+        model = AcousticModel(
+            self.recognizer.pool, frame_period_s=self.recognizer.frame_period_s
+        )
+        return model.worst_case_bandwidth(self.storage_format) / 1e9

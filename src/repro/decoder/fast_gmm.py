@@ -223,9 +223,9 @@ class FastGmmModel:
         self.ci_parent: np.ndarray | None = None
         if self.config.ci_selection_enabled:
             assert tying is not None
-            self.ci_parent = np.array(
-                [tying.ci_parent(s) for s in range(pool.num_senones)], dtype=np.int64
-            )
+            # A pool past the tying's budget raises IndexError, as a
+            # senone out of ``ci_parent``'s range does.
+            self.ci_parent = tying.ci_parents().take(np.arange(pool.num_senones))
             # The parents are few: ``ci_ids`` lists them ascending and
             # ``ci_rank`` maps a senone to its parent's place in that
             # list, so per-lane parent tables are (B, C), not (B, N).
@@ -259,22 +259,10 @@ class FastGmmModel:
             data = self.pool.means.reshape(-1, self.pool.dim)
         codewords = min(cfg.gs_codebook_size, data.shape[0])
         self.codebook = kmeans(data, codewords, self._rng, iterations=6)
-        # Component density of each codeword centre, per senone, a
-        # block of senones at a time: the whole (C, N, M, L) grid would
-        # be 120 M values at the paper's 6000 x 8 x 39.
-        means, precisions, offsets = self.pool.means, self.precisions, self.offsets
-        num_senones, m, dim = means.shape
-        g = min(cfg.gs_shortlist, m)
-        self.shortlist = np.empty((codewords, num_senones, g), dtype=np.intp)
-        blocks = list(row_blocks(num_senones, m * dim))
-        for c, centre in enumerate(self.codebook):
-            for rows in blocks:
-                quad = centre - means[rows]
-                np.square(quad, out=quad)
-                quad *= precisions[rows]
-                comp = quad.sum(axis=-1)
-                comp += offsets[rows]  # (b, M)
-                self.shortlist[c, rows] = np.argsort(comp, axis=-1)[:, ::-1][:, :g]
+        g = min(cfg.gs_shortlist, self.pool.num_components)
+        self.shortlist = _shortlists(
+            self.codebook, self.pool.means, self.precisions, self.offsets, g
+        )
 
     # ------------------------------------------------------------------
     def codewords_for(self, observations: np.ndarray) -> np.ndarray:
@@ -384,6 +372,117 @@ def _check_codebook_data(data, dim: int) -> np.ndarray:
     if not np.isfinite(data).all():
         raise ValueError(f"codebook_data of shape {data.shape} has non-finite values")
     return data
+
+
+#: Below these magnitudes -- every shifted codeword and mean entry, and
+#: every absolute product ``R`` of :func:`_shortlists` -- no sum or
+#: product of the build's two products or of the exact density overflows.
+_ENTRY_LIMIT = 2.0**500
+_PRODUCT_LIMIT = 2.0**1000
+
+
+def _shortlists(
+    codebook: np.ndarray,
+    means: np.ndarray,
+    precisions: np.ndarray,
+    offsets: np.ndarray,
+    g: int,
+) -> np.ndarray:
+    """Each codeword's top ``g`` components per senone, ``(C, N, g)``.
+
+    The answer is bit for bit ``argsort(exact)[::-1][:g]`` of each
+    (codeword, senone)'s M exact densities ``exact = ((c - mu) ** 2 *
+    prec).sum() + offset`` -- the order ``score_items`` folds a
+    shortlist in -- but an exact density is computed only where that
+    order is in doubt.  Around the mean of means ``z`` (``a = c - z``,
+    ``b = mu - z``, ``q = prec = -1/(2 sigma^2)``, ``o = offset``) a
+    density is ONE dot product of the codeword's ``[a^2, a, 1]`` with
+    the component's ``[q | -2 q b | sum q b^2 + o]`` (the expansion of
+    :class:`~repro.hmm.senone.BlasTables`, built here a block at a time
+    and never cached), so one product per
+    :func:`~repro.hmm.train.row_blocks` block of senones gives
+    ``approx`` for every codeword and component.  A second product, of
+    ``[a^2, |a|, 1]`` with the absolute terms ``[|q| | 2 |q b| | sum |q|
+    b^2 + |o|]`` summed over the senone's M components, gives an ``R``
+    at least each component's ``sum (|a| + |b|)^2 |q| + |o|`` (to
+    rounding), and::
+
+        B = 2 (2L + 8) eps R + tiny  >=  |approx - exact|
+
+    for every component, whatever the summation order or BLAS thread
+    count (gamma bounds, ``u = eps / 2``): ``approx`` is within
+    ``gamma_(3L+6) R`` of the real ``sum (a - b)^2 q + o`` (a dot
+    product of ``2L + 1`` terms whose entries carry the table's own
+    roundings), which is within ``3u R`` of the real density at
+    ``c - mu`` (``a`` and ``b`` are rounded shifts), which is within
+    ``gamma_(L+4) R`` of ``exact``: ``(4L + 14) u`` in all, and the
+    factor two covers the roundings of ``R``, of ``B`` and of the gaps
+    below.  ``tiny`` (``2**-1022``) covers the products that underflow.
+    Where the last ``g + 1`` of a pair's M sorted approximations (all M
+    when ``g >= M``) each lie more than ``2 B`` above the one before,
+    the exact densities keep that order strictly and every other
+    component's lies below them, so the sorted approximations' last
+    ``g``, reversed, ARE the answer (with no tie for the ``argsort`` to
+    break).  Every other pair -- and every pair whose ``R`` reaches
+    ``2**1000`` or whose ``a`` or ``b`` has an entry of ``2**500`` (past
+    them a sum could overflow), or where a value is not finite (every
+    comparison fails) -- has its M exact densities computed as before
+    and sorted by the same ``argsort``.
+    """
+    codewords = codebook.shape[0]
+    num_senones, m, dim = means.shape
+    width = 2 * dim + 1
+    shortlist = np.empty((codewords, num_senones, g), dtype=np.intp)
+    rel = 2 * (2 * dim + 8) * np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).tiny
+    centre = means.reshape(-1, dim).mean(axis=0)
+    shifted = codebook - centre
+    words = np.empty((codewords, width))  # [a^2, a, 1]
+    np.square(shifted, out=words[:, :dim])
+    words[:, dim:-1] = shifted
+    words[:, -1] = 1.0
+    words_abs = np.abs(words)
+    words_in_range = np.abs(shifted).max() < _ENTRY_LIMIT
+    top = m - min(g + 1, m)  # where the sorted last g + 1 start
+    for rows in row_blocks(num_senones, m * max(codewords, width)):
+        b = means[rows].reshape(-1, dim) - centre
+        q = precisions[rows].reshape(-1, dim)
+        table = np.empty((b.shape[0], width))  # [q | -2 q b | const]
+        table[:, :dim] = q
+        qb = table[:, dim:-1]
+        np.multiply(q, b, out=qb)
+        qbb = np.einsum("ij,ij->i", qb, b)  # sum q b^2 (<= 0: q < 0)
+        qb *= -2.0
+        const = offsets[rows].ravel()
+        np.add(qbb, const, out=table[:, -1])
+        approx = (words @ table.T).reshape(codewords, -1, m)
+        # The absolute terms, summed over each senone's M components:
+        # one (C, b) product bounds them all.
+        np.abs(table, out=table)
+        np.subtract(np.abs(const), qbb, out=table[:, -1])
+        reach = words_abs @ table.reshape(-1, m, width).sum(axis=1).T
+        order = np.argsort(approx, axis=-1)
+        shortlist[:, rows] = order[..., ::-1][..., :g]
+        firsts = np.arange(0, approx.size, m).reshape(codewords, -1, 1)
+        gaps = np.diff(approx.take(order[..., top:] + firsts), axis=-1)
+        bound = rel * reach
+        bound += tiny
+        bound *= 2.0
+        sure = (gaps > bound[..., None]).all(axis=-1)
+        sure &= reach <= _PRODUCT_LIMIT
+        if not (words_in_range and np.abs(b).max() < _ENTRY_LIMIT):
+            sure[...] = False
+        word, senone = np.nonzero(~sure)
+        senone += rows.start
+        for part in row_blocks(word.size, m * dim):
+            quad = codebook[word[part], None, :] - means[senone[part]]
+            np.square(quad, out=quad)
+            quad *= precisions[senone[part]]
+            comp = quad.sum(axis=-1)
+            comp += offsets[senone[part]]
+            exact = np.argsort(comp, axis=-1)[:, ::-1][:, :g]
+            shortlist[word[part], senone[part]] = exact
+    return shortlist
 
 
 def equivalent_activity(

@@ -42,7 +42,7 @@ from repro.decoder.word_decode import DecoderConfig
 from repro.hmm.topology import HmmTopology
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.phones import SILENCE
-from repro.lexicon.triphone import SenoneTying, Triphone
+from repro.lexicon.triphone import SenoneTying
 
 __all__ = ["TreeLexiconNetwork", "prime_tree_entry"]
 
@@ -130,67 +130,75 @@ class TreeLexiconNetwork:
         if not words:
             raise ValueError("dictionary is empty")
 
-        senone_ids: list[int] = []
-        pred_state: list[int] = []
-        is_root: list[bool] = []
-        leaf_word: list[int] = []
-        # node key -> index of the node's *last* state.
-        node_last_state: dict[tuple[int, str, str], int] = {}
+        # One row per tree node, in creation order: its parent node (-1
+        # at a root), its triphone as phone indices, and the word whose
+        # leaf it is (-1: none).  Node n owns states [n * S, (n + 1) * S).
+        index = tying.phone_indices
+        sil = index((SILENCE,))[0]
+        parent: list[int] = []
+        lefts: list[int] = []
+        bases: list[int] = []
+        rights: list[int] = []
+        leaf: list[int] = []
+        node_of: dict[tuple[int, int, int], int] = {}  # (parent, base, right)
         flat_equivalent = 0
 
-        def add_node(parent_last: int, left: str, base: str, right: str) -> int:
-            """Materialise one tree node (``states`` HMM states)."""
-            tri = Triphone(base=base, left=left, right=right)
-            ids = tying.senone_ids(tri)
-            first = len(senone_ids)
-            for k, sid in enumerate(ids):
-                senone_ids.append(sid)
-                pred_state.append(parent_last if k == 0 else first + k - 1)
-                is_root.append(k == 0 and parent_last < 0)
-                leaf_word.append(-1)
-            return first + states - 1
-
         for w, word in enumerate(words):
-            phones = dictionary.pronunciation(word)
+            phones = index(dictionary.pronunciation(word))
             flat_equivalent += len(phones) * states
-            parent_last = -1
-            parent_base = SILENCE
+            node, left = -1, sil
             for i, base in enumerate(phones):
-                right = phones[i + 1] if i + 1 < len(phones) else SILENCE
-                key = (parent_last, base, right)
-                if key in node_last_state:
-                    last = node_last_state[key]
-                else:
-                    last = add_node(parent_last, parent_base, base, right)
-                    node_last_state[key] = last
-                parent_last = last
-                parent_base = base
-            if leaf_word[parent_last] >= 0 and leaf_word[parent_last] != w:
+                right = phones[i + 1] if i + 1 < len(phones) else sil
+                key = (node, base, right)
+                child = node_of.get(key)
+                if child is None:
+                    child = node_of[key] = len(bases)
+                    parent.append(node)
+                    lefts.append(left)
+                    bases.append(base)
+                    rights.append(right)
+                    leaf.append(-1)
+                node, left = child, base
+            if leaf[node] >= 0 and leaf[node] != w:
                 raise ValueError(
-                    f"homophone collision: {words[leaf_word[parent_last]]!r} "
+                    f"homophone collision: {words[leaf[node]]!r} "
                     f"and {word!r} share a pronunciation"
                 )
-            leaf_word[parent_last] = w
+            leaf[node] = w
 
         silence_word = -1
         if include_silence:
             silence_word = len(words)
             flat_equivalent += states
-            last = add_node(-1, SILENCE, SILENCE, SILENCE)
-            leaf_word[last] = silence_word
+            parent.append(-1)
+            lefts.append(sil)
+            bases.append(sil)
+            rights.append(sil)
+            leaf.append(silence_word)
 
-        k = len(senone_ids)
+        # Every node's states in one pass: the first state follows its
+        # parent's last, the others their own node's previous state.
+        senone_id = tying.senone_table(bases, lefts, rights).ravel()
+        k = senone_id.size
+        parent_node = np.asarray(parent, dtype=np.int64)
+        roots = parent_node < 0
+        pred_state = np.arange(-1, k - 1).reshape(-1, states)
+        pred_state[:, 0] = np.where(roots, -1, parent_node * states + states - 1)
+        is_root = np.zeros((len(parent), states), dtype=bool)
+        is_root[:, 0] = roots
+        leaf_word = np.full((len(parent), states), -1, dtype=np.int64)
+        leaf_word[:, -1] = leaf
         return cls(
             words=words,
-            senone_id=np.asarray(senone_ids, dtype=np.int64),
+            senone_id=senone_id,
             self_logp=np.full(k, self_lp, dtype=np.float32),
-            pred_state=np.asarray(pred_state, dtype=np.int64),
+            pred_state=pred_state.ravel(),
             pred_logp=np.full(k, fwd_lp, dtype=np.float32),
-            is_root_start=np.asarray(is_root, dtype=bool),
-            leaf_word=np.asarray(leaf_word, dtype=np.int64),
+            is_root_start=is_root.ravel(),
+            leaf_word=leaf_word.ravel(),
             exit_logp=np.full(k, fwd_lp, dtype=np.float32),
             num_senones=tying.num_senones,
             silence_word=silence_word,
-            num_nodes=len(node_last_state) + (1 if include_silence else 0),
+            num_nodes=len(parent),
             flat_states_equivalent=flat_equivalent,
         )

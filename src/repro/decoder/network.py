@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.lexicon.dictionary import PronunciationDictionary
 from repro.lexicon.phones import SILENCE
-from repro.lexicon.triphone import SenoneTying, word_to_triphones
+from repro.lexicon.triphone import SenoneTying, Triphone, word_to_triphones
 from repro.hmm.topology import HmmTopology
 
 __all__ = ["FlatLexiconNetwork"]
@@ -116,41 +116,42 @@ class FlatLexiconNetwork:
         words = dictionary.words()
         if not words:
             raise ValueError("dictionary is empty")
-        senone_ids: list[int] = []
-        word_of_state: list[int] = []
-        is_start: list[bool] = []
-        start_state: list[int] = []
-        end_state: list[int] = []
+        # One row per phone of every word, in order; silence is one
+        # more (CI) triphone.  Their states' senone IDs are one pass.
+        triphones: list[Triphone] = []
+        phone_counts: list[int] = []
         phones_per_word: dict[str, int] = {}
-        for w, word in enumerate(words):
+        for word in words:
             phones = dictionary.pronunciation(word)
             phones_per_word[word] = len(phones)
-            start_state.append(len(senone_ids))
-            for tri in word_to_triphones(phones):
-                for sid in tying.senone_ids(tri):
-                    is_start.append(len(senone_ids) == start_state[-1])
-                    senone_ids.append(sid)
-                    word_of_state.append(w)
-            end_state.append(len(senone_ids) - 1)
+            phone_counts.append(len(phones))
+            triphones.extend(word_to_triphones(phones))
         silence_word = -1
         if include_silence:
             silence_word = len(words)
-            start_state.append(len(senone_ids))
-            for state in range(tying.states_per_hmm):
-                is_start.append(state == 0)
-                senone_ids.append(tying.ci_senone(SILENCE, state))
-                word_of_state.append(silence_word)
-            end_state.append(len(senone_ids) - 1)
-        k = len(senone_ids)
+            phone_counts.append(1)
+            triphones.append(Triphone(base=SILENCE, left=SILENCE, right=SILENCE))
+        index = tying.phone_indices
+        senone_id = tying.senone_table(
+            index(t.base for t in triphones),
+            index(t.left for t in triphones),
+            index(t.right for t in triphones),
+        ).ravel()
+        k = senone_id.size
+        state_counts = np.asarray(phone_counts, dtype=np.int64) * tying.states_per_hmm
+        end_state = np.cumsum(state_counts) - 1
+        start_state = end_state - state_counts + 1
+        is_start = np.zeros(k, dtype=bool)
+        is_start[start_state] = True
         return cls(
             words=words,
-            senone_id=np.asarray(senone_ids, dtype=np.int64),
+            senone_id=senone_id,
             self_logp=np.full(k, self_lp, dtype=np.float32),
             fwd_logp=np.full(k, fwd_lp, dtype=np.float32),
-            word_of_state=np.asarray(word_of_state, dtype=np.int64),
-            is_start=np.asarray(is_start, dtype=bool),
-            start_state=np.asarray(start_state, dtype=np.int64),
-            end_state=np.asarray(end_state, dtype=np.int64),
+            word_of_state=np.repeat(np.arange(len(state_counts)), state_counts),
+            is_start=is_start,
+            start_state=start_state,
+            end_state=end_state,
             num_senones=tying.num_senones,
             silence_word=silence_word,
             phones_per_word=phones_per_word,

@@ -41,9 +41,9 @@ __all__ = [
 _WEIGHT_FLOOR = 1e-3
 
 #: Float64 values per temporary when a build-time distance grid (the
-#: k-means prefilter here, the fast-GMM shortlists) is computed a block
-#: of rows at a time: 2 MB, so a block stays in cache and the build's
-#: transient memory does not grow with the model.
+#: k-means prefilter and EM's E step here, the fast-GMM shortlists) is
+#: computed a block of rows at a time: 2 MB, so a block stays in cache
+#: and the build's transient memory does not grow with the model.
 GRID_BLOCK_ELEMENTS = 1 << 18
 
 #: :func:`kmeans` refuses frames with a larger squared norm: below it no
@@ -233,12 +233,20 @@ def fit_gmm(
     means = kmeans(data, k, rng)
     variances = np.tile(np.maximum(data.var(axis=0), VARIANCE_FLOOR), (k, 1))
     weights = np.full(k, 1.0 / k)
+    comp = np.empty((n, k))
     for _ in range(iterations):
-        # E step: responsibilities in the log domain.
+        # E step: responsibilities in the log domain.  The (n, k, L)
+        # quadratic terms run a row_blocks block at a time; each density
+        # is a last-axis sum over its own row, so blocking moves no bit.
         prec = -0.5 / variances
         norm = -0.5 * (dim * np.log(2 * np.pi) + np.log(variances).sum(axis=1))
-        diff = data[:, None, :] - means[None]
-        comp = (diff * diff * prec[None]).sum(axis=2) + norm[None] + np.log(weights)[None]
+        for rows in row_blocks(n, k * dim):
+            quad = data[rows, None, :] - means
+            np.square(quad, out=quad)
+            quad *= prec
+            quad.sum(axis=2, out=comp[rows])
+        comp += norm
+        comp += np.log(weights)
         peak = comp.max(axis=1, keepdims=True)
         resp = np.exp(comp - peak)
         resp /= resp.sum(axis=1, keepdims=True)

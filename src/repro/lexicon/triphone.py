@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.lexicon.phones import PhoneClass, PhoneSet, SILENCE, default_phone_set
 
 __all__ = ["Triphone", "word_to_triphones", "SenoneTying"]
@@ -109,6 +111,20 @@ class SenoneTying:
         # budget arithmetic to stay simple and predictable).
         self._cd_per_slot = (num_senones - ci_count) // ci_count
         self._ci_count = ci_count
+        # Per-phone tables, by phone index: what the tying formula reads.
+        self._index = {p.name: p.index for p in self.phone_set}
+        self._class = np.array(
+            [self.phone_set.class_index(p.name) for p in self.phone_set]
+        )
+        self._silent = np.array([p.is_silence for p in self.phone_set])
+        parents = np.arange(num_senones)
+        cd = parents[ci_count:]
+        if self._cd_per_slot:
+            cd -= ci_count
+            cd //= self._cd_per_slot
+        np.minimum(cd, ci_count - 1, out=cd)
+        parents.flags.writeable = False
+        self._parents = parents
 
     @property
     def ci_senones(self) -> int:
@@ -121,45 +137,65 @@ class SenoneTying:
         p = self.phone_set.phone(phone)
         return p.index * self.states_per_hmm + state
 
-    def senone(self, triphone: Triphone, state: int) -> int:
-        """Tied senone ID of one triphone state.
+    def phone_indices(self, phones) -> list[int]:
+        """The phone-set index of each name (``KeyError`` for an
+        unknown one)."""
+        index = self._index
+        try:
+            return [index[name] for name in phones]
+        except KeyError as exc:
+            raise KeyError(f"unknown phone {exc.args[0]!r}") from None
 
-        Silence and other SILENCE-class bases are context-independent
-        by construction.  With a zero CD budget everything collapses to
-        the CI senones (a pure monophone system).
+    def senone_table(self, base, left, right) -> np.ndarray:
+        """Tied senone IDs of every state of many triphones at once:
+        ``(n, states_per_hmm)`` from their base / left / right phone
+        indices (:meth:`phone_indices`), each ``(n,)``.
+
+        This is the one spelling of the tying formula.  Silence and
+        other SILENCE-class bases are context-independent by
+        construction; with a zero CD budget everything collapses to the
+        CI senones (a pure monophone system).
         """
-        self._check_state(state)
-        base = self.phone_set.phone(triphone.base)
-        ci = self.ci_senone(triphone.base, state)
-        if base.is_silence or self._cd_per_slot == 0:
+        base = np.asarray(base, dtype=np.int64)[:, None]
+        ci = base * self.states_per_hmm + np.arange(self.states_per_hmm)
+        if self._cd_per_slot == 0:
             return ci
-        left = self.phone_set.class_index(triphone.left)
-        right = self.phone_set.class_index(triphone.right)
-        cluster = (left * self._num_classes + right) % self._cd_per_slot
-        slot = base.index * self.states_per_hmm + state
-        return self._ci_count + slot * self._cd_per_slot + cluster
+        classes = self._class
+        cluster = classes.take(left) * self._num_classes
+        cluster += classes.take(right)
+        cluster %= self._cd_per_slot
+        cd = ci * self._cd_per_slot
+        cd += self._ci_count
+        cd += cluster[:, None]
+        return np.where(self._silent.take(base), ci, cd)
+
+    def senone(self, triphone: Triphone, state: int) -> int:
+        """Tied senone ID of one triphone state (:meth:`senone_table`)."""
+        self._check_state(state)
+        return self.senone_ids(triphone)[state]
 
     def senone_ids(self, triphone: Triphone) -> tuple[int, ...]:
         """All states' senone IDs for one triphone."""
-        return tuple(
-            self.senone(triphone, state) for state in range(self.states_per_hmm)
+        base, left, right = self.phone_indices(
+            (triphone.base, triphone.left, triphone.right)
         )
+        return tuple(self.senone_table([base], [left], [right])[0].tolist())
+
+    def ci_parents(self) -> np.ndarray:
+        """The CI parent of every senone ID, ``(num_senones,)`` int64,
+        read-only: the same phone and state (the fast-GMM layer-2
+        selection scores the parent first, and evaluates the CD senone
+        only if the parent looks alive).  IDs past the last full slot
+        are the unused budget remainder (never produced by
+        :meth:`senone_table`); they map to the final slot so bulk
+        ID-space sweeps stay total."""
+        return self._parents
 
     def ci_parent(self, senone_id: int) -> int:
-        """Map any senone to its CI parent (same phone & state).
-
-        Used by the fast-GMM layer-2 selection: score the CI parent
-        first, evaluate the CD senone only if the parent looks alive.
-        """
+        """Map any senone to its CI parent (:meth:`ci_parents`)."""
         if not 0 <= senone_id < self.num_senones:
             raise IndexError(f"senone {senone_id} out of range")
-        if senone_id < self._ci_count:
-            return senone_id
-        # IDs past the last full slot are the unused budget remainder
-        # (never produced by :meth:`senone`); clamp them to the final
-        # slot so bulk ID-space sweeps stay total.
-        slot = (senone_id - self._ci_count) // self._cd_per_slot
-        return min(slot, self._ci_count - 1)
+        return int(self._parents[senone_id])
 
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.states_per_hmm:

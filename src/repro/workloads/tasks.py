@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hmm.senone import SenonePool
 from repro.hmm.topology import HmmTopology
 from repro.hmm.train import TrainingConfig, train_senone_pool
@@ -218,9 +216,7 @@ def expand_to_context_dependent(
         num_senones=num_senones,
         states_per_hmm=task.tying.states_per_hmm,
     )
-    parents = np.array(
-        [cd_tying.ci_parent(s) for s in range(num_senones)], dtype=np.int64
-    )
+    parents = cd_tying.ci_parents()
     pool = task.pool
     cd_pool = SenonePool(
         pool.means[parents], pool.variances[parents], pool.weights[parents]

@@ -10,7 +10,9 @@ from repro.decoder.network import FlatLexiconNetwork
 from repro.decoder.recognizer import Recognizer
 from repro.hmm.topology import HmmTopology
 from repro.lexicon.dictionary import PronunciationDictionary
-from repro.lexicon.triphone import SenoneTying
+from repro.lexicon.phones import SILENCE
+from repro.lexicon.triphone import SenoneTying, Triphone
+from repro.workloads.wordgen import generate_words
 
 
 @pytest.fixture()
@@ -86,6 +88,45 @@ class TestBuild:
         tree = TreeLexiconNetwork.build(shared_dictionary, tying)
         assert tree.word_name(0) == tree.words[0]
         assert tree.word_name(tree.silence_word) == "<sil>"
+
+
+class TestTreeSenoneIds:
+    """The build ties every node's states in one array pass; each state
+    must hold what ``SenoneTying.senone`` gives its triphone and state,
+    found here by walking every word's leaf back to its root."""
+
+    @pytest.mark.parametrize("num_words", [600, 5000])
+    @pytest.mark.parametrize("num_senones", [6000, 1000, 51 * 3],
+                             ids=["cd6000", "cd1000", "zero_cd"])
+    def test_every_state_matches_per_state_tying(self, num_words, num_senones):
+        dictionary = PronunciationDictionary.from_pronunciations(
+            generate_words(num_words, seed=31)
+        )
+        tying = SenoneTying(num_senones=num_senones)
+        tree = TreeLexiconNetwork.build(dictionary, tying)
+        states = tying.states_per_hmm
+        ids = tree.senone_id.tolist()
+        pred = tree.pred_state.tolist()
+        checked = np.zeros(tree.num_states, dtype=bool)
+        for leaf in np.flatnonzero(tree.leaf_word >= 0).tolist():
+            w = int(tree.leaf_word[leaf])
+            phones = ((SILENCE,) if w == tree.silence_word
+                      else dictionary.pronunciation(tree.words[w]))
+            last = leaf
+            for i in range(len(phones) - 1, -1, -1):
+                tri = Triphone(
+                    base=phones[i],
+                    left=phones[i - 1] if i else SILENCE,
+                    right=phones[i + 1] if i + 1 < len(phones) else SILENCE,
+                )
+                for state in range(states - 1, -1, -1):
+                    if not checked[last]:
+                        assert ids[last] == tying.senone(tri, state)
+                        checked[last] = True
+                    last = pred[last]
+            assert last == -1  # the walk ended at a root
+        assert checked.all()
+        assert tree.has_silence
 
 
 class TestSilenceMask:

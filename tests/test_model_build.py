@@ -1,10 +1,12 @@
-"""The fast-GMM model build computes its distance grids a block of rows
-at a time (``repro.hmm.train.row_blocks``), and k-means finds each
-row's nearest centroid through a GEMM prefilter plus an exact recheck.
-These tests hold k-means and the VQ shortlists to the one-shot
-broadcast formulas they replaced, bit for bit, at several block sizes
-and on data built to break the prefilter's bound, and bound the build's
-peak memory."""
+"""The model build computes its distance grids a block of rows at a
+time (``repro.hmm.train.row_blocks``): k-means finds each row's nearest
+centroid through a GEMM prefilter plus an exact recheck, the VQ
+shortlists come from one product per block plus an exact recheck, and
+EM's E step scores a block of frames at a time.  These tests hold
+k-means, the shortlists and the GMM fit to the one-shot broadcast
+formulas they replaced, bit for bit, at several block sizes and on data
+built to break the products' bounds, and bound the build's peak
+memory."""
 
 import tracemalloc
 
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 
 import repro.hmm.train as train
 from repro.decoder.fast_gmm import FastGmmConfig, FastGmmModel
+from repro.hmm.gaussian import VARIANCE_FLOOR
 from repro.hmm.senone import SenonePool
-from repro.hmm.train import kmeans, row_blocks
+from repro.hmm.train import fit_gmm, kmeans, row_blocks
 
 
 def _kmeans_one_shot(frames, k, rng, iterations=10):
@@ -59,6 +62,35 @@ def _shortlist_one_shot(model):
     comp = (diff * diff * model.precisions[None]).sum(axis=-1) + model.offsets[None]
     g = min(model.config.gs_shortlist, pool.num_components)
     return np.argsort(comp, axis=-1)[..., ::-1][..., :g]
+
+
+def _fit_gmm_one_shot(frames, k, rng, iterations=8):
+    """The oracle: EM whose E step broadcasts the whole ``(n, k, L)``
+    grid at once (same k-means start)."""
+    data = np.asarray(frames, dtype=np.float64)
+    n, dim = data.shape
+    means = kmeans(data, k, rng)
+    variances = np.tile(np.maximum(data.var(axis=0), VARIANCE_FLOOR), (k, 1))
+    weights = np.full(k, 1.0 / k)
+    for _ in range(iterations):
+        prec = -0.5 / variances
+        norm = -0.5 * (dim * np.log(2 * np.pi) + np.log(variances).sum(axis=1))
+        diff = data[:, None, :] - means[None]
+        comp = (diff * diff * prec[None]).sum(axis=2) + norm[None] + np.log(weights)[None]
+        peak = comp.max(axis=1, keepdims=True)
+        resp = np.exp(comp - peak)
+        resp /= resp.sum(axis=1, keepdims=True)
+        counts = resp.sum(axis=0)
+        nonempty = counts > 1e-8
+        safe_counts = np.where(nonempty, counts, 1.0)
+        new_means = (resp.T @ data) / safe_counts[:, None]
+        sq = (resp.T @ (data * data)) / safe_counts[:, None]
+        new_vars = np.maximum(sq - new_means**2, VARIANCE_FLOOR)
+        means = np.where(nonempty[:, None], new_means, means)
+        variances = np.where(nonempty[:, None], new_vars, variances)
+        weights = np.maximum(counts / n, train._WEIGHT_FLOOR)
+        weights /= weights.sum()
+    return means, variances, weights
 
 
 def _same_bits(a, b):
@@ -195,6 +227,78 @@ class TestShortlistBits:
         assert _same_bits(model.shortlist, _shortlist_one_shot(model))
 
 
+def _adversarial_pool(kind, n, m, dim, seed):
+    """An ``n x m x dim`` pool of one adversarial family: components
+    whose densities tie exactly or nearly at some codeword, which is
+    where the product's rounding could flip the shortlist order."""
+    rng = np.random.default_rng(seed)
+    far = rng.choice([0.0, 1e3, 1e5])  # |c|^2-sized terms cancel ~10 digits
+    means = rng.normal(0.0, 2.0, size=(n, m, dim)) + far
+    variances = np.exp(rng.uniform(-1.0, 1.0, size=(n, m, dim)))
+    weights = rng.uniform(0.5, 1.5, size=(n, m))
+    if kind == "duplicates":  # exact copies of one component: exact ties
+        copy = rng.integers(m, size=m)
+        means, variances, weights = means[:, copy], variances[:, copy], weights[:, copy]
+    elif kind == "ulp":  # each component one ulp above the previous one
+        for j in range(1, m):
+            means[:, j] = np.nextafter(means[:, j - 1], np.inf)
+        variances[:] = variances[:, :1]
+        weights[:] = weights[:, :1]
+    elif kind == "zero_weights":  # log 0 = -inf offsets, tied among themselves
+        weights[:, rng.integers(m, size=m) > 0] = 0.0
+        weights[:, 0] = 1.0
+    elif kind == "variances":  # the floor and 1e6, mixed per dimension
+        variances = rng.choice([VARIANCE_FLOOR, 1e6], size=(n, m, dim))
+    return SenonePool(means, variances, weights / weights.sum(axis=1, keepdims=True))
+
+
+class TestShortlistAdversarial:
+    """The product path rechecks every (codeword, senone) whose order the
+    rounding bound leaves in doubt, so the shortlists equal the one-shot
+    grid's bit for bit whatever the pool."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["duplicates", "ulp", "zero_weights", "variances", "plain"]),
+        n=st.integers(1, 12),
+        m=st.integers(1, 5),
+        dim=st.integers(1, 6),
+        codewords=st.integers(1, 9),
+        shortlist=st.sampled_from(["1", "2", "M", "M+1"]),
+        given_data=st.booleans(),
+        seed=st.integers(0, 2**16),
+        block=st.sampled_from(BLOCKS),
+    )
+    def test_equals_the_one_shot_grid(
+        self, kind, n, m, dim, codewords, shortlist, given_data, seed, block
+    ):
+        pool = _adversarial_pool(kind, n, m, dim, seed)
+        g = {"1": 1, "2": 2, "M": m, "M+1": m + 1}[shortlist]
+        data = None
+        if given_data:  # frames at the means themselves and around them
+            rng = np.random.default_rng(seed + 1)
+            rows = pool.means.reshape(-1, dim)
+            data = np.vstack([rows, rows[rng.integers(rows.shape[0], size=8)]
+                              + rng.normal(0.0, 0.5, size=(8, dim))])
+        cfg = FastGmmConfig(gaussian_selection_enabled=True,
+                            gs_codebook_size=codewords, gs_shortlist=g)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(divide="ignore"):
+            patch.setattr(train, "GRID_BLOCK_ELEMENTS", block)
+            model = FastGmmModel(pool, config=cfg, codebook_data=data, seed=seed)
+        assert _same_bits(model.shortlist, _shortlist_one_shot(model))
+
+
+class TestFitGmmBits:
+    @pytest.mark.parametrize("n,k,dim", [(300, 4, 13), (40, 3, 39), (7, 2, 3)])
+    def test_blocked_matches_one_shot(self, block, n, k, dim):
+        data = np.random.default_rng(n).normal(size=(n, dim)) * [3.0] + 1.0
+        got = fit_gmm(data, k, np.random.default_rng(2), iterations=4)
+        want = _fit_gmm_one_shot(data, k, np.random.default_rng(2), iterations=4)
+        assert _same_bits(got.means, want[0])
+        assert _same_bits(got.variances, want[1])
+        assert _same_bits(got.weights, want[2])
+
+
 def test_build_peak_memory_is_bounded():
     """64 codewords x 1000 senones x 3 components x 39 dims (the
     ``bank_tree`` model): the one-shot grid alone was 60 MB."""
@@ -225,3 +329,20 @@ def test_kmeans_holds_no_row_by_centroid_grid():
         tracemalloc.stop()
     grid = n * k * 8
     assert peak < grid / 2, f"k-means peaked at {peak / 2**20:.1f} MB"
+
+
+def test_fit_gmm_holds_no_frame_by_component_grid():
+    """40 000 x 39 frames, 4 components (the global fallback fit's
+    shape at a few thousand utterances): one ``(n, k, L)`` grid is
+    50 MB and the one-shot E step held three; the blocked one holds a
+    block of it at a time beside ``(n, k)`` and ``(n, L)`` arrays."""
+    n, k, dim = 40_000, 4, 39
+    data = np.random.default_rng(13).normal(size=(n, dim))
+    tracemalloc.start()
+    try:
+        fit_gmm(data, k, np.random.default_rng(1), iterations=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid = n * k * dim * 8
+    assert peak < grid / 2, f"fit_gmm peaked at {peak / 2**20:.1f} MB"

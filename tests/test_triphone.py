@@ -118,3 +118,41 @@ class TestSenoneTying:
         tying = SenoneTying(num_senones=6000)
         with pytest.raises(ValueError):
             tying.ci_senone("AA", 3)
+
+    def test_tying_formula(self):
+        """ci_count + (phone * states + state) * cd_per_slot + cluster,
+        cluster = (left class * 8 + right class) % cd_per_slot: AE is
+        phone 1, 6000 senones leave 38 per slot, K and T are stops
+        (class 1), IY a vowel (class 0)."""
+        tying = SenoneTying(num_senones=6000)
+        assert tying.senone(Triphone(base="AE", left="K", right="T"), 1) == 153 + 4 * 38 + 9
+        assert tying.senone_ids(Triphone(base="AE", left="K", right="IY")) == (275, 313, 351)
+
+    def test_senone_table_is_many_senone_ids(self):
+        tying = SenoneTying(num_senones=1000)
+        names = default_phone_set().names()
+        tris = [Triphone(base=b, left=names[(i * 7) % 51], right=names[(i * 11) % 51])
+                for i, b in enumerate(names)]
+        index = tying.phone_indices
+        table = tying.senone_table(index(t.base for t in tris), index(t.left for t in tris),
+                                   index(t.right for t in tris))
+        assert table.shape == (len(tris), 3)
+        assert [tuple(row) for row in table.tolist()] == [tying.senone_ids(t) for t in tris]
+
+    def test_unknown_phone_rejected(self):
+        tying = SenoneTying(num_senones=6000)
+        with pytest.raises(KeyError, match="XX"):
+            tying.senone(Triphone(base="AE", left="XX", right="T"), 0)
+
+    @pytest.mark.parametrize("num_senones", [6000, 1000, 200, 153])
+    def test_ci_parents_is_every_ci_parent(self, num_senones):
+        """200 senones leave no full CD slot (cd_per_slot = 0): the 47
+        remainder IDs map to the last CI senone, as past any last slot."""
+        tying = SenoneTying(num_senones=num_senones)
+        parents = tying.ci_parents()
+        assert parents.shape == (num_senones,) and not parents.flags.writeable
+        assert parents.tolist() == [tying.ci_parent(s) for s in range(num_senones)]
+        assert parents[:153].tolist() == list(range(153))
+        assert parents.max() <= 152
+        if num_senones == 200:
+            assert parents[153:].tolist() == [152] * 47
