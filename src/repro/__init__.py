@@ -5,7 +5,8 @@ An HMM/GMM large-vocabulary speech recognizer built from scratch
 (frontend, acoustic models, lexicon, language model, staged decoder)
 plus cycle-accurate Python models of the paper's dedicated hardware:
 the Observation Probability unit, the Viterbi decoder unit, the logadd
-SRAM, the flash/DMA memory system and the activity-based power model.
+SRAM and the activity-based power model, assembled into an SoC report
+over one decode.
 
 Quick start::
 
@@ -35,5 +36,4 @@ __all__ = [
     "quant",
     "runtime",
     "workloads",
-    "baselines",
 ]

@@ -6,6 +6,10 @@ the Viterbi decoder unit (Figure 3), the logadd SRAM and the
 activity-based power/area model, which prices the units' activity
 counters.  The assembled SoC (``repro.core.soc``: the embedded core's
 software stages and the flash behind DMA) reports over one decode.
+The DMA schedule across the two structures and the Section V
+comparison systems are arithmetic on a decode's counters, kept beside
+their assertions in ``benchmarks/bench_realtime.py`` and
+``benchmarks/bench_baseline_comparison.py``.
 """
 
 from repro.core.fpu import FloatUnit, OpCounts
@@ -13,7 +17,6 @@ from repro.core.logadd import LOG2, LogAddTable, logadd_exact
 from repro.core.opunit import FrameScoreResult, GaussianTable, OpUnit, OpUnitSpec
 from repro.core.pipeline import PipelineSpec, PipelineTrace, TraceEvent
 from repro.core.power import AreaTable, EnergyTable, PowerModel, PowerReport
-from repro.core.scheduler import FrameSchedule, ScheduleConfig, SenoneScheduler
 from repro.core.viterbi_unit import ViterbiUnit, ViterbiUnitSpec
 
 __all__ = [
@@ -35,7 +38,4 @@ __all__ = [
     "PowerReport",
     "EnergyTable",
     "AreaTable",
-    "SenoneScheduler",
-    "ScheduleConfig",
-    "FrameSchedule",
 ]

@@ -59,6 +59,7 @@ import numpy as np
 from repro.core.opunit import OpUnitSpec
 from repro.decoder.beam import check_count
 from repro.decoder.scorer import LOG_ZERO
+from repro.hmm.gaussian import log_normalizer, precision_halves
 from repro.hmm.senone import SenonePool
 from repro.hmm.train import kmeans, row_blocks
 from repro.lexicon.triphone import SenoneTying
@@ -209,11 +210,9 @@ class FastGmmModel:
             raise ValueError("CI selection requires the senone tying")
         self.num_senones = pool.num_senones
         self._rng = np.random.default_rng(seed)
-        self.offsets = (
-            np.log(pool.weights)
-            - 0.5 * (pool.dim * np.log(2 * np.pi) + np.log(pool.variances).sum(axis=2))
-        )
-        self.precisions = -0.5 / pool.variances
+        with np.errstate(divide="ignore"):  # a zero weight's log is -inf
+            self.offsets = np.log(pool.weights) + log_normalizer(pool.variances)
+        self.precisions = precision_halves(pool.variances)
         self.codebook: np.ndarray | None = None
         self.shortlist: np.ndarray | None = None
         if codebook_data is not None:
@@ -464,7 +463,10 @@ def _shortlists(
         order = np.argsort(approx, axis=-1)
         shortlist[:, rows] = order[..., ::-1][..., :g]
         firsts = np.arange(0, approx.size, m).reshape(codewords, -1, 1)
-        gaps = np.diff(approx.take(order[..., top:] + firsts), axis=-1)
+        # Two zero-weight components differ by -inf - -inf = NaN: not
+        # sure, so they are rechecked exactly below.
+        with np.errstate(invalid="ignore"):
+            gaps = np.diff(approx.take(order[..., top:] + firsts), axis=-1)
         bound = rel * reach
         bound += tiny
         bound *= 2.0

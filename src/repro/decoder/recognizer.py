@@ -235,10 +235,6 @@ class RecognitionResult:
         return self.scoring_stats.mean_active_fraction
 
     @property
-    def peak_active_senone_fraction(self) -> float:
-        return self.scoring_stats.peak_active_fraction
-
-    @property
     def mean_active_states(self) -> float:
         if not self.frame_stats:
             return 0.0

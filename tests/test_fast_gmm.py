@@ -2,6 +2,7 @@
 through ``BatchFastGmmScorer`` at one lane."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -387,3 +388,44 @@ class TestCodebookDataValidation:
         data = rng.normal(size=(100, small_pool.dim)).tolist()  # any array-like
         model = FastGmmModel(small_pool, config=self.CFG, codebook_data=data)
         assert model.codebook.shape == (self.CFG.gs_codebook_size, small_pool.dim)
+
+
+class TestGaussianConstants:
+    """The model's offsets and precisions are the pool's own spelling."""
+
+    @pytest.fixture()
+    def one_component_pool(self, small_pool):
+        """``small_pool`` with every component past the first at weight 0."""
+        weights = np.zeros_like(small_pool.weights)
+        weights[:, 0] = 1.0
+        return SenonePool(small_pool.means, small_pool.variances, weights)
+
+    @pytest.mark.parametrize(
+        "config",
+        [FastGmmConfig(), FastGmmConfig(gaussian_selection_enabled=True, gs_shortlist=2)],
+        ids=["constants", "shortlists"],
+    )
+    def test_a_zero_weight_builds_without_warning(self, one_component_pool, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = FastGmmModel(one_component_pool, config=config)
+        assert np.isneginf(model.offsets[:, 1:]).all()
+        assert np.isfinite(model.offsets[:, 0]).all()
+
+    def test_a_zero_weight_pool_scores_exactly(self, one_component_pool, rng):
+        pool = one_component_pool
+        obs = rng.normal(size=pool.dim)
+        senones = np.arange(pool.num_senones)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = OneLane(pool).score(0, obs, senones)
+        assert np.allclose(out, _exact(pool, obs, senones))
+
+    def test_constants_are_the_gaussian_formula_bit_for_bit(self, small_pool):
+        model = FastGmmModel(small_pool)
+        log_variance = np.log(small_pool.variances).sum(axis=2)
+        offsets = np.log(small_pool.weights) - 0.5 * (
+            small_pool.dim * np.log(2 * np.pi) + log_variance
+        )
+        assert np.array_equal(model.offsets, offsets)
+        assert np.array_equal(model.precisions, -0.5 / small_pool.variances)

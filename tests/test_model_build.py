@@ -282,7 +282,7 @@ class TestShortlistAdversarial:
                               + rng.normal(0.0, 0.5, size=(8, dim))])
         cfg = FastGmmConfig(gaussian_selection_enabled=True,
                             gs_codebook_size=codewords, gs_shortlist=g)
-        with pytest.MonkeyPatch.context() as patch, np.errstate(divide="ignore"):
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(train, "GRID_BLOCK_ELEMENTS", block)
             model = FastGmmModel(pool, config=cfg, codebook_data=data, seed=seed)
         assert _same_bits(model.shortlist, _shortlist_one_shot(model))

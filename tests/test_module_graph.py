@@ -10,7 +10,9 @@ public top-level function or class is reached when code refers to it
 ``__all__`` entry is a string, not a reference) in such a file, or in
 its own module outside its own definition.  A module or name that only
 its own tests read is scaffolding: delete it with its tests rather
-than carry it.
+than carry it.  A module only ``benchmarks/`` reaches is experiment
+machinery: it is listed in ``BENCH_ONLY`` with a reason, or it moves
+beside its bench.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ ALLOWED_NAMES = {
 #: Public names only tests read, staged for deletion with their tests.
 STAGED_NAMES: dict[str, str] = {}
 
+#: Modules only ``benchmarks/`` reaches: experiment machinery the
+#: system does not run, kept in ``src/`` with a reason.  A new one is
+#: refused, so the next experiment lives beside its bench.
+BENCH_ONLY = {
+    "repro.quant.fixed_point": "the fixed-point datapath bench_fixed_point.py "
+    "measures; no mode of the engine runs it",
+}
+
 
 def _exported_names(path: Path) -> list[str]:
     names: list[str] = []
@@ -53,13 +63,15 @@ def _exported_names(path: Path) -> list[str]:
     return names
 
 
-def unreached_modules(root: Path, allowed=frozenset(ALLOWED)) -> list[str]:
+def unreached_modules(
+    root: Path, allowed=frozenset(ALLOWED), scanned=SCANNED
+) -> list[str]:
     """The ``repro.*`` modules under ``root/src``, outside ``allowed``,
-    that nothing reaches."""
+    that nothing under the ``scanned`` trees reaches."""
     package_root = root / "src"
     sources = {
         path: path.read_text()
-        for tree in SCANNED
+        for tree in scanned
         for path in sorted((root / tree).rglob("*.py"))
     }
     unreached = []
@@ -82,6 +94,13 @@ def unreached_modules(root: Path, allowed=frozenset(ALLOWED)) -> list[str]:
         ):
             unreached.append(name)
     return unreached
+
+
+def bench_only_modules(root: Path) -> list[str]:
+    """The ``repro.*`` modules ``benchmarks/`` reaches and neither
+    ``src/`` nor ``examples/`` does."""
+    outside = unreached_modules(root, frozenset(), scanned=("src", "examples"))
+    return sorted(set(outside) - set(unreached_modules(root, frozenset())))
 
 
 def _references(nodes) -> set[str]:
@@ -150,6 +169,21 @@ def test_allow_list_is_not_stale():
     assert unreached_modules(ROOT, allowed=frozenset()) == sorted(ALLOWED)
 
 
+def test_every_bench_only_module_is_listed():
+    unlisted = set(bench_only_modules(ROOT)) - set(BENCH_ONLY)
+    assert not unlisted, (
+        "reached from benchmarks/ alone (keep an experiment's machinery "
+        "beside its bench, or list it in BENCH_ONLY with a reason): "
+        + ", ".join(sorted(unlisted))
+    )
+
+
+def test_bench_only_list_is_not_stale():
+    """Each listed module exists and is still reached from benchmarks/
+    alone: one the system now runs, or that is gone, leaves the list."""
+    assert bench_only_modules(ROOT) == sorted(BENCH_ONLY)
+
+
 def test_every_public_name_is_reached():
     unreached = unreached_names(ROOT)
     assert not unreached, (
@@ -211,6 +245,16 @@ def test_match_is_word_bounded(tree):
 
 def test_allowed_module_is_skipped(tree):
     assert unreached_modules(tree, allowed=frozenset({"repro.pkg.orphan"})) == []
+
+
+def test_a_module_only_a_benchmark_reaches_is_bench_only(tree):
+    assert bench_only_modules(tree) == ["repro.pkg.used"]
+
+
+@pytest.mark.parametrize("reader", ["src/repro/app.py", "examples/demo.py"])
+def test_a_reach_from_src_or_examples_is_not_bench_only(tree, reader):
+    _write(tree, {reader: "from repro.pkg.used import helper\n"})
+    assert bench_only_modules(tree) == []
 
 
 @pytest.fixture

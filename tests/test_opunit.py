@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.opunit import LOG_ZERO, GaussianTable, OpUnit, OpUnitSpec
 from repro.core.pipeline import PipelineTrace
@@ -337,6 +339,57 @@ class TestBatchScoring:
         unit.reset_counters()
         assert unit.cycles_busy == 0
         assert unit.activity()["sdm_ops"] == 0
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=39),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), max_size=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_pooled_serial_and_counted_activity_agree(
+    components, dim, senones, rows, demand, seed
+):
+    """Unpruned, the pooled pairs, the serial per-pair path and a count
+    from first principles charge the same activity, for any table and
+    any demand (repeated pairs and no pairs included)."""
+    rng = np.random.default_rng(seed)
+    shape = (senones, components, dim)
+    table = GaussianTable(
+        rng.normal(size=shape), -0.5 / rng.uniform(0.3, 3.0, size=shape),
+        rng.normal(-5.0, 2.0, size=shape[:2]),
+    )
+    features = rng.normal(size=(rows, dim))
+    pair_rows = np.array([r % rows for r, _ in demand], dtype=np.int64)
+    pair_senones = np.array([s % senones for _, s in demand], dtype=np.int64)
+    spec = OpUnitSpec(feature_dim=dim)
+    pooled, serial = OpUnit(spec), OpUnit(spec)
+    pooled.score_pairs(table, features, pair_rows, pair_senones)
+    for row, senone in zip(pair_rows, pair_senones):
+        serial.load_feature(features[row])
+        serial.score_senone(table, int(senone))
+    pairs = len(demand)
+    dims = pairs * components * dim
+    # A difference past the table's range reads no SRAM: the operands
+    # set the count, at most M - 1 reads per pair.
+    sram_reads = serial.activity()["sram_reads"]
+    assert sram_reads <= pairs * (components - 1)
+    counted = {
+        "cycles_busy": float(pairs * spec.cycles_per_senone(components)),
+        "sdm_ops": float(dims),
+        "add_ops": float(dims),
+        "fma_ops": float(pairs * components),
+        "compare_ops": float(pairs),
+        "sram_reads": sram_reads,
+        "parameter_bytes": pairs * table.senone_bytes(),
+        "senones": float(pairs),
+        "gaussians": float(pairs * components),
+    }
+    assert pooled.activity() == serial.activity() == counted
+    assert pooled.dims_evaluated == serial.dims_evaluated == dims
 
 
 class TestQuantizedScoring:
