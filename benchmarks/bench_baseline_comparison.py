@@ -97,21 +97,32 @@ def mathew_accelerator(result):
 
 
 def merge_phone_groups(phone_set, num_groups=NEDEVSCHI["phone_groups"]):
-    """Map each phone to a group representative (< 30 groups): phones
-    are bucketed by (articulatory class, index modulo the class's share
-    of the groups), and the lowest-index phone of a bucket represents it.
+    """Map each phone to a group representative (< 30 groups).
+
+    The groups are apportioned to the articulatory classes by largest
+    remainder of their phone shares, at least one and at most one per
+    phone each, so there are exactly ``num_groups``; a class's phones
+    are bucketed by index modulo its groups, and the lowest-index phone
+    of a bucket represents it.
     """
-    if not 2 <= num_groups < len(phone_set):
-        raise ValueError(
-            f"num_groups must be in [2, {len(phone_set)}), got {num_groups}"
-        )
     by_class: dict[object, list] = {}
     for phone in phone_set:
         by_class.setdefault(phone.phone_class, []).append(phone)
+    classes = sorted(by_class, key=lambda c: c.value)
+    if not len(classes) <= num_groups < len(phone_set):
+        raise ValueError(
+            f"num_groups must be in [{len(classes)}, {len(phone_set)}) "
+            f"(one group per articulatory class at least), got {num_groups}"
+        )
+    sizes = [len(by_class[cls]) for cls in classes]
+    quota = [num_groups * size / len(phone_set) for size in sizes]
+    seats = [1] * len(classes)
+    for _ in range(num_groups - len(classes)):
+        open_ = [i for i, size in enumerate(sizes) if seats[i] < size]
+        seats[max(open_, key=lambda i: quota[i] - seats[i])] += 1
     mapping: dict[str, str] = {}
-    for cls in sorted(by_class, key=lambda c: c.value):
+    for cls, buckets in zip(classes, seats):
         phones = sorted(by_class[cls], key=lambda p: p.index)
-        buckets = max(1, round(num_groups * len(phones) / len(phone_set)))
         for i, phone in enumerate(phones):
             mapping[phone.name] = phones[i % buckets].name
     return mapping

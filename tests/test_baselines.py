@@ -162,6 +162,20 @@ class TestNedevschi:
         assert len(groups) < 30
         assert set(mapping) == set(task.corpus.phone_set.names())
 
+    @pytest.mark.parametrize("num_groups", [12, 28])
+    def test_merge_yields_exactly_the_asked_groups(self, task, num_groups):
+        mapping = merge_phone_groups(task.corpus.phone_set, num_groups=num_groups)
+        assert len(set(mapping.values())) == num_groups
+
+    def test_fewer_groups_than_classes_refused(self, task):
+        """Each articulatory class keeps at least one group of its own."""
+        phone_set = task.corpus.phone_set
+        classes = len({p.phone_class for p in phone_set})
+        mapping = merge_phone_groups(phone_set, num_groups=classes)
+        assert len(set(mapping.values())) == classes
+        with pytest.raises(ValueError):
+            merge_phone_groups(phone_set, num_groups=classes - 1)
+
     def test_merge_stays_within_a_class(self, task):
         """A phone only merges into its own articulatory class, so
         silence never takes a speech phone's models."""
