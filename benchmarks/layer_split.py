@@ -86,6 +86,7 @@ def _decode(rec, workload: str, features: list) -> tuple[list, list, int]:
 
 def measure(rec, workload: str, features: list, stamp: dict, repeats: int = 3) -> dict:
     from benchmarks.perf.workloads import FRAME_S
+    from repro.decoder.lextree import TreeLexiconNetwork
     from repro.runtime import scoring
     from repro.runtime.batch import STAGES
 
@@ -104,10 +105,15 @@ def measure(rec, workload: str, features: list, stamp: dict, repeats: int = 3) -
         "pairs": sum(s.requested_senones for s in stats),
         "word_exits": sum(s.word_exits for s in stats),
     }
+    net = rec.network
+    # The states every word entry is offered to: the tree's roots, the
+    # flat network's word starts.
+    starts = net.is_root_start if isinstance(net, TreeLexiconNetwork) else net.is_start
     report = {
         "workload": workload,
         "utterances": len(features),
-        "states": rec.network.num_states,
+        "states": net.num_states,
+        "roots": int(starts.sum()),
         "active_states_mean": sum(s.active_states for s in stats) / len(stats),
         "exact": exact,
         "split_us_per_step": dict(zip(STAGES, best)),
@@ -143,7 +149,8 @@ def render(report: dict) -> str:
     step, exact = report["step_us"], report["exact"]
     lines = [
         f"{report['workload']} seed {report['fingerprint']['seed']}: "
-        f"{report['utterances']} utterances, {report['states']} states per lane, "
+        f"{report['utterances']} utterances, {report['states']} states per lane "
+        f"({report['roots']} roots), "
         f"{report['active_states_mean']:.2f} live per frame",
         "[exact] " + ", ".join(f"{name} {value}" for name, value in exact.items()),
         "",

@@ -5,7 +5,7 @@
 token state over one shared
 :class:`~repro.decoder.lextree.TreeLexiconNetwork`, advanced one frame
 per step — with pooled senone demand across all lanes' active tree
-nodes feeding the same
+states feeding the same
 :class:`~repro.runtime.scoring.BatchScoringBackend` family as the flat
 bank, so reference/hardware/fast/blas (all precisions) all work over
 the tree unchanged.
@@ -15,8 +15,8 @@ Active list
 The beam leaves a few percent of the ``(lane, state)`` slots alive, so
 a step never sweeps the bank.  It expands the ascending list of live
 slots into the candidate list (alive; children of alive — the next
-slot inside a node, a static child CSR at a node's last state; roots
-of lanes holding a pending entry), runs
+slot where that is a state's one child, a static child CSR at the
+forks; roots of lanes holding a pending entry), runs
 :func:`~repro.core.viterbi_unit.tree_update` (the flat bank's compare
 and dead rule, with the predecessor gathered instead of shifted) and
 the list-form row beam (:func:`~repro.decoder.beam.apply_beam_rows`)
@@ -27,7 +27,11 @@ live list.  The bank's live leaves (one mask; about a dozen per step on
 :meth:`~repro.runtime.batch.LaneBankBase._record_exits`; the tree's
 hooks add the predecessor history's LM term at the leaf and offer every
 lane ONE root entry.  Per-step cost follows the candidates, not
-``B x K``.  In
+``B x K``, and the tree shares states, not triphone nodes: a lane
+holding an entry offers it to one root per distinct first senone (85
+on ``bank_tree``, not its 380 root triphones), and no two live states
+carry the same token.  ``BeamConfig.max_active_states`` therefore caps
+shared states.  In
 hardware mode the recognizer's Viterbi unit is charged beside it, for
 the whole bank (the unit streams every register).
 
@@ -128,9 +132,8 @@ class TreeLaneBank(LaneBankBase):
         self._roots = np.flatnonzero(net.is_root_start)
         self._child_ptr, self._child_idx = _child_csr(net.pred_state)
         self._child_count = np.diff(self._child_ptr)
-        # Inside a node a state's ONE child is the next state; only a
-        # node's last state (a fork, a leaf, or a lone child stored
-        # elsewhere) needs the CSR.
+        # Most states' ONE child is the next state; only forks, leaves
+        # and lone children stored elsewhere need the CSR.
         self._chain_next = np.zeros(net.num_states, dtype=bool)
         self._chain_next[:-1] = (
             net.pred_state[1:] == np.arange(net.num_states - 1)
@@ -173,8 +176,8 @@ class TreeLaneBank(LaneBankBase):
 
         Alive slots, children of alive slots and the roots of lanes
         holding a pending entry — the feedback set, for all lanes at
-        once.  A state inside a node has one child, the next slot; only
-        the forks go through the child CSR.  Idle lanes are frozen at
+        once.  A state whose one child is the next slot steps there;
+        the others go through the child CSR.  Idle lanes are frozen at
         ``LOG_ZERO`` with ``LOG_ZERO`` pending entries, so they
         contribute nothing without extra masking.
         """

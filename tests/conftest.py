@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,22 @@ from repro.workloads.tasks import TrainedTask, tiny_task
 def task() -> TrainedTask:
     """The 20-word trained tiny task (built once; ~3 s)."""
     return tiny_task(seed=7)
+
+
+@pytest.fixture(scope="session")
+def golden_recipe():
+    """``tests/golden/generate_golden.py``, the fixtures' generator."""
+    path = Path(__file__).resolve().parent / "golden" / "generate_golden.py"
+    spec = importlib.util.spec_from_file_location("golden_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def dictation_task(golden_recipe) -> TrainedTask:
+    """The scaled-down dictation task the tree fixtures pin (~5 s)."""
+    return golden_recipe.make_dictation_task()
 
 
 @pytest.fixture(scope="session")

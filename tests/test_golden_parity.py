@@ -233,11 +233,6 @@ class TestCancellationGolden:
         _assert_matches_golden(results[901], fixture["utterances"][1])
 
 
-@pytest.fixture(scope="module")
-def dictation_task():
-    return golden_generate.make_dictation_task()
-
-
 def _dictation_golden(mode, task):
     fixture = json.loads((GOLDEN_DIR / f"dictation_{mode}.json").read_text())
     rec = golden_generate.make_tree_recognizer(task, mode)

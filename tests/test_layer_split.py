@@ -79,6 +79,11 @@ def test_the_rendered_split_carries_the_counts_and_the_fingerprint(prepared, wor
     for name in STAGES:
         assert name in text
     assert "[exact] " in text and f"word_exits {report['exact']['word_exits']}" in text
+    # The entry fan-out: the states each word entry is offered to.
+    assert f"{report['states']} states per lane ({report['roots']} roots)" in text
+    assert 0 < report["roots"] < report["states"]
+    if workload != "bank_tree":  # a flat network roots one chain per word
+        assert report["roots"] == prepared(workload)[0].network.num_words + 1
     assert '"blas_threads"' in text  # the machine fingerprint
     run = report["passes"][0]
     assert f"pass 1: wall {run['wall_s']:.3f} s, process CPU {run['cpu_s']:.3f} s" in text

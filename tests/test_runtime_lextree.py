@@ -25,6 +25,8 @@ stepped, never WHAT it computes:
   included.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from repro.decoder.lextree import TreeLexiconNetwork
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
+from repro.hmm.senone import SenonePool
 from repro.lm.ngram import NGramModel
 from repro.runtime import LaneBank, TreeLaneBank
 from repro.runtime import batch as batch_runtime
@@ -317,10 +320,11 @@ class TestTreeCancellation:
 class TestTreeHistogramCap:
     """``max_active_states`` on the tree bank: list trim == dense trim.
 
-    The cap is far below the uncapped active count (mean ~10, peak ~30
-    on this task), and ``PLATEAU_CAP`` lands inside a run of equal
-    scores at frame 0 (roots that share a first senone enter with the
-    same score), so the order-dependent ``argsort`` tail of
+    The cap (it counts shared tree states) is far below the uncapped
+    active count, and ``PLATEAU_CAP`` lands inside a run of equal
+    scores at frame 0: the two roots ranked there are given senones
+    with parameter-identical Gaussians, so they enter with the same
+    score and the order-dependent ``argsort`` tail of
     ``_histogram_trim`` decides who survives.
     """
 
@@ -332,16 +336,34 @@ class TestTreeHistogramCap:
     def mode(self, request):
         return request.param
 
+    @pytest.fixture(scope="class")
+    def tied_task(self, task):
+        """``task`` with the Gaussians of the root senone ranked
+        ``PLATEAU_CAP`` at frame 0 copied into the one ranked next."""
+        rec = make_tree_recognizer(task, "reference")
+        stage = rec.word_stage
+        stage.reset()
+        stage.process_frame(task.corpus.test[0].features[0])
+        live = np.flatnonzero(stage.delta > LOG_ZERO / 2)
+        ranked = live[np.argsort(-stage.delta[live], kind="stable")]
+        assert rec.network.is_root_start[ranked].all()
+        keep, tie = rec.network.senone_id[ranked[self.PLATEAU_CAP - 1 :][:2]]
+        params = [p.copy() for p in (task.pool.means, task.pool.variances,
+                                     task.pool.weights)]
+        for p in params:
+            p[tie] = p[keep]
+        return dataclasses.replace(task, pool=SenonePool(*params))
+
     @pytest.fixture(scope="class", params=[TIGHT_CAP, PLATEAU_CAP])
-    def capped(self, request, task, mode):
+    def capped(self, request, tied_task, mode):
         config = DecoderConfig(beam=BeamConfig(max_active_states=request.param))
-        rec = make_tree_recognizer(task, mode, config=config)
-        feats = [u.features[: self.FRAMES] for u in task.corpus.test[:5]]
+        rec = make_tree_recognizer(tied_task, mode, config=config)
+        feats = [u.features[: self.FRAMES] for u in tied_task.corpus.test[:5]]
         return rec, feats, [rec.decode(f) for f in feats], request.param
 
-    def test_cap_binds_and_plateau_crosses_it(self, task):
-        rec = make_tree_recognizer(task, "reference")
-        first = task.corpus.test[0].features
+    def test_cap_binds_and_plateau_crosses_it(self, tied_task):
+        rec = make_tree_recognizer(tied_task, "reference")
+        first = tied_task.corpus.test[0].features
         uncapped = rec.decode(first[: self.FRAMES])
         active = [f.active_states for f in uncapped.frame_stats]
         assert np.mean(active) > 2 * self.TIGHT_CAP
