@@ -29,9 +29,8 @@ hooks add the predecessor history's LM term at the leaf and offer every
 lane ONE root entry.  Per-step cost follows the candidates, not
 ``B x K``, and the tree shares states, not triphone nodes: a lane
 holding an entry offers it to one root per distinct first senone (85
-on ``bank_tree``, not its 380 root triphones), and no two live states
-carry the same token.  ``BeamConfig.max_active_states`` therefore caps
-shared states.  In
+on ``bank_tree``, not its 380 root triphones), and
+``BeamConfig.max_active_states`` caps shared states.  In
 hardware mode the recognizer's Viterbi unit is charged beside it, for
 the whole bank (the unit streams every register).
 
