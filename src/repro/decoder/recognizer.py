@@ -113,9 +113,7 @@ def validate_precision(mode: str, precision: str) -> None:
     The ``precision`` knob is the dtype of the BLAS tables
     (:data:`~repro.hmm.senone.BLAS_PRECISIONS`), so it only has meaning
     in ``mode="blas"``; asking any other backend for float32 tables
-    would be silently ignored — error out instead.  Shared by
-    construction and the serve loop's brownout swap
-    (:meth:`Recognizer.set_precision`).
+    would be silently ignored — error out instead.
     """
     check_blas_precision(precision)
     if precision != "float64" and mode != "blas":
@@ -410,11 +408,12 @@ class Recognizer:
         stays (banks hold a reference to it; lanes in flight measure
         their kernel steps against admission marks of its counters);
         only its table format changes.  Other modes have no precision
-        axis and ignore the call.
+        axis and ignore a known precision; an unknown one raises
+        ``ValueError`` in every mode.
         """
+        check_blas_precision(precision)
         if self.mode != "blas" or precision == self.precision:
             return False
-        validate_precision(self.mode, precision)
         self.scorer.pool.blas_tables(precision)  # built here, not on the next step
         self.precision = self.scorer.precision = precision
         return True

@@ -66,8 +66,8 @@ packaging) is inherited from
 lets :meth:`~repro.decoder.recognizer.Recognizer.decode_stream` (and
 with it ``decode_batch``) and the serve loop drive the tree through
 the same interface as the flat network
-(``tests/test_runtime_lextree.py`` pins all of it, including a seeded
-random lifecycle that hunts for stale rows).
+(``tests/test_lane_lifecycle.py`` hunts for stale rows in generated
+admit/step/cancel/compact lifecycles of both banks).
 """
 
 from __future__ import annotations

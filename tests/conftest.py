@@ -12,6 +12,35 @@ from repro.hmm.senone import SenonePool
 from repro.workloads.tasks import TrainedTask, tiny_task
 
 
+def _sequential(rec, base, cache, utt_index, length):
+    """``rec.decode(base[utt_index][:length])``, decoded once per
+    ``cache`` (the 1-lane oracle of a bank's lanes)."""
+    key = (utt_index, length)
+    if key not in cache:
+        cache[key] = rec.decode(base[utt_index][:length])
+    return cache[key]
+
+
+def _assert_lane_equal(seq, lane, atol=None):
+    """A bank's ``lane`` result against the 1-lane decode ``seq`` of the
+    same features: words, score BITS, frames, lattice size, per-frame
+    statistics, senones requested per frame and the fast-GMM work
+    counters (``None`` outside fast mode).  With ``atol`` (the inexact
+    blas family) words and frames, and the score within ``atol``."""
+    assert lane.words == seq.words
+    assert lane.frames == seq.frames
+    if atol is not None:
+        assert abs(lane.score - seq.score) <= atol
+        return
+    assert float(lane.score).hex() == float(seq.score).hex()
+    assert lane.lattice_size == seq.lattice_size
+    assert [f.__dict__ for f in lane.frame_stats] == [
+        f.__dict__ for f in seq.frame_stats
+    ]
+    assert lane.scoring_stats.active_per_frame == seq.scoring_stats.active_per_frame
+    assert lane.fast_stats == seq.fast_stats
+
+
 @pytest.fixture(scope="session")
 def task() -> TrainedTask:
     """The 20-word trained tiny task (built once; ~3 s)."""

@@ -512,62 +512,6 @@ class TestBlocksInFlight:
         assert all((row == row.astype(np.float32)).all() for row in new)
 
 
-class TestWorkerStress:
-    def test_random_lifecycles_keep_every_lane_its_own_rows(self, pool, monkeypatch):
-        """Three banks on three threads, each with its own scorer, all
-        sharing the one worker (four threads on two CPUs), random admits, cancels,
-        compactions and steps under a short switch interval: every row
-        any occupant read is the row it gets with a bank to itself."""
-        _cpus(monkeypatch, 2)
-        finished = {}
-
-        def drive(seed):
-            rng = np.random.default_rng(seed)
-            lanes, width = _Lanes(pool, 4), 4
-            occupant, records = {}, []  # lane -> (features, rows read)
-            for _ in range(150):
-                for lane in [b for b in lanes.feats if lanes.t[b] == len(lanes.feats[b])]:
-                    lanes.drop(lane)
-                    del occupant[lane]
-                free = [b for b in range(width) if b not in lanes.feats]
-                if free and rng.random() < 0.3:
-                    frames = int(rng.integers(1, 3 * BLOCK_FRAMES))
-                    lane = int(rng.choice(free))
-                    occupant[lane] = (rng.normal(0.0, 2.0, size=(frames, DIM)), [])
-                    records.append(occupant[lane])
-                    lanes.admit(lane, occupant[lane][0])
-                elif lanes.feats and rng.random() < 0.1:  # cancelled mid-utterance
-                    lane = int(rng.choice(sorted(lanes.feats)))
-                    lanes.drop(lane)
-                    del occupant[lane]
-                elif lanes.feats and rng.random() < 0.05:
-                    keep = sorted(lanes.feats)
-                    lanes.compact()
-                    lanes.width = width
-                    occupant = {new: occupant[old] for new, old in enumerate(keep)}
-                if lanes.feats:
-                    for lane, row in lanes.step().items():
-                        occupant[lane][1].append(row)
-            finished[seed] = records
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=drive, args=(seed,)) for seed in range(3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(old)
-        assert sorted(finished) == [0, 1, 2]
-        for records in finished.values():
-            assert sum(len(rows) for _, rows in records) > 100
-            for features, rows in records:
-                assert np.array_equal(rows, _alone(pool, features)[: len(rows)])
-
-
 class TestPlacement:
     """The worker exists only where the process may use two CPUs, and
     where a block ran never shows in its bits."""

@@ -10,6 +10,7 @@ from itertools import count
 
 import numpy as np
 import pytest
+from conftest import _assert_lane_equal
 
 from repro.core.logadd import LOG_DEAD, LOG_ZERO, LogAddTable
 from repro.decoder.beam import BeamConfig, apply_beam, apply_beam_batch
@@ -25,18 +26,6 @@ def rec(request, task):
     return Recognizer.create(
         task.dictionary, task.pool, task.lm, task.tying, mode=request.param
     )
-
-
-def _assert_lane_equal(seq, lane):
-    assert lane.words == seq.words
-    assert lane.score == seq.score  # bit-identical, not approx
-    assert lane.frames == seq.frames
-    assert lane.lattice_size == seq.lattice_size
-    assert [f.__dict__ for f in lane.frame_stats] == [
-        f.__dict__ for f in seq.frame_stats
-    ]
-    assert lane.scoring_stats.active_per_frame == seq.scoring_stats.active_per_frame
-    assert lane.fast_stats == seq.fast_stats  # None outside fast mode
 
 
 class TestEquivalence:

@@ -2,22 +2,21 @@
 
 The scheduler only decides WHEN a lane is reseeded; it must never
 change WHAT a lane computes.  These tests drive
-``Recognizer.decode_stream`` with seeded-random ragged
-lengths, arrival orders and lane budgets (1..8) and require every
-utterance's words, path score, per-frame statistics and lattice size
-to be bit-identical to a sequential ``Recognizer.decode`` of the same
-features — in reference and hardware modes, including the degenerate
-single-lane queue.
+``Recognizer.decode_stream`` — its queue, FIFO refill, submission
+order and tail compaction — and require every utterance's words, path
+score, per-frame statistics and lattice size to be bit-identical to a
+sequential ``Recognizer.decode`` of the same features, in reference
+and hardware modes, including the degenerate single-lane queue.
+Generated lifecycles on the bank itself (any order of admit, step,
+cancel and compact) are ``tests/test_lane_lifecycle.py``.
 """
 
 import numpy as np
 import pytest
+from conftest import _assert_lane_equal, _sequential
 
 from repro.decoder.recognizer import Recognizer
 from repro.runtime import LaneBank
-
-N_TRIALS = 3
-MIN_FRAMES = 5
 
 
 @pytest.fixture(scope="module", params=["reference", "hardware"])
@@ -36,42 +35,7 @@ def cache(rec):
     return {}
 
 
-def _sequential(rec, base, cache, utt_index, length):
-    key = (utt_index, length)
-    if key not in cache:
-        cache[key] = rec.decode(base[utt_index][:length])
-    return cache[key]
-
-
-def _assert_lane_equal(seq, lane):
-    assert lane.words == seq.words
-    assert lane.score == seq.score  # bit-identical, not approx
-    assert lane.frames == seq.frames
-    assert lane.lattice_size == seq.lattice_size
-    assert [f.__dict__ for f in lane.frame_stats] == [
-        f.__dict__ for f in seq.frame_stats
-    ]
-    assert lane.scoring_stats.active_per_frame == seq.scoring_stats.active_per_frame
-    assert lane.fast_stats == seq.fast_stats  # None outside fast mode
-
-
 class TestContinuousEquivalence:
-    def test_random_ragged_arrival_orders(self, rec, cache, task):
-        """Random lengths x arrival orders x lane budgets == sequential."""
-        base = [u.features for u in task.corpus.test]
-        rng = np.random.default_rng(2024)
-        for _ in range(N_TRIALS):
-            order = rng.permutation(len(base))
-            lengths = [
-                int(rng.integers(MIN_FRAMES, base[i].shape[0] + 1)) for i in order
-            ]
-            feats = [base[i][:n] for i, n in zip(order, lengths)]
-            max_lanes = int(rng.integers(1, 9))
-            result = rec.decode_stream(feats, max_lanes=max_lanes)
-            assert len(result) == len(feats)
-            for (i, n), lane in zip(zip(order, lengths), result):
-                _assert_lane_equal(_sequential(rec, base, cache, int(i), n), lane)
-
     def test_single_lane_queue_degenerates_to_sequential(self, rec, cache, task):
         """max_lanes=1 is pure sequential decoding through the bank."""
         base = [u.features for u in task.corpus.test[:4]]
@@ -233,28 +197,6 @@ class TestValidationAndLifecycle:
             _assert_lane_equal(
                 _sequential(rec, base, cache, i, feats[i].shape[0]), lane
             )
-
-    def test_compact_shrinks_lane_bank_state(self, rec, cache, task):
-        """Direct LaneBank lifecycle: retire -> compact -> keep decoding."""
-        feats = [
-            np.asarray(task.corpus.test[0].features, dtype=np.float64),
-            np.asarray(task.corpus.test[1].features[:6], dtype=np.float64),
-        ]
-        bank = LaneBank(rec, 2)
-        bank.admit(0, 0, feats[0])
-        bank.admit(1, 1, feats[1])
-        results = {}
-        while bank.any_active:
-            for lane in bank.step():
-                utt = int(bank.lane_utt[lane])
-                results[utt] = bank.retire(lane)
-            if bank.compact() == 1:
-                assert bank.delta.shape[0] == 1
-                assert bank.active.shape == (1,)
-                assert len(bank.lattices) == 1
-        assert bank.num_lanes == 1  # shrank once lane 1 finished
-        for i, f in enumerate(feats):
-            _assert_lane_equal(rec.decode(f), results[i])
 
     def test_lane_bank_lifecycle_guards(self, rec, task):
         """admit/step/retire enforce the lane lifecycle contract."""

@@ -16,6 +16,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import _assert_lane_equal
 
 from repro.decoder.fast_gmm import (
     FastGmmConfig,
@@ -67,22 +68,6 @@ def ragged_feats(task):
     ]
 
 
-def _assert_lane_equal(seq, lane):
-    assert lane.words == seq.words
-    assert lane.score == seq.score  # bit-identical, not approx
-    assert lane.frames == seq.frames
-    assert lane.lattice_size == seq.lattice_size
-    assert [f.__dict__ for f in lane.frame_stats] == [
-        f.__dict__ for f in seq.frame_stats
-    ]
-    assert lane.scoring_stats.active_per_frame == seq.scoring_stats.active_per_frame
-    # All four layers' work counters, per lane: frames skipped (CDS),
-    # senones full/approximated (CI), Gaussians touched (VQ),
-    # dimensions multiplied (PDE).
-    assert isinstance(lane.fast_stats, FastGmmStats)
-    assert lane.fast_stats == seq.fast_stats
-
-
 class TestAblationParity:
     """16 layer combinations x batch sizes x arrival orders."""
 
@@ -98,6 +83,7 @@ class TestAblationParity:
         )
         sequential = [rec.decode(f) for f in ragged_feats]
         assert isinstance(rec.scorer, BatchFastGmmScorer)
+        assert all(isinstance(s.fast_stats, FastGmmStats) for s in sequential)
 
         # Batch size 1 (degenerate) and 3 (ragged retirement mid-batch).
         _assert_lane_equal(sequential[0], rec.decode_batch([ragged_feats[0]])[0])

@@ -15,11 +15,9 @@ stepped, never WHAT it computes:
   :meth:`~repro.decoder.recognizer.Recognizer.decode`;
 * blas mode: word-identical with scores inside the documented
   :data:`~repro.decoder.scorer.BLAS_SCORE_ATOL`;
-* the property sweep drives ragged lengths x arrival orders x lane
-  budgets 1..8 through the continuous runtime, and a seeded random
-  ``admit/step/cancel/retire/compact`` lifecycle drives the bank
-  directly — the state is updated in place at the active list's slots,
-  so a stale row is the failure it hunts;
+* every lane budget 1..8 drives a reversed, ragged queue through the
+  continuous runtime (generated ``admit/step/cancel/compact``
+  lifecycles on the bank itself are ``tests/test_lane_lifecycle.py``);
 * the histogram cap (``BeamConfig.max_active_states``) prunes each
   lane's list the same at every bank width, equal-score plateaus
   included.
@@ -29,6 +27,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import _assert_lane_equal, _sequential
 
 from repro.core.viterbi_unit import ViterbiUnit
 from repro.decoder.beam import LOG_ZERO, BeamConfig
@@ -49,7 +48,6 @@ from repro.workloads.tasks import (
 )
 
 EXACT_MODES = ("reference", "hardware", "fast")
-N_TRIALS = 3
 MIN_FRAMES = 5
 
 
@@ -64,99 +62,10 @@ def make_tree_recognizer(task, mode: str, **kwargs) -> Recognizer:
 
 @pytest.fixture(scope="module", params=EXACT_MODES)
 def tree_trio(request, task):
-    """Tree recognizer (the sequential oracle), its twin (a recognizer
-    runs one decode at a time, and ``_Lifecycle`` consults the oracle
-    while its bank is mid-decode), decode cache."""
+    """Tree recognizer (the sequential oracle), its twin (the bank
+    under test), decode cache."""
     rec = make_tree_recognizer(task, request.param)
     return rec, rec.twin(), {}
-
-
-def _sequential(rec, base, cache, utt_index, length):
-    key = (utt_index, length)
-    if key not in cache:
-        cache[key] = rec.decode(base[utt_index][:length])
-    return cache[key]
-
-
-def _assert_lane_equal(seq, lane):
-    assert lane.words == seq.words
-    assert lane.score == seq.score  # bit-identical, not approx
-    assert lane.frames == seq.frames
-    assert lane.lattice_size == seq.lattice_size
-    assert [f.__dict__ for f in lane.frame_stats] == [
-        f.__dict__ for f in seq.frame_stats
-    ]
-    assert lane.scoring_stats.active_per_frame == seq.scoring_stats.active_per_frame
-    assert lane.fast_stats == seq.fast_stats  # None outside fast mode
-
-
-class _Lifecycle:
-    """Drives one ``TreeLaneBank`` op by op against the sequential oracle.
-
-    Every retirement is compared with ONE sequential decode of the same
-    features, and after every op the bank's incremental active list
-    must equal the live slots of its dense state — the invariant an
-    in-place update breaks first when a freed, re-admitted or relocated
-    row keeps something stale.
-    """
-
-    def __init__(self, trio, base, num_lanes):
-        self.rec, twin, self.cache = trio
-        self.base = base
-        twin._reset_accounting()
-        self.bank = twin.make_bank(num_lanes)
-        assert isinstance(self.bank, TreeLaneBank)
-        self.source = {}  # utt id -> (utterance index, length)
-        self.retired = {}  # utt id -> RecognitionResult
-        self.ops = 0
-
-    def _check(self):
-        bank = self.bank
-        live = bank.delta > LOG_ZERO / 2
-        assert np.array_equal(bank._alive, np.flatnonzero(live))
-        assert not live[~bank.active].any()
-        self.ops += 1
-
-    def admit(self, lane, utt_index, length=None):
-        feats = self.base[utt_index]
-        length = feats.shape[0] if length is None else length
-        utt = len(self.source)
-        self.source[utt] = (utt_index, length)
-        self.bank.admit(lane, utt, np.asarray(feats[:length], dtype=np.float64))
-        self._check()
-        return utt
-
-    def step(self):
-        bank = self.bank
-        for lane in bank.step():
-            utt = int(bank.lane_utt[lane])
-            self.retired[utt] = result = bank.retire(lane)
-            _assert_lane_equal(
-                _sequential(self.rec, self.base, self.cache, *self.source[utt]),
-                result,
-            )
-        self._check()
-
-    def cancel(self, lane):
-        utt, frames_done = int(self.bank.lane_utt[lane]), int(self.bank.lane_t[lane])
-        assert self.bank.cancel(lane) == frames_done
-        self._check()
-        return utt
-
-    def compact(self):
-        bank = self.bank
-        occupied = int(bank.active.sum())
-        width = bank.compact()
-        if occupied:
-            assert width == occupied == bank.num_lanes
-            assert bank.delta.shape[0] == bank.payload.shape[0] == occupied
-            assert bank.active.shape == (occupied,) and bank.active.all()
-            assert len(bank.lattices) == occupied
-        self._check()
-
-    def drain(self):
-        while self.bank.any_active:
-            self.step()
 
 
 class TestTreeBatchParity:
@@ -196,23 +105,7 @@ class TestTreeBatchParity:
 
 
 class TestTreeContinuousSweep:
-    """Ragged lengths x arrival orders x max_lanes 1..8 == sequential."""
-
-    def test_random_ragged_arrival_orders(self, tree_trio, task):
-        rec, twin, cache = tree_trio
-        base = [u.features for u in task.corpus.test]
-        rng = np.random.default_rng(2024)
-        for _ in range(N_TRIALS):
-            order = rng.permutation(len(base))
-            lengths = [
-                int(rng.integers(MIN_FRAMES, base[i].shape[0] + 1)) for i in order
-            ]
-            feats = [base[i][:n] for i, n in zip(order, lengths)]
-            max_lanes = int(rng.integers(1, 9))
-            result = twin.decode_stream(feats, max_lanes=max_lanes)
-            assert len(result) == len(feats)
-            for (i, n), lane in zip(zip(order, lengths), result):
-                _assert_lane_equal(_sequential(rec, base, cache, int(i), n), lane)
+    """Ragged lengths x max_lanes 1..8 == sequential."""
 
     @pytest.mark.parametrize("max_lanes", list(range(1, 9)))
     def test_every_lane_budget_matches_sequential(
@@ -230,91 +123,6 @@ class TestTreeContinuousSweep:
         result = twin.decode_stream(feats, max_lanes=max_lanes)
         for (i, n), lane in zip(zip(order, lengths), result):
             _assert_lane_equal(_sequential(rec, base, cache, i, n), lane)
-
-    def test_compact_shrinks_tree_bank_state(self, tree_trio, task):
-        """retire -> compact -> decode on, in a bank one lane narrower."""
-        base = [u.features for u in task.corpus.test]
-        life = _Lifecycle(tree_trio, base, num_lanes=2)
-        life.admit(0, 0)
-        life.admit(1, 1, length=6)
-        while life.bank.any_active:
-            life.step()
-            if life.bank.any_active:
-                life.compact()
-        assert life.bank.num_lanes == 1
-        assert set(life.retired) == {0, 1}
-
-
-class TestTreeCancellation:
-    """``admit/step/cancel/retire/compact`` in any order == sequential.
-
-    The scripted cases pin the interleavings a reader would enumerate
-    by hand (cancel mid-decode, reseed the freed lane; the compacted
-    tail is in the sweep above); the seeded random walk covers the
-    rest, all through the one :class:`_Lifecycle` driver.
-    """
-
-    def _with_victim(self, tree_trio, task, reseed):
-        base = [u.features for u in task.corpus.test]
-        life = _Lifecycle(tree_trio, base, num_lanes=5)
-        survivors = [life.admit(lane, lane) for lane in range(4)]
-        victim = life.admit(4, 0)
-        for _ in range(min(base[i].shape[0] for i in range(4)) // 2):
-            life.step()  # everyone is mid-decode
-        assert life.cancel(4) == victim
-        reseeded = life.admit(4, 1) if reseed else None
-        life.drain()
-        assert victim not in life.retired  # the victim never produced a result
-        assert set(life.retired) == set(survivors) | (
-            {reseeded} if reseed else set()
-        )
-
-    def test_cancelled_lane_does_not_perturb_survivors(self, tree_trio, task):
-        self._with_victim(tree_trio, task, reseed=False)
-
-    def test_reseeded_lane_after_cancel_matches_sequential(self, tree_trio, task):
-        self._with_victim(tree_trio, task, reseed=True)
-
-    def test_seeded_random_lifecycle(self, tree_trio, task):
-        """>= 200 random ops; lanes refilled into freed AND compacted rows."""
-        base = [u.features for u in task.corpus.test]
-        rng = np.random.default_rng(20261001)
-        seen = {"cancel": 0, "compact": 0, "refill": 0, "refill_compacted": 0}
-        ops = retired = 0
-        for _ in range(3):  # a bank never widens again, so start afresh
-            life = _Lifecycle(tree_trio, base, num_lanes=6)
-            used, compacted = set(), False
-            while life.ops < 90:
-                bank = life.bank
-                free, busy = bank.free_lanes(), np.flatnonzero(bank.active)
-                op = rng.choice(
-                    ["admit", "step", "cancel", "compact"], p=[0.3, 0.56, 0.07, 0.07]
-                )
-                if op == "admit" and free:
-                    lane = int(rng.choice(free))
-                    life.admit(
-                        lane,
-                        int(rng.integers(len(base))),
-                        int(rng.integers(MIN_FRAMES, 3 * MIN_FRAMES)),
-                    )
-                    seen["refill"] += lane in used
-                    seen["refill_compacted"] += compacted and lane in used
-                    used.add(lane)
-                elif op == "step" and busy.size:
-                    life.step()
-                elif op == "cancel" and busy.size:
-                    life.cancel(int(rng.choice(busy)))
-                    seen["cancel"] += 1
-                elif op == "compact" and free and busy.size:
-                    life.compact()
-                    seen["compact"] += 1
-                    # Lane ids were renumbered: every surviving row is "used".
-                    used, compacted = set(range(life.bank.num_lanes)), True
-            life.drain()
-            ops += life.ops
-            retired += len(life.retired)
-        assert ops >= 200 and retired >= 15, (ops, retired)
-        assert min(seen.values()) >= 3, seen
 
 
 class TestTreeHistogramCap:
@@ -449,17 +257,12 @@ class TestTreeBlasParity:
         seq = [rec.decode(u.features) for u in task.corpus.test]
         return rec, seq
 
-    def _assert_blas_lane(self, seq, lane):
-        assert lane.words == seq.words
-        assert abs(lane.score - seq.score) <= BLAS_SCORE_ATOL
-        assert lane.frames == seq.frames
-
     def test_batch_blas_matches_sequential(self, blas_pair, task):
         rec, seq = blas_pair
         feats = [u.features for u in task.corpus.test]
         result = rec.decode_batch(feats)
         for s, lane in zip(seq, result):
-            self._assert_blas_lane(s, lane)
+            _assert_lane_equal(s, lane, atol=BLAS_SCORE_ATOL)
 
     def test_continuous_blas_matches_sequential(self, blas_pair, task):
         rec, seq = blas_pair
@@ -467,7 +270,7 @@ class TestTreeBlasParity:
         result = rec.decode_stream(feats, max_lanes=3)
         assert max(result.admit_steps) > 0  # refill actually happened
         for s, lane in zip(seq, result):
-            self._assert_blas_lane(s, lane)
+            _assert_lane_equal(s, lane, atol=BLAS_SCORE_ATOL)
 
 
 class TestNetworkAxis:

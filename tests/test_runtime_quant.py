@@ -161,12 +161,16 @@ class TestPrecisionValidation:
             "table_bytes",
             "BrownoutPolicy",
             "set_precision",
+            "reference.set_precision",
         ],
     )
     def test_int8_refused_at_every_door(self, golden_task, recs, door):
         assert BLAS_PRECISIONS == ("float64", "float32")
         pool = golden_task.pool
         rec = recs["float32"]
+        reference = Recognizer.create(
+            golden_task.dictionary, pool, golden_task.lm, golden_task.tying,
+        )
         doors = {
             "Recognizer.create": lambda: Recognizer.create(
                 golden_task.dictionary, pool, golden_task.lm,
@@ -177,10 +181,14 @@ class TestPrecisionValidation:
             "table_bytes": lambda: pool.table_bytes("int8"),
             "BrownoutPolicy": lambda: BrownoutPolicy(precision="int8"),
             "set_precision": lambda: rec.set_precision("int8"),
+            # No precision axis, but an unknown precision is still refused.
+            "reference.set_precision": lambda: reference.set_precision("int8"),
         }
         with pytest.raises(ValueError, match="'float64', 'float32'"):
             doors[door]()
         assert rec.precision == rec.scorer.precision == "float32"
+        assert reference.precision == "float64"
+        assert reference.set_precision("float32") is False
 
 
 class TestPrecisionThreading:
