@@ -31,6 +31,7 @@ __all__ = [
     "BlasTables",
     "BLAS_PRECISIONS",
     "check_blas_precision",
+    "fold_exact",
 ]
 
 #: Storage dtypes :meth:`SenonePool.blas_tables` can build, widest
@@ -54,27 +55,45 @@ def _fold_components(items: np.ndarray, out: np.ndarray | None = None) -> np.nda
     items' own dtype — the fold of the matmul-form (blas) kernels only
     (into ``out`` when given: same dtype, the items' leading shape).
 
-    Two components fold as ``max + log1p(exp(-|a - b|))`` in array
-    passes, within a few ulp of ``np.logaddexp`` and several times
-    faster.  The gap is clipped at -40: past it the smaller component
-    adds < 5e-18 (under half an ulp of any score), and real mixtures
-    sit there often enough to keep ``exp``/``log1p`` on their slow
-    underflow paths.  An all-``-inf`` item has the gap ``-inf - -inf =
-    nan``; every other fold is >= its peak, so ``fmax`` against the
-    peak turns exactly that case back into ``-inf``.
+    ONE two-term kernel, ``max + log1p(exp(min - max))``, folds each
+    row's M component planes pairwise, level by level (M -> ceil(M/2) ->
+    ... -> 1; an odd plane carries, M = 1 is a copy).  The gap is
+    clipped at -40: past it the smaller term adds < 5e-18 (under half an
+    ulp of any score) and keeps ``exp``/``log1p`` off their slow
+    underflow paths.  Two ``-inf`` terms give a ``nan`` gap, which the
+    clip's ``fmax`` maps to -40 like any gap below it: ``-inf`` again.
     """
-    if items.shape[-1] != 2:
-        return np.logaddexp.reduce(items, axis=-1, out=out)
-    a, b = items[..., 0], items[..., 1]
-    peak = np.maximum(a, b)
-    out = np.minimum(a, b, out=out)
-    with np.errstate(invalid="ignore"):  # -inf - -inf, repaired below
-        out -= peak
-    np.maximum(out, -40.0, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += peak
-    return np.fmax(out, peak, out=out)
+    out = np.empty(items.shape[:-1], items.dtype) if out is None else out
+    planes = items.swapaxes(-1, -2)  # (..., M, N): contiguous levels
+    while True:
+        pairs, carry = divmod(planes.shape[-2], 2)
+        shape = (*out.shape[:-1], pairs + carry, out.shape[-1])
+        level = out[..., None, :] if shape[-2] == 1 else np.empty(shape, out.dtype)
+        a, b = planes[..., 0 : 2 * pairs : 2, :], planes[..., 1 : 2 * pairs : 2, :]
+        fold = level[..., :pairs, :]
+        peak = np.maximum(a, b, out=np.empty_like(fold))
+        np.minimum(a, b, out=fold)
+        with np.errstate(invalid="ignore"):  # -inf - -inf: the clip repairs it
+            fold -= peak
+        np.fmax(fold, -40.0, out=fold)
+        np.log1p(np.exp(fold, out=fold), out=fold)
+        fold += peak
+        level[..., pairs:, :] = planes[..., 2 * pairs :, :]  # the odd plane carries
+        if level.shape[-2] == 1:
+            return out
+        planes = level
+
+
+def fold_exact(comp: np.ndarray) -> np.ndarray:
+    """``peak + log(sum(exp(comp - peak)))`` over the last axis of a
+    ``(P, M)`` block, in place on it — the one exact fold (reference
+    and fast families); one term is its own log-sum-exp."""
+    if comp.shape[-1] == 1:
+        return comp[:, 0]
+    peak = comp.max(axis=-1)
+    np.subtract(comp, peak[:, None], out=comp)
+    acc = np.exp(comp, out=comp).sum(axis=-1)
+    return np.add(peak, np.log(acc, out=acc), out=acc)
 
 
 @dataclass(frozen=True)
@@ -237,13 +256,7 @@ class SenonePool:
         comp = work.sum(axis=-1)  # (P, M)
         np.add(comp, self._log_norm.take(idx, axis=0), out=comp)
         np.add(comp, self._log_weights.take(idx, axis=0), out=comp)
-        peak = comp.max(axis=-1)
-        np.subtract(comp, peak[:, None], out=comp)
-        np.exp(comp, out=comp)
-        acc = comp.sum(axis=-1)
-        np.log(acc, out=acc)
-        np.add(peak, acc, out=acc)
-        return acc
+        return fold_exact(comp)
 
     # ------------------------------------------------------------------
     # Matmul-form (BLAS) scoring

@@ -237,13 +237,13 @@ class BatchHardwareScorer(_StatelessLaneMixin):
 #: Frames of ONE lane scored ahead in one whole-table product.
 BLOCK_FRAMES = 32
 #: Float64 elements a block's ``(frames, N, M)`` intermediate may hold
-#: (32 MB): a paper-scale pool gets a shorter block, not more memory.
-#: Resident besides: two blocks of scores per lane at most (the one it
-#: reads and the next, in flight), allocated by the search thread and
-#: written by the worker through ``out=`` (rows the worker allocates
-#: itself read ≈ +7 MB peak RSS on ``bank_dense``), and ONE
-#: intermediate on the process's scoring worker, which runs one pass
-#: at a time.
+#: (32 MB): a paper-scale pool gets a shorter block, not more memory; the
+#: fold's first level adds M ``(frames, N)`` planes at most (at M = 2 one
+#: peak plane: it writes into the block's rows).  Resident besides: two
+#: blocks of scores per lane at most (the one read and the next), allocated
+#: by the search thread and written by the worker through ``out=``
+#: (worker-allocated rows read ≈ +7 MB peak RSS on ``bank_dense``), and ONE
+#: intermediate on the process's scoring worker, one pass at a time.
 BLOCK_SCRATCH_ELEMENTS = 4_000_000
 #: Unread rows left in a lane's block when its next block goes to the
 #: scoring worker.  The lead barely moves the time on ``bank_dense``

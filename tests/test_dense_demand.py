@@ -4,9 +4,9 @@ With ``use_feedback=False`` every active lane asks for every senone on
 every frame (the paper's worst-case-bandwidth regime).  The bank builds
 that grid from its active-lane set, the blas scorer recognizes it
 EXACTLY (never from the pair count alone) and answers with the dense
-block, and the two-component mixture fold behind it is a fused
-``max + log1p(exp(-|a - b|))``.  Each piece is pinned here against the
-kernels it must agree with.
+block, and the mixture fold behind it folds the component planes
+pairwise through one fused ``max + log1p(exp(-|a - b|))``.  Each piece
+is pinned here against the kernels it must agree with.
 """
 
 import numpy as np
@@ -276,8 +276,58 @@ class TestFusedFold:
 
     def test_other_component_counts_reduce(self, rng):
         items = rng.normal(0.0, 30.0, size=(5, 4))
+        np.testing.assert_allclose(
+            _fold_components(items),
+            np.logaddexp.reduce(items, axis=-1),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_every_component_count_folds_like_logaddexp_reduce(self, rng, m, dtype):
+        items = rng.normal(-100.0, 30.0, size=(4, 60, m))
+        items[:, :6, 0] = -np.inf  # zero-weight components
+        items[:, 6:12] = items[:, 6:12, :1]  # ties
+        items[:, 12:18, -1] = items[:, 12:18].max(axis=-1) + 45.0  # gaps above 40
+        items[:, 18:24] = -np.inf  # all-dead items
+        items = items.astype(dtype)
+        expected = np.logaddexp.reduce(items.astype(np.float64), axis=-1)
+        with np.errstate(all="raise"):
+            folded = _fold_components(items)
+            out = np.empty(items.shape[:-1], dtype=dtype)
+            assert _fold_components(items, out=out) is out
+        assert folded.dtype == dtype and not np.isnan(folded).any()
+        np.testing.assert_array_equal(out, folded)
+        assert np.isneginf(folded[:, 18:24]).all()
+        if dtype == np.float64:
+            np.testing.assert_allclose(folded, expected, rtol=0.0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(folded, expected, rtol=1e-6)
+
+    @staticmethod
+    def _two_component_fold(items):
+        """The two-component spelling the pairwise kernel must keep."""
+        a, b = items[..., 0], items[..., 1]
+        peak = np.maximum(a, b)
+        out = np.minimum(a, b)
+        with np.errstate(invalid="ignore"):
+            out -= peak
+        np.maximum(out, -40.0, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += peak
+        return np.fmax(out, peak, out=out)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_two_components_fold_bit_for_bit_as_before(self, dtype):
+        items = np.random.default_rng(46).normal(-100.0, 30.0, size=(32, 2048, 2))
+        items[0, :8, 0] = -np.inf
+        items[1, :8] = -np.inf
+        items[2, :8, 1] = items[2, :8, 0]
+        items = items.astype(dtype)
         np.testing.assert_array_equal(
-            _fold_components(items), np.logaddexp.reduce(items, axis=-1)
+            _fold_components(items), self._two_component_fold(items)
         )
 
     def _zero_weight_pool(self, rng):

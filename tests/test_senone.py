@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decoder.scorer import BLAS_SCORE_ATOL
-from repro.hmm.senone import SenonePool
+from repro.hmm.senone import SenonePool, fold_exact
 from repro.quant.float_formats import IEEE_SINGLE, MANTISSA_12, MANTISSA_15
 
 
@@ -79,6 +79,50 @@ class TestScoring:
     def test_mixture_out_of_range(self, small_pool):
         with pytest.raises(IndexError):
             small_pool.mixture(small_pool.num_senones)
+
+
+class TestExactFold:
+    """``fold_exact`` against the two spellings it replaced: the
+    reference family's in-place fold and the fast family's expression
+    (with its one-term shortcut)."""
+
+    @staticmethod
+    def _reference_fold(comp):
+        peak = comp.max(axis=-1)
+        np.subtract(comp, peak[:, None], out=comp)
+        np.exp(comp, out=comp)
+        acc = comp.sum(axis=-1)
+        np.log(acc, out=acc)
+        np.add(peak, acc, out=acc)
+        return acc
+
+    @staticmethod
+    def _fast_fold(comp):
+        if comp.shape[-1] == 1:
+            return comp[:, 0]
+        peak = comp.max(axis=-1)
+        return peak + np.log(np.exp(comp - peak[:, None]).sum(axis=-1))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9, 16])
+    def test_bit_equal_to_both_replaced_spellings(self, rng, m):
+        comp = rng.normal(-80.0, 40.0, size=(300, m))
+        comp[:40, 0] = -np.inf  # zero-weight components
+        comp[40:60, m // 2] = -np.inf
+        comp[:10, m - 1] = 0.0
+        comp[10:20] = -60.0  # ties
+        folded = fold_exact(comp.copy())
+        np.testing.assert_array_equal(folded, self._fast_fold(comp.copy()))
+        if m > 1:
+            np.testing.assert_array_equal(folded, self._reference_fold(comp.copy()))
+
+    def test_score_pairs_matches_the_mixture_oracle_at_every_count(self, rng):
+        for m in (1, 3, 8):
+            pool = SenonePool.random(9, num_components=m, dim=5, rng=rng)
+            obs = rng.normal(size=(2, 5))
+            rows, senones = np.repeat([0, 1], 9), np.tile(np.arange(9), 2)
+            scores = pool.score_pairs(obs, rows, senones)
+            expected = [pool.mixture(s).log_prob(obs[r]) for r, s in zip(rows, senones)]
+            np.testing.assert_allclose(scores, expected, rtol=1e-12)
 
 
 class TestBlasScoring:
