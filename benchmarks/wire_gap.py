@@ -1,4 +1,4 @@
-"""How much capacity the socket front door costs, measured in one process.
+"""How much capacity and latency the socket front door costs, in one process.
 
     python3 benchmarks/wire_gap.py [--seed 2] [--rounds 3]
 
@@ -13,8 +13,15 @@ phase, corrected by the shard's own speed probe; the in-process side
 is ``BankDriver``'s replay over the same recognizer options, corrected
 by the same probe run in this process.  Every number is therefore in
 the harness's unit (seconds on the quiet bench box), and the gap is
-``1 - wire / in-process`` over the best round of each.  It gates
-nothing.
+``1 - wire / in-process`` over the best round of each.
+
+Latency, beside it: ``WireDriver``'s paced replays (the open-loop
+30 req/s phase ``latency_p50_ms`` is read from, each request timed from
+its due time) against an in-process ``Recognizer.decode`` of each of
+the same requests, one at a time, corrected by this process's probe.
+Each side keeps every request's best time over its replays (the
+harness's estimator) and reports p50 / p90; what the wire adds to a
+lone request is the gap between them.  It gates nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +44,28 @@ from benchmarks.perf.harness import fingerprint, pin_blas_threads  # noqa: E402
 
 def _utt_per_s(result: dict) -> float:
     return result["throughput_n"] / sum(result["chunk_s"])
+
+
+def _decode_latency_s(rec, requests, speed) -> list[float]:
+    """Each request's in-process ``decode``, box-speed corrected."""
+    times = []
+    speed.probe()
+    for request in requests:
+        t0 = time.monotonic()
+        rec.decode(request.features)
+        times.append((t0, time.monotonic()))
+    speed.probe()
+    return [speed.corrected(t0, t1, serial_probes=True) for t0, t1 in times]
+
+
+def _quantiles_ms(replays: list[list[float]]) -> dict:
+    from benchmarks.perf import harness
+
+    best = harness.replay_min(replays)
+    return {
+        "p50": 1e3 * harness.quantile(best, 0.50),
+        "p90": 1e3 * harness.quantile(best, 0.90),
+    }
 
 
 def run(seed: int = 2, rounds: int = 3, requests: int | None = None) -> dict:
@@ -67,6 +97,7 @@ def run(seed: int = 2, rounds: int = 3, requests: int | None = None) -> dict:
     wire = WireDriver(wire_spec, reqs, warmup, seed, speed)
     check = harness.OutputCheck()
     sides = {"in_process": [], "wire": []}
+    latency = {"in_process": [], "wire": []}  # per replay, per request (s)
     try:
         local.setup(task)
         wire.setup(task)
@@ -74,10 +105,15 @@ def run(seed: int = 2, rounds: int = 3, requests: int | None = None) -> dict:
         for r in range(rounds):
             sides["in_process"].append(_utt_per_s(local.replay(check, f"local{r}")))
             sides["wire"].append(_utt_per_s(wire.replay(check, f"wire{r}")))
+            latency["in_process"].append(_decode_latency_s(local.rec, reqs, speed))
+            latency["wire"] += [
+                paced["latency_s"] for paced in wire.latency_replays(check, [])
+            ]
     finally:
         wire.release()
         local.release()
     best = {side: max(values) for side, values in sides.items()}
+    latency_ms = {side: _quantiles_ms(replays) for side, replays in latency.items()}
     stamp["load_end"] = list(os.getloadavg())
     return {
         "requests": len(reqs),
@@ -87,6 +123,9 @@ def run(seed: int = 2, rounds: int = 3, requests: int | None = None) -> dict:
         "utt_per_s": sides,
         "best_utt_per_s": best,
         "gap": 1.0 - best["wire"] / best["in_process"],
+        "paced_replays": len(latency["wire"]),
+        "latency_ms": latency_ms,
+        "latency_gap_ms": latency_ms["wire"]["p50"] - latency_ms["in_process"]["p50"],
         "ok_frac": check.ok_frac,
         "fingerprint": stamp,
     }
@@ -105,6 +144,15 @@ def render(report: dict) -> str:
     lines += [
         f"gap (1 - wire / in-process, best of each): {report['gap']:+.1%}; "
         f"ok_frac {report['ok_frac']:.4f}",
+        "",
+        f"latency per request (ms, best of each request's replays; wire: "
+        f"{report['paced_replays']} paced replays at 30 req/s from the due "
+        f"time, in_process: Recognizer.decode one at a time):",
+    ]
+    for side, ms in report["latency_ms"].items():
+        lines.append(f"  {side:<10} p50 {ms['p50']:6.1f}   p90 {ms['p90']:6.1f}")
+    lines += [
+        f"wire p50 - in-process decode p50: {report['latency_gap_ms']:+.1f} ms",
         "",
         "fingerprint: " + json.dumps(report["fingerprint"]),
     ]

@@ -565,13 +565,17 @@ class Recognizer:
         number of simultaneously decoding utterances (the stacked
         state's ``B``).
 
-        FIFO admission: the first ``max_lanes`` utterances are admitted
-        at step 0; every retirement immediately pulls the next one into
-        the freed lane (its frame 0 is processed on the very next
-        step), so with enough waiting work every step advances
-        ``max_lanes`` real frames.  Once the queue is DRAINED a freed
-        lane can never be refilled, so the bank compacts to its
-        occupied lanes instead of stepping dead rows through the tail.
+        FIFO admission, and a bank exactly as wide as its occupied
+        lanes (the serve loop's rule too): an utterance is pulled only
+        while fewer than ``max_lanes`` lanes are occupied, into the
+        lowest free lane or a lane the bank grows by
+        (:meth:`~repro.runtime.batch.LaneBankBase.open_lane`), so the
+        first ``max_lanes`` are admitted before step 0 and every
+        retirement pulls the next one into the freed lane (its frame 0
+        is processed on the very next step).  A lane left free because
+        the queue is DRAINED is dropped before the next step
+        (:meth:`~repro.runtime.batch.LaneBankBase.compact`) instead of
+        being stepped dead through the tail.
 
         The scheduler only decides WHEN a lane is (re)seeded; every
         per-frame operation is the bank's, per-lane scorer state is
@@ -584,50 +588,38 @@ class Recognizer:
         """
         check_count("max_lanes", max_lanes, 1)
         queue = iter(features)
-
-        # Seed up to max_lanes utterances; a stream shorter than the
-        # lane budget gets a bank its own size (no dead lanes).
-        first: list[np.ndarray] = []
-        for raw in queue:
-            first.append(self._validate_features(len(first), raw))
-            if len(first) == max_lanes:
-                break
-        if not first:
-            raise ValueError("cannot decode an empty stream")
-
         self._reset_accounting()
-        bank = self.make_bank(len(first))
-        for lane, f in enumerate(first):
-            bank.admit(lane, lane, f)
-        admitted = len(first)
-        lane_of = list(range(admitted))
-        admit_steps = [0] * admitted
-
+        bank = self.make_bank(1)
+        admitted = 0
+        lane_of: list[int] = []  # the lane at admission, before any compaction
+        admit_steps: list[int] = []
         finished: dict[int, RecognitionResult] = {}
-        drained = False
-        while bank.any_active:
-            retired = False
+        while True:
+            while bank.occupied < max_lanes:
+                nxt = next(queue, _QUEUE_END)
+                if nxt is _QUEUE_END:
+                    break
+                feats = self._validate_features(admitted, nxt)
+                lane = bank.open_lane()
+                bank.admit(lane, admitted, feats)
+                lane_of.append(lane)
+                admit_steps.append(bank.steps)
+                admitted += 1
+            if not bank.any_active:
+                break
+            if not bank.active.all():
+                bank.compact()
             for lane in bank.step():
                 utt = int(bank.lane_utt[lane])
                 finished[utt] = bank.retire(lane)
-                retired = True
-                nxt = next(queue, _QUEUE_END)
-                if nxt is _QUEUE_END:
-                    drained = True
-                else:
-                    bank.admit(lane, admitted, self._validate_features(admitted, nxt))
-                    lane_of.append(lane)
-                    admit_steps.append(bank.steps)
-                    admitted += 1
-            # lane_of/admit_steps keep the PRE-compaction lane ids.
-            if drained and retired and bank.any_active:
-                bank.compact()
+        if not admitted:
+            raise ValueError("cannot decode an empty stream")
 
         return BatchDecodeResult(
             results=[finished[i] for i in range(admitted)],
             frames_processed=bank.frames_processed,
             steps=bank.steps,
-            max_lanes=len(first),
+            max_lanes=min(max_lanes, admitted),
             lane_of=lane_of,
             admit_steps=admit_steps,
             **self._pooled_accounting(),

@@ -13,6 +13,7 @@ paper's memory arithmetic: 6000 senones x 8 components x (39 means +
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,15 @@ def check_blas_precision(precision: str) -> None:
         )
 
 
+#: Items (``frames x N x M``) the blas fold takes in one frame slice, so
+#: its level planes stay in cache instead of streaming a whole block's
+#: level through memory (1 MiB of float64: ``bank_dense``'s
+#: ``(32, 2048, 2)`` block is one slice, the paper's 6000 x 8 folds two
+#: frames at a time).  Beside ``runtime.scoring.BLOCK_SCRATCH_ELEMENTS``,
+#: which bounds the block itself.
+FOLD_SLICE_ELEMENTS = 131_072
+
+
 def _fold_components(items: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Log-sum-exp over the trailing mixture-component axis, in the
     items' own dtype — the fold of the matmul-form (blas) kernels only
@@ -62,8 +72,21 @@ def _fold_components(items: np.ndarray, out: np.ndarray | None = None) -> np.nda
     ulp of any score) and keeps ``exp``/``log1p`` off their slow
     underflow paths.  Two ``-inf`` terms give a ``nan`` gap, which the
     clip's ``fmax`` maps to -40 like any gap below it: ``-inf`` again.
+    A block of frames folds in slices of whole frames of at most
+    :data:`FOLD_SLICE_ELEMENTS` items (at least one frame); every score
+    depends on its own frame alone, so the slicing moves no bit.
     """
     out = np.empty(items.shape[:-1], items.dtype) if out is None else out
+    if items.ndim < 3:
+        return _fold_levels(items, out)
+    frames = max(1, FOLD_SLICE_ELEMENTS // max(1, math.prod(items.shape[1:])))
+    for lo in range(0, items.shape[0], frames):
+        _fold_levels(items[lo : lo + frames], out[lo : lo + frames])
+    return out
+
+
+def _fold_levels(items: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`_fold_components` on one slice, into ``out``."""
     planes = items.swapaxes(-1, -2)  # (..., M, N): contiguous levels
     while True:
         pairs, carry = divmod(planes.shape[-2], 2)

@@ -40,9 +40,19 @@ path score and frame statistics are IDENTICAL to a 1-lane decode of the
 same features (:class:`~repro.decoder.recognizer.Recognizer.decode`,
 pinned by the committed fixtures of ``tests/golden/``), in reference,
 hardware and fast modes — regardless of batch composition, admission
-step or refill order.  A retired (or never admitted) lane's state is
-frozen at ``LOG_ZERO`` so no idle step ever reaches a lattice or a
-statistics record.
+step, refill order or bank width.  A retired (or never admitted) lane's
+state is frozen at ``LOG_ZERO`` so no idle step ever reaches a lattice
+or a statistics record.
+
+A bank is as wide as its occupied lanes, by one rule both drivers
+(``decode_stream`` and the serve loop) follow: start at one lane, admit
+into :meth:`LaneBankBase.open_lane` — the lowest free lane, or one
+:meth:`LaneBankBase.grow` appends when every lane is occupied (the
+driver holds the cap) — and :meth:`LaneBankBase.compact` away the free
+lanes before each step.  Growth and compaction are ONE relayout
+(:meth:`LaneBankBase._relayout`): occupied rows move down in order, a
+new row is released frozen like a retired lane, scratch is rebuilt at
+the new width and the scorer's lane state follows its lanes.
 """
 
 from __future__ import annotations
@@ -167,8 +177,9 @@ class LaneBankBase:
         """Seal one lane's search rows so idle steps cannot revive it."""
         raise NotImplementedError
 
-    def _compact_state(self, keep: np.ndarray) -> None:
-        """Keep only ``keep``'s rows of the stacked search state."""
+    def _relayout_state(self, rows: np.ndarray) -> None:
+        """Old row ``rows[i]`` becomes row ``i`` of the stacked search
+        state (``rows`` ascending, a grown lane repeating the last)."""
         raise NotImplementedError
 
     def _bind_record(self, record: np.ndarray) -> None:
@@ -614,38 +625,75 @@ class LaneBankBase:
         self._lane_marks[lane] = None
 
     # ------------------------------------------------------------------
-    def compact(self) -> int:
-        """Shrink the bank to its occupied lanes; returns the new size.
+    def open_lane(self) -> int:
+        """The lane the next admission goes to: the lowest free one, or,
+        when every lane is occupied, one appended by :meth:`grow`.  The
+        driver holds the lane cap: it asks only while fewer lanes than
+        its cap are occupied."""
+        free = self.free_lanes()
+        return free[0] if free else self.grow()
 
-        Called by ``decode_stream`` once the waiting queue is
-        drained, so the tail of a stream stops paying per-step
-        vectorized work for lanes that can never be refilled.  Live
-        lanes are relocated to the low rows (preserving relative
-        order) and every stacked array and scratch buffer is rebuilt
-        at the new width.  All per-frame math is elementwise or a
-        per-row reduction, so relocating a row changes nothing about
-        that lane's decode — the parity suite covers compacted tails.
+    @property
+    def occupied(self) -> int:
+        """Lanes holding an utterance."""
+        return int(np.count_nonzero(self.active))
+
+    def grow(self) -> int:
+        """Append one free lane, frozen like a retired one; returns it.
+
+        The counterpart of :meth:`compact`, through the same relayout:
+        a driver admitting into a full bank below its cap widens it by
+        the one lane it needs, so a bank is never wider than its
+        occupied lanes plus the lane being admitted.
+        """
+        lane = self.num_lanes
+        self._relayout(np.arange(lane), lane + 1)
+        return lane
+
+    def compact(self) -> int:
+        """Drop the free lanes; returns the new width.
+
+        The drivers call it after admission and before a step, so no
+        step pays per-step vectorized work for a lane nobody occupies
+        (a bank with no occupied lane keeps its width).
         """
         keep = np.flatnonzero(self.active)
         n = int(keep.size)
         if n == self.num_lanes or n == 0:
             return self.num_lanes
-        keep_list = keep.tolist()
-        self._compact_state(keep)
-        self.active = np.ones(n, dtype=bool)
-        self.lane_t = self.lane_t[keep]
-        self.lane_len = self.lane_len[keep]
-        self.lane_utt = self.lane_utt[keep]
-        self.lane_feats = [self.lane_feats[b] for b in keep_list]
-        self.lane_enqueued = [self.lane_enqueued[b] for b in keep_list]
-        self.lane_admitted = [self.lane_admitted[b] for b in keep_list]
-        self.lattices = [self.lattices[b] for b in keep_list]
-        self.lane_frame_stats = [self.lane_frame_stats[b] for b in keep_list]
-        self._lane_marks = [self._lane_marks[b] for b in keep_list]
-        self.num_lanes = n
-        self._alloc_scratch()
-        self.scorer.compact_lanes(keep_list)
+        self._relayout(keep, n)
         return n
+
+    def _relayout(self, keep: np.ndarray, width: int) -> None:
+        """THE relayout of :meth:`grow` and :meth:`compact`: occupied
+        lane ``keep[i]`` (ascending) moves to row ``i``, order kept, and
+        rows ``len(keep)`` to ``width - 1`` are new free lanes.  Every
+        stacked array and scratch buffer is rebuilt at ``width`` and the
+        scorer's lane state follows its lanes.  All per-frame math is
+        elementwise or a per-row reduction, so moving a row changes
+        nothing about that lane's decode.
+        """
+        n = int(keep.size)
+        # A new row starts as a copy of the last kept one (the rows stay
+        # ascending) and is released below: frozen, unoccupied, empty.
+        rows = np.concatenate((keep, np.full(width - n, keep[-1])))
+        row_list = rows.tolist()
+        self._relayout_state(rows)
+        self.active = self.active[rows]
+        self.lane_t = self.lane_t[rows]
+        self.lane_len = self.lane_len[rows]
+        self.lane_utt = self.lane_utt[rows]
+        self.lane_feats = [self.lane_feats[b] for b in row_list]
+        self.lane_enqueued = [self.lane_enqueued[b] for b in row_list]
+        self.lane_admitted = [self.lane_admitted[b] for b in row_list]
+        self.lattices = [self.lattices[b] for b in row_list]
+        self.lane_frame_stats = [self.lane_frame_stats[b] for b in row_list]
+        self._lane_marks = [self._lane_marks[b] for b in row_list]
+        self.num_lanes = width
+        for lane in range(n, width):
+            self._release(lane)
+        self._alloc_scratch()
+        self.scorer.compact_lanes(row_list[:n])
 
 
 class LaneBank(LaneBankBase):
@@ -708,11 +756,11 @@ class LaneBank(LaneBankBase):
         self.pending_entry[lane] = LOG_ZERO
         self.pending_src[lane] = -1
 
-    def _compact_state(self, keep: np.ndarray) -> None:
-        self.delta = self.delta[keep]
-        self._bind_record(self._record.take(keep, axis=1))
-        self.pending_entry = self.pending_entry[keep]
-        self.pending_src = self.pending_src[keep]
+    def _relayout_state(self, rows: np.ndarray) -> None:
+        self.delta = self.delta[rows]
+        self._bind_record(self._record.take(rows, axis=1))
+        self.pending_entry = self.pending_entry[rows]
+        self.pending_src = self.pending_src[rows]
 
     def _candidate_senones(self) -> np.ndarray:
         """The flat ``(lane, senone)`` key of every candidate state —

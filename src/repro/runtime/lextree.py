@@ -59,7 +59,7 @@ admission step or refill order:
   pending entry, so an unoccupied row can never produce a candidate,
   an exit or a statistics record.
 
-The lane lifecycle (admit/step/retire/cancel/compact, scorer
+The lane lifecycle (admit/step/retire/cancel/grow/compact, scorer
 admit/retire/compact hooks, per-lane frame counters and result
 packaging) is inherited from
 :class:`~repro.runtime.batch.LaneBankBase` unchanged, which is what
@@ -67,7 +67,7 @@ lets :meth:`~repro.decoder.recognizer.Recognizer.decode_stream` (and
 with it ``decode_batch``) and the serve loop drive the tree through
 the same interface as the flat network
 (``tests/test_lane_lifecycle.py`` hunts for stale rows in generated
-admit/step/cancel/compact lifecycles of both banks).
+admit/step/cancel/grow/compact lifecycles of both banks).
 """
 
 from __future__ import annotations
@@ -160,15 +160,16 @@ class TreeLaneBank(LaneBankBase):
         self.pending_entry[lane] = LOG_ZERO
         self.pending_src[lane] = -1
 
-    def _compact_state(self, keep: np.ndarray) -> None:
-        self.delta = self.delta[keep]
-        self._bind_record(self._record.take(keep, axis=1))
-        self.pending_entry = self.pending_entry[keep]
-        self.pending_src = self.pending_src[keep]
+    def _relayout_state(self, rows: np.ndarray) -> None:
+        self.delta = self.delta[rows]
+        self._bind_record(self._record.take(rows, axis=1))
+        self.pending_entry = self.pending_entry[rows]
+        self.pending_src = self.pending_src[rows]
         # Only occupied lanes are kept and only those hold live slots;
-        # row `keep[i]` becomes row `i`, order preserved.
+        # row `rows[i]` becomes row `i` at its FIRST occurrence (a grown
+        # lane's repeat of the last row holds none), order preserved.
         lane = self._alive // self.net.num_states
-        self._alive += (np.searchsorted(keep, lane) - lane) * self.net.num_states
+        self._alive += (np.searchsorted(rows, lane) - lane) * self.net.num_states
 
     def _candidate_slots(self) -> np.ndarray:
         """Ascending flat indices of every slot that can be live next frame.

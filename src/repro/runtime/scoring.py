@@ -50,8 +50,8 @@ ahead) — so the protocol carries a lane lifecycle:
 the lane's features when the caller has them),
 :meth:`BatchScoringBackend.retire_lane` when its utterance finalizes
 (returning the lane's fast-GMM work counters, if any), and
-:meth:`BatchScoringBackend.compact_lanes` when the bank shrinks to its
-occupied lanes.  The stateless backends implement them as no-ops.
+:meth:`BatchScoringBackend.compact_lanes` when the bank is relaid out
+(compacted to its occupied lanes, or grown by a lane).  The stateless backends implement them as no-ops.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ class BatchScoringBackend(Protocol):
         ...  # pragma: no cover - protocol definition
 
     def compact_lanes(self, keep: Sequence[int]) -> None:
-        """The bank shrank: old lane ``keep[i]`` is now lane ``i``."""
+        """The bank was relaid out: occupied lane ``keep[i]`` is now lane
+        ``i``, and any lane past them is free (growth appends one)."""
         ...  # pragma: no cover - protocol definition
 
 

@@ -10,8 +10,15 @@ forked worker process — :mod:`repro.serve` does both) that
 
 * pulls :class:`DecodeJob` / :class:`CancelJob` / :data:`STOP` commands
   from a push-style thread-safe queue,
-* admits jobs into a :class:`~repro.runtime.batch.LaneBank` as lanes
-  free up (FIFO, at most ``max_lanes`` decoding simultaneously),
+* admits jobs into a :class:`~repro.runtime.batch.LaneBank` FIFO, at
+  most ``max_lanes`` decoding simultaneously, in a bank exactly as wide
+  as its occupied lanes: it starts at one lane, grows by one when it
+  admits into a full bank
+  (:meth:`~repro.runtime.batch.LaneBankBase.open_lane`) and drops its
+  free lanes before every step
+  (:meth:`~repro.runtime.batch.LaneBankBase.compact`) — the rule
+  ``decode_stream`` follows too — so a step costs the requests in
+  flight, not the lane cap,
 * enforces per-utterance deadlines — a job whose deadline passes while
   QUEUED is shed without decoding; one that misses MID-DECODE is
   early-retired through :meth:`~repro.runtime.batch.LaneBank.cancel`,
@@ -22,11 +29,12 @@ forked worker process — :mod:`repro.serve` does both) that
   :class:`ServeStopped`) through a caller-supplied callback the moment
   each utterance resolves — no waiting for the stream to drain.
 
-Parity: the loop only decides WHEN lanes are seeded and freed; every
-per-frame operation is the same :class:`~repro.runtime.batch.LaneBank`
-kernel the offline drivers use, so completed utterances are
-bit-identical to a sequential decode (tolerance-scored in blas mode)
-for any arrival order, deadline pattern or cancellation interleaving.
+Parity: the loop only decides WHEN lanes are seeded, moved and freed;
+every per-frame operation is the same
+:class:`~repro.runtime.batch.LaneBank` kernel the offline drivers use,
+elementwise or per row, so completed utterances are bit-identical to a
+sequential decode (tolerance-scored in blas mode) for any arrival
+order, deadline pattern, cancellation interleaving or bank width.
 """
 
 from __future__ import annotations
@@ -227,7 +235,9 @@ class LoopStats:
 
     @property
     def utilization(self) -> float:
-        """Fraction of lane-steps that decoded a real frame."""
+        """Occupied share of the lane cap: frames decoded over
+        ``steps x max_lanes`` (the bank itself is never wider than its
+        occupied lanes)."""
         slots = self.steps * self.max_lanes
         return self.frames_processed / slots if slots else 0.0
 
@@ -249,9 +259,10 @@ class ServeLoop:
         A :class:`~repro.decoder.recognizer.Recognizer` (any scoring
         mode) this loop has to itself — the server hands each shard a
         :meth:`~repro.decoder.recognizer.Recognizer.twin`; the loop
-        builds one ``max_lanes``-wide bank from it.
+        builds one bank from it, as wide as its occupied lanes.
     max_lanes:
-        Simultaneously decoding utterances (the stacked state's ``B``).
+        Simultaneously decoding utterances (the cap on the stacked
+        state's ``B``).
     clock:
         Injectable monotonic clock (tests pin deadline interleavings).
     worker_id:
@@ -329,12 +340,15 @@ class ServeLoop:
         """
         rec = self.recognizer
         rec._reset_accounting()
-        bank = rec.make_bank(self.max_lanes)
+        # The bank is as wide as its occupied lanes: it grows by one
+        # lane at an admission into a full bank and drops its free lanes
+        # before a step, so it never steps a lane nobody occupies.
+        bank = rec.make_bank(1)
         # A job travels with its inbox-arrival stamp: first in
-        # ``waiting``, then in its lane's slot (read only while the
-        # lane is active, overwritten by the next admit).
+        # ``waiting``, then in ``slots`` under its utterance id (lanes
+        # move when the bank compacts; ids do not) until it resolves.
         waiting: deque[tuple[DecodeJob, float]] = deque()
-        slots: list[tuple[DecodeJob, float] | None] = [None] * self.max_lanes
+        slots: dict[int, tuple[DecodeJob, float]] = {}
         cancels: set[int] = set()
         steals: set[int] = set()
         shard_telemetry = DecodeTelemetry()
@@ -421,14 +435,16 @@ class ServeLoop:
                 #    missed their deadline; the freed lanes re-admit
                 #    below, this very iteration.
                 for lane in np.flatnonzero(bank.active).tolist():
-                    job = slots[lane][0]
-                    utt, deadline = job.utt_id, job.deadline_at
+                    utt = int(bank.lane_utt[lane])
+                    deadline = slots[utt][0].deadline_at
                     if utt in cancels:
                         cancels.discard(utt)
+                        del slots[utt]
                         frames = bank.cancel(lane)
                         emit(JobCancelled(utt, "decoding", frames))
                         cancelled += 1
                     elif deadline is not None and now >= deadline:
+                        del slots[utt]
                         frames = bank.cancel(lane)
                         emit(JobTimedOut(utt, "decoding", frames, deadline, now))
                         timeouts += 1
@@ -440,21 +456,22 @@ class ServeLoop:
                 cancels.clear()
                 steals.clear()
 
-                # 4. Admission: FIFO into free lanes.
-                while waiting and not bank.active.all():
-                    lane = bank.free_lanes()[0]
+                # 4. Admission: FIFO into a free lane, or one the bank
+                #    grows by, while fewer than max_lanes are occupied.
+                while waiting and bank.occupied < self.max_lanes:
                     entry = waiting.popleft()
                     job = entry[0]
                     try:
                         feats = rec._validate_features(job.utt_id, job.features)
-                        bank.admit(
-                            lane, job.utt_id, feats, enqueued_at=job.enqueued_at
-                        )
                     except (TypeError, ValueError) as exc:
                         emit(JobFailed(job.utt_id, repr(exc)))
                         failed += 1
                         continue
-                    slots[lane] = entry
+                    bank.admit(
+                        bank.open_lane(), job.utt_id, feats,
+                        enqueued_at=job.enqueued_at,
+                    )
+                    slots[job.utt_id] = entry
 
                 # 5. Idle / exit.
                 if not bank.any_active:
@@ -462,9 +479,12 @@ class ServeLoop:
                         break
                     continue
 
-                # 6. One frame-synchronous step; retire finishers.  An
-                #    injected slow-shard fault stalls before the step —
-                #    the shard stays alive and correct, just late.
+                # 6. Drop the free lanes, then one frame-synchronous
+                #    step; retire finishers.  An injected slow-shard
+                #    fault stalls before the step — the shard stays alive
+                #    and correct, just late.
+                if not bank.active.all():
+                    bank.compact()
                 if stall_steps > 0:
                     stall_steps -= 1
                     stalled_steps += 1
@@ -474,7 +494,7 @@ class ServeLoop:
                 # while the loop idles between jobs.
                 retired = False
                 for lane in bank.step():
-                    job, arrived_at = slots[lane]
+                    job, arrived_at = slots.pop(int(bank.lane_utt[lane]))
                     result = bank.retire(lane)
                     shard_telemetry.merge(result.telemetry)
                     result.trace = self._worker_trace(job, arrived_at, result)

@@ -16,6 +16,7 @@ from repro.core.logadd import LOG_ZERO
 from repro.decoder.recognizer import Recognizer
 from repro.decoder.scorer import BLAS_SCORE_ATOL, FLOAT32_SCORE_ATOL
 from repro.decoder.word_decode import DecoderConfig
+import repro.hmm.senone as senone_module
 from repro.hmm.senone import SenonePool, _fold_components
 from repro.runtime.scoring import MIN_PAIRS, BatchBlasScorer
 
@@ -329,6 +330,32 @@ class TestFusedFold:
         np.testing.assert_array_equal(
             _fold_components(items), self._two_component_fold(items)
         )
+
+    def test_bank_dense_block_folds_in_one_slice(self, monkeypatch):
+        slices = []
+        fold_levels = senone_module._fold_levels
+        monkeypatch.setattr(
+            senone_module, "_fold_levels",
+            lambda items, out: slices.append(items.shape) or fold_levels(items, out),
+        )
+        _fold_components(np.zeros((32, 2048, 2)))
+        assert slices == [(32, 2048, 2)]
+        slices.clear()
+        _fold_components(np.zeros((32, 6000, 8)))  # the paper's pool
+        assert {shape[0] for shape in slices} == {2}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_sliced_fold_is_the_whole_fold_bit_for_bit(self, monkeypatch, m, dtype):
+        items = np.random.default_rng(48).normal(-100.0, 30.0, size=(32, 2048, m))
+        items[0, :8, 0] = -np.inf
+        items[1, :8] = -np.inf
+        items[2, :8] = items[2, :8, :1]
+        items = items.astype(dtype)
+        sliced = _fold_components(items)
+        for budget in (1, 10**9):  # one frame per slice, one slice per block
+            monkeypatch.setattr(senone_module, "FOLD_SLICE_ELEMENTS", budget)
+            np.testing.assert_array_equal(_fold_components(items), sliced)
 
     def _zero_weight_pool(self, rng):
         shape = (30, 2, 13)

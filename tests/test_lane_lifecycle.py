@@ -16,8 +16,12 @@ float32} x {feedback demand, full grid}, with these rules in any order:
   bank first refuses a fed block (it would end every lane at once), and
   with ``junk`` the whole score row holds 0.0, better than any real
   score, before each step — no decode may read it;
+* ``grow`` a full bank below its cap by one free lane (the admission
+  path of a bank as wide as its occupied lanes), admitting into it or
+  leaving it free;
 * ``cancel`` a lane mid-utterance, ``compact`` the bank to its occupied
-  lanes, ``set_precision`` to the other blas table format.
+  lanes at any point (a grown lane still free, a lane not yet stepped),
+  ``set_precision`` to the other blas table format.
 
 Checked after every rule: the tree's active list is its live slots,
 idle rows and their pending entries are dead, and the scorer's lane
@@ -112,7 +116,7 @@ class LaneLifecycle(RuleBasedStateMachine):
         self.lanes: dict[int, _Lane] = {}
         self.admitted = 0
 
-    @initialize(width=st.integers(2, MAX_LANES))
+    @initialize(width=st.integers(1, MAX_LANES))
     def make_bank(self, width):
         self.bank = self.rig.machine.make_bank(width)
         kind = TreeLaneBank if self.rig.network == "tree" else LaneBank
@@ -131,10 +135,13 @@ class LaneLifecycle(RuleBasedStateMachine):
     def admit(self, pick, utt, length, fed):
         """A fed lane (no features) joins only a bank holding no
         featured lane, and the other way round."""
-        if self.lanes:
-            fed = self._holds(fed=True)
         free = self.bank.free_lanes()
         lane = free[-1 - pick % len(free)]  # from the top: compact moves it
+        self._admit(lane, utt, length, fed)
+
+    def _admit(self, lane, utt, length, fed):
+        if self.lanes:
+            fed = self._holds(fed=True)
         features = None if fed else self.rig.base[utt][:length]
         self.bank.admit(lane, self.admitted, features)
         self.admitted += 1
@@ -200,12 +207,32 @@ class LaneLifecycle(RuleBasedStateMachine):
         assert self.bank.cancel(lane) == self.lanes.pop(lane).decoded
 
     @precondition(
-        lambda self: self._mid_utterance() and len(self.lanes) < self.bank.num_lanes
+        lambda self: not self.bank.free_lanes() and self.bank.num_lanes < MAX_LANES
     )
+    @rule(
+        admit=st.booleans(),
+        utt=st.integers(0, UTTERANCES - 1),
+        length=st.sampled_from(LENGTHS),
+        fed=st.booleans(),
+    )
+    def grow(self, admit, utt, length, fed):
+        """Admit into a full bank below its cap: it grows by one lane,
+        appended free and frozen, every occupied lane and its scorer
+        state left where it was.  The lane is admitted into, or left
+        free for the invariant to inspect."""
+        bank, width = self.bank, self.bank.num_lanes
+        staying = [self._scorer_state(lane) for lane in range(width)]
+        assert bank.open_lane() == width and bank.num_lanes == width + 1
+        assert bank.delta.shape[0] == len(bank.lattices) == width + 1
+        assert [self._scorer_state(lane) for lane in range(width)] == staying
+        if admit:
+            self._admit(width, utt, length, fed)
+
+    @precondition(lambda self: self.lanes and self.bank.free_lanes())
     @rule()
     def compact(self):
-        """Shrink the bank to its occupied lanes, some mid-utterance: each
-        lane's scorer state moves with it."""
+        """Drop the free lanes at any point: each occupied lane, fresh or
+        mid-utterance, moves down with its scorer state."""
         bank, keep = self.bank, sorted(self.lanes)
         moving = [self._scorer_state(lane) for lane in keep]
         assert bank.compact() == len(keep) == bank.num_lanes

@@ -30,6 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import _assert_lane_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,6 +233,103 @@ class TestServeLoop:
         stats = [e for e in events if isinstance(e, LoopStats)]
         assert stats, "expected periodic LoopStats"
         assert 0.0 < stats[-1].utilization <= 1.0
+
+
+    def test_the_bank_is_as_wide_as_its_occupied_lanes(self, task, workload):
+        """On a scripted arrival / retire / cancel / deadline schedule the
+        bank the loop steps (seen through the ``make_bank`` seam) holds
+        exactly its occupied lanes at every step, and the loop does the
+        work a fixed ``max_lanes``-wide bank does: the same steps, frames
+        and events, every ``JobDone`` equal to ``Recognizer.decode``."""
+        features, _ = workload
+        rec = make_recognizer(task)
+        long, short = features[2], features[0][:12]
+        too_late = features[4]
+        schedule = [  # (bank steps before delivery, command)
+            (0, DecodeJob(0, long, 0.0)),
+            (0, DecodeJob(1, short, 0.0)),
+            (5, DecodeJob(2, features[1], 0.0)),
+            (5, DecodeJob(3, too_late, 0.0, deadline_at=40.0)),  # mid-decode
+            (5, DecodeJob(4, short, 0.0)),  # waits for a lane
+            (5, DecodeJob(5, np.zeros((5, 3)), 0.0)),  # fails: no lane, no growth
+            (9, CancelJob(2)),
+            (30, DecodeJob(6, short, 0.0, deadline_at=10.0)),  # shed while queued
+            (30, DecodeJob(7, features[3][:20], 0.0)),
+            (10**6, STOP),  # delivered once the loop idles
+        ]
+
+        def serve(fixed_width):
+            twin = rec.twin()
+            now = [0.0]
+            banks, steps = [], []
+            make_bank = twin.make_bank
+
+            def spied_bank(num_lanes):
+                bank = make_bank(3 if fixed_width else num_lanes)
+                if fixed_width:  # never grown nor compacted
+                    bank.compact = lambda: bank.num_lanes
+                step = bank.step
+
+                def counted_step(*args, **kwargs):
+                    steps.append((bank.num_lanes, int(bank.active.sum())))
+                    now[0] += 1.0
+                    return step(*args, **kwargs)
+
+                bank.step = counted_step
+                banks.append(bank)
+                return bank
+
+            twin.make_bank = spied_bank
+            pending = list(schedule)
+
+            class Inbox:
+                def get_nowait(self):
+                    if pending and pending[0][0] <= len(steps):
+                        return pending.pop(0)[1]
+                    raise queue.Empty
+
+                def get(self, timeout):  # idle: time runs on to the next command
+                    if pending:
+                        now[0] = max(now[0], pending[0][0])
+                        return pending.pop(0)[1]
+                    raise queue.Empty
+
+            events = []
+            stats = ServeLoop(twin, max_lanes=3, clock=lambda: now[0]).run(
+                Inbox(), events.append
+            )
+            assert len(banks) == 1 and not pending
+            return steps, events, stats
+
+        steps, events, stats = serve(fixed_width=False)
+        assert all(width == occupied for width, occupied in steps)
+        assert {width for width, _ in steps} == {1, 2, 3}
+        fixed_steps, fixed_events, fixed_stats = serve(fixed_width=True)
+        assert any(width > occupied for width, occupied in fixed_steps)
+        assert [occupied for _, occupied in steps] == [o for _, o in fixed_steps]
+        assert (stats.steps, stats.frames_processed) == (
+            fixed_stats.steps, fixed_stats.frames_processed,
+        )
+        assert stats.steps == len(steps)
+        assert stats.utilization == fixed_stats.utilization
+
+        def outcome(events):
+            return [
+                (type(e).__name__, e.utt_id, getattr(e, "stage", None))
+                for e in events
+                if not isinstance(e, (LoopStats, ServeStopped))
+            ]
+
+        assert outcome(events) == outcome(fixed_events)
+        assert sorted(outcome(events)) == [
+            ("JobCancelled", 2, "decoding"), ("JobDone", 0, None),
+            ("JobDone", 1, None), ("JobDone", 4, None), ("JobDone", 7, None),
+            ("JobFailed", 5, None), ("JobTimedOut", 3, "decoding"),
+            ("JobTimedOut", 6, "queued"),
+        ]
+        jobs = {job.utt_id: job for _, job in schedule if isinstance(job, DecodeJob)}
+        for done in (e for e in events if isinstance(e, JobDone)):
+            _assert_lane_equal(rec.decode(jobs[done.utt_id].features), done.result)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""``benchmarks/wire_gap.py`` — wire vs in-process capacity, one process."""
+"""``benchmarks/wire_gap.py`` — wire vs in-process capacity and latency, one process."""
 
 import importlib.util
 import multiprocessing
@@ -21,6 +21,15 @@ def test_a_short_round_times_both_sides_and_stops_the_shard():
     assert report["gap"] == 1 - (
         report["best_utt_per_s"]["wire"] / report["best_utt_per_s"]["in_process"]
     )
+    # The paced phase's replays against in-process decodes of the same
+    # requests, each side's p50 / p90 in milliseconds.
+    assert report["paced_replays"] >= 1
+    for side in ("in_process", "wire"):
+        ms = report["latency_ms"][side]
+        assert 0 < ms["p50"] <= ms["p90"]
+    assert report["latency_gap_ms"] == (
+        report["latency_ms"]["wire"]["p50"] - report["latency_ms"]["in_process"]["p50"]
+    )
     # Both sides decode the same requests: the answers agree bit for bit.
     assert report["ok_frac"] == 1.0
     assert not [
@@ -30,4 +39,5 @@ def test_a_short_round_times_both_sides_and_stops_the_shard():
 
     text = wire_gap.render(report)
     assert "in_process" in text and "wire" in text and "gap" in text
+    assert "p50" in text and "p90" in text
     assert '"blas_threads"' in text  # the machine fingerprint
