@@ -93,7 +93,7 @@ STAGES = (
 
 
 class LaneBankBase:
-    """The shared admit/step/retire/cancel/compact lane lifecycle.
+    """The shared admit/step/retire/cancel/grow/compact lane lifecycle.
 
     Subclasses own the stacked search state of one network family —
     :class:`LaneBank` runs the flat chain bank,
