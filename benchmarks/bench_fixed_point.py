@@ -13,8 +13,8 @@ represents the whole range with bounded relative error.
 
 import numpy as np
 
+from benchmarks.fixed_point import QFormat
 from repro.eval.report import format_table
-from repro.quant.fixed_point import QFormat
 from repro.quant.float_formats import IEEE_SINGLE
 
 

@@ -8,7 +8,8 @@ point instead of the fixed-point arithmetic common in embedded speech
 software.
 
 This module provides the fixed-point side of that comparison
-(experiment R7, ``benchmarks/bench_fixed_point.py``): a
+(experiment R7, ``bench_fixed_point.py`` beside it, its only reader: no
+mode of the engine runs fixed point): a
 :class:`QFormat` describing ``Qm.n`` signed fixed point,
 quantization with saturation, and the
 saturation / underflow-to-zero statistics that show why narrow

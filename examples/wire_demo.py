@@ -37,7 +37,6 @@ async def run_wire(task, recognizer) -> None:
         recognizer,
         num_workers=2,
         max_lanes=2,
-        worker_backlog=0,
         max_queue=4,
     ) as server:
         async with WireServer(server) as wire:
@@ -108,8 +107,7 @@ async def run_wire(task, recognizer) -> None:
                   f"{snapshot['completed']} completed, "
                   f"{snapshot['rejections']} rejection(s), "
                   f"wait p95 {snapshot['wait_p95_s'] * 1000:.0f} ms "
-                  f"(shed traffic included), "
-                  f"backlog {snapshot['worker_backlog']}")
+                  f"(shed traffic included)")
 
             await kiosk.close()
             await badge.close()

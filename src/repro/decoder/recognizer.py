@@ -39,6 +39,7 @@ used, not at module level.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -335,6 +336,20 @@ class Recognizer:
                 f"unknown mode {mode!r}; supported modes: {supported}"
             )
         validate_precision(mode, precision)
+        if fast_config is not None and mode != "fast":
+            # Only the fast backend has layers; any other would drop
+            # the thresholds without a word.
+            raise ValueError(
+                f"fast_config requires mode='fast' "
+                f"(the {mode!r} backend has no fast-GMM layers)"
+            )
+        if not (math.isfinite(frame_period_s) and frame_period_s > 0):
+            # audio_seconds is frames x period; every real-time factor
+            # divides by those seconds.
+            raise ValueError(
+                f"frame_period_s must be finite and positive, "
+                f"got {frame_period_s!r}"
+            )
         if not isinstance(network, AnyLexiconNetwork):
             raise TypeError(
                 "network must be a FlatLexiconNetwork or TreeLexiconNetwork, "

@@ -99,7 +99,6 @@ def render_metrics_text(
         ("cancelled", "Client cancellations"),
         ("errors", "Engine / worker failures"),
         ("rejections", "Load sheds at the admission door"),
-        ("steals", "Jobs reclaimed from a busy shard"),
         ("retries", "Jobs re-dispatched after a worker death"),
         ("reconnects", "Wire clients re-attaching under a known name"),
         ("faults_injected", "FaultPlan faults actually consumed"),
@@ -112,7 +111,6 @@ def render_metrics_text(
     gauges = [
         ("queue_depth", "Jobs waiting in the admission queue"),
         ("in_flight", "Jobs dispatched to workers, unresolved"),
-        ("worker_backlog", "Current per-worker over-dispatch depth"),
         ("audio_seconds", "Audio decoded since start"),
         ("rtf", "Decode wall time per second of audio"),
         ("brownout_active", "1 while brownout is engaged"),

@@ -1,6 +1,5 @@
 """Reduced-precision numeric formats (mantissa study of Section IV-B)."""
 
-from repro.quant.fixed_point import FixedPointStats, QFormat
 from repro.quant.float_formats import (
     IEEE_SINGLE,
     MANTISSA_12,
@@ -16,8 +15,6 @@ __all__ = [
     "MANTISSA_15",
     "MANTISSA_12",
     "PAPER_FORMATS",
-    "QFormat",
-    "FixedPointStats",
     "pack_bits",
     "unpack_bits",
     "packed_size_bytes",

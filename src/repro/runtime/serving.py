@@ -60,14 +60,12 @@ __all__ = [
     "JobCancelled",
     "JobDone",
     "JobFailed",
-    "JobStolen",
     "JobTimedOut",
     "LoopStats",
     "ServeLoop",
     "ServeStopped",
     "SetPrecision",
     "SlowShard",
-    "StealJob",
 ]
 
 
@@ -128,8 +126,7 @@ class SlowShard:
     """Fault injection: stall ``stall_s`` before each of the next
     ``steps`` engine steps — a thermally throttled / page-faulting
     shard that is alive but late.  Decoded output is untouched; only
-    timing degrades, which is what deadline and steal logic must
-    absorb."""
+    timing degrades, which is what the deadline logic must absorb."""
 
     stall_s: float
     steps: int
@@ -148,20 +145,6 @@ class SetPrecision:
     """
 
     precision: str
-
-
-@dataclass(frozen=True)
-class StealJob:
-    """Reclaim a job that is still WAITING in this loop's backlog.
-
-    Work stealing: when another shard goes idle while this one has
-    jobs queued behind its busy lanes, the server asks for one back.
-    The request is best-effort — a job that already entered a lane (or
-    already resolved) is simply left alone, and no event is emitted;
-    the server learns the steal succeeded only from :class:`JobStolen`.
-    """
-
-    utt_id: int
 
 
 # ----------------------------------------------------------------------
@@ -205,14 +188,6 @@ class JobFailed:
 
     utt_id: int
     error: str
-
-
-@dataclass(frozen=True)
-class JobStolen:
-    """A :class:`StealJob` succeeded: the job left this loop's backlog
-    without being decoded and is the server's to re-dispatch."""
-
-    utt_id: int
 
 
 @dataclass(frozen=True)
@@ -350,7 +325,6 @@ class ServeLoop:
         waiting: deque[tuple[DecodeJob, float]] = deque()
         slots: dict[int, tuple[DecodeJob, float]] = {}
         cancels: set[int] = set()
-        steals: set[int] = set()
         shard_telemetry = DecodeTelemetry()
         stopping = False
         completed = timeouts = cancelled = failed = 0
@@ -392,8 +366,6 @@ class ServeLoop:
                         stopping = True
                     elif isinstance(msg, CancelJob):
                         cancels.add(msg.utt_id)
-                    elif isinstance(msg, StealJob):
-                        steals.add(msg.utt_id)
                     elif isinstance(msg, CrashWorker):
                         raise RuntimeError(msg.reason)
                     elif isinstance(msg, SlowShard):
@@ -406,9 +378,8 @@ class ServeLoop:
                         waiting.append((msg, self.clock()))
                 now = self.clock()
 
-                # 2. Shed queued jobs that were cancelled, stolen back
-                #    by the server, or whose deadline already passed —
-                #    they never cost a lane.
+                # 2. Shed queued jobs that were cancelled or whose
+                #    deadline already passed — they never cost a lane.
                 if waiting:
                     kept: deque[tuple[DecodeJob, float]] = deque()
                     for entry in waiting:
@@ -417,9 +388,6 @@ class ServeLoop:
                             cancels.discard(job.utt_id)
                             emit(JobCancelled(job.utt_id, "queued", 0))
                             cancelled += 1
-                        elif job.utt_id in steals:
-                            steals.discard(job.utt_id)
-                            emit(JobStolen(job.utt_id))
                         elif job.deadline_at is not None and now >= job.deadline_at:
                             emit(
                                 JobTimedOut(
@@ -450,11 +418,7 @@ class ServeLoop:
                         timeouts += 1
                 # Anything still unmatched was already resolved (the
                 # job preceded its cancel through the same FIFO inbox).
-                # Unmatched steals additionally cover jobs that made it
-                # into a lane first: a steal never interrupts a decode,
-                # so they are dropped without an event.
                 cancels.clear()
-                steals.clear()
 
                 # 4. Admission: FIFO into a free lane, or one the bank
                 #    grows by, while fewer than max_lanes are occupied.

@@ -9,16 +9,16 @@ bank.  Admission control sheds load with a typed
 :class:`AdmissionRejected`; per-utterance deadlines early-retire lanes
 and resolve to typed ``TIMEOUT`` results without moving any surviving
 utterance's bit-exact output; the sharded mode forks N worker
-processes over the shared read-only senone pool and lexicon with
-round-robin + least-loaded dispatch.  Per-server metrics (queue depth,
+processes over the shared read-only senone pool and lexicon, and
+dispatches a job only into a free lane of the least-loaded shard
+(round-robin among equals).  Per-server metrics (queue depth,
 lane utilization, p50/p95 latency, RTF) ride on the wall-clock timing
 every runtime now stamps into its results.
 
 The admission queue is earliest-deadline-first with per-client
-fair-share quotas; the dispatcher steals waiting jobs back from a
-skewed shard's backlog, re-dispatches a dead worker's jobs to the
-survivors, and (``worker_backlog="auto"``) tunes the over-dispatch
-depth from its own miss/occupancy metrics.  :class:`WireServer` /
+fair-share quotas, and it is the one place a job waits: a shard never
+holds a job it cannot start.  The dispatcher re-dispatches a dead
+worker's jobs to the survivors.  :class:`WireServer` /
 :class:`ServeClient` put the whole session API on a TCP socket with a
 length-prefixed binary frame protocol (see
 :mod:`repro.serve.transport`) so other processes and hosts get the

@@ -37,7 +37,6 @@ from repro.runtime.serving import (
     ServeLoop,
     SetPrecision,
     SlowShard,
-    StealJob,
 )
 
 __all__ = [
@@ -61,9 +60,6 @@ class _EngineWorker:
 
     def cancel(self, utt_id: int) -> None:
         self._inbox.put(CancelJob(utt_id))
-
-    def steal(self, utt_id: int) -> None:
-        self._inbox.put(StealJob(utt_id))
 
     def set_precision(self, precision: str) -> None:
         self._inbox.put(SetPrecision(precision))

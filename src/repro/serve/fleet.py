@@ -8,8 +8,13 @@ worker and one session per request.  Nothing in this module touches an
 event loop, a clock or a worker transport, so each rule is testable
 with hand-built records.  A *session* here is anything with the
 attributes the server's :class:`~repro.serve.server.Session` carries:
-``job`` (its :class:`~repro.runtime.serving.DecodeJob`), ``client``,
-``queued`` and ``steal_pending``.
+``job`` (its :class:`~repro.runtime.serving.DecodeJob`), ``client``
+and ``queued``.
+
+A job waits in one place, the :class:`EdfQueue`: :func:`pick_shard`
+hands a shard a job only into a free lane, so a shard never holds work
+it cannot start, and deadlines, fair share, brownout and shedding see
+every waiting job.
 """
 
 from __future__ import annotations
@@ -26,13 +31,8 @@ __all__ = [
     "Brownout",
     "EdfQueue",
     "Shard",
-    "autotune_backlog",
     "brownout_pressure",
-    "capacity",
-    "lose_steal",
     "pick_shard",
-    "recover_health",
-    "steal_candidate",
 ]
 
 
@@ -47,13 +47,11 @@ class Shard:
     stopped: object = None
     alive: bool = True
     last_pick: int = -1  # dispatch sequence number of the latest pick
-    #: Steal-aware health in [0.25, 1.0]; scales the backlog share.
-    health: float = 1.0
-    stolen: int = 0  # steals lost since the last health window
     #: The loop's latest report (the server starts it at all-zero).
     stats: LoopStats | None = None
-    #: Dispatched-but-unresolved sessions, in dispatch order — kept so
-    #: a steal or a death can re-dispatch without asking the client.
+    #: Dispatched-but-unresolved sessions, one per busy lane, in
+    #: dispatch order — kept so a death can re-dispatch them without
+    #: asking the client.
     jobs: list = field(default_factory=list)
 
     @property
@@ -71,7 +69,7 @@ class EdfQueue:
     lets dispatch shed the dead for free before spending a worker
     pick.  A queued session carries its arrival stamp in
     ``session.queued`` (``None`` when not queued): removal clears it,
-    a re-push (steal, redispatch) takes a fresh one, and a heap entry
+    a re-push (a redispatch) takes a fresh one, and a heap entry
     whose stamp no longer matches is a tombstone.  Per-client live
     counts back the two quota rules, which live here because they read
     nothing else.
@@ -179,102 +177,19 @@ class EdfQueue:
         return None
 
 
-def capacity(shard: Shard, max_lanes: int, backlog: int) -> int:
-    """Jobs ``shard`` may hold at once: its lanes plus its share of
-    the over-dispatch ``backlog``.
-
-    A shard at health ``h`` gets ``max_lanes + int(backlog * h)``: its
-    lanes are always dispatchable (a lone survivor must still take
-    everything), but a shard that keeps losing backlogged work to
-    steals stops being handed a deep backlog it cannot drain — the
-    soft circuit breaker.
-    """
-    return max_lanes + int(backlog * shard.health)
-
-
-def pick_shard(shards: list[Shard], max_lanes: int, backlog: int) -> Shard | None:
-    """Least-loaded live shard with spare capacity; round-robin ties
-    (the least recently picked wins).  None when the fleet is full."""
+def pick_shard(shards: list[Shard], max_lanes: int) -> Shard | None:
+    """Least-loaded live shard with a free lane; round-robin ties (the
+    least recently picked wins).  None when every lane is busy: the job
+    keeps waiting in the :class:`EdfQueue`, the one place a job waits."""
     return min(
         (
             shard
             for shard in shards
-            if shard.alive
-            and shard.in_flight < capacity(shard, max_lanes, backlog)
+            if shard.alive and shard.in_flight < max_lanes
         ),
         key=lambda shard: (shard.in_flight, shard.last_pick),
         default=None,
     )
-
-
-def steal_candidate(shards: list[Shard], max_lanes: int):
-    """The session to reclaim for an idle shard, or None.
-
-    There is one when in-flight counts skew: some live shard has spare
-    LANES while another holds jobs beyond its lanes — jobs that are, in
-    all likelihood, still waiting in its loop's backlog.  The victim is
-    the most loaded such shard; of its jobs, the newest not already
-    being stolen (the most recent dispatch is the least likely to have
-    reached a lane yet).
-    """
-    live = [shard for shard in shards if shard.alive]
-    if not any(shard.in_flight < max_lanes for shard in live):
-        return None
-    victim = max(
-        (shard for shard in live if shard.in_flight > max_lanes),
-        key=lambda shard: shard.in_flight,
-        default=None,
-    )
-    if victim is None:
-        return None
-    for session in reversed(victim.jobs):
-        if not session.steal_pending:
-            return session
-    return None
-
-
-def lose_steal(shard: Shard) -> None:
-    """Losing queued work to a steal is the health signal: the shard
-    was too slow to reach that job.  Halve its health (floor 0.25)
-    now; steal-free windows grow it back."""
-    shard.stolen += 1
-    shard.health = max(0.25, shard.health * 0.5)
-
-
-def recover_health(shards: list[Shard]) -> None:
-    """One metrics window of health recovery: +0.25 for every shard
-    that lost nothing in it — asymmetric on purpose, like TCP: back
-    off fast, recover slow."""
-    for shard in shards:
-        if shard.stolen == 0 and shard.health < 1.0:
-            shard.health = min(1.0, shard.health + 0.25)
-        shard.stolen = 0
-
-
-def autotune_backlog(
-    backlog: int,
-    window_misses: int,
-    shards: list[Shard],
-    max_lanes: int,
-    queued: int,
-) -> int:
-    """One backpressure-aware step of the ``worker_backlog`` depth.
-
-    Misses (timeouts + rejections) in the window mean jobs committed
-    to worker backlogs were the wrong call — held at the server they
-    would have stayed EDF-ordered, steal-able and shed-able — so the
-    depth halves.  A packed-but-healthy window (every live shard
-    holding ``max_lanes + backlog`` jobs, more still queued, zero
-    misses) grows it by one, to at most ``4 * max_lanes``, to hide
-    lane-refill latency.
-    """
-    if window_misses > 0:
-        return backlog // 2
-    live = [shard.in_flight for shard in shards if shard.alive]
-    packed = bool(live) and all(n >= max_lanes + backlog for n in live)
-    if packed and queued > 0:
-        return min(4 * max_lanes, backlog + 1)
-    return backlog
 
 
 def brownout_pressure(

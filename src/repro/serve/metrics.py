@@ -27,10 +27,6 @@ class WorkerMetrics:
     frames_processed: int
     max_lanes: int
     alive: bool
-    # Steal-aware health score in [0.25, 1.0]: losing work to steals
-    # cuts it (and with it the shard's dispatch backlog share — a soft
-    # circuit breaker); steal-free windows recover it.
-    health: float = 1.0
     precision: str | None = None  # blas table precision this shard serves at
     stalled_steps: int = 0  # engine steps delayed by injected stalls
     #: Shard-cumulative decode-depth rollup (senones scored, beam
@@ -67,8 +63,10 @@ class ServerMetrics:
     wait_p50_s: float = 0.0
     wait_p95_s: float = 0.0
     shed_wait_p95_s: float = 0.0  # the shed series alone
-    steals: int = 0  # jobs reclaimed from a busy shard's backlog
-    worker_backlog: int = 0  # current per-worker over-dispatch depth
+    # Always 0: a shard holds only jobs in its lanes, so nothing waits
+    # there to be stolen.  Kept because the frozen perf harness reads
+    # it as ``serve.server.steals``.
+    steals: int = 0
     rtf: float = 0.0  # total decode wall time / total audio decoded
     audio_seconds: float = 0.0
     scoring_mode: str = "reference"  # the workers' scoring backend

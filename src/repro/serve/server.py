@@ -12,10 +12,10 @@ sharded mode), each running a
         ▼
     EDF admission queue ──dispatch──▶ worker 0 [lane bank, max_lanes]
         │   earliest deadline         worker 1 [lane bank, max_lanes]
-        │   first; least-loaded       ...
-        │   worker; work stealing
-        ▼   when in-flight skews
-    ServeResult futures  ◀─events── JobDone / JobTimedOut / JobStolen
+        │   first, into a free        ...
+        │   lane of the least-
+        ▼   loaded worker
+    ServeResult futures  ◀─events── JobDone / JobTimedOut / ...
 
 This module is the mechanism — lifecycle, submit, event routing,
 request traces, metrics — over one :class:`~repro.serve.fleet.Shard`
@@ -23,13 +23,11 @@ record per worker and one :class:`Session` per request.  Every
 decision it takes is a plain function or object of
 :mod:`repro.serve.fleet` (no event loop there): the EDF order, the
 per-client fair share and the admission bound in
-:class:`~repro.serve.fleet.EdfQueue`; least-loaded dispatch in
-``pick_shard``; work stealing in ``steal_candidate``; steal-aware
-shard health in ``lose_steal``/``recover_health``; the
-``worker_backlog="auto"`` depth in ``autotune_backlog``; brownout in
-``brownout_pressure`` and the :class:`~repro.serve.fleet.Brownout`
-hysteresis.  :meth:`Server._metrics_window` feeds the window-driven
-ones.
+:class:`~repro.serve.fleet.EdfQueue`; least-loaded dispatch into a
+free lane in ``pick_shard``; brownout in ``brownout_pressure`` and the
+:class:`~repro.serve.fleet.Brownout` hysteresis, fed by
+:meth:`Server._metrics_window`.  A job waits in one place, the EDF
+queue: a shard is handed a job only when one of its lanes is free.
 
 Deadline semantics: a deadline is an ABSOLUTE budget from enqueue.  A
 job that expires while queued is shed without ever touching a lane; a
@@ -41,7 +39,7 @@ resolves to a typed :class:`~repro.serve.types.ServeResult` with
 bit.
 
 Worker failure: a worker process that dies (detected by the sweeper's
-liveness poll, or via its crash event) has its unresolved jobs
+liveness poll, or via its crash event) has the jobs in its lanes
 re-dispatched to the surviving workers — decode is deterministic, so
 a re-run is bit-identical — and only a fleet with no survivors fails
 jobs outright.
@@ -74,7 +72,6 @@ from repro.runtime.serving import (
     JobCancelled,
     JobDone,
     JobFailed,
-    JobStolen,
     JobTimedOut,
     LoopStats,
     ServeStopped,
@@ -117,7 +114,7 @@ class Session:
     ) -> None:
         self._server = server
         #: The dispatchable form of this request, held until it
-        #: resolves so a steal or a worker death can re-dispatch it.
+        #: resolves so a worker death can re-dispatch it.
         self.job = job
         self.utt_id = job.utt_id
         self.enqueued_at = job.enqueued_at
@@ -128,7 +125,6 @@ class Session:
         #: ``jobs`` list holds it).
         self.queued: int | None = None
         self.worker: int | None = None
-        self.steal_pending = False  # a StealJob for it is in flight
         self.redispatched = False  # already survived one worker death
         # Observability stamps for the merged request trace.
         self.trace_id = job.trace_id
@@ -325,18 +321,9 @@ class Server:
         threads of this process.
     default_deadline_s:
         Deadline applied when ``submit`` gets none (None = unbounded).
-    worker_backlog:
-        Jobs dispatched to a worker beyond its ``max_lanes`` so a
-        retiring lane refills without a round trip through the server
-        (default: ``max_lanes``).  Pass ``"auto"`` for the
-        backpressure-aware autotuner: starting at ``max_lanes``, the
-        depth halves whenever a metrics window saw deadline misses or
-        rejections (holding jobs at the server keeps them EDF-ordered
-        and shed-able) and creeps up by one, to at most
-        ``4 * max_lanes``, while the fleet is packed but healthy.
     """
 
-    AUTOTUNE_INTERVAL_S = 0.25  # metrics window between autotune steps
+    WINDOW_S = 0.25  # one metrics window (the brownout's tick)
     SWEEP_S = 0.02  # housekeeping period (deadline shed, liveness poll)
 
     def __init__(
@@ -348,7 +335,6 @@ class Server:
         max_queue: int = 32,
         use_processes: bool = False,
         default_deadline_s: float | None = None,
-        worker_backlog: int | str | None = None,
         frontend: Frontend | None = None,
         brownout: BrownoutPolicy | None = None,
         fault_plan: FaultPlan | None = None,
@@ -356,17 +342,12 @@ class Server:
         check_count("num_workers", num_workers, 1)
         check_count("max_lanes", max_lanes, 1)
         check_count("max_queue", max_queue, 1)
-        self._autotune = worker_backlog == "auto"
-        if worker_backlog is None or self._autotune:
-            worker_backlog = max_lanes
-        check_count("worker_backlog", worker_backlog, 0)
         self.recognizer = recognizer
         self.num_workers = num_workers
         self.max_lanes = max_lanes
         self.max_queue = max_queue
         self.use_processes = use_processes
         self.default_deadline_s = default_deadline_s
-        self._backlog = worker_backlog
         self._window_misses_seen = 0  # timeouts + rejections at the last window
         self._frontend_obj = frontend
         self.fault_plan = fault_plan
@@ -400,7 +381,6 @@ class Server:
         self._cancelled = 0
         self._errors = 0
         self._rejections = 0
-        self._steals = 0
         self._retries = 0  # jobs re-dispatched after a worker death
         self._reconnects = 0  # wire clients re-attaching (WireServer bumps)
         # Bounded log-bucketed histograms (O(1) memory for any traffic
@@ -650,7 +630,6 @@ class Server:
                     frames_processed=stats.frames_processed,
                     max_lanes=self.max_lanes,
                     alive=shard.alive,
-                    health=shard.health,
                     precision=stats.precision,
                     stalled_steps=stats.stalled_steps,
                     telemetry=stats.telemetry,
@@ -685,8 +664,6 @@ class Server:
             wait_p50_s=waits.percentile(0.50),
             wait_p95_s=waits.percentile(0.95),
             shed_wait_p95_s=self._shed_wait_hist.percentile(0.95),
-            steals=self._steals,
-            worker_backlog=self._backlog,
             rtf=(
                 self._decode_s_total / self._audio_s_total
                 if self._audio_s_total
@@ -780,7 +757,7 @@ class Server:
             # of burning a pick_shard pass per dead job.
             self._shed_expired(time.monotonic())
             while len(self._pending):
-                shard = fleet.pick_shard(self._shards, self.max_lanes, self._backlog)
+                shard = fleet.pick_shard(self._shards, self.max_lanes)
                 if shard is None:
                     break
                 session = self._pending.pop()
@@ -792,7 +769,6 @@ class Server:
                 shard.worker.submit(session.job)
                 if self.fault_plan is not None:
                     self._fire_dispatch_faults()
-        self._maybe_steal()
 
     def _fire_dispatch_faults(self) -> None:
         """One dispatch-site FaultPlan event: kill or stall shards.
@@ -814,19 +790,6 @@ class Server:
                 shard.worker.inject_crash()
             elif fault.kind == "slow_shard":
                 shard.worker.slow(fault.stall_s, fault.stall_steps)
-
-    def _maybe_steal(self) -> None:
-        """Reclaim one backlogged job for an idle worker, when the
-        admission queue has nothing to feed it.  Best-effort and
-        race-free: the victim only gives a job back if it has not
-        entered a lane, and the server re-dispatches on the
-        :class:`JobStolen` event."""
-        if len(self._pending):
-            return
-        session = fleet.steal_candidate(self._shards, self.max_lanes)
-        if session is not None:
-            session.steal_pending = True
-            self._shards[session.worker].worker.steal(session.utt_id)
 
     def _cancel_session(self, session: Session) -> bool:
         if session.utt_id not in self._sessions:
@@ -953,22 +916,6 @@ class Server:
 
     def _on_event(self, worker_id: int, event: object) -> None:
         shard = self._shards[worker_id]
-        if isinstance(event, JobStolen):
-            session = self._sessions.get(event.utt_id)
-            if session is None or session.worker != worker_id:
-                return  # resolved (or re-homed) while the steal flew
-            shard.jobs.remove(session)
-            session.steal_pending = False
-            session.worker = None
-            self._steals += 1
-            self.flight.record("steal", shard=worker_id, utt=event.utt_id)
-            fleet.lose_steal(shard)
-            # Back into the EDF queue (original deadline intact); the
-            # dispatch below hands it to the idle worker that
-            # triggered the steal.
-            self._pending.push(session)
-            self._dispatch()
-            return
         if isinstance(event, (JobDone, JobTimedOut, JobCancelled, JobFailed)):
             session = self._sessions.get(event.utt_id)
             if session is None:
@@ -1003,8 +950,8 @@ class Server:
             if event.error is not None or self._state == "running":
                 # The worker died (crash, or exited while we were
                 # still serving).  Decode is deterministic and every
-                # dispatched session still holds its job, so its
-                # unresolved work re-queues for the survivors —
+                # dispatched session still holds its job, so the jobs
+                # in its lanes re-queue for the survivors —
                 # bit-identical on the re-run.  Only a job that
                 # already burned its one retry, or a fleet with no
                 # survivors, fails outright.
@@ -1018,7 +965,6 @@ class Server:
                 # In submission order: the re-queue order is the FIFO
                 # tie-break among equal deadlines.
                 for session in sorted(shard.jobs, key=lambda s: s.utt_id):
-                    session.steal_pending = False
                     if survivors and not session.redispatched:
                         shard.jobs.remove(session)
                         session.redispatched = True
@@ -1039,8 +985,8 @@ class Server:
         whose deadline passed before dispatch (an O(expired) pop of
         the EDF prefix), poll worker liveness so a SIGKILLed shard is
         noticed even though it could not emit its own death event,
-        and close a metrics window every ``AUTOTUNE_INTERVAL_S``."""
-        window_every = max(1, round(self.AUTOTUNE_INTERVAL_S / self.SWEEP_S))
+        and close a metrics window every ``WINDOW_S``."""
+        window_every = max(1, round(self.WINDOW_S / self.SWEEP_S))
         ticks = 0
         while True:
             await asyncio.sleep(self.SWEEP_S)
@@ -1063,22 +1009,12 @@ class Server:
                 )
 
     def _metrics_window(self) -> None:
-        """Close one metrics window: feed what it saw to the fleet
-        policies and apply their verdicts.  Its misses (timeouts +
-        rejections since the last window) are counted once, for the
-        autotuner and the brownout alike."""
+        """Close one metrics window: its misses (timeouts + rejections
+        since the last window), queue fill and dead shards are the
+        brownout's pressure, and the hysteresis may flip on them."""
         misses = self._timeouts + self._rejections
         window_misses = misses - self._window_misses_seen
         self._window_misses_seen = misses
-        if self._autotune:
-            self._backlog = fleet.autotune_backlog(
-                self._backlog,
-                window_misses,
-                self._shards,
-                self.max_lanes,
-                len(self._pending),
-            )
-        fleet.recover_health(self._shards)
         if self.brownout is not None:
             pressure = fleet.brownout_pressure(
                 window_misses, len(self._pending) / self.max_queue, self._shards
@@ -1094,7 +1030,7 @@ class Server:
         self.flight.record(edge)
         self.flight.incident(edge, detail=f"queue={len(self._pending)}")
         self._pending.admission_factor = policy.admission_factor if active else 1.0
-        if policy.downshift_precision and self.recognizer.mode == "blas":
+        if policy.precision is not None and self.recognizer.mode == "blas":
             precision = policy.precision if active else self.recognizer.precision
             if precision != self._serving_precision:
                 self._serving_precision = precision

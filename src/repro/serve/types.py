@@ -160,10 +160,11 @@ class BrownoutPolicy:
 
     While engaged the server degrades instead of shedding blindly:
 
-    * ``downshift_precision`` swaps every live blas worker's scoring
-      tables to ``precision`` (float32 halves table bandwidth; path
-      scores stay within the documented ``FLOAT32_SCORE_ATOL``),
-      restored to the recognizer's own precision on release;
+    * ``precision`` (``None``: no precision rung) swaps every live blas
+      worker's scoring tables to that precision (float32 halves table
+      bandwidth; path scores stay within the documented
+      ``FLOAT32_SCORE_ATOL``), restored to the recognizer's own
+      precision on release;
     * ``admission_factor < 1.0`` tightens the effective admission
       bound to ``max(1, int(max_queue * admission_factor))`` so the
       queue — and with it worst-case queued latency — shrinks; those
@@ -176,8 +177,7 @@ class BrownoutPolicy:
     release_pressure: float = 0.25
     engage_windows: int = 2
     release_windows: int = 4
-    downshift_precision: bool = True
-    precision: str = "float32"
+    precision: str | None = "float32"
     admission_factor: float = 1.0
 
     def __post_init__(self) -> None:
@@ -198,7 +198,8 @@ class BrownoutPolicy:
             )
         # A typo here would otherwise surface inside every shard's loop
         # at the moment brownout engages, killing the fleet under load.
-        check_blas_precision(self.precision)
+        if self.precision is not None:
+            check_blas_precision(self.precision)
 
 
 @dataclass(frozen=True)

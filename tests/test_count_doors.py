@@ -67,8 +67,6 @@ DOORS = [
     ("Server", "num_workers", _server("num_workers"), NON_INTEGERS),
     ("Server", "max_lanes", _server("max_lanes"), NON_INTEGERS),
     ("Server", "max_queue", _server("max_queue"), NON_INTEGERS),
-    # A float or NaN backlog was already refused; a bool was taken as 1.
-    ("Server", "worker_backlog", _server("worker_backlog"), (True,)),
     *(
         ("FastGmmConfig", name, _keyword(FastGmmConfig.all_layers, name), NON_INTEGERS)
         for name in ("cds_max_run", "gs_codebook_size", "gs_shortlist", "pde_chunk")

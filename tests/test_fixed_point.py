@@ -1,11 +1,23 @@
-"""Tests for repro.quant.fixed_point."""
+"""Tests for ``benchmarks/fixed_point.py``, the Q-format arithmetic
+``bench_fixed_point.py`` measures."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quant.fixed_point import QFormat
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "fixed_point", ROOT / "benchmarks" / "fixed_point.py"
+)
+fixed_point = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = fixed_point  # its dataclasses resolve their module
+_spec.loader.exec_module(fixed_point)
+QFormat = fixed_point.QFormat
 
 
 class TestQFormat:

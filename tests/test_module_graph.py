@@ -46,10 +46,7 @@ STAGED_NAMES: dict[str, str] = {}
 #: Modules only ``benchmarks/`` reaches: experiment machinery the
 #: system does not run, kept in ``src/`` with a reason.  A new one is
 #: refused, so the next experiment lives beside its bench.
-BENCH_ONLY = {
-    "repro.quant.fixed_point": "the fixed-point datapath bench_fixed_point.py "
-    "measures; no mode of the engine runs it",
-}
+BENCH_ONLY: dict[str, str] = {}
 
 
 def _exported_names(path: Path) -> list[str]:

@@ -285,14 +285,12 @@ class _FakeMetrics:
     cancelled = 0
     errors = 0
     rejections = 2
-    steals = 0
     retries = 0
     reconnects = 0
     faults_injected = 0
     brownout_transitions = 0
     queue_depth = 3
     in_flight = 2
-    worker_backlog = 4
     audio_seconds = 1.5
     rtf = 0.2
     brownout_active = False

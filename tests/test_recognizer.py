@@ -70,6 +70,27 @@ class TestModes:
                 task.dictionary, task.pool, task.lm, task.tying, mode="quantum"
             )
 
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_frame_period_rejected(self, task, period):
+        """Every audio_seconds and server RTF divides by the period: a
+        NaN, infinite or non-positive one used to build and then read
+        nan or negative seconds."""
+        with pytest.raises(ValueError, match="frame_period_s must be finite"):
+            Recognizer.create(
+                task.dictionary, task.pool, task.lm, task.tying,
+                frame_period_s=period,
+            )
+
+    @pytest.mark.parametrize("mode", ["reference", "hardware", "blas"])
+    def test_fast_config_outside_fast_mode_rejected(self, task, mode):
+        """Fast-GMM thresholds handed to a backend without layers used
+        to be dropped silently."""
+        with pytest.raises(ValueError, match="fast_config requires mode='fast'"):
+            Recognizer.create(
+                task.dictionary, task.pool, task.lm, task.tying,
+                mode=mode, fast_config=FastGmmConfig.all_layers(),
+            )
+
     def test_vocab_mismatch_rejected(self, task):
         other = Vocabulary(["zzz"])
         lm = NGramModel(other, order=1)

@@ -49,14 +49,7 @@ from repro.runtime.serving import (
 )
 from repro.serve import AdmissionRejected, ServeStatus, Server, ServerClosed
 from repro.serve.faults import Fault, FaultPlan
-from repro.serve.fleet import (
-    EdfQueue,
-    Shard,
-    autotune_backlog,
-    capacity,
-    pick_shard,
-    steal_candidate,
-)
+from repro.serve.fleet import EdfQueue, Shard, pick_shard
 
 
 def make_recognizer(task, mode="reference"):
@@ -72,7 +65,6 @@ def queued_session(utt_id, deadline_at=None, client=None):
         utt_id=utt_id,
         client=client,
         queued=None,
-        steal_pending=False,
     )
 
 
@@ -406,7 +398,6 @@ class TestServer:
                 recognizer,
                 num_workers=1,
                 max_lanes=1,
-                worker_backlog=0,
                 max_queue=1,
             ) as server:
                 first = server.submit(features[0])  # dispatched
@@ -444,7 +435,7 @@ class TestServer:
 
         async def scenario():
             async with Server(
-                recognizer, num_workers=1, max_lanes=1, worker_backlog=0
+                recognizer, num_workers=1, max_lanes=1
             ) as server:
                 running = server.submit(features[1])
                 queued = server.submit(features[0])
@@ -781,21 +772,22 @@ class TestShardedServerIntegration:
                 rec,
                 num_workers=2,
                 max_lanes=4,
-                max_queue=4,
+                max_queue=12,
                 use_processes=True,  # forked shards over the shared pool
             ) as server:
                 # All submits land before the loop yields, so dispatch
-                # is deterministic: 2 workers x (4 lanes + 4 backlog)
-                # = 16 in flight, then 4 queued, and every further
-                # submit is shed with a typed rejection.
+                # is deterministic: 2 workers x 4 lanes = 8 in flight,
+                # then 12 queued (8 + 12 = 20 accepted of the 24
+                # offered), and every further submit is shed with a
+                # typed rejection.
                 sessions, rejections = [], 0
                 for f in features + features[:8]:
                     try:
                         sessions.append(server.submit(f))
                     except AdmissionRejected as err:
                         rejections += 1
-                        assert err.max_queue == 4
-                        assert err.queue_depth == 4
+                        assert err.max_queue == 12
+                        assert err.queue_depth == 12
                 assert len(sessions) == 20
                 assert rejections == 4
                 assert server.metrics().rejections == rejections
@@ -845,7 +837,7 @@ class TestShardedServerIntegration:
 
 # ----------------------------------------------------------------------
 # Admission policy: EDF ordering, fair-share quotas, shed-wait
-# percentiles, backlog autotuning
+# percentiles
 # ----------------------------------------------------------------------
 class TestAdmissionPolicy:
     def test_edf_queue_orders_by_deadline_then_arrival(self):
@@ -890,7 +882,7 @@ class TestAdmissionPolicy:
         sorted by ``(deadline, arrival)``.  Pop order, ``len``,
         per-client counts, the fair-share cap and the refusal it
         implies agree after every push / pop / remove / re-push (what
-        a steal or a redispatch does)."""
+        a redispatch does)."""
         q = EdfQueue(max_queue)
         model = []  # (deadline key, arrival, session), kept sorted
         out = []  # sessions that left the queue: re-push candidates
@@ -950,7 +942,6 @@ class TestAdmissionPolicy:
                 recognizer,
                 num_workers=1,
                 max_lanes=1,
-                worker_backlog=0,
                 max_queue=8,
             ) as server:
                 blocker = server.submit(features[0])  # occupies the lane
@@ -983,7 +974,6 @@ class TestAdmissionPolicy:
                 recognizer,
                 num_workers=1,
                 max_lanes=1,
-                worker_backlog=0,
                 max_queue=4,
             ) as server:
                 blocker = server.submit(features[0], client="a")
@@ -1054,88 +1044,34 @@ class TestAdmissionPolicy:
 
         asyncio.run(scenario())
 
-    def test_autotune_halves_on_misses_and_grows_when_packed(
-        self, recognizer
-    ):
-        """Unit-step the backlog autotuner: misses in the window halve
-        the depth; a packed-and-healthy fleet with queued work grows
-        it by one, up to the cap."""
-        max_lanes = 2
-        server = Server(recognizer, max_lanes=max_lanes, worker_backlog="auto")
-        assert server.metrics().worker_backlog == 2  # "auto" starts at max_lanes
-        shard = Shard(0)
-
-        def step(backlog, window_misses, queued):
-            return autotune_backlog(
-                backlog, window_misses, [shard], max_lanes, queued
-            )
-
-        # Window with a timeout: depth halves.
-        backlog = step(2, window_misses=1, queued=0)
-        assert backlog == 1
-
-        # Quiet window, fleet not packed: unchanged.
-        backlog = step(backlog, window_misses=0, queued=0)
-        assert backlog == 1
-
-        # Packed and healthy with queued work: grows by one per window.
-        for expected in (2, 3, 4, 5, 6, 7, 8):
-            shard.jobs = [object()] * capacity(shard, max_lanes, backlog)
-            backlog = step(backlog, window_misses=0, queued=1)
-            assert backlog == expected
-        # Capped at 4 * max_lanes.
-        shard.jobs = [object()] * capacity(shard, max_lanes, backlog)
-        backlog = step(backlog, window_misses=0, queued=1)
-        assert backlog == 8 == 4 * max_lanes
-
-        # A rejection in the window halves it again.
-        assert step(backlog, window_misses=3, queued=1) == 4
-
 
 # ----------------------------------------------------------------------
-# Fleet behaviour: work stealing between skewed shards, worker-death
+# Fleet behaviour: dispatch into free lanes only, worker-death
 # re-dispatch to survivors
 # ----------------------------------------------------------------------
 class TestFleetResilience:
     def test_pick_shard_least_loaded_then_least_recently_picked(self):
         shards = [Shard(0, last_pick=5), Shard(1, last_pick=2), Shard(2, alive=False)]
         shards[0].jobs = [queued_session(0)]
-        assert pick_shard(shards, 1, 1) is shards[1]  # 0 in flight beats 1
+        assert pick_shard(shards, 2) is shards[1]  # 0 in flight beats 1
         shards[1].jobs = [queued_session(1)]
-        assert pick_shard(shards, 1, 1) is shards[1]  # tie: picked longest ago
-        shards[1].jobs.append(queued_session(2))  # at lanes + backlog: full
-        assert pick_shard(shards, 1, 1) is shards[0]
-        shards[0].health = 0.25  # its backlog share rounds down to nothing
-        assert pick_shard(shards, 1, 1) is None  # the dead shard never is
+        assert pick_shard(shards, 2) is shards[1]  # tie: picked longest ago
+        shards[1].jobs.append(queued_session(2))  # every lane busy: full
+        assert pick_shard(shards, 2) is shards[0]
+        shards[0].jobs.append(queued_session(3))
+        assert pick_shard(shards, 2) is None  # the dead shard never is
 
-    def test_steal_candidate_is_newest_unstolen_job_of_most_loaded(self):
-        idle, busy, busier = Shard(0), Shard(1), Shard(2)
-        busy.jobs = [queued_session(i) for i in range(2)]
-        busier.jobs = [queued_session(i) for i in range(2, 5)]
-        shards = [idle, busy, busier]
-        assert steal_candidate(shards, 1) is busier.jobs[-1]
-        busier.jobs[-1].steal_pending = True
-        assert steal_candidate(shards, 1) is busier.jobs[-2]
-        assert steal_candidate([idle, Shard(3)], 1) is None  # nothing waits
-        idle.jobs = [queued_session(9)]  # every lane busy: nobody to feed
-        assert steal_candidate(shards, 1) is None
-        idle.jobs = []
-        idle.alive = False  # spare lanes on a dead shard do not count
-        assert steal_candidate(shards, 1) is None
-
-    def test_work_stealing_rebalances_skewed_shards(self, task, workload):
-        """One shard drains its short jobs while the other sits on a
-        backlog of long ones: the server steals the waiting jobs back
-        and re-runs them on the idle shard, bit-identically.
-
-        The skew is SCHEDULED, not raced: a slow-shard fault stalls the
-        victim 1.2 s inside its first utterance, while the thief needs
-        120 engine steps (tens of milliseconds) to go idle.
-        """
+    def test_a_shard_is_handed_only_jobs_it_has_lanes_for(self, task, workload):
+        """A job waits in one place, the server's EDF queue: after
+        every submit and every worker event, no live shard holds more
+        jobs than it has lanes.  A burst of long and short jobs over
+        two shards, one of them slowed by a fault, still spreads over
+        both, every result bit-equal to a sequential decode."""
         features, baselines = workload
         rec = make_recognizer(task)
         short = features[1][:40]
         short_base = rec.decode(short)
+        max_lanes = 2
         plan = FaultPlan(
             [
                 Fault(
@@ -1143,27 +1079,42 @@ class TestFleetResilience:
                     at=1,
                     kind="slow_shard",
                     worker=1,
-                    stall_s=0.03,
+                    stall_s=0.01,
                     stall_steps=40,
                 )
             ]
         )
+        seen = []  # every live shard's in_flight at every check
+
+        def check_lanes(server):
+            # Recorded, not asserted: an assertion inside an event
+            # callback would only be logged by the event loop.
+            seen.extend(shard.in_flight for shard in server._shards if shard.alive)
 
         async def scenario():
             async with Server(
                 rec,
                 num_workers=2,
-                max_lanes=1,
-                worker_backlog=2,
+                max_lanes=max_lanes,
                 max_queue=16,
                 fault_plan=plan,
             ) as server:
-                # Alternating submit + least-loaded dispatch gives
-                # worker 0 the shorts and worker 1 the longs.
+                on_event = server._on_event
+
+                def checked_on_event(worker_id, event):
+                    on_event(worker_id, event)
+                    check_lanes(server)
+
+                server._on_event = checked_on_event
                 sessions = []
-                for i in range(6):
+                for i in range(8):
                     f = short if i % 2 == 0 else features[0]
                     sessions.append(server.submit(f))
+                    check_lanes(server)
+                assert max(seen) <= max_lanes, seen
+                # 2 shards x 2 lanes = 4 dispatched; the other 4 wait
+                # at the server, not behind a busy lane.
+                assert len(server._pending) == 8 - 2 * max_lanes
                 results = await asyncio.gather(
                     *[s.result() for s in sessions]
                 )
@@ -1172,18 +1123,20 @@ class TestFleetResilience:
                     assert result.ok, result
                     assert result.words == base.words
                     assert result.result.score == base.score  # bit-exact
-                metrics = server.metrics()
-                assert metrics.steals >= 1
-                # A stolen job ran on the shard that stole it.
                 assert {r.worker for r in results} == {0, 1}
+                assert plan.faults_injected == 1
+                assert server.metrics().steals == 0
 
         asyncio.run(scenario())
+        # Every check, at submits and at events alike: the shards
+        # filled their lanes and never went beyond them.
+        assert max(seen) == max_lanes
 
     def test_worker_death_redispatches_queued_jobs(self, task, workload):
         """SIGKILL one of two forked shards mid-burst: the sweeper
-        notices the silent death and every job it held (in lanes or
-        backlog) re-runs on the survivor — same words, same scores,
-        no silent drops."""
+        notices the silent death and the job in its lane re-runs on
+        the survivor, as do the jobs still queued at the server — same
+        words, same scores, no silent drops."""
         features, baselines = workload
         rec = make_recognizer(task)
 
@@ -1192,13 +1145,14 @@ class TestFleetResilience:
                 rec,
                 num_workers=2,
                 max_lanes=1,
-                worker_backlog=2,
                 max_queue=16,
                 use_processes=True,
             ) as server:
                 sessions = [server.submit(features[0]) for _ in range(6)]
-                # Both shards hold dispatched jobs.
-                assert all(shard.in_flight > 0 for shard in server._shards)
+                # Both shards hold a dispatched job, one per lane
+                # (2 x 1 = 2); the other 4 wait at the server.
+                assert [shard.in_flight for shard in server._shards] == [1, 1]
+                assert len(server._pending) == 4
                 server._shards[0].worker._proc.kill()  # no goodbye event
                 results = await asyncio.gather(
                     *[s.result() for s in sessions]
@@ -1226,7 +1180,6 @@ class TestFleetResilience:
                 rec,
                 num_workers=2,
                 max_lanes=1,
-                worker_backlog=2,
                 max_queue=16,
                 use_processes=True,
             ) as server:
@@ -1263,7 +1216,6 @@ class TestFleetResilience:
                 rec,
                 num_workers=2,
                 max_lanes=1,
-                worker_backlog=2,
                 max_queue=16,
                 use_processes=True,
             ) as server:
@@ -1287,8 +1239,9 @@ class TestFleetResilience:
                     metrics.completed + metrics.cancelled + metrics.errors
                     == 4
                 )
-                # Both of the dead shard's jobs burned their one retry.
-                assert metrics.retries == 2
+                # The dead shard held one job, in its one lane (the
+                # other two waited at the server): one retry.
+                assert metrics.retries == 1
 
         asyncio.run(scenario())
 

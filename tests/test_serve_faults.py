@@ -10,7 +10,7 @@ Covers, per the PR's acceptance criteria:
   non-retryable (streams never hang);
 * graceful brownout — hysteresis engage/release, live blas precision
   downshift with full restoration, ``reason="brownout"`` admission
-  tightening — and steal-aware shard health scoring;
+  tightening;
 * THE chaos matrix: a seeded plan combining two worker kills, a
   socket drop (client auto-reconnects) and a slow shard, under 24
   mixed submit/stream jobs over two forked shards through a real
@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 from repro.decoder import Recognizer
-from repro.runtime.serving import JobStolen
 from repro.serve import (
     AdmissionRejected,
     BrownoutPolicy,
@@ -43,13 +42,7 @@ from repro.serve import (
     WireServer,
 )
 from repro.serve.client import WireProtocolError
-from repro.serve.fleet import (
-    Brownout,
-    Shard,
-    brownout_pressure,
-    capacity,
-    recover_health,
-)
+from repro.serve.fleet import Brownout, Shard, brownout_pressure
 
 
 def make_recognizer(task, mode="reference", **kwargs):
@@ -212,7 +205,7 @@ class TestBrownout:
 
     def test_hysteresis_needs_consecutive_windows(self):
         policy = BrownoutPolicy(
-            engage_windows=2, release_windows=2, downshift_precision=False
+            engage_windows=2, release_windows=2, precision=None
         )
         brownout = Brownout(policy)
         brownout.step(self.HOT)  # window 1 shed something -> pressure 1.0
@@ -228,7 +221,7 @@ class TestBrownout:
 
     def test_interrupted_hot_streak_resets(self):
         policy = BrownoutPolicy(
-            engage_windows=2, release_windows=2, downshift_precision=False
+            engage_windows=2, release_windows=2, precision=None
         )
         brownout = Brownout(policy)
         brownout.step(self.HOT)  # hot
@@ -264,7 +257,7 @@ class TestBrownout:
             server = Server(rec, num_workers=2, max_lanes=2, brownout=policy)
             # Manual ticks only: the sweeper's own brownout ticks would
             # race the assertions below.
-            server.AUTOTUNE_INTERVAL_S = 3600.0
+            server.WINDOW_S = 3600.0
             await server.start()
             try:
                 before = await server.submit(features[0]).result()
@@ -299,6 +292,18 @@ class TestBrownout:
 
         asyncio.run(scenario())
 
+    def test_no_precision_rung_keeps_the_tables(self, task):
+        """``precision=None`` is a brownout without a precision rung:
+        it engages (and would tighten admission) but a blas fleet keeps
+        serving at the recognizer's own precision."""
+        rec = make_recognizer(task, mode="blas")
+        policy = BrownoutPolicy(engage_windows=1, precision=None)
+        server = Server(rec, brownout=policy)
+        server._timeouts += 1  # a shed window
+        server._metrics_window()
+        assert server._brownout_state.active
+        assert server.metrics().scoring_precision == "float64"
+
     def test_admission_tightens_with_typed_brownout_rejections(
         self, recognizer, workload
     ):
@@ -306,7 +311,7 @@ class TestBrownout:
         policy = BrownoutPolicy(
             engage_windows=1,
             release_windows=1,
-            downshift_precision=False,
+            precision=None,
             admission_factor=0.5,
         )
 
@@ -315,11 +320,10 @@ class TestBrownout:
                 recognizer,
                 num_workers=1,
                 max_lanes=1,
-                worker_backlog=0,
                 max_queue=8,
                 brownout=policy,
             )
-            server.AUTOTUNE_INTERVAL_S = 3600.0
+            server.WINDOW_S = 3600.0
             await server.start()
             try:
                 assert server._pending.effective_max_queue() == 8
@@ -327,7 +331,7 @@ class TestBrownout:
                 server._metrics_window()
                 assert server._brownout_state.active
                 assert server._pending.effective_max_queue() == 4
-                # 1 dispatches (capacity=max_lanes), 4 fill the
+                # 1 dispatches (into the one free lane), 4 fill the
                 # tightened queue; the next submit sheds typed.
                 sessions = [server.submit(features[0]) for _ in range(5)]
                 with pytest.raises(AdmissionRejected) as err:
@@ -340,62 +344,6 @@ class TestBrownout:
                     assert (await session.result()).status is ServeStatus.OK
             finally:
                 await server.stop()
-
-        asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
-# Steal-aware shard health
-# ----------------------------------------------------------------------
-class TestShardHealth:
-    def test_health_recovers_one_quarter_per_clean_window(self):
-        shards = [Shard(0, health=0.25), Shard(1)]
-        recover_health(shards)
-        assert [s.health for s in shards] == [0.5, 1.0]
-        shards[0].stolen += 1  # lost work again this window
-        recover_health(shards)
-        assert [s.health for s in shards] == [0.5, 1.0]  # no recovery
-        recover_health(shards)
-        recover_health(shards)
-        assert [s.health for s in shards] == [1.0, 1.0]  # capped
-
-    def test_capacity_scales_backlog_share_only(self):
-        shards = [Shard(0), Shard(1, health=0.25)]
-        assert capacity(shards[0], max_lanes=2, backlog=4) == 6
-        # lanes always dispatchable
-        assert capacity(shards[1], max_lanes=2, backlog=4) == 3
-        shards[1].health = 0.5
-        assert capacity(shards[1], max_lanes=2, backlog=4) == 4
-
-    def test_losing_a_steal_halves_health_with_floor(
-        self, recognizer, workload
-    ):
-        features, baselines = workload
-
-        async def scenario():
-            async with Server(
-                recognizer,
-                num_workers=2,
-                max_lanes=1,
-                worker_backlog=2,
-                max_queue=16,
-            ) as server:
-                first = server.submit(features[0])
-                assert first.worker == 0
-                server._on_event(0, JobStolen(first.utt_id))
-                assert server._shards[0].health == 0.5
-                assert server._shards[0].stolen == 1
-                assert server.metrics().workers[0].health == 0.5
-                server._shards[0].health = 0.4
-                second = server.submit(features[1])
-                server._on_event(second.worker, JobStolen(second.utt_id))
-                assert min(s.health for s in server._shards) == 0.25  # the floor
-                for session, base in ((first, baselines[0]), (second, baselines[1])):
-                    result = await session.result()
-                    assert result.status is ServeStatus.OK
-                    assert result.words == base.words
-                    assert result.result.score == base.score
-                assert server.metrics().steals == 2
 
         asyncio.run(scenario())
 
@@ -465,7 +413,6 @@ class TestDispatchFaults:
                 recognizer,
                 num_workers=2,
                 max_lanes=1,
-                worker_backlog=2,
                 max_queue=16,
                 fault_plan=plan,
             ) as server:
@@ -773,7 +720,6 @@ class TestChaosMatrix:
             recognizer,
             num_workers=2,
             max_lanes=2,
-            worker_backlog=2,
             max_queue=32,
             use_processes=True,
             fault_plan=plan,
@@ -922,7 +868,6 @@ class TestChaosMatrix:
                 recognizer,
                 num_workers=2,
                 max_lanes=2,
-                worker_backlog=2,
                 max_queue=32,
                 fault_plan=plan,
             ) as server:

@@ -14,7 +14,7 @@ Covers, per the PR's acceptance criteria:
   sharded (forked) server through a real socket, decodes bit-identical
   to sequential, and over-capacity submits come back as typed
   rejections — never silence;
-* a burst larger than lanes + backlog + queue through one socket is
+* a burst larger than lanes + queue through one socket is
   fully partitioned into typed rejections and typed results, and the
   server's counters agree with the client's;
 * non-finite features, and an ``open`` whose parameters the streaming
@@ -258,7 +258,6 @@ class TestWireLoopback:
                 recognizer,
                 num_workers=1,
                 max_lanes=1,
-                worker_backlog=0,
                 max_queue=1,
             ) as server:
                 async with WireServer(server) as wire:
@@ -434,7 +433,6 @@ class TestWireLoopback:
                 recognizer,
                 num_workers=1,
                 max_lanes=1,
-                worker_backlog=0,
                 max_queue=4,
             ) as server:
                 async with WireServer(server) as wire:
@@ -538,7 +536,7 @@ class TestWireLoopback:
                         assert snapshot["completed"] == 3
                         assert snapshot["scoring_mode"] == "reference"
                         assert snapshot["network"] == "flat"
-                        assert snapshot["worker_backlog"] >= 0
+                        assert snapshot["steals"] == 0  # nothing waits on a shard
                         assert len(snapshot["workers"]) == 1
                         assert snapshot["latency_p95_s"] > 0.0
                         # The resilience counters ride the same op.
@@ -547,7 +545,6 @@ class TestWireLoopback:
                         assert snapshot["faults_injected"] == 0
                         assert snapshot["brownout_transitions"] == 0
                         assert snapshot["brownout_active"] is False
-                        assert snapshot["workers"][0]["health"] == 1.0
 
         asyncio.run(scenario())
 
@@ -583,7 +580,6 @@ class TestWireLoopback:
                 recognizer,
                 num_workers=1,
                 max_lanes=1,
-                worker_backlog=0,
                 max_queue=8,
             ) as server:
                 async with WireServer(server) as wire:
@@ -827,7 +823,7 @@ class TestWireOverload:
         is deliberately not asserted — only the partition is."""
         features, baselines = workload
         offered = features * 2
-        assert len(offered) > 4 + 4 + 4  # lanes + backlog + queue below
+        assert len(offered) > 4 + 4  # lanes + queue below
 
         async def scenario():
             rejected = 0
@@ -837,7 +833,6 @@ class TestWireOverload:
                 num_workers=2,
                 max_lanes=2,
                 max_queue=4,
-                worker_backlog="auto",
                 use_processes=True,
             ) as server:
                 async with WireServer(server) as wire:
@@ -890,7 +885,6 @@ class TestCrossProcessWire:
                 recognizer,
                 num_workers=2,
                 max_lanes=2,
-                worker_backlog=0,
                 max_queue=2,
                 use_processes=True,  # forked shards, shared model pages
             ) as server:
